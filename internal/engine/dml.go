@@ -310,7 +310,7 @@ func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, args []types.Va
 	for _, i := range which {
 		setVals[i] = make([]types.Value, n)
 	}
-	err := e.evalVecs(progs, rel, args, func(start, count int, vecs []*vm.Vec) error {
+	err := e.evalVecsRange(progs, rel, args, 0, n, func(start, count int, vecs []*vm.Vec) error {
 		for vi, i := range which {
 			for ri := 0; ri < count; ri++ {
 				if err := vecs[vi].Err(ri); err != nil {
@@ -326,7 +326,7 @@ func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, args []types.Va
 		return nil
 	})
 	if err != nil {
-		// evalVecs only fails through the sink, which never errors here.
+		// evalVecsRange only fails through the sink, which never errors here.
 		return nil, nil
 	}
 	return setVals, setErrs

@@ -183,7 +183,6 @@ type Engine struct {
 	// workers from one shared pool so they degrade to narrower plans
 	// instead of oversubscribing the cores.
 	parallelism atomic.Int64 // target workers per query (1 = serial)
-	parMinRows  atomic.Int64 // slot-count threshold to go parallel
 	parExtra    atomic.Int64 // extra workers currently running engine-wide
 	mParQueries *metrics.Counter
 	mParMorsels *metrics.Counter
@@ -244,7 +243,6 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mVMBatches = e.reg.Counter("vm.exec_batches")
 	e.mVMRows = e.reg.Counter("vm.rows")
 	e.parallelism.Store(int64(runtime.GOMAXPROCS(0)))
-	e.parMinRows.Store(defaultParallelMinRows)
 	e.mParQueries = e.reg.Counter("vm.parallel_queries")
 	e.mParMorsels = e.reg.Counter("vm.morsels")
 	e.mParWorkers = e.reg.Counter("vm.parallel_workers")

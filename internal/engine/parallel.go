@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -14,21 +13,27 @@ import (
 	"ediflow/internal/types"
 )
 
-// Morsel-driven intra-query parallelism.
+// Range operators and morsel-driven intra-query parallelism.
+//
+// Every batched engine stage — the compiled snapshot scan, program
+// evaluation over materialized rows, group keys, aggregate folds, the
+// hash-join build — is one operator over a range [lo, hi). A statement
+// at width 1 calls it once over [0, n) on its own goroutine; a wider
+// one hands ranges out through fanOut. Nothing else differs between the
+// two, so parallel execution is an invisible implementation detail:
+// rows, the first surfaced error, and the rows-scanned tally are
+// byte-identical at every width.
 //
 // A full scan over an MVCC snapshot is embarrassingly parallel: the
 // slot array is captured once (storage.SlotView), every worker resolves
 // visibility lock-free against the same pinned sequence number, and the
 // only coordination is an atomic cursor handing out morsels — fixed
-// runs of version-chain slots, each a few VM batches long. Workers emit
-// into a per-morsel reorder buffer, so gathering in morsel order yields
-// exactly the serial scan's rows, errors, and rows-scanned tally:
-// parallel execution is an invisible implementation detail.
+// runs of version-chain slots, each a few VM batches long.
 //
-// The worker budget is engine-wide (Engine.parExtra): a query reserves
+// The worker budget is engine-wide (Engine.parExtra): a phase reserves
 // extra workers against the configured parallelism before fanning out
-// and releases them at gather, so concurrent sessions degrade to
-// narrower plans instead of oversubscribing the cores.
+// and releases them when it completes, so concurrent sessions degrade
+// to narrower plans instead of oversubscribing the cores.
 
 // morselSlots is the number of version-chain slots per morsel: 16 VM
 // batches, small enough to load-balance skewed filters, large enough to
@@ -36,14 +41,9 @@ import (
 // shrink it to force multi-morsel plans on small tables.
 var morselSlots = 16 * vm.BatchSize
 
-// defaultParallelMinRows is the slot-count threshold below which scans
-// always stay serial: two morsels is the minimum useful fan-out, and
-// point lookups / small tables must not pay goroutine overhead.
-const defaultParallelMinRows = 2 * 16 * vm.BatchSize
-
 // parallelGroupCap bounds per-worker aggregate state slabs: beyond this
 // many groups the partial-state memory (workers x items x groups)
-// outweighs the fold savings and grouped folds stay serial.
+// outweighs the fold savings and grouped folds stay at width 1.
 const parallelGroupCap = 4096
 
 // SetParallelism sets the target number of workers an eligible query
@@ -59,37 +59,25 @@ func (e *Engine) SetParallelism(n int) {
 // Parallelism reports the configured per-query worker target.
 func (e *Engine) Parallelism() int { return int(e.parallelism.Load()) }
 
-// SetParallelMinRows sets the slot-count threshold a table scan (or
-// materialized row set) must reach before the planner considers
-// parallel execution. 0 resets the default.
-func (e *Engine) SetParallelMinRows(n int) {
-	if n <= 0 {
-		n = defaultParallelMinRows
-	}
-	e.parMinRows.Store(int64(n))
-}
-
 // parallelWidth reports how many workers a phase over n rows would
-// target — 1 means stay serial. It does not reserve anything.
+// target: one per morsel up to the configured parallelism, and 1 below
+// two full morsels — point lookups and small tables must not pay
+// goroutine overhead. It does not reserve anything.
 func (e *Engine) parallelWidth(n int) int {
 	w := int(e.parallelism.Load())
-	if w <= 1 || int64(n) < e.parMinRows.Load() {
-		return 1
-	}
-	m := (n + morselSlots - 1) / morselSlots
-	if m < 2 {
-		return 1
-	}
-	if w > m {
+	if m := (n + morselSlots - 1) / morselSlots; w > m {
 		w = m
+	}
+	if w <= 1 || n < 2*morselSlots {
+		return 1
 	}
 	return w
 }
 
 // reserveWorkers claims up to want extra workers from the engine-wide
 // budget (parallelism - 1 beyond the calling goroutine). Returns how
-// many were actually claimed; 0 means run serial. Callers must
-// releaseWorkers the same count when the phase completes.
+// many were actually claimed. Callers must releaseWorkers the same
+// count when the phase completes.
 func (e *Engine) reserveWorkers(want int) int {
 	if want <= 0 {
 		return 0
@@ -117,157 +105,54 @@ func (e *Engine) releaseWorkers(n int) {
 	}
 }
 
-// notePar records the widest fan-out any phase of the statement used,
-// for the vm.parallel_queries / vm.parallel_workers metrics.
-func (ctx *stmtCtx) notePar(nw int) {
-	if int64(nw) > ctx.parWorkers {
+// workers settles the width of a phase over n rows — the calling
+// goroutine plus whatever extras the budget grants — and notes a
+// fan-out for the vm.parallel_* metrics. 1 means the phase runs inline.
+// Callers releaseWorkers(nw - 1) when the phase completes.
+func (e *Engine) workers(n int, ctx *stmtCtx) int {
+	nw := 1 + e.reserveWorkers(e.parallelWidth(n)-1)
+	if nw > 1 && int64(nw) > ctx.parWorkers {
 		ctx.parWorkers = int64(nw)
 	}
+	return nw
 }
 
-// morselOut is one morsel's slot in the reorder buffer. Workers fill
-// slots out of order; the gather walks them in morsel order so output
-// rows, the first surfaced error, and the scan tally are byte-identical
-// to the serial scan.
-type morselOut struct {
-	rows     []types.Row
-	scanned  int
-	whereErr error
-	projErr  error
-}
-
-// parallelScan runs the compiled streaming full scan fanned out over
-// morsels of the snapshot's slot array. Returns handled=false when the
-// scan should stay serial (below threshold, parallelism off, or the
-// engine-wide worker budget is exhausted). On handled=true the matched
-// rows were appended to rel.rows (or emitted through proj) and the scan
-// tally counted, exactly as the serial path would have.
-func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, args []types.Value, ctx *stmtCtx, nUser int) (bool, error) {
-	view := tbl.View(ctx.snap)
-	nSlots := view.Slots()
-	width := e.parallelWidth(nSlots)
-	if width <= 1 {
-		return false, nil
+// fanOut runs tasks 0..tasks-1 on nw workers (the calling goroutine is
+// one of them) and returns the error of the lowest failing task — the
+// one a front-to-back run would have hit first. Each worker is one call
+// of work, which sets up its private state (machines and batches are
+// not goroutine-safe; kept in work's own frame they stay off the heap)
+// and pulls task indexes from next until it reports done, returning
+// early on a task's error. Tasks are claimed in increasing order, so
+// once task i has failed no further task above i is started: every task
+// below it is already claimed, which is all the lowest-error rule
+// needs. At nw == 1 this is a plain loop on the calling goroutine.
+func fanOut(nw, tasks int, work func(next func() (task int, ok bool)) error) error {
+	if nw <= 1 || tasks <= 1 {
+		i := -1
+		return work(func() (int, bool) { i++; return i, i < tasks })
 	}
-	morsels := (nSlots + morselSlots - 1) / morselSlots
-	extra := e.reserveWorkers(width - 1)
-	if extra == 0 {
-		return false, nil
-	}
-	defer e.releaseWorkers(extra)
-	nw := extra + 1
-
-	kinds := batchKinds(rel.cols)
-	used := scanUsedCols(prog, proj)
-	needSys := false
-	for _, c := range used {
-		if c >= nUser {
-			needSys = true
-		}
-	}
-
-	outs := make([]morselOut, morsels)
-	var cursor atomic.Int64
-	// errFloor is the lowest morsel index that hit a WHERE error: the
-	// serial scan would have aborted inside it, so morsels above it are
-	// dead weight. The cursor hands morsels out in increasing order, so
-	// skipping every claim above the floor never skips a morsel that
-	// could lower it.
-	errFloor := atomic.Int64{}
-	errFloor.Store(int64(morsels))
-
+	errs := make([]error, tasks)
+	var cursor, floor atomic.Int64
+	floor.Store(int64(tasks))
 	worker := func() {
-		m := vm.NewMachine(prog)
-		m.Bind(args)
-		wproj := proj.clone(args)
-		batch := vm.NewBatch(kinds, used)
-		var scratch types.Row
-		if needSys {
-			scratch = make(types.Row, nUser+2)
-		}
-		vals := make([]types.Row, 0, vm.BatchSize)
-		tids := make([]int64, 0, vm.BatchSize)
-		created := make([]int64, 0, vm.BatchSize)
-		for {
-			mi := int(cursor.Add(1) - 1)
-			if mi >= morsels || int64(mi) > errFloor.Load() {
-				return
-			}
-			out := &outs[mi]
-			flush := func() error {
-				if len(vals) == 0 {
-					return nil
-				}
-				if needSys {
-					batch.Reset()
-					for i := range vals {
-						copy(scratch, vals[i])
-						scratch[nUser] = types.NewInt(tids[i])
-						scratch[nUser+1] = types.NewInt(created[i])
-						batch.Append(scratch)
-					}
-				} else {
-					batch.Fill(vals)
-				}
-				lanes, err := m.Filter(batch)
-				if err != nil {
-					return err
-				}
-				if len(lanes) > 0 && out.projErr == nil {
-					if wproj != nil {
-						out.projErr = wproj.emit(&out.rows, batch, lanes, vals, tids, created, nUser)
-					} else {
-						w := nUser + 2
-						slab := make([]types.Value, len(lanes)*w)
-						for k, i := range lanes {
-							full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
-							copy(full, vals[i])
-							full[nUser] = types.NewInt(tids[i])
-							full[nUser+1] = types.NewInt(created[i])
-							out.rows = append(out.rows, full)
-						}
-					}
-				}
-				e.countVM(batch.Len())
-				vals, tids, created = vals[:0], tids[:0], created[:0]
-				return nil
-			}
-			for it := view.IterateRange(mi*morselSlots, (mi+1)*morselSlots); ; {
-				sr, more := it.Next()
-				if !more {
-					break
-				}
-				out.scanned++
-				vals = append(vals, sr.Values)
-				tids = append(tids, sr.TID)
-				created = append(created, sr.Created)
-				if len(vals) == vm.BatchSize {
-					if err := flush(); err != nil {
-						out.whereErr = err
-						break
-					}
-				}
-			}
-			if out.whereErr == nil {
-				if err := flush(); err != nil {
-					out.whereErr = err
-				}
-			}
-			if out.whereErr != nil {
-				vals, tids, created = vals[:0], tids[:0], created[:0]
-				// CAS-min: only lower the floor.
-				for {
-					cur := errFloor.Load()
-					if int64(mi) >= cur || errFloor.CompareAndSwap(cur, int64(mi)) {
-						break
-					}
+		var last int64
+		err := work(func() (int, bool) {
+			last = cursor.Add(1) - 1
+			return int(last), last < int64(tasks) && last <= floor.Load()
+		})
+		if err != nil {
+			errs[last] = err
+			for { // CAS-min: only lower the floor
+				cur := floor.Load()
+				if last >= cur || floor.CompareAndSwap(cur, last) {
+					return
 				}
 			}
 		}
 	}
-
 	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
+	for k := 1; k < nw; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -276,118 +161,8 @@ func (e *Engine) parallelScan(tbl *storage.Table, rel *relation, prog *vm.Progra
 	}
 	worker()
 	wg.Wait()
-
-	// Gather in morsel order. A WHERE error aborts without counting the
-	// tally (the serial scan returns before countScanned); a projection
-	// error is surfaced only when no morsel hit a WHERE error, matching
-	// the serial scan's deferral of projection errors to scan end.
-	for i := range outs {
-		if outs[i].whereErr != nil {
-			return true, outs[i].whereErr
-		}
-	}
-	total := 0
-	scanned := 0
-	for i := range outs {
-		if outs[i].projErr != nil {
-			return true, outs[i].projErr
-		}
-		total += len(outs[i].rows)
-		scanned += outs[i].scanned
-	}
-	if rel.rows == nil {
-		rel.rows = make([]types.Row, 0, total)
-	}
-	for i := range outs {
-		rel.rows = append(rel.rows, outs[i].rows...)
-	}
-	e.countScanned(ctx, scanned)
-	ctx.notePar(nw)
-	if e.reg.Enabled() {
-		e.mParMorsels.Add(int64(morsels))
-	}
-	return true, nil
-}
-
-// scanUsedCols unions the columns read by the WHERE program and any
-// pushed-down projection programs.
-func scanUsedCols(prog *vm.Program, proj *scanProj) []int {
-	usedSet := map[int]bool{}
-	for _, c := range prog.Cols() {
-		usedSet[c] = true
-	}
-	if proj != nil {
-		for _, p := range proj.progs {
-			if p == nil {
-				continue
-			}
-			for _, c := range p.Cols() {
-				usedSet[c] = true
-			}
-		}
-	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
-	}
-	sort.Ints(used)
-	return used
-}
-
-// clone returns a worker-private copy of a scan projection: programs
-// and bare-column maps are shared (immutable), machines are per-worker
-// (vm.Machine is not goroutine-safe).
-func (sp *scanProj) clone(args []types.Value) *scanProj {
-	if sp == nil {
-		return nil
-	}
-	c := &scanProj{
-		names:    sp.names,
-		progs:    sp.progs,
-		bare:     sp.bare,
-		machines: make([]*vm.Machine, len(sp.progs)),
-		vecs:     make([]*vm.Vec, len(sp.progs)),
-	}
-	for i, p := range sp.progs {
-		if p != nil {
-			c.machines[i] = vm.NewMachine(p)
-			c.machines[i].Bind(args)
-		}
-	}
-	return c
-}
-
-// evalVecsRange is evalVecs restricted to rel.rows[lo:hi), with the
-// sink's start index still absolute. Workers call it over disjoint
-// ranges with their own machines.
-func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
-	machines := make([]*vm.Machine, len(progs))
-	usedSet := map[int]bool{}
-	for i, p := range progs {
-		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(args)
-		for _, c := range p.Cols() {
-			usedSet[c] = true
-		}
-	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
-	}
-	sort.Ints(used)
-	batch := vm.NewBatch(batchKinds(rel.cols), used)
-	vecs := make([]*vm.Vec, len(progs))
-	for start := lo; start < hi; start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > hi {
-			end = hi
-		}
-		batch.Fill(rel.rows[start:end])
-		for i, mch := range machines {
-			vecs[i] = mch.Eval(batch)
-		}
-		e.countVM(batch.Len())
-		if err := sink(start, batch.Len(), vecs); err != nil {
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -409,64 +184,249 @@ func contiguousRanges(n, nw int) [][2]int {
 	return rs
 }
 
-// parallelKeys computes group keys fanned out over contiguous row
-// ranges. Returns handled=false to fall back to the serial batch path.
-// Error selection: each range records its first (row, expression)
-// error and stops; the lowest range's error is the one the serial scan
-// would have surfaced first.
-func (e *Engine) parallelKeys(progs []*vm.Program, rel *relation, args []types.Value, keys []string, ctx *stmtCtx) (bool, error) {
-	n := len(rel.rows)
-	width := e.parallelWidth(n)
-	if width <= 1 {
-		return false, nil
+// scanOut is what one scan range produced. A WHERE error is the range's
+// task error; a projection error is only recorded, because it must not
+// surface before a WHERE error from a later row (the interpreter
+// filters the whole table before projecting anything).
+type scanOut struct {
+	rows    []types.Row
+	scanned int
+	projErr error
+}
+
+// scanFiltered is the compiled streaming full scan: snapshot rows are
+// pulled into a column batch, the compiled WHERE runs over ~1k lanes at
+// a time, and matched lanes are emitted through the pushed-down
+// projection (or copied out at full table width). Only the columns the
+// programs read are copied into vectors; version values (immutable
+// under MVCC) are referenced, not copied, until a lane passes the
+// filter. At width 1 the whole slot array is one range whose output
+// becomes rel.rows as is; wider plans claim morselSlots-sized ranges
+// and concatenate their outputs in range order.
+func (e *Engine) scanFiltered(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, args []types.Value, ctx *stmtCtx, nUser int) error {
+	view := tbl.View(ctx.snap)
+	n := view.Slots()
+	nw := e.workers(n, ctx)
+	defer e.releaseWorkers(nw - 1)
+	step := n
+	if nw > 1 {
+		step = morselSlots
 	}
-	extra := e.reserveWorkers(width - 1)
-	if extra == 0 {
-		return false, nil
+	var outs []scanOut
+	if n > 0 {
+		outs = make([]scanOut, (n+step-1)/step)
 	}
-	defer e.releaseWorkers(extra)
-	nw := extra + 1
-	ranges := contiguousRanges(n, nw)
-	errs := make([]error, len(ranges))
-	var cursor atomic.Int64
-	worker := func() {
-		keyVals := make(types.Row, len(progs))
-		for {
-			wi := int(cursor.Add(1) - 1)
-			if wi >= len(ranges) {
-				return
-			}
-			errs[wi] = e.evalVecsRange(progs, rel, args, ranges[wi][0], ranges[wi][1], func(start, count int, vecs []*vm.Vec) error {
-				for ri := 0; ri < count; ri++ {
-					for gi := range progs {
-						if err := vecs[gi].Err(ri); err != nil {
-							return err
-						}
-						keyVals[gi] = vecs[gi].Value(ri)
-					}
-					keys[start+ri] = types.RowKey(keyVals)
-				}
+	kinds := batchKinds(rel.cols)
+	progs := []*vm.Program{prog}
+	if proj != nil {
+		progs = append(progs, proj.progs...)
+	}
+	used := usedCols(progs)
+	// Programs reading the tid/created pseudo-columns get them spliced
+	// into a scratch row, filled row-at-a-time.
+	needSys := len(used) > 0 && used[len(used)-1] >= nUser
+
+	err := fanOut(nw, len(outs), func(next func() (int, bool)) error {
+		m := vm.NewMachine(prog)
+		m.Bind(args)
+		wproj := proj.bind(args)
+		batch := vm.NewBatch(kinds, used)
+		var scratch types.Row
+		if needSys {
+			scratch = make(types.Row, nUser+2)
+		}
+		vals := make([]types.Row, 0, vm.BatchSize)
+		tids := make([]int64, 0, vm.BatchSize)
+		created := make([]int64, 0, vm.BatchSize)
+		var out *scanOut
+		flush := func() error {
+			if len(vals) == 0 {
 				return nil
-			})
+			}
+			if needSys {
+				batch.Reset()
+				for i := range vals {
+					copy(scratch, vals[i])
+					scratch[nUser] = types.NewInt(tids[i])
+					scratch[nUser+1] = types.NewInt(created[i])
+					batch.Append(scratch)
+				}
+			} else {
+				batch.Fill(vals)
+			}
+			lanes, err := m.Filter(batch)
+			if err != nil {
+				return err
+			}
+			if len(lanes) > 0 && out.projErr == nil {
+				if wproj != nil {
+					out.projErr = wproj.emit(&out.rows, batch, lanes, vals, tids, created, nUser)
+				} else {
+					// One slab per batch instead of one allocation per
+					// matched row.
+					w := nUser + 2
+					slab := make([]types.Value, len(lanes)*w)
+					for k, i := range lanes {
+						full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
+						copy(full, vals[i])
+						full[nUser] = types.NewInt(tids[i])
+						full[nUser+1] = types.NewInt(created[i])
+						out.rows = append(out.rows, full)
+					}
+				}
+			}
+			e.countVM(batch.Len())
+			vals, tids, created = vals[:0], tids[:0], created[:0]
+			return nil
+		}
+		for ri, ok := next(); ok; ri, ok = next() {
+			out = &outs[ri]
+			for it := view.IterateRange(ri*step, (ri+1)*step); ; {
+				sr, more := it.Next()
+				if !more {
+					break
+				}
+				out.scanned++
+				vals = append(vals, sr.Values)
+				tids = append(tids, sr.TID)
+				created = append(created, sr.Created)
+				if len(vals) == vm.BatchSize {
+					if err := flush(); err != nil {
+						return err
+					}
+				}
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// A WHERE error aborts without counting the tally; a projection
+	// error surfaces only when no range hit a WHERE error.
+	if err != nil {
+		return err
+	}
+	total, scanned := 0, 0
+	for i := range outs {
+		if outs[i].projErr != nil {
+			return outs[i].projErr
+		}
+		total += len(outs[i].rows)
+		scanned += outs[i].scanned
+	}
+	if len(outs) == 1 {
+		rel.rows = outs[0].rows
+	} else if len(outs) > 1 {
+		rel.rows = make([]types.Row, 0, total)
+		for i := range outs {
+			rel.rows = append(rel.rows, outs[i].rows...)
 		}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
+	e.countScanned(ctx, scanned)
+	if nw > 1 && e.reg.Enabled() {
+		e.mParMorsels.Add(int64(len(outs)))
 	}
-	worker()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return true, err
+	if proj != nil {
+		rel.cols = make([]colMeta, len(proj.names))
+		for i, n := range proj.names {
+			rel.cols[i] = colMeta{name: strings.ToLower(n)}
+		}
+		rel.projNames = proj.names
+	}
+	return nil
+}
+
+// usedCols unions the columns the given programs (nil entries skipped)
+// read, ascending — the fill list of the batch they share.
+func usedCols(progs []*vm.Program) []int {
+	usedSet := map[int]bool{}
+	for _, p := range progs {
+		if p == nil {
+			continue
+		}
+		for _, c := range p.Cols() {
+			usedSet[c] = true
 		}
 	}
-	ctx.notePar(nw)
-	return true, nil
+	used := make([]int, 0, len(usedSet))
+	for c := range usedSet {
+		used = append(used, c)
+	}
+	sort.Ints(used)
+	return used
+}
+
+// bind returns a worker-private copy of a scan projection: programs
+// and bare-column maps are shared (immutable), machines are per-worker
+// (vm.Machine is not goroutine-safe).
+func (sp *scanProj) bind(args []types.Value) *scanProj {
+	if sp == nil {
+		return nil
+	}
+	c := &scanProj{
+		names:    sp.names,
+		progs:    sp.progs,
+		bare:     sp.bare,
+		machines: make([]*vm.Machine, len(sp.progs)),
+		vecs:     make([]*vm.Vec, len(sp.progs)),
+	}
+	for i, p := range sp.progs {
+		if p != nil {
+			c.machines[i] = vm.NewMachine(p)
+			c.machines[i].Bind(args)
+		}
+	}
+	return c
+}
+
+// evalVecsRange runs several compiled programs over rel.rows[lo:hi)
+// chunk by chunk, invoking sink with each chunk's absolute start index
+// and result vectors (valid only during the callback). Machines and the
+// batch are private to the call, so disjoint ranges may run on
+// different goroutines.
+func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
+	machines := make([]*vm.Machine, len(progs))
+	for i, p := range progs {
+		machines[i] = vm.NewMachine(p)
+		machines[i].Bind(args)
+	}
+	batch := vm.NewBatch(batchKinds(rel.cols), usedCols(progs))
+	vecs := make([]*vm.Vec, len(progs))
+	for start := lo; start < hi; start += vm.BatchSize {
+		end := start + vm.BatchSize
+		if end > hi {
+			end = hi
+		}
+		batch.Fill(rel.rows[start:end])
+		for i, mch := range machines {
+			vecs[i] = mch.Eval(batch)
+		}
+		e.countVM(batch.Len())
+		if err := sink(start, batch.Len(), vecs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// groupKeysRange computes the RowKey of the compiled GROUP BY
+// expressions for rel.rows[lo:hi) into keys, stopping at the range's
+// first (row, expression) error.
+func (e *Engine) groupKeysRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, keys []string) error {
+	keyVals := make(types.Row, len(progs))
+	return e.evalVecsRange(progs, rel, args, lo, hi, func(start, count int, vecs []*vm.Vec) error {
+		for ri := 0; ri < count; ri++ {
+			for gi := range progs {
+				if err := vecs[gi].Err(ri); err != nil {
+					return err
+				}
+				keyVals[gi] = vecs[gi].Value(ri)
+			}
+			keys[start+ri] = types.RowKey(keyVals)
+		}
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -533,10 +493,14 @@ func classOf(v types.Value) uint8 {
 // first lane error in row order (what the interpreter's collect loop
 // would surface, always beating fold errors); foldErr is the first
 // error the fold itself raised (AsFloat on a non-numeric SUM operand,
-// cross-class Compare). notAllInt / mixed mark states whose partials
-// cannot be merged across row ranges (float addition is not
-// associative; cross-class Compare errors are order-dependent).
+// cross-class Compare). Errors stay in the state until its result is
+// read, so a group HAVING rejects never surfaces one. notAllInt / mixed
+// mark states whose partials cannot be merged across row ranges (float
+// addition is not associative; cross-class Compare errors are
+// order-dependent). seen is a DISTINCT item's dedup set: only a value's
+// first occurrence in row order is folded.
 type aggState struct {
+	seen      map[string]struct{}
 	cnt       int64
 	si        int64
 	sf        float64
@@ -573,8 +537,8 @@ func (st *aggState) step(op aggOp, v types.Value) {
 }
 
 // result finalizes a state into the aggregate's value with exactly
-// foldAggArg's semantics (NULL on empty, int/float promotion, argument
-// errors before fold errors).
+// the interpreter's semantics (evalAggregateCall: NULL on empty,
+// int/float promotion, argument errors before fold errors).
 func (st *aggState) result(op aggOp) (types.Value, error) {
 	if st.argErr != nil {
 		return types.Null, st.argErr
@@ -607,49 +571,47 @@ func (st *aggState) result(op aggOp) (types.Value, error) {
 }
 
 // aggFold holds the column-native fold states for every simple
-// non-DISTINCT aggregate item, laid out [item][group].
+// aggregate item, laid out [item][group].
 type aggFold struct {
-	calls   map[*sqltext.FuncCall]int
-	ops     []aggOp
-	progs   []*vm.Program
-	states  []aggState
-	nGroups int
+	calls    map[*sqltext.FuncCall]int
+	ops      []aggOp
+	distinct []bool
+	progs    []*vm.Program
+	states   []aggState
+	nGroups  int
 }
 
-func (f *aggFold) lookup(fc *sqltext.FuncCall, gi int) *aggState {
+// state returns item fc's accumulator for group gi and its operator, or
+// nil when the fold does not cover fc and the interpreter must evaluate
+// it.
+func (f *aggFold) state(fc *sqltext.FuncCall, gi int) (*aggState, aggOp) {
 	if f == nil {
-		return nil
+		return nil, 0
 	}
 	ci, ok := f.calls[fc]
 	if !ok {
-		return nil
+		return nil, 0
 	}
-	return &f.states[ci*f.nGroups+gi]
-}
-
-func (f *aggFold) covers(fc *sqltext.FuncCall) bool {
-	if f == nil {
-		return false
-	}
-	_, ok := f.calls[fc]
-	return ok
+	return &f.states[ci*f.nGroups+gi], f.ops[ci]
 }
 
 // buildAggFold selects the foldable aggregate items (simple call, one
-// lowerable argument, not DISTINCT) and folds them over rel.rows —
-// column-natively from typed lanes, in parallel row ranges when the
-// relation is large, the group count is bounded, and every item's
-// argument is statically merge-safe. Any state that turns out
-// merge-unsafe at runtime (float SUM, mixed-class MIN/MAX) triggers one
-// serial refold, which is always exact.
-func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int, ctx *stmtCtx) *aggFold {
-	if !e.vmOn() || len(rel.rows) == 0 || nGroups == 0 {
+// lowerable argument) and folds them over rel.rows, column-natively
+// from typed lanes: one range at width 1, else contiguous row ranges
+// whose partials merge in range order. Going wide needs a large
+// relation, a bounded group count, and every item statically
+// merge-safe; any state that still turns out merge-unsafe at runtime
+// (float SUM, mixed-class MIN/MAX) triggers one refold over [0, n),
+// which is always exact.
+func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int) *aggFold {
+	n := len(rel.rows)
+	if !e.vmOn() || n == 0 || nGroups == 0 {
 		return nil
 	}
 	f := &aggFold{calls: map[*sqltext.FuncCall]int{}, nGroups: nGroups}
 	for _, it := range items {
 		fc, ok := it.Expr.(*sqltext.FuncCall)
-		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || fc.Distinct || len(fc.Args) != 1 {
+		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || len(fc.Args) != 1 {
 			continue
 		}
 		if _, dup := f.calls[fc]; dup {
@@ -665,100 +627,65 @@ func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGro
 		}
 		f.calls[fc] = len(f.ops)
 		f.ops = append(f.ops, op)
+		f.distinct = append(f.distinct, fc.Distinct)
 		f.progs = append(f.progs, p)
 	}
 	if len(f.ops) == 0 {
 		return nil
 	}
-	if e.parallelAggFold(f, rel, b.args, rowGroup, ctx) {
-		return f
+	nw := 1
+	if nGroups <= parallelGroupCap && e.parallelWidth(n) > 1 && f.staticMergeSafe(batchKinds(rel.cols)) {
+		nw = e.workers(n, b.ctx)
 	}
-	f.states = e.foldRanges(f, rel, b.args, 0, len(rel.rows), rowGroup)
+	ranges := contiguousRanges(n, nw)
+	partials := make([][]aggState, len(ranges))
+	_ = fanOut(nw, len(ranges), func(next func() (int, bool)) error {
+		for ri, ok := next(); ok; ri, ok = next() {
+			partials[ri] = e.foldRange(f, rel, b.args, ranges[ri][0], ranges[ri][1], rowGroup)
+		}
+		return nil
+	})
+	e.releaseWorkers(nw - 1)
+	f.states = partials[0]
+	for _, part := range partials[1:] {
+		mergeAggStates(f.states, part, f.ops, nGroups)
+	}
+	if len(partials) > 1 {
+		// A merged float sum or mixed-class extremum could diverge from
+		// the front-to-back fold: redo it as one range.
+		for i := range f.states {
+			st, op := &f.states[i], f.ops[i/nGroups]
+			if ((op == aggSum || op == aggAvg) && st.notAllInt) || ((op == aggMin || op == aggMax) && st.mixed) {
+				f.states = e.foldRange(f, rel, b.args, 0, n, rowGroup)
+				break
+			}
+		}
+	}
 	return f
 }
 
-// staticMergeSafe reports whether an item's fold partials can be merged
-// across row ranges given the argument's statically inferred kind:
-// integer sums are associative, single-kind MIN/MAX never hits a
-// cross-class Compare. Kinds are advisory (columns can promote), so the
-// runtime notAllInt/mixed flags remain the backstop.
-func staticMergeSafe(op aggOp, p *vm.Program, kinds []types.Kind) bool {
-	switch op {
-	case aggCount:
-		return true
-	case aggSum, aggAvg:
-		return p.StaticKind(kinds) == types.KindInt
-	default:
-		return p.StaticKind(kinds) != types.KindNull
-	}
-}
-
-// parallelAggFold folds f over contiguous row ranges in parallel and
-// merges the partials in range order. Returns false when the fold
-// should stay serial.
-func (e *Engine) parallelAggFold(f *aggFold, rel *relation, args []types.Value, rowGroup []int32, ctx *stmtCtx) bool {
-	n := len(rel.rows)
-	if f.nGroups > parallelGroupCap {
-		return false
-	}
-	width := e.parallelWidth(n)
-	if width <= 1 {
-		return false
-	}
-	kinds := batchKinds(rel.cols)
+// staticMergeSafe reports whether every item's fold partials can be
+// merged across row ranges given the arguments' statically inferred
+// kinds: integer sums are associative, single-kind MIN/MAX never hits a
+// cross-class Compare; a DISTINCT item's dedup set spans the whole
+// relation, so it never is. Kinds are advisory (columns can promote),
+// so the runtime notAllInt/mixed flags remain the backstop.
+func (f *aggFold) staticMergeSafe(kinds []types.Kind) bool {
 	for i, op := range f.ops {
-		if !staticMergeSafe(op, f.progs[i], kinds) {
+		k := f.progs[i].StaticKind(kinds)
+		switch {
+		case f.distinct[i]:
 			return false
-		}
-	}
-	extra := e.reserveWorkers(width - 1)
-	if extra == 0 {
-		return false
-	}
-	nw := extra + 1
-	ranges := contiguousRanges(n, nw)
-	partials := make([][]aggState, len(ranges))
-	var cursor atomic.Int64
-	worker := func() {
-		for {
-			wi := int(cursor.Add(1) - 1)
-			if wi >= len(ranges) {
-				return
+		case op == aggSum || op == aggAvg:
+			if k != types.KindInt {
+				return false
 			}
-			partials[wi] = e.foldRanges(f, rel, args, ranges[wi][0], ranges[wi][1], rowGroup)
+		case op == aggMin || op == aggMax:
+			if k == types.KindNull {
+				return false
+			}
 		}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
-	e.releaseWorkers(extra)
-
-	merged := partials[0]
-	for _, part := range partials[1:] {
-		mergeAggStates(merged, part, f.ops, f.nGroups)
-	}
-	for i := range merged {
-		st := &merged[i]
-		op := f.ops[i/f.nGroups]
-		if ((op == aggSum || op == aggAvg) && st.notAllInt) || ((op == aggMin || op == aggMax) && st.mixed) {
-			// A partial turned out merge-unsafe at runtime: refold
-			// everything serially. One extra pass, but only on shapes
-			// (float sums, mixed-class extrema) whose merged result
-			// could diverge from the serial fold.
-			f.states = e.foldRanges(f, rel, args, 0, n, rowGroup)
-			ctx.notePar(nw)
-			return true
-		}
-	}
-	f.states = merged
-	ctx.notePar(nw)
 	return true
 }
 
@@ -806,13 +733,13 @@ func mergeAggStates(dst, src []aggState, ops []aggOp, nGroups int) {
 	}
 }
 
-// foldRanges folds every item of f over rel.rows[lo:hi), column-native:
+// foldRange folds every item of f over rel.rows[lo:hi), column-native:
 // typed int/float lanes fold without boxing a single value.
-func (e *Engine) foldRanges(f *aggFold, rel *relation, args []types.Value, lo, hi int, rowGroup []int32) []aggState {
+func (e *Engine) foldRange(f *aggFold, rel *relation, args []types.Value, lo, hi int, rowGroup []int32) []aggState {
 	states := make([]aggState, len(f.ops)*f.nGroups)
 	_ = e.evalVecsRange(f.progs, rel, args, lo, hi, func(start, count int, vecs []*vm.Vec) error {
 		for ci := range f.ops {
-			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], vecs[ci], rowGroup, start, count)
+			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
 		}
 		return nil
 	})
@@ -824,8 +751,9 @@ func (e *Engine) foldRanges(f *aggFold, rel *relation, args []types.Value, lo, h
 // becomes the state's argument error (first in row order, matching the
 // interpreter's collect loop, which surfaces any argument error before
 // folding); a state with a fold error keeps watching for argument
-// errors only; NULL lanes are skipped.
-func foldVec(states []aggState, op aggOp, vec *vm.Vec, rowGroup []int32, start, count int) {
+// errors only; NULL lanes are skipped, and so is every repeat of a
+// value a DISTINCT item has already folded.
+func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup []int32, start, count int) {
 	kind := vec.Kind()
 	for ri := 0; ri < count; ri++ {
 		st := &states[0]
@@ -844,6 +772,16 @@ func foldVec(states []aggState, op aggOp, vec *vm.Vec, rowGroup []int32, start, 
 		}
 		if vec.IsNull(ri) {
 			continue
+		}
+		if distinct {
+			k := vec.Value(ri).HashKey()
+			if _, dup := st.seen[k]; dup {
+				continue
+			}
+			if st.seen == nil {
+				st.seen = map[string]struct{}{}
+			}
+			st.seen[k] = struct{}{}
 		}
 		switch op {
 		case aggCount:
@@ -905,25 +843,30 @@ func foldVec(states []aggState, op aggOp, vec *vm.Vec, rowGroup []int32, start, 
 }
 
 // ---------------------------------------------------------------------------
-// Parallel hash-join build.
+// Hash-join build.
 
 // joinIndex maps a join key to the right-side row indexes carrying it,
-// in ascending row order. Built single-threaded into one map, or in
-// parallel as hash partitions (each partition builder scans the
-// precomputed keys ascending, so per-key index lists keep the order the
-// serial build would produce, and the probe stays byte-identical).
+// in ascending row order, as one hash partition per build worker. Each
+// partition builder scans the precomputed keys ascending, so per-key
+// index lists — and with them the probe's output — are the same at
+// every width.
 type joinIndex struct {
-	single map[string][]int
-	parts  []map[string][]int
+	parts []map[string][]int
 }
 
-func (ix *joinIndex) lookup(k string) []int {
-	if ix.single != nil {
-		return ix.single[k]
+func (ix *joinIndex) lookup(k string) []int { return ix.parts[keyPart(k, len(ix.parts))][k] }
+
+// keyPart assigns a join key to one of n partitions by FNV-1a; a lone
+// partition needs no hash.
+func keyPart(k string, n int) int {
+	if n == 1 {
+		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return ix.parts[h.Sum32()%uint32(len(ix.parts))][k]
+	h := uint32(2166136261)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint32(k[i])) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // joinKey builds the equality key for a row, or ok=false when any key
@@ -939,94 +882,45 @@ func joinKey(row types.Row, cols []int) (string, bool) {
 	return types.RowKey(key), true
 }
 
-// buildJoinIndex builds the right-side hash index, fanning the key
-// computation and partitioned insertion out to workers when the build
-// side is large enough.
+// buildJoinIndex builds the right-side hash index in two phases, each
+// fanned out when the build side is large enough: keys and partition
+// assignments over contiguous row ranges, then one builder per
+// partition.
 func (e *Engine) buildJoinIndex(rows []types.Row, eqR []int, ctx *stmtCtx) *joinIndex {
 	n := len(rows)
-	width := e.parallelWidth(n)
-	extra := 0
-	if width > 1 {
-		extra = e.reserveWorkers(width - 1)
-	}
-	if extra == 0 {
-		ix := &joinIndex{single: make(map[string][]int, n)}
-		for i, rr := range rows {
-			if k, ok := joinKey(rr, eqR); ok {
-				ix.single[k] = append(ix.single[k], i)
-			}
-		}
-		return ix
-	}
-	defer e.releaseWorkers(extra)
-	nw := extra + 1
+	nw := e.workers(n, ctx)
+	defer e.releaseWorkers(nw - 1)
 
-	// Phase 1: keys and partition assignments, computed over contiguous
-	// row ranges.
 	keys := make([]string, n)
 	part := make([]int32, n) // -1 = NULL key, never joins
 	ranges := contiguousRanges(n, nw)
-	var cursor atomic.Int64
-	keyWorker := func() {
-		for {
-			wi := int(cursor.Add(1) - 1)
-			if wi >= len(ranges) {
-				return
-			}
-			h := fnv.New32a()
-			for i := ranges[wi][0]; i < ranges[wi][1]; i++ {
+	_ = fanOut(nw, len(ranges), func(next func() (int, bool)) error {
+		for ri, ok := next(); ok; ri, ok = next() {
+			for i := ranges[ri][0]; i < ranges[ri][1]; i++ {
 				k, ok := joinKey(rows[i], eqR)
 				if !ok {
 					part[i] = -1
 					continue
 				}
 				keys[i] = k
-				h.Reset()
-				h.Write([]byte(k))
-				part[i] = int32(h.Sum32() % uint32(nw))
+				part[i] = int32(keyPart(k, nw))
 			}
 		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			keyWorker()
-		}()
-	}
-	keyWorker()
-	wg.Wait()
+		return nil
+	})
 
-	// Phase 2: one builder per partition scans rows ascending and keeps
-	// only its own hash class — insertion order per key is ascending,
-	// exactly as the single-threaded build.
 	ix := &joinIndex{parts: make([]map[string][]int, nw)}
-	var pcur atomic.Int64
-	partWorker := func() {
-		for {
-			p := int(pcur.Add(1) - 1)
-			if p >= nw {
-				return
-			}
-			m := make(map[string][]int)
-			for i := 0; i < n; i++ {
-				if int(part[i]) == p {
+	_ = fanOut(nw, nw, func(next func() (int, bool)) error {
+		for p, ok := next(); ok; p, ok = next() {
+			m := make(map[string][]int, n/nw)
+			for i, pi := range part {
+				if int(pi) == p {
 					m[keys[i]] = append(m[keys[i]], i)
 				}
 			}
 			ix.parts[p] = m
 		}
-	}
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			partWorker()
-		}()
-	}
-	partWorker()
-	wg.Wait()
-	ctx.notePar(nw)
+		return nil
+	})
 	return ix
 }

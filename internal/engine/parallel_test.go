@@ -9,58 +9,70 @@ import (
 	"ediflow/internal/types"
 )
 
-// forceParallel shrinks the morsel size and thresholds so even tiny
-// test tables fan out, and restores everything on cleanup. Returns the
-// engine configured for width workers.
-func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel, minRows int) {
+// forceParallel shrinks the morsel size so even tiny test tables (two
+// morsels and up) fan out to width workers, and restores it on cleanup.
+func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel int) {
 	t.Helper()
 	old := morselSlots
 	morselSlots = slotsPerMorsel
 	t.Cleanup(func() { morselSlots = old })
 	e.SetParallelism(width)
-	e.SetParallelMinRows(minRows)
 }
 
-// execSerialParallel runs sql serially and with parallelism forced on,
-// requiring byte-identical behavior: same error presence and text, same
-// rows in order (kind + rendering), and the same rows-scanned tally.
-func execSerialParallel(t *testing.T, e *Engine, width int, sql string, args ...types.Value) {
+// execThreeWay runs sql on the interpreter (SetCompiledEval(false)), on
+// the VM at width 1, and on the VM at the given width, requiring
+// byte-identical behavior from all three: same error presence and text,
+// same rows in order (kind + rendering), and the same rows-scanned
+// tally. The interpreter is the oracle; a width-1 statement must not
+// register as parallel.
+func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.Value) {
 	t.Helper()
-	e.SetParallelism(1)
-	s0 := e.mRowsScanned.Value()
-	sres, serr := e.Exec(sql, args...)
-	sScan := e.mRowsScanned.Value() - s0
-
-	e.SetParallelism(width)
-	p0 := e.mRowsScanned.Value()
-	pres, perr := e.Exec(sql, args...)
-	pScan := e.mRowsScanned.Value() - p0
-	e.SetParallelism(1)
-
-	if (serr == nil) != (perr == nil) {
-		t.Fatalf("%s: error divergence\nserial:   %v\nparallel: %v", sql, serr, perr)
+	type outcome struct {
+		name    string
+		res     *Result
+		err     error
+		scanned int64
 	}
-	if serr != nil {
-		if serr.Error() != perr.Error() {
-			t.Fatalf("%s: error text divergence\nserial:   %v\nparallel: %v", sql, serr, perr)
+	run := func(name string, compiled bool, w int) outcome {
+		e.SetCompiledEval(compiled)
+		e.SetParallelism(w)
+		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
+		res, err := e.Exec(sql, args...)
+		if w == 1 && e.mParQueries.Value() != q0 {
+			t.Fatalf("%s: %s statement ticked vm.parallel_queries", sql, name)
 		}
-		return
+		return outcome{name, res, err, e.mRowsScanned.Value() - s0}
 	}
-	if sScan != pScan {
-		t.Fatalf("%s: rows_scanned divergence: serial %d, parallel %d", sql, sScan, pScan)
-	}
-	if len(sres.Rows) != len(pres.Rows) {
-		t.Fatalf("%s: row count divergence: serial %d, parallel %d", sql, len(sres.Rows), len(pres.Rows))
-	}
-	for i := range sres.Rows {
-		if len(sres.Rows[i]) != len(pres.Rows[i]) {
-			t.Fatalf("%s row %d: width divergence", sql, i)
+	ref := run("interpreter", false, 1)
+	outs := []outcome{run("width 1", true, 1), run(fmt.Sprintf("width %d", width), true, width)}
+	e.SetParallelism(1)
+
+	for _, got := range outs {
+		if (ref.err == nil) != (got.err == nil) {
+			t.Fatalf("%s: error divergence\n%s: %v\n%s: %v", sql, ref.name, ref.err, got.name, got.err)
 		}
-		for j := range sres.Rows[i] {
-			sv, pv := sres.Rows[i][j], pres.Rows[i][j]
-			if sv.Kind() != pv.Kind() || sv.String() != pv.String() {
-				t.Fatalf("%s row %d col %d: serial %s(%s), parallel %s(%s)",
-					sql, i, j, sv.Kind(), sv.String(), pv.Kind(), pv.String())
+		if ref.err != nil {
+			if ref.err.Error() != got.err.Error() {
+				t.Fatalf("%s: error text divergence\n%s: %v\n%s: %v", sql, ref.name, ref.err, got.name, got.err)
+			}
+			continue
+		}
+		if ref.scanned != got.scanned {
+			t.Fatalf("%s: rows_scanned divergence: %s %d, %s %d", sql, ref.name, ref.scanned, got.name, got.scanned)
+		}
+		if len(ref.res.Rows) != len(got.res.Rows) {
+			t.Fatalf("%s: row count divergence: %s %d, %s %d", sql, ref.name, len(ref.res.Rows), got.name, len(got.res.Rows))
+		}
+		for i := range ref.res.Rows {
+			if len(ref.res.Rows[i]) != len(got.res.Rows[i]) {
+				t.Fatalf("%s row %d: width divergence", sql, i)
+			}
+			for j := range ref.res.Rows[i] {
+				rv, gv := ref.res.Rows[i][j], got.res.Rows[i][j]
+				if rv.Kind() != gv.Kind() || rv.String() != gv.String() {
+					t.Fatalf("%s row %d col %d: %s %s(%s), %s %s(%s)",
+						sql, i, j, ref.name, rv.Kind(), rv.String(), got.name, gv.Kind(), gv.String())
+				}
 			}
 		}
 	}
@@ -120,11 +132,16 @@ func newParTestDB(t testing.TB, rows int) *Engine {
 // TestParallelDifferential: every hot shape — filtered scans with and
 // without projection pushdown, aggregation (plain, grouped, DISTINCT,
 // HAVING), hash joins, LIKE specializations, ORDER BY over parallel
-// scans, and error statements — must behave byte-identically to serial
-// execution, including the rows_scanned tally.
+// scans, and error statements — must behave byte-identically on the
+// interpreter, at width 1 and fanned out, including the rows_scanned
+// tally.
 func TestParallelDifferential(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
+	// A view column declared STRING that holds ints below id 2000 and
+	// strings above: MIN/MAX over it passes the static merge-safety gate,
+	// fans out, and must refold once a partial turns out mixed-class.
+	mustExec(t, e, "CREATE VIEW mixv AS SELECT id, CASE WHEN id < 2000 THEN v ELSE s END AS m FROM p")
 	stmts := []string{
 		// Filtered scans with projection pushdown (bare and computed).
 		"SELECT id FROM p WHERE v > 500",
@@ -154,10 +171,43 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT COUNT(DISTINCT v), SUM(DISTINCT v) FROM p",
 		"SELECT b, MIN(w), MAX(id) FROM p GROUP BY b",
 		"SELECT COUNT(*) FROM p WHERE s LIKE 'str%'",
+		// Grouped COUNT(*) and DISTINCT folds (a per-state seen-set,
+		// folded at width 1 behind fanned-out group keys).
+		"SELECT v % 7, COUNT(*), COUNT(DISTINCT s), SUM(DISTINCT v % 10), AVG(DISTINCT w), MIN(DISTINCT s) FROM p GROUP BY v % 7",
+		"SELECT b, COUNT(DISTINCT v), COUNT(v), MAX(w) FROM p GROUP BY b ORDER BY COUNT(*) DESC",
+		// An empty relation: the implicit group still yields one row, a
+		// GROUP BY none.
+		"SELECT COUNT(*), COUNT(v), SUM(v), MIN(s), COUNT(DISTINCT v), 1 + 1 FROM p WHERE id < 0",
+		"SELECT v % 7, COUNT(*), SUM(v) FROM p WHERE id < 0 GROUP BY v % 7",
+		// A DISTINCT argument that errors only in the group HAVING
+		// rejects stays silent; without HAVING the same error surfaces.
+		"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)), SUM(10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3 HAVING v % 3 > 0",
+		"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3",
+		// Items the fold cannot take (IN (subquery) argument, expressions
+		// over aggregates) beside ones it can: the interpreter gets the
+		// group's rows, in source order.
+		"SELECT v % 5, SUM(v), COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(id), SUM(w) / COUNT(*), MIN(id) + 1 FROM p GROUP BY v % 5",
+		"SELECT v % 5, MAX(s) FROM p GROUP BY v % 5 HAVING SUM(v) > 100000 AND COUNT(DISTINCT b) = 2",
+		"SELECT SUM(*) FROM p",
+		// Merge-unsafe folds: float sums (addition order matters) and
+		// MIN/MAX over mixed comparability classes, global and grouped.
+		"SELECT b, SUM(w), AVG(w * 1.1), SUM(v + w) FROM p GROUP BY b",
+		"SELECT MIN(CASE WHEN id % 2 = 0 THEN v ELSE id * 1.5 END), MAX(CASE WHEN id % 3 = 0 THEN w ELSE id END) FROM p",
+		"SELECT MAX(CASE WHEN id > 2900 THEN s ELSE v END) FROM p",
+		"SELECT v % 4, MIN(CASE WHEN id > 2900 THEN s ELSE v END) FROM p WHERE v IS NOT NULL AND s IS NOT NULL GROUP BY v % 4",
+		"SELECT MIN(m), MAX(m), COUNT(m) FROM mixv",
+		"SELECT MIN(m), MAX(m) FROM mixv WHERE id < 2000",
+		"SELECT id % 3, MAX(m) FROM mixv WHERE id < 2000 GROUP BY id % 3",
 		// Joins: parallel partitioned build on the materialized side.
 		"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
 		"SELECT dim.label, COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k GROUP BY dim.label",
 		"SELECT p.id FROM p LEFT JOIN dim ON p.v % 7 = dim.k AND dim.k > 3 WHERE p.id < 40 ORDER BY p.id",
+		// Right side keyed on an unindexed column: the hash build runs
+		// (one partition at width 1, FNV partitions when fanned out) over
+		// NULL stripes, duplicate keys and a two-column key.
+		"SELECT d.k, b.id FROM dim d JOIN p b ON d.k = b.v",
+		"SELECT d.label, COUNT(*), MIN(b.id) FROM dim d LEFT JOIN p b ON d.k = b.v AND b.id > 1000 GROUP BY d.label",
+		"SELECT a.id, b.id FROM p a JOIN p b ON a.v = b.v AND a.s = b.s WHERE a.id < 300 AND b.id > a.id",
 		// Error statements: WHERE errors, projection errors, fold errors.
 		"SELECT id FROM p WHERE v / (id - 1500) >= 0",
 		"SELECT v / (id - 2999) FROM p WHERE v IS NOT NULL",
@@ -166,23 +216,23 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT id FROM p WHERE v + s > 0",
 	}
 	for _, sql := range stmts {
-		execSerialParallel(t, e, 4, sql)
+		execThreeWay(t, e, 4, sql)
 	}
 	// Same corpus at width 2 and 8 for morsel-boundary coverage.
 	for _, w := range []int{2, 8} {
-		execSerialParallel(t, e, w, "SELECT id, v FROM p WHERE (v * 3 + id) % 7 = 0")
-		execSerialParallel(t, e, w, "SELECT COUNT(*), SUM(v), AVG(w), MIN(s), MAX(v) FROM p WHERE v % 7 != 0")
-		execSerialParallel(t, e, w, "SELECT id FROM p WHERE v / (id - 1500) >= 0")
+		execThreeWay(t, e, w, "SELECT id, v FROM p WHERE (v * 3 + id) % 7 = 0")
+		execThreeWay(t, e, w, "SELECT COUNT(*), SUM(v), AVG(w), MIN(s), MAX(v) FROM p WHERE v % 7 != 0")
+		execThreeWay(t, e, w, "SELECT id FROM p WHERE v / (id - 1500) >= 0")
 	}
 }
 
 // TestParallelTinyMorsels drives the differential corpus from the VM
-// tests' table shape with pathologically small morsels (4 slots), so
-// every batch straddles morsel boundaries and the reorder buffer is
-// exercised with dozens of single-batch morsels.
+// tests' table shape with pathologically small morsels (2 slots), so
+// every morsel is a sliver of one batch and the gather concatenates
+// several single-batch outputs.
 func TestParallelTinyMorsels(t *testing.T) {
 	e := newVMTestDB(t)
-	forceParallel(t, e, 4, 4, 1)
+	forceParallel(t, e, 4, 2)
 	stmts := []string{
 		"SELECT id FROM v WHERE a > 0",
 		"SELECT id, a + f FROM v WHERE a >= -1",
@@ -195,7 +245,7 @@ func TestParallelTinyMorsels(t *testing.T) {
 		"SELECT a + s FROM v WHERE id > 0",
 	}
 	for _, sql := range stmts {
-		execSerialParallel(t, e, 4, sql)
+		execThreeWay(t, e, 4, sql)
 	}
 }
 
@@ -203,7 +253,7 @@ func TestParallelTinyMorsels(t *testing.T) {
 // vm.morsels and vm.parallel_workers; a serial query must not.
 func TestParallelMetrics(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	q0, m0, w0 := e.mParQueries.Value(), e.mParMorsels.Value(), e.mParWorkers.Value()
 	mustExec(t, e, "SELECT id FROM p WHERE v > 500")
 	if e.mParQueries.Value() != q0+1 {
@@ -215,11 +265,27 @@ func TestParallelMetrics(t *testing.T) {
 	if got := e.mParWorkers.Value() - w0; got < 2 || got > 4 {
 		t.Fatalf("vm.parallel_workers delta: got %d, want 2..4", got)
 	}
-	e.SetParallelism(1)
-	q1 := e.mParQueries.Value()
-	mustExec(t, e, "SELECT id FROM p WHERE v > 500")
-	if e.mParQueries.Value() != q1 {
-		t.Fatal("serial query ticked vm.parallel_queries")
+	// Width 1 — by configuration, or because the relation is under two
+	// morsels — is not a parallel query: none of the three counters the
+	// benchmark's vm.parallel_query_share / vm.morsels_per_query read
+	// may move, whatever phases the statement runs.
+	for _, c := range []struct {
+		width int
+		sql   string
+	}{
+		{1, "SELECT id FROM p WHERE v > 500"},
+		{1, "SELECT v % 7, COUNT(*), SUM(id) FROM p GROUP BY v % 7"},
+		{1, "SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k"},
+		{4, "SELECT label FROM dim WHERE k > 2"},
+		{4, "SELECT id, v FROM p WHERE id = 77"},
+	} {
+		e.SetParallelism(c.width)
+		q1, m1, w1 := e.mParQueries.Value(), e.mParMorsels.Value(), e.mParWorkers.Value()
+		mustExec(t, e, c.sql)
+		if e.mParQueries.Value() != q1 || e.mParMorsels.Value() != m1 || e.mParWorkers.Value() != w1 {
+			t.Fatalf("%s: width-1 statement moved vm.parallel_queries/vm.morsels/vm.parallel_workers by %d/%d/%d", c.sql,
+				e.mParQueries.Value()-q1, e.mParMorsels.Value()-m1, e.mParWorkers.Value()-w1)
+		}
 	}
 	res := mustExec(t, e, "SELECT count(*) FROM sys_metrics WHERE name LIKE 'vm.parallel%' OR name = 'vm.morsels'")
 	if res.Rows[0][0].Int() != 3 {
@@ -232,7 +298,7 @@ func TestParallelMetrics(t *testing.T) {
 // rather than oversubscribing.
 func TestParallelWorkerBudget(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	if got := e.reserveWorkers(3); got != 3 {
 		t.Fatalf("reserveWorkers(3): got %d", got)
 	}
@@ -255,7 +321,7 @@ func TestParallelWorkerBudget(t *testing.T) {
 // the table clears the threshold and parallelism is on.
 func TestExplainParallelMarker(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	res := mustExec(t, e, "EXPLAIN SELECT id FROM p WHERE v > 500")
 	out := planText(res)
 	if !strings.Contains(out, "full-scan [compiled] [parallel n=4]") {
@@ -267,7 +333,7 @@ func TestExplainParallelMarker(t *testing.T) {
 		t.Fatalf("parallel marker with parallelism=1:\n%s", out)
 	}
 	e.SetParallelism(4)
-	e.SetParallelMinRows(1 << 30)
+	morselSlots = 2048 // 3000 slots: under two full morsels
 	res = mustExec(t, e, "EXPLAIN SELECT id FROM p WHERE v > 500")
 	if out = planText(res); strings.Contains(out, "[parallel") {
 		t.Fatalf("parallel marker below row threshold:\n%s", out)
@@ -291,7 +357,7 @@ func planText(res *Result) string {
 // workers walk it.
 func TestParallelStress(t *testing.T) {
 	e := newParTestDB(t, 3000)
-	forceParallel(t, e, 4, 256, 512)
+	forceParallel(t, e, 4, 256)
 	e.SetParallelism(4)
 	stop := make(chan struct{})
 	var churn, readers sync.WaitGroup

@@ -295,65 +295,76 @@ func expandItems(sel *sqltext.Select, rel *relation) ([]projItem, []string, erro
 	return items, names, nil
 }
 
-// evalAggregateSelect evaluates GROUP BY / aggregate projection. Groups
-// hold row indexes into rel.rows so the hot inputs — group keys and the
-// arguments of simple aggregate items — can be evaluated once, batched,
-// across all rows, while HAVING and complex items keep the per-group
-// interpreter path over lazily materialized row slices.
+// aggGroup is one output group of an aggregate SELECT: where its first
+// source row sits in rel.rows, how many rows it has, and (once rowsOf
+// has sorted the rows by group) where its run ends in the sorted slab.
+type aggGroup struct {
+	first, count, end int
+}
+
+// evalAggregateSelect evaluates GROUP BY / aggregate projection. Rows
+// carry a group ordinal so the hot inputs — group keys and the
+// arguments of simple aggregate items — are evaluated once, batched,
+// across all rows and folded per group (buildAggFold). HAVING and items
+// the fold does not cover keep the interpreter's per-group evalAgg,
+// over row slices that are materialized only if one of them asks.
 func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel *relation, b *binder) ([]types.Row, []types.Row, error) {
 	n := len(rel.rows)
-	groups := map[string][]int{}
-	var order []string
+	var groups []aggGroup
 	var rowGroup []int32 // per-row group ordinal; nil = single group
 	if len(sel.GroupBy) == 0 {
 		// Single implicit group; aggregates over an empty relation still
 		// produce one row (COUNT(*) = 0).
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		groups[""] = all
-		order = append(order, "")
+		groups = []aggGroup{{count: n}}
 	} else {
 		keys, err := e.groupKeys(sel, rel, b)
 		if err != nil {
 			return nil, nil, err
 		}
 		rowGroup = make([]int32, n)
-		ordinal := make(map[string]int)
-		for i := 0; i < n; i++ {
-			k := keys[i]
+		ordinal := make(map[string]int32)
+		for i, k := range keys {
 			g, ok := ordinal[k]
 			if !ok {
-				g = len(order)
+				g = int32(len(groups))
 				ordinal[k] = g
-				order = append(order, k)
+				groups = append(groups, aggGroup{first: i})
 			}
-			groups[k] = append(groups[k], i)
-			rowGroup[i] = int32(g)
+			groups[g].count++
+			rowGroup[i] = g
 		}
 	}
-	fold := e.buildAggFold(items, rel, b, rowGroup, len(order), b.ctx)
-	argCache, err := e.aggArgCache(items, rel, b, fold)
-	if err != nil {
-		return nil, nil, err
+	fold := e.buildAggFold(items, rel, b, rowGroup, len(groups))
+
+	// rowsOf is group gi's rows in source order, for the interpreter. The
+	// first call sorts rel.rows by group into one slab (a counting sort:
+	// group sizes are known).
+	var sorted []types.Row
+	rowsOf := func(gi int) []types.Row {
+		if rowGroup == nil {
+			return rel.rows
+		}
+		if sorted == nil {
+			sorted = make([]types.Row, n)
+			at := 0
+			for g := range groups {
+				groups[g].end = at
+				at += groups[g].count
+			}
+			for i, g := range rowGroup {
+				sorted[groups[g].end] = rel.rows[i]
+				groups[g].end++
+			}
+		}
+		g := groups[gi]
+		return sorted[g.end-g.count : g.end : g.end]
 	}
+
 	var out []types.Row
 	var src []types.Row
-	for gi, k := range order {
-		idx := groups[k]
-		var grpRows []types.Row
-		rowsOf := func() []types.Row {
-			if grpRows == nil {
-				grpRows = make([]types.Row, 0, len(idx))
-				for _, ri := range idx {
-					grpRows = append(grpRows, rel.rows[ri])
-				}
-			}
-			return grpRows
-		}
+	for gi, g := range groups {
 		if sel.Having != nil {
-			hv, err := b.evalAgg(sel.Having, rowsOf())
+			hv, err := b.evalAgg(sel.Having, rowsOf(gi))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -368,27 +379,28 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 				continue
 			}
 		}
+		var first types.Row // nil for the empty implicit group
+		if g.count > 0 {
+			first = rel.rows[g.first]
+		}
 		row := make(types.Row, len(items))
 		for i, it := range items {
-			v, err := e.evalAggItem(it.Expr, idx, rowsOf, argCache, rel, b, fold, gi)
+			v, err := evalAggItem(it.Expr, gi, g.count, first, rowsOf, b, fold)
 			if err != nil {
 				return nil, nil, err
 			}
 			row[i] = v
 		}
 		out = append(out, row)
-		if len(idx) > 0 {
-			src = append(src, rel.rows[idx[0]])
-		} else {
-			src = append(src, nil)
-		}
+		src = append(src, first)
 	}
 	return out, src, nil
 }
 
 // groupKeys computes the RowKey of the GROUP BY expressions for every
-// source row, batched through the VM when every key expression lowers.
-// Errors surface in (row, expression) order either way.
+// source row, batched through the VM — over contiguous row ranges when
+// the relation is large — when every key expression lowers. Errors
+// surface in (row, expression) order either way.
 func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]string, error) {
 	n := len(rel.rows)
 	keys := make([]string, n)
@@ -402,31 +414,18 @@ func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]str
 			}
 		}
 		if all {
-			// Large relations fan the key computation out over contiguous
-			// row ranges (see parallelKeys); handled=false stays serial.
-			if handled, err := e.parallelKeys(progs, rel, b.args, keys, b.ctx); handled {
-				if err != nil {
-					return nil, err
-				}
-				return keys, nil
-			}
-			keyVals := make(types.Row, len(progs))
-			err := e.evalVecs(progs, rel, b.args, func(start, count int, vecs []*vm.Vec) error {
-				for ri := 0; ri < count; ri++ {
-					for gi := range progs {
-						if err := vecs[gi].Err(ri); err != nil {
-							return err
-						}
-						keyVals[gi] = vecs[gi].Value(ri)
+			nw := e.workers(n, b.ctx)
+			defer e.releaseWorkers(nw - 1)
+			ranges := contiguousRanges(n, nw)
+			err := fanOut(nw, len(ranges), func(next func() (int, bool)) error {
+				for ri, ok := next(); ok; ri, ok = next() {
+					if err := e.groupKeysRange(progs, rel, b.args, ranges[ri][0], ranges[ri][1], keys); err != nil {
+						return err
 					}
-					keys[start+ri] = types.RowKey(keyVals)
 				}
 				return nil
 			})
-			if err != nil {
-				return nil, err
-			}
-			return keys, nil
+			return keys, err
 		}
 	}
 	for i, r := range rel.rows {
@@ -443,247 +442,31 @@ func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]str
 	return keys, nil
 }
 
-// aggArgVec caches one aggregate call's argument evaluated over every
-// source row: the value per row, plus the error the interpreter would
-// have raised at that row (surfaced only if the row's group is actually
-// folded, mirroring interpreter laziness for HAVING-rejected groups).
-type aggArgVec struct {
-	vals []types.Value
-	errs []error
-}
-
-// aggArgCache batch-evaluates the argument of every simple aggregate
-// projection item (one lowerable argument) across rel.rows. Items the
-// column-native fold already covers (non-DISTINCT — see buildAggFold)
-// are skipped: only DISTINCT calls still need the per-row value cache
-// for their dedup pass.
-func (e *Engine) aggArgCache(items []projItem, rel *relation, b *binder, fold *aggFold) (map[*sqltext.FuncCall]*aggArgVec, error) {
-	if !e.vmOn() || len(rel.rows) == 0 {
-		return nil, nil
-	}
-	var calls []*sqltext.FuncCall
-	var progs []*vm.Program
-	seen := map[*sqltext.FuncCall]bool{}
-	for _, it := range items {
-		fc, ok := it.Expr.(*sqltext.FuncCall)
-		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || len(fc.Args) != 1 || seen[fc] || fold.covers(fc) {
-			continue
-		}
-		p := e.compiledProg(fc.Args[0], rel.cols)
-		if p == nil {
-			continue
-		}
-		seen[fc] = true
-		calls = append(calls, fc)
-		progs = append(progs, p)
-	}
-	if len(calls) == 0 {
-		return nil, nil
-	}
-	n := len(rel.rows)
-	cache := make(map[*sqltext.FuncCall]*aggArgVec, len(calls))
-	for _, fc := range calls {
-		cache[fc] = &aggArgVec{vals: make([]types.Value, n)}
-	}
-	err := e.evalVecs(progs, rel, b.args, func(start, count int, vecs []*vm.Vec) error {
-		for ci, fc := range calls {
-			av := cache[fc]
-			for ri := 0; ri < count; ri++ {
-				if err := vecs[ci].Err(ri); err != nil {
-					if av.errs == nil {
-						av.errs = make([]error, n)
-					}
-					av.errs[start+ri] = err
-					continue
-				}
-				av.vals[start+ri] = vecs[ci].Value(ri)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cache, nil
-}
-
-// evalAggItem evaluates one aggregate-context projection item for a
-// group given as row indexes, using the batched argument cache when the
-// item is a simple aggregate call, and deferring to the interpreter's
-// evalAgg otherwise. Semantics (NULL skipping, DISTINCT, error order)
-// are identical: the fold itself is shared (foldAggregate).
-func (e *Engine) evalAggItem(x sqltext.Expr, idx []int, rowsOf func() []types.Row, cache map[*sqltext.FuncCall]*aggArgVec, rel *relation, b *binder, fold *aggFold, gi int) (types.Value, error) {
+// evalAggItem evaluates one aggregate-context projection item for
+// group gi: COUNT(*) is the group's size, a simple aggregate call the
+// fold covers is read from its state, an item free of aggregates is
+// evaluated on the group's first row (evalAgg's non-aggregate tail),
+// and everything else — non-lowerable arguments, expressions over
+// aggregates — goes to the interpreter's evalAgg over the group's rows.
+func evalAggItem(x sqltext.Expr, gi, count int, first types.Row, rowsOf func(int) []types.Row, b *binder, fold *aggFold) (types.Value, error) {
 	if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-		name := strings.ToUpper(fc.Name)
-		if fc.Star {
-			if name != "COUNT" {
-				return types.Null, fmt.Errorf("engine: %s(*) is not valid", name)
-			}
-			return types.NewInt(int64(len(idx))), nil
+		if fc.Star && strings.EqualFold(fc.Name, "COUNT") {
+			return types.NewInt(int64(count)), nil
 		}
-		if st := fold.lookup(fc, gi); st != nil {
-			op, _ := aggOpOf(name)
+		if st, op := fold.state(fc, gi); st != nil {
 			return st.result(op)
 		}
-		if av := cache[fc]; av != nil {
-			if !fc.Distinct && av.errs == nil {
-				return foldAggArg(name, av.vals, idx)
-			}
-			var vals []types.Value
-			var seen map[string]bool
-			if fc.Distinct {
-				seen = map[string]bool{}
-			}
-			for _, ri := range idx {
-				if av.errs != nil && av.errs[ri] != nil {
-					return types.Null, av.errs[ri]
-				}
-				v := av.vals[ri]
-				if v.IsNull() {
-					continue
-				}
-				if fc.Distinct {
-					k := v.HashKey()
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-				}
-				vals = append(vals, v)
-			}
-			return foldAggregate(name, vals)
-		}
-		return b.evalAggregateCall(fc, rowsOf())
+	} else if !sqltext.HasAggregate(x) {
+		return b.eval(x, first)
 	}
-	if !sqltext.HasAggregate(x) {
-		// evalAgg's non-aggregate tail: evaluate on the group's first row
-		// (nil for an empty group).
-		if len(idx) == 0 {
-			return b.eval(x, nil)
-		}
-		return b.eval(x, rel.rows[idx[0]])
-	}
-	return b.evalAgg(x, rowsOf())
-}
-
-// foldAggArg folds a cached aggregate argument over a group's row
-// indexes without materializing the per-group value slice. Semantics
-// are exactly foldAggregate's (NULL skipping, int/float promotion,
-// value-order fold errors); callers use it only when the call is not
-// DISTINCT and no row's argument errored, so error ordering cannot
-// diverge from the collect-then-fold path.
-func foldAggArg(name string, vals []types.Value, idx []int) (types.Value, error) {
-	switch name {
-	case "COUNT":
-		n := 0
-		for _, ri := range idx {
-			if vals[ri].LaneKind() != types.KindNull {
-				n++
-			}
-		}
-		return types.NewInt(int64(n)), nil
-	case "SUM", "AVG":
-		allInt := true
-		var si int64
-		var sf float64
-		n := 0
-		for _, ri := range idx {
-			v := &vals[ri]
-			if v.LaneKind() == types.KindNull {
-				continue
-			}
-			n++
-			if v.LaneKind() == types.KindInt {
-				si += v.LaneInt()
-				continue
-			}
-			f, err := vals[ri].AsFloat()
-			if err != nil {
-				return types.Null, err
-			}
-			allInt = false
-			sf += f
-		}
-		if n == 0 {
-			return types.Null, nil
-		}
-		if name == "SUM" {
-			if allInt {
-				return types.NewInt(si), nil
-			}
-			return types.NewFloat(sf + float64(si)), nil
-		}
-		return types.NewFloat((sf + float64(si)) / float64(n)), nil
-	case "MIN", "MAX":
-		have := false
-		var best types.Value
-		for _, ri := range idx {
-			if vals[ri].LaneKind() == types.KindNull {
-				continue
-			}
-			if !have {
-				best, have = vals[ri], true
-				continue
-			}
-			c, err := types.Compare(vals[ri], best)
-			if err != nil {
-				return types.Null, err
-			}
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = vals[ri]
-			}
-		}
-		if !have {
-			return types.Null, nil
-		}
-		return best, nil
-	}
-	return types.Null, fmt.Errorf("engine: unknown aggregate %s", name)
-}
-
-// evalVecs runs several compiled programs over rel.rows chunk by chunk,
-// invoking sink with each chunk's result vectors (valid only during the
-// callback). Used by group-key and aggregate-argument batching.
-func (e *Engine) evalVecs(progs []*vm.Program, rel *relation, args []types.Value, sink func(start, count int, vecs []*vm.Vec) error) error {
-	machines := make([]*vm.Machine, len(progs))
-	usedSet := map[int]bool{}
-	for i, p := range progs {
-		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(args)
-		for _, c := range p.Cols() {
-			usedSet[c] = true
-		}
-	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
-	}
-	sort.Ints(used)
-	batch := vm.NewBatch(batchKinds(rel.cols), used)
-	vecs := make([]*vm.Vec, len(progs))
-	for start := 0; start < len(rel.rows); start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > len(rel.rows) {
-			end = len(rel.rows)
-		}
-		batch.Reset()
-		for _, r := range rel.rows[start:end] {
-			batch.Append(r)
-		}
-		for i, mch := range machines {
-			vecs[i] = mch.Eval(batch)
-		}
-		e.countVM(batch.Len())
-		if err := sink(start, batch.Len(), vecs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.evalAgg(x, rowsOf(gi))
 }
 
 // scanProj is a projection compiled for evaluation inside the scan
 // loop: per item either a direct column index (bare references) or a
-// bound machine sharing the scan's batch.
+// program run on the scan's batch. The plan scanProjection returns is
+// immutable; machines and vecs exist only on the worker-private copies
+// bind makes.
 type scanProj struct {
 	names    []string
 	progs    []*vm.Program
@@ -700,7 +483,7 @@ type scanProj struct {
 // needs the source rows: no GROUP BY / HAVING / ORDER BY, LIMIT and
 // OFFSET are literals or parameters, and every projection item lowers.
 // DISTINCT is fine — it runs over output tuples.
-func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types.Value, ctx *stmtCtx) *scanProj {
+func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, ctx *stmtCtx) *scanProj {
 	if sel == nil || sel != ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
 		!plainIntArg(sel.Limit) || !plainIntArg(sel.Offset) {
 		return nil
@@ -718,11 +501,9 @@ func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types
 		}
 	}
 	sp := &scanProj{
-		names:    names,
-		progs:    make([]*vm.Program, len(items)),
-		machines: make([]*vm.Machine, len(items)),
-		bare:     make([]int, len(items)),
-		vecs:     make([]*vm.Vec, len(items)),
+		names: names,
+		progs: make([]*vm.Program, len(items)),
+		bare:  make([]int, len(items)),
 	}
 	for i, it := range items {
 		p := e.compiledProg(it.Expr, rel.cols)
@@ -735,8 +516,6 @@ func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, args []types
 		}
 		sp.bare[i] = -1
 		sp.progs[i] = p
-		sp.machines[i] = vm.NewMachine(p)
-		sp.machines[i].Bind(args)
 	}
 	return sp
 }
@@ -752,11 +531,10 @@ func plainIntArg(x sqltext.Expr) bool {
 }
 
 // emit projects the matched lanes of one scan batch into output tuples
-// on dst (rel.rows for the serial scan, a morsel's reorder-buffer slot
-// for parallel workers). A lane error is returned (not raised): the
-// caller must keep scanning so a later row's WHERE error still wins,
-// exactly as the interpreter's filter-everything-then-project order
-// implies.
+// on dst (the scan range's output). A lane error is returned (not
+// raised): the caller must keep scanning so a later row's WHERE error
+// still wins, exactly as the interpreter's filter-everything-then-project
+// order implies.
 func (sp *scanProj) emit(dst *[]types.Row, batch *vm.Batch, lanes []int, vals []types.Row, tids, created []int64, nUser int) error {
 	for i, mch := range sp.machines {
 		if mch != nil {
@@ -824,7 +602,6 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 	// Bare column references skip the VM entirely: the lane value IS
 	// row[c], so the item becomes a direct index into the source row.
 	bareCol := make([]int, len(items))
-	usedSet := map[int]bool{}
 	for i, p := range progs {
 		bareCol[i] = -1
 		if p == nil {
@@ -832,15 +609,14 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 		}
 		if c, ok := p.BareCol(); ok {
 			bareCol[i] = c
+			progs[i] = nil // reads the source row, not the batch
 			continue
 		}
 		machines[i] = vm.NewMachine(p)
 		machines[i].Bind(b.args)
-		for _, c := range p.Cols() {
-			usedSet[c] = true
-		}
 	}
-	if len(usedSet) == 0 {
+	used := usedCols(progs)
+	if len(used) == 0 {
 		// Every compiled item is a bare column: pure row indexing, no
 		// batches to fill or machines to run.
 		w := len(items)
@@ -864,11 +640,6 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 		}
 		return out, nil
 	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
-	}
-	sort.Ints(used)
 	batch := vm.NewBatch(batchKinds(rel.cols), used)
 	vecs := make([]*vm.Vec, len(items))
 	for start := 0; start < len(rel.rows); start += vm.BatchSize {
@@ -1230,153 +1001,16 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 
 	nUser := len(schema.Columns)
 
-	// Compiled streaming full scan: pull snapshot rows into a column
-	// batch and run the compiled WHERE over ~1k lanes at a time. Only the
-	// columns the program reads are copied into vectors; version values
-	// (immutable under MVCC) are referenced, not copied, until a lane
-	// passes the filter.
+	// Compiled streaming full scan (see scanFiltered), with projection
+	// pushdown: when the whole statement reduces to "filter, project,
+	// maybe DISTINCT/LIMIT" and every item lowers, the projection runs on
+	// the already-filled batch and output tuples are emitted directly —
+	// matched rows are never materialized at full table width.
 	if where != nil {
 		if prog := e.compiledProg(where, rel.cols); prog != nil {
-			// Projection pushdown: when the whole statement reduces to
-			// "filter, project, maybe DISTINCT/LIMIT" and every item
-			// lowers, evaluate the projection on the already-filled
-			// batch and emit output tuples directly — matched rows are
-			// never materialized at full table width.
-			proj := e.scanProjection(sel, rel, args, ctx)
-
-			// Morsel-parallel path (see parallel.go): big enough tables
-			// fan the same compiled filter + pushdown out to a worker
-			// pool, gathering byte-identical results through a reorder
-			// buffer. handled=false falls through to the serial loop.
-			handled, err := e.parallelScan(tbl, rel, prog, proj, args, ctx, nUser)
-			if err != nil {
+			proj := e.scanProjection(sel, rel, ctx)
+			if err := e.scanFiltered(tbl, rel, prog, proj, args, ctx, nUser); err != nil {
 				return nil, false, err
-			}
-			if handled {
-				if proj != nil {
-					cols := make([]colMeta, len(proj.names))
-					for i, n := range proj.names {
-						cols[i] = colMeta{name: strings.ToLower(n)}
-					}
-					rel.cols = cols
-					rel.projNames = proj.names
-				}
-				return rel, true, nil
-			}
-
-			m := vm.NewMachine(prog)
-			m.Bind(args)
-
-			usedSet := map[int]bool{}
-			for _, c := range prog.Cols() {
-				usedSet[c] = true
-			}
-			if proj != nil {
-				for _, p := range proj.progs {
-					if p == nil {
-						continue
-					}
-					for _, c := range p.Cols() {
-						usedSet[c] = true
-					}
-				}
-			}
-			used := make([]int, 0, len(usedSet))
-			for c := range usedSet {
-				used = append(used, c)
-			}
-			sort.Ints(used)
-			batch := vm.NewBatch(batchKinds(rel.cols), used)
-			needSys := false
-			for _, c := range used {
-				if c >= nUser {
-					needSys = true
-				}
-			}
-			var scratch types.Row
-			if needSys {
-				scratch = make(types.Row, nUser+2)
-			}
-			vals := make([]types.Row, 0, vm.BatchSize)
-			tids := make([]int64, 0, vm.BatchSize)
-			created := make([]int64, 0, vm.BatchSize)
-			// A projection-item error must not surface before a WHERE
-			// error from a later row (the interpreter filters the whole
-			// table before projecting anything), so it is deferred until
-			// the scan completes.
-			var projErr error
-			flush := func() error {
-				if len(vals) == 0 {
-					return nil
-				}
-				if needSys {
-					// Predicate reads tid/created pseudo-columns: splice
-					// them into a scratch row and fill row-at-a-time.
-					batch.Reset()
-					for i := range vals {
-						copy(scratch, vals[i])
-						scratch[nUser] = types.NewInt(tids[i])
-						scratch[nUser+1] = types.NewInt(created[i])
-						batch.Append(scratch)
-					}
-				} else {
-					batch.Fill(vals)
-				}
-				lanes, err := m.Filter(batch)
-				if err != nil {
-					return err
-				}
-				if len(lanes) > 0 && projErr == nil {
-					if proj != nil {
-						projErr = proj.emit(&rel.rows, batch, lanes, vals, tids, created, nUser)
-					} else {
-						// One slab per batch instead of one allocation
-						// per matched row.
-						w := nUser + 2
-						slab := make([]types.Value, len(lanes)*w)
-						for k, i := range lanes {
-							full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
-							copy(full, vals[i])
-							full[nUser] = types.NewInt(tids[i])
-							full[nUser+1] = types.NewInt(created[i])
-							rel.rows = append(rel.rows, full)
-						}
-					}
-				}
-				e.countVM(batch.Len())
-				vals, tids, created = vals[:0], tids[:0], created[:0]
-				return nil
-			}
-			scanned := 0
-			for it := tbl.Iterate(ctx.snap); ; {
-				sr, more := it.Next()
-				if !more {
-					break
-				}
-				scanned++
-				vals = append(vals, sr.Values)
-				tids = append(tids, sr.TID)
-				created = append(created, sr.Created)
-				if len(vals) == vm.BatchSize {
-					if err := flush(); err != nil {
-						return nil, false, err
-					}
-				}
-			}
-			if err := flush(); err != nil {
-				return nil, false, err
-			}
-			if projErr != nil {
-				return nil, false, projErr
-			}
-			e.countScanned(ctx, scanned)
-			if proj != nil {
-				cols := make([]colMeta, len(proj.names))
-				for i, n := range proj.names {
-					cols[i] = colMeta{name: strings.ToLower(n)}
-				}
-				rel.cols = cols
-				rel.projNames = proj.names
 			}
 			return rel, true, nil
 		}
@@ -1581,9 +1215,8 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 		}
 
 		e.materializeRel(right, ctx)
-		// Build side: single map when small, hash-partitioned parallel
-		// build when large (see buildJoinIndex). The probe stays
-		// single-threaded either way and sees identical index lists.
+		// The build side fans out when large (see buildJoinIndex); the
+		// probe stays single-threaded and sees identical index lists.
 		idx := e.buildJoinIndex(right.rows, plan.eqR, ctx)
 		for _, lr := range left.rows {
 			matched := false

@@ -3,6 +3,7 @@ package notify
 import (
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,5 +141,69 @@ func TestBlackholedDialBackTimesOutAndCleansUp(t *testing.T) {
 	hole.Close() // stop the accept goroutine before counting
 	if got := fault.Settle(baseline, 2*time.Second); got > baseline {
 		t.Errorf("goroutines leaked: %d, baseline %d", got, baseline)
+	}
+}
+
+// gatedConn parks its first Write — the dial-back's REPLY — until
+// released, so a test can act inside the registration handshake.
+type gatedConn struct {
+	net.Conn
+	once    sync.Once
+	entered chan struct{} // closed when the first Write is reached
+	release chan struct{} // close to let it through
+}
+
+func (g *gatedConn) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Conn.Write(p)
+}
+
+// A commit that lands while the dial-back's REPLY is still in flight —
+// Connect returns on REPLY, so from the client's side this is "the first
+// edit after registering" — must ring the new client's doorbell: the
+// connection has to be in the fan-out map before REPLY is written, with
+// the NOTIFY queued behind it. The REPLY write is held at the dialer
+// seam, the commit runs, then the write is released; no timing involved.
+func TestCommitDuringReplyIsNotLost(t *testing.T) {
+	db := database.MustOpenMemory()
+	defer db.Close()
+	gate := &gatedConn{entered: make(chan struct{}), release: make(chan struct{})}
+	n, err := NewNotifier(db, WithDialer(func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		gate.Conn = c
+		return gate, err
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := db.Exec("CREATE TABLE authors (id INT PRIMARY KEY, name STRING)"); err != nil {
+		t.Fatal(err)
+	}
+
+	type connected struct {
+		cl  *Client
+		err error
+	}
+	done := make(chan connected, 1)
+	go func() {
+		cl, err := Connect(db, "viz", "authors")
+		done <- connected{cl, err}
+	}()
+	<-gate.entered // HELLO read, REPLY about to be written
+	if _, err := db.Exec("INSERT INTO authors VALUES (1, 'a')"); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	c := <-done
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	defer c.cl.Close()
+	if m := waitMsg(t, c.cl); m.Op != "INSERT" || m.Table != "authors" {
+		t.Fatalf("got %+v, want the INSERT on authors", m)
 	}
 }

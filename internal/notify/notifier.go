@@ -450,19 +450,12 @@ func (n *Notifier) dialBack(id int64, host string, port int64, table string) err
 		return fmt.Errorf("notify: expected HELLO, got %q", line)
 	}
 	w := bufio.NewWriter(c)
-	c.SetWriteDeadline(time.Now().Add(n.writeTimeout))
-	if _, err := w.WriteString(Message{Verb: MsgReply}.Format() + "\n"); err != nil {
-		c.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		c.Close()
-		return err
-	}
-	c.SetReadDeadline(time.Time{})
-	c.SetWriteDeadline(time.Time{})
 	sc := &serverConn{id: id, table: table, c: c, w: w,
 		out: make(chan string, sendQueueLen), done: make(chan struct{})}
+	// Publish before REPLY: Connect returns on REPLY, so the client's
+	// very next commit may fan out before this function gets any
+	// further, and a fan-out that misses the new connection is a lost
+	// doorbell. Lines queue in sc.out until the writer starts below.
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -473,13 +466,29 @@ func (n *Notifier) dialBack(id int64, host string, port int64, table string) err
 	// connection under the same id. Displace it and tear it down — the
 	// old writer goroutine must not be left blocked on a channel nobody
 	// closes, and its later drop() must not take this new connection
-	// down with it (removal below is identity-checked for that reason).
+	// down with it (removal is identity-checked for that reason).
 	old := n.conns[id]
 	n.conns[id] = sc
 	n.mu.Unlock()
 	if old != nil {
 		old.teardown()
 	}
+	c.SetWriteDeadline(time.Now().Add(n.writeTimeout))
+	_, err = w.WriteString(Message{Verb: MsgReply}.Format() + "\n")
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		n.mu.Lock()
+		if n.conns[id] == sc {
+			delete(n.conns, id)
+		}
+		n.mu.Unlock()
+		sc.teardown()
+		return err
+	}
+	c.SetReadDeadline(time.Time{})
+	c.SetWriteDeadline(time.Time{})
 	n.mDials.Inc()
 	n.wg.Add(1)
 	go n.writeLoop(sc)

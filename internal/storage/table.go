@@ -189,12 +189,11 @@ type TableIter struct {
 	i     int
 }
 
-// Iterate returns a lock-free iterator over the rows visible at asOf.
+// Iterate returns a lock-free iterator over the rows visible at asOf:
+// the whole range of one freshly captured View.
 func (t *Table) Iterate(asOf int64) TableIter {
-	t.mu.RLock()
-	slots := t.slots
-	t.mu.RUnlock()
-	return TableIter{slots: slots, asOf: asOf}
+	v := t.View(asOf)
+	return v.IterateRange(0, v.Slots())
 }
 
 // Next returns the next visible row. The StoredRow's Values are shared
