@@ -9,7 +9,6 @@
 //	go run ./cmd/benchjson -suite commit -out results/BENCH_5.json
 //	go run ./cmd/benchjson -suite fanout -out results/BENCH_6.json
 //	go run ./cmd/benchjson -suite mixed -out results/BENCH_7.json
-//	go run ./cmd/benchjson -suite vm -out results/BENCH_8.json
 //	go run ./cmd/benchjson -suite firehose -out results/BENCH_9.json
 //	go run ./cmd/benchjson -suite parallel -out results/BENCH_10.json
 //
@@ -19,11 +18,8 @@
 // WAL-shipping read replicas (BenchmarkReplicaFanout*); the mixed
 // suite is the 95/5 read/write MVCC workload — each session count is
 // run twice, with committers saturating the fsync pipeline and with an
-// idle writer, so read_p99_ms can be compared directly; the vm suite
-// is the full-scan filtered SELECT and aggregate workloads run twice,
-// interpreted (SetCompiledEval(false)) and through the compiled
-// expression VM, so the speedup ratio falls straight out of the JSON;
-// the firehose suite is the §V reactive-ingestion latency/rate curve —
+// idle writer, so read_p99_ms can be compared directly; the firehose
+// suite is the §V reactive-ingestion latency/rate curve —
 // a rate ladder of paced event streams through trigger → IVM → delta
 // handler → NOTIFY, with a full-recompute divergence check at each
 // point (BenchmarkFirehose*); the parallel suite is the morsel-driven
@@ -50,10 +46,10 @@ import (
 // fsync), notifies-per-edit for the fanout suite (how many NOTIFY
 // deliveries one edit cost across all mirrors), the read-latency
 // percentiles for the mixed suite (SELECTs running lock-free on MVCC
-// snapshots while committers hold the write pipeline), or rows/matched
-// for the vm suite (table size and WHERE-qualifying rows — identical
-// between the interpreted and compiled runs by construction), or the
-// target/achieved rate and propagation-latency percentiles for the
+// snapshots while committers hold the write pipeline), rows/matched
+// for the parallel suite (table size and WHERE-qualifying rows —
+// identical at every width by construction), or the target/achieved
+// rate and propagation-latency percentiles for the
 // firehose suite (the latency/rate curve of the reactive pipeline).
 type Result struct {
 	Bench           string  `json:"bench"`
@@ -80,8 +76,8 @@ type Result struct {
 }
 
 func main() {
-	suite := flag.String("suite", "commit", "benchmark suite: commit, fanout, mixed, or vm")
-	out := flag.String("out", "", "output JSON path (default results/BENCH_5.json or results/BENCH_6.json by suite)")
+	suite := flag.String("suite", "commit", "benchmark suite: commit, fanout, mixed, firehose, or parallel")
+	out := flag.String("out", "", "output JSON path (default results/BENCH_<n>.json by suite)")
 	flag.Parse()
 
 	var results []Result
@@ -190,40 +186,6 @@ func main() {
 				res.Bench, res.N, res.NsPerOp, res.Reads, res.Writes, res.ReadP50Ms, res.ReadP99Ms)
 			results = append(results, res)
 		}
-	case "vm":
-		if *out == "" {
-			*out = "results/BENCH_8.json"
-		}
-		type spec struct {
-			name     string
-			run      func(b *testing.B) benchkit.VMStats
-			compiled bool
-		}
-		specs := []spec{
-			{"VMScanInterpreted10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 10_000, false) }, false},
-			{"VMScanCompiled10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 10_000, true) }, true},
-			{"VMScanInterpreted100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 100_000, false) }, false},
-			{"VMScanCompiled100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMScan(b, 100_000, true) }, true},
-			{"VMAggregateInterpreted10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 10_000, false) }, false},
-			{"VMAggregateCompiled10k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 10_000, true) }, true},
-			{"VMAggregateInterpreted100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 100_000, false) }, false},
-			{"VMAggregateCompiled100k", func(b *testing.B) benchkit.VMStats { return benchkit.VMAggregate(b, 100_000, true) }, true},
-		}
-		for _, sp := range specs {
-			var stats benchkit.VMStats
-			r := testing.Benchmark(func(b *testing.B) { stats = sp.run(b) })
-			res := Result{
-				Bench:      sp.name,
-				N:          r.N,
-				NsPerOp:    float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp: r.AllocedBytesPerOp(),
-				Rows:       stats.Rows,
-				Matched:    stats.Matched,
-			}
-			fmt.Printf("%-28s %8d iters  %12.0f ns/op  %10d B/op  %7d rows  %6d matched\n",
-				res.Bench, res.N, res.NsPerOp, res.BytesPerOp, res.Rows, res.Matched)
-			results = append(results, res)
-		}
 	case "firehose":
 		if *out == "" {
 			*out = "results/BENCH_9.json"
@@ -301,7 +263,7 @@ func main() {
 			results = append(results, res)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (want commit, fanout, mixed, vm, firehose, or parallel)\n", *suite)
+		fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (want commit, fanout, mixed, firehose, or parallel)\n", *suite)
 		os.Exit(2)
 	}
 

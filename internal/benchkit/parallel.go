@@ -49,8 +49,8 @@ func parallelSetup(b *testing.B, rows, workers int) *database.DB {
 			if i > lo {
 				sb.WriteByte(',')
 			}
-			// Deterministic pseudo-random payload, same recipe as the
-			// vm suite so cross-suite numbers stay comparable.
+			// Deterministic pseudo-random payload (the retired vm suite's
+			// recipe, so results/BENCH_8.json stays comparable).
 			v := (i * 7919) % 1000
 			fmt.Fprintf(&sb, "(%d, %d, %d.%d, 'tag%d')", i, v, (v%100)/10, v%10, i%17)
 		}
@@ -58,7 +58,6 @@ func parallelSetup(b *testing.B, rows, workers int) *database.DB {
 			b.Fatal(err)
 		}
 	}
-	db.SetCompiledEval(true)
 	db.SetParallelism(workers)
 	return db
 }

@@ -23,8 +23,9 @@ import (
 // function-registry changes purge the cache (and bump a generation so
 // in-flight EXPLAINs never resurrect a stale program).
 
-// progCache maps expression identity to its compiled program (nil =
-// known unlowerable, so fallback is decided once, not per execution).
+// progCache maps expression identity to its program — compiled, or the
+// interpreter wrapper of an expression known not to lower, so fallback
+// is decided once, not per execution.
 type progCache struct {
 	mu  sync.Mutex
 	m   map[sqltext.Expr]*progEntry
@@ -32,8 +33,8 @@ type progCache struct {
 }
 
 type progEntry struct {
-	prog  *vm.Program // nil: expression does not lower
-	ncols int         // column-layout width the program was compiled for
+	prog  *vm.Program
+	ncols int // column-layout width the program was compiled for
 }
 
 func newProgCache(cap int) *progCache {
@@ -73,51 +74,23 @@ func (c *progCache) len() int {
 	return len(c.m)
 }
 
-// SetCompiledEval toggles the compiled expression VM. With it off every
-// statement uses the tree-walk interpreter — the benchmarks use this to
-// measure interpreted vs compiled on identical plans, and it is the
-// escape hatch if a VM bug ever ships.
-func (e *Engine) SetCompiledEval(on bool) { e.compiledEval.Store(on) }
-
-// vmOn reports whether compiled evaluation is enabled.
-func (e *Engine) vmOn() bool { return e.compiledEval.Load() }
-
-// vmEnv builds the compile environment for a relation layout: column
-// resolution mirroring binder.resolve (including ambiguity → not
-// lowerable), the scalar function registry, and the engine's exact
-// missing-parameter error.
-func (e *Engine) vmEnv(cols []colMeta) *vm.Env {
-	byQual := make(map[string]int, len(cols))
-	byName := make(map[string]int, len(cols))
-	ambiguous := map[string]bool{}
-	for i, c := range cols {
-		if c.qual != "" {
-			byQual[c.qual+"."+c.name] = i
-		}
-		if _, dup := byName[c.name]; dup {
-			ambiguous[c.name] = true
-		} else {
-			byName[c.name] = i
-		}
-	}
+// vmEnv is the compile environment of the binder's relation: column
+// resolution is binder.resolve itself (so an unknown or ambiguous name
+// does not lower and the interpreter reports it), the scalar function
+// registry, and the engine's exact missing-parameter error.
+func (b *binder) vmEnv() *vm.Env {
 	return &vm.Env{
-		Resolve: func(table, column string) (int, bool) {
-			name := strings.ToLower(column)
-			if table != "" {
-				i, ok := byQual[strings.ToLower(table)+"."+name]
-				return i, ok
-			}
-			if ambiguous[name] {
-				return 0, false
-			}
-			i, ok := byName[name]
-			return i, ok
+		Resolve: func(cr *sqltext.ColumnRef) (int, bool) {
+			i, err := b.resolve(cr)
+			return i, err == nil
 		},
-		Func: e.vmFunc,
-		MissingParam: func(idx int) error {
-			return fmt.Errorf("engine: missing argument for parameter %d", idx+1)
-		},
+		Func:         b.e.vmFunc,
+		MissingParam: missingParam,
 	}
+}
+
+func missingParam(idx int) error {
+	return fmt.Errorf("engine: missing argument for parameter %d", idx+1)
 }
 
 // vmFunc resolves a scalar function for the compiler: builtins first
@@ -136,36 +109,54 @@ func (e *Engine) vmFunc(name string) (vm.ScalarFunc, bool) {
 	return nil, false
 }
 
-// compiledProg returns the cached compiled program for x over the given
-// layout, compiling on first sight. nil means "use the interpreter" —
-// either the VM is off or the expression does not lower (counted once
-// per expression in vm.fallback, never an error).
-func (e *Engine) compiledProg(x sqltext.Expr, cols []colMeta) *vm.Program {
-	if x == nil || !e.vmOn() {
+// compiledProg returns the program for x over b's relation, nil only
+// for a nil expression: the cached compiled program, compiled on first
+// sight, or — when x does not lower as a whole (counted once per
+// expression in vm.fallback, never an error) — a vm.Interpret wrapper
+// that calls b.eval per row. Every expression site therefore has one
+// evaluation loop, and the sites that must know (width, projection
+// pushdown, EXPLAIN markers) ask the program whether it is Interpreted.
+func (e *Engine) compiledProg(x sqltext.Expr, b *binder) *vm.Program {
+	if x == nil {
 		return nil
 	}
-	if cr, ok := x.(*sqltext.ColumnRef); ok {
-		// Bare column refs (star expansions rebuild these per execution,
-		// so their pointers never repeat) compile to a single opCol —
-		// cheaper to recompile than to churn the cache.
-		p, err := vm.Compile(cr, e.vmEnv(cols))
-		if err != nil {
-			return nil
+	ncols := len(b.rel.cols)
+	if e.interpretAll.Load() {
+		return vm.Interpret(x, ncols)
+	}
+	_, bare := x.(*sqltext.ColumnRef)
+	if !bare {
+		if p, ok := e.progs.get(x, ncols); ok {
+			return p
 		}
-		return p
 	}
-	if p, ok := e.progs.get(x, len(cols)); ok {
-		return p
-	}
-	p, err := vm.Compile(x, e.vmEnv(cols))
+	p, err := vm.Compile(x, b.vmEnv())
 	if err != nil {
-		p = nil
+		p = vm.Interpret(x, ncols)
+	}
+	if bare {
+		// Star expansions rebuild bare column refs per execution, so their
+		// pointers never repeat: a single opCol is cheaper to recompile
+		// than to churn the cache, and is not counted.
+		return p
+	}
+	if err != nil {
 		e.mVMFallback.Inc()
 	} else {
 		e.mVMCompile.Inc()
 	}
-	e.progs.put(x, len(cols), p)
+	e.progs.put(x, ncols, p)
 	return p
+}
+
+// machine returns a machine for p bound to the statement's arguments
+// and, for Interpreted programs, to this binder's interpreter. Machines
+// are not goroutine-safe and neither is the binder; Engine.workers keeps
+// an Interpreted program's phase at width 1.
+func (b *binder) machine(p *vm.Program) *vm.Machine {
+	m := vm.NewMachine(p)
+	m.Bind(b.args, b.eval)
+	return m
 }
 
 // countVM charges one executed batch of n rows to the vm.* counters.
@@ -187,23 +178,17 @@ func batchKinds(cols []colMeta) []types.Kind {
 	return kinds
 }
 
-// runFilterRows applies a compiled predicate to in-memory rows in
-// batches and returns the kept rows — the vectorized twin of the
-// interpreter's evalBool refilter loop.
-func (e *Engine) runFilterRows(prog *vm.Program, cols []colMeta, rows []types.Row, args []types.Value) ([]types.Row, error) {
-	m := vm.NewMachine(prog)
-	m.Bind(args)
-	batch := vm.NewBatch(batchKinds(cols), prog.Cols())
+// filterRows keeps the rows of b's relation that pass the predicate,
+// batch by batch; the first erroring row in row order aborts.
+func (e *Engine) filterRows(where sqltext.Expr, b *binder) ([]types.Row, error) {
+	prog := e.compiledProg(where, b)
+	rows := b.rel.rows
+	m := b.machine(prog)
+	batch := vm.NewBatch(batchKinds(b.rel.cols), prog.Cols())
 	kept := rows[:0:0]
 	for start := 0; start < len(rows); start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		batch.Reset()
-		for _, r := range rows[start:end] {
-			batch.Append(r)
-		}
+		end := min(start+vm.BatchSize, len(rows))
+		batch.Fill(rows[start:end])
 		sel, err := m.Filter(batch)
 		if err != nil {
 			return nil, err

@@ -109,7 +109,7 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 
 	var sourceRows []types.Row
 	if s.Query != nil {
-		res, err := e.evalSelect(s.Query, args, e.writerCtx())
+		res, err := e.evalSelect(s.Query, args, nil, e.writerCtx())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -183,25 +183,9 @@ func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value
 	}
 	b := newBinder(e, args, rel, nil, e.writerCtx())
 	if where != nil && !whereApplied {
-		if prog := e.compiledProg(where, rel.cols); prog != nil {
-			kept, err := e.runFilterRows(prog, rel.cols, rel.rows, args)
-			if err != nil {
-				return nil, nil, err
-			}
-			rel.rows = kept
-			return rel, b, nil
+		if rel.rows, err = e.filterRows(where, b); err != nil {
+			return nil, nil, err
 		}
-		kept := rel.rows[:0:0]
-		for _, r := range rel.rows {
-			ok, err := b.evalBool(where, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				kept = append(kept, r)
-			}
-		}
-		rel.rows = kept
 	}
 	return rel, b, nil
 }
@@ -229,12 +213,11 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 	}
 
 	nUser := len(schema.Columns)
-	// Batch-evaluate SET expressions that lower to the VM across all
-	// matched rows. Lane errors are held per (row, assignment) and
-	// surfaced inside the apply loop below, so the interleaving with
-	// store.Update — rows before the erroring one are still applied —
-	// matches the interpreter exactly.
-	setVals, setErrs := e.updateSetVecs(s, rel, args)
+	// Batch-evaluate the SET expressions across all matched rows. Lane
+	// errors are held per (row, assignment) and surfaced inside the apply
+	// loop below, so rows before the erroring one are still applied, as
+	// row-at-a-time evaluation would.
+	setVals, setErrs := e.updateSetVecs(s, b)
 	ev := ChangeEvent{Table: schema.Name, Op: OpUpdate}
 	for ri, r := range rel.rows {
 		tid := r[nUser].Int() // _tid system column
@@ -243,20 +226,10 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 		newRow := make(types.Row, nUser)
 		copy(newRow, oldRow)
 		for i, a := range s.Set {
-			var v types.Value
-			var err error
-			if setVals != nil && setVals[i] != nil {
-				if setErrs[i] != nil {
-					err = setErrs[i][ri]
-				}
-				v = setVals[i][ri]
-			} else {
-				v, err = b.eval(a.Value, r)
+			if setErrs[i] != nil && setErrs[i][ri] != nil {
+				return nil, nil, setErrs[i][ri]
 			}
-			if err != nil {
-				return nil, nil, err
-			}
-			cv, err := v.CoerceTo(schema.Columns[setPos[i]].Type)
+			cv, err := setVals[i][ri].CoerceTo(schema.Columns[setPos[i]].Type)
 			if err != nil {
 				return nil, nil, fmt.Errorf("engine: column %s.%s: %w", s.Table, a.Column, err)
 			}
@@ -287,48 +260,36 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 }
 
 // updateSetVecs batch-evaluates the UPDATE's SET expressions over the
-// matched rows through the VM. Returns per-assignment value and error
-// columns; a nil column means that assignment stays on the interpreter.
-func (e *Engine) updateSetVecs(s *sqltext.Update, rel *relation, args []types.Value) ([][]types.Value, [][]error) {
-	if !e.vmOn() || len(rel.rows) == 0 {
+// matched rows. Returns per-assignment value and error columns (an error
+// column is nil while its assignment has not erred).
+func (e *Engine) updateSetVecs(s *sqltext.Update, b *binder) ([][]types.Value, [][]error) {
+	n := len(b.rel.rows)
+	if n == 0 {
 		return nil, nil
 	}
-	var progs []*vm.Program
-	var which []int
-	for i, a := range s.Set {
-		if p := e.compiledProg(a.Value, rel.cols); p != nil {
-			progs = append(progs, p)
-			which = append(which, i)
-		}
-	}
-	if len(progs) == 0 {
-		return nil, nil
-	}
-	n := len(rel.rows)
+	progs := make([]*vm.Program, len(s.Set))
 	setVals := make([][]types.Value, len(s.Set))
 	setErrs := make([][]error, len(s.Set))
-	for _, i := range which {
+	for i, a := range s.Set {
+		progs[i] = e.compiledProg(a.Value, b)
 		setVals[i] = make([]types.Value, n)
 	}
-	err := e.evalVecsRange(progs, rel, args, 0, n, func(start, count int, vecs []*vm.Vec) error {
-		for vi, i := range which {
+	// evalVecsRange only fails through the sink, which never errors here.
+	_ = e.evalVecsRange(progs, b, 0, n, func(start, count int, vecs []*vm.Vec) error {
+		for i, vec := range vecs {
 			for ri := 0; ri < count; ri++ {
-				if err := vecs[vi].Err(ri); err != nil {
+				if err := vec.Err(ri); err != nil {
 					if setErrs[i] == nil {
 						setErrs[i] = make([]error, n)
 					}
 					setErrs[i][start+ri] = err
 					continue
 				}
-				setVals[i][start+ri] = vecs[vi].Value(ri)
+				setVals[i][start+ri] = vec.Value(ri)
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		// evalVecsRange only fails through the sink, which never errors here.
-		return nil, nil
-	}
 	return setVals, setErrs
 }
 

@@ -170,8 +170,12 @@ type Engine struct {
 
 	// Compiled expression VM (see compile.go / internal/engine/vm):
 	// programs cached per expression identity, purged with the plan cache
-	// on DDL and on function-registry changes.
-	compiledEval atomic.Bool
+	// on DDL and on function-registry changes. interpretAll is the
+	// reference switch of the differential tests, written only from
+	// _test.go: compiledProg wraps every expression in the interpreter
+	// instruction and buildAggFold folds nothing, so aggregates reach the
+	// evalAgg oracle.
+	interpretAll atomic.Bool
 	progs        *progCache
 	mVMCompile   *metrics.Counter
 	mVMFallback  *metrics.Counter
@@ -237,7 +241,6 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mPlanHit = e.reg.Counter("engine.plan_cache_hit")
 	e.mPlanMiss = e.reg.Counter("engine.plan_cache_miss")
 	e.progs = newProgCache(1024)
-	e.compiledEval.Store(true)
 	e.mVMCompile = e.reg.Counter("vm.compile")
 	e.mVMFallback = e.reg.Counter("vm.fallback")
 	e.mVMBatches = e.reg.Counter("vm.exec_batches")
@@ -541,7 +544,8 @@ func (e *Engine) execStmt(st sqltext.Statement, args []types.Value, ctx *stmtCtx
 // snapshot to an explicit commit-seq (§VI-A time-based isolation).
 func (e *Engine) execSelect(s *sqltext.Select, args []types.Value, ctx *stmtCtx) (*Result, error) {
 	ctx.top = s
-	if s.AsOf != nil {
+	switch {
+	case s.AsOf != nil:
 		v, ok := constVal(s.AsOf, args)
 		if !ok || v.IsNull() {
 			return nil, fmt.Errorf("engine: AS OF requires a literal or bound-parameter seq")
@@ -556,18 +560,30 @@ func (e *Engine) execSelect(s *sqltext.Select, args []types.Value, ctx *stmtCtx)
 		}
 		defer e.store.ReleaseSnapshot(snap)
 		ctx.snap = snap
-		return e.evalSelect(s, args, ctx)
-	}
-	if e.inTxn.Load() {
+	case e.inTxn.Load():
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		ctx.snap = storage.SeqLatest
-		return e.evalSelect(s, args, ctx)
+	default:
+		snap := e.store.AcquireSnapshot()
+		defer e.store.ReleaseSnapshot(snap)
+		ctx.snap = snap
 	}
-	snap := e.store.AcquireSnapshot()
-	defer e.store.ReleaseSnapshot(snap)
-	ctx.snap = snap
-	return e.evalSelect(s, args, ctx)
+	res, err := e.evalSelect(s, args, nil, ctx)
+	if err != nil {
+		return nil, err
+	}
+	// This is the one place rows leave the engine. evalSelect builds fresh
+	// row slices and MVCC versions are immutable, so only a BYTES payload
+	// can still be shared with storage: detach those.
+	for _, r := range res.Rows {
+		for i := range r {
+			if r[i].LaneKind() == types.KindBytes {
+				r[i] = r[i].Clone()
+			}
+		}
+	}
+	return res, nil
 }
 
 // stmtKeyword names a statement by its leading SQL keyword for error

@@ -49,7 +49,7 @@ type binder struct {
 	byName    map[string]int // "name" → position (unambiguous only)
 	ambiguous map[string]bool
 
-	subCache  map[*sqltext.Select][]types.Row
+	subCache  map[*sqltext.Select]subResult
 	overrides map[string][]types.Row // IVM table substitution
 
 	// inCache memoizes the value set of constant IN lists so membership
@@ -63,7 +63,7 @@ func newBinder(e *Engine, args []types.Value, rel *relation, overrides map[strin
 		byQual:    map[string]int{},
 		byName:    map[string]int{},
 		ambiguous: map[string]bool{},
-		subCache:  map[*sqltext.Select][]types.Row{},
+		subCache:  map[*sqltext.Select]subResult{},
 		overrides: overrides,
 	}
 	if rel != nil {
@@ -517,17 +517,25 @@ func (b *binder) evalCase(x *sqltext.CaseExpr, row types.Row) (types.Value, erro
 	return types.Null, nil
 }
 
-// subquery evaluates an uncorrelated subquery, cached per statement.
+// subResult is a subquery's cached outcome.
+type subResult struct {
+	rows []types.Row
+	err  error
+}
+
+// subquery evaluates an uncorrelated subquery, cached per statement —
+// its error too: batch evaluation holds errors per lane and goes on, so
+// an uncached failing subquery would run once per row.
 func (b *binder) subquery(q *sqltext.Select) ([]types.Row, error) {
-	if rows, ok := b.subCache[q]; ok {
-		return rows, nil
+	r, ok := b.subCache[q]
+	if !ok {
+		var res *Result
+		if res, r.err = b.e.evalSelect(q, b.args, b.overrides, b.ctx); r.err == nil {
+			r.rows = res.Rows
+		}
+		b.subCache[q] = r
 	}
-	res, err := b.e.evalSelectWith(q, b.args, b.overrides, b.ctx)
-	if err != nil {
-		return nil, err
-	}
-	b.subCache[q] = res.Rows
-	return res.Rows, nil
+	return r.rows, r.err
 }
 
 // evalAgg evaluates an expression that may contain aggregate calls over a

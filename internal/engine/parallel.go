@@ -105,11 +105,19 @@ func (e *Engine) releaseWorkers(n int) {
 	}
 }
 
-// workers settles the width of a phase over n rows — the calling
-// goroutine plus whatever extras the budget grants — and notes a
-// fan-out for the vm.parallel_* metrics. 1 means the phase runs inline.
-// Callers releaseWorkers(nw - 1) when the phase completes.
-func (e *Engine) workers(n int, ctx *stmtCtx) int {
+// workers settles the width of a phase that runs progs over n rows —
+// the calling goroutine plus whatever extras the budget grants — and
+// notes a fan-out for the vm.parallel_* metrics. 1 means the phase runs
+// inline, which it always does when a program is Interpreted: it calls
+// into the statement's binder, whose subquery and IN caches are not
+// goroutine-safe. Callers releaseWorkers(nw - 1) when the phase
+// completes.
+func (e *Engine) workers(n int, ctx *stmtCtx, progs ...*vm.Program) int {
+	for _, p := range progs {
+		if p.Interpreted() {
+			return 1
+		}
+	}
 	nw := 1 + e.reserveWorkers(e.parallelWidth(n)-1)
 	if nw > 1 && int64(nw) > ctx.parWorkers {
 		ctx.parWorkers = int64(nw)
@@ -200,13 +208,15 @@ type scanOut struct {
 // projection (or copied out at full table width). Only the columns the
 // programs read are copied into vectors; version values (immutable
 // under MVCC) are referenced, not copied, until a lane passes the
-// filter. At width 1 the whole slot array is one range whose output
-// becomes rel.rows as is; wider plans claim morselSlots-sized ranges
-// and concatenate their outputs in range order.
-func (e *Engine) scanFiltered(tbl *storage.Table, rel *relation, prog *vm.Program, proj *scanProj, args []types.Value, ctx *stmtCtx, nUser int) error {
+// filter. At width 1 (always, for an Interpreted WHERE) the whole slot
+// array is one range whose output becomes rel.rows as is; wider plans
+// claim morselSlots-sized ranges and concatenate their outputs in range
+// order.
+func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, proj *scanProj, nUser int) error {
+	rel, ctx := b.rel, b.ctx
 	view := tbl.View(ctx.snap)
 	n := view.Slots()
-	nw := e.workers(n, ctx)
+	nw := e.workers(n, ctx, prog)
 	defer e.releaseWorkers(nw - 1)
 	step := n
 	if nw > 1 {
@@ -227,9 +237,8 @@ func (e *Engine) scanFiltered(tbl *storage.Table, rel *relation, prog *vm.Progra
 	needSys := len(used) > 0 && used[len(used)-1] >= nUser
 
 	err := fanOut(nw, len(outs), func(next func() (int, bool)) error {
-		m := vm.NewMachine(prog)
-		m.Bind(args)
-		wproj := proj.bind(args)
+		m := b.machine(prog)
+		wproj := proj.bind(b)
 		batch := vm.NewBatch(kinds, used)
 		var scratch types.Row
 		if needSys {
@@ -360,7 +369,7 @@ func usedCols(progs []*vm.Program) []int {
 // bind returns a worker-private copy of a scan projection: programs
 // and bare-column maps are shared (immutable), machines are per-worker
 // (vm.Machine is not goroutine-safe).
-func (sp *scanProj) bind(args []types.Value) *scanProj {
+func (sp *scanProj) bind(b *binder) *scanProj {
 	if sp == nil {
 		return nil
 	}
@@ -373,23 +382,22 @@ func (sp *scanProj) bind(args []types.Value) *scanProj {
 	}
 	for i, p := range sp.progs {
 		if p != nil {
-			c.machines[i] = vm.NewMachine(p)
-			c.machines[i].Bind(args)
+			c.machines[i] = b.machine(p)
 		}
 	}
 	return c
 }
 
-// evalVecsRange runs several compiled programs over rel.rows[lo:hi)
-// chunk by chunk, invoking sink with each chunk's absolute start index
-// and result vectors (valid only during the callback). Machines and the
+// evalVecsRange runs several programs over b.rel.rows[lo:hi) chunk by
+// chunk, invoking sink with each chunk's absolute start index and
+// result vectors (valid only during the callback). Machines and the
 // batch are private to the call, so disjoint ranges may run on
-// different goroutines.
-func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
+// different goroutines — unless a program is Interpreted.
+func (e *Engine) evalVecsRange(progs []*vm.Program, b *binder, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
+	rel := b.rel
 	machines := make([]*vm.Machine, len(progs))
 	for i, p := range progs {
-		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(args)
+		machines[i] = b.machine(p)
 	}
 	batch := vm.NewBatch(batchKinds(rel.cols), usedCols(progs))
 	vecs := make([]*vm.Vec, len(progs))
@@ -413,9 +421,9 @@ func (e *Engine) evalVecsRange(progs []*vm.Program, rel *relation, args []types.
 // groupKeysRange computes the RowKey of the compiled GROUP BY
 // expressions for rel.rows[lo:hi) into keys, stopping at the range's
 // first (row, expression) error.
-func (e *Engine) groupKeysRange(progs []*vm.Program, rel *relation, args []types.Value, lo, hi int, keys []string) error {
+func (e *Engine) groupKeysRange(progs []*vm.Program, b *binder, lo, hi int, keys []string) error {
 	keyVals := make(types.Row, len(progs))
-	return e.evalVecsRange(progs, rel, args, lo, hi, func(start, count int, vecs []*vm.Vec) error {
+	return e.evalVecsRange(progs, b, lo, hi, func(start, count int, vecs []*vm.Vec) error {
 		for ri := 0; ri < count; ri++ {
 			for gi := range progs {
 				if err := vecs[gi].Err(ri); err != nil {
@@ -596,7 +604,7 @@ func (f *aggFold) state(fc *sqltext.FuncCall, gi int) (*aggState, aggOp) {
 }
 
 // buildAggFold selects the foldable aggregate items (simple call, one
-// lowerable argument) and folds them over rel.rows, column-natively
+// argument) and folds them over rel.rows, column-natively
 // from typed lanes: one range at width 1, else contiguous row ranges
 // whose partials merge in range order. Going wide needs a large
 // relation, a bounded group count, and every item statically
@@ -605,7 +613,7 @@ func (f *aggFold) state(fc *sqltext.FuncCall, gi int) (*aggState, aggOp) {
 // which is always exact.
 func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int) *aggFold {
 	n := len(rel.rows)
-	if !e.vmOn() || n == 0 || nGroups == 0 {
+	if e.interpretAll.Load() || n == 0 || nGroups == 0 {
 		return nil
 	}
 	f := &aggFold{calls: map[*sqltext.FuncCall]int{}, nGroups: nGroups}
@@ -621,27 +629,23 @@ func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGro
 		if !ok {
 			continue
 		}
-		p := e.compiledProg(fc.Args[0], rel.cols)
-		if p == nil {
-			continue
-		}
 		f.calls[fc] = len(f.ops)
 		f.ops = append(f.ops, op)
 		f.distinct = append(f.distinct, fc.Distinct)
-		f.progs = append(f.progs, p)
+		f.progs = append(f.progs, e.compiledProg(fc.Args[0], b))
 	}
 	if len(f.ops) == 0 {
 		return nil
 	}
 	nw := 1
 	if nGroups <= parallelGroupCap && e.parallelWidth(n) > 1 && f.staticMergeSafe(batchKinds(rel.cols)) {
-		nw = e.workers(n, b.ctx)
+		nw = e.workers(n, b.ctx, f.progs...)
 	}
 	ranges := contiguousRanges(n, nw)
 	partials := make([][]aggState, len(ranges))
 	_ = fanOut(nw, len(ranges), func(next func() (int, bool)) error {
 		for ri, ok := next(); ok; ri, ok = next() {
-			partials[ri] = e.foldRange(f, rel, b.args, ranges[ri][0], ranges[ri][1], rowGroup)
+			partials[ri] = e.foldRange(f, b, ranges[ri][0], ranges[ri][1], rowGroup)
 		}
 		return nil
 	})
@@ -656,7 +660,7 @@ func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGro
 		for i := range f.states {
 			st, op := &f.states[i], f.ops[i/nGroups]
 			if ((op == aggSum || op == aggAvg) && st.notAllInt) || ((op == aggMin || op == aggMax) && st.mixed) {
-				f.states = e.foldRange(f, rel, b.args, 0, n, rowGroup)
+				f.states = e.foldRange(f, b, 0, n, rowGroup)
 				break
 			}
 		}
@@ -735,9 +739,9 @@ func mergeAggStates(dst, src []aggState, ops []aggOp, nGroups int) {
 
 // foldRange folds every item of f over rel.rows[lo:hi), column-native:
 // typed int/float lanes fold without boxing a single value.
-func (e *Engine) foldRange(f *aggFold, rel *relation, args []types.Value, lo, hi int, rowGroup []int32) []aggState {
+func (e *Engine) foldRange(f *aggFold, b *binder, lo, hi int, rowGroup []int32) []aggState {
 	states := make([]aggState, len(f.ops)*f.nGroups)
-	_ = e.evalVecsRange(f.progs, rel, args, lo, hi, func(start, count int, vecs []*vm.Vec) error {
+	_ = e.evalVecsRange(f.progs, b, lo, hi, func(start, count int, vecs []*vm.Vec) error {
 		for ci := range f.ops {
 			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
 		}

@@ -19,12 +19,13 @@ func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel int) {
 	e.SetParallelism(width)
 }
 
-// execThreeWay runs sql on the interpreter (SetCompiledEval(false)), on
-// the VM at width 1, and on the VM at the given width, requiring
-// byte-identical behavior from all three: same error presence and text,
-// same rows in order (kind + rendering), and the same rows-scanned
-// tally. The interpreter is the oracle; a width-1 statement must not
-// register as parallel.
+// execThreeWay runs sql on the reference (interpretAll: the interpreter
+// instruction at every site, aggregates through evalAgg), compiled at
+// width 1, and compiled at the given width, requiring byte-identical
+// behavior from all three: same error presence and text, same rows in
+// order (kind + rendering), and the same rows-scanned tally. The
+// reference is the oracle; a width-1 statement must not register as
+// parallel.
 func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.Value) {
 	t.Helper()
 	type outcome struct {
@@ -34,7 +35,7 @@ func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.
 		scanned int64
 	}
 	run := func(name string, compiled bool, w int) outcome {
-		e.SetCompiledEval(compiled)
+		e.interpretAll.Store(!compiled)
 		e.SetParallelism(w)
 		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
 		res, err := e.Exec(sql, args...)
@@ -43,7 +44,7 @@ func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.
 		}
 		return outcome{name, res, err, e.mRowsScanned.Value() - s0}
 	}
-	ref := run("interpreter", false, 1)
+	ref := run("reference", false, 1)
 	outs := []outcome{run("width 1", true, 1), run(fmt.Sprintf("width %d", width), true, width)}
 	e.SetParallelism(1)
 
@@ -214,6 +215,19 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT SUM(s) FROM p",
 		"SELECT MIN(s), SUM(s) FROM p GROUP BY v % 3",
 		"SELECT id FROM p WHERE v + s > 0",
+		// Interpreted shapes over a relation large enough to fan out: scan
+		// filter (with a lowered projection it must not push down), GROUP
+		// BY key, aggregate argument, and a projection whose lowered item
+		// errs on a later row than its interpreted one.
+		"SELECT id, v * 2 FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND id % 100 = 0",
+		"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*), SUM(v) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
+		"SELECT COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(NOSUCH(v)) FROM p WHERE id < 0",
+		"SELECT v % 5, COUNT(NOSUCH(v)) FROM p GROUP BY v % 5",
+		"SELECT id, v / (id - 2500), CASE WHEN id = 1200 THEN NOSUCH(v) ELSE 1 END FROM p WHERE v IS NOT NULL",
+		"SELECT id FROM p WHERE v > (SELECT MAX(k) FROM dim) * 160 AND v / (id - 2990) >= 0",
+		// ORDER BY an aggregate: a group's key, not its first row's.
+		"SELECT v % 5, SUM(v) FROM p GROUP BY v % 5 ORDER BY SUM(v) DESC",
+		"SELECT v % 5 FROM p GROUP BY v % 5 HAVING COUNT(*) > 100 ORDER BY MIN(id) DESC, COUNT(*)",
 	}
 	for _, sql := range stmts {
 		execThreeWay(t, e, 4, sql)
@@ -290,6 +304,37 @@ func TestParallelMetrics(t *testing.T) {
 	res := mustExec(t, e, "SELECT count(*) FROM sys_metrics WHERE name LIKE 'vm.parallel%' OR name = 'vm.morsels'")
 	if res.Rows[0][0].Int() != 3 {
 		t.Fatalf("sys_metrics parallel rows: got %d, want 3", res.Rows[0][0].Int())
+	}
+}
+
+// TestInterpretedRunsAtWidthOne: a program that calls back into the
+// binder (whose subquery and IN caches are not goroutine-safe) must keep
+// its phase on the calling goroutine however large the relation — as the
+// scan filter, as a GROUP BY key, and as an aggregate argument, where
+// COUNT would otherwise pass the static merge-safety gate. -race is the
+// second witness.
+func TestInterpretedRunsAtWidthOne(t *testing.T) {
+	e := newParTestDB(t, 3000)
+	forceParallel(t, e, 4, 256)
+	for _, sql := range []string{
+		"SELECT id FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2)",
+		"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
+		"SELECT COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)) FROM p",
+	} {
+		q0, w0 := e.mParQueries.Value(), e.mParWorkers.Value()
+		mustExec(t, e, sql)
+		if e.mParQueries.Value() != q0 || e.mParWorkers.Value() != w0 {
+			t.Fatalf("%s: interpreted statement fanned out", sql)
+		}
+		if e.parExtra.Load() != 0 {
+			t.Fatalf("%s: leaked worker reservations: %d", sql, e.parExtra.Load())
+		}
+	}
+	// The same statement with a lowered filter does fan out.
+	q0 := e.mParQueries.Value()
+	mustExec(t, e, "SELECT id FROM p WHERE v % 7 IN (3, 4, 5, 6)")
+	if e.mParQueries.Value() != q0+1 {
+		t.Fatal("lowered twin of the interpreted filter stayed serial")
 	}
 }
 

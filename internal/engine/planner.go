@@ -536,7 +536,7 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 				if sqltext.HasAggregate(it.Expr) {
 					agg = true
 				}
-				if e.compiledProg(it.Expr, left.cols) == nil {
+				if !e.lowers(it.Expr, left) {
 					allCompiled = false
 				}
 			}
@@ -601,7 +601,7 @@ func (e *Engine) explainRef(tr sqltext.TableRef, sel *sqltext.Select, indent str
 		if label == "full-scan" {
 			// The executor runs a full-scan WHERE through the expression VM
 			// when it lowers; index paths evaluate inside the index itself.
-			if rel, err := e.refCols(tr); err == nil && e.compiledProg(sel.Where, rel.cols) != nil {
+			if rel, err := e.refCols(tr); err == nil && e.lowers(sel.Where, rel) {
 				label += " [compiled]"
 				// Morsel-parallel fan-out: shown with the configured
 				// width when the snapshot's slot count clears the
@@ -618,6 +618,12 @@ func (e *Engine) explainRef(tr sqltext.TableRef, sel *sqltext.Select, indent str
 	return []string{indent + "scan " + name + ": " + label}, nil
 }
 
+// lowers reports whether x compiles as a whole against rel's layout —
+// what earns a plan node its "compiled" marker.
+func (e *Engine) lowers(x sqltext.Expr, rel *relation) bool {
+	return !e.compiledProg(x, newBinder(e, nil, rel, nil, nil)).Interpreted()
+}
+
 func (e *Engine) explainMutation(verb, table string, where sqltext.Expr) ([]string, error) {
 	if _, isView := e.cat.View(table); isView {
 		return nil, fmt.Errorf("engine: cannot %s view %q", strings.ToUpper(verb), table)
@@ -630,7 +636,7 @@ func (e *Engine) explainMutation(verb, table string, where sqltext.Expr) ([]stri
 	if where != nil {
 		label = analyzeScan(where, schema, e.store.Table(table), strings.ToLower(table)).label()
 		if label == "full-scan" {
-			if rel, err := e.refCols(sqltext.TableRef{Table: table}); err == nil && e.compiledProg(where, rel.cols) != nil {
+			if rel, err := e.refCols(sqltext.TableRef{Table: table}); err == nil && e.lowers(where, rel) {
 				label += " [compiled]"
 			}
 		}

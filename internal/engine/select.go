@@ -33,39 +33,24 @@ func (e *Engine) writerCtx() *stmtCtx {
 	return &stmtCtx{snap: storage.SeqLatest}
 }
 
-// evalSelect runs a SELECT against the snapshot captured in ctx.
-func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, ctx *stmtCtx) (*Result, error) {
-	return e.evalSelectWith(sel, args, nil, ctx)
-}
-
 // EvalWith implements ivm.Evaluator: evaluate a SELECT with some tables'
 // contents substituted. The caller is the view maintainer running inside
 // an engine mutation, which already holds the write lock — reads resolve
 // at SeqLatest so the maintainer sees the statement's own writes.
 func (e *Engine) EvalWith(sel *sqltext.Select, overrides map[string][]types.Row) ([]types.Row, error) {
-	// The maintainer consumes the rows immediately and never mutates them
-	// in place, so the defensive output clone is skipped — at firehose
-	// rates it was a measurable share of the per-statement allocation.
-	res, err := e.evalSelectNoClone(sel, nil, overrides, e.writerCtx())
+	res, err := e.evalSelect(sel, nil, overrides, e.writerCtx())
 	if err != nil {
 		return nil, err
 	}
 	return res.Rows, nil
 }
 
-func (e *Engine) evalSelectWith(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
-	res, err := e.evalSelectNoClone(sel, args, overrides, ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Copy rows out so callers never alias engine-internal storage. The
-	// projected path always builds fresh rows, but the scan-side
-	// projection pushdown may hand back version values by reference.
-	res.Rows = types.CloneRows(res.Rows)
-	return res, nil
-}
-
-func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
+// evalSelect runs a SELECT — top-level, subquery or view query — against
+// the snapshot captured in ctx, with overrides substituted for the tables
+// they name. Result rows are always freshly built slices, but their
+// values may share BYTES payloads with stored versions: only execSelect
+// hands rows out of the engine, and it detaches them there.
+func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
 	if sel.AsOf != nil && sel != ctx.top {
 		return nil, fmt.Errorf("engine: AS OF is only supported on the top-level SELECT")
 	}
@@ -87,109 +72,52 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 	// Scan-side projection (see scanProjection): rows already ARE the
 	// output tuples, and the pushdown gates guarantee that only
 	// DISTINCT and LIMIT/OFFSET remain to apply.
-	if rel.projNames != nil {
-		out := rel.rows
-		if sel.Distinct {
-			seen := map[string]bool{}
-			kept := out[:0:0]
-			for _, r := range out {
-				k := types.RowKey(r)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				kept = append(kept, r)
-			}
-			out = kept
-		}
-		if sel.Offset != nil {
-			n, err := evalIntArg(b, sel.Offset)
-			if err != nil {
-				return nil, err
-			}
-			if n > int64(len(out)) {
-				n = int64(len(out))
-			}
-			if n > 0 {
-				out = out[n:]
-			}
-		}
-		if sel.Limit != nil {
-			n, err := evalIntArg(b, sel.Limit)
-			if err != nil {
-				return nil, err
-			}
-			if n < int64(len(out)) && n >= 0 {
-				out = out[:n]
-			}
-		}
-		return &Result{Columns: rel.projNames, Rows: out}, nil
-	}
-
-	// WHERE (unless the scan already streamed it — see buildTableRef).
-	// The compiled path covers index-scan refiltering, post-join filters,
-	// and IVM override evaluation alike: anything already materialized.
-	if sel.Where != nil && !whereApplied {
-		if prog := e.compiledProg(sel.Where, rel.cols); prog != nil {
-			kept, err := e.runFilterRows(prog, rel.cols, rel.rows, args)
-			if err != nil {
-				return nil, err
-			}
-			rel.rows = kept
-		} else {
-			kept := rel.rows[:0:0]
-			for _, r := range rel.rows {
-				ok, err := b.evalBool(sel.Where, r)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, r)
-				}
-			}
-			rel.rows = kept
-		}
-	}
-
-	// Projection: expand stars, determine output columns.
-	items, colNames, err := expandItems(sel, rel)
-	if err != nil {
-		return nil, err
-	}
-
-	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-	if !aggregate {
-		for _, it := range items {
-			if it.Expr != nil && sqltext.HasAggregate(it.Expr) {
-				aggregate = true
-				break
-			}
-		}
-	}
-
-	var out []types.Row
+	colNames := rel.projNames
+	out := rel.rows
 	var srcRows []types.Row // representative source row per output row (for ORDER BY)
-	if aggregate {
-		out, srcRows, err = e.evalAggregateSelect(sel, items, rel, b)
-		if err != nil {
+	var items []projItem
+	var orderCols []int
+	if colNames == nil {
+		// WHERE (unless the scan already streamed it — see buildTableRef):
+		// index-scan refiltering, post-join filters, and IVM override
+		// evaluation alike — anything already materialized.
+		var err error
+		if sel.Where != nil && !whereApplied {
+			if rel.rows, err = e.filterRows(sel.Where, b); err != nil {
+				return nil, err
+			}
+		}
+
+		// Projection: expand stars, determine output columns.
+		if items, colNames, err = expandItems(sel, rel); err != nil {
 			return nil, err
 		}
-	} else {
-		out = make([]types.Row, 0, len(rel.rows))
-		srcRows = rel.rows
-		out, err = e.projectRows(items, rel, b, out)
+		aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
+		for _, it := range items {
+			aggregate = aggregate || (it.Expr != nil && sqltext.HasAggregate(it.Expr))
+		}
+		for _, o := range sel.OrderBy {
+			aggregate = aggregate || sqltext.HasAggregate(o.Expr)
+		}
+		if aggregate {
+			items, orderCols = aggOrderItems(sel, items)
+			out, srcRows, err = e.evalAggregateSelect(sel, items, rel, b)
+		} else {
+			srcRows = rel.rows
+			out, err = e.projectRows(items, rel, b, make([]types.Row, 0, len(rel.rows)))
+		}
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// DISTINCT.
+	// DISTINCT, over the visible columns (aggOrderItems may have appended
+	// hidden sort keys).
 	if sel.Distinct {
 		seen := map[string]bool{}
-		kept := out[:0:0]
-		keptSrc := srcRows[:0:0]
+		kept, keptSrc := out[:0:0], srcRows[:0:0]
 		for i, r := range out {
-			k := types.RowKey(r)
+			k := types.RowKey(r[:len(colNames)])
 			if seen[k] {
 				continue
 			}
@@ -199,15 +127,19 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 				keptSrc = append(keptSrc, srcRows[i])
 			}
 		}
-		out = kept
-		srcRows = keptSrc
+		out, srcRows = kept, keptSrc
 	}
 
 	// ORDER BY (bounded top-k selection when LIMIT is statically known).
 	if len(sel.OrderBy) > 0 {
-		out, srcRows, err = e.orderRows(sel, items, colNames, out, srcRows, b)
-		if err != nil {
+		var err error
+		if out, err = e.orderRows(sel, colNames, orderCols, out, srcRows, b); err != nil {
 			return nil, err
+		}
+		if len(items) > len(colNames) {
+			for i, r := range out {
+				out[i] = r[:len(colNames):len(colNames)]
+			}
 		}
 	}
 
@@ -235,6 +167,34 @@ func (e *Engine) evalSelectNoClone(sel *sqltext.Select, args []types.Value, over
 	}
 
 	return &Result{Columns: colNames, Rows: out}, nil
+}
+
+// aggOrderItems makes every ORDER BY key that contains an aggregate a
+// column of the aggregate SELECT's output, so it is evaluated over its
+// whole group like any item: the output item with the same text when
+// there is one, else a hidden trailing item evalSelect strips after
+// ordering. orderCols[i] is ORDER BY key i's column, -1 for a key that
+// holds no aggregate.
+func aggOrderItems(sel *sqltext.Select, items []projItem) ([]projItem, []int) {
+	orderCols := make([]int, len(sel.OrderBy))
+	for oi, o := range sel.OrderBy {
+		orderCols[oi] = -1
+		if !sqltext.HasAggregate(o.Expr) {
+			continue
+		}
+		text := o.Expr.String()
+		for i, it := range items {
+			if it.Expr.String() == text {
+				orderCols[oi] = i
+				break
+			}
+		}
+		if orderCols[oi] < 0 {
+			orderCols[oi] = len(items)
+			items = append(items, projItem{Expr: o.Expr})
+		}
+	}
+	return items, orderCols
 }
 
 func evalIntArg(b *binder, e sqltext.Expr) (int64, error) {
@@ -399,47 +359,30 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 
 // groupKeys computes the RowKey of the GROUP BY expressions for every
 // source row, batched through the VM — over contiguous row ranges when
-// the relation is large — when every key expression lowers. Errors
-// surface in (row, expression) order either way.
+// the relation is large (see workers). Errors surface in (row,
+// expression) order.
 func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]string, error) {
 	n := len(rel.rows)
 	keys := make([]string, n)
-	if e.vmOn() && n > 0 {
-		progs := make([]*vm.Program, len(sel.GroupBy))
-		all := true
-		for i, g := range sel.GroupBy {
-			if progs[i] = e.compiledProg(g, rel.cols); progs[i] == nil {
-				all = false
-				break
+	if n == 0 {
+		return keys, nil
+	}
+	progs := make([]*vm.Program, len(sel.GroupBy))
+	for i, g := range sel.GroupBy {
+		progs[i] = e.compiledProg(g, b)
+	}
+	nw := e.workers(n, b.ctx, progs...)
+	defer e.releaseWorkers(nw - 1)
+	ranges := contiguousRanges(n, nw)
+	err := fanOut(nw, len(ranges), func(next func() (int, bool)) error {
+		for ri, ok := next(); ok; ri, ok = next() {
+			if err := e.groupKeysRange(progs, b, ranges[ri][0], ranges[ri][1], keys); err != nil {
+				return err
 			}
 		}
-		if all {
-			nw := e.workers(n, b.ctx)
-			defer e.releaseWorkers(nw - 1)
-			ranges := contiguousRanges(n, nw)
-			err := fanOut(nw, len(ranges), func(next func() (int, bool)) error {
-				for ri, ok := next(); ok; ri, ok = next() {
-					if err := e.groupKeysRange(progs, rel, b.args, ranges[ri][0], ranges[ri][1], keys); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			return keys, err
-		}
-	}
-	for i, r := range rel.rows {
-		keyVals := make(types.Row, len(sel.GroupBy))
-		for j, g := range sel.GroupBy {
-			v, err := b.eval(g, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[j] = v
-		}
-		keys[i] = types.RowKey(keyVals)
-	}
-	return keys, nil
+		return nil
+	})
+	return keys, err
 }
 
 // evalAggItem evaluates one aggregate-context projection item for
@@ -481,14 +424,14 @@ type scanProj struct {
 // row matching and needs full-width rows with the _tid column — as do
 // subquery sources feeding an outer binder) and nothing downstream
 // needs the source rows: no GROUP BY / HAVING / ORDER BY, LIMIT and
-// OFFSET are literals or parameters, and every projection item lowers.
-// DISTINCT is fine — it runs over output tuples.
-func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, ctx *stmtCtx) *scanProj {
-	if sel == nil || sel != ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
+// OFFSET are literals or parameters, and no projection item is
+// Interpreted. DISTINCT is fine — it runs over output tuples.
+func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
+	if sel == nil || sel != b.ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
 		!plainIntArg(sel.Limit) || !plainIntArg(sel.Offset) {
 		return nil
 	}
-	items, names, err := expandItems(sel, rel)
+	items, names, err := expandItems(sel, b.rel)
 	if err != nil || len(items) == 0 {
 		return nil
 	}
@@ -506,8 +449,8 @@ func (e *Engine) scanProjection(sel *sqltext.Select, rel *relation, ctx *stmtCtx
 		bare:  make([]int, len(items)),
 	}
 	for i, it := range items {
-		p := e.compiledProg(it.Expr, rel.cols)
-		if p == nil {
+		p := e.compiledProg(it.Expr, b)
+		if p.Interpreted() {
 			return nil
 		}
 		if c, ok := p.BareCol(); ok {
@@ -567,119 +510,63 @@ func (sp *scanProj) emit(dst *[]types.Row, batch *vm.Batch, lanes []int, vals []
 	return nil
 }
 
-// projectRows evaluates the projection over rel.rows, batch-compiling
-// every item that lowers and interpreting the rest per row. Mixing is
-// safe because batched lanes hold their errors until the row-major
-// materialization loop reaches them — so the first error surfaced is
-// the same (row, item) the interpreter would have hit.
+// projectRows evaluates the projection over rel.rows, one batch of
+// source rows at a time: bare column references index the source row,
+// every other item reads its program's result vector. Lanes hold their
+// errors until the row-major materialization loop reaches them, so the
+// first error surfaced is the (row, item) a row-at-a-time evaluation
+// would have hit first.
 func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []types.Row) ([]types.Row, error) {
-	var progs []*vm.Program
-	anyCompiled := false
-	if e.vmOn() && len(rel.rows) > 0 {
-		progs = make([]*vm.Program, len(items))
-		for i, it := range items {
-			if p := e.compiledProg(it.Expr, rel.cols); p != nil {
-				progs[i] = p
-				anyCompiled = true
-			}
-		}
-	}
-	if !anyCompiled {
-		for _, r := range rel.rows {
-			row := make(types.Row, len(items))
-			for i, it := range items {
-				v, err := b.eval(it.Expr, r)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			out = append(out, row)
-		}
+	if len(rel.rows) == 0 {
 		return out, nil
 	}
-	machines := make([]*vm.Machine, len(items))
-	// Bare column references skip the VM entirely: the lane value IS
-	// row[c], so the item becomes a direct index into the source row.
-	bareCol := make([]int, len(items))
-	for i, p := range progs {
-		bareCol[i] = -1
-		if p == nil {
-			continue
-		}
+	w := len(items)
+	bare := make([]int, w)
+	progs := make([]*vm.Program, w) // nil for bare items: they read no batch
+	machines := make([]*vm.Machine, w)
+	allBare := true
+	for i, it := range items {
+		p := e.compiledProg(it.Expr, b)
 		if c, ok := p.BareCol(); ok {
-			bareCol[i] = c
-			progs[i] = nil // reads the source row, not the batch
+			bare[i] = c
 			continue
 		}
-		machines[i] = vm.NewMachine(p)
-		machines[i].Bind(b.args)
+		bare[i], progs[i], machines[i], allBare = -1, p, b.machine(p), false
 	}
-	used := usedCols(progs)
-	if len(used) == 0 {
-		// Every compiled item is a bare column: pure row indexing, no
-		// batches to fill or machines to run.
-		w := len(items)
-		slab := make([]types.Value, len(rel.rows)*w)
-		for ri, r := range rel.rows {
-			row := types.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
-			for i, it := range items {
-				if c := bareCol[i]; c >= 0 {
-					if c < len(r) {
-						row[i] = r[c]
-					}
-					continue
-				}
-				v, err := b.eval(it.Expr, r)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			out = append(out, row)
-		}
-		return out, nil
+	// A projection of bare columns alone (the point select) fills no
+	// batch and runs no machine.
+	var batch *vm.Batch
+	if !allBare {
+		batch = vm.NewBatch(batchKinds(rel.cols), usedCols(progs))
 	}
-	batch := vm.NewBatch(batchKinds(rel.cols), used)
-	vecs := make([]*vm.Vec, len(items))
+	vecs := make([]*vm.Vec, w)
 	for start := 0; start < len(rel.rows); start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > len(rel.rows) {
-			end = len(rel.rows)
-		}
-		batch.Fill(rel.rows[start:end])
-		for i, mch := range machines {
-			if mch != nil {
-				vecs[i] = mch.Eval(batch)
+		chunk := rel.rows[start:min(start+vm.BatchSize, len(rel.rows))]
+		if batch != nil {
+			batch.Fill(chunk)
+			for i, mch := range machines {
+				if mch != nil {
+					vecs[i] = mch.Eval(batch)
+				}
 			}
+			e.countVM(len(chunk))
 		}
-		e.countVM(batch.Len())
 		// One slab of values per batch instead of one allocation per
 		// output row.
-		w := len(items)
-		slab := make([]types.Value, batch.Len()*w)
-		for ri := 0; ri < batch.Len(); ri++ {
+		slab := make([]types.Value, len(chunk)*w)
+		for ri, src := range chunk {
 			row := types.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
-			src := rel.rows[start+ri]
-			for i, it := range items {
-				if c := bareCol[i]; c >= 0 {
+			for i := range items {
+				if c := bare[i]; c >= 0 {
 					if c < len(src) {
 						row[i] = src[c]
 					}
 					continue
 				}
-				if machines[i] != nil {
-					if err := vecs[i].Err(ri); err != nil {
-						return nil, err
-					}
-					row[i] = vecs[i].Value(ri)
-					continue
-				}
-				v, err := b.eval(it.Expr, src)
-				if err != nil {
+				if err := vecs[i].Err(ri); err != nil {
 					return nil, err
 				}
-				row[i] = v
+				row[i] = vecs[i].Value(ri)
 			}
 			out = append(out, row)
 		}
@@ -687,16 +574,20 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 	return out, nil
 }
 
-// orderRows sorts output (and keeps srcRows aligned). ORDER BY keys may
-// reference output aliases/columns or source-relation expressions. When
-// LIMIT (+ OFFSET) is statically known, a bounded heap keeps only the
-// top limit+offset rows instead of sorting the whole result — O(n log k)
-// comparisons instead of O(n log n), and the returned slices shrink to k.
-func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []string, out []types.Row, srcRows []types.Row, b *binder) ([]types.Row, []types.Row, error) {
+// orderRows sorts output. ORDER BY keys may reference output
+// aliases/columns, source-relation expressions (evaluated on srcRows,
+// which align with out) or — orderCols, see aggOrderItems — aggregates
+// already evaluated as columns of out. When LIMIT (+ OFFSET) is
+// statically known, a bounded heap keeps only the top limit+offset rows
+// instead of sorting the whole result — O(n log k) comparisons instead
+// of O(n log n), and the returned slice shrinks to k.
+func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, orderCols []int, out []types.Row, srcRows []types.Row, b *binder) ([]types.Row, error) {
 	type keyFn func(i int) (types.Value, error)
 	fns := make([]keyFn, len(sel.OrderBy))
+	outCol := func(p int) keyFn {
+		return func(i int) (types.Value, error) { return out[i][p], nil }
+	}
 	for oi, o := range sel.OrderBy {
-		o := o
 		// Alias / output column reference?
 		if cr, ok := o.Expr.(*sqltext.ColumnRef); ok && cr.Table == "" {
 			pos := -1
@@ -707,8 +598,7 @@ func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []str
 				}
 			}
 			if pos >= 0 {
-				p := pos
-				fns[oi] = func(i int) (types.Value, error) { return out[i][p], nil }
+				fns[oi] = outCol(pos)
 				continue
 			}
 		}
@@ -716,20 +606,20 @@ func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []str
 		if lit, ok := o.Expr.(*sqltext.Literal); ok && lit.Value.Kind() == types.KindInt {
 			p := int(lit.Value.Int()) - 1
 			if p < 0 || p >= len(colNames) {
-				return nil, nil, fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
+				return nil, fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
 			}
-			fns[oi] = func(i int) (types.Value, error) { return out[i][p], nil }
+			fns[oi] = outCol(p)
+			continue
+		}
+		if sqltext.HasAggregate(o.Expr) {
+			fns[oi] = outCol(orderCols[oi])
 			continue
 		}
 		// Source expression.
 		expr := o.Expr
-		agg := sqltext.HasAggregate(expr)
 		fns[oi] = func(i int) (types.Value, error) {
 			if i >= len(srcRows) {
 				return types.Null, nil
-			}
-			if agg {
-				return b.evalAgg(expr, []types.Row{srcRows[i]})
 			}
 			return b.eval(expr, srcRows[i])
 		}
@@ -741,7 +631,7 @@ func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []str
 		for j, fn := range fns {
 			v, err := fn(i)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			keys[i][j] = v
 		}
@@ -794,20 +684,13 @@ func (e *Engine) orderRows(sel *sqltext.Select, items []projItem, colNames []str
 		sort.Slice(idx, func(a, bb int) bool { return less(idx[a], idx[bb]) })
 	}
 	if sortErr != nil {
-		return nil, nil, sortErr
+		return nil, sortErr
 	}
 	sorted := make([]types.Row, len(idx))
 	for i, p := range idx {
 		sorted[i] = out[p]
 	}
-	sortedSrc := srcRows
-	if len(srcRows) == len(out) {
-		sortedSrc = make([]types.Row, len(idx))
-		for i, p := range idx {
-			sortedSrc[i] = srcRows[p]
-		}
-	}
-	return sorted, sortedSrc, nil
+	return sorted, nil
 }
 
 // constInt evaluates a LIMIT/OFFSET expression when it is a literal or a
@@ -902,7 +785,7 @@ func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides ma
 // fully applied by the scan.
 func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, sel *sqltext.Select, ctx *stmtCtx) (*relation, bool, error) {
 	if tr.Subquery != nil {
-		res, err := e.evalSelectWith(tr.Subquery, args, overrides, ctx)
+		res, err := e.evalSelect(tr.Subquery, args, overrides, ctx)
 		if err != nil {
 			return nil, false, err
 		}
@@ -987,10 +870,7 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 			if tids, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
 				for _, tid := range tids {
 					if sr, found := tbl.GetAt(tid, ctx.snap); found {
-						full := make(types.Row, 0, len(sr.Values)+2)
-						full = append(full, sr.Values...)
-						full = append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
-						rel.rows = append(rel.rows, full)
+						rel.rows = append(rel.rows, fullRow(sr))
 					}
 				}
 				e.countScanned(ctx, len(tids))
@@ -999,67 +879,36 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 		}
 	}
 
-	nUser := len(schema.Columns)
-
-	// Compiled streaming full scan (see scanFiltered), with projection
-	// pushdown: when the whole statement reduces to "filter, project,
-	// maybe DISTINCT/LIMIT" and every item lowers, the projection runs on
-	// the already-filled batch and output tuples are emitted directly —
-	// matched rows are never materialized at full table width.
-	if where != nil {
-		if prog := e.compiledProg(where, rel.cols); prog != nil {
-			proj := e.scanProjection(sel, rel, ctx)
-			if err := e.scanFiltered(tbl, rel, prog, proj, args, ctx, nUser); err != nil {
-				return nil, false, err
-			}
-			return rel, true, nil
-		}
+	if where == nil {
+		rel.lazy = true
+		e.materializeRel(rel, ctx)
+		return rel, false, nil
 	}
 
-	// Streaming full scan: evaluate WHERE against a reused scratch row
-	// inside the loop, copying out only the matches. Allocation becomes
-	// O(result) instead of O(table).
-	if where != nil {
-		b := newBinder(e, args, rel, overrides, ctx)
-		scratch := make(types.Row, nUser+2)
-		scanned := 0
-		for it := tbl.Iterate(ctx.snap); ; {
-			sr, more := it.Next()
-			if !more {
-				break
-			}
-			scanned++
-			copy(scratch, sr.Values)
-			scratch[nUser] = types.NewInt(sr.TID)
-			scratch[nUser+1] = types.NewInt(sr.Created)
-			ok, err := b.evalBool(where, scratch)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				full := make(types.Row, nUser+2)
-				copy(full, scratch)
-				rel.rows = append(rel.rows, full)
-			}
-		}
-		e.countScanned(ctx, scanned)
-		return rel, true, nil
+	// Streaming full scan (see scanFiltered), with projection pushdown:
+	// when the whole statement reduces to "filter, project, maybe
+	// DISTINCT/LIMIT" and neither the filter nor any item is Interpreted,
+	// the projection runs on the already-filled batch and output tuples
+	// are emitted directly — matched rows are never materialized at full
+	// table width.
+	b := newBinder(e, args, rel, overrides, ctx)
+	prog := e.compiledProg(where, b)
+	var proj *scanProj
+	if !prog.Interpreted() {
+		proj = e.scanProjection(sel, b)
 	}
+	if err := e.scanFiltered(tbl, b, prog, proj, len(schema.Columns)); err != nil {
+		return nil, false, err
+	}
+	return rel, true, nil
+}
 
-	scanned := 0
-	for it := tbl.Iterate(ctx.snap); ; {
-		sr, more := it.Next()
-		if !more {
-			break
-		}
-		scanned++
-		full := make(types.Row, 0, len(sr.Values)+2)
-		full = append(full, sr.Values...)
-		full = append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
-		rel.rows = append(rel.rows, full)
-	}
-	e.countScanned(ctx, scanned)
-	return rel, false, nil
+// fullRow is a stored version as a base-table relation row: the user
+// columns, then the _tid and _created system columns.
+func fullRow(sr storage.StoredRow) types.Row {
+	full := make(types.Row, 0, len(sr.Values)+2)
+	full = append(full, sr.Values...)
+	return append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
 }
 
 // buildJoinSource builds the right side of a join. Plain base tables
@@ -1097,10 +946,7 @@ func (e *Engine) materializeRel(rel *relation, ctx *stmtCtx) {
 			break
 		}
 		scanned++
-		full := make(types.Row, 0, len(sr.Values)+2)
-		full = append(full, sr.Values...)
-		full = append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
-		rel.rows = append(rel.rows, full)
+		rel.rows = append(rel.rows, fullRow(sr))
 	}
 	e.countScanned(ctx, scanned)
 }
@@ -1191,10 +1037,7 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 							continue
 						}
 						probed++
-						rrow := make(types.Row, 0, len(sr.Values)+2)
-						rrow = append(rrow, sr.Values...)
-						rrow = append(rrow, types.NewInt(sr.TID), types.NewInt(sr.Created))
-						row := concat(lr, rrow)
+						row := concat(lr, fullRow(sr))
 						ok, err := match(row)
 						if err != nil {
 							return nil, err

@@ -179,3 +179,64 @@ func TestMinMaxOverStrings(t *testing.T) {
 		t.Fatalf("%v", res.Rows)
 	}
 }
+
+// TestOrderByAggregate is the regression for ORDER BY <aggregate>
+// sorting by the group's first source row: the key used to be evaluated
+// over a one-row "group", so SUM(v) sorted by the first v of each group.
+// Both evaluation modes agreed on the wrong answer.
+func TestOrderByAggregate(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)")
+	mustExec(t, e, "INSERT INTO t (id, k, v) VALUES (1, 1, 1), (2, 1, 100), (3, 2, 50), (4, 2, 2), (5, 3, 60), (6, 3, NULL)")
+	for _, c := range []struct {
+		sql  string
+		want [][]int64
+	}{
+		{"SELECT k, SUM(v) FROM t GROUP BY k ORDER BY SUM(v)", [][]int64{{2, 52}, {3, 60}, {1, 101}}},
+		{"SELECT k, SUM(v) FROM t GROUP BY k ORDER BY SUM(v) DESC", [][]int64{{1, 101}, {3, 60}, {2, 52}}},
+		{"SELECT k, SUM(v) FROM t GROUP BY k HAVING SUM(v) > 55 ORDER BY SUM(v) DESC", [][]int64{{1, 101}, {3, 60}}},
+		// A key that is not in the select list rides as a hidden item.
+		{"SELECT k FROM t GROUP BY k ORDER BY SUM(v)", [][]int64{{2}, {3}, {1}}},
+		{"SELECT k FROM t GROUP BY k ORDER BY MAX(v) - MIN(v) DESC, k", [][]int64{{1}, {2}, {3}}},
+		{"SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY COUNT(v), k DESC", [][]int64{{3, 2}, {2, 2}, {1, 2}}},
+		{"SELECT k FROM t GROUP BY k ORDER BY COUNT(v) DESC, SUM(v) LIMIT 2", [][]int64{{2}, {1}}},
+		// DISTINCT dedups on the visible columns only.
+		{"SELECT DISTINCT k % 2 FROM t GROUP BY k ORDER BY SUM(v)", [][]int64{{0}, {1}}},
+		// An aggregate ORDER BY key alone makes the statement an aggregate.
+		{"SELECT 7 FROM t ORDER BY SUM(v)", [][]int64{{7}}},
+	} {
+		for _, ref := range []bool{false, true} {
+			e.interpretAll.Store(ref)
+			res := mustExec(t, e, c.sql)
+			if len(res.Rows) != len(c.want) || len(res.Columns) != len(c.want[0]) {
+				t.Fatalf("%s (reference=%v): got %v, want %v", c.sql, ref, res.Rows, c.want)
+			}
+			for i, w := range c.want {
+				if len(res.Rows[i]) != len(w) {
+					t.Fatalf("%s: row %d has %d columns, want %d (hidden sort key not stripped?)", c.sql, i, len(res.Rows[i]), len(w))
+				}
+				for j := range w {
+					if res.Rows[i][j].Int() != w[j] {
+						t.Fatalf("%s (reference=%v): got %v, want %v", c.sql, ref, res.Rows, c.want)
+					}
+				}
+			}
+		}
+		e.interpretAll.Store(false)
+	}
+}
+
+// TestFailingSubqueryRunsOnce: batch evaluation holds a lane's error and
+// moves on to the next lane, so a subquery that fails must be remembered
+// like one that succeeds — not re-run for every outer row.
+func TestFailingSubqueryRunsOnce(t *testing.T) {
+	e := newVMTestDB(t)
+	s0 := e.mRowsScanned.Value()
+	_, err := e.Exec("SELECT id FROM v WHERE a IN (SELECT 10 / (a - 7) FROM v)")
+	if err == nil {
+		t.Fatal("want division by zero from the subquery")
+	}
+	if got := e.mRowsScanned.Value() - s0; got != 7 {
+		t.Fatalf("failing subquery scanned %d rows, want its 7 once", got)
+	}
+}

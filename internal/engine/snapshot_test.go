@@ -219,6 +219,40 @@ func TestSelectResultsNotAliased(t *testing.T) {
 	}
 }
 
+// TestSelectResultDetachedFromStorage: rows handed out by a top-level
+// SELECT are the caller's. Overwriting a slot or scribbling on a BYTES
+// payload must never reach the stored version, whichever tail built the
+// result — scan-side projection, index fetch + projection, star,
+// aggregate, subquery source.
+func TestSelectResultDetachedFromStorage(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE blobs (id INT PRIMARY KEY, payload BYTES, n INT)")
+	for i := 1; i <= 3; i++ {
+		mustExec(t, e, "INSERT INTO blobs (id, payload, n) VALUES (?, ?, ?)",
+			types.NewInt(int64(i)), types.NewBytes([]byte("payload")), types.NewInt(int64(i)))
+	}
+	for _, sql := range []string{
+		"SELECT id, payload FROM blobs WHERE n > 0",
+		"SELECT id, payload FROM blobs WHERE id = 2",
+		"SELECT * FROM blobs",
+		"SELECT id, payload FROM blobs ORDER BY id DESC",
+		"SELECT MIN(id), MIN(payload) FROM blobs",
+		"SELECT id, payload FROM (SELECT id, payload FROM blobs WHERE n > 0) sub",
+	} {
+		res := mustExec(t, e, sql)
+		for _, r := range res.Rows {
+			copy(r[1].Bytes(), "XXXXXXX")
+			r[0] = types.NewInt(-1)
+		}
+		check := mustExec(t, e, "SELECT id, payload FROM blobs WHERE n > 0")
+		for i, r := range check.Rows {
+			if r[0].Int() != int64(i+1) || string(r[1].Bytes()) != "payload" {
+				t.Fatalf("%s: mutating its result reached storage: row %d = %v", sql, i, r)
+			}
+		}
+	}
+}
+
 // TestSlowLogRowsScannedExact is the regression for the rows_scanned
 // over-count: the slow log used to record the delta of the global
 // counter, which concurrent SELECTs inflated. The per-statement tally

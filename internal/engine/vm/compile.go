@@ -21,10 +21,10 @@ type ScalarFunc func(args []types.Value) (types.Value, error)
 // which scalar functions exist, and how a missing positional parameter
 // errors (so compiled statements fail with the engine's exact message).
 type Env struct {
-	// Resolve maps a (qualifier, column) reference to a column index.
-	// Returning ok=false (unknown or ambiguous) makes the expression
-	// unlowerable; the engine's interpreter then reports its own error.
-	Resolve func(table, column string) (col int, ok bool)
+	// Resolve maps a column reference to a column index. Returning
+	// ok=false (unknown or ambiguous) makes the expression unlowerable;
+	// the engine's interpreter then reports its own error.
+	Resolve func(cr *sqltext.ColumnRef) (col int, ok bool)
 	// Func resolves a scalar function by upper-cased name. The returned
 	// implementation is baked into the program, so the engine must purge
 	// compiled programs when its function registry changes.
@@ -60,6 +60,7 @@ const (
 	opCoalesce                // dst = first non-NULL of args regs
 	opCase                    // dst = CASE: args = cond/result reg pairs, a = else reg or -1
 	opCaseMatch               // dst = (a == b) for operand-form CASE arms
+	opInterp                  // dst = the engine's interpreter over x and the lane's rebuilt row (imm = row width)
 )
 
 // comparison immediates for opCmp, in terms of types.Compare's result.
@@ -81,6 +82,7 @@ type inst struct {
 	args    []int
 	fn      ScalarFunc
 	set     *inListSpec
+	x       sqltext.Expr // opInterp: the expression, whole
 }
 
 // Specialized LIKE shapes, packed into opLike's imm above the NOT bit
@@ -220,10 +222,34 @@ func (p *Program) StaticKind(kinds []types.Kind) types.Kind {
 	return reg[p.result]
 }
 
-// errNotLowerable is the internal signal that an expression must stay
-// on the tree-walk interpreter. It is returned (wrapped with the node
-// kind) from Compile; engines treat any Compile error as "fall back",
-// never as a statement failure.
+// InterpFunc is the engine's tree-walk interpreter: it evaluates x
+// against one row. The row is reused between lanes and must not be
+// retained.
+type InterpFunc func(x sqltext.Expr, row types.Row) (types.Value, error)
+
+// Interpret wraps an expression Compile cannot lower, whole, as a
+// one-instruction program over a layout of ncols columns: each lane's
+// row is rebuilt from the batch and handed to the InterpFunc the
+// machine was bound with, errors held per lane like every other op. So
+// the engine has one evaluation path per expression site, and making
+// the compiler total later is deleting this instruction.
+func Interpret(x sqltext.Expr, ncols int) *Program {
+	cols := make([]int, ncols)
+	for i := range cols {
+		cols[i] = i
+	}
+	return &Program{insts: []inst{{op: opInterp, x: x, imm: ncols}}, nregs: 1, cols: cols}
+}
+
+// Interpreted reports whether the program is an Interpret wrapper. Such
+// a program calls back into per-statement interpreter state that is not
+// goroutine-safe, so it must run on one goroutine.
+func (p *Program) Interpreted() bool { return p.insts[0].op == opInterp }
+
+// notLowerableError is the signal that an expression must stay on the
+// tree-walk interpreter. It is returned (wrapped with the node kind)
+// from Compile; engines treat any Compile error as "wrap it with
+// Interpret", never as a statement failure.
 type notLowerableError struct{ what string }
 
 func (e *notLowerableError) Error() string { return "vm: cannot lower " + e.what }
@@ -269,7 +295,7 @@ func (c *compiler) expr(x sqltext.Expr) (int, error) {
 	case *sqltext.Literal:
 		return c.constReg(x.Value), nil
 	case *sqltext.ColumnRef:
-		col, ok := c.env.Resolve(x.Table, x.Column)
+		col, ok := c.env.Resolve(x)
 		if !ok {
 			return 0, &notLowerableError{what: fmt.Sprintf("column %s", x.Column)}
 		}

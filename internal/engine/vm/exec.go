@@ -19,6 +19,8 @@ type Machine struct {
 	sets   []*runInSet
 	args   []types.Value
 	argBuf []types.Value // reused per-lane scratch for opCall
+	interp InterpFunc
+	row    types.Row // reused per-lane row for opInterp
 	sel    []int
 }
 
@@ -41,10 +43,11 @@ func NewMachine(p *Program) *Machine {
 	return m
 }
 
-// Bind fixes the statement arguments: parameter broadcasts and IN-list
-// sets are built once, then shared by every batch.
-func (m *Machine) Bind(args []types.Value) {
-	m.args = args
+// Bind fixes the statement arguments and interpreter: parameter
+// broadcasts and IN-list sets are built once, then shared by every
+// batch. interp may be nil unless the program is Interpreted.
+func (m *Machine) Bind(args []types.Value, interp InterpFunc) {
+	m.args, m.interp = args, interp
 	if m.p.maxParam > 0 {
 		m.params = make([]Vec, m.p.maxParam)
 		for i := 0; i < m.p.maxParam; i++ {
@@ -181,11 +184,34 @@ func (m *Machine) Eval(b *Batch) *Vec {
 			m.caseOp(ins, n)
 		case opCaseMatch:
 			m.caseMatch(ins, n)
+		case opInterp:
+			m.interpRows(ins, b)
 		}
 	}
 	r := &m.regs[m.p.result]
 	r.n = n
 	return r
+}
+
+// interpRows evaluates ins.x on the bound interpreter, lane by lane,
+// over rows rebuilt from the batch columns.
+func (m *Machine) interpRows(ins *inst, b *Batch) {
+	dst := &m.regs[ins.dst]
+	dst.resetBoxed(b.n)
+	if m.row == nil {
+		m.row = make(types.Row, ins.imm)
+	}
+	for i := 0; i < b.n; i++ {
+		for c := range m.row {
+			m.row[c] = b.cols[c].Value(i)
+		}
+		v, err := m.interp(ins.x, m.row)
+		if err != nil {
+			dst.setErr(i, err)
+			continue
+		}
+		dst.any[i] = v
+	}
 }
 
 // Filter evaluates the program as a predicate and returns the selection

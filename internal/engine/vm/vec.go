@@ -14,8 +14,9 @@
 // short-circuit order implies (e.g. AND discards the right operand's
 // error when the left operand is FALSE). Expressions the compiler
 // cannot lower (subqueries, aggregates, unknown functions) are not
-// errors: Compile reports them and the engine falls back to the
-// interpreter for that expression.
+// errors: Compile reports them and the engine wraps the expression,
+// whole, in the one instruction that calls the interpreter per lane
+// (Interpret).
 package vm
 
 import (

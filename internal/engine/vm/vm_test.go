@@ -13,11 +13,11 @@ import (
 func testEnv() *Env {
 	cols := map[string]int{"a": 0, "b": 1, "s": 2}
 	return &Env{
-		Resolve: func(table, column string) (int, bool) {
-			if table != "" {
+		Resolve: func(cr *sqltext.ColumnRef) (int, bool) {
+			if cr.Table != "" {
 				return 0, false
 			}
-			i, ok := cols[column]
+			i, ok := cols[cr.Column]
 			return i, ok
 		},
 		Func: func(name string) (ScalarFunc, bool) {
@@ -72,7 +72,7 @@ func row(a, b int64, s string) types.Row {
 func TestCompileAndEvalArithmetic(t *testing.T) {
 	p := compileExprSQL(t, "a * 3 + b")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(1, 10, "x"), row(2, 20, "y"), row(-1, 5, "z")})
 	v := m.Eval(batch)
 	want := []int64{13, 26, 2}
@@ -90,7 +90,7 @@ func TestCompileAndEvalArithmetic(t *testing.T) {
 func TestFilterSelectionVector(t *testing.T) {
 	p := compileExprSQL(t, "a % 2 = 0")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(0, 0, ""), row(1, 0, ""), row(2, 0, ""), row(3, 0, ""), row(4, 0, "")})
 	sel, err := m.Filter(batch)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestNullThreeValuedLogic(t *testing.T) {
 	// NULL-aware AND/OR: (a > 1) with a NULL lane stays NULL; OR TRUE wins.
 	p := compileExprSQL(t, "a > 1 OR b = 0")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{
 		{types.Null, types.NewInt(0), types.NewString("")}, // NULL OR TRUE = TRUE
 		{types.Null, types.NewInt(9), types.NewString("")}, // NULL OR FALSE = NULL
@@ -138,7 +138,7 @@ func TestLaneErrorsAreHeldPerLane(t *testing.T) {
 	// Division by zero errors only the lane that divides by zero.
 	p := compileExprSQL(t, "a / b")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(10, 2, ""), row(10, 0, ""), row(9, 3, "")})
 	v := m.Eval(batch)
 	if err := v.Err(0); err != nil {
@@ -158,7 +158,7 @@ func TestLaneErrorsAreHeldPerLane(t *testing.T) {
 func TestFunctionCall(t *testing.T) {
 	p := compileExprSQL(t, "DOUBLE(a) + 1")
 	m := NewMachine(p)
-	m.Bind(nil)
+	m.Bind(nil, nil)
 	batch := makeBatch([]types.Row{row(3, 0, ""), row(7, 0, "")})
 	v := m.Eval(batch)
 	if v.Value(0).Int() != 7 || v.Value(1).Int() != 15 {
@@ -169,7 +169,7 @@ func TestFunctionCall(t *testing.T) {
 func TestParamsAndInList(t *testing.T) {
 	p := compileExprSQL(t, "a IN (?, ?, 5)")
 	m := NewMachine(p)
-	m.Bind([]types.Value{types.NewInt(1), types.NewInt(3)})
+	m.Bind([]types.Value{types.NewInt(1), types.NewInt(3)}, nil)
 	batch := makeBatch([]types.Row{row(1, 0, ""), row(2, 0, ""), row(5, 0, "")})
 	sel, err := m.Filter(batch)
 	if err != nil {
@@ -197,6 +197,54 @@ func TestNotLowerable(t *testing.T) {
 	}
 	if _, err := Compile(stmt2.(*sqltext.Select).Items[0].Expr, testEnv()); err == nil {
 		t.Fatal("want notLowerable error for unknown function")
+	}
+}
+
+// TestInterpretProgram: an Interpret wrapper rebuilds each lane's row
+// from the batch, calls the bound interpreter once per lane and holds
+// its errors per lane; nothing else about it looks compiled.
+func TestInterpretProgram(t *testing.T) {
+	x := &sqltext.ColumnRef{Column: "whatever"}
+	p := Interpret(x, 3)
+	if !p.Interpreted() || compileExprSQL(t, "a + 1").Interpreted() {
+		t.Fatal("Interpreted() must hold for Interpret programs only")
+	}
+	if _, bare := p.BareCol(); bare || len(p.Cols()) != 3 {
+		t.Fatalf("wrapper must read every column and not pose as a bare one: cols %v", p.Cols())
+	}
+	if k := p.StaticKind([]types.Kind{types.KindInt, types.KindInt, types.KindString}); k != types.KindNull {
+		t.Fatalf("static kind %v, want unknown", k)
+	}
+	m := NewMachine(p)
+	var seen []string
+	m.Bind(nil, func(got sqltext.Expr, r types.Row) (types.Value, error) {
+		if got != sqltext.Expr(x) {
+			t.Fatalf("interpreter got %v", got)
+		}
+		seen = append(seen, types.RowKey(r))
+		if r[0].Int() == 2 {
+			return types.Null, errMissing
+		}
+		return types.NewInt(r[0].Int() + r[1].Int()), nil
+	})
+	rows := []types.Row{row(1, 10, "x"), row(2, 20, "y"), row(3, 30, "z")}
+	v := m.Eval(makeBatch(rows))
+	if v.Err(0) != nil || v.Value(0).Int() != 11 {
+		t.Fatalf("lane 0: %v %v", v.Value(0), v.Err(0))
+	}
+	if v.Err(1) != errMissing {
+		t.Fatalf("lane 1 must hold its error, got %v", v.Err(1))
+	}
+	if v.Err(2) != nil || v.Value(2).Int() != 33 {
+		t.Fatalf("lane 2 (after an erroring lane): %v %v", v.Value(2), v.Err(2))
+	}
+	for i, r := range rows {
+		if seen[i] != types.RowKey(r) {
+			t.Fatalf("lane %d: interpreter saw %s, want %s", i, seen[i], types.RowKey(r))
+		}
+	}
+	if _, err := m.Filter(makeBatch(rows)); err != errMissing {
+		t.Fatalf("Filter must surface the first lane error, got %v", err)
 	}
 }
 

@@ -9,40 +9,65 @@ import (
 	"ediflow/internal/types"
 )
 
-// execBothModes runs sql under compiled and interpreted evaluation and
-// requires identical results: same error presence/text, same columns,
-// same rows in order, with values compared by kind and rendering.
+// execBothModes runs sql under compiled evaluation and on the reference
+// (interpretAll: every expression through the interpreter instruction,
+// aggregates through evalAgg) and requires identical results: same error
+// presence/text, same columns, same rows in order, with values compared
+// by kind and rendering.
 func execBothModes(t *testing.T, e *Engine, sql string, args ...types.Value) {
 	t.Helper()
-	e.SetCompiledEval(true)
-	cres, cerr := e.Exec(sql, args...)
-	e.SetCompiledEval(false)
-	ires, ierr := e.Exec(sql, args...)
-	e.SetCompiledEval(true)
+	compareModes(t, e, sql, func() (*Result, error) { return e.Exec(sql, args...) })
+}
+
+// compareModes is execBothModes over an arbitrary run. A run may return
+// rows beside an error (the table an erroring UPDATE left behind); they
+// are compared too.
+func compareModes(t *testing.T, e *Engine, label string, run func() (*Result, error)) {
+	t.Helper()
+	cres, cerr := run()
+	e.interpretAll.Store(true)
+	ires, ierr := run()
+	e.interpretAll.Store(false)
 	if (cerr == nil) != (ierr == nil) {
-		t.Fatalf("%s: error divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
+		t.Fatalf("%s: error divergence\ncompiled:  %v\nreference: %v", label, cerr, ierr)
 	}
-	if cerr != nil {
-		if cerr.Error() != ierr.Error() {
-			t.Fatalf("%s: error text divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
+	if cerr != nil && cerr.Error() != ierr.Error() {
+		t.Fatalf("%s: error text divergence\ncompiled:  %v\nreference: %v", label, cerr, ierr)
+	}
+	if cres == nil || ires == nil {
+		if cres != ires {
+			t.Fatalf("%s: one mode returned no result", label)
 		}
 		return
 	}
 	if len(cres.Rows) != len(ires.Rows) {
-		t.Fatalf("%s: row count divergence: compiled %d, interpreted %d", sql, len(cres.Rows), len(ires.Rows))
+		t.Fatalf("%s: row count divergence: compiled %d, reference %d", label, len(cres.Rows), len(ires.Rows))
 	}
 	for i := range cres.Rows {
 		if len(cres.Rows[i]) != len(ires.Rows[i]) {
-			t.Fatalf("%s row %d: width divergence", sql, i)
+			t.Fatalf("%s row %d: width divergence", label, i)
 		}
 		for j := range cres.Rows[i] {
 			cv, iv := cres.Rows[i][j], ires.Rows[i][j]
 			if cv.Kind() != iv.Kind() || cv.String() != iv.String() {
-				t.Fatalf("%s row %d col %d: compiled %s(%s), interpreted %s(%s)",
-					sql, i, j, cv.Kind(), cv.String(), iv.Kind(), iv.String())
+				t.Fatalf("%s row %d col %d: compiled %s(%s), reference %s(%s)",
+					label, i, j, cv.Kind(), cv.String(), iv.Kind(), iv.String())
 			}
 		}
 	}
+}
+
+// updateBothModes runs an UPDATE of w, a scratch copy of v refilled
+// before each run, in both modes and compares the error and the table
+// it leaves behind (rows before an erroring one stay applied).
+func updateBothModes(t *testing.T, e *Engine, sql string) {
+	t.Helper()
+	compareModes(t, e, sql, func() (*Result, error) {
+		mustExec(t, e, "DELETE FROM w")
+		mustExec(t, e, "INSERT INTO w (id, a, f, s, b) SELECT id, a, f, s, b FROM v")
+		_, err := e.Exec(sql)
+		return mustExec(t, e, "SELECT id, a, f, s, b FROM w ORDER BY id"), err
+	})
 }
 
 func newVMTestDB(t testing.TB) *Engine {
@@ -60,6 +85,7 @@ func newVMTestDB(t testing.TB) *Engine {
 	for _, r := range rows {
 		mustExec(t, e, "INSERT INTO v (id, a, f, s, b) VALUES "+r)
 	}
+	mustExec(t, e, "CREATE TABLE w (id INT PRIMARY KEY, a INT, f FLOAT, s STRING, b BOOL)")
 	return e
 }
 
@@ -138,6 +164,35 @@ func TestVMDifferentialStatements(t *testing.T) {
 		"SELECT id, a FROM v ORDER BY id LIMIT 2 OFFSET 2",
 		// Mixed compiled/interpreted projection (subquery item falls back).
 		"SELECT id, a * 2, (SELECT MAX(a) FROM v) FROM v WHERE id <= 3",
+		// A lowered item and an interpreted one erring on different rows:
+		// the single row-major loop must surface the lowest row's error,
+		// and within a row the leftmost item's.
+		"SELECT id, 10 / (id - 5), CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END FROM v",
+		"SELECT id, 10 / (id - 3), CASE WHEN id = 5 THEN NOSUCH(a) ELSE 1 END FROM v",
+		"SELECT id, CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END, 10 / (id - 3) FROM v",
+		// Interpreted WHERE (no projection pushdown) before a lowered
+		// projection; WHERE errors beat projection errors.
+		"SELECT id, a * 2 FROM v WHERE a IN (SELECT a FROM v WHERE a > 0)",
+		"SELECT id, 10 / (id - 1) FROM v WHERE NOSUCH(a) > 0",
+		"SELECT DISTINCT s FROM v WHERE EXISTS (SELECT 1 FROM v WHERE a > 5) LIMIT 3 OFFSET 1",
+		"SELECT DISTINCT s FROM v WHERE a IS NOT NULL LIMIT 3 OFFSET 1",
+		// Errors stay lazy: an unknown function or column over an empty
+		// relation is never evaluated.
+		"SELECT NOSUCH(a) FROM v WHERE id < 0",
+		"SELECT nosuch FROM v WHERE id < 0",
+		"SELECT s, COUNT(NOSUCH(a)) FROM v WHERE id < 0 GROUP BY NOSUCH(s)",
+		"SELECT NOSUCH(a) FROM v",
+		"SELECT nosuch FROM v",
+		// Interpreted GROUP BY keys, aggregate arguments and HAVING.
+		"SELECT COUNT(*), MIN(a) FROM v GROUP BY a IN (SELECT a FROM v WHERE a > 5)",
+		"SELECT COUNT(a IN (SELECT a FROM v WHERE a > 5)), SUM(a) FROM v",
+		"SELECT s, COUNT(NOSUCH(a)) FROM v GROUP BY s",
+		"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) IN (SELECT a FROM v)",
+		// An ambiguous name in a self-join is the interpreter's to report.
+		"SELECT x.id, a FROM v x JOIN v y ON x.id = y.id",
+		"SELECT x.id FROM v x JOIN v y ON x.id = y.id WHERE a > 0",
+		// A failing subquery fails the same way on every row.
+		"SELECT id FROM v WHERE a IN (SELECT 10 / (a - 7) FROM v)",
 	}
 	for _, sql := range stmts {
 		execBothModes(t, e, sql)
@@ -148,6 +203,20 @@ func TestVMDifferentialStatements(t *testing.T) {
 	execBothModes(t, e2, "SELECT id FROM v WHERE a IN (?, ?)", types.NewInt(10), types.NewInt(7))
 	execBothModes(t, e2, "SELECT id, a + ? FROM v", types.NewInt(5))
 	execBothModes(t, e2, "SELECT id FROM v WHERE s LIKE ?", types.NewString("%eta"))
+	execBothModes(t, e2, "SELECT id FROM v WHERE a IN (SELECT a FROM v WHERE a > ?)", types.NewInt(0))
+	execBothModes(t, e2, "SELECT id, a + ? FROM v WHERE id < 0")
+
+	// UPDATE SET, lowered and interpreted, erring mid-way and not.
+	for _, sql := range []string{
+		"UPDATE w SET a = a * 2 + 1, s = s || '!' WHERE a IS NOT NULL",
+		"UPDATE w SET a = (SELECT MAX(a) FROM v), f = f + 1 WHERE id > 2",
+		"UPDATE w SET a = 10 / (id - 3), f = f + 1",
+		"UPDATE w SET f = f + 1, a = CASE WHEN id = 4 THEN NOSUCH(a) ELSE a END",
+		"UPDATE w SET a = NOSUCH(a) WHERE id < 0",
+		"UPDATE w SET a = a + 1 WHERE a IN (SELECT a FROM v WHERE a > 5)",
+	} {
+		updateBothModes(t, e2, sql)
+	}
 }
 
 // TestVMDifferentialUpdates covers the compiled UPDATE SET and
@@ -155,7 +224,7 @@ func TestVMDifferentialStatements(t *testing.T) {
 func TestVMDifferentialUpdates(t *testing.T) {
 	run := func(compiled bool) []string {
 		e := newVMTestDB(t)
-		e.SetCompiledEval(compiled)
+		e.interpretAll.Store(!compiled)
 		mustExec(t, e, "UPDATE v SET a = a * 2 + 1 WHERE a IS NOT NULL")
 		mustExec(t, e, "UPDATE v SET s = s || '!' WHERE s LIKE 'a%'")
 		mustExec(t, e, "DELETE FROM v WHERE a > 100")
@@ -178,7 +247,8 @@ func TestVMDifferentialUpdates(t *testing.T) {
 }
 
 // FuzzVMDifferential feeds arbitrary expression text through both
-// evaluation modes as a scan filter and as a projection, requiring
+// evaluation modes at every expression site — scan filter, projection,
+// GROUP BY key beside an aggregate argument, UPDATE SET — requiring
 // identical rows and identical error text. NOW() is excluded: it is the
 // one non-deterministic builtin, so the two executions legitimately
 // differ.
@@ -201,6 +271,12 @@ func FuzzVMDifferential(f *testing.F) {
 		"SUBSTR(s, a, 2)",
 		"a + s",
 		"1 / 0",
+		// Shapes that do not lower: the interpreter instruction.
+		"a IN (SELECT a FROM v)",
+		"EXISTS (SELECT 1 FROM v WHERE a > 5)",
+		"(SELECT MAX(a) FROM v) > a",
+		"NOSUCH(a)",
+		"a FROM v x JOIN v y ON x.id = y.id --", // ambiguous column in a self-join
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -213,34 +289,11 @@ func FuzzVMDifferential(f *testing.F) {
 		for _, sql := range []string{
 			"SELECT id FROM v WHERE " + expr,
 			"SELECT id, " + expr + " FROM v",
+			"SELECT COUNT(*), MIN(" + expr + ") FROM v GROUP BY " + expr,
 		} {
-			e.SetCompiledEval(true)
-			cres, cerr := e.Exec(sql)
-			e.SetCompiledEval(false)
-			ires, ierr := e.Exec(sql)
-			e.SetCompiledEval(true)
-			if (cerr == nil) != (ierr == nil) {
-				t.Fatalf("%s: error divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
-			}
-			if cerr != nil {
-				if cerr.Error() != ierr.Error() {
-					t.Fatalf("%s: error text divergence\ncompiled:    %v\ninterpreted: %v", sql, cerr, ierr)
-				}
-				continue
-			}
-			if len(cres.Rows) != len(ires.Rows) {
-				t.Fatalf("%s: row count divergence: %d vs %d", sql, len(cres.Rows), len(ires.Rows))
-			}
-			for i := range cres.Rows {
-				for j := range cres.Rows[i] {
-					cv, iv := cres.Rows[i][j], ires.Rows[i][j]
-					if cv.Kind() != iv.Kind() || cv.String() != iv.String() {
-						t.Fatalf("%s row %d col %d: %s(%s) vs %s(%s)",
-							sql, i, j, cv.Kind(), cv.String(), iv.Kind(), iv.String())
-					}
-				}
-			}
+			execBothModes(t, e, sql)
 		}
+		updateBothModes(t, e, "UPDATE w SET a = "+expr)
 	})
 }
 
@@ -304,11 +357,11 @@ func TestVMFunctionRegistryInvalidation(t *testing.T) {
 		t.Fatalf("re-registered impl not picked up: got %v (stale compiled program?)", res.Rows[0][0])
 	}
 	// UDFs work interpreted too, and cannot shadow builtins.
-	e.SetCompiledEval(false)
+	e.interpretAll.Store(true)
 	if res := mustExec(t, e, q); res.Rows[0][0].Int() != 30 {
 		t.Fatalf("interpreted UDF: got %v", res.Rows[0][0])
 	}
-	e.SetCompiledEval(true)
+	e.interpretAll.Store(false)
 	e.RegisterFunc("ABS", func([]types.Value) (types.Value, error) {
 		return types.NewInt(-1), nil
 	})
@@ -335,7 +388,7 @@ func TestVMBatchBoundaries(t *testing.T) {
 	for _, want := range sizes {
 		sql := fmt.Sprintf("SELECT n FROM big WHERE n < %d", want)
 		for _, compiled := range []bool{true, false} {
-			e.SetCompiledEval(compiled)
+			e.interpretAll.Store(!compiled)
 			res := mustExec(t, e, sql)
 			if len(res.Rows) != want {
 				t.Fatalf("compiled=%v size %d: got %d rows", compiled, want, len(res.Rows))
@@ -357,7 +410,7 @@ func TestVMBatchBoundaries(t *testing.T) {
 			}
 		}
 	}
-	e.SetCompiledEval(true)
+	e.interpretAll.Store(false)
 	// Batched grouping across chunk edges must agree with the interpreter.
 	execBothModes(t, e, "SELECT grp, COUNT(*), SUM(n) FROM big GROUP BY grp")
 }
@@ -426,7 +479,7 @@ func TestExplainCompiledMarkers(t *testing.T) {
 		}
 	}
 	// With the VM disabled the marker disappears entirely.
-	e.SetCompiledEval(false)
+	e.interpretAll.Store(true)
 	for _, l := range explainLines(t, e, "SELECT id FROM v WHERE a + 1 > 0") {
 		if strings.Contains(l, "compiled") {
 			t.Fatalf("compiled marker with VM off: %q", l)

@@ -447,28 +447,6 @@ func CloneRow(r Row) Row {
 	return c
 }
 
-// CloneRows deep-copies a result set, backing all cloned rows with one
-// shared slab so the copy costs two allocations instead of one per row
-// (plus whatever the individual Clone calls need for BYTES payloads).
-func CloneRows(rows []Row) []Row {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	slab := make([]Value, total)
-	out := make([]Row, len(rows))
-	off := 0
-	for i, r := range rows {
-		c := slab[off : off+len(r) : off+len(r)]
-		for j, v := range r {
-			c[j] = v.Clone()
-		}
-		out[i] = c
-		off += len(r)
-	}
-	return out
-}
-
 // RowsEqual reports whether two rows have equal length and pairwise Equal values.
 func RowsEqual(a, b Row) bool {
 	if len(a) != len(b) {
