@@ -6,20 +6,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson -suite commit -out results/BENCH_5.json
 //	go run ./cmd/benchjson -suite fanout -out results/BENCH_6.json
-//	go run ./cmd/benchjson -suite mixed -out results/BENCH_7.json
 //	go run ./cmd/benchjson -suite firehose -out results/BENCH_9.json
 //	go run ./cmd/benchjson -suite parallel -out results/BENCH_10.json
 //
-// The commit suite is the concurrent group-commit workload
-// (BenchmarkConcurrentCommit{1,4,16}); the fanout suite is the §VI-C
-// mirror fan-out of one edit stream, direct vs sharded across
-// WAL-shipping read replicas (BenchmarkReplicaFanout*); the mixed
-// suite is the 95/5 read/write MVCC workload — each session count is
-// run twice, with committers saturating the fsync pipeline and with an
-// idle writer, so read_p99_ms can be compared directly; the firehose
-// suite is the §V reactive-ingestion latency/rate curve —
+// The fanout suite is the §VI-C mirror fan-out of one edit stream,
+// direct vs sharded across WAL-shipping read replicas
+// (BenchmarkReplicaFanout*); the firehose suite is the §V
+// reactive-ingestion latency/rate curve —
 // a rate ladder of paced event streams through trigger → IVM → delta
 // handler → NOTIFY, with a full-recompute divergence check at each
 // point (BenchmarkFirehose*); the parallel suite is the morsel-driven
@@ -41,12 +35,8 @@ import (
 )
 
 // Result is one benchmark line: the standard ns/op and B/op plus
-// suite-specific fields — fsyncs-per-commit for the commit suite (the
-// group-commit amortization factor; 1.0 means every commit paid its own
-// fsync), notifies-per-edit for the fanout suite (how many NOTIFY
-// deliveries one edit cost across all mirrors), the read-latency
-// percentiles for the mixed suite (SELECTs running lock-free on MVCC
-// snapshots while committers hold the write pipeline), rows/matched
+// suite-specific fields — notifies-per-edit for the fanout suite (how
+// many NOTIFY deliveries one edit cost across all mirrors), rows/matched
 // for the parallel suite (table size and WHERE-qualifying rows —
 // identical at every width by construction), or the target/achieved
 // rate and propagation-latency percentiles for the
@@ -56,12 +46,7 @@ type Result struct {
 	N               int     `json:"n"`
 	NsPerOp         float64 `json:"ns/op"`
 	BytesPerOp      int64   `json:"B/op"`
-	FsyncsPerCommit float64 `json:"fsyncs_per_commit,omitempty"`
 	NotifiesPerEdit float64 `json:"notifies_per_edit,omitempty"`
-	Reads           int64   `json:"reads,omitempty"`
-	Writes          int64   `json:"writes,omitempty"`
-	ReadP50Ms       float64 `json:"read_p50_ms,omitempty"`
-	ReadP99Ms       float64 `json:"read_p99_ms,omitempty"`
 	Rows            int64   `json:"rows,omitempty"`
 	Matched         int64   `json:"matched,omitempty"`
 	TargetRate      int     `json:"target_rate,omitempty"`
@@ -76,47 +61,12 @@ type Result struct {
 }
 
 func main() {
-	suite := flag.String("suite", "commit", "benchmark suite: commit, fanout, mixed, firehose, or parallel")
+	suite := flag.String("suite", "fanout", "benchmark suite: fanout, firehose, or parallel")
 	out := flag.String("out", "", "output JSON path (default results/BENCH_<n>.json by suite)")
 	flag.Parse()
 
 	var results []Result
 	switch *suite {
-	case "commit":
-		if *out == "" {
-			*out = "results/BENCH_5.json"
-		}
-		type spec struct {
-			name string
-			run  func(b *testing.B) benchkit.CommitStats
-		}
-		specs := []spec{
-			{"ConcurrentCommit1", func(b *testing.B) benchkit.CommitStats { return benchkit.ConcurrentCommit(b, 1, false) }},
-			{"ConcurrentCommit4", func(b *testing.B) benchkit.CommitStats { return benchkit.ConcurrentCommit(b, 4, false) }},
-			{"ConcurrentCommit16", func(b *testing.B) benchkit.CommitStats { return benchkit.ConcurrentCommit(b, 16, false) }},
-			{"ConcurrentCommitWire1", func(b *testing.B) benchkit.CommitStats { return benchkit.ConcurrentCommit(b, 1, true) }},
-			{"ConcurrentCommitWire4", func(b *testing.B) benchkit.CommitStats { return benchkit.ConcurrentCommit(b, 4, true) }},
-			{"ConcurrentCommitWire16", func(b *testing.B) benchkit.CommitStats { return benchkit.ConcurrentCommit(b, 16, true) }},
-			{"BatchCommit16", func(b *testing.B) benchkit.CommitStats { return benchkit.BatchCommit(b, 16) }},
-		}
-		for _, sp := range specs {
-			var stats benchkit.CommitStats
-			r := testing.Benchmark(func(b *testing.B) { stats = sp.run(b) })
-			ratio := 0.0
-			if stats.Commits > 0 {
-				ratio = float64(stats.Fsyncs) / float64(stats.Commits)
-			}
-			res := Result{
-				Bench:           sp.name,
-				N:               r.N,
-				NsPerOp:         float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp:      r.AllocedBytesPerOp(),
-				FsyncsPerCommit: ratio,
-			}
-			fmt.Printf("%-24s %10d iters  %12.0f ns/op  %8d B/op  %.4f fsyncs/commit\n",
-				res.Bench, res.N, res.NsPerOp, res.BytesPerOp, res.FsyncsPerCommit)
-			results = append(results, res)
-		}
 	case "fanout":
 		if *out == "" {
 			*out = "results/BENCH_6.json"
@@ -149,41 +99,6 @@ func main() {
 			}
 			fmt.Printf("%-26s %10d iters  %12.0f ns/op  %8d B/op  %.2f notifies/edit\n",
 				res.Bench, res.N, res.NsPerOp, res.BytesPerOp, res.NotifiesPerEdit)
-			results = append(results, res)
-		}
-	case "mixed":
-		if *out == "" {
-			*out = "results/BENCH_7.json"
-		}
-		type spec struct {
-			name               string
-			sessions, writePct int
-		}
-		// Each session count runs twice: the 95/5 workload and an
-		// idle-writer baseline, so read_p99_ms is directly comparable.
-		specs := []spec{
-			{"MixedBaseline16", 16, 0},
-			{"Mixed16", 16, 5},
-			{"MixedBaseline64", 64, 0},
-			{"Mixed64", 64, 5},
-			{"MixedBaseline256", 256, 0},
-			{"Mixed256", 256, 5},
-		}
-		for _, sp := range specs {
-			var stats benchkit.MixedStats
-			r := testing.Benchmark(func(b *testing.B) { stats = benchkit.MixedWorkload(b, sp.sessions, sp.writePct) })
-			res := Result{
-				Bench:      sp.name,
-				N:          r.N,
-				NsPerOp:    float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp: r.AllocedBytesPerOp(),
-				Reads:      stats.Reads,
-				Writes:     stats.Writes,
-				ReadP50Ms:  float64(stats.ReadP50.Microseconds()) / 1000,
-				ReadP99Ms:  float64(stats.ReadP99.Microseconds()) / 1000,
-			}
-			fmt.Printf("%-18s %10d iters  %12.0f ns/op  %7d reads  %6d writes  p50 %.3f ms  p99 %.3f ms\n",
-				res.Bench, res.N, res.NsPerOp, res.Reads, res.Writes, res.ReadP50Ms, res.ReadP99Ms)
 			results = append(results, res)
 		}
 	case "firehose":
@@ -263,7 +178,7 @@ func main() {
 			results = append(results, res)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (want commit, fanout, mixed, firehose, or parallel)\n", *suite)
+		fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (want fanout, firehose, or parallel)\n", *suite)
 		os.Exit(2)
 	}
 

@@ -1,3 +1,8 @@
+// Package benchkit is the shared harness behind the repository-root
+// fan-out, firehose and parallel benchmarks and the cmd/benchjson runner
+// that emits machine-readable results/BENCH_N.json files. Both drive
+// exactly the same workloads, so a number in a JSON result file is the
+// number `go test -bench` prints.
 package benchkit
 
 import (

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"ediflow/internal/catalog"
@@ -22,42 +24,35 @@ const tidCol = -1
 // pathKind enumerates the access paths available for one table scan.
 type pathKind int
 
-// Access paths, from most to least preferred.
+// Access paths.
 const (
 	pathFullScan pathKind = iota
-	pathTIDPoint             // _tid = const
-	pathPKPoint              // pk = const
-	pathUniquePoint          // unique col = const
-	pathIndexPoint           // secondary index, all key columns bound by =
-	pathTIDIn                // _tid IN (consts)
-	pathPKIn                 // pk IN (consts)
-	pathUniqueIn             // unique col IN (consts)
-	pathIndexIn              // single-column secondary index, col IN (consts)
+	pathTID               // _tid = const or _tid IN (consts): storage.Table.GetAt
+	pathIndex             // an index's key columns bound by = or IN: storage.Table.Lookup
 )
 
-// scanPlan is the planner's choice for one table scan. Key expressions
-// are kept unevaluated; resolveScan binds them against the statement's
-// arguments at execution time.
+// scanPlan is the planner's choice for one table scan: the index and the
+// key tuples to look up in it, each in index-key order (one-tuples for
+// _tid). A point predicate is a one-tuple list, an IN list one tuple per
+// element. Key expressions are kept unevaluated; resolveScan binds them
+// against the statement's arguments at execution time.
 type scanPlan struct {
 	kind  pathKind
-	index string         // index name (pathIndexPoint, pathIndexIn)
-	cols  []int          // schema positions of the key, in index-key order
-	keys  []sqltext.Expr // key expressions, parallel to cols
-	list  []sqltext.Expr // IN-list elements for the ...In paths
+	index *storage.IndexInfo // pathIndex only
+	keys  [][]sqltext.Expr
 }
 
 // label renders the path for EXPLAIN output.
 func (p *scanPlan) label() string {
-	switch p.kind {
-	case pathTIDPoint, pathPKPoint, pathTIDIn, pathPKIn:
-		return "pk-point"
-	case pathUniquePoint, pathUniqueIn:
-		return "unique-point"
-	case pathIndexPoint, pathIndexIn:
-		return "index(" + p.index + ")"
-	default:
+	switch {
+	case p.kind == pathFullScan:
 		return "full-scan"
+	case p.kind == pathTID || p.index.Origin == storage.OriginPK:
+		return "pk-point"
+	case p.index.Origin == storage.OriginColumn:
+		return "unique-point"
 	}
+	return "index(" + p.index.Name + ")"
 }
 
 // constKeyExpr reports whether x can serve as an index key: a literal or
@@ -89,12 +84,14 @@ func andConjuncts(x sqltext.Expr) []sqltext.Expr {
 
 // analyzeScan picks an access path for a single-table scan with the
 // given WHERE clause. It walks the top-level AND chain collecting
-// equality and IN conjuncts over indexed columns; because any conjunct
-// only *restricts* the result, using one conjunct as the access path and
+// equality and IN conjuncts over columns; because any conjunct only
+// *restricts* the result, using one conjunct as the access path and
 // re-checking the full WHERE on the fetched rows is always sound.
 //
-// Ranking: _tid = > pk = > unique = > secondary-index = (most key
-// columns first, then name) > the IN variants in the same order.
+// Ranking: _tid =, then the first index in storage's rank order (pk,
+// column UNIQUE by position, named by most key columns then name) whose
+// key columns are all bound by =; then _tid IN and the first
+// single-column index under an IN, in the same order.
 func analyzeScan(where sqltext.Expr, schema *catalog.TableSchema, tbl *storage.Table, qual string) *scanPlan {
 	full := &scanPlan{kind: pathFullScan}
 	if where == nil || tbl == nil {
@@ -112,12 +109,9 @@ func analyzeScan(where sqltext.Expr, schema *catalog.TableSchema, tbl *storage.T
 		return p, p >= 0
 	}
 
+	// Per column, the first usable conjunct of each shape.
 	eq := map[int]sqltext.Expr{}
-	type inPred struct {
-		col  int
-		list []sqltext.Expr
-	}
-	var ins []inPred
+	in := map[int][]sqltext.Expr{}
 	for _, c := range andConjuncts(where) {
 		switch x := c.(type) {
 		case *sqltext.Binary:
@@ -147,84 +141,46 @@ func analyzeScan(where sqltext.Expr, schema *catalog.TableSchema, tbl *storage.T
 				continue
 			}
 			col, okc := colFor(cr)
-			if !okc {
+			if _, dup := in[col]; !okc || dup {
 				continue
 			}
-			usable := true
+			usable := len(x.List) > 0
 			for _, le := range x.List {
-				if !constKeyExpr(le) {
-					usable = false
-					break
-				}
+				usable = usable && constKeyExpr(le)
 			}
 			if usable {
-				ins = append(ins, inPred{col: col, list: x.List})
+				in[col] = x.List
 			}
 		}
 	}
 
 	if k, ok := eq[tidCol]; ok {
-		return &scanPlan{kind: pathTIDPoint, keys: []sqltext.Expr{k}}
+		return &scanPlan{kind: pathTID, keys: [][]sqltext.Expr{{k}}}
 	}
-	if tbl.HasPK() {
-		if k, ok := eq[tbl.PKCol()]; ok {
-			return &scanPlan{kind: pathPKPoint, cols: []int{tbl.PKCol()}, keys: []sqltext.Expr{k}}
+	indexes := tbl.Indexes()
+	for _, ix := range indexes {
+		tuple := make([]sqltext.Expr, len(ix.Cols))
+		for i, c := range ix.Cols {
+			tuple[i] = eq[c]
+		}
+		if !slices.Contains(tuple, nil) {
+			return &scanPlan{kind: pathIndex, index: ix, keys: [][]sqltext.Expr{tuple}}
 		}
 	}
-	uniqueBest := -1
-	for col := range eq {
-		if col >= 0 && tbl.HasUnique(col) && (uniqueBest < 0 || col < uniqueBest) {
-			uniqueBest = col
+	// An IN list is one one-tuple per element (slices of the list itself).
+	inPlan := func(kind pathKind, ix *storage.IndexInfo, list []sqltext.Expr) *scanPlan {
+		keys := make([][]sqltext.Expr, len(list))
+		for i := range list {
+			keys[i] = list[i : i+1]
 		}
+		return &scanPlan{kind: kind, index: ix, keys: keys}
 	}
-	if uniqueBest >= 0 {
-		return &scanPlan{kind: pathUniquePoint, cols: []int{uniqueBest}, keys: []sqltext.Expr{eq[uniqueBest]}}
+	if list, ok := in[tidCol]; ok {
+		return inPlan(pathTID, nil, list)
 	}
-	// Secondary index with every key column bound by an equality. Prefer
-	// more key columns (more selective); SecondaryIndexes is name-sorted,
-	// so ties resolve deterministically.
-	var best *scanPlan
-	for _, info := range tbl.SecondaryIndexes() {
-		keys := make([]sqltext.Expr, len(info.Cols))
-		covered := true
-		for i, c := range info.Cols {
-			k, bound := eq[c]
-			if !bound {
-				covered = false
-				break
-			}
-			keys[i] = k
-		}
-		if covered && (best == nil || len(info.Cols) > len(best.cols)) {
-			best = &scanPlan{kind: pathIndexPoint, index: info.Name, cols: append([]int{}, info.Cols...), keys: keys}
-		}
-	}
-	if best != nil {
-		return best
-	}
-	for _, in := range ins {
-		if in.col == tidCol {
-			return &scanPlan{kind: pathTIDIn, list: in.list}
-		}
-	}
-	if tbl.HasPK() {
-		for _, in := range ins {
-			if in.col == tbl.PKCol() {
-				return &scanPlan{kind: pathPKIn, cols: []int{in.col}, list: in.list}
-			}
-		}
-	}
-	for _, in := range ins {
-		if in.col >= 0 && tbl.HasUnique(in.col) {
-			return &scanPlan{kind: pathUniqueIn, cols: []int{in.col}, list: in.list}
-		}
-	}
-	for _, in := range ins {
-		if in.col < 0 {
-			continue
-		}
-		if name, ok := tbl.IndexOn(in.col); ok {
-			return &scanPlan{kind: pathIndexIn, index: name, cols: []int{in.col}, list: in.list}
+	for _, ix := range indexes {
+		if list, ok := in[ix.Cols[0]]; ok && len(ix.Cols) == 1 {
+			return inPlan(pathIndex, ix, list)
 		}
 	}
 	return full
@@ -245,138 +201,84 @@ func constVal(x sqltext.Expr, args []types.Value) (types.Value, bool) {
 	return types.Null, false
 }
 
-// resolveScan turns a non-full-scan plan into candidate tids visible as
-// of asOf. ok=false means the plan could not be applied (unbound
-// parameter, value that cannot be coerced to the column type) and the
-// caller must fall back to a full scan; ok=true with an empty slice means
-// the predicate provably matches nothing. Candidate tids are deduplicated
-// so `pk IN (5, 5)` yields one row, not two.
-func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table, args []types.Value, asOf int64) ([]int64, bool) {
-	coerce := func(col int, v types.Value) (types.Value, bool) {
-		cv, err := v.CoerceTo(schema.Columns[col].Type)
-		if err != nil {
-			return types.Null, false
+// bindKey converts a key constant to the kind of the indexed column so
+// that key equality in the index is exactly types.Compare equality on the
+// column — the one rule that keeps a statement's outcome independent of
+// which indexes exist. ok=false: Compare is not defined for the pair (or
+// cannot be mirrored by one key), so the full scan must decide, erroring
+// or not as it would without the index. match=false: the key provably
+// equals no value of the column (NULL; a fractional FLOAT against INT).
+func bindKey(col types.Kind, v types.Value) (key types.Value, match, ok bool) {
+	switch k := v.Kind(); {
+	case k == types.KindNull:
+		return v, false, true
+	case k == types.KindFloat && math.IsNaN(v.Float()):
+		return v, false, false // Compare calls NaN equal to every number
+	case k == col:
+		return v, true, true
+	case col == types.KindFloat && k == types.KindInt:
+		return types.NewFloat(float64(v.Int())), true, true // Compare rounds the same way
+	case col == types.KindInt && k == types.KindFloat:
+		f := v.Float()
+		if f != math.Trunc(f) {
+			return v, false, true
 		}
-		return cv, true
+		if math.Abs(f) < 1<<53 { // beyond, several INTs round to f
+			return types.NewInt(int64(f)), true, true
+		}
 	}
-	var tids []int64
-	seen := map[int64]bool{}
-	add := func(tid int64) {
-		if !seen[tid] {
-			seen[tid] = true
-			tids = append(tids, tid)
-		}
+	return v, false, false
+}
+
+// resolveScan turns a non-full-scan plan into the rows it selects as of
+// asOf, each once even when several key tuples name it (`pk IN (5, 5)`).
+// ok=false means the plan could not be applied (unbound parameter, key
+// bindKey refuses) and the caller must fall back to a full scan; ok=true
+// with no rows means the predicate provably matches nothing.
+func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table, args []types.Value, asOf int64) (rows []storage.StoredRow, ok bool) {
+	var seen map[int64]bool
+	if len(plan.keys) > 1 {
+		seen = map[int64]bool{}
 	}
-
-	switch plan.kind {
-	case pathTIDPoint:
-		v, ok := constVal(plan.keys[0], args)
-		if !ok {
-			return nil, false
-		}
-		if v.IsNull() {
-			return nil, true
-		}
-		tid, err := v.AsInt()
-		if err != nil {
-			return nil, false
-		}
-		add(tid)
-
-	case pathPKPoint, pathUniquePoint:
-		v, ok := constVal(plan.keys[0], args)
-		if !ok {
-			return nil, false
-		}
-		if v.IsNull() {
-			return nil, true
-		}
-		cv, ok := coerce(plan.cols[0], v)
-		if !ok {
-			return nil, false
-		}
-		var tid int64
-		var found bool
-		if plan.kind == pathPKPoint {
-			tid, found = tbl.LookupPKAt(cv, asOf)
-		} else {
-			tid, found = tbl.LookupUniqueAt(plan.cols[0], cv, asOf)
-		}
-		if found {
-			add(tid)
-		}
-
-	case pathIndexPoint:
-		key := make(types.Row, len(plan.cols))
-		for i, kx := range plan.keys {
-			v, ok := constVal(kx, args)
+	key := make(types.Row, len(plan.keys[0]))
+	var one [1]storage.StoredRow
+	for _, tuple := range plan.keys {
+		match := true
+		for i, kx := range tuple {
+			v, bound := constVal(kx, args)
+			if !bound {
+				return nil, false
+			}
+			col := types.KindInt // _tid
+			if plan.kind == pathIndex {
+				col = schema.Columns[plan.index.Cols[i]].Type
+			}
+			kv, m, ok := bindKey(col, v)
 			if !ok {
 				return nil, false
 			}
-			if v.IsNull() {
-				return nil, true
-			}
-			cv, ok := coerce(plan.cols[i], v)
-			if !ok {
-				return nil, false
-			}
-			key[i] = cv
+			key[i], match = kv, match && m
 		}
-		if found, ok := tbl.LookupIndexAt(plan.index, key, asOf); ok {
-			for _, tid := range found {
-				add(tid)
-			}
+		if !match {
+			continue
 		}
-
-	case pathTIDIn, pathPKIn, pathUniqueIn, pathIndexIn:
-		for _, le := range plan.list {
-			v, ok := constVal(le, args)
-			if !ok {
-				return nil, false
-			}
-			if v.IsNull() {
-				continue // NULL never matches inside IN
-			}
-			switch plan.kind {
-			case pathTIDIn:
-				tid, err := v.AsInt()
-				if err != nil {
-					return nil, false
-				}
-				add(tid)
-			case pathPKIn:
-				cv, ok := coerce(plan.cols[0], v)
-				if !ok {
-					return nil, false
-				}
-				if tid, found := tbl.LookupPKAt(cv, asOf); found {
-					add(tid)
-				}
-			case pathUniqueIn:
-				cv, ok := coerce(plan.cols[0], v)
-				if !ok {
-					return nil, false
-				}
-				if tid, found := tbl.LookupUniqueAt(plan.cols[0], cv, asOf); found {
-					add(tid)
-				}
-			case pathIndexIn:
-				cv, ok := coerce(plan.cols[0], v)
-				if !ok {
-					return nil, false
-				}
-				if found, ok := tbl.LookupIndexAt(plan.index, types.Row{cv}, asOf); ok {
-					for _, tid := range found {
-						add(tid)
-					}
-				}
-			}
+		found := one[:0]
+		if plan.kind == pathIndex {
+			found = tbl.Lookup(plan.index, key, asOf)
+		} else if sr, hit := tbl.GetAt(key[0].Int(), asOf); hit {
+			found = append(found, sr)
 		}
-
-	default:
-		return nil, false
+		for _, sr := range found {
+			if seen != nil {
+				if seen[sr.TID] {
+					continue
+				}
+				seen[sr.TID] = true
+			}
+			rows = append(rows, sr)
+		}
 	}
-	return tids, true
+	return rows, true
 }
 
 // ----------------------------------------------------------------- joins
@@ -386,11 +288,12 @@ type joinPlan struct {
 	kind     string         // "hash", "nested" or "cross"
 	eqL, eqR []int          // equality key positions in the left/right relation
 	residual []sqltext.Expr // non-equality ON conjuncts, checked per match
-	// Probe-side shortcuts, set when the right side is an unmaterialized
-	// base table whose storage index covers exactly the join key.
-	index   string // secondary index name, "" if none
-	probePK bool   // single-column key on the right side's primary key
-	perm    []int  // index-key position → position in eqL/eqR
+	// Probe-side shortcut, set when the right side is an unmaterialized
+	// base table with an index over exactly the join key: the first such
+	// index in rank order, and for each of its key positions the position
+	// in eqL/eqR that feeds it.
+	probe *storage.IndexInfo
+	perm  []int
 }
 
 // analyzeJoin classifies one join clause. A hash join applies when ON is
@@ -443,27 +346,41 @@ func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args 
 	// join key columns, probe that index per left row instead of
 	// materializing the right side and building a second hash table.
 	if right.lazy && right.tbl != nil {
-		nUser := len(right.tbl.Schema.Columns)
-		cols := make([]int, 0, len(plan.eqR))
-		userOnly := true
-		for _, c := range plan.eqR {
-			if c >= nUser {
-				userOnly = false
+		for _, ix := range right.tbl.Indexes() {
+			if perm := coverPerm(ix.Cols, plan.eqR); perm != nil {
+				plan.probe, plan.perm = ix, perm
 				break
-			}
-			cols = append(cols, c)
-		}
-		if userOnly {
-			if len(cols) == 1 && right.tbl.HasPK() && cols[0] == right.tbl.PKCol() {
-				plan.probePK = true
-				plan.perm = []int{0}
-			} else if name, perm, ok := right.tbl.IndexCovering(cols); ok {
-				plan.index = name
-				plan.perm = perm
 			}
 		}
 	}
 	return plan
+}
+
+// coverPerm reports whether the index key columns are exactly the given
+// relation positions (order-insensitive, as multisets): for each index-key
+// position, the position in cols that feeds it; nil if not. System
+// columns sit past the user columns and so match no index column.
+func coverPerm(ixCols, cols []int) []int {
+	if len(ixCols) != len(cols) {
+		return nil
+	}
+	perm := make([]int, len(ixCols))
+	used := make([]bool, len(cols))
+	for i, ic := range ixCols {
+		found := -1
+		for j, c := range cols {
+			if c == ic && !used[j] {
+				found = j
+				break
+			}
+		}
+		if found < 0 {
+			return nil
+		}
+		used[found] = true
+		perm[i] = found
+	}
+	return perm
 }
 
 // ---------------------------------------------------------------- EXPLAIN

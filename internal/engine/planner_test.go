@@ -374,7 +374,7 @@ func TestJoinProbesStorageIndex(t *testing.T) {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO orders (oid, uid) VALUES (%d, %d)", i, (i*7)%35))
 	}
 
-	// Right side keyed on its primary key: probed via LookupPK.
+	// Right side keyed on its primary key: probed through its index.
 	s0 := e.mRowsScanned.Value()
 	got := mustExec(t, e, "SELECT oid, city FROM orders o JOIN users2 u ON o.uid = u.id")
 	probeScanned := e.mRowsScanned.Value() - s0

@@ -862,18 +862,16 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 		where = sel.Where
 	}
 
-	// Index access path: fetch only candidate tids, then let the caller
+	// Index access path: fetch only candidate rows, then let the caller
 	// re-apply the full WHERE (a conjunct only restricts, so the
 	// candidate set over-approximates and re-filtering is sound).
 	if where != nil {
 		if plan := analyzeScan(where, schema, tbl, qual); plan.kind != pathFullScan {
-			if tids, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
-				for _, tid := range tids {
-					if sr, found := tbl.GetAt(tid, ctx.snap); found {
-						rel.rows = append(rel.rows, fullRow(sr))
-					}
+			if found, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
+				for _, sr := range found {
+					rel.rows = append(rel.rows, fullRow(sr))
 				}
-				e.countScanned(ctx, len(tids))
+				e.countScanned(ctx, len(found))
 				return rel, false, nil
 			}
 		}
@@ -968,141 +966,87 @@ func (e *Engine) countScanned(ctx *stmtCtx, n int) {
 // join combines two relations according to the join clause, using the
 // planner's classification: hash join on the equality conjuncts of ON
 // (probing the right side's storage index when one covers the key),
-// otherwise a nested loop.
+// otherwise a nested loop. The strategies differ only in the right rows
+// they offer each left row; pairing, the ON check and LEFT padding are
+// one loop.
 func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, error) {
 	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
-
-	concat := func(l, r types.Row) types.Row {
-		row := make(types.Row, 0, len(l)+len(r))
-		row = append(row, l...)
-		return append(row, r...)
-	}
-
 	plan := e.analyzeJoin(left, right, jc, args, overrides, ctx)
+	b := newBinder(e, args, out, overrides, ctx)
 
-	if plan.kind == "cross" {
-		e.materializeRel(right, ctx)
-		for _, lr := range left.rows {
-			for _, rr := range right.rows {
-				out.rows = append(out.rows, concat(lr, rr))
-			}
-		}
-		return out, nil
+	// on is what a candidate pair must still satisfy: the residual
+	// conjuncts beyond the hash equalities, the whole ON clause for a
+	// nested loop, nothing for a cross join.
+	on := plan.residual
+	if plan.kind == "nested" {
+		on = []sqltext.Expr{jc.On}
 	}
 
-	b := newBinder(e, args, out, overrides, ctx)
-	leftOuter := jc.Kind == "LEFT"
-
-	if plan.kind == "hash" {
-		// Residual ON conjuncts (beyond the hash equalities) must hold for
-		// a candidate to count as a match.
-		match := func(row types.Row) (bool, error) {
-			for _, c := range plan.residual {
-				ok, err := b.evalBool(c, row)
-				if err != nil || !ok {
-					return false, err
-				}
+	// rightFor returns the right rows to pair with one left row; buf is
+	// where the index strategies gather them.
+	var rightFor func(lr types.Row) []types.Row
+	var buf []types.Row
+	probed := 0
+	switch {
+	case plan.kind == "hash" && plan.probe != nil:
+		key := make(types.Row, len(plan.perm))
+		rightFor = func(lr types.Row) []types.Row {
+			for i, p := range plan.perm {
+				key[i] = lr[plan.eqL[p]]
 			}
-			return true, nil
-		}
-
-		// Probe the right side's storage index per left row instead of
-		// materializing it and building a second hash table.
-		if right.lazy && (plan.index != "" || plan.probePK) {
-			probed := 0
-			for _, lr := range left.rows {
-				key := make(types.Row, len(plan.perm))
-				null := false
-				for i, p := range plan.perm {
-					v := lr[plan.eqL[p]]
-					if v.IsNull() {
-						null = true
-						break
-					}
-					key[i] = v
-				}
-				matched := false
-				if !null {
-					var tids []int64
-					if plan.probePK {
-						if tid, found := right.tbl.LookupPKAt(key[0], ctx.snap); found {
-							tids = []int64{tid}
-						}
-					} else if found, ok := right.tbl.LookupIndexAt(plan.index, key, ctx.snap); ok {
-						tids = found
-					}
-					for _, tid := range tids {
-						sr, found := right.tbl.GetAt(tid, ctx.snap)
-						if !found {
-							continue
-						}
-						probed++
-						row := concat(lr, fullRow(sr))
-						ok, err := match(row)
-						if err != nil {
-							return nil, err
-						}
-						if ok {
-							matched = true
-							out.rows = append(out.rows, row)
-						}
-					}
-				}
-				if !matched && leftOuter {
-					pad := make(types.Row, len(right.cols))
-					out.rows = append(out.rows, concat(lr, pad))
-				}
+			buf = buf[:0]
+			for _, sr := range right.tbl.Lookup(plan.probe, key, ctx.snap) {
+				buf = append(buf, fullRow(sr))
 			}
-			e.countScanned(ctx, probed)
-			return out, nil
+			probed += len(buf)
+			return buf
 		}
-
+	case plan.kind == "hash":
 		e.materializeRel(right, ctx)
 		// The build side fans out when large (see buildJoinIndex); the
 		// probe stays single-threaded and sees identical index lists.
 		idx := e.buildJoinIndex(right.rows, plan.eqR, ctx)
-		for _, lr := range left.rows {
-			matched := false
+		rightFor = func(lr types.Row) []types.Row {
+			buf = buf[:0]
 			if k, ok := joinKey(lr, plan.eqL); ok {
 				for _, m := range idx.lookup(k) {
-					row := concat(lr, right.rows[m])
-					ok2, err := match(row)
-					if err != nil {
-						return nil, err
-					}
-					if ok2 {
-						matched = true
-						out.rows = append(out.rows, row)
-					}
+					buf = append(buf, right.rows[m])
 				}
 			}
-			if !matched && leftOuter {
-				pad := make(types.Row, len(right.cols))
-				out.rows = append(out.rows, concat(lr, pad))
-			}
+			return buf
 		}
-		return out, nil
+	default:
+		e.materializeRel(right, ctx)
+		rightFor = func(types.Row) []types.Row { return right.rows }
 	}
 
-	// General nested-loop join.
-	e.materializeRel(right, ctx)
+	concat := func(l, r types.Row) types.Row {
+		row := make(types.Row, 0, len(l)+len(r))
+		return append(append(row, l...), r...)
+	}
 	for _, lr := range left.rows {
 		matched := false
-		for _, rr := range right.rows {
+	pairs:
+		for _, rr := range rightFor(lr) {
 			row := concat(lr, rr)
-			ok, err := b.evalBool(jc.On, row)
-			if err != nil {
-				return nil, err
+			for _, c := range on {
+				ok, err := b.evalBool(c, row)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue pairs
+				}
 			}
-			if ok {
-				matched = true
-				out.rows = append(out.rows, row)
-			}
+			matched = true
+			out.rows = append(out.rows, row)
 		}
-		if !matched && leftOuter {
-			pad := make(types.Row, len(right.cols))
-			out.rows = append(out.rows, concat(lr, pad))
+		if !matched && jc.Kind == "LEFT" {
+			pad := make(types.Row, len(lr)+len(right.cols)) // right side all NULL
+			copy(pad, lr)
+			out.rows = append(out.rows, pad)
 		}
 	}
+	e.countScanned(ctx, probed)
 	return out, nil
 }

@@ -190,9 +190,7 @@ func recoveredState(t *testing.T, fs fault.FS, crashPoint int) wlState {
 		}
 		st.rows[pk] = r.Values[1].Str()
 	}
-	if _, ok := tbl.IndexOn(tbl.Schema.ColIndex("name")); ok {
-		st.hasIndex = true
-	}
+	st.hasIndex = namedIndex(tbl, "by_name") != nil
 	return st
 }
 
@@ -350,7 +348,7 @@ func TestWALWriteErrorSurfacesAndIsNotAcked(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("rows after recovery: %d, want 1", tbl.Len())
 	}
-	if _, ok := tbl.LookupPK(types.NewInt(1)); !ok {
+	if _, ok := pkTID(tbl, types.NewInt(1), SeqLatest); !ok {
 		t.Fatal("acknowledged row lost")
 	}
 }

@@ -111,7 +111,7 @@ func TestCrashReplayNoAcknowledgedLoss(t *testing.T) {
 		t.Fatalf("recovered %d rows, want 25 acknowledged commits", got)
 	}
 	for i := 0; i < 25; i++ {
-		if _, ok := tbl.LookupPK(types.NewInt(int64(i))); !ok {
+		if _, ok := pkTID(tbl, types.NewInt(int64(i)), SeqLatest); !ok {
 			t.Fatalf("acknowledged row id=%d lost in crash", i)
 		}
 	}

@@ -187,30 +187,30 @@ func TestMvccIndexLookupsExact(t *testing.T) {
 	s.PublishSnapshot()
 	now := s.SnapshotSeq()
 
-	tids, ok := tbl.LookupIndexAt("kv_v", types.Row{types.NewString("red")}, now)
+	tids, ok := indexTIDs(tbl, "kv_v", types.Row{types.NewString("red")}, now)
 	if !ok || len(tids) != 1 {
 		t.Fatalf("red candidates at latest: %v ok=%v", tids, ok)
 	}
 	if got, _ := tbl.GetAt(tids[0], now); got.Values[0].Int() != 2 {
 		t.Fatalf("red matched wrong row: %+v", got)
 	}
-	tids, ok = tbl.LookupIndexAt("kv_v", types.Row{types.NewString("blue")}, now)
+	tids, ok = indexTIDs(tbl, "kv_v", types.Row{types.NewString("blue")}, now)
 	if !ok || len(tids) != 1 {
 		t.Fatalf("blue candidates: %v ok=%v", tids, ok)
 	}
 	// PK lookups filter the same way.
-	if _, found := tbl.LookupPKAt(types.NewInt(1), now); !found {
+	if _, found := pkTID(tbl, types.NewInt(1), now); !found {
 		t.Fatal("pk 1 should resolve at latest")
 	}
 	if _, err := s.Delete("kv", tid1); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
-	if _, found := tbl.LookupPKAt(types.NewInt(1), s.SnapshotSeq()); found {
+	if _, found := pkTID(tbl, types.NewInt(1), s.SnapshotSeq()); found {
 		t.Fatal("pk 1 resolved after delete")
 	}
 	// ...but still resolves at the pre-delete seq.
-	if _, found := tbl.LookupPKAt(types.NewInt(1), now); !found {
+	if _, found := pkTID(tbl, types.NewInt(1), now); !found {
 		t.Fatal("pk 1 lost at historical seq")
 	}
 }

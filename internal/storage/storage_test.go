@@ -20,6 +20,39 @@ func userSchema() *catalog.TableSchema {
 	}
 }
 
+// pkTID looks v up in the table's first index (the primary key when the
+// schema has one) as of asOf.
+func pkTID(tbl *Table, v types.Value, asOf int64) (int64, bool) {
+	rows := tbl.Lookup(tbl.Indexes()[0], types.Row{v}, asOf)
+	if len(rows) == 0 {
+		return 0, false
+	}
+	return rows[0].TID, true
+}
+
+// namedIndex returns the CREATE INDEX index called name, or nil.
+func namedIndex(tbl *Table, name string) *IndexInfo {
+	for _, ix := range tbl.Indexes() {
+		if ix.Origin == OriginNamed && ix.Name == name {
+			return ix
+		}
+	}
+	return nil
+}
+
+// indexTIDs looks key up in the named index as of asOf; ok=false when
+// the table has no such index.
+func indexTIDs(tbl *Table, name string, key types.Row, asOf int64) (tids []int64, ok bool) {
+	ix := namedIndex(tbl, name)
+	if ix == nil {
+		return nil, false
+	}
+	for _, r := range tbl.Lookup(ix, key, asOf) {
+		tids = append(tids, r.TID)
+	}
+	return tids, true
+}
+
 func TestTableInsertGetDelete(t *testing.T) {
 	tbl := NewTable(userSchema())
 	row := types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")}
@@ -30,8 +63,8 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if !ok || !types.RowsEqual(got.Values, row) || got.Created != 100 {
 		t.Fatalf("Get: %+v ok=%v", got, ok)
 	}
-	if tid, ok := tbl.LookupPK(types.NewInt(1)); !ok || tid != 10 {
-		t.Fatalf("LookupPK: %d, %v", tid, ok)
+	if tid, ok := pkTID(tbl, types.NewInt(1), SeqLatest); !ok || tid != 10 {
+		t.Fatalf("pk lookup: %d, %v", tid, ok)
 	}
 	old, err := tbl.Delete(10)
 	if err != nil || !types.RowsEqual(old, row) {
@@ -40,7 +73,7 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if _, ok := tbl.Get(10); ok {
 		t.Fatal("row still present after delete")
 	}
-	if _, ok := tbl.LookupPK(types.NewInt(1)); ok {
+	if _, ok := pkTID(tbl, types.NewInt(1), SeqLatest); ok {
 		t.Fatal("pk entry still present after delete")
 	}
 }
@@ -88,10 +121,10 @@ func TestTableUpdate(t *testing.T) {
 	if old[0].Int() != 1 {
 		t.Fatalf("old row: %v", old)
 	}
-	if _, ok := tbl.LookupPK(types.NewInt(1)); ok {
+	if _, ok := pkTID(tbl, types.NewInt(1), SeqLatest); ok {
 		t.Error("stale pk entry")
 	}
-	if tid, ok := tbl.LookupPK(types.NewInt(3)); !ok || tid != 1 {
+	if tid, ok := pkTID(tbl, types.NewInt(3), SeqLatest); !ok || tid != 1 {
 		t.Error("new pk entry missing")
 	}
 	// Updating to a conflicting pk must fail and leave state intact.
@@ -118,23 +151,23 @@ func TestSecondaryIndex(t *testing.T) {
 	if err := tbl.AddIndex("by_name", []string{"name"}, false); err != nil {
 		t.Fatal(err)
 	}
-	tids, ok := tbl.LookupIndex("by_name", types.Row{types.NewString("odd")})
+	tids, ok := indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if !ok || len(tids) != 5 {
 		t.Fatalf("odd lookup: %v, %v", tids, ok)
 	}
 	// Index stays correct across delete and update.
 	tbl.Delete(1)
-	tids, _ = tbl.LookupIndex("by_name", types.Row{types.NewString("odd")})
+	tids, _ = indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if len(tids) != 4 {
 		t.Fatalf("after delete: %v", tids)
 	}
 	tbl.Update(2, types.Row{types.NewInt(2), types.NewString("odd"), types.Null})
-	tids, _ = tbl.LookupIndex("by_name", types.Row{types.NewString("odd")})
+	tids, _ = indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if len(tids) != 5 {
 		t.Fatalf("after update: %v", tids)
 	}
-	if name, ok := tbl.IndexOn(tbl.Schema.ColIndex("name")); !ok || name != "by_name" {
-		t.Errorf("IndexOn: %q, %v", name, ok)
+	if ix := namedIndex(tbl, "by_name"); ix == nil || len(ix.Cols) != 1 || ix.Cols[0] != tbl.Schema.ColIndex("name") {
+		t.Errorf("by_name not listed over name: %+v", ix)
 	}
 	// Unique secondary index over existing duplicate data must fail.
 	if err := tbl.AddIndex("uniq_name", []string{"name"}, true); err == nil {
@@ -218,7 +251,7 @@ func TestStoreDurability(t *testing.T) {
 	if !ok || got.Values[1].Str() != "updated" {
 		t.Fatalf("updated row lost: %+v, %v", got, ok)
 	}
-	if _, ok := tbl.LookupIndex("by_name", types.Row{types.NewString("updated")}); !ok {
+	if _, ok := indexTIDs(tbl, "by_name", types.Row{types.NewString("updated")}, SeqLatest); !ok {
 		t.Error("index lost after replay")
 	}
 	metas := s2.Metas()

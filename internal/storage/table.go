@@ -1,7 +1,8 @@
 // Package storage implements the physical layer of the embedded database:
-// in-memory multi-version row storage with system columns, primary/unique/
-// secondary hash indexes, and durability through a write-ahead log with
-// snapshot checkpoints (see wal.go).
+// in-memory multi-version row storage with system columns, hash indexes
+// (one kind: PRIMARY KEY, column UNIQUE and CREATE INDEX alike), and
+// durability through a write-ahead log with snapshot checkpoints (see
+// wal.go).
 //
 // Concurrency model (MVCC): every logical row is a short version chain.
 // Writers — already serialized by the engine's write lock — stamp each
@@ -98,42 +99,78 @@ type Table struct {
 
 	nvers atomic.Int64 // retained versions across all chains (gauge)
 
-	// pk maps primary-key value → candidate tids (single-column PK only).
-	// Index entries are conservative: added on insert/update, removed
-	// only by Vacuum, so a candidate must be re-checked against the
-	// version actually visible at the reader's snapshot.
-	pkCol int
-	pk    map[string][]int64
-
-	// unique indexes: column position → value key → candidate tids.
-	unique map[int]map[string][]int64
-
-	// secondary (non-unique) hash indexes: index name → column positions
-	// and value key → candidate tids.
-	secondary map[string]*hashIndex
+	// indexes is the table's index list in planner rank order: the
+	// primary key, column UNIQUE constraints by column position, then
+	// CREATE INDEX indexes by most key columns, then name. The slice is
+	// copy-on-DDL (AddIndex swaps in a fresh one), so a captured header
+	// stays valid; each index's entries map is guarded by mu.
+	indexes []*IndexInfo
 }
 
-type hashIndex struct {
-	cols    []int
-	unique  bool
+// IndexInfo is one hash index: a PRIMARY KEY is the unique index on its
+// column, a column UNIQUE likewise, CREATE [UNIQUE] INDEX adds a named
+// one. Everything but entries is immutable after creation.
+type IndexInfo struct {
+	Name   string // CREATE INDEX name; "" for constraint indexes
+	Cols   []int  // key column positions, in index-key order
+	Unique bool
+	Origin IndexOrigin
+
+	// entries maps an entry key to candidate tids. Entries are
+	// conservative: added on insert/update, removed only by Vacuum, so a
+	// candidate must be re-checked against the version actually visible
+	// at the reader's snapshot. A key holding a NULL has no entry.
 	entries map[string][]int64
+}
+
+// IndexOrigin says which DDL declared an index.
+type IndexOrigin uint8
+
+// Index origins, in planner rank order.
+const (
+	OriginPK     IndexOrigin = iota // PRIMARY KEY column
+	OriginColumn                    // column UNIQUE
+	OriginNamed                     // CREATE [UNIQUE] INDEX
+)
+
+// entryKey is the one key function: a single value's HashKey, or the
+// RowKey of several. ok=false when a value is NULL — such a key is
+// neither indexed, nor checked for uniqueness, nor findable.
+func entryKey(key types.Row) (k string, ok bool) {
+	for i := range key {
+		if key[i].IsNull() {
+			return "", false
+		}
+	}
+	if len(key) == 1 {
+		return key[0].HashKey(), true
+	}
+	return types.RowKey(key), true
+}
+
+// key is the entry key of a table row under this index.
+func (ix *IndexInfo) key(row types.Row) (string, bool) {
+	if len(ix.Cols) == 1 {
+		c := ix.Cols[0]
+		return entryKey(row[c : c+1])
+	}
+	var buf [4]types.Value
+	sub := buf[:0]
+	for _, c := range ix.Cols {
+		sub = append(sub, row[c])
+	}
+	return entryKey(sub)
 }
 
 // NewTable creates empty storage for the given schema.
 func NewTable(schema *catalog.TableSchema) *Table {
-	t := &Table{
-		Schema:    schema,
-		byTID:     map[int64]*rowSlot{},
-		pkCol:     schema.PKIndex(),
-		unique:    map[int]map[string][]int64{},
-		secondary: map[string]*hashIndex{},
-	}
-	if t.pkCol >= 0 {
-		t.pk = map[string][]int64{}
+	t := &Table{Schema: schema, byTID: map[int64]*rowSlot{}}
+	if pk := schema.PKIndex(); pk >= 0 {
+		t.indexes = append(t.indexes, &IndexInfo{Cols: []int{pk}, Unique: true, Origin: OriginPK, entries: map[string][]int64{}})
 	}
 	for i, c := range schema.Columns {
 		if c.Unique && !c.PrimaryKey {
-			t.unique[i] = map[string][]int64{}
+			t.indexes = append(t.indexes, &IndexInfo{Cols: []int{i}, Unique: true, Origin: OriginColumn, entries: map[string][]int64{}})
 		}
 	}
 	return t
@@ -267,51 +304,51 @@ func (t *Table) GetAt(tid, asOf int64) (StoredRow, bool) {
 	return StoredRow{TID: sl.tid, Created: v.created, Values: v.values}, true
 }
 
-// LookupPK returns the tid of the live row whose primary key equals v.
-func (t *Table) LookupPK(v types.Value) (int64, bool) {
-	return t.LookupPKAt(v, SeqLatest)
-}
-
-// LookupPKAt returns the tid of the row whose primary key equals v as
-// visible at snapshot asOf. Historical states satisfied the PK
-// constraint too, so at most one row matches at any snapshot.
-func (t *Table) LookupPKAt(v types.Value, asOf int64) (int64, bool) {
-	if t.pk == nil {
-		return 0, false
-	}
-	key := v.HashKey()
-	for _, sl := range t.candidates(t.pk, key) {
-		if ver := visibleAt(sl.head.Load(), asOf); ver != nil && ver.values[t.pkCol].HashKey() == key {
-			return sl.tid, true
-		}
-	}
-	return 0, false
-}
-
-// candidates resolves an index candidate list to slots under the
-// structural lock; the visibility walk happens outside it.
-func (t *Table) candidates(m map[string][]int64, key string) []*rowSlot {
+// Indexes returns the table's indexes in planner rank order (see
+// Table.indexes). The slice is shared and prebuilt: callers must not
+// modify it.
+func (t *Table) Indexes() []*IndexInfo {
 	t.mu.RLock()
-	tids := m[key]
-	out := make([]*rowSlot, 0, len(tids))
+	defer t.mu.RUnlock()
+	return t.indexes
+}
+
+// Lookup returns the rows whose ix key equals key (one value per index
+// column, in index-key order) as visible at snapshot asOf. Equality is
+// key equality (Value.HashKey); a key holding a NULL finds nothing.
+// Candidates are resolved under the structural lock; the visibility walk
+// and the key re-check on the visible version happen outside it.
+func (t *Table) Lookup(ix *IndexInfo, key types.Row, asOf int64) []StoredRow {
+	k, ok := entryKey(key)
+	if !ok || len(key) != len(ix.Cols) {
+		return nil
+	}
+	var buf [4]*rowSlot
+	cands := buf[:0]
+	t.mu.RLock()
+	tids := ix.entries[k]
+	if len(tids) > len(buf) {
+		// sized once: no append growth while writers wait on the lock
+		cands = make([]*rowSlot, 0, len(tids))
+	}
 	for _, tid := range tids {
-		if sl := t.byTID[tid]; sl != nil {
-			out = append(out, sl)
-		}
+		cands = append(cands, t.byTID[tid])
 	}
 	t.mu.RUnlock()
+	out := make([]StoredRow, 0, len(cands))
+	for _, sl := range cands {
+		if v := visibleAt(sl.head.Load(), asOf); v != nil {
+			if vk, _ := ix.key(v.values); vk == k {
+				out = append(out, StoredRow{TID: sl.tid, Created: v.created, Values: v.values})
+			}
+		}
+	}
 	return out
 }
 
-// HasPK reports whether the table has a single-column primary key.
-func (t *Table) HasPK() bool { return t.pkCol >= 0 }
-
-// PKCol returns the primary key column position, or -1.
-func (t *Table) PKCol() int { return t.pkCol }
-
-// checkConstraints validates NOT NULL, PK and UNIQUE for a candidate row
-// against the live heads. excludeTID skips one tid during uniqueness
-// checks (for updates). Caller holds t.mu.
+// checkConstraints validates NOT NULL and every unique index for a
+// candidate row against the live heads. excludeTID skips one tid during
+// uniqueness checks (for updates). Caller holds t.mu.
 func (t *Table) checkConstraints(row types.Row, excludeTID int64) error {
 	if len(row) != len(t.Schema.Columns) {
 		return fmt.Errorf("storage: %s: arity %d, want %d", t.Schema.Name, len(row), len(t.Schema.Columns))
@@ -321,56 +358,41 @@ func (t *Table) checkConstraints(row types.Row, excludeTID int64) error {
 			return fmt.Errorf("storage: %s.%s: NOT NULL violated", t.Schema.Name, c.Name)
 		}
 	}
-	if t.pkCol >= 0 {
-		if row[t.pkCol].IsNull() {
-			return fmt.Errorf("storage: %s: primary key is NULL", t.Schema.Name)
-		}
-		key := row[t.pkCol].HashKey()
-		for _, tid := range t.pk[key] {
-			if tid != excludeTID && t.liveMatch(tid, t.pkCol, key) {
-				return fmt.Errorf("storage: %s: duplicate primary key %s", t.Schema.Name, row[t.pkCol])
-			}
-		}
-	}
-	for col, idx := range t.unique {
-		if row[col].IsNull() {
+	for _, ix := range t.indexes {
+		if !ix.Unique {
 			continue
 		}
-		key := row[col].HashKey()
-		for _, tid := range idx[key] {
-			if tid != excludeTID && t.liveMatch(tid, col, key) {
-				return fmt.Errorf("storage: %s.%s: duplicate unique value %s", t.Schema.Name, t.Schema.Columns[col].Name, row[col])
+		k, ok := ix.key(row)
+		if !ok {
+			if ix.Origin == OriginPK {
+				return fmt.Errorf("storage: %s: primary key is NULL", t.Schema.Name)
 			}
-		}
-	}
-	for name, ix := range t.secondary {
-		if !ix.unique {
 			continue
 		}
-		k := ix.key(row)
 		for _, tid := range ix.entries[k] {
-			if tid == excludeTID {
-				continue
-			}
-			if sl := t.byTID[tid]; sl != nil {
-				if h := sl.head.Load(); h != nil && h.end.Load() == 0 && ix.key(h.values) == k {
-					return fmt.Errorf("storage: %s: unique index %s violated", t.Schema.Name, name)
+			if tid != excludeTID && t.liveMatch(ix, tid, k) {
+				switch col := ix.Cols[0]; ix.Origin {
+				case OriginPK:
+					return fmt.Errorf("storage: %s: duplicate primary key %s", t.Schema.Name, row[col])
+				case OriginColumn:
+					return fmt.Errorf("storage: %s.%s: duplicate unique value %s", t.Schema.Name, t.Schema.Columns[col].Name, row[col])
 				}
+				return fmt.Errorf("storage: %s: unique index %s violated", t.Schema.Name, ix.Name)
 			}
 		}
 	}
 	return nil
 }
 
-// liveMatch reports whether tid's live head has value key at column col.
+// liveMatch reports whether tid's live head has entry key k under ix.
 // Caller holds t.mu.
-func (t *Table) liveMatch(tid int64, col int, key string) bool {
-	sl := t.byTID[tid]
-	if sl == nil {
+func (t *Table) liveMatch(ix *IndexInfo, tid int64, k string) bool {
+	h := t.byTID[tid].head.Load()
+	if h.end.Load() != 0 {
 		return false
 	}
-	h := sl.head.Load()
-	return h != nil && h.end.Load() == 0 && h.values[col].HashKey() == key
+	hk, _ := ix.key(h.values)
+	return hk == k
 }
 
 // Insert adds a row with explicit system columns (used by WAL replay and
@@ -507,13 +529,7 @@ func (t *Table) Vacuum(floor int64) (reclaimed int64) {
 // rebuildIndexesLocked reconstructs the conservative index maps from the
 // retained versions. Caller holds t.mu.
 func (t *Table) rebuildIndexesLocked() {
-	if t.pkCol >= 0 {
-		t.pk = map[string][]int64{}
-	}
-	for col := range t.unique {
-		t.unique[col] = map[string][]int64{}
-	}
-	for _, ix := range t.secondary {
+	for _, ix := range t.indexes {
 		ix.entries = map[string][]int64{}
 	}
 	for _, sl := range t.slots {
@@ -523,216 +539,77 @@ func (t *Table) rebuildIndexesLocked() {
 	}
 }
 
-// addTid appends tid to a candidate list if absent (lists are short).
-func addTid(list []int64, tid int64) []int64 {
-	for _, id := range list {
-		if id == tid {
-			return list
-		}
-	}
-	return append(list, tid)
-}
-
 // indexRowLocked adds one version's values to the conservative index
 // maps. Entries are never removed outside Vacuum. Caller holds t.mu.
 func (t *Table) indexRowLocked(tid int64, row types.Row) {
-	if t.pkCol >= 0 {
-		k := row[t.pkCol].HashKey()
-		t.pk[k] = addTid(t.pk[k], tid)
+	for _, ix := range t.indexes {
+		ix.add(tid, row)
 	}
-	for col, idx := range t.unique {
-		if !row[col].IsNull() {
-			k := row[col].HashKey()
-			idx[k] = addTid(idx[k], tid)
+}
+
+// add appends tid to the candidate list of row's key if absent (lists
+// are short).
+func (ix *IndexInfo) add(tid int64, row types.Row) {
+	k, ok := ix.key(row)
+	if !ok {
+		return
+	}
+	list := ix.entries[k]
+	for _, id := range list {
+		if id == tid {
+			return
 		}
 	}
-	for _, ix := range t.secondary {
-		k := ix.key(row)
-		ix.entries[k] = addTid(ix.entries[k], tid)
-	}
+	ix.entries[k] = append(list, tid)
 }
 
-func (ix *hashIndex) key(row types.Row) string {
-	sub := make(types.Row, len(ix.cols))
-	for i, c := range ix.cols {
-		sub[i] = row[c]
-	}
-	return types.RowKey(sub)
-}
-
-// AddIndex builds a secondary hash index over the given columns,
-// covering every retained version so readers at older snapshots can use
-// it too. The unique check applies to live rows only.
+// AddIndex builds a named hash index over the given columns, covering
+// every retained version so readers at older snapshots can use it too.
+// The unique check applies to live rows only.
 func (t *Table) AddIndex(name string, cols []string, unique bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.secondary[name]; ok {
-		return fmt.Errorf("storage: index %q already exists on %s", name, t.Schema.Name)
-	}
-	positions := make([]int, len(cols))
+	ix := &IndexInfo{Name: name, Cols: make([]int, len(cols)), Unique: unique, Origin: OriginNamed, entries: map[string][]int64{}}
 	for i, c := range cols {
-		p := t.Schema.ColIndex(c)
-		if p < 0 {
+		if ix.Cols[i] = t.Schema.ColIndex(c); ix.Cols[i] < 0 {
 			return fmt.Errorf("storage: no column %q in %s", c, t.Schema.Name)
 		}
-		positions[i] = p
 	}
-	ix := &hashIndex{cols: positions, unique: unique, entries: map[string][]int64{}}
+	for _, o := range t.indexes {
+		if o.Name == name {
+			return fmt.Errorf("storage: index %q already exists on %s", name, t.Schema.Name)
+		}
+	}
 	if unique {
 		seen := map[string]bool{}
 		for _, sl := range t.slots {
 			h := sl.head.Load()
-			if h == nil || h.end.Load() != 0 {
-				continue
+			if k, ok := ix.key(h.values); ok && h.end.Load() == 0 {
+				if seen[k] {
+					return fmt.Errorf("storage: existing data violates unique index %q", name)
+				}
+				seen[k] = true
 			}
-			k := ix.key(h.values)
-			if seen[k] {
-				return fmt.Errorf("storage: existing data violates unique index %q", name)
-			}
-			seen[k] = true
 		}
 	}
 	for _, sl := range t.slots {
 		for v := sl.head.Load(); v != nil; v = v.prev.Load() {
-			k := ix.key(v.values)
-			ix.entries[k] = addTid(ix.entries[k], sl.tid)
+			ix.add(sl.tid, v.values)
 		}
 	}
-	t.secondary[name] = ix
+	// A fresh slice, re-ranked: constraint indexes keep their place, named
+	// ones order by most key columns, then name.
+	fresh := append(append(make([]*IndexInfo, 0, len(t.indexes)+1), t.indexes...), ix)
+	sort.SliceStable(fresh, func(i, j int) bool {
+		a, b := fresh[i], fresh[j]
+		switch {
+		case a.Origin != OriginNamed || b.Origin != OriginNamed:
+			return a.Origin < b.Origin
+		case len(a.Cols) != len(b.Cols):
+			return len(a.Cols) > len(b.Cols)
+		}
+		return a.Name < b.Name
+	})
+	t.indexes = fresh
 	return nil
-}
-
-// LookupIndex returns the tids of live rows matching the given key
-// values on a secondary index.
-func (t *Table) LookupIndex(name string, key types.Row) ([]int64, bool) {
-	return t.LookupIndexAt(name, key, SeqLatest)
-}
-
-// LookupIndexAt returns the tids of rows matching the given key values
-// on a secondary index, as visible at snapshot asOf.
-func (t *Table) LookupIndexAt(name string, key types.Row, asOf int64) ([]int64, bool) {
-	t.mu.RLock()
-	ix, ok := t.secondary[name]
-	if !ok || len(key) != len(ix.cols) {
-		t.mu.RUnlock()
-		return nil, false
-	}
-	k := types.RowKey(key)
-	tids := ix.entries[k]
-	cands := make([]*rowSlot, 0, len(tids))
-	for _, tid := range tids {
-		if sl := t.byTID[tid]; sl != nil {
-			cands = append(cands, sl)
-		}
-	}
-	t.mu.RUnlock()
-	var out []int64
-	for _, sl := range cands {
-		if v := visibleAt(sl.head.Load(), asOf); v != nil && ix.key(v.values) == k {
-			out = append(out, sl.tid)
-		}
-	}
-	return out, true
-}
-
-// IndexOn returns the name of a secondary index whose only column is the
-// given column position, if any. When several qualify the
-// lexicographically smallest name wins, so planner choices are stable.
-func (t *Table) IndexOn(col int) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	best := ""
-	for name, ix := range t.secondary {
-		if len(ix.cols) == 1 && ix.cols[0] == col && (best == "" || name < best) {
-			best = name
-		}
-	}
-	return best, best != ""
-}
-
-// LookupUnique returns the tid of the live row whose single-column
-// UNIQUE value at column position col equals v.
-func (t *Table) LookupUnique(col int, v types.Value) (int64, bool) {
-	return t.LookupUniqueAt(col, v, SeqLatest)
-}
-
-// LookupUniqueAt returns the tid of the row whose single-column UNIQUE
-// value at column position col equals v, as visible at snapshot asOf.
-func (t *Table) LookupUniqueAt(col int, v types.Value, asOf int64) (int64, bool) {
-	t.mu.RLock()
-	idx, ok := t.unique[col]
-	t.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	key := v.HashKey()
-	for _, sl := range t.candidates(idx, key) {
-		if ver := visibleAt(sl.head.Load(), asOf); ver != nil && ver.values[col].HashKey() == key {
-			return sl.tid, true
-		}
-	}
-	return 0, false
-}
-
-// HasUnique reports whether column position col carries a single-column
-// UNIQUE constraint (and therefore a unique hash index).
-func (t *Table) HasUnique(col int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.unique[col]
-	return ok
-}
-
-// IndexInfo describes one secondary index for the planner.
-type IndexInfo struct {
-	Name   string
-	Cols   []int // key column positions, in index-key order
-	Unique bool
-}
-
-// SecondaryIndexes returns the table's secondary indexes sorted by name,
-// so planner decisions are deterministic.
-func (t *Table) SecondaryIndexes() []IndexInfo {
-	t.mu.RLock()
-	out := make([]IndexInfo, 0, len(t.secondary))
-	for name, ix := range t.secondary {
-		out = append(out, IndexInfo{Name: name, Cols: ix.cols, Unique: ix.unique})
-	}
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// IndexCovering returns a secondary index whose key columns are exactly
-// the given set (order-insensitive), plus the permutation mapping each
-// index-key position to its position in cols. Ties resolve to the
-// lexicographically smallest index name.
-func (t *Table) IndexCovering(cols []int) (string, []int, bool) {
-	for _, info := range t.SecondaryIndexes() {
-		if len(info.Cols) != len(cols) {
-			continue
-		}
-		perm := make([]int, len(info.Cols))
-		used := make([]bool, len(cols))
-		ok := true
-		for i, ic := range info.Cols {
-			found := -1
-			for j, c := range cols {
-				if c == ic && !used[j] {
-					found = j
-					break
-				}
-			}
-			if found < 0 {
-				ok = false
-				break
-			}
-			used[found] = true
-			perm[i] = found
-		}
-		if ok {
-			return info.Name, perm, true
-		}
-	}
-	return "", nil, false
 }

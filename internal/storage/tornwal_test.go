@@ -27,12 +27,12 @@ var tornWALOps = []struct {
 		return err
 	}},
 	{"update", func(s *Store) error {
-		tid, _ := s.Table("users").LookupPK(types.NewInt(2))
+		tid, _ := pkTID(s.Table("users"), types.NewInt(2), SeqLatest)
 		_, err := s.Update("users", tid, types.Row{types.NewInt(2), types.NewString("up"), types.Null})
 		return err
 	}},
 	{"delete", func(s *Store) error {
-		tid, _ := s.Table("users").LookupPK(types.NewInt(1))
+		tid, _ := pkTID(s.Table("users"), types.NewInt(1), SeqLatest)
 		_, err := s.Delete("users", tid)
 		return err
 	}},

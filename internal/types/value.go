@@ -360,8 +360,13 @@ func Equal(a, b Value) bool {
 	return err == nil && c == 0
 }
 
-// HashKey returns a string usable as a map key such that Equal values have
-// equal keys (numeric 3 and 3.0 share a key).
+// HashKey returns a string usable as a map key. The law: two values of
+// the same kind have equal keys iff they are Equal (NaN, which Compare
+// cannot order, excepted), and an INT and a FLOAT share a key iff they are
+// the same number exactly — 3 and 3.0 do, 2^53+1 and float64(2^53) do not.
+// Compare agrees with that wherever float64 holds the integer exactly
+// (|i| ≤ 2^53); beyond, it rounds the INT and may call equal what the keys
+// keep apart. Values of different non-numeric kinds never share a key.
 func (v Value) HashKey() string {
 	switch v.kind {
 	case KindNull:
@@ -372,10 +377,10 @@ func (v Value) HashKey() string {
 		}
 		return "b0"
 	case KindInt:
-		return "n" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return "n" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		if v.f == math.Trunc(v.f) && v.f >= -1<<63 && v.f < 1<<63 {
+			return "n" + strconv.FormatInt(int64(v.f), 10)
 		}
 		return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:

@@ -145,6 +145,29 @@ func TestHashKeyConsistentWithEqual(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// Adjacent integers stay apart where float64 no longer can (random
+	// pairs never land next to each other).
+	for _, base := range []int64{1 << 53, 1<<53 + 1, 1 << 60, math.MaxInt64 - 1, -(1 << 53) - 2, math.MinInt64} {
+		if !f(base, base+1) || !f(base, base) {
+			t.Errorf("HashKey law broken at %d", base)
+		}
+	}
+	// INT and FLOAT share a key exactly when they are the same number.
+	for _, c := range []struct {
+		i    int64
+		f    float64
+		same bool
+	}{
+		{3, 3.0, true}, {0, math.Copysign(0, -1), true}, {1 << 53, 1 << 53, true}, {1 << 60, 1 << 60, true},
+		{1<<53 + 1, 1 << 53, false}, {1, 1.5, false}, {math.MaxInt64, 1 << 63, false},
+	} {
+		if got := NewInt(c.i).HashKey() == NewFloat(c.f).HashKey(); got != c.same {
+			t.Errorf("INT %d / FLOAT %v: shared key = %v, want %v", c.i, c.f, got, c.same)
+		}
+	}
+	if NewFloat(0).HashKey() != NewFloat(math.Copysign(0, -1)).HashKey() {
+		t.Error("0.0 and -0.0 are Equal but have different keys")
+	}
 }
 
 // Property: Compare is antisymmetric for ints and floats.
