@@ -8,7 +8,6 @@
 //
 //	go run ./cmd/benchjson -suite fanout -out results/BENCH_6.json
 //	go run ./cmd/benchjson -suite firehose -out results/BENCH_9.json
-//	go run ./cmd/benchjson -suite parallel -out results/BENCH_10.json
 //
 // The fanout suite is the §VI-C mirror fan-out of one edit stream,
 // direct vs sharded across WAL-shipping read replicas
@@ -16,11 +15,7 @@
 // reactive-ingestion latency/rate curve —
 // a rate ladder of paced event streams through trigger → IVM → delta
 // handler → NOTIFY, with a full-recompute divergence check at each
-// point (BenchmarkFirehose*); the parallel suite is the morsel-driven
-// core-scaling ladder — filtered scans and aggregate folds at 1/2/4/8
-// workers over the same 200k-row table, with the vm.parallel_queries
-// and vm.morsels deltas recorded so the JSON proves which runs actually
-// took the parallel path (BenchmarkParallel*).
+// point (BenchmarkFirehose*).
 package main
 
 import (
@@ -36,10 +31,8 @@ import (
 
 // Result is one benchmark line: the standard ns/op and B/op plus
 // suite-specific fields — notifies-per-edit for the fanout suite (how
-// many NOTIFY deliveries one edit cost across all mirrors), rows/matched
-// for the parallel suite (table size and WHERE-qualifying rows —
-// identical at every width by construction), or the target/achieved
-// rate and propagation-latency percentiles for the
+// many NOTIFY deliveries one edit cost across all mirrors) or the
+// target/achieved rate and propagation-latency percentiles for the
 // firehose suite (the latency/rate curve of the reactive pipeline).
 type Result struct {
 	Bench           string  `json:"bench"`
@@ -47,21 +40,16 @@ type Result struct {
 	NsPerOp         float64 `json:"ns/op"`
 	BytesPerOp      int64   `json:"B/op"`
 	NotifiesPerEdit float64 `json:"notifies_per_edit,omitempty"`
-	Rows            int64   `json:"rows,omitempty"`
-	Matched         int64   `json:"matched,omitempty"`
 	TargetRate      int     `json:"target_rate,omitempty"`
 	AchievedRate    float64 `json:"achieved_events_per_s,omitempty"`
 	LatP50Ms        float64 `json:"latency_p50_ms,omitempty"`
 	LatP99Ms        float64 `json:"latency_p99_ms,omitempty"`
 	Deltas          int64   `json:"handler_deltas,omitempty"`
 	Coalesced       int64   `json:"coalesced,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-	ParQueries      int64   `json:"parallel_queries,omitempty"`
-	Morsels         int64   `json:"morsels,omitempty"`
 }
 
 func main() {
-	suite := flag.String("suite", "fanout", "benchmark suite: fanout, firehose, or parallel")
+	suite := flag.String("suite", "fanout", "benchmark suite: fanout or firehose")
 	out := flag.String("out", "", "output JSON path (default results/BENCH_<n>.json by suite)")
 	flag.Parse()
 
@@ -131,54 +119,8 @@ func main() {
 				res.Bench, res.N, res.TargetRate, res.AchievedRate, res.LatP50Ms, res.LatP99Ms, res.Deltas)
 			results = append(results, res)
 		}
-	case "parallel":
-		if *out == "" {
-			*out = "results/BENCH_10.json"
-		}
-		// The morsel-parallelism core-scaling ladder: the identical
-		// workload at 1/2/4/8 workers. Workers=1 is the serial baseline
-		// (parallel_queries stays 0 by construction); Matched must be
-		// identical down the ladder — the reorder buffer and fold-merge
-		// keep parallel results byte-identical to serial.
-		type spec struct {
-			name    string
-			workers int
-			run     func(b *testing.B, workers int) benchkit.ParallelStats
-		}
-		var specs []spec
-		for _, w := range []int{1, 2, 4, 8} {
-			specs = append(specs, spec{fmt.Sprintf("ParallelScanW%d", w), w,
-				func(b *testing.B, w int) benchkit.ParallelStats { return benchkit.ParallelScan(b, 200_000, w) }})
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			specs = append(specs, spec{fmt.Sprintf("ParallelAggW%d", w), w,
-				func(b *testing.B, w int) benchkit.ParallelStats { return benchkit.ParallelAgg(b, 200_000, w) }})
-		}
-		for _, w := range []int{1, 4} {
-			specs = append(specs, spec{fmt.Sprintf("ParallelGroupAggW%d", w), w,
-				func(b *testing.B, w int) benchkit.ParallelStats { return benchkit.ParallelGroupAgg(b, 200_000, w) }})
-		}
-		for _, sp := range specs {
-			sp := sp
-			var stats benchkit.ParallelStats
-			r := testing.Benchmark(func(b *testing.B) { stats = sp.run(b, sp.workers) })
-			res := Result{
-				Bench:      sp.name,
-				N:          r.N,
-				NsPerOp:    float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp: r.AllocedBytesPerOp(),
-				Rows:       stats.Rows,
-				Matched:    stats.Matched,
-				Workers:    stats.Workers,
-				ParQueries: stats.ParQueries,
-				Morsels:    stats.Morsels,
-			}
-			fmt.Printf("%-22s %6d iters  %12.0f ns/op  %10d B/op  w=%d  %6d matched  %5d parq  %7d morsels\n",
-				res.Bench, res.N, res.NsPerOp, res.BytesPerOp, res.Workers, res.Matched, res.ParQueries, res.Morsels)
-			results = append(results, res)
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (want fanout, firehose, or parallel)\n", *suite)
+		fmt.Fprintf(os.Stderr, "benchjson: unknown suite %q (want fanout or firehose)\n", *suite)
 		os.Exit(2)
 	}
 

@@ -1,6 +1,8 @@
 // Package catalog holds the metadata of the embedded database: table
-// schemas, secondary indexes and (materialized) view definitions. The
-// catalog is safe for concurrent use (see Catalog).
+// schemas, (materialized) view definitions and triggers. Indexes are not
+// listed here: a table's indexes live with its storage (see
+// storage.Table.Indexes). The catalog is safe for concurrent use (see
+// Catalog).
 package catalog
 
 import (
@@ -74,14 +76,6 @@ func (s *TableSchema) Clone() *TableSchema {
 	return c
 }
 
-// Index describes a secondary index.
-type Index struct {
-	Name    string
-	Table   string
-	Columns []string
-	Unique  bool
-}
-
 // View is a materialized view definition. Data lives in a hidden base
 // table maintained by the engine's IVM layer.
 type View struct {
@@ -108,7 +102,6 @@ type Trigger struct {
 type Catalog struct {
 	mu       sync.RWMutex
 	tables   map[string]*TableSchema // lower-cased name → schema
-	indexes  map[string]*Index
 	views    map[string]*View
 	triggers map[string]*Trigger
 }
@@ -117,7 +110,6 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		tables:   map[string]*TableSchema{},
-		indexes:  map[string]*Index{},
 		views:    map[string]*View{},
 		triggers: map[string]*Trigger{},
 	}
@@ -169,7 +161,7 @@ func (c *Catalog) Table(name string) (*TableSchema, bool) {
 	return s, ok
 }
 
-// DropTable removes a table and its indexes.
+// DropTable removes a table and its triggers.
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -178,11 +170,6 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("catalog: no such table %q", name)
 	}
 	delete(c.tables, k)
-	for in, ix := range c.indexes {
-		if key(ix.Table) == k {
-			delete(c.indexes, in)
-		}
-	}
 	for tn, tg := range c.triggers {
 		if key(tg.Table) == k {
 			delete(c.triggers, tn)
@@ -200,49 +187,6 @@ func (c *Catalog) TableNames() []string {
 		out = append(out, s.Name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// AddIndex registers a secondary index.
-func (c *Catalog) AddIndex(ix *Index) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := key(ix.Name)
-	if _, ok := c.indexes[k]; ok {
-		return fmt.Errorf("catalog: index %q already exists", ix.Name)
-	}
-	tbl, ok := c.tables[key(ix.Table)]
-	if !ok {
-		return fmt.Errorf("catalog: index %q references unknown table %q", ix.Name, ix.Table)
-	}
-	for _, col := range ix.Columns {
-		if tbl.ColIndex(col) < 0 {
-			return fmt.Errorf("catalog: index %q references unknown column %q", ix.Name, col)
-		}
-	}
-	c.indexes[k] = ix
-	return nil
-}
-
-// Index looks up an index by name.
-func (c *Catalog) Index(name string) (*Index, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ix, ok := c.indexes[key(name)]
-	return ix, ok
-}
-
-// TableIndexes returns the indexes on a table, sorted by name.
-func (c *Catalog) TableIndexes(table string) []*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*Index
-	for _, ix := range c.indexes {
-		if strings.EqualFold(ix.Table, table) {
-			out = append(out, ix)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -72,28 +72,11 @@ func TestAddTableValidation(t *testing.T) {
 	}
 }
 
+// The index half of this test moved to storage (TestStoreIndexRules):
+// index definitions live with the table's storage, not in the catalog.
 func TestIndexesAndTriggers(t *testing.T) {
 	c := New()
 	c.AddTable(userSchema())
-	if err := c.AddIndex(&Index{Name: "i1", Table: "users", Columns: []string{"name"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddIndex(&Index{Name: "i1", Table: "users", Columns: []string{"email"}}); err == nil {
-		t.Error("duplicate index name")
-	}
-	if err := c.AddIndex(&Index{Name: "i2", Table: "nope", Columns: []string{"x"}}); err == nil {
-		t.Error("unknown table")
-	}
-	if err := c.AddIndex(&Index{Name: "i3", Table: "users", Columns: []string{"nope"}}); err == nil {
-		t.Error("unknown column")
-	}
-	if _, ok := c.Index("I1"); !ok {
-		t.Error("index lookup")
-	}
-	if len(c.TableIndexes("Users")) != 1 {
-		t.Error("TableIndexes")
-	}
-
 	if err := c.AddTrigger(&Trigger{Name: "t1", Event: "INSERT", Table: "users", Handler: "h"}); err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +95,9 @@ func TestIndexesAndTriggers(t *testing.T) {
 	if len(c.AllTriggers()) != 1 {
 		t.Error("AllTriggers")
 	}
-	// Dropping a table drops its indexes and triggers.
+	// Dropping a table drops its triggers.
 	if err := c.DropTable("users"); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := c.Index("i1"); ok {
-		t.Error("index survived drop")
 	}
 	if len(c.AllTriggers()) != 0 {
 		t.Error("trigger survived drop")

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"ediflow/internal/catalog"
 	"ediflow/internal/engine/vm"
@@ -40,19 +41,34 @@ func (e *Engine) execDropTable(s *sqltext.DropTable) (*Result, []ChangeEvent, er
 	if vs := e.views.dependents(s.Name); len(vs) > 0 {
 		return nil, nil, fmt.Errorf("engine: table %q is referenced by view %q", s.Name, vs[0].def.Name)
 	}
-	if err := e.cat.DropTable(s.Name); err != nil {
-		return nil, nil, err
-	}
-	if err := e.store.DropTable(s.Name); err != nil {
+	if err := e.dropTable(s.Name); err != nil {
 		return nil, nil, err
 	}
 	return &Result{}, nil, nil
 }
 
-func (e *Engine) execCreateIndex(s *sqltext.CreateIndex) (*Result, []ChangeEvent, error) {
-	if err := e.cat.AddIndex(&catalog.Index{Name: s.Name, Table: s.Table, Columns: s.Columns, Unique: s.Unique}); err != nil {
-		return nil, nil, err
+// dropTable removes a table from the catalog and the store, and with it
+// the stored definitions of its triggers: the catalog forgets a dropped
+// table's triggers, so their meta entries must go to the log too, or
+// replay and replicas would be left with triggers on a table they no
+// longer have.
+func (e *Engine) dropTable(name string) error {
+	for _, tg := range e.cat.AllTriggers() {
+		if strings.EqualFold(tg.Table, name) {
+			if err := e.store.DeleteMeta("trigger", tg.Name); err != nil {
+				return err
+			}
+		}
 	}
+	if err := e.cat.DropTable(name); err != nil {
+		return err
+	}
+	return e.store.DropTable(name)
+}
+
+// execCreateIndex: the index lives in the table's storage, which also
+// owns the rule that index names are unique store-wide.
+func (e *Engine) execCreateIndex(s *sqltext.CreateIndex) (*Result, []ChangeEvent, error) {
 	if err := e.store.AddIndex(s.Name, s.Table, s.Columns, s.Unique); err != nil {
 		return nil, nil, err
 	}
@@ -149,9 +165,7 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 		if err != nil {
 			return nil, nil, err
 		}
-		if e.inTxn.Load() {
-			e.undo = append(e.undo, undoEntry{op: OpInsert, table: schema.Name, tid: tid, created: created, newRow: full})
-		}
+		e.undo = append(e.undo, undoEntry{op: OpInsert, table: schema.Name, tid: tid, created: created, newRow: full})
 		ev.TIDs = append(ev.TIDs, tid)
 		ev.Rows = append(ev.Rows, full)
 	}
@@ -215,8 +229,8 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 	nUser := len(schema.Columns)
 	// Batch-evaluate the SET expressions across all matched rows. Lane
 	// errors are held per (row, assignment) and surfaced inside the apply
-	// loop below, so rows before the erroring one are still applied, as
-	// row-at-a-time evaluation would.
+	// loop below, at the row row-at-a-time evaluation would stop at; the
+	// rows applied before it are undone with the statement (see execStmt).
 	setVals, setErrs := e.updateSetVecs(s, b)
 	ev := ChangeEvent{Table: schema.Name, Op: OpUpdate}
 	for ri, r := range rel.rows {
@@ -238,9 +252,7 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 		if _, err := e.store.Update(schema.Name, tid, newRow); err != nil {
 			return nil, nil, err
 		}
-		if e.inTxn.Load() {
-			e.undo = append(e.undo, undoEntry{op: OpUpdate, table: schema.Name, tid: tid, oldRow: oldRow, newRow: newRow})
-		}
+		e.undo = append(e.undo, undoEntry{op: OpUpdate, table: schema.Name, tid: tid, oldRow: oldRow, newRow: newRow})
 		ev.TIDs = append(ev.TIDs, tid)
 		ev.Rows = append(ev.Rows, newRow)
 		ev.OldRows = append(ev.OldRows, oldRow)
@@ -314,9 +326,7 @@ func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []C
 		if err != nil {
 			return nil, nil, err
 		}
-		if e.inTxn.Load() {
-			e.undo = append(e.undo, undoEntry{op: OpDelete, table: schema.Name, tid: tid, created: created, oldRow: old})
-		}
+		e.undo = append(e.undo, undoEntry{op: OpDelete, table: schema.Name, tid: tid, created: created, oldRow: old})
 		ev.TIDs = append(ev.TIDs, tid)
 		ev.OldRows = append(ev.OldRows, old)
 	}

@@ -129,7 +129,11 @@ type Engine struct {
 	// inTxn is written under the write lock but read lock-free by the
 	// SELECT path to pick between the snapshot read path and the locked
 	// read-your-writes path, hence atomic.
-	inTxn   atomic.Bool
+	inTxn atomic.Bool
+	// undo holds what it takes to reverse the rows written by the open
+	// transaction and by the statement in flight (in autocommit too: a
+	// statement that fails part-way is undone, see execStmt). One slice,
+	// reused under the write lock.
 	undo    []undoEntry
 	pending []ChangeEvent
 
@@ -222,7 +226,6 @@ type virtualTable struct {
 // the store's tables and metadata.
 func New(store *storage.Store) (*Engine, error) {
 	e := &Engine{
-		cat:           catalog.New(),
 		store:         store,
 		handlers:      map[string]TriggerFunc{},
 		batchHandlers: map[string]BatchTriggerFunc{},
@@ -251,32 +254,51 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mParWorkers = e.reg.Counter("vm.parallel_workers")
 	e.registerSystemTables()
 	e.views = newViewSet(e)
-	for _, name := range store.TableNames() {
-		t := store.Table(name)
-		if err := e.cat.AddTable(t.Schema); err != nil {
-			return nil, err
-		}
-	}
-	// Re-register persisted views and triggers by re-parsing their DDL.
-	for _, m := range store.Metas() {
-		st, err := sqltext.Parse(m.Text)
-		if err != nil {
-			return nil, fmt.Errorf("engine: bad stored DDL %q: %w", m.Text, err)
-		}
-		switch d := st.(type) {
-		case *sqltext.CreateView:
-			if err := e.restoreView(d); err != nil {
-				return nil, err
-			}
-		case *sqltext.CreateTrigger:
-			if err := e.cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler}); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("engine: unexpected stored DDL %q", m.Text)
-		}
+	if err := e.loadCatalog(e.restoreView); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// loadCatalog rebuilds the catalog from the store: every table, then
+// every stored view and trigger definition in the order it was created.
+// view says what a stored view becomes — New materializes it,
+// ApplyReplSnapshot registers it catalog-only. Caller holds e.mu (or is
+// New).
+func (e *Engine) loadCatalog(view func(*sqltext.CreateView) error) error {
+	e.cat = catalog.New()
+	for _, name := range e.store.TableNames() {
+		if err := e.cat.AddTable(e.store.Table(name).Schema); err != nil {
+			return err
+		}
+	}
+	for _, m := range e.store.Metas() {
+		if err := e.loadMeta(m, view); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadMeta registers one stored view or trigger definition by re-parsing
+// its DDL. A trigger whose table is gone is deleted from the store, not
+// registered: DROP TABLE used to leave such entries behind (see
+// dropTable), and a directory holding one must open again.
+func (e *Engine) loadMeta(m storage.MetaEntry, view func(*sqltext.CreateView) error) error {
+	st, err := sqltext.Parse(m.Text)
+	if err != nil {
+		return fmt.Errorf("engine: bad stored DDL %q: %w", m.Text, err)
+	}
+	switch d := st.(type) {
+	case *sqltext.CreateView:
+		return view(d)
+	case *sqltext.CreateTrigger:
+		if _, ok := e.cat.Table(d.Table); !ok {
+			return e.store.DeleteMeta(m.Kind, m.Name)
+		}
+		return e.cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler})
+	}
+	return fmt.Errorf("engine: unexpected stored DDL %q", m.Text)
 }
 
 // Catalog exposes the metadata (read-only use).
@@ -495,8 +517,21 @@ func (e *Engine) execStmt(st sqltext.Statement, args []types.Value, ctx *stmtCtx
 	// one waits on the shared fsync.
 	e.mu.Lock()
 	e.writeCtx = ctx
+	mark := len(e.undo)
 	res, events, err := e.execMutation(st, args)
 	e.writeCtx = nil
+	// A statement is atomic: one that failed part-way through its rows
+	// takes back the rows it did write — the views have not seen them
+	// yet — so neither the table, nor the WAL's net effect, nor a replica
+	// keeps half a statement. Outside a transaction a finished statement
+	// needs its undo entries no longer.
+	if err != nil {
+		if uerr := e.undoTo(mark, false); uerr != nil {
+			err = fmt.Errorf("%w (and undoing the statement failed: %v)", err, uerr)
+		}
+	} else if !e.inTxn.Load() {
+		e.forgetUndo(0)
+	}
 	// Publish the statement's versions before releasing the write lock:
 	// subsequent autocommit reads must see them (read-your-writes), and
 	// publishing whole statements at a time is what makes snapshots
@@ -726,7 +761,6 @@ func (e *Engine) begin() (*Result, error) {
 		return nil, fmt.Errorf("engine: transaction already open")
 	}
 	e.inTxn.Store(true)
-	e.undo = nil
 	e.pending = nil
 	return &Result{}, nil
 }
@@ -738,7 +772,7 @@ func (e *Engine) commit() (*Result, error) {
 		return nil, fmt.Errorf("engine: no open transaction")
 	}
 	e.inTxn.Store(false)
-	e.undo = nil
+	e.forgetUndo(0)
 	fire := e.pending
 	e.pending = nil
 	entry := e.enqueueLocked(fire)
@@ -764,32 +798,11 @@ func (e *Engine) rollback() (*Result, error) {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("engine: no open transaction")
 	}
-	// Apply undo entries in reverse. Undo operations also refresh the
-	// affected materialized views.
-	for i := len(e.undo) - 1; i >= 0; i-- {
-		u := e.undo[i]
-		var err error
-		switch u.op {
-		case OpInsert:
-			if _, err = e.store.Delete(u.table, u.tid); err == nil {
-				e.views.applyDelta(u.table, nil, []types.Row{u.newRow})
-			}
-		case OpUpdate:
-			if _, err = e.store.Update(u.table, u.tid, u.oldRow); err == nil {
-				e.views.applyDelta(u.table, []types.Row{u.oldRow}, []types.Row{u.newRow})
-			}
-		case OpDelete:
-			if err = e.store.InsertAt(u.table, u.tid, u.created, u.oldRow); err == nil {
-				e.views.applyDelta(u.table, []types.Row{u.oldRow}, nil)
-			}
-		}
-		if err != nil {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("engine: rollback: %w", err)
-		}
+	if err := e.undoTo(0, true); err != nil {
+		e.mu.Unlock()
+		return nil, err
 	}
 	e.inTxn.Store(false)
-	e.undo = nil
 	e.pending = nil
 	// The undo stamps cancelled the transaction's writes; publishing now
 	// re-exposes exactly the pre-transaction logical state.
@@ -799,6 +812,50 @@ func (e *Engine) rollback() (*Result, error) {
 		return nil, fmt.Errorf("engine: rollback flush: %w", err)
 	}
 	return &Result{}, nil
+}
+
+// undoTo reverses the undo entries past mark, newest first, and drops
+// them; the compensating writes are logged like any other. views says
+// whether the materialized views saw the writes being undone: those of a
+// finished statement, yes (ROLLBACK refreshes them); those of a statement
+// that failed in its row loop, not yet. Caller holds e.mu.
+func (e *Engine) undoTo(mark int, views bool) error {
+	for i := len(e.undo) - 1; i >= mark; i-- {
+		u := &e.undo[i]
+		var err error
+		switch u.op {
+		case OpInsert:
+			_, err = e.store.Delete(u.table, u.tid)
+		case OpUpdate:
+			_, err = e.store.Update(u.table, u.tid, u.oldRow)
+		case OpDelete:
+			err = e.store.InsertAt(u.table, u.tid, u.created, u.oldRow)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: rollback: %w", err)
+		}
+		if views {
+			e.views.applyDelta(u.table, oneRow(u.oldRow), oneRow(u.newRow))
+		}
+	}
+	e.forgetUndo(mark)
+	return nil
+}
+
+// oneRow is the delta list of an undo entry's row: empty when the entry
+// has none on that side (an insert has no old row, a delete no new one).
+func oneRow(r types.Row) []types.Row {
+	if r == nil {
+		return nil
+	}
+	return []types.Row{r}
+}
+
+// forgetUndo drops the undo entries past mark: their rows are released,
+// the slice is kept for the next statement.
+func (e *Engine) forgetUndo(mark int) {
+	clear(e.undo[mark:])
+	e.undo = e.undo[:mark]
 }
 
 // InTxn reports whether a transaction is open.

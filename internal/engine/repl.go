@@ -81,52 +81,39 @@ func (e *Engine) ReplSnapshot(exclude ...string) (data []byte, seq uint64, err e
 
 // ApplyReplicated applies a batch of shipped records in order, keeping
 // the catalog in sync with replicated DDL. Rows inserted into
-// watchTable (the notification journal) are decoded and returned so
-// the replication loop can ring local NOTIFY doorbells.
+// watchTable (the notification journal) are returned so the replication
+// loop can ring local NOTIFY doorbells.
 func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []types.Row, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ddl := false
-	for _, rec := range recs {
-		a, err := e.store.ApplyReplRecord(rec)
+	for _, payload := range recs {
+		rec, err := e.store.ApplyReplRecord(payload)
 		if err != nil {
 			return watched, fmt.Errorf("engine: replicated apply: %w", err)
 		}
-		switch a.Kind {
-		case storage.ReplCreateTable:
-			t := e.store.Table(a.Table)
-			if t == nil {
-				return watched, fmt.Errorf("engine: replicated table %q missing after apply", a.Table)
+		switch rec.Op {
+		case storage.OpCreateTable:
+			err = e.cat.AddTable(rec.Schema)
+		case storage.OpDropTable:
+			err = e.cat.DropTable(rec.Table)
+		case storage.OpPutMeta:
+			err = e.loadMeta(rec.Meta, e.catalogView)
+		case storage.OpDelMeta:
+			// A dropped table's trigger entries need nothing here: the
+			// catalog forgets them with the table.
+			if rec.Meta.Kind == "view" {
+				e.cat.DropView(rec.Meta.Name)
 			}
-			if err := e.cat.AddTable(t.Schema); err != nil {
-				return watched, err
-			}
-		case storage.ReplDropTable:
-			if err := e.cat.DropTable(a.Table); err != nil {
-				return watched, err
-			}
-		case storage.ReplCreateIndex:
-			if err := e.cat.AddIndex(&catalog.Index{Name: a.IndexName, Table: a.Table, Columns: a.IndexCols, Unique: a.Unique}); err != nil {
-				return watched, err
-			}
-		case storage.ReplPutMeta:
-			if err := e.registerReplicatedMeta(a.MetaText); err != nil {
-				return watched, err
-			}
-		case storage.ReplDelMeta:
-			if a.MetaKind == "view" {
-				e.cat.DropView(a.MetaName)
-			}
-		case storage.ReplInsert:
-			if watchTable != "" && strings.EqualFold(a.Table, watchTable) {
-				if _, _, row, ok := storage.DecodeReplInsert(rec); ok {
-					watched = append(watched, row)
-				}
+		case storage.OpInsert:
+			if watchTable != "" && strings.EqualFold(rec.Table, watchTable) {
+				watched = append(watched, rec.Row)
 			}
 		}
-		if a.DDL() {
-			ddl = true
+		if err != nil {
+			return watched, err
 		}
+		ddl = ddl || rec.DDL()
 	}
 	if ddl {
 		e.plans.purge()
@@ -138,28 +125,17 @@ func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []ty
 	return watched, nil
 }
 
-// registerReplicatedMeta registers replicated view/trigger DDL in the
-// catalog. Views get a catalog-only entry — no ivm maintainer runs on
-// a replica: the backing table's contents arrive pre-materialized
-// through the primary's replicated records, and re-materializing here
-// would allocate local tids diverging from the primary's. Caller holds
-// e.mu.
-func (e *Engine) registerReplicatedMeta(text string) error {
-	st, err := sqltext.Parse(text)
-	if err != nil {
-		return fmt.Errorf("engine: bad replicated DDL %q: %w", text, err)
-	}
-	switch d := st.(type) {
-	case *sqltext.CreateView:
-		return e.cat.AddView(&catalog.View{
-			Name:    d.Name,
-			Query:   d.Query,
-			Backing: viewBackingPrefix + strings.ToLower(d.Name),
-		})
-	case *sqltext.CreateTrigger:
-		return e.cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler})
-	}
-	return fmt.Errorf("engine: unexpected replicated DDL %q", text)
+// catalogView registers a replicated view in the catalog only — no ivm
+// maintainer runs on a replica: the backing table's contents arrive
+// pre-materialized through the primary's replicated records, and
+// re-materializing here would allocate local tids diverging from the
+// primary's. Caller holds e.mu.
+func (e *Engine) catalogView(d *sqltext.CreateView) error {
+	return e.cat.AddView(&catalog.View{
+		Name:    d.Name,
+		Query:   d.Query,
+		Backing: viewBackingPrefix + strings.ToLower(d.Name),
+	})
 }
 
 // ApplyReplSnapshot replaces the replica's entire state with a shipped
@@ -174,19 +150,8 @@ func (e *Engine) ApplyReplSnapshot(data []byte, preserve ...string) error {
 	if err := e.store.ResetFromSnapshot(data, preserve...); err != nil {
 		return err
 	}
-	e.cat = catalog.New()
-	for _, name := range e.store.TableNames() {
-		if err := e.cat.AddTable(e.store.Table(name).Schema); err != nil {
-			return err
-		}
-	}
-	for _, m := range e.store.Metas() {
-		if err := e.registerReplicatedMeta(m.Text); err != nil {
-			return err
-		}
-	}
 	e.views = newViewSet(e)
 	e.plans.purge()
 	e.progs.purge()
-	return nil
+	return e.loadCatalog(e.catalogView)
 }

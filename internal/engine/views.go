@@ -184,10 +184,7 @@ func (e *Engine) execDropView(s *sqltext.DropView) (*Result, []ChangeEvent, erro
 		return nil, nil, err
 	}
 	delete(e.views.views, strings.ToLower(s.Name))
-	if err := e.cat.DropTable(v.Backing); err != nil {
-		return nil, nil, err
-	}
-	if err := e.store.DropTable(v.Backing); err != nil {
+	if err := e.dropTable(v.Backing); err != nil {
 		return nil, nil, err
 	}
 	if err := e.store.DeleteMeta("view", s.Name); err != nil {

@@ -2,12 +2,9 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
-
-	"ediflow/internal/types"
 )
 
 // Replication feed: the store-level half of WAL shipping (internal/repl
@@ -242,14 +239,10 @@ func (s *Store) EncodeReplSnapshot(exclude ...string) ([]byte, error) {
 // tids are re-inserted verbatim and the allocation counters stay
 // monotone across the reset so local allocations never repeat.
 func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
-	type saved struct {
-		schema *Table
-		rows   []StoredRow
-	}
-	kept := map[string]saved{}
+	var kept []*Table
 	for _, name := range preserve {
 		if t := s.Table(name); t != nil {
-			kept[tkey(name)] = saved{schema: t, rows: t.Rows()}
+			kept = append(kept, t)
 		}
 	}
 	oldEpoch := s.epoch
@@ -258,34 +251,27 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 	s.tablesMu.Lock()
 	s.tables = map[string]*Table{}
 	s.tablesMu.Unlock()
-	s.indexes = nil
 	s.metas = nil
+	// The snapshot's counters are zeroed; apply raises them past every
+	// row it inserts, and the bump below keeps them monotone across the
+	// reset.
 	if err := s.loadSnapshotBytes(data); err != nil {
 		return err
 	}
 	s.epoch = oldEpoch // replication snapshots carry epoch 0; keep ours
-	// The snapshot's counters are zeroed; rebuild them from row stamps,
-	// then keep them monotone across the reset.
-	for _, t := range s.tables {
-		for _, r := range t.Rows() {
-			s.bumpCounters(r.TID, r.Created)
-		}
-	}
 	s.bumpCounters(oldTID-1, oldCreated-1)
-	for key, sv := range kept {
-		s.tablesMu.Lock()
-		t := s.tables[key]
-		if t == nil {
+	for _, old := range kept {
+		name := old.Schema.Name
+		if s.Table(name) == nil {
 			// The primary does not have this table; keep the local one.
-			t = s.adopt(NewTable(sv.schema.Schema))
-			s.tables[key] = t
+			if _, err := s.apply(&Record{Op: OpCreateTable, Table: name, Schema: old.Schema}); err != nil {
+				return err
+			}
 		}
-		s.tablesMu.Unlock()
-		for _, r := range sv.rows {
-			if err := t.Insert(r.TID, r.Created, r.Values); err != nil {
+		for _, r := range old.Rows() {
+			if _, err := s.apply(&Record{Op: OpInsert, Table: name, TID: r.TID, Created: r.Created, Row: r.Values}); err != nil {
 				return fmt.Errorf("storage: restoring preserved row: %w", err)
 			}
-			s.bumpCounters(r.TID, r.Created)
 		}
 	}
 	// The rebuilt state stamped fresh versions; publish them before the
@@ -294,145 +280,13 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 	return nil
 }
 
-// ------------------------------------------------------- record apply
-
-// ReplKind classifies an applied replication record for catalog upkeep.
-type ReplKind int
-
-// Replication record kinds (mirroring the WAL opcodes).
-const (
-	ReplCreateTable ReplKind = iota + 1
-	ReplDropTable
-	ReplInsert
-	ReplUpdate
-	ReplDelete
-	ReplCreateIndex
-	ReplPutMeta
-	ReplDelMeta
-)
-
-// ReplApplied describes one applied replication record so the engine
-// can keep its catalog in sync without re-decoding payloads.
-type ReplApplied struct {
-	Kind  ReplKind
-	Table string // affected table (all kinds except meta records)
-	// Index records.
-	IndexName string
-	IndexCols []string
-	Unique    bool
-	// Meta records.
-	MetaKind string
-	MetaName string
-	MetaText string
-}
-
-// DDL reports whether the record changes schema rather than rows.
-func (a ReplApplied) DDL() bool {
-	return a.Kind != ReplInsert && a.Kind != ReplUpdate && a.Kind != ReplDelete
-}
-
-// ApplyReplRecord applies one shipped record to the store — the same
-// code path as WAL replay — and reports what it was.
-func (s *Store) ApplyReplRecord(payload []byte) (ReplApplied, error) {
-	info, err := peekReplRecord(payload)
-	if err != nil {
-		return ReplApplied{}, err
+// ApplyReplRecord applies one shipped record to the store — decode, then
+// the apply every other route ends in — and returns the decoded record
+// so the engine can follow DDL in its catalog.
+func (s *Store) ApplyReplRecord(payload []byte) (Record, error) {
+	rec, err := decodeRecord(payload)
+	if err == nil {
+		_, err = s.apply(&rec)
 	}
-	if err := s.applyWAL(payload); err != nil {
-		return ReplApplied{}, err
-	}
-	return info, nil
-}
-
-func peekReplRecord(payload []byte) (ReplApplied, error) {
-	if len(payload) == 0 {
-		return ReplApplied{}, fmt.Errorf("storage: empty replication record")
-	}
-	op, body := payload[0], payload[1:]
-	var a ReplApplied
-	switch op {
-	case opCreateTable, opDropTable, opInsert, opUpdate, opDelete:
-		name, _, err := readString(body)
-		if err != nil {
-			return a, err
-		}
-		a.Kind = ReplKind(op)
-		a.Table = name
-		return a, nil
-	case opCreateIndex:
-		name, off, err := readString(body)
-		if err != nil {
-			return a, err
-		}
-		table, used, err := readString(body[off:])
-		if err != nil {
-			return a, err
-		}
-		off += used
-		if off >= len(body) {
-			return a, fmt.Errorf("storage: short index record")
-		}
-		a.Unique = body[off] == 1
-		off++
-		n, w := binary.Uvarint(body[off:])
-		if w <= 0 {
-			return a, fmt.Errorf("storage: short index record")
-		}
-		off += w
-		for i := uint64(0); i < n; i++ {
-			c, used, err := readString(body[off:])
-			if err != nil {
-				return a, err
-			}
-			a.IndexCols = append(a.IndexCols, c)
-			off += used
-		}
-		a.Kind = ReplCreateIndex
-		a.IndexName = name
-		a.Table = table
-		return a, nil
-	case opPutMeta, opDelMeta:
-		kind, off, err := readString(body)
-		if err != nil {
-			return a, err
-		}
-		name, used, err := readString(body[off:])
-		if err != nil {
-			return a, err
-		}
-		off += used
-		if op == opPutMeta {
-			text, _, err := readString(body[off:])
-			if err != nil {
-				return a, err
-			}
-			a.MetaText = text
-			a.Kind = ReplPutMeta
-		} else {
-			a.Kind = ReplDelMeta
-		}
-		a.MetaKind = kind
-		a.MetaName = name
-		return a, nil
-	}
-	return a, fmt.Errorf("storage: unknown replication opcode %d", op)
-}
-
-// DecodeReplInsert decodes an opInsert record's full content. ok is
-// false for any other record kind or a malformed payload.
-func DecodeReplInsert(payload []byte) (table string, tid int64, row types.Row, ok bool) {
-	if len(payload) == 0 || payload[0] != opInsert {
-		return "", 0, nil, false
-	}
-	body := payload[1:]
-	name, off, err := readString(body)
-	if err != nil || len(body) < off+16 {
-		return "", 0, nil, false
-	}
-	tid = int64(binary.BigEndian.Uint64(body[off:]))
-	row, _, err = types.DecodeRow(body[off+16:])
-	if err != nil {
-		return "", 0, nil, false
-	}
-	return name, tid, row, true
+	return rec, err
 }

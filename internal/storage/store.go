@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -82,13 +83,6 @@ type MetaEntry struct {
 	Text string // the original DDL statement
 }
 
-type indexDef struct {
-	Name    string
-	Table   string
-	Columns []string
-	Unique  bool
-}
-
 // Store is the physical database: a set of tables plus durability. A Store
 // with an empty directory is purely in-memory (used by most tests); with a
 // directory it persists through a snapshot file and a WAL.
@@ -109,7 +103,6 @@ type Store struct {
 	// contents have their own MVCC synchronization.
 	tablesMu sync.RWMutex
 	tables   map[string]*Table // lower-cased name → table
-	indexes  []indexDef
 	metas    []MetaEntry
 
 	nextTID     atomic.Int64
@@ -222,7 +215,11 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	walPath := filepath.Join(dir, walFile)
-	info, err := replayWAL(s.fs, walPath, s.epoch, s.applyWAL)
+	// Replay is the replica's step too: decode a payload, apply the record.
+	info, err := replayWAL(s.fs, walPath, s.epoch, func(payload []byte) error {
+		_, err := s.ApplyReplRecord(payload)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -410,12 +407,12 @@ func (s *Store) Close() error {
 // Durable reports whether the store persists to disk.
 func (s *Store) Durable() bool { return s.durable }
 
-// log records one mutation: into the replication feed (when enabled)
-// and the WAL (when durable). table names the affected table so the
-// feed can filter per-node-local tables; records without one (meta,
-// some DDL) pass "".
-func (s *Store) log(table string, payload []byte) error {
-	s.replCapture(table, payload)
+// log records one applied mutation: its encoding goes into the
+// replication feed (when enabled; the feed filters per-node-local tables
+// by the record's table) and the WAL (when durable).
+func (s *Store) log(r *Record) error {
+	payload := r.encode(nil)
+	s.replCapture(r.Table, payload)
 	if s.wal == nil {
 		return nil
 	}
@@ -695,39 +692,82 @@ func (s *Store) bumpCounters(tid, created int64) {
 	}
 }
 
-// CreateTable allocates storage for a new table and logs it.
-func (s *Store) CreateTable(schema *catalog.TableSchema) error {
-	k := tkey(schema.Name)
-	s.tablesMu.Lock()
-	if _, ok := s.tables[k]; ok {
+// apply carries out one record. It is the only code that changes
+// tables, index definitions and metas, whatever the record's source: a
+// live operation (which then logs it), WAL replay, a shipped replication
+// record or a snapshot section. old is the replaced or removed row of an
+// update or delete.
+func (s *Store) apply(r *Record) (old types.Row, err error) {
+	switch r.Op {
+	case OpCreateTable:
+		s.tablesMu.Lock()
+		s.tables[tkey(r.Table)] = s.adopt(NewTable(r.Schema))
 		s.tablesMu.Unlock()
-		return fmt.Errorf("storage: table %q already exists", schema.Name)
+		return nil, nil
+	case OpDropTable:
+		s.tablesMu.Lock()
+		delete(s.tables, tkey(r.Table))
+		s.tablesMu.Unlock()
+		return nil, nil
+	case OpPutMeta, OpDelMeta:
+		i := slices.IndexFunc(s.metas, func(m MetaEntry) bool {
+			return m.Kind == r.Meta.Kind && strings.EqualFold(m.Name, r.Meta.Name)
+		})
+		switch {
+		case i < 0 && r.Op == OpPutMeta:
+			s.metas = append(s.metas, r.Meta)
+		case i >= 0 && r.Op == OpPutMeta:
+			s.metas[i].Text = r.Meta.Text
+		case i >= 0:
+			s.metas = slices.Delete(s.metas, i, i+1)
+		}
+		return nil, nil
 	}
-	s.tables[k] = s.adopt(NewTable(schema))
-	s.tablesMu.Unlock()
-	return s.log(schema.Name, encodeCreateTable(schema))
+	t := s.Table(r.Table)
+	if t == nil {
+		return nil, fmt.Errorf("storage: no such table %q", r.Table)
+	}
+	switch r.Op {
+	case OpInsert:
+		if err := t.Insert(r.TID, r.Created, r.Row); err != nil {
+			return nil, err
+		}
+		s.bumpCounters(r.TID, r.Created)
+		return nil, nil
+	case OpUpdate:
+		return t.Update(r.TID, r.Row)
+	case OpDelete:
+		return t.Delete(r.TID)
+	case OpCreateIndex:
+		return nil, t.AddIndex(r.Index.Name, r.Index.Cols, r.Index.Unique)
+	}
+	return nil, fmt.Errorf("storage: unknown record opcode %d", r.Op)
 }
 
-// DropTable removes a table and logs it.
+// do is a live operation: apply the record, then log it.
+func (s *Store) do(r *Record) (old types.Row, err error) {
+	if old, err = s.apply(r); err != nil {
+		return nil, err
+	}
+	return old, s.log(r)
+}
+
+// CreateTable allocates storage for a new table and logs it.
+func (s *Store) CreateTable(schema *catalog.TableSchema) error {
+	if s.Table(schema.Name) != nil {
+		return fmt.Errorf("storage: table %q already exists", schema.Name)
+	}
+	_, err := s.do(&Record{Op: OpCreateTable, Table: schema.Name, Schema: schema})
+	return err
+}
+
+// DropTable removes a table (its indexes go with it) and logs it.
 func (s *Store) DropTable(name string) error {
-	k := tkey(name)
-	s.tablesMu.Lock()
-	if _, ok := s.tables[k]; !ok {
-		s.tablesMu.Unlock()
+	if s.Table(name) == nil {
 		return fmt.Errorf("storage: no such table %q", name)
 	}
-	delete(s.tables, k)
-	s.tablesMu.Unlock()
-	kept := s.indexes[:0]
-	for _, ix := range s.indexes {
-		if tkey(ix.Table) != k {
-			kept = append(kept, ix)
-		}
-	}
-	s.indexes = kept
-	out := []byte{opDropTable}
-	out = appendString(out, name)
-	return s.log(name, out)
+	_, err := s.do(&Record{Op: OpDropTable, Table: name})
+	return err
 }
 
 // Table returns the physical table, or nil.
@@ -751,97 +791,58 @@ func (s *Store) TableNames() []string {
 
 // Insert appends a row to a table, allocating system columns, and logs it.
 func (s *Store) Insert(table string, row types.Row) (tid, created int64, err error) {
-	t := s.Table(table)
-	if t == nil {
-		return 0, 0, fmt.Errorf("storage: no such table %q", table)
-	}
-	tid = s.AllocTID()
-	created = s.AllocCreated()
-	if err := t.Insert(tid, created, row); err != nil {
+	rec := Record{Op: OpInsert, Table: table, TID: s.AllocTID(), Created: s.AllocCreated(), Row: row}
+	if _, err := s.do(&rec); err != nil {
 		return 0, 0, err
 	}
-	return tid, created, s.log(table, encodeInsert(table, tid, created, row))
+	return rec.TID, rec.Created, nil
 }
 
-// InsertAt re-inserts a row with explicit system columns (transaction
-// rollback and replay path).
+// InsertAt re-inserts a row with explicit system columns (undo of a
+// delete).
 func (s *Store) InsertAt(table string, tid, created int64, row types.Row) error {
-	t := s.Table(table)
-	if t == nil {
-		return fmt.Errorf("storage: no such table %q", table)
-	}
-	if err := t.Insert(tid, created, row); err != nil {
-		return err
-	}
-	s.bumpCounters(tid, created)
-	return s.log(table, encodeInsert(table, tid, created, row))
+	_, err := s.do(&Record{Op: OpInsert, Table: table, TID: tid, Created: created, Row: row})
+	return err
 }
 
 // Update replaces a row's values and logs it.
 func (s *Store) Update(table string, tid int64, row types.Row) (types.Row, error) {
-	t := s.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("storage: no such table %q", table)
-	}
-	old, err := t.Update(tid, row)
-	if err != nil {
-		return nil, err
-	}
-	return old, s.log(table, encodeUpdate(table, tid, row))
+	return s.do(&Record{Op: OpUpdate, Table: table, TID: tid, Row: row})
 }
 
 // Delete removes a row and logs it.
 func (s *Store) Delete(table string, tid int64) (types.Row, error) {
-	t := s.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("storage: no such table %q", table)
-	}
-	old, err := t.Delete(tid)
-	if err != nil {
-		return nil, err
-	}
-	return old, s.log(table, encodeDelete(table, tid))
+	return s.do(&Record{Op: OpDelete, Table: table, TID: tid})
 }
 
-// AddIndex builds a secondary index and logs it.
+// AddIndex builds a named index and logs it. Index names are unique
+// store-wide, case-insensitively; a create that fails leaves nothing
+// behind.
 func (s *Store) AddIndex(name, table string, cols []string, unique bool) error {
-	t := s.Table(table)
-	if t == nil {
-		return fmt.Errorf("storage: no such table %q", table)
+	s.tablesMu.RLock()
+	for _, t := range s.tables {
+		for _, ix := range t.Indexes() {
+			if ix.Origin == OriginNamed && strings.EqualFold(ix.Name, name) {
+				s.tablesMu.RUnlock()
+				return fmt.Errorf("storage: index %q already exists on %s", name, t.Schema.Name)
+			}
+		}
 	}
-	if err := t.AddIndex(name, cols, unique); err != nil {
-		return err
-	}
-	s.indexes = append(s.indexes, indexDef{Name: name, Table: table, Columns: cols, Unique: unique})
-	return s.log(table, encodeCreateIndex(name, table, unique, cols))
+	s.tablesMu.RUnlock()
+	_, err := s.do(&Record{Op: OpCreateIndex, Table: table, Index: IndexDef{Name: name, Cols: cols, Unique: unique}})
+	return err
 }
 
 // PutMeta stores a DDL meta entry (view/trigger) and logs it.
 func (s *Store) PutMeta(kind, name, text string) error {
-	s.upsertMeta(kind, name, text)
-	return s.log("", encodePutMeta(kind, name, text))
+	_, err := s.do(&Record{Op: OpPutMeta, Meta: MetaEntry{Kind: kind, Name: name, Text: text}})
+	return err
 }
 
 // DeleteMeta removes a DDL meta entry and logs it.
 func (s *Store) DeleteMeta(kind, name string) error {
-	kept := s.metas[:0]
-	for _, m := range s.metas {
-		if !(m.Kind == kind && strings.EqualFold(m.Name, name)) {
-			kept = append(kept, m)
-		}
-	}
-	s.metas = kept
-	return s.log("", encodeDelMeta(kind, name))
-}
-
-func (s *Store) upsertMeta(kind, name, text string) {
-	for i, m := range s.metas {
-		if m.Kind == kind && strings.EqualFold(m.Name, name) {
-			s.metas[i].Text = text
-			return
-		}
-	}
-	s.metas = append(s.metas, MetaEntry{Kind: kind, Name: name, Text: text})
+	_, err := s.do(&Record{Op: OpDelMeta, Meta: MetaEntry{Kind: kind, Name: name}})
+	return err
 }
 
 // Metas returns the stored DDL meta entries in insertion order.
@@ -849,171 +850,6 @@ func (s *Store) Metas() []MetaEntry {
 	out := make([]MetaEntry, len(s.metas))
 	copy(out, s.metas)
 	return out
-}
-
-// ------------------------------------------------------------ WAL replay
-
-func (s *Store) applyWAL(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
-	}
-	op, body := payload[0], payload[1:]
-	switch op {
-	case opCreateTable:
-		schema, err := decodeCreateTable(body)
-		if err != nil {
-			return err
-		}
-		s.tablesMu.Lock()
-		s.tables[tkey(schema.Name)] = s.adopt(NewTable(schema))
-		s.tablesMu.Unlock()
-		return nil
-	case opDropTable:
-		name, _, err := readString(body)
-		if err != nil {
-			return err
-		}
-		s.tablesMu.Lock()
-		delete(s.tables, tkey(name))
-		s.tablesMu.Unlock()
-		kept := s.indexes[:0]
-		for _, ix := range s.indexes {
-			if tkey(ix.Table) != tkey(name) {
-				kept = append(kept, ix)
-			}
-		}
-		s.indexes = kept
-		return nil
-	case opInsert:
-		name, off, err := readString(body)
-		if err != nil {
-			return err
-		}
-		if len(body) < off+16 {
-			return fmt.Errorf("short insert record")
-		}
-		tid := int64(binary.BigEndian.Uint64(body[off:]))
-		created := int64(binary.BigEndian.Uint64(body[off+8:]))
-		row, _, err := types.DecodeRow(body[off+16:])
-		if err != nil {
-			return err
-		}
-		t := s.Table(name)
-		if t == nil {
-			return fmt.Errorf("insert into unknown table %q", name)
-		}
-		if err := t.Insert(tid, created, row); err != nil {
-			return err
-		}
-		s.bumpCounters(tid, created)
-		return nil
-	case opUpdate:
-		name, off, err := readString(body)
-		if err != nil {
-			return err
-		}
-		if len(body) < off+8 {
-			return fmt.Errorf("short update record")
-		}
-		tid := int64(binary.BigEndian.Uint64(body[off:]))
-		row, _, err := types.DecodeRow(body[off+8:])
-		if err != nil {
-			return err
-		}
-		t := s.Table(name)
-		if t == nil {
-			return fmt.Errorf("update of unknown table %q", name)
-		}
-		_, err = t.Update(tid, row)
-		return err
-	case opDelete:
-		name, off, err := readString(body)
-		if err != nil {
-			return err
-		}
-		if len(body) < off+8 {
-			return fmt.Errorf("short delete record")
-		}
-		tid := int64(binary.BigEndian.Uint64(body[off:]))
-		t := s.Table(name)
-		if t == nil {
-			return fmt.Errorf("delete from unknown table %q", name)
-		}
-		_, err = t.Delete(tid)
-		return err
-	case opCreateIndex:
-		name, off, err := readString(body)
-		if err != nil {
-			return err
-		}
-		table, used, err := readString(body[off:])
-		if err != nil {
-			return err
-		}
-		off += used
-		if off >= len(body) {
-			return fmt.Errorf("short index record")
-		}
-		unique := body[off] == 1
-		off++
-		n, w := binary.Uvarint(body[off:])
-		if w <= 0 {
-			return fmt.Errorf("short index record")
-		}
-		off += w
-		cols := make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			c, used, err := readString(body[off:])
-			if err != nil {
-				return err
-			}
-			cols = append(cols, c)
-			off += used
-		}
-		t := s.Table(table)
-		if t == nil {
-			return fmt.Errorf("index on unknown table %q", table)
-		}
-		if err := t.AddIndex(name, cols, unique); err != nil {
-			return err
-		}
-		s.indexes = append(s.indexes, indexDef{Name: name, Table: table, Columns: cols, Unique: unique})
-		return nil
-	case opPutMeta:
-		kind, off, err := readString(body)
-		if err != nil {
-			return err
-		}
-		name, used, err := readString(body[off:])
-		if err != nil {
-			return err
-		}
-		off += used
-		text, _, err := readString(body[off:])
-		if err != nil {
-			return err
-		}
-		s.upsertMeta(kind, name, text)
-		return nil
-	case opDelMeta:
-		kind, off, err := readString(body)
-		if err != nil {
-			return err
-		}
-		name, _, err := readString(body[off:])
-		if err != nil {
-			return err
-		}
-		kept := s.metas[:0]
-		for _, m := range s.metas {
-			if !(m.Kind == kind && strings.EqualFold(m.Name, name)) {
-				kept = append(kept, m)
-			}
-		}
-		s.metas = kept
-		return nil
-	}
-	return fmt.Errorf("unknown WAL opcode %d", op)
 }
 
 // ------------------------------------------------------------- snapshots
@@ -1105,10 +941,14 @@ func (s *Store) writeSnapshot(w io.Writer, epoch uint64) error {
 	return s.writeSnapshotTo(w, epoch, true, nil)
 }
 
-// writeSnapshotTo serializes the store. counters=false zeroes the
-// allocation counters and skipRows omits the rows (not the schemas) of
-// the named tables — both used by replication snapshots, whose encoding
-// must depend only on logical shared content (see EncodeReplSnapshot).
+// writeSnapshotTo serializes the store: header, metas, index definitions,
+// tables — each section a count followed by that many entries in the
+// field codecs the WAL records use. counters=false zeroes the allocation
+// counters and skipRows omits the rows (not the schemas) of the named
+// tables — both used by replication snapshots, whose encoding must
+// depend only on logical shared content (see EncodeReplSnapshot). Tables
+// go in name order and each table's named indexes in rank order, so the
+// file does not depend on the order the DDL ran in.
 func (s *Store) writeSnapshotTo(w io.Writer, epoch uint64, counters bool, skipRows map[string]bool) error {
 	buf := []byte(snapshotMagic)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
@@ -1119,57 +959,49 @@ func (s *Store) writeSnapshotTo(w io.Writer, epoch uint64, counters bool, skipRo
 	}
 	buf = binary.BigEndian.AppendUint64(buf, tid)
 	buf = binary.BigEndian.AppendUint64(buf, created)
-	// Metas.
 	buf = binary.AppendUvarint(buf, uint64(len(s.metas)))
 	for _, m := range s.metas {
-		buf = appendString(buf, m.Kind)
-		buf = appendString(buf, m.Name)
-		buf = appendString(buf, m.Text)
+		buf = appendMeta(buf, m)
 	}
-	// Index defs.
-	buf = binary.AppendUvarint(buf, uint64(len(s.indexes)))
-	for _, ix := range s.indexes {
-		buf = appendString(buf, ix.Name)
-		buf = appendString(buf, ix.Table)
-		if ix.Unique {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(ix.Columns)))
-		for _, c := range ix.Columns {
-			buf = appendString(buf, c)
-		}
-	}
-	// Tables: names sorted for deterministic files.
 	names := s.TableNames()
+	var defs []byte
+	ndefs := 0
+	for _, name := range names {
+		t := s.Table(name)
+		for _, ix := range t.Indexes() {
+			if ix.Origin != OriginNamed {
+				continue // declared by the schema, rebuilt by NewTable
+			}
+			def := IndexDef{Name: ix.Name, Unique: ix.Unique}
+			for _, c := range ix.Cols {
+				def.Cols = append(def.Cols, t.Schema.Columns[c].Name)
+			}
+			defs = appendIndexDef(defs, name, def)
+			ndefs++
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(ndefs))
+	buf = append(buf, defs...)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	for _, name := range names {
 		t := s.Table(name)
-		chunk := encodeCreateTable(t.Schema)[1:] // reuse encoding, minus opcode
-		hdr := binary.AppendUvarint(nil, uint64(len(chunk)))
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-		if _, err := w.Write(chunk); err != nil {
-			return err
-		}
+		chunk := appendSchema(nil, t.Schema)
+		buf = binary.AppendUvarint(buf[:0], uint64(len(chunk)))
+		buf = append(buf, chunk...)
 		rows := t.Rows()
 		if skipRows[tkey(name)] {
 			rows = nil
 		}
-		cnt := binary.AppendUvarint(nil, uint64(len(rows)))
-		if _, err := w.Write(cnt); err != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(rows)))
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		for _, r := range rows {
-			rb := binary.BigEndian.AppendUint64(nil, uint64(r.TID))
-			rb = binary.BigEndian.AppendUint64(rb, uint64(r.Created))
-			rb = types.AppendRow(rb, r.Values)
-			if _, err := w.Write(rb); err != nil {
+			buf = appendStoredRow(buf[:0], r.TID, r.Created, r.Values)
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 		}
@@ -1188,133 +1020,59 @@ func (s *Store) loadSnapshot(path string) error {
 	return s.loadSnapshotBytes(data)
 }
 
+// loadSnapshotBytes decodes each snapshot section into the records it
+// stands for — put-meta, create-table, insert, create-index — and feeds
+// them to apply. Index definitions precede the tables in the file but are
+// applied after them, over the loaded rows.
 func (s *Store) loadSnapshotBytes(data []byte) error {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return fmt.Errorf("storage: bad snapshot magic")
 	}
-	buf := data[len(snapshotMagic):]
-	if len(buf) < 24 {
-		return fmt.Errorf("storage: short snapshot header")
+	rd := reader{buf: data[len(snapshotMagic):]}
+	s.epoch = uint64(rd.i64())
+	s.nextTID.Store(rd.i64())
+	s.nextCreated.Store(rd.i64())
+	// put applies one decoded record, unless the reader already ran short.
+	put := func(rec *Record) error {
+		if rd.err != nil {
+			return rd.err
+		}
+		_, err := s.apply(rec)
+		return err
 	}
-	s.epoch = binary.BigEndian.Uint64(buf)
-	s.nextTID.Store(int64(binary.BigEndian.Uint64(buf[8:])))
-	s.nextCreated.Store(int64(binary.BigEndian.Uint64(buf[16:])))
-	buf = buf[24:]
-	// Metas.
-	nm, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return fmt.Errorf("storage: bad snapshot metas")
-	}
-	buf = buf[w:]
-	for i := uint64(0); i < nm; i++ {
-		kind, used, err := readString(buf)
-		if err != nil {
+	for n := rd.count(); n > 0; n-- {
+		if err := put(&Record{Op: OpPutMeta, Meta: rd.meta()}); err != nil {
 			return err
 		}
-		buf = buf[used:]
-		name, used, err := readString(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[used:]
-		text, used, err := readString(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[used:]
-		s.metas = append(s.metas, MetaEntry{Kind: kind, Name: name, Text: text})
 	}
-	// Index defs (applied after tables are loaded).
-	ni, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return fmt.Errorf("storage: bad snapshot indexes")
+	var indexes []Record
+	for n := rd.count(); n > 0; n-- {
+		rec := Record{Op: OpCreateIndex}
+		rec.Table, rec.Index = rd.index()
+		indexes = append(indexes, rec)
 	}
-	buf = buf[w:]
-	var pending []indexDef
-	for i := uint64(0); i < ni; i++ {
-		name, used, err := readString(buf)
-		if err != nil {
+	for n := rd.count(); n > 0; n-- {
+		chunk := reader{buf: rd.take(rd.uvarint())}
+		rec := Record{Op: OpCreateTable, Schema: chunk.schema()}
+		if chunk.err != nil {
+			return fmt.Errorf("storage: bad snapshot schema: %w", chunk.err)
+		}
+		rec.Table = rec.Schema.Name
+		if err := put(&rec); err != nil {
 			return err
 		}
-		buf = buf[used:]
-		table, used, err := readString(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[used:]
-		if len(buf) < 1 {
-			return fmt.Errorf("storage: short snapshot index")
-		}
-		unique := buf[0] == 1
-		buf = buf[1:]
-		nc, w := binary.Uvarint(buf)
-		if w <= 0 {
-			return fmt.Errorf("storage: bad snapshot index columns")
-		}
-		buf = buf[w:]
-		cols := make([]string, 0, nc)
-		for j := uint64(0); j < nc; j++ {
-			c, used, err := readString(buf)
-			if err != nil {
-				return err
-			}
-			cols = append(cols, c)
-			buf = buf[used:]
-		}
-		pending = append(pending, indexDef{Name: name, Table: table, Columns: cols, Unique: unique})
-	}
-	// Tables.
-	nt, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return fmt.Errorf("storage: bad snapshot table count")
-	}
-	buf = buf[w:]
-	for i := uint64(0); i < nt; i++ {
-		clen, w := binary.Uvarint(buf)
-		if w <= 0 || uint64(len(buf)-w) < clen {
-			return fmt.Errorf("storage: short snapshot schema")
-		}
-		buf = buf[w:]
-		schema, err := decodeCreateTable(buf[:clen])
-		if err != nil {
-			return err
-		}
-		buf = buf[clen:]
-		t := s.adopt(NewTable(schema))
-		s.tablesMu.Lock()
-		s.tables[tkey(schema.Name)] = t
-		s.tablesMu.Unlock()
-		nr, w := binary.Uvarint(buf)
-		if w <= 0 {
-			return fmt.Errorf("storage: bad snapshot row count")
-		}
-		buf = buf[w:]
-		for j := uint64(0); j < nr; j++ {
-			if len(buf) < 16 {
-				return fmt.Errorf("storage: short snapshot row")
-			}
-			tid := int64(binary.BigEndian.Uint64(buf))
-			created := int64(binary.BigEndian.Uint64(buf[8:]))
-			buf = buf[16:]
-			row, used, err := types.DecodeRow(buf)
-			if err != nil {
-				return err
-			}
-			buf = buf[used:]
-			if err := t.Insert(tid, created, row); err != nil {
+		rec = Record{Op: OpInsert, Table: rec.Table}
+		for m := rd.count(); m > 0; m-- {
+			rec.TID, rec.Created, rec.Row = rd.storedRow()
+			if err := put(&rec); err != nil {
 				return err
 			}
 		}
 	}
-	for _, ix := range pending {
-		t := s.Table(ix.Table)
-		if t == nil {
-			return fmt.Errorf("storage: snapshot index on unknown table %q", ix.Table)
-		}
-		if err := t.AddIndex(ix.Name, ix.Columns, ix.Unique); err != nil {
+	for i := range indexes {
+		if err := put(&indexes[i]); err != nil {
 			return err
 		}
-		s.indexes = append(s.indexes, ix)
 	}
-	return nil
+	return rd.err
 }

@@ -34,27 +34,8 @@ import (
 // store physically truncates that tail before appending again so new
 // records are never hidden behind garbage.
 //
-// Payloads begin with a 1-byte opcode:
-//
-//	opCreateTable  name, column defs
-//	opDropTable    name
-//	opInsert       table, tid, created, row
-//	opUpdate       table, tid, row
-//	opDelete       table, tid
-//	opCreateIndex  name, table, unique, columns
-//	opPutMeta      kind, name, text     (view / trigger DDL re-registered on open)
-//	opDelMeta      kind, name
-const (
-	opCreateTable byte = 1
-	opDropTable   byte = 2
-	opInsert      byte = 3
-	opUpdate      byte = 4
-	opDelete      byte = 5
-	opCreateIndex byte = 6
-	opPutMeta     byte = 7
-	opDelMeta     byte = 8
-)
-
+// A payload is one encoded Record: a 1-byte opcode and the fields that
+// op uses (see Record.encode).
 const (
 	walMagic     = "EDIWAL1\n"
 	walHeaderLen = 16 // magic + big-endian epoch
@@ -229,28 +210,129 @@ func replayWAL(fs fault.FS, path string, snapEpoch uint64, apply func(payload []
 	}
 }
 
-// ------------------------------------------------------------- payloads
+// ------------------------------------------------------------- records
+
+// Op is a record's opcode, the first byte of its encoding.
+type Op byte
+
+// Record opcodes.
+const (
+	OpCreateTable Op = iota + 1 // Table, Schema
+	OpDropTable                 // Table
+	OpInsert                    // Table, TID, Created, Row
+	OpUpdate                    // Table, TID, Row
+	OpDelete                    // Table, TID
+	OpCreateIndex               // Table, Index
+	OpPutMeta                   // Meta (view / trigger DDL re-registered on open)
+	OpDelMeta                   // Meta.Kind, Meta.Name
+)
+
+// IndexDef is a CREATE [UNIQUE] INDEX definition; the table it belongs
+// to is the record's.
+type IndexDef struct {
+	Name   string
+	Cols   []string
+	Unique bool
+}
+
+// Record describes one mutation of the store. It is built once — by the
+// live operation, or by decodeRecord from WAL, replication feed or
+// snapshot bytes — and Store.apply is the only code that carries it out,
+// which is why replay, a replica and a reloaded snapshot reach the state
+// the live store had. Each op uses the fields listed beside its opcode;
+// the rest stay zero.
+type Record struct {
+	Op      Op
+	Table   string
+	TID     int64
+	Created int64
+	Row     types.Row
+	Schema  *catalog.TableSchema
+	Index   IndexDef
+	Meta    MetaEntry
+}
+
+// DDL reports whether the record changes schema rather than rows.
+func (r *Record) DDL() bool {
+	return r.Op != OpInsert && r.Op != OpUpdate && r.Op != OpDelete
+}
+
+// encode appends the record's payload to dst.
+func (r *Record) encode(dst []byte) []byte {
+	dst = append(dst, byte(r.Op))
+	switch r.Op {
+	case OpCreateTable:
+		return appendSchema(dst, r.Schema)
+	case OpCreateIndex:
+		return appendIndexDef(dst, r.Table, r.Index)
+	case OpPutMeta:
+		return appendMeta(dst, r.Meta)
+	case OpDelMeta:
+		dst = appendString(dst, r.Meta.Kind)
+		return appendString(dst, r.Meta.Name)
+	}
+	dst = appendString(dst, r.Table)
+	switch r.Op {
+	case OpInsert:
+		return appendStoredRow(dst, r.TID, r.Created, r.Row)
+	case OpUpdate:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(r.TID))
+		return types.AppendRow(dst, r.Row)
+	case OpDelete:
+		return binary.BigEndian.AppendUint64(dst, uint64(r.TID))
+	}
+	return dst // OpDropTable
+}
+
+// decodeRecord is the inverse of encode. The bytes come from disk and,
+// on a replica, from the network: every length is checked against what
+// is left of the payload before anything is allocated from it.
+func decodeRecord(payload []byte) (Record, error) {
+	if len(payload) == 0 {
+		return Record{}, fmt.Errorf("storage: empty record")
+	}
+	rec := Record{Op: Op(payload[0])}
+	rd := reader{buf: payload[1:]}
+	switch rec.Op {
+	case OpCreateTable:
+		if rec.Schema = rd.schema(); rec.Schema != nil {
+			rec.Table = rec.Schema.Name
+		}
+	case OpDropTable:
+		rec.Table = rd.str()
+	case OpInsert:
+		rec.Table = rd.str()
+		rec.TID, rec.Created, rec.Row = rd.storedRow()
+	case OpUpdate:
+		rec.Table, rec.TID, rec.Row = rd.str(), rd.i64(), rd.row()
+	case OpDelete:
+		rec.Table, rec.TID = rd.str(), rd.i64()
+	case OpCreateIndex:
+		rec.Table, rec.Index = rd.index()
+	case OpPutMeta:
+		rec.Meta = rd.meta()
+	case OpDelMeta:
+		rec.Meta.Kind, rec.Meta.Name = rd.str(), rd.str()
+	default:
+		return Record{}, fmt.Errorf("storage: unknown record opcode %d", rec.Op)
+	}
+	return rec, rd.err
+}
+
+// The field codecs below are shared by the record payloads and the
+// snapshot sections (schema, index definition, meta, stored row).
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func readString(buf []byte) (string, int, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || uint64(len(buf)-w) < n {
-		return "", 0, fmt.Errorf("storage: short string")
-	}
-	return string(buf[w : w+int(n)]), w + int(n), nil
-}
-
-func encodeCreateTable(s *catalog.TableSchema) []byte {
-	out := []byte{opCreateTable}
-	out = appendString(out, s.Name)
-	out = binary.AppendUvarint(out, uint64(len(s.Columns)))
+func appendSchema(dst []byte, s *catalog.TableSchema) []byte {
+	dst = appendString(dst, s.Name)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Columns)))
 	for _, c := range s.Columns {
-		out = appendString(out, c.Name)
-		out = append(out, byte(c.Type))
+		dst = appendString(dst, c.Name)
+		dst = append(dst, byte(c.Type))
 		flags := byte(0)
 		if c.PrimaryKey {
 			flags |= 1
@@ -261,88 +343,148 @@ func encodeCreateTable(s *catalog.TableSchema) []byte {
 		if c.NotNull {
 			flags |= 4
 		}
-		out = append(out, flags)
+		dst = append(dst, flags)
 	}
-	return out
+	return dst
 }
 
-func decodeCreateTable(buf []byte) (*catalog.TableSchema, error) {
-	name, off, err := readString(buf)
-	if err != nil {
-		return nil, err
+func appendIndexDef(dst []byte, table string, ix IndexDef) []byte {
+	dst = appendString(dst, ix.Name)
+	dst = appendString(dst, table)
+	if ix.Unique {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
 	}
-	n, w := binary.Uvarint(buf[off:])
+	dst = binary.AppendUvarint(dst, uint64(len(ix.Cols)))
+	for _, c := range ix.Cols {
+		dst = appendString(dst, c)
+	}
+	return dst
+}
+
+func appendMeta(dst []byte, m MetaEntry) []byte {
+	dst = appendString(dst, m.Kind)
+	dst = appendString(dst, m.Name)
+	return appendString(dst, m.Text)
+}
+
+func appendStoredRow(dst []byte, tid, created int64, row types.Row) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(tid))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(created))
+	return types.AppendRow(dst, row)
+}
+
+// reader consumes a payload front to back. The first read that runs past
+// the end sets err and every later read returns zero values, so a decoder
+// checks err once, after its last read.
+type reader struct {
+	buf []byte
+	err error
+}
+
+// fail records the first error.
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// take returns the next n bytes, or nil after a short read.
+func (r *reader) take(n uint64) []byte {
+	if n > uint64(len(r.buf)) {
+		r.fail("storage: short record: need %d bytes, have %d", n, len(r.buf))
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *reader) uvarint() uint64 {
+	n, w := binary.Uvarint(r.buf)
 	if w <= 0 {
-		return nil, fmt.Errorf("storage: bad column count")
+		r.fail("storage: bad varint")
 	}
-	off += w
-	s := &catalog.TableSchema{Name: name}
-	for i := uint64(0); i < n; i++ {
-		cn, used, err := readString(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += used
-		if off+2 > len(buf) {
-			return nil, fmt.Errorf("storage: short column def")
-		}
-		kind := types.Kind(buf[off])
-		flags := buf[off+1]
-		off += 2
+	if r.err != nil {
+		return 0
+	}
+	r.buf = r.buf[w:]
+	return n
+}
+
+// count reads an element count. Every element takes at least one byte,
+// so a count above the bytes left is malformed — refused here, before a
+// caller sizes a slice or bounds a loop by it.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.buf)) {
+		r.fail("storage: count %d exceeds the %d bytes left", n, len(r.buf))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *reader) i64() int64 {
+	if b := r.take(8); b != nil {
+		return int64(binary.BigEndian.Uint64(b))
+	}
+	return 0
+}
+
+func (r *reader) str() string { return string(r.take(r.uvarint())) }
+
+func (r *reader) row() types.Row {
+	if r.err != nil {
+		return nil
+	}
+	row, used, err := types.DecodeRow(r.buf)
+	if err != nil {
+		r.fail("storage: %w", err)
+		return nil
+	}
+	r.buf = r.buf[used:]
+	return row
+}
+
+func (r *reader) storedRow() (tid, created int64, row types.Row) {
+	return r.i64(), r.i64(), r.row()
+}
+
+func (r *reader) schema() *catalog.TableSchema {
+	s := &catalog.TableSchema{Name: r.str()}
+	for n := r.count(); n > 0; n-- {
+		name, kind, flags := r.str(), r.u8(), r.u8()
 		s.Columns = append(s.Columns, catalog.Column{
-			Name: cn, Type: kind,
+			Name: name, Type: types.Kind(kind),
 			PrimaryKey: flags&1 != 0, Unique: flags&2 != 0, NotNull: flags&4 != 0,
 		})
 	}
-	return s, nil
-}
-
-func encodeInsert(table string, tid, created int64, row types.Row) []byte {
-	out := []byte{opInsert}
-	out = appendString(out, table)
-	out = binary.BigEndian.AppendUint64(out, uint64(tid))
-	out = binary.BigEndian.AppendUint64(out, uint64(created))
-	return types.AppendRow(out, row)
-}
-
-func encodeUpdate(table string, tid int64, row types.Row) []byte {
-	out := []byte{opUpdate}
-	out = appendString(out, table)
-	out = binary.BigEndian.AppendUint64(out, uint64(tid))
-	return types.AppendRow(out, row)
-}
-
-func encodeDelete(table string, tid int64) []byte {
-	out := []byte{opDelete}
-	out = appendString(out, table)
-	return binary.BigEndian.AppendUint64(out, uint64(tid))
-}
-
-func encodeCreateIndex(name, table string, unique bool, cols []string) []byte {
-	out := []byte{opCreateIndex}
-	out = appendString(out, name)
-	out = appendString(out, table)
-	if unique {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+	if r.err != nil {
+		return nil
 	}
-	out = binary.AppendUvarint(out, uint64(len(cols)))
-	for _, c := range cols {
-		out = appendString(out, c)
+	return s
+}
+
+func (r *reader) index() (table string, ix IndexDef) {
+	ix.Name, table, ix.Unique = r.str(), r.str(), r.u8() == 1
+	for n := r.count(); n > 0; n-- {
+		ix.Cols = append(ix.Cols, r.str())
 	}
-	return out
+	return table, ix
 }
 
-func encodePutMeta(kind, name, text string) []byte {
-	out := []byte{opPutMeta}
-	out = appendString(out, kind)
-	out = appendString(out, name)
-	return appendString(out, text)
-}
-
-func encodeDelMeta(kind, name string) []byte {
-	out := []byte{opDelMeta}
-	out = appendString(out, kind)
-	return appendString(out, name)
+func (r *reader) meta() MetaEntry {
+	return MetaEntry{Kind: r.str(), Name: r.str(), Text: r.str()}
 }
