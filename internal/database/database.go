@@ -50,8 +50,8 @@ type DB struct {
 	nextIDs map[string]int64 // lower-cased table → next id to hand out
 }
 
-// schemaDDL is executed on every open; CREATE TABLE IF NOT EXISTS makes it
-// idempotent across restarts.
+// schemaDDL is executed on every open; IF NOT EXISTS makes it idempotent
+// across restarts.
 var schemaDDL = []string{
 	`CREATE TABLE IF NOT EXISTS ` + TableProcess + ` (
 		name STRING PRIMARY KEY,
@@ -115,6 +115,9 @@ var schemaDDL = []string{
 		color STRING,
 		label STRING,
 		selected BOOL)`,
+	// Every vis.Component statement addresses one (obj_id, comp_id) or one
+	// comp_id; not unique — duplicate inserts stay what they were.
+	`CREATE INDEX IF NOT EXISTS ` + TableVisualAttributes + `_obj ON ` + TableVisualAttributes + ` (obj_id, comp_id)`,
 }
 
 // Open opens (or creates) an EdiFlow database with default durability

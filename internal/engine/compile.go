@@ -124,23 +124,12 @@ func (e *Engine) compiledProg(x sqltext.Expr, b *binder) *vm.Program {
 	if e.interpretAll.Load() {
 		return vm.Interpret(x, ncols)
 	}
-	_, bare := x.(*sqltext.ColumnRef)
-	if !bare {
-		if p, ok := e.progs.get(x, ncols); ok {
-			return p
-		}
+	if p, ok := e.progs.get(x, ncols); ok {
+		return p
 	}
 	p, err := vm.Compile(x, b.vmEnv())
 	if err != nil {
 		p = vm.Interpret(x, ncols)
-	}
-	if bare {
-		// Star expansions rebuild bare column refs per execution, so their
-		// pointers never repeat: a single opCol is cheaper to recompile
-		// than to churn the cache, and is not counted.
-		return p
-	}
-	if err != nil {
 		e.mVMFallback.Inc()
 	} else {
 		e.mVMCompile.Inc()
@@ -149,14 +138,28 @@ func (e *Engine) compiledProg(x sqltext.Expr, b *binder) *vm.Program {
 	return p
 }
 
-// machine returns a machine for p bound to the statement's arguments
-// and, for Interpreted programs, to this binder's interpreter. Machines
-// are not goroutine-safe and neither is the binder; Engine.workers keeps
-// an Interpreted program's phase at width 1.
+// machine acquires a machine from p's pool, bound to the statement's
+// arguments and, for Interpreted programs, to this binder's interpreter.
+// The statement owns it until ExecStmt returns (stmtCtx.release).
+// Machines are not goroutine-safe and neither is the binder;
+// Engine.workers keeps an Interpreted program's phase at width 1.
 func (b *binder) machine(p *vm.Program) *vm.Machine {
-	m := vm.NewMachine(p)
+	m := p.Acquire()
 	m.Bind(b.args, b.eval)
+	ctx := b.ctx
+	ctx.machMu.Lock()
+	ctx.machines = append(ctx.machines, m)
+	ctx.machMu.Unlock()
 	return m
+}
+
+// release returns every machine the statement acquired to its program's
+// pool. Result rows hold copies of lane values, never the lanes.
+func (ctx *stmtCtx) release() {
+	for _, m := range ctx.machines {
+		m.Release()
+	}
+	ctx.machines = nil
 }
 
 // countVM charges one executed batch of n rows to the vm.* counters.
@@ -184,7 +187,7 @@ func (e *Engine) filterRows(where sqltext.Expr, b *binder) ([]types.Row, error) 
 	prog := e.compiledProg(where, b)
 	rows := b.rel.rows
 	m := b.machine(prog)
-	batch := vm.NewBatch(batchKinds(b.rel.cols), prog.Cols())
+	batch := m.Batch(batchKinds(b.rel.cols), prog.Cols())
 	kept := rows[:0:0]
 	for start := 0; start < len(rows); start += vm.BatchSize {
 		end := min(start+vm.BatchSize, len(rows))

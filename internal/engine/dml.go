@@ -69,6 +69,9 @@ func (e *Engine) dropTable(name string) error {
 // execCreateIndex: the index lives in the table's storage, which also
 // owns the rule that index names are unique store-wide.
 func (e *Engine) execCreateIndex(s *sqltext.CreateIndex) (*Result, []ChangeEvent, error) {
+	if _, exists := e.store.NamedIndex(s.Name); exists && s.IfNotExists {
+		return &Result{}, nil, nil
+	}
 	if err := e.store.AddIndex(s.Name, s.Table, s.Columns, s.Unique); err != nil {
 		return nil, nil, err
 	}

@@ -454,6 +454,7 @@ func (e *Engine) Query(sql string, args ...types.Value) (*Result, error) {
 // metrics (latency, rows, errors) and feeding the slow-query log.
 func (e *Engine) ExecStmt(st sqltext.Statement, args ...types.Value) (*Result, error) {
 	ctx := &stmtCtx{snap: storage.SeqLatest}
+	defer ctx.release()
 	if !e.reg.Enabled() {
 		return e.execStmt(st, args, ctx)
 	}

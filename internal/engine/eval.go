@@ -58,10 +58,14 @@ type binder struct {
 }
 
 func newBinder(e *Engine, args []types.Value, rel *relation, overrides map[string][]types.Row, ctx *stmtCtx) *binder {
+	ncols := 0
+	if rel != nil {
+		ncols = len(rel.cols)
+	}
 	b := &binder{
 		e: e, args: args, rel: rel, ctx: ctx,
-		byQual:    map[string]int{},
-		byName:    map[string]int{},
+		byQual:    make(map[string]int, ncols),
+		byName:    make(map[string]int, ncols),
 		ambiguous: map[string]bool{},
 		subCache:  map[*sqltext.Select]subResult{},
 		overrides: overrides,

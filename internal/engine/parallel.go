@@ -2,7 +2,7 @@ package engine
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,7 +239,7 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 	err := fanOut(nw, len(outs), func(next func() (int, bool)) error {
 		m := b.machine(prog)
 		wproj := proj.bind(b)
-		batch := vm.NewBatch(kinds, used)
+		batch := m.Batch(kinds, used)
 		var scratch types.Row
 		if needSys {
 			scratch = make(types.Row, nUser+2)
@@ -349,21 +349,25 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 // usedCols unions the columns the given programs (nil entries skipped)
 // read, ascending — the fill list of the batch they share.
 func usedCols(progs []*vm.Program) []int {
-	usedSet := map[int]bool{}
+	var used []int
 	for _, p := range progs {
-		if p == nil {
-			continue
-		}
-		for _, c := range p.Cols() {
-			usedSet[c] = true
+		if p != nil {
+			used = append(used, p.Cols()...)
 		}
 	}
-	used := make([]int, 0, len(usedSet))
-	for c := range usedSet {
-		used = append(used, c)
+	slices.Sort(used)
+	return slices.Compact(used)
+}
+
+// scratchBatch returns the batch several machines over rel share — the
+// first machine's scratch batch, laid out for the columns progs read.
+func scratchBatch(machines []*vm.Machine, rel *relation, progs []*vm.Program) *vm.Batch {
+	for _, m := range machines {
+		if m != nil {
+			return m.Batch(batchKinds(rel.cols), usedCols(progs))
+		}
 	}
-	sort.Ints(used)
-	return used
+	return nil
 }
 
 // bind returns a worker-private copy of a scan projection: programs
@@ -399,7 +403,7 @@ func (e *Engine) evalVecsRange(progs []*vm.Program, b *binder, lo, hi int, sink 
 	for i, p := range progs {
 		machines[i] = b.machine(p)
 	}
-	batch := vm.NewBatch(batchKinds(rel.cols), usedCols(progs))
+	batch := scratchBatch(machines, rel, progs)
 	vecs := make([]*vm.Vec, len(progs))
 	for start := lo; start < hi; start += vm.BatchSize {
 		end := start + vm.BatchSize

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"ediflow/internal/catalog"
 	"ediflow/internal/engine/vm"
@@ -15,12 +16,16 @@ import (
 // stmtCtx carries per-statement execution state: the MVCC snapshot seq
 // base-table reads resolve against, the outermost SELECT (AS OF is only
 // honored there), and an exact rows-scanned tally. One ctx exists per
-// statement and is touched only by the executing goroutine.
+// statement and is touched only by the executing goroutine — except
+// machines, which morsel workers append to concurrently under machMu.
 type stmtCtx struct {
 	snap       int64           // visibility ceiling for base-table reads
 	top        *sqltext.Select // outermost SELECT of the statement, if any
 	scanned    int64           // rows examined by this statement (exact)
 	parWorkers int64           // widest parallel fan-out any phase used
+
+	machMu   sync.Mutex
+	machines []*vm.Machine // acquired by binder.machine, released by ExecStmt
 }
 
 // writerCtx returns the context of the mutation currently holding the
@@ -449,18 +454,31 @@ func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
 		bare:  make([]int, len(items)),
 	}
 	for i, it := range items {
+		if c, ok := b.bareCol(it.Expr); ok {
+			sp.bare[i] = c
+			continue
+		}
 		p := e.compiledProg(it.Expr, b)
 		if p.Interpreted() {
 			return nil
-		}
-		if c, ok := p.BareCol(); ok {
-			sp.bare[i] = c
-			continue
 		}
 		sp.bare[i] = -1
 		sp.progs[i] = p
 	}
 	return sp
+}
+
+// bareCol reports the position of a projection item that is a plain
+// resolvable column reference: it indexes the source row and needs no
+// program. (Star expansions are all of this shape, rebuilt per
+// execution.) An unresolvable one is the interpreter's to report.
+func (b *binder) bareCol(x sqltext.Expr) (int, bool) {
+	if cr, ok := x.(*sqltext.ColumnRef); ok {
+		if c, err := b.resolve(cr); err == nil {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // plainIntArg reports whether a LIMIT/OFFSET expression can be
@@ -526,18 +544,18 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 	machines := make([]*vm.Machine, w)
 	allBare := true
 	for i, it := range items {
-		p := e.compiledProg(it.Expr, b)
-		if c, ok := p.BareCol(); ok {
+		if c, ok := b.bareCol(it.Expr); ok {
 			bare[i] = c
 			continue
 		}
+		p := e.compiledProg(it.Expr, b)
 		bare[i], progs[i], machines[i], allBare = -1, p, b.machine(p), false
 	}
 	// A projection of bare columns alone (the point select) fills no
 	// batch and runs no machine.
 	var batch *vm.Batch
 	if !allBare {
-		batch = vm.NewBatch(batchKinds(rel.cols), usedCols(progs))
+		batch = scratchBatch(machines, rel, progs)
 	}
 	vecs := make([]*vm.Vec, w)
 	for start := 0; start < len(rel.rows); start += vm.BatchSize {
@@ -824,7 +842,7 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 	if !ok {
 		return nil, false, fmt.Errorf("engine: no such table %q", tr.Table)
 	}
-	rel := &relation{}
+	rel := &relation{cols: make([]colMeta, 0, len(schema.Columns)+2)}
 	for _, c := range schema.Columns {
 		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
 	}

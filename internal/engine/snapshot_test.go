@@ -217,6 +217,27 @@ func TestSelectResultsNotAliased(t *testing.T) {
 	if res.Rows[0][1].Str() != "ana" || len(res.Rows) != 5 {
 		t.Fatalf("result snapshot changed: %+v", res.Rows)
 	}
+
+	// Nor do they alias pooled VM storage: the same statement run again
+	// reuses the machines (registers, broadcasts, scratch batch) the first
+	// run released, over different data, and the first result must not
+	// notice.
+	const q = "SELECT id, name || '!', id * ? FROM users WHERE id > ? ORDER BY id"
+	first := mustExec(t, e, q, types.NewInt(10), types.NewInt(3))
+	want := make([]string, len(first.Rows))
+	for i, r := range first.Rows {
+		want[i] = types.RowKey(r)
+	}
+	mustExec(t, e, "UPDATE users SET name = 'yan'")
+	second := mustExec(t, e, q, types.NewInt(-1), types.NewInt(0))
+	if len(first.Rows) == 0 || len(second.Rows) == 0 || second.Rows[0][1].Str() != "yan!" {
+		t.Fatalf("rerun: first %v, second %v", first.Rows, second.Rows)
+	}
+	for i, r := range first.Rows {
+		if types.RowKey(r) != want[i] {
+			t.Fatalf("first result row %d changed after the statement ran again: %v", i, r)
+		}
+	}
 }
 
 // TestSelectResultDetachedFromStorage: rows handed out by a top-level

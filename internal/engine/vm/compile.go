@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"ediflow/internal/sqltext"
@@ -127,11 +128,13 @@ func classifyLike(pat string) (shape int, needle string, ok bool) {
 }
 
 // inListSpec describes an IN list whose elements are all literals or
-// parameters. The runtime set is built at Bind time, when parameter
-// values are known.
+// parameters. A machine builds the set of a list of literals alone
+// once and keeps it for life; a list that mentions a parameter is
+// rebuilt by every Machine.Bind.
 type inListSpec struct {
-	elems []inElem
-	not   bool
+	elems    []inElem
+	not      bool
+	hasParam bool
 }
 
 // inElem is one element of a const IN list: a literal value, or a
@@ -143,31 +146,24 @@ type inElem struct {
 
 // Program is a compiled expression: a flat instruction sequence over
 // virtual registers, plus the constants, IN-list specs, and parameter
-// error builder the machine needs at bind time.
+// error builder the machine needs at bind time, and the pool of idle
+// machines built for it (see Acquire). A Program is shared by pointer
+// and never copied.
 type Program struct {
 	insts        []inst
 	nregs        int
 	consts       []types.Value
-	nsets        int
+	sets         []*inListSpec // opInList specs, indexed by the instruction's imm
 	result       int
 	cols         []int
 	maxParam     int // highest parameter index referenced + 1
 	missingParam func(idx int) error
+	pool         sync.Pool // of *Machine
 }
 
 // Cols returns the sorted set of column indexes the program reads; the
 // engine fills only these in each batch.
 func (p *Program) Cols() []int { return p.cols }
-
-// BareCol reports whether the program is a single column load — a bare
-// column reference. Such programs need no batch at all: the caller can
-// index the source row directly.
-func (p *Program) BareCol() (int, bool) {
-	if len(p.insts) == 1 && p.insts[0].op == opCol {
-		return p.insts[0].imm, true
-	}
-	return 0, false
-}
 
 // StaticKind infers the kind every non-NULL, non-error lane of the
 // program's result is guaranteed to have, given the declared column
@@ -465,6 +461,7 @@ func (c *compiler) in(x *sqltext.InExpr) (int, error) {
 				c.p.maxParam = el.Index + 1
 			}
 			spec.elems = append(spec.elems, inElem{param: el.Index})
+			spec.hasParam = true
 		default:
 			constList = false
 		}
@@ -473,9 +470,8 @@ func (c *compiler) in(x *sqltext.InExpr) (int, error) {
 		}
 	}
 	if constList {
-		idx := c.p.nsets
-		c.p.nsets++
-		return c.emit(inst{op: opInList, a: a, imm: idx, set: spec}), nil
+		c.p.sets = append(c.p.sets, spec)
+		return c.emit(inst{op: opInList, a: a, imm: len(c.p.sets) - 1, set: spec}), nil
 	}
 	regs := make([]int, 0, len(x.List))
 	for _, el := range x.List {

@@ -2,26 +2,32 @@ package vm
 
 import (
 	"errors"
+	"slices"
 	"strings"
 
 	"ediflow/internal/types"
 )
 
-// Machine executes one Program. It owns the register file and the
-// bind-time state (parameter broadcasts, IN sets), so it is cheap to
-// reuse across batches within a statement but must not be shared
-// between goroutines.
+// Machine executes one Program. It owns the register file, the constant
+// and parameter broadcasts, the selection vector, a scratch batch — all
+// sized by the widest batch it has run — and the sets of literal IN
+// lists, plus the bind-time state (arguments, interpreter, the sets of
+// IN lists that mention a parameter). Machines are pooled on their
+// Program: Acquire one, Bind it to the statement, run any number of
+// batches, Release it when the statement is done. A machine must not be
+// shared between goroutines.
 type Machine struct {
 	p      *Program
 	regs   []Vec
-	consts []Vec
-	params []Vec
+	consts []Vec // broadcast at opConst; n = lanes filled
+	params []Vec // broadcast at opParam; n = lanes filled, 0 after Bind
 	sets   []*runInSet
 	args   []types.Value
 	argBuf []types.Value // reused per-lane scratch for opCall
 	interp InterpFunc
 	row    types.Row // reused per-lane row for opInterp
 	sel    []int
+	batch  *Batch
 }
 
 // runInSet is a bound IN list: either a hash set (all parameters in
@@ -33,104 +39,91 @@ type runInSet struct {
 	slow    bool // walk elements per lane (a parameter was out of range)
 }
 
-// NewMachine prepares a register file and constant broadcasts for p.
+// NewMachine prepares an unpooled machine for p. Nothing is broadcast
+// and no lane is allocated until a batch asks for it.
 func NewMachine(p *Program) *Machine {
-	m := &Machine{p: p, regs: make([]Vec, p.nregs)}
-	m.consts = make([]Vec, len(p.consts))
-	for i, v := range p.consts {
-		m.consts[i] = broadcast(v)
+	return &Machine{
+		p:      p,
+		regs:   make([]Vec, p.nregs),
+		consts: make([]Vec, len(p.consts)),
+		params: make([]Vec, p.maxParam),
+		sets:   make([]*runInSet, len(p.sets)),
 	}
-	return m
 }
 
-// Bind fixes the statement arguments and interpreter: parameter
-// broadcasts and IN-list sets are built once, then shared by every
-// batch. interp may be nil unless the program is Interpreted.
-func (m *Machine) Bind(args []types.Value, interp InterpFunc) {
-	m.args, m.interp = args, interp
-	if m.p.maxParam > 0 {
-		m.params = make([]Vec, m.p.maxParam)
-		for i := 0; i < m.p.maxParam; i++ {
-			if i < len(args) {
-				m.params[i] = broadcast(args[i])
-			} else {
-				m.params[i] = errBroadcast(m.p.missingParam(i))
-			}
+// Acquire returns a machine for p: a released one with its storage and
+// constant broadcasts intact, or a new one. The pool is a sync.Pool so
+// that idle machines are the collector's to drop — a warm pool never
+// counts as live heap.
+func (p *Program) Acquire() *Machine {
+	if m, ok := p.pool.Get().(*Machine); ok {
+		return m
+	}
+	return NewMachine(p)
+}
+
+// Release unbinds the machine — it keeps no reference to the statement's
+// arguments, interpreter or parameter IN sets — and returns it to its
+// program's pool. The caller must not use it, or any vector it
+// returned, again.
+func (m *Machine) Release() {
+	m.args, m.interp = nil, nil
+	for i, spec := range m.p.sets {
+		if spec.hasParam {
+			m.sets[i] = nil
 		}
 	}
-	m.sets = m.sets[:0]
-	for _, ins := range m.p.insts {
-		if ins.op != opInList {
-			continue
+	m.p.pool.Put(m)
+}
+
+// Bind fixes the statement arguments and interpreter for the batches
+// that follow. Parameter broadcasts go stale (opParam refills the ones
+// the program reads, in place); IN lists that mention a parameter get
+// their set built here, literal-only lists on the machine's first Bind
+// alone. interp may be nil unless the program is Interpreted.
+func (m *Machine) Bind(args []types.Value, interp InterpFunc) {
+	m.args, m.interp = args, interp
+	for i := range m.params {
+		m.params[i].n = 0
+	}
+	for i, spec := range m.p.sets {
+		if spec.hasParam || m.sets[i] == nil {
+			m.sets[i] = spec.bind(args)
 		}
-		rs := &runInSet{vals: make(map[string]bool, len(ins.set.elems))}
-		for _, el := range ins.set.elems {
-			var v types.Value
-			if el.param < 0 {
-				v = el.val
-			} else if el.param < len(args) {
-				v = args[el.param]
-			} else {
+	}
+}
+
+// Batch returns the machine's scratch batch for the given layout,
+// replacing it when the layout differs from the one it was built for.
+func (m *Machine) Batch(kinds []types.Kind, used []int) *Batch {
+	if b := m.batch; b == nil || !slices.Equal(b.kinds, kinds) || !slices.Equal(b.used, used) {
+		m.batch = NewBatch(kinds, used)
+	}
+	return m.batch
+}
+
+// bind builds the list's set from its literals and the bound arguments.
+func (spec *inListSpec) bind(args []types.Value) *runInSet {
+	rs := &runInSet{vals: make(map[string]bool, len(spec.elems))}
+	for _, el := range spec.elems {
+		v := el.val
+		if el.param >= 0 {
+			if el.param >= len(args) {
 				// The interpreter's constInSet gives up and walks the
 				// list per row, erroring at the missing parameter unless
 				// an earlier element matches first.
 				rs.slow = true
 				break
 			}
-			if v.IsNull() {
-				rs.hasNull = true
-			} else {
-				rs.vals[v.HashKey()] = true
-			}
+			v = args[el.param]
 		}
-		m.sets = append(m.sets, rs)
-	}
-}
-
-// broadcast builds a full-width vector holding v in every lane.
-func broadcast(v types.Value) Vec {
-	var out Vec
-	switch v.Kind() {
-	case types.KindInt:
-		out.resetInt(0)
-		x := v.Int()
-		for i := range out.i64 {
-			out.i64[i] = x
-		}
-	case types.KindFloat:
-		out.resetFloat(0)
-		x := v.Float()
-		for i := range out.f64 {
-			out.f64[i] = x
-		}
-	case types.KindBool:
-		out.resetBool(0)
-		x := v.Bool()
-		for i := range out.bs {
-			out.bs[i] = x
-		}
-	default:
-		out.resetBoxed(0)
-		for i := range out.any {
-			out.any[i] = v
+		if v.IsNull() {
+			rs.hasNull = true
+		} else {
+			rs.vals[v.HashKey()] = true
 		}
 	}
-	return out
-}
-
-// errBroadcast builds a vector whose every lane carries err (an unbound
-// parameter: the row errors only if the lane is actually consulted).
-func errBroadcast(err error) Vec {
-	var out Vec
-	out.resetBoxed(0)
-	for i := range out.any {
-		out.any[i] = types.Null
-	}
-	out.errs = make([]error, BatchSize)
-	for i := range out.errs {
-		out.errs[i] = err
-	}
-	return out
+	return rs
 }
 
 // Eval runs the program over the batch and returns the result vector.
@@ -143,13 +136,21 @@ func (m *Machine) Eval(b *Batch) *Vec {
 		case opCol:
 			m.regs[ins.dst] = *b.Col(ins.imm)
 		case opConst:
-			v := m.consts[ins.imm]
-			v.n = n
-			m.regs[ins.dst] = v
+			v := &m.consts[ins.imm]
+			if v.n < n {
+				v.broadcast(m.p.consts[ins.imm], n)
+			}
+			m.regs[ins.dst] = *v
 		case opParam:
-			v := m.params[ins.imm]
-			v.n = n
-			m.regs[ins.dst] = v
+			v := &m.params[ins.imm]
+			if v.n < n {
+				if ins.imm < len(m.args) {
+					v.broadcast(m.args[ins.imm], n)
+				} else {
+					v.broadcastErr(m.p.missingParam(ins.imm), n)
+				}
+			}
+			m.regs[ins.dst] = *v
 		case opCmp:
 			m.cmp(ins, n)
 		case opAdd, opSub, opMul:

@@ -23,17 +23,29 @@ import (
 	"ediflow/internal/types"
 )
 
-// BatchSize is the number of rows evaluated per batch — the single
-// tunable that trades dispatch amortization against cache footprint.
-// Vectors allocate this many lanes up front and are reused across
-// batches.
+// BatchSize is the most rows one batch holds — the single tunable that
+// trades dispatch amortization against cache footprint. It is a ceiling,
+// not an allocation: every vector (batch column, register, broadcast,
+// error lane) is sized to the lanes its batch actually has, rounded up
+// by lanesFor, and keeps the widest storage it has needed when it is
+// reused. A one-row statement therefore pays for 8 lanes and a full scan
+// for 1,024, through the same kernels.
 const BatchSize = 1024
 
-// Bitmap is a fixed-capacity bitset used for NULL tracking in typed
-// vectors. Bit i set means lane i is NULL.
-type Bitmap []uint64
+// lanesFor rounds a lane demand up to the size storage is allocated in:
+// a power of two from 8 to BatchSize, so a vector reused across batches
+// of drifting size is reallocated at most eight times in its life.
+func lanesFor(n int) int {
+	c := 8
+	for c < n && c < BatchSize {
+		c <<= 1
+	}
+	return c
+}
 
-func newBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
+// Bitmap is a bitset used for NULL tracking in typed vectors. Bit i set
+// means lane i is NULL.
+type Bitmap []uint64
 
 // Get reports whether bit i is set.
 func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -41,18 +53,13 @@ func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b Bitmap) clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // Vec is one column of lanes. Int, Float, and Bool columns store
 // unboxed values with a NULL bitmap; every other kind (and any column
 // whose rows turn out not to match the declared kind) stores boxed
 // types.Value lanes. A lane may carry an error instead of a value —
 // errs is nil on the fast path and allocated only when some lane
-// actually errors.
+// actually errors. Storage beyond lane n is stale: a reset sizes and
+// clears exactly the lanes it is asked for, and nothing reads past them.
 type Vec struct {
 	kind types.Kind // KindInt/KindFloat/KindBool typed; KindNull = boxed
 	n    int
@@ -66,50 +73,130 @@ type Vec struct {
 
 func (v *Vec) resetInt(n int) {
 	v.kind, v.n, v.errs = types.KindInt, n, nil
-	if v.i64 == nil {
-		v.i64 = make([]int64, BatchSize)
+	if len(v.i64) < n {
+		v.i64 = make([]int64, lanesFor(n))
 	}
-	v.resetNull()
+	v.resetNull(n)
 }
 
 func (v *Vec) resetFloat(n int) {
 	v.kind, v.n, v.errs = types.KindFloat, n, nil
-	if v.f64 == nil {
-		v.f64 = make([]float64, BatchSize)
+	if len(v.f64) < n {
+		v.f64 = make([]float64, lanesFor(n))
 	}
-	v.resetNull()
+	v.resetNull(n)
 }
 
 func (v *Vec) resetBool(n int) {
 	v.kind, v.n, v.errs = types.KindBool, n, nil
-	if v.bs == nil {
-		v.bs = make([]bool, BatchSize)
+	if len(v.bs) < n {
+		v.bs = make([]bool, lanesFor(n))
 	} else {
 		// Logical kernels (AND/OR) skip-write false lanes, so reused bool
 		// storage MUST be zeroed — a stale true bit from the previous
 		// batch would otherwise leak through. Int/float/boxed lanes don't
 		// need this: they are only read where the null bitmap and error
 		// lane say the value is live, and those are always reset.
-		for i := range v.bs {
-			v.bs[i] = false
-		}
+		clear(v.bs[:n])
 	}
-	v.resetNull()
+	v.resetNull(n)
 }
 
 func (v *Vec) resetBoxed(n int) {
 	v.kind, v.n, v.errs = types.KindNull, n, nil
-	if v.any == nil {
-		v.any = make([]types.Value, BatchSize)
+	if len(v.any) < n {
+		v.any = make([]types.Value, lanesFor(n))
 	}
 }
 
-func (v *Vec) resetNull() {
-	if v.null == nil {
-		v.null = newBitmap(BatchSize)
+func (v *Vec) resetNull(n int) {
+	if w := (n + 63) >> 6; len(v.null) < w {
+		v.null = make(Bitmap, (lanesFor(n)+63)>>6)
+	} else {
+		clear(v.null[:w])
+	}
+}
+
+// reset dispatches on a declared column kind.
+func (v *Vec) reset(kind types.Kind, n int) {
+	switch kind {
+	case types.KindInt:
+		v.resetInt(n)
+	case types.KindFloat:
+		v.resetFloat(n)
+	case types.KindBool:
+		v.resetBool(n)
+	default:
+		v.resetBoxed(n)
+	}
+}
+
+// grow reallocates the current kind's storage to lanes lanes, keeping
+// its contents (Batch.Append outgrowing what the last reset sized).
+func (v *Vec) grow(lanes int) {
+	switch v.kind {
+	case types.KindInt:
+		v.i64 = grown(v.i64, lanes)
+	case types.KindFloat:
+		v.f64 = grown(v.f64, lanes)
+	case types.KindBool:
+		v.bs = grown(v.bs, lanes)
+	default:
+		v.any = grown(v.any, lanes)
 		return
 	}
-	v.null.clear()
+	v.null = grown(v.null, (lanes+63)>>6)
+}
+
+func grown[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	out := make([]T, n)
+	copy(out, s)
+	return out
+}
+
+// broadcast fills the vector with val in every lane, sized for a batch
+// of n lanes; v.n records how many lanes hold it, so a later, wider
+// batch knows to fill again.
+func (v *Vec) broadcast(val types.Value, n int) {
+	n = lanesFor(n)
+	switch val.Kind() {
+	case types.KindInt:
+		v.resetInt(n)
+		x := val.Int()
+		for i := range v.i64[:n] {
+			v.i64[i] = x
+		}
+	case types.KindFloat:
+		v.resetFloat(n)
+		x := val.Float()
+		for i := range v.f64[:n] {
+			v.f64[i] = x
+		}
+	case types.KindBool:
+		v.resetBool(n)
+		x := val.Bool()
+		for i := range v.bs[:n] {
+			v.bs[i] = x
+		}
+	default:
+		v.resetBoxed(n)
+		for i := range v.any[:n] {
+			v.any[i] = val
+		}
+	}
+}
+
+// broadcastErr fills every lane with err (an unbound parameter: the row
+// errors only if the lane is actually consulted).
+func (v *Vec) broadcastErr(err error, n int) {
+	v.broadcast(types.Null, n)
+	v.errs = make([]error, v.n)
+	for i := range v.errs {
+		v.errs[i] = err
+	}
 }
 
 func (v *Vec) boxed() bool { return v.kind == types.KindNull }
@@ -127,7 +214,7 @@ func (v *Vec) Err(i int) error {
 
 func (v *Vec) setErr(i int, err error) {
 	if v.errs == nil {
-		v.errs = make([]error, BatchSize)
+		v.errs = make([]error, lanesFor(v.n))
 	}
 	v.errs[i] = err
 }
@@ -194,13 +281,13 @@ func (v *Vec) Value(i int) types.Value {
 	}
 }
 
-// promote converts a typed vector in place to boxed lanes, preserving
-// the first n lanes. Used when a row's actual value does not match the
-// column's declared kind (schema kinds are advisory for view backing
-// tables and untyped sources).
-func (v *Vec) promote(n int) {
-	if v.any == nil {
-		v.any = make([]types.Value, BatchSize)
+// promote converts a typed vector in place to boxed storage of lanes
+// lanes, preserving the first n. Used when a row's actual value does not
+// match the column's declared kind (schema kinds are advisory for view
+// backing tables and untyped sources).
+func (v *Vec) promote(n, lanes int) {
+	if len(v.any) < lanes {
+		v.any = make([]types.Value, lanes)
 	}
 	for i := 0; i < n; i++ {
 		v.any[i] = v.Value(i)
@@ -210,36 +297,37 @@ func (v *Vec) promote(n int) {
 
 // Batch is a column-oriented window of rows. Only the columns a
 // compiled program references (used) are filled; the rest stay empty.
+// Every used column has storage for lanes rows: Fill sizes it from the
+// rows it is given, Append doubles it on demand.
 type Batch struct {
 	kinds []types.Kind
 	used  []int
 	cols  []Vec
 	n     int
+	lanes int
 }
 
 // NewBatch returns a reusable batch over columns of the declared kinds,
 // filling only the columns listed in used (typically Program.Cols()).
+// It allocates no lanes until rows arrive.
 func NewBatch(kinds []types.Kind, used []int) *Batch {
 	b := &Batch{kinds: kinds, used: used, cols: make([]Vec, len(kinds))}
 	b.Reset()
 	return b
 }
 
-// Reset empties the batch for refilling, keeping allocated storage.
-func (b *Batch) Reset() {
+// Reset empties the batch for refilling by Append, keeping allocated
+// storage (all of it is cleared: the rows to come are not known).
+func (b *Batch) Reset() { b.reset(b.lanes) }
+
+// reset restores the declared kinds with room for n clean lanes.
+func (b *Batch) reset(n int) {
 	b.n = 0
+	if n > b.lanes {
+		b.lanes = lanesFor(n)
+	}
 	for _, c := range b.used {
-		v := &b.cols[c]
-		switch b.kinds[c] {
-		case types.KindInt:
-			v.resetInt(0)
-		case types.KindFloat:
-			v.resetFloat(0)
-		case types.KindBool:
-			v.resetBool(0)
-		default:
-			v.resetBoxed(0)
-		}
+		b.cols[c].reset(b.kinds[c], n)
 	}
 }
 
@@ -259,7 +347,7 @@ func (b *Batch) Col(c int) *Vec {
 // calls inline to single field loads). Equivalent to Reset followed by
 // Append of every row. len(rows) must not exceed BatchSize.
 func (b *Batch) Fill(rows []types.Row) {
-	b.Reset()
+	b.reset(len(rows))
 	b.n = len(rows)
 	for _, c := range b.used {
 		b.fillCol(c, rows)
@@ -287,7 +375,7 @@ func (b *Batch) fillCol(c int, rows []types.Row) {
 			case types.KindInt:
 				v.i64[i] = lv.LaneInt()
 			default:
-				v.promote(i)
+				v.promote(i, b.lanes)
 				goto boxed
 			}
 		}
@@ -306,7 +394,7 @@ func (b *Batch) fillCol(c int, rows []types.Row) {
 			case types.KindFloat:
 				v.f64[i] = lv.LaneFloat()
 			default:
-				v.promote(i)
+				v.promote(i, b.lanes)
 				goto boxed
 			}
 		}
@@ -325,7 +413,7 @@ func (b *Batch) fillCol(c int, rows []types.Row) {
 			case types.KindBool:
 				v.bs[i] = lv.LaneBool()
 			default:
-				v.promote(i)
+				v.promote(i, b.lanes)
 				goto boxed
 			}
 		}
@@ -348,6 +436,12 @@ boxed:
 // the whole column to boxed lanes.
 func (b *Batch) Append(row types.Row) {
 	i := b.n
+	if i == b.lanes {
+		b.lanes = lanesFor(i + 1)
+		for _, c := range b.used {
+			b.cols[c].grow(b.lanes)
+		}
+	}
 	for _, c := range b.used {
 		var val types.Value
 		if c < len(row) {
@@ -363,7 +457,7 @@ func (b *Batch) Append(row types.Row) {
 			} else if val.Kind() == types.KindInt {
 				v.i64[i] = val.Int()
 			} else {
-				v.promote(i)
+				v.promote(i, b.lanes)
 				v.any[i] = val
 			}
 		case types.KindFloat:
@@ -372,7 +466,7 @@ func (b *Batch) Append(row types.Row) {
 			} else if val.Kind() == types.KindFloat {
 				v.f64[i] = val.Float()
 			} else {
-				v.promote(i)
+				v.promote(i, b.lanes)
 				v.any[i] = val
 			}
 		case types.KindBool:
@@ -381,7 +475,7 @@ func (b *Batch) Append(row types.Row) {
 			} else if val.Kind() == types.KindBool {
 				v.bs[i] = val.Bool()
 			} else {
-				v.promote(i)
+				v.promote(i, b.lanes)
 				v.any[i] = val
 			}
 		default:

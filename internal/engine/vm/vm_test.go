@@ -44,13 +44,7 @@ func (*missingErr) Error() string { return "missing param" }
 
 func compileExprSQL(t *testing.T, src string) *Program {
 	t.Helper()
-	// Parse "SELECT <expr>" and pull the expression out.
-	stmt, err := sqltext.Parse("SELECT " + src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	sel := stmt.(*sqltext.Select)
-	p, err := Compile(sel.Items[0].Expr, testEnv())
+	p, err := Compile(parseExpr(t, src), testEnv())
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
@@ -209,8 +203,8 @@ func TestInterpretProgram(t *testing.T) {
 	if !p.Interpreted() || compileExprSQL(t, "a + 1").Interpreted() {
 		t.Fatal("Interpreted() must hold for Interpret programs only")
 	}
-	if _, bare := p.BareCol(); bare || len(p.Cols()) != 3 {
-		t.Fatalf("wrapper must read every column and not pose as a bare one: cols %v", p.Cols())
+	if len(p.Cols()) != 3 {
+		t.Fatalf("wrapper must read every column: cols %v", p.Cols())
 	}
 	if k := p.StaticKind([]types.Kind{types.KindInt, types.KindInt, types.KindString}); k != types.KindNull {
 		t.Fatalf("static kind %v, want unknown", k)

@@ -21,13 +21,22 @@ func execBothModes(t *testing.T, e *Engine, sql string, args ...types.Value) {
 
 // compareModes is execBothModes over an arbitrary run. A run may return
 // rows beside an error (the table an erroring UPDATE left behind); they
-// are compared too.
+// are compared too. The compiled mode runs twice in a row: the second
+// run finds its programs cached and draws the machines the first run
+// released from their pools, and must match the reference all the same.
 func compareModes(t *testing.T, e *Engine, label string, run func() (*Result, error)) {
 	t.Helper()
 	cres, cerr := run()
+	pres, perr := run()
 	e.interpretAll.Store(true)
 	ires, ierr := run()
 	e.interpretAll.Store(false)
+	sameOutcome(t, label, cres, cerr, ires, ierr)
+	sameOutcome(t, label+" (pooled rerun)", pres, perr, ires, ierr)
+}
+
+func sameOutcome(t *testing.T, label string, cres *Result, cerr error, ires *Result, ierr error) {
+	t.Helper()
 	if (cerr == nil) != (ierr == nil) {
 		t.Fatalf("%s: error divergence\ncompiled:  %v\nreference: %v", label, cerr, ierr)
 	}

@@ -48,12 +48,13 @@ type DropView struct {
 	IfExists bool
 }
 
-// CreateIndex is CREATE [UNIQUE] INDEX name ON table (cols...).
+// CreateIndex is CREATE [UNIQUE] INDEX [IF NOT EXISTS] name ON table (cols...).
 type CreateIndex struct {
-	Name    string
-	Table   string
-	Columns []string
-	Unique  bool
+	Name        string
+	IfNotExists bool
+	Table       string
+	Columns     []string
+	Unique      bool
 }
 
 // CreateView is CREATE [MATERIALIZED] VIEW name AS select.

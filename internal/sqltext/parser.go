@@ -264,16 +264,9 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 		return nil, err
 	}
 	st := &CreateTable{}
-	if ok, err := p.acceptKeyword("IF"); err != nil {
+	var err error
+	if st.IfNotExists, err = p.acceptIfNotExists(); err != nil {
 		return nil, err
-	} else if ok {
-		if err := p.expectKeyword("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfNotExists = true
 	}
 	name, err := p.expectIdent()
 	if err != nil {
@@ -363,11 +356,26 @@ func (p *Parser) parseColumnDef() (ColumnDef, error) {
 	}
 }
 
+// acceptIfNotExists consumes an optional IF NOT EXISTS.
+func (p *Parser) acceptIfNotExists() (bool, error) {
+	if ok, err := p.acceptKeyword("IF"); err != nil || !ok {
+		return false, err
+	}
+	if err := p.expectKeyword("NOT"); err != nil {
+		return false, err
+	}
+	return true, p.expectKeyword("EXISTS")
+}
+
 func (p *Parser) parseCreateIndex(unique bool) (Statement, error) {
 	if err := p.expectKeyword("INDEX"); err != nil {
 		return nil, err
 	}
 	st := &CreateIndex{Unique: unique}
+	var err error
+	if st.IfNotExists, err = p.acceptIfNotExists(); err != nil {
+		return nil, err
+	}
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err

@@ -281,8 +281,15 @@ func TestParseViewTriggerIndex(t *testing.T) {
 		t.Fatalf("%+v", tr)
 	}
 	ix := mustParse(t, "CREATE UNIQUE INDEX i ON t (a, b)").(*CreateIndex)
-	if !ix.Unique || len(ix.Columns) != 2 {
+	if !ix.Unique || ix.IfNotExists || len(ix.Columns) != 2 {
 		t.Fatalf("%+v", ix)
+	}
+	ix = mustParse(t, "CREATE INDEX IF NOT EXISTS i ON t (a)").(*CreateIndex)
+	if ix.Unique || !ix.IfNotExists || ix.Name != "i" || ix.Table != "t" {
+		t.Fatalf("%+v", ix)
+	}
+	if _, err := Parse("CREATE INDEX IF EXISTS i ON t (a)"); err == nil {
+		t.Fatal("IF EXISTS on CREATE INDEX parsed")
 	}
 }
 
@@ -371,6 +378,8 @@ func TestPrintParseRoundTrip(t *testing.T) {
 		"UPDATE t SET a = a + 1 WHERE b IS NOT NULL",
 		"DELETE FROM t WHERE a IN (1, 2)",
 		"CREATE TABLE t (a INT PRIMARY KEY, b STRING)",
+		"CREATE INDEX i ON t (a, b)",
+		"CREATE UNIQUE INDEX IF NOT EXISTS i ON t (a)",
 		"CREATE MATERIALIZED VIEW v AS SELECT a FROM t",
 		"CREATE TRIGGER g AFTER DELETE ON t CALL 'h'",
 		"SELECT (SELECT COUNT(*) FROM u) AS total FROM t",

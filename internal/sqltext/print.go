@@ -53,11 +53,14 @@ func (s *DropView) String() string {
 }
 
 func (s *CreateIndex) String() string {
-	u := ""
+	u, ine := "", ""
 	if s.Unique {
 		u = "UNIQUE "
 	}
-	return fmt.Sprintf("CREATE %sINDEX %s ON %s (%s)", u, s.Name, s.Table, strings.Join(s.Columns, ", "))
+	if s.IfNotExists {
+		ine = "IF NOT EXISTS "
+	}
+	return fmt.Sprintf("CREATE %sINDEX %s%s ON %s (%s)", u, ine, s.Name, s.Table, strings.Join(s.Columns, ", "))
 }
 
 func (s *CreateView) String() string {

@@ -819,18 +819,26 @@ func (s *Store) Delete(table string, tid int64) (types.Row, error) {
 // store-wide, case-insensitively; a create that fails leaves nothing
 // behind.
 func (s *Store) AddIndex(name, table string, cols []string, unique bool) error {
+	if on, exists := s.NamedIndex(name); exists {
+		return fmt.Errorf("storage: index %q already exists on %s", name, on)
+	}
+	_, err := s.do(&Record{Op: OpCreateIndex, Table: table, Index: IndexDef{Name: name, Cols: cols, Unique: unique}})
+	return err
+}
+
+// NamedIndex reports the table that holds the CREATE INDEX index of the
+// given name (names are unique store-wide, case-insensitively).
+func (s *Store) NamedIndex(name string) (table string, ok bool) {
 	s.tablesMu.RLock()
+	defer s.tablesMu.RUnlock()
 	for _, t := range s.tables {
 		for _, ix := range t.Indexes() {
 			if ix.Origin == OriginNamed && strings.EqualFold(ix.Name, name) {
-				s.tablesMu.RUnlock()
-				return fmt.Errorf("storage: index %q already exists on %s", name, t.Schema.Name)
+				return t.Schema.Name, true
 			}
 		}
 	}
-	s.tablesMu.RUnlock()
-	_, err := s.do(&Record{Op: OpCreateIndex, Table: table, Index: IndexDef{Name: name, Cols: cols, Unique: unique}})
-	return err
+	return "", false
 }
 
 // PutMeta stores a DDL meta entry (view/trigger) and logs it.

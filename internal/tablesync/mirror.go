@@ -349,9 +349,9 @@ func (m *Mirror) UpdateRow(tid int64, updates map[string]types.Value) error {
 		sets[i] = c + " = ?"
 		args[i] = updates[c]
 	}
-	sql := fmt.Sprintf("UPDATE %s SET %s WHERE %s = %d",
-		m.table, strings.Join(sets, ", "), catalog.SysTID, tid)
-	if _, err := m.db.Exec(sql, args...); err != nil {
+	sql := fmt.Sprintf("UPDATE %s SET %s WHERE %s = ?",
+		m.table, strings.Join(sets, ", "), catalog.SysTID)
+	if _, err := m.db.Exec(sql, append(args, types.NewInt(tid))...); err != nil {
 		return err
 	}
 	// Apply locally right away.
@@ -379,7 +379,7 @@ func (m *Mirror) DeleteRow(tid int64) error {
 	if !ok {
 		return fmt.Errorf("tablesync: no row with tid %d", tid)
 	}
-	if _, err := m.db.Exec(fmt.Sprintf("DELETE FROM %s WHERE %s = %d", m.table, catalog.SysTID, tid)); err != nil {
+	if _, err := m.db.Exec(fmt.Sprintf("DELETE FROM %s WHERE %s = ?", m.table, catalog.SysTID), types.NewInt(tid)); err != nil {
 		return err
 	}
 	m.mu.Lock()
