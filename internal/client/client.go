@@ -109,10 +109,10 @@ type Conn struct {
 
 	// Client-local metrics (the server keeps its own): dial/pool churn
 	// and round-trip latency as seen from this driver.
-	reg          *metrics.Registry
-	mDials       *metrics.Counter
-	mDialRetries *metrics.Counter
-	mDialErrors  *metrics.Counter
+	reg           *metrics.Registry
+	mDials        *metrics.Counter
+	mDialRetries  *metrics.Counter
+	mDialErrors   *metrics.Counter
 	mPoolHits     *metrics.Counter
 	mPoolMisses   *metrics.Counter
 	mStaleConns   *metrics.Counter

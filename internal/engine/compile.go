@@ -142,7 +142,7 @@ func (e *Engine) compiledProg(x sqltext.Expr, b *binder) *vm.Program {
 // arguments and, for Interpreted programs, to this binder's interpreter.
 // The statement owns it until ExecStmt returns (stmtCtx.release).
 // Machines are not goroutine-safe and neither is the binder;
-// Engine.workers keeps an Interpreted program's phase at width 1.
+// Engine.workers keeps a scan with an Interpreted filter at width 1.
 func (b *binder) machine(p *vm.Program) *vm.Machine {
 	m := p.Acquire()
 	m.Bind(b.args, b.eval)

@@ -289,8 +289,8 @@ func (e *Engine) updateSetVecs(s *sqltext.Update, b *binder) ([][]types.Value, [
 		progs[i] = e.compiledProg(a.Value, b)
 		setVals[i] = make([]types.Value, n)
 	}
-	// evalVecsRange only fails through the sink, which never errors here.
-	_ = e.evalVecsRange(progs, b, 0, n, func(start, count int, vecs []*vm.Vec) error {
+	// evalVecs only fails through the sink, which never errors here.
+	_ = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
 		for i, vec := range vecs {
 			for ri := 0; ri < count; ri++ {
 				if err := vec.Err(ri); err != nil {

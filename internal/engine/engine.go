@@ -186,11 +186,12 @@ type Engine struct {
 	mVMBatches   *metrics.Counter
 	mVMRows      *metrics.Counter
 
-	// Morsel-driven intra-query parallelism (see parallel.go). The
-	// worker budget is engine-wide: concurrent sessions draw extra
-	// workers from one shared pool so they degrade to narrower plans
-	// instead of oversubscribing the cores.
-	parallelism atomic.Int64 // target workers per query (1 = serial)
+	// Morsel-driven scans (see parallel.go). The worker budget is
+	// engine-wide: concurrent sessions draw extra workers from one
+	// shared pool so they degrade to narrower plans instead of
+	// oversubscribing the cores. parallelism is GOMAXPROCS at New and
+	// otherwise written only from _test.go, like interpretAll.
+	parallelism atomic.Int64 // target workers per scan (1 = serial)
 	parExtra    atomic.Int64 // extra workers currently running engine-wide
 	mParQueries *metrics.Counter
 	mParMorsels *metrics.Counter

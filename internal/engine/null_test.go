@@ -35,18 +35,18 @@ func TestNullThreeValuedFilters(t *testing.T) {
 		{"NOT (age = NULL)", nil},
 		{"age = NULL", nil},
 		{"age != NULL", nil},
-		{"NOT (age > 26)", []int64{2}},                     // dan's NULL stays excluded under NOT
-		{"NOT (age <= 26)", []int64{1, 3, 5}},              // and from the complement too
-		{"age > 26 OR age <= 26", []int64{1, 2, 3, 5}},     // tautology never resurrects NULL
-		{"NOT (age BETWEEN 0 AND 200)", nil},               // BETWEEN is unknown on NULL
-		{"NOT (age IN (25, 30))", []int64{3, 5}},           // IN: dan is unknown, not true
-		{"age IN (25, NULL)", []int64{2}},                  // NULL in list can only add matches
-		{"NOT (age IN (25, NULL))", nil},                   // ...and poisons the negation entirely
-		{"NOT (name LIKE 'a%')", []int64{2, 3, 4, 5}},      // LIKE on non-null behaves
-		{"age IS NULL OR age > 100", []int64{4}},           // IS NULL is two-valued
-		{"age = NULL OR city = 'lyon'", []int64{2}},        // unknown OR true = true
+		{"NOT (age > 26)", []int64{2}},                              // dan's NULL stays excluded under NOT
+		{"NOT (age <= 26)", []int64{1, 3, 5}},                       // and from the complement too
+		{"age > 26 OR age <= 26", []int64{1, 2, 3, 5}},              // tautology never resurrects NULL
+		{"NOT (age BETWEEN 0 AND 200)", nil},                        // BETWEEN is unknown on NULL
+		{"NOT (age IN (25, 30))", []int64{3, 5}},                    // IN: dan is unknown, not true
+		{"age IN (25, NULL)", []int64{2}},                           // NULL in list can only add matches
+		{"NOT (age IN (25, NULL))", nil},                            // ...and poisons the negation entirely
+		{"NOT (name LIKE 'a%')", []int64{2, 3, 4, 5}},               // LIKE on non-null behaves
+		{"age IS NULL OR age > 100", []int64{4}},                    // IS NULL is two-valued
+		{"age = NULL OR city = 'lyon'", []int64{2}},                 // unknown OR true = true
 		{"NOT (age = NULL AND city = 'nice')", []int64{1, 2, 3, 5}}, // false AND unknown = false for others; dan unknown
-		{"age = NULL AND 1 = 0", nil},                      // unknown AND false = false
+		{"age = NULL AND 1 = 0", nil},                               // unknown AND false = false
 	}
 	for _, c := range cases {
 		res, err := e.Query("SELECT id FROM users WHERE " + c.where)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -13,24 +12,26 @@ import (
 	"ediflow/internal/types"
 )
 
-// Range operators and morsel-driven intra-query parallelism.
+// Morsel-driven intra-query parallelism, and the batched operators over
+// materialized rows.
 //
-// Every batched engine stage — the compiled snapshot scan, program
-// evaluation over materialized rows, group keys, aggregate folds, the
-// hash-join build — is one operator over a range [lo, hi). A statement
-// at width 1 calls it once over [0, n) on its own goroutine; a wider
-// one hands ranges out through fanOut. Nothing else differs between the
-// two, so parallel execution is an invisible implementation detail:
-// rows, the first surfaced error, and the rows-scanned tally are
-// byte-identical at every width.
+// The engine has one parallel operator: the compiled snapshot scan
+// (scanFiltered). A full scan over an MVCC snapshot is embarrassingly
+// parallel: the slot array is captured once (storage.SlotView), every
+// worker resolves visibility lock-free against the same pinned sequence
+// number, and the only coordination is an atomic cursor handing out
+// morsels — fixed runs of version-chain slots, each a few VM batches
+// long. Morsel outputs concatenate in slot order, so rows, the first
+// surfaced error and the rows-scanned tally are byte-identical at every
+// width.
 //
-// A full scan over an MVCC snapshot is embarrassingly parallel: the
-// slot array is captured once (storage.SlotView), every worker resolves
-// visibility lock-free against the same pinned sequence number, and the
-// only coordination is an atomic cursor handing out morsels — fixed
-// runs of version-chain slots, each a few VM batches long.
+// Everything downstream of the scan — program evaluation over
+// materialized rows, group keys, aggregate folds, the hash-join build —
+// runs front to back over [0, n) on the statement's goroutine. Splitting
+// those phases paid for nothing measurable (DESIGN.md §16) and needed
+// partial-state merges to stay exact.
 //
-// The worker budget is engine-wide (Engine.parExtra): a phase reserves
+// The worker budget is engine-wide (Engine.parExtra): a scan reserves
 // extra workers against the configured parallelism before fanning out
 // and releases them when it completes, so concurrent sessions degrade
 // to narrower plans instead of oversubscribing the cores.
@@ -41,25 +42,7 @@ import (
 // shrink it to force multi-morsel plans on small tables.
 var morselSlots = 16 * vm.BatchSize
 
-// parallelGroupCap bounds per-worker aggregate state slabs: beyond this
-// many groups the partial-state memory (workers x items x groups)
-// outweighs the fold savings and grouped folds stay at width 1.
-const parallelGroupCap = 4096
-
-// SetParallelism sets the target number of workers an eligible query
-// may fan out to. 1 disables intra-query parallelism; 0 resets to
-// runtime.GOMAXPROCS. The default is GOMAXPROCS at engine start.
-func (e *Engine) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.parallelism.Store(int64(n))
-}
-
-// Parallelism reports the configured per-query worker target.
-func (e *Engine) Parallelism() int { return int(e.parallelism.Load()) }
-
-// parallelWidth reports how many workers a phase over n rows would
+// parallelWidth reports how many workers a scan over n slots would
 // target: one per morsel up to the configured parallelism, and 1 below
 // two full morsels — point lookups and small tables must not pay
 // goroutine overhead. It does not reserve anything.
@@ -77,7 +60,7 @@ func (e *Engine) parallelWidth(n int) int {
 // reserveWorkers claims up to want extra workers from the engine-wide
 // budget (parallelism - 1 beyond the calling goroutine). Returns how
 // many were actually claimed. Callers must releaseWorkers the same
-// count when the phase completes.
+// count when the scan completes.
 func (e *Engine) reserveWorkers(want int) int {
 	if want <= 0 {
 		return 0
@@ -105,18 +88,16 @@ func (e *Engine) releaseWorkers(n int) {
 	}
 }
 
-// workers settles the width of a phase that runs progs over n rows —
+// workers settles the width of a scan that runs prog over n slots —
 // the calling goroutine plus whatever extras the budget grants — and
-// notes a fan-out for the vm.parallel_* metrics. 1 means the phase runs
-// inline, which it always does when a program is Interpreted: it calls
-// into the statement's binder, whose subquery and IN caches are not
-// goroutine-safe. Callers releaseWorkers(nw - 1) when the phase
+// notes a fan-out for the vm.parallel_* metrics. 1 means the scan runs
+// inline, which it always does when prog is Interpreted: it calls into
+// the statement's binder, whose subquery and IN caches are not
+// goroutine-safe. Callers releaseWorkers(nw - 1) when the scan
 // completes.
-func (e *Engine) workers(n int, ctx *stmtCtx, progs ...*vm.Program) int {
-	for _, p := range progs {
-		if p.Interpreted() {
-			return 1
-		}
+func (e *Engine) workers(n int, ctx *stmtCtx, prog *vm.Program) int {
+	if prog.Interpreted() {
+		return 1
 	}
 	nw := 1 + e.reserveWorkers(e.parallelWidth(n)-1)
 	if nw > 1 && int64(nw) > ctx.parWorkers {
@@ -175,21 +156,6 @@ func fanOut(nw, tasks int, work func(next func() (task int, ok bool)) error) err
 		}
 	}
 	return nil
-}
-
-// contiguousRanges splits [0, n) into nw near-equal ranges aligned to
-// batch boundaries, so no batch straddles two workers.
-func contiguousRanges(n, nw int) [][2]int {
-	per := (n/nw + vm.BatchSize) / vm.BatchSize * vm.BatchSize
-	var rs [][2]int
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		rs = append(rs, [2]int{lo, hi})
-	}
-	return rs
 }
 
 // scanOut is what one scan range produced. A WHERE error is the range's
@@ -392,12 +358,10 @@ func (sp *scanProj) bind(b *binder) *scanProj {
 	return c
 }
 
-// evalVecsRange runs several programs over b.rel.rows[lo:hi) chunk by
-// chunk, invoking sink with each chunk's absolute start index and
-// result vectors (valid only during the callback). Machines and the
-// batch are private to the call, so disjoint ranges may run on
-// different goroutines — unless a program is Interpreted.
-func (e *Engine) evalVecsRange(progs []*vm.Program, b *binder, lo, hi int, sink func(start, count int, vecs []*vm.Vec) error) error {
+// evalVecs runs several programs over b.rel.rows front to back, chunk by
+// chunk, invoking sink with each chunk's start index and result vectors
+// (valid only during the callback). The first sink error stops the run.
+func (e *Engine) evalVecs(progs []*vm.Program, b *binder, sink func(start, count int, vecs []*vm.Vec) error) error {
 	rel := b.rel
 	machines := make([]*vm.Machine, len(progs))
 	for i, p := range progs {
@@ -405,11 +369,8 @@ func (e *Engine) evalVecsRange(progs []*vm.Program, b *binder, lo, hi int, sink 
 	}
 	batch := scratchBatch(machines, rel, progs)
 	vecs := make([]*vm.Vec, len(progs))
-	for start := lo; start < hi; start += vm.BatchSize {
-		end := start + vm.BatchSize
-		if end > hi {
-			end = hi
-		}
+	for start := 0; start < len(rel.rows); start += vm.BatchSize {
+		end := min(start+vm.BatchSize, len(rel.rows))
 		batch.Fill(rel.rows[start:end])
 		for i, mch := range machines {
 			vecs[i] = mch.Eval(batch)
@@ -420,25 +381,6 @@ func (e *Engine) evalVecsRange(progs []*vm.Program, b *binder, lo, hi int, sink 
 		}
 	}
 	return nil
-}
-
-// groupKeysRange computes the RowKey of the compiled GROUP BY
-// expressions for rel.rows[lo:hi) into keys, stopping at the range's
-// first (row, expression) error.
-func (e *Engine) groupKeysRange(progs []*vm.Program, b *binder, lo, hi int, keys []string) error {
-	keyVals := make(types.Row, len(progs))
-	return e.evalVecsRange(progs, b, lo, hi, func(start, count int, vecs []*vm.Vec) error {
-		for ri := 0; ri < count; ri++ {
-			for gi := range progs {
-				if err := vecs[gi].Err(ri); err != nil {
-					return err
-				}
-				keyVals[gi] = vecs[gi].Value(ri)
-			}
-			keys[start+ri] = types.RowKey(keyVals)
-		}
-		return nil
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -470,47 +412,16 @@ func aggOpOf(name string) (aggOp, bool) {
 	return 0, false
 }
 
-// Comparability classes for MIN/MAX merge safety. types.Compare never
-// errors between two values of the same class (INT and FLOAT form one
-// numeric class); any cross-class or unknown-kind comparison may, so a
-// fold that saw mixed classes cannot be merged from partials — the
-// serial fold's error depends on accumulation order.
-const (
-	clsNumeric uint8 = iota
-	clsBool
-	clsString
-	clsTime
-	clsBytes
-	clsOther
-)
-
-func classOf(v types.Value) uint8 {
-	switch v.LaneKind() {
-	case types.KindInt, types.KindFloat:
-		return clsNumeric
-	case types.KindBool:
-		return clsBool
-	case types.KindString:
-		return clsString
-	case types.KindTime:
-		return clsTime
-	case types.KindBytes:
-		return clsBytes
-	}
-	return clsOther
-}
-
 // aggState is one (aggregate item, group) accumulator, folded directly
 // from typed vector lanes — no boxed per-row value cache. argErr is the
 // first lane error in row order (what the interpreter's collect loop
 // would surface, always beating fold errors); foldErr is the first
 // error the fold itself raised (AsFloat on a non-numeric SUM operand,
 // cross-class Compare). Errors stay in the state until its result is
-// read, so a group HAVING rejects never surfaces one. notAllInt / mixed
-// mark states whose partials cannot be merged across row ranges (float
-// addition is not associative; cross-class Compare errors are
-// order-dependent). seen is a DISTINCT item's dedup set: only a value's
-// first occurrence in row order is folded.
+// read, so a group HAVING rejects never surfaces one. notAllInt marks a
+// sum that saw a non-integer operand and so finalizes as a float. seen
+// is a DISTINCT item's dedup set: only a value's first occurrence in
+// row order is folded.
 type aggState struct {
 	seen      map[string]struct{}
 	cnt       int64
@@ -521,22 +432,13 @@ type aggState struct {
 	foldErr   error
 	have      bool
 	notAllInt bool
-	mixed     bool
-	class     uint8
 }
 
 // step folds one MIN/MAX operand through the generic Compare path.
 func (st *aggState) step(op aggOp, v types.Value) {
-	cls := classOf(v)
 	if !st.have {
-		st.best, st.class, st.have = v, cls, true
-		if cls == clsOther {
-			st.mixed = true
-		}
+		st.best, st.have = v, true
 		return
-	}
-	if cls != st.class || cls == clsOther {
-		st.mixed = true
 	}
 	c, err := types.Compare(v, st.best)
 	if err != nil {
@@ -608,16 +510,11 @@ func (f *aggFold) state(fc *sqltext.FuncCall, gi int) (*aggState, aggOp) {
 }
 
 // buildAggFold selects the foldable aggregate items (simple call, one
-// argument) and folds them over rel.rows, column-natively
-// from typed lanes: one range at width 1, else contiguous row ranges
-// whose partials merge in range order. Going wide needs a large
-// relation, a bounded group count, and every item statically
-// merge-safe; any state that still turns out merge-unsafe at runtime
-// (float SUM, mixed-class MIN/MAX) triggers one refold over [0, n),
-// which is always exact.
+// argument) and folds them over rel.rows front to back, column-natively
+// from typed lanes: typed int/float lanes fold without boxing a single
+// value.
 func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int) *aggFold {
-	n := len(rel.rows)
-	if e.interpretAll.Load() || n == 0 || nGroups == 0 {
+	if e.interpretAll.Load() || len(rel.rows) == 0 || nGroups == 0 {
 		return nil
 	}
 	f := &aggFold{calls: map[*sqltext.FuncCall]int{}, nGroups: nGroups}
@@ -641,117 +538,14 @@ func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGro
 	if len(f.ops) == 0 {
 		return nil
 	}
-	nw := 1
-	if nGroups <= parallelGroupCap && e.parallelWidth(n) > 1 && f.staticMergeSafe(batchKinds(rel.cols)) {
-		nw = e.workers(n, b.ctx, f.progs...)
-	}
-	ranges := contiguousRanges(n, nw)
-	partials := make([][]aggState, len(ranges))
-	_ = fanOut(nw, len(ranges), func(next func() (int, bool)) error {
-		for ri, ok := next(); ok; ri, ok = next() {
-			partials[ri] = e.foldRange(f, b, ranges[ri][0], ranges[ri][1], rowGroup)
-		}
-		return nil
-	})
-	e.releaseWorkers(nw - 1)
-	f.states = partials[0]
-	for _, part := range partials[1:] {
-		mergeAggStates(f.states, part, f.ops, nGroups)
-	}
-	if len(partials) > 1 {
-		// A merged float sum or mixed-class extremum could diverge from
-		// the front-to-back fold: redo it as one range.
-		for i := range f.states {
-			st, op := &f.states[i], f.ops[i/nGroups]
-			if ((op == aggSum || op == aggAvg) && st.notAllInt) || ((op == aggMin || op == aggMax) && st.mixed) {
-				f.states = e.foldRange(f, b, 0, n, rowGroup)
-				break
-			}
-		}
-	}
-	return f
-}
-
-// staticMergeSafe reports whether every item's fold partials can be
-// merged across row ranges given the arguments' statically inferred
-// kinds: integer sums are associative, single-kind MIN/MAX never hits a
-// cross-class Compare; a DISTINCT item's dedup set spans the whole
-// relation, so it never is. Kinds are advisory (columns can promote),
-// so the runtime notAllInt/mixed flags remain the backstop.
-func (f *aggFold) staticMergeSafe(kinds []types.Kind) bool {
-	for i, op := range f.ops {
-		k := f.progs[i].StaticKind(kinds)
-		switch {
-		case f.distinct[i]:
-			return false
-		case op == aggSum || op == aggAvg:
-			if k != types.KindInt {
-				return false
-			}
-		case op == aggMin || op == aggMax:
-			if k == types.KindNull {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// mergeAggStates folds src's partial states (a later contiguous row
-// range) into dst's in range order. Error selection mirrors the serial
-// fold: the earliest range's argument error wins, fold errors for
-// integer sums are range-independent, and MIN/MAX partials merge by a
-// single Compare against the accumulated best (exact for single-class
-// folds; mixed-class folds are flagged and refolded serially).
-func mergeAggStates(dst, src []aggState, ops []aggOp, nGroups int) {
-	for ci, op := range ops {
-		for g := 0; g < nGroups; g++ {
-			d := &dst[ci*nGroups+g]
-			s := &src[ci*nGroups+g]
-			if d.argErr == nil {
-				d.argErr = s.argErr
-			}
-			if d.foldErr == nil {
-				d.foldErr = s.foldErr
-			}
-			d.cnt += s.cnt
-			d.si += s.si
-			d.sf += s.sf
-			d.notAllInt = d.notAllInt || s.notAllInt
-			d.mixed = d.mixed || s.mixed
-			if op != aggMin && op != aggMax || !s.have {
-				continue
-			}
-			if !d.have {
-				d.best, d.class, d.have = s.best, s.class, true
-				continue
-			}
-			if s.class != d.class || s.class == clsOther {
-				d.mixed = true
-			}
-			c, err := types.Compare(s.best, d.best)
-			if err != nil {
-				d.mixed = true
-				continue
-			}
-			if (op == aggMin && c < 0) || (op == aggMax && c > 0) {
-				d.best = s.best
-			}
-		}
-	}
-}
-
-// foldRange folds every item of f over rel.rows[lo:hi), column-native:
-// typed int/float lanes fold without boxing a single value.
-func (e *Engine) foldRange(f *aggFold, b *binder, lo, hi int, rowGroup []int32) []aggState {
-	states := make([]aggState, len(f.ops)*f.nGroups)
-	_ = e.evalVecsRange(f.progs, b, lo, hi, func(start, count int, vecs []*vm.Vec) error {
+	f.states = make([]aggState, len(f.ops)*nGroups)
+	_ = e.evalVecs(f.progs, b, func(start, count int, vecs []*vm.Vec) error {
 		for ci := range f.ops {
-			foldVec(states[ci*f.nGroups:(ci+1)*f.nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
+			foldVec(f.states[ci*nGroups:(ci+1)*nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
 		}
 		return nil
 	})
-	return states
+	return f
 }
 
 // foldVec folds one result vector into per-group states. Per lane: a
@@ -823,7 +617,7 @@ func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup [
 			switch kind {
 			case types.KindInt:
 				x := vec.Int(ri)
-				if st.have && st.class == clsNumeric && st.best.LaneKind() == types.KindInt {
+				if st.have && st.best.LaneKind() == types.KindInt {
 					// Typed compare; strict replacement keeps the first
 					// of equals, and cmpInt agrees with < and >.
 					if (op == aggMin && x < st.best.LaneInt()) || (op == aggMax && x > st.best.LaneInt()) {
@@ -834,7 +628,7 @@ func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup [
 				st.step(op, types.NewInt(x))
 			case types.KindFloat:
 				x := vec.Float(ri)
-				if st.have && st.class == clsNumeric && st.best.LaneKind() == types.KindFloat {
+				if st.have && st.best.LaneKind() == types.KindFloat {
 					// Strict < and > agree with types.Compare's cmpFloat
 					// for NaN too: NaN compares equal, first value kept.
 					if (op == aggMin && x < st.best.LaneFloat()) || (op == aggMax && x > st.best.LaneFloat()) {
@@ -853,30 +647,6 @@ func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup [
 // ---------------------------------------------------------------------------
 // Hash-join build.
 
-// joinIndex maps a join key to the right-side row indexes carrying it,
-// in ascending row order, as one hash partition per build worker. Each
-// partition builder scans the precomputed keys ascending, so per-key
-// index lists — and with them the probe's output — are the same at
-// every width.
-type joinIndex struct {
-	parts []map[string][]int
-}
-
-func (ix *joinIndex) lookup(k string) []int { return ix.parts[keyPart(k, len(ix.parts))][k] }
-
-// keyPart assigns a join key to one of n partitions by FNV-1a; a lone
-// partition needs no hash.
-func keyPart(k string, n int) int {
-	if n == 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint32(k[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
 // joinKey builds the equality key for a row, or ok=false when any key
 // column is NULL (NULL never joins).
 func joinKey(row types.Row, cols []int) (string, bool) {
@@ -890,45 +660,15 @@ func joinKey(row types.Row, cols []int) (string, bool) {
 	return types.RowKey(key), true
 }
 
-// buildJoinIndex builds the right-side hash index in two phases, each
-// fanned out when the build side is large enough: keys and partition
-// assignments over contiguous row ranges, then one builder per
-// partition.
-func (e *Engine) buildJoinIndex(rows []types.Row, eqR []int, ctx *stmtCtx) *joinIndex {
-	n := len(rows)
-	nw := e.workers(n, ctx)
-	defer e.releaseWorkers(nw - 1)
-
-	keys := make([]string, n)
-	part := make([]int32, n) // -1 = NULL key, never joins
-	ranges := contiguousRanges(n, nw)
-	_ = fanOut(nw, len(ranges), func(next func() (int, bool)) error {
-		for ri, ok := next(); ok; ri, ok = next() {
-			for i := ranges[ri][0]; i < ranges[ri][1]; i++ {
-				k, ok := joinKey(rows[i], eqR)
-				if !ok {
-					part[i] = -1
-					continue
-				}
-				keys[i] = k
-				part[i] = int32(keyPart(k, nw))
-			}
+// buildJoinIndex maps each join key of the right side to the indexes of
+// the rows carrying it, in ascending row order; rows with a NULL key
+// column are left out.
+func buildJoinIndex(rows []types.Row, eqR []int) map[string][]int {
+	idx := make(map[string][]int, len(rows))
+	for i, r := range rows {
+		if k, ok := joinKey(r, eqR); ok {
+			idx[k] = append(idx[k], i)
 		}
-		return nil
-	})
-
-	ix := &joinIndex{parts: make([]map[string][]int, nw)}
-	_ = fanOut(nw, nw, func(next func() (int, bool)) error {
-		for p, ok := next(); ok; p, ok = next() {
-			m := make(map[string][]int, n/nw)
-			for i, pi := range part {
-				if int(pi) == p {
-					m[keys[i]] = append(m[keys[i]], i)
-				}
-			}
-			ix.parts[p] = m
-		}
-		return nil
-	})
-	return ix
+	}
+	return idx
 }

@@ -16,7 +16,7 @@ func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel int) {
 	old := morselSlots
 	morselSlots = slotsPerMorsel
 	t.Cleanup(func() { morselSlots = old })
-	e.SetParallelism(width)
+	e.parallelism.Store(int64(width))
 }
 
 // execThreeWay runs sql on the reference (interpretAll: the interpreter
@@ -36,7 +36,7 @@ func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.
 	}
 	run := func(name string, compiled bool, w int) outcome {
 		e.interpretAll.Store(!compiled)
-		e.SetParallelism(w)
+		e.parallelism.Store(int64(w))
 		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
 		res, err := e.Exec(sql, args...)
 		if w == 1 && e.mParQueries.Value() != q0 {
@@ -46,7 +46,7 @@ func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.
 	}
 	ref := run("reference", false, 1)
 	outs := []outcome{run("width 1", true, 1), run(fmt.Sprintf("width %d", width), true, width)}
-	e.SetParallelism(1)
+	e.parallelism.Store(1)
 
 	for _, got := range outs {
 		if (ref.err == nil) != (got.err == nil) {
@@ -140,8 +140,8 @@ func TestParallelDifferential(t *testing.T) {
 	e := newParTestDB(t, 3000)
 	forceParallel(t, e, 4, 256)
 	// A view column declared STRING that holds ints below id 2000 and
-	// strings above: MIN/MAX over it passes the static merge-safety gate,
-	// fans out, and must refold once a partial turns out mixed-class.
+	// strings above: MIN/MAX over it compares across kinds, so only a
+	// front-to-back fold yields the interpreter's result and error.
 	mustExec(t, e, "CREATE VIEW mixv AS SELECT id, CASE WHEN id < 2000 THEN v ELSE s END AS m FROM p")
 	stmts := []string{
 		// Filtered scans with projection pushdown (bare and computed).
@@ -172,8 +172,7 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT COUNT(DISTINCT v), SUM(DISTINCT v) FROM p",
 		"SELECT b, MIN(w), MAX(id) FROM p GROUP BY b",
 		"SELECT COUNT(*) FROM p WHERE s LIKE 'str%'",
-		// Grouped COUNT(*) and DISTINCT folds (a per-state seen-set,
-		// folded at width 1 behind fanned-out group keys).
+		// Grouped COUNT(*) and DISTINCT folds (a per-state seen-set).
 		"SELECT v % 7, COUNT(*), COUNT(DISTINCT s), SUM(DISTINCT v % 10), AVG(DISTINCT w), MIN(DISTINCT s) FROM p GROUP BY v % 7",
 		"SELECT b, COUNT(DISTINCT v), COUNT(v), MAX(w) FROM p GROUP BY b ORDER BY COUNT(*) DESC",
 		// An empty relation: the implicit group still yields one row, a
@@ -190,8 +189,9 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT v % 5, SUM(v), COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(id), SUM(w) / COUNT(*), MIN(id) + 1 FROM p GROUP BY v % 5",
 		"SELECT v % 5, MAX(s) FROM p GROUP BY v % 5 HAVING SUM(v) > 100000 AND COUNT(DISTINCT b) = 2",
 		"SELECT SUM(*) FROM p",
-		// Merge-unsafe folds: float sums (addition order matters) and
-		// MIN/MAX over mixed comparability classes, global and grouped.
+		// Order-sensitive folds, width 1 like every fold: float sums
+		// (addition order matters) and MIN/MAX over mixed comparability
+		// classes, global and grouped.
 		"SELECT b, SUM(w), AVG(w * 1.1), SUM(v + w) FROM p GROUP BY b",
 		"SELECT MIN(CASE WHEN id % 2 = 0 THEN v ELSE id * 1.5 END), MAX(CASE WHEN id % 3 = 0 THEN w ELSE id END) FROM p",
 		"SELECT MAX(CASE WHEN id > 2900 THEN s ELSE v END) FROM p",
@@ -199,13 +199,12 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT MIN(m), MAX(m), COUNT(m) FROM mixv",
 		"SELECT MIN(m), MAX(m) FROM mixv WHERE id < 2000",
 		"SELECT id % 3, MAX(m) FROM mixv WHERE id < 2000 GROUP BY id % 3",
-		// Joins: parallel partitioned build on the materialized side.
+		// Joins: the primary-key probe and the hash build run at width 1.
 		"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
 		"SELECT dim.label, COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k GROUP BY dim.label",
 		"SELECT p.id FROM p LEFT JOIN dim ON p.v % 7 = dim.k AND dim.k > 3 WHERE p.id < 40 ORDER BY p.id",
-		// Right side keyed on an unindexed column: the hash build runs
-		// (one partition at width 1, FNV partitions when fanned out) over
-		// NULL stripes, duplicate keys and a two-column key.
+		// Right side keyed on an unindexed column: the width-1 hash build
+		// runs over NULL stripes, duplicate keys and a two-column key.
 		"SELECT d.k, b.id FROM dim d JOIN p b ON d.k = b.v",
 		"SELECT d.label, COUNT(*), MIN(b.id) FROM dim d LEFT JOIN p b ON d.k = b.v AND b.id > 1000 GROUP BY d.label",
 		"SELECT a.id, b.id FROM p a JOIN p b ON a.v = b.v AND a.s = b.s WHERE a.id < 300 AND b.id > a.id",
@@ -293,7 +292,7 @@ func TestParallelMetrics(t *testing.T) {
 		{4, "SELECT label FROM dim WHERE k > 2"},
 		{4, "SELECT id, v FROM p WHERE id = 77"},
 	} {
-		e.SetParallelism(c.width)
+		e.parallelism.Store(int64(c.width))
 		q1, m1, w1 := e.mParQueries.Value(), e.mParMorsels.Value(), e.mParWorkers.Value()
 		mustExec(t, e, c.sql)
 		if e.mParQueries.Value() != q1 || e.mParMorsels.Value() != m1 || e.mParWorkers.Value() != w1 {
@@ -307,12 +306,41 @@ func TestParallelMetrics(t *testing.T) {
 	}
 }
 
+// TestOnlyScansFanOut: the compiled snapshot scan is the one parallel
+// operator. Group keys, aggregate folds and hash-join builds over a
+// relation large enough to fan out run at width 1 when the rows came
+// from materializeRel; a filtered GROUP BY fans out its scan alone and
+// counts as one parallel query.
+func TestOnlyScansFanOut(t *testing.T) {
+	e := newParTestDB(t, 3000)
+	forceParallel(t, e, 4, 256)
+	for _, sql := range []string{
+		"SELECT v % 7, COUNT(*), SUM(id) FROM p GROUP BY v % 7",
+		"SELECT d.k, b.id FROM dim d JOIN p b ON d.k = b.v",
+	} {
+		q0, m0, w0 := e.mParQueries.Value(), e.mParMorsels.Value(), e.mParWorkers.Value()
+		mustExec(t, e, sql)
+		if e.mParQueries.Value() != q0 || e.mParMorsels.Value() != m0 || e.mParWorkers.Value() != w0 {
+			t.Fatalf("%s: moved vm.parallel_queries/vm.morsels/vm.parallel_workers by %d/%d/%d", sql,
+				e.mParQueries.Value()-q0, e.mParMorsels.Value()-m0, e.mParWorkers.Value()-w0)
+		}
+	}
+	q0 := e.mParQueries.Value()
+	mustExec(t, e, "SELECT v % 7, COUNT(*), SUM(id) FROM p WHERE v > 100 GROUP BY v % 7")
+	if got := e.mParQueries.Value() - q0; got != 1 {
+		t.Fatalf("filtered GROUP BY: vm.parallel_queries moved by %d, want 1", got)
+	}
+	if e.parExtra.Load() != 0 {
+		t.Fatalf("leaked worker reservations: %d", e.parExtra.Load())
+	}
+}
+
 // TestInterpretedRunsAtWidthOne: a program that calls back into the
 // binder (whose subquery and IN caches are not goroutine-safe) must keep
 // its phase on the calling goroutine however large the relation — as the
-// scan filter, as a GROUP BY key, and as an aggregate argument, where
-// COUNT would otherwise pass the static merge-safety gate. -race is the
-// second witness.
+// scan filter, the one phase that could fan out, and as a GROUP BY key
+// or an aggregate argument, which run at width 1 like every phase after
+// the scan. -race is the second witness.
 func TestInterpretedRunsAtWidthOne(t *testing.T) {
 	e := newParTestDB(t, 3000)
 	forceParallel(t, e, 4, 256)
@@ -372,12 +400,12 @@ func TestExplainParallelMarker(t *testing.T) {
 	if !strings.Contains(out, "full-scan [compiled] [parallel n=4]") {
 		t.Fatalf("missing parallel marker:\n%s", out)
 	}
-	e.SetParallelism(1)
+	e.parallelism.Store(1)
 	res = mustExec(t, e, "EXPLAIN SELECT id FROM p WHERE v > 500")
 	if out = planText(res); strings.Contains(out, "[parallel") {
 		t.Fatalf("parallel marker with parallelism=1:\n%s", out)
 	}
-	e.SetParallelism(4)
+	e.parallelism.Store(4)
 	morselSlots = 2048 // 3000 slots: under two full morsels
 	res = mustExec(t, e, "EXPLAIN SELECT id FROM p WHERE v > 500")
 	if out = planText(res); strings.Contains(out, "[parallel") {
@@ -403,7 +431,6 @@ func planText(res *Result) string {
 func TestParallelStress(t *testing.T) {
 	e := newParTestDB(t, 3000)
 	forceParallel(t, e, 4, 256)
-	e.SetParallelism(4)
 	stop := make(chan struct{})
 	var churn, readers sync.WaitGroup
 

@@ -22,7 +22,7 @@ type stmtCtx struct {
 	snap       int64           // visibility ceiling for base-table reads
 	top        *sqltext.Select // outermost SELECT of the statement, if any
 	scanned    int64           // rows examined by this statement (exact)
-	parWorkers int64           // widest parallel fan-out any phase used
+	parWorkers int64           // widest fan-out any scan of the statement used
 
 	machMu   sync.Mutex
 	machines []*vm.Machine // acquired by binder.machine, released by ExecStmt
@@ -363,27 +363,27 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 }
 
 // groupKeys computes the RowKey of the GROUP BY expressions for every
-// source row, batched through the VM — over contiguous row ranges when
-// the relation is large (see workers). Errors surface in (row,
+// source row, batched through the VM. Errors surface in (row,
 // expression) order.
 func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]string, error) {
-	n := len(rel.rows)
-	keys := make([]string, n)
-	if n == 0 {
+	keys := make([]string, len(rel.rows))
+	if len(keys) == 0 {
 		return keys, nil
 	}
 	progs := make([]*vm.Program, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		progs[i] = e.compiledProg(g, b)
 	}
-	nw := e.workers(n, b.ctx, progs...)
-	defer e.releaseWorkers(nw - 1)
-	ranges := contiguousRanges(n, nw)
-	err := fanOut(nw, len(ranges), func(next func() (int, bool)) error {
-		for ri, ok := next(); ok; ri, ok = next() {
-			if err := e.groupKeysRange(progs, b, ranges[ri][0], ranges[ri][1], keys); err != nil {
-				return err
+	keyVals := make(types.Row, len(progs))
+	err := e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
+		for ri := 0; ri < count; ri++ {
+			for gi, vec := range vecs {
+				if err := vec.Err(ri); err != nil {
+					return err
+				}
+				keyVals[gi] = vec.Value(ri)
 			}
+			keys[start+ri] = types.RowKey(keyVals)
 		}
 		return nil
 	})
@@ -1021,13 +1021,11 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 		}
 	case plan.kind == "hash":
 		e.materializeRel(right, ctx)
-		// The build side fans out when large (see buildJoinIndex); the
-		// probe stays single-threaded and sees identical index lists.
-		idx := e.buildJoinIndex(right.rows, plan.eqR, ctx)
+		idx := buildJoinIndex(right.rows, plan.eqR)
 		rightFor = func(lr types.Row) []types.Row {
 			buf = buf[:0]
 			if k, ok := joinKey(lr, plan.eqL); ok {
-				for _, m := range idx.lookup(k) {
+				for _, m := range idx[k] {
 					buf = append(buf, right.rows[m])
 				}
 			}

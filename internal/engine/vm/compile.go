@@ -165,59 +165,6 @@ type Program struct {
 // engine fills only these in each batch.
 func (p *Program) Cols() []int { return p.cols }
 
-// StaticKind infers the kind every non-NULL, non-error lane of the
-// program's result is guaranteed to have, given the declared column
-// kinds, or KindNull when the kind cannot be pinned statically
-// (parameters, function calls, mixed CASE arms). Callers that need the
-// guarantee to be exact — e.g. the parallel aggregation gate, whose
-// int-SUM partials are associative only if every lane really is an int
-// — must still verify the executed vector's Kind at runtime, because
-// declared column kinds are advisory for untyped sources.
-func (p *Program) StaticKind(kinds []types.Kind) types.Kind {
-	reg := make([]types.Kind, p.nregs)
-	unknown := types.KindNull
-	numeric := func(a, b types.Kind) types.Kind {
-		switch {
-		case a == types.KindInt && b == types.KindInt:
-			return types.KindInt
-		case (a == types.KindInt || a == types.KindFloat) && (b == types.KindInt || b == types.KindFloat):
-			return types.KindFloat
-		}
-		return unknown
-	}
-	for i := range p.insts {
-		ins := &p.insts[i]
-		k := unknown
-		switch ins.op {
-		case opCol:
-			if ins.imm < len(kinds) {
-				k = kinds[ins.imm]
-			}
-		case opConst:
-			k = p.consts[ins.imm].Kind()
-		case opAdd, opSub, opMul:
-			k = numeric(reg[ins.a], reg[ins.b])
-		case opDiv:
-			// Integer division stays integral; any float operand floats.
-			k = numeric(reg[ins.a], reg[ins.b])
-		case opMod:
-			if reg[ins.a] == types.KindInt && reg[ins.b] == types.KindInt {
-				k = types.KindInt
-			}
-		case opNeg:
-			if reg[ins.a] == types.KindInt || reg[ins.a] == types.KindFloat {
-				k = reg[ins.a]
-			}
-		case opConcat:
-			k = types.KindString
-		case opCmp, opNot, opAnd, opOr, opIsNull, opLike, opBetween, opInList, opInExpr, opCaseMatch:
-			k = types.KindBool
-		}
-		reg[ins.dst] = k
-	}
-	return reg[p.result]
-}
-
 // InterpFunc is the engine's tree-walk interpreter: it evaluates x
 // against one row. The row is reused between lanes and must not be
 // retained.

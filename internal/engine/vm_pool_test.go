@@ -72,7 +72,7 @@ func TestPooledMachinesParallelScans(t *testing.T) {
 	defer func(old int) { morselSlots = old }(morselSlots)
 	morselSlots = 64
 	e := newTestDB(t)
-	e.SetParallelism(4)
+	e.parallelism.Store(4)
 	mustExec(t, e, "CREATE TABLE big (id INT PRIMARY KEY, v INT, s STRING)")
 	const n = 2048
 	for lo := 0; lo < n; lo += 256 {
