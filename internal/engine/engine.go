@@ -166,8 +166,8 @@ type Engine struct {
 	mSelectH      *metrics.Histogram
 	mMutationH    *metrics.Histogram
 
-	// plans caches parsed statements keyed by SQL text (see plancache.go);
-	// DDL purges it.
+	// plans caches parsed statements keyed by statement shape (see
+	// plancache.go); DDL purges it.
 	plans     *planCache
 	mPlanHit  *metrics.Counter
 	mPlanMiss *metrics.Counter
@@ -386,50 +386,56 @@ func (e *Engine) Checkpoint() error {
 
 // Exec parses and executes one statement. Positional `?` parameters are
 // bound from args left to right. Parsed statements are served from the
-// plan cache when the same SQL text repeats.
+// plan cache when a text of the same shape repeats.
 func (e *Engine) Exec(sql string, args ...types.Value) (*Result, error) {
-	st, err := e.parseCached(sql)
+	st, args, err := parseCached(e, false, sql, args, sqltext.Parse)
 	if err != nil {
 		return nil, err
 	}
 	return e.ExecStmt(st, args...)
 }
 
-// parseCached parses one statement through the plan cache.
-func (e *Engine) parseCached(sql string) (sqltext.Statement, error) {
-	if v, ok := e.plans.get("1:" + sql); ok {
+// parseCached returns what parse makes of text — one statement, or a
+// script's statements — through the plan cache, and the arguments to
+// execute it with. The text as written is looked up first: a
+// parameterized statement is its own shape, and finds its entry at no
+// extra cost. On a miss the text is shaped (sqltext.Shape) and looked up
+// again, so every text of one shape shares one entry, one AST and the
+// AST's compiled programs; the lifted literals travel in the returned
+// arguments and are not retained.
+func parseCached[T any](e *Engine, script bool, text string, args []types.Value, parse func(string) (T, error)) (T, []types.Value, error) {
+	if v, ok := e.plans.get(planKey{script, text}); ok {
 		e.mPlanHit.Inc()
-		return v.(sqltext.Statement), nil
+		return v.(T), args, nil
+	}
+	shaped, sargs := sqltext.Shape(text, args)
+	if shaped != text {
+		if v, ok := e.plans.get(planKey{script, shaped}); ok {
+			e.mPlanHit.Inc()
+			return v.(T), sargs, nil
+		}
 	}
 	e.mPlanMiss.Inc()
-	st, err := sqltext.Parse(sql)
-	if err != nil {
-		return nil, err
+	v, err := parse(shaped)
+	if err != nil && shaped != text {
+		// The error must quote the text the caller sent.
+		shaped, sargs = text, args
+		v, err = parse(text)
 	}
-	e.plans.put("1:"+sql, st)
-	return st, nil
+	if err != nil {
+		return v, nil, err
+	}
+	e.plans.put(planKey{script, shaped}, v)
+	return v, sargs, nil
 }
 
 // ExecScript executes a ';'-separated script, returning the last result.
-// Whole scripts are cached under a separate key space: parameter indexes
-// run left to right across the script, so per-statement entries cannot
-// be shared with Exec's.
 func (e *Engine) ExecScript(sql string, args ...types.Value) (*Result, error) {
-	var stmts []sqltext.Statement
-	if v, ok := e.plans.get("n:" + sql); ok {
-		e.mPlanHit.Inc()
-		stmts = v.([]sqltext.Statement)
-	} else {
-		e.mPlanMiss.Inc()
-		var err error
-		stmts, err = sqltext.ParseScript(sql)
-		if err != nil {
-			return nil, err
-		}
-		e.plans.put("n:"+sql, stmts)
+	stmts, args, err := parseCached(e, true, sql, args, sqltext.ParseScript)
+	if err != nil {
+		return nil, err
 	}
 	var last *Result
-	var err error
 	for _, st := range stmts {
 		last, err = e.ExecStmt(st, args...)
 		if err != nil {
@@ -441,7 +447,7 @@ func (e *Engine) ExecScript(sql string, args ...types.Value) (*Result, error) {
 
 // Query is Exec restricted to SELECT (convenience with clearer intent).
 func (e *Engine) Query(sql string, args ...types.Value) (*Result, error) {
-	st, err := e.parseCached(sql)
+	st, args, err := parseCached(e, false, sql, args, sqltext.Parse)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func newTestDB(t testing.TB) *Engine {
 
 func mustExec(t testing.TB, e *Engine, sql string, args ...types.Value) *Result {
 	t.Helper()
-	res, err := e.Exec(sql, args...)
+	res, err := execSQL(t, e, sql, args...)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}

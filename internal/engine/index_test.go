@@ -197,7 +197,7 @@ func twinExec(t *testing.T, e *Engine, tmpl string, args func(table string) []ty
 		if args != nil {
 			a = args(table)
 		}
-		res, err := e.Exec(strings.ReplaceAll(tmpl, "@", table), a...)
+		res, err := execSQL(t, e, strings.ReplaceAll(tmpl, "@", table), a...)
 		if err != nil {
 			outcome[i] = "error: " + strings.ReplaceAll(err.Error(), table, "@")
 			continue
@@ -284,7 +284,7 @@ func TestTwinTables(t *testing.T) {
 		default:
 			tmpl = "DELETE FROM @ WHERE g = " + num(5) + " AND a = " + num(3)
 		}
-		if _, err := e.Exec(strings.ReplaceAll(tmpl, "@", "tk")); err != nil {
+		if _, err := execSQL(t, e, strings.ReplaceAll(tmpl, "@", "tk")); err != nil {
 			continue
 		}
 		mustExec(t, e, strings.ReplaceAll(tmpl, "@", "tp"))

@@ -38,7 +38,7 @@ func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.
 		e.interpretAll.Store(!compiled)
 		e.parallelism.Store(int64(w))
 		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
-		res, err := e.Exec(sql, args...)
+		res, err := execSQL(t, e, sql, args...)
 		if w == 1 && e.mParQueries.Value() != q0 {
 			t.Fatalf("%s: %s statement ticked vm.parallel_queries", sql, name)
 		}

@@ -7,9 +7,12 @@ import (
 	"ediflow/internal/sqltext"
 )
 
-// planCache is a small LRU of parsed statements keyed by SQL text, so
-// repeated statements (the wire protocol's prepared-statement pattern:
-// same text, different arguments) skip the lexer and parser entirely.
+// planCache is a small LRU of parsed statements keyed by statement
+// shape (sqltext.Shape): the text with its VALUES-row and WHERE IN-list
+// literals lifted to placeholders. Repeated statements — the wire
+// protocol's prepared-statement pattern, and bulk loads of one row count
+// — skip the lexer and parser entirely, and the cache holds one AST per
+// shape rather than every load's data.
 //
 // Caching parsed ASTs across executions is safe because the engine never
 // mutates an AST: parameters are bound positionally at evaluation time
@@ -18,20 +21,28 @@ import (
 type planCache struct {
 	mu  sync.Mutex
 	cap int
-	m   map[string]*list.Element
+	m   map[planKey]*list.Element
 	lru *list.List // front = most recently used; values are *planEntry
 }
 
+// planKey names a cache entry. Scripts are keyed apart from single
+// statements: parameter indexes run left to right across a whole script,
+// so a script's statements cannot be shared with Exec's.
+type planKey struct {
+	script bool
+	text   string
+}
+
 type planEntry struct {
-	key string
+	key planKey
 	val any
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, m: map[string]*list.Element{}, lru: list.New()}
+	return &planCache{cap: capacity, m: map[planKey]*list.Element{}, lru: list.New()}
 }
 
-func (c *planCache) get(key string) (any, bool) {
+func (c *planCache) get(key planKey) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -42,7 +53,7 @@ func (c *planCache) get(key string) (any, bool) {
 	return el.Value.(*planEntry).val, true
 }
 
-func (c *planCache) put(key string, val any) {
+func (c *planCache) put(key planKey, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -66,7 +77,7 @@ func (c *planCache) put(key string, val any) {
 func (c *planCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = map[string]*list.Element{}
+	c.m = map[planKey]*list.Element{}
 	c.lru.Init()
 }
 

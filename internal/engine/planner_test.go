@@ -13,7 +13,7 @@ import (
 // explainLines runs EXPLAIN on the statement and returns the plan lines.
 func explainLines(t *testing.T, e *Engine, sql string, args ...types.Value) []string {
 	t.Helper()
-	res, err := e.Exec("EXPLAIN "+sql, args...)
+	res, err := execSQL(t, e, "EXPLAIN "+sql, args...)
 	if err != nil {
 		t.Fatalf("EXPLAIN %s: %v", sql, err)
 	}
@@ -201,14 +201,14 @@ func TestPlanCacheHitMissAndDDLInvalidation(t *testing.T) {
 
 	miss0, hit0 := e.mPlanMiss.Value(), e.mPlanHit.Value()
 	const q = "SELECT name FROM users WHERE id = ?"
-	if _, err := e.Exec(q, types.NewInt(1)); err != nil {
+	if _, err := execSQL(t, e, q, types.NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.mPlanMiss.Value() - miss0; got != 1 {
 		t.Fatalf("first exec: want 1 miss, got %d", got)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Exec(q, types.NewInt(int64(i+1))); err != nil {
+		if _, err := execSQL(t, e, q, types.NewInt(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestPlanCacheHitMissAndDDLInvalidation(t *testing.T) {
 	const probe = "SELECT * FROM users WHERE id = 1"
 	r1 := mustExec(t, e, probe)
 	mustExec(t, e, "DROP TABLE users")
-	if _, err := e.Exec(probe); err == nil {
+	if _, err := execSQL(t, e, probe); err == nil {
 		t.Fatal("query against dropped table should fail")
 	}
 	mustExec(t, e, "CREATE TABLE users (id INT PRIMARY KEY, flag INT)")

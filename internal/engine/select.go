@@ -956,6 +956,9 @@ func (e *Engine) materializeRel(rel *relation, ctx *stmtCtx) {
 	}
 	rel.lazy = false
 	scanned := 0
+	// Sized up front: grown by appends, the row index of a large table
+	// would leave about four times its final size behind as garbage.
+	rel.rows = make([]types.Row, 0, rel.tbl.Len())
 	for it := rel.tbl.Iterate(ctx.snap); ; {
 		sr, more := it.Next()
 		if !more {

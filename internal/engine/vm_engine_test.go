@@ -16,7 +16,7 @@ import (
 // by kind and rendering.
 func execBothModes(t *testing.T, e *Engine, sql string, args ...types.Value) {
 	t.Helper()
-	compareModes(t, e, sql, func() (*Result, error) { return e.Exec(sql, args...) })
+	compareModes(t, e, sql, func() (*Result, error) { return execSQL(t, e, sql, args...) })
 }
 
 // compareModes is execBothModes over an arbitrary run. A run may return
@@ -74,7 +74,7 @@ func updateBothModes(t *testing.T, e *Engine, sql string) {
 	compareModes(t, e, sql, func() (*Result, error) {
 		mustExec(t, e, "DELETE FROM w")
 		mustExec(t, e, "INSERT INTO w (id, a, f, s, b) SELECT id, a, f, s, b FROM v")
-		_, err := e.Exec(sql)
+		_, err := execSQL(t, e, sql)
 		return mustExec(t, e, "SELECT id, a, f, s, b FROM w ORDER BY id"), err
 	})
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"net"
 
 	"ediflow/internal/engine"
+	"ediflow/internal/sqltext"
 	"ediflow/internal/wire"
 )
 
@@ -270,31 +270,26 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 	return ss.sendErr(fmt.Errorf("server: unknown frame type 0x%02x", typ))
 }
 
-// mayOpenTxn conservatively reports whether sql could open an engine
-// transaction. Only a BEGIN statement can, and BEGIN is always the
-// leading keyword of a ';'-separated statement (the dialect has no
-// comments), so checking each piece's leading identifier never
-// under-approximates. A ';' inside a string literal only adds split
-// points, and a false positive there (a literal like '; begin x')
-// merely runs that one statement under the exclusive baton instead of
-// the shared one — correct, just slower. Identifiers or literals that
-// contain "begin" elsewhere (a begin_ts column in every INSERT) no
-// longer defeat group commit.
+// mayOpenTxn reports whether sql could open an engine transaction: whether
+// one of its statements leads with BEGIN. It asks the lexer the parser
+// uses, so comments, string literals and identifiers such as begin_ts are
+// read as the engine reads them. Text that does not lex answers true: the
+// exclusive baton is always safe, only slower.
 func mayOpenTxn(sql string) bool {
-	for _, stmt := range strings.Split(sql, ";") {
-		s := strings.TrimSpace(stmt)
-		if len(s) < 5 || !strings.EqualFold(s[:5], "begin") {
-			continue
-		}
-		if len(s) == 5 || !isIdentChar(s[5]) {
+	lx := sqltext.NewLexer(sql)
+	lead := true
+	for {
+		tok, err := lx.Next()
+		switch {
+		case err != nil:
+			return true
+		case tok.Kind == sqltext.TokEOF:
+			return false
+		case lead && tok.Kind == sqltext.TokKeyword && tok.Text == "BEGIN":
 			return true
 		}
+		lead = tok.Kind == sqltext.TokOp && tok.Text == ";"
 	}
-	return false
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
 // execSerialized runs a mutating statement under the write baton. A

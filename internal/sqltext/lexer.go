@@ -32,26 +32,54 @@ const (
 )
 
 // Token is one lexical token with its source position (byte offset).
+// A keyword's Text is its upper-case spelling; an identifier keeps its
+// original case; a string's Text is its value, a slice of the source
+// unless the literal holds an escaped quote. Whoever keeps a string
+// beyond the source's lifetime copies it (literalValue does).
 type Token struct {
 	Kind TokenKind
-	Text string // keywords are upper-cased; identifiers keep original case
+	Text string
 	Pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "DISTINCT": true, "AS": true, "JOIN": true, "INNER": true,
-	"LEFT": true, "ON": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"IS": true, "NULL": true, "LIKE": true, "BETWEEN": true, "CASE": true,
-	"WHEN": true, "THEN": true, "ELSE": true, "END": true, "TRUE": true,
-	"FALSE": true, "INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "CREATE": true, "TABLE": true, "DROP": true,
-	"INDEX": true, "VIEW": true, "MATERIALIZED": true, "IF": true,
-	"EXISTS": true, "PRIMARY": true, "KEY": true, "UNIQUE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "DEFAULT": true,
-	"CROSS": true, "TRIGGER": true, "AFTER": true, "CALL": true, "COUNT": true,
-	"EXPLAIN": true, "OF": true,
+// keywords maps each keyword to its canonical spelling, which a token's
+// Text shares, so that recognizing one allocates nothing.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET DISTINCT
+		AS JOIN INNER LEFT ON AND OR NOT IN IS NULL LIKE BETWEEN CASE WHEN THEN
+		ELSE END TRUE FALSE INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE
+		DROP INDEX VIEW MATERIALIZED IF EXISTS PRIMARY KEY UNIQUE BEGIN COMMIT
+		ROLLBACK DEFAULT CROSS TRIGGER AFTER CALL COUNT EXPLAIN OF`) {
+		if len(kw) > maxKeywordLen {
+			panic("sqltext: keyword " + kw + " is longer than maxKeywordLen")
+		}
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword, MATERIALIZED.
+const maxKeywordLen = 12
+
+// keyword returns the canonical spelling of word if it is a keyword.
+// Keywords are ASCII, so the word is upper-cased into a stack buffer and
+// looked up without building a string.
+func keyword(word string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Lexer splits SQL text into tokens.
@@ -77,9 +105,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return Token{Kind: TokKeyword, Text: upper, Pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 	case c >= '0' && c <= '9':
@@ -130,20 +157,26 @@ func (l *Lexer) lexNumber(start int) (Token, error) {
 
 func (l *Lexer) lexString(start int) (Token, error) {
 	l.pos++ // opening quote
-	var sb strings.Builder
+	from := l.pos
+	var sb strings.Builder // only once an escaped quote was seen
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
-			return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+			continue
 		}
-		sb.WriteByte(c)
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
+			sb.WriteString(l.src[from : l.pos+1])
+			l.pos += 2
+			from = l.pos
+			continue
+		}
+		text := l.src[from:l.pos]
+		if sb.Len() > 0 {
+			sb.WriteString(text)
+			text = sb.String()
+		}
 		l.pos++
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqltext: unterminated string literal at %d", start)
 }
@@ -165,7 +198,7 @@ func (l *Lexer) lexOp(start int) (Token, error) {
 	switch c {
 	case '(', ')', ',', '.', '*', '=', '<', '>', '+', '-', '/', '%', ';':
 		l.pos++
-		return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqltext: unexpected character %q at %d", c, start)
 }

@@ -2,7 +2,6 @@ package sqltext
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"ediflow/internal/types"
@@ -470,7 +469,7 @@ func (p *Parser) parseCreateTrigger() (Statement, error) {
 	if p.tok.Kind != TokString {
 		return nil, p.errorf("expected handler name string after CALL")
 	}
-	st.Handler = p.tok.Text
+	st.Handler = strings.Clone(p.tok.Text)
 	return st, p.advance()
 }
 
@@ -1181,43 +1180,21 @@ func (p *Parser) parsePostfix(e Expr) (Expr, error) { return e, nil }
 
 func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
-	case p.tok.Kind == TokNumber:
-		text := p.tok.Text
+	case p.tok.Kind == TokNumber, p.tok.Kind == TokString,
+		p.isKeyword("NULL"), p.isKeyword("TRUE"), p.isKeyword("FALSE"):
+		tok := p.tok
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if strings.ContainsAny(text, ".eE") {
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", text)
-			}
-			return &Literal{Value: types.NewFloat(f)}, nil
+		v, ok := literalValue(tok)
+		if !ok {
+			return nil, p.errorf("bad number %q", tok.Text)
 		}
-		i, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(text, 64)
-			if ferr != nil {
-				return nil, p.errorf("bad number %q", text)
-			}
-			return &Literal{Value: types.NewFloat(f)}, nil
-		}
-		return &Literal{Value: types.NewInt(i)}, nil
-	case p.tok.Kind == TokString:
-		s := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &Literal{Value: types.NewString(s)}, nil
+		return &Literal{Value: v}, nil
 	case p.tok.Kind == TokParam:
 		idx := p.params
 		p.params++
 		return &Param{Index: idx}, p.advance()
-	case p.isKeyword("NULL"):
-		return &Literal{Value: types.Null}, p.advance()
-	case p.isKeyword("TRUE"):
-		return &Literal{Value: types.NewBool(true)}, p.advance()
-	case p.isKeyword("FALSE"):
-		return &Literal{Value: types.NewBool(false)}, p.advance()
 	case p.isKeyword("CASE"):
 		return p.parseCase()
 	case p.isKeyword("EXISTS"):
