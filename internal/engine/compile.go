@@ -23,9 +23,7 @@ import (
 // function-registry changes purge the cache (and bump a generation so
 // in-flight EXPLAINs never resurrect a stale program).
 
-// progCache maps expression identity to its program — compiled, or the
-// interpreter wrapper of an expression known not to lower, so fallback
-// is decided once, not per execution.
+// progCache maps expression identity and layout width to its program.
 type progCache struct {
 	mu  sync.Mutex
 	m   map[sqltext.Expr]*progEntry
@@ -74,83 +72,112 @@ func (c *progCache) len() int {
 	return len(c.m)
 }
 
-// vmEnv is the compile environment of the binder's relation: column
-// resolution is binder.resolve itself (so an unknown or ambiguous name
-// does not lower and the interpreter reports it), the scalar function
-// registry, and the engine's exact missing-parameter error.
+// vmEnv is the compile environment of the binder's layout: column
+// resolution is binder.resolve itself (an unknown or ambiguous name
+// compiles to lanes holding its error), aggregate calls resolve to the
+// group layout's columns (aggCol), then the scalar function registry and
+// the engine's exact missing-parameter error.
 func (b *binder) vmEnv() *vm.Env {
-	return &vm.Env{
-		Resolve: func(cr *sqltext.ColumnRef) (int, bool) {
-			i, err := b.resolve(cr)
-			return i, err == nil
-		},
-		Func:         b.e.vmFunc,
-		MissingParam: missingParam,
-	}
+	return &vm.Env{Resolve: b.resolve, Agg: b.aggCol, Func: b.e.vmFunc, MissingParam: missingParam}
 }
 
 func missingParam(idx int) error {
 	return fmt.Errorf("engine: missing argument for parameter %d", idx+1)
 }
 
-// vmFunc resolves a scalar function for the compiler: builtins first
-// (matching callScalarFn's precedence), then user-registered functions.
-// The implementation is baked into the program, so RegisterFunc purges
+// vmFunc resolves a scalar function for the compiler: builtins first,
+// then user-registered functions, else a function that fails with the
+// unknown-function error once its arguments have evaluated. The
+// implementation is baked into the program, so RegisterFunc purges
 // compiled programs.
-func (e *Engine) vmFunc(name string) (vm.ScalarFunc, bool) {
+func (e *Engine) vmFunc(name string) vm.ScalarFunc {
 	if builtinScalars[name] {
 		return func(args []types.Value) (types.Value, error) {
 			return callScalar(name, args)
-		}, true
+		}
 	}
 	if fn := e.userFunc(name); fn != nil {
-		return vm.ScalarFunc(fn), true
+		return vm.ScalarFunc(fn)
 	}
-	return nil, false
+	err := fmt.Errorf("engine: unknown function %s", name)
+	return func([]types.Value) (types.Value, error) { return types.Null, err }
 }
 
-// compiledProg returns the program for x over b's relation, nil only
-// for a nil expression: the cached compiled program, compiled on first
-// sight, or — when x does not lower as a whole (counted once per
-// expression in vm.fallback, never an error) — a vm.Interpret wrapper
-// that calls b.eval per row. Every expression site therefore has one
-// evaluation loop, and the sites that must know (width, projection
-// pushdown, EXPLAIN markers) ask the program whether it is Interpreted.
+// compiledProg returns the program for x over b's layout — rel's columns,
+// then b's aggregate results — compiled on first sight and cached; nil
+// only for a nil expression.
 func (e *Engine) compiledProg(x sqltext.Expr, b *binder) *vm.Program {
 	if x == nil {
 		return nil
 	}
-	ncols := len(b.rel.cols)
-	if e.interpretAll.Load() {
-		return vm.Interpret(x, ncols)
-	}
+	ncols := len(b.rel.cols) + len(b.aggs)
 	if p, ok := e.progs.get(x, ncols); ok {
 		return p
 	}
-	p, err := vm.Compile(x, b.vmEnv())
-	if err != nil {
-		p = vm.Interpret(x, ncols)
-		e.mVMFallback.Inc()
-	} else {
-		e.mVMCompile.Inc()
-	}
+	p := vm.Compile(x, b.vmEnv())
+	e.mVMCompile.Inc()
 	e.progs.put(x, ncols, p)
 	return p
 }
 
 // machine acquires a machine from p's pool, bound to the statement's
-// arguments and, for Interpreted programs, to this binder's interpreter.
-// The statement owns it until ExecStmt returns (stmtCtx.release).
-// Machines are not goroutine-safe and neither is the binder;
-// Engine.workers keeps a scan with an Interpreted filter at width 1.
+// arguments and this binder's subqueries. The statement owns it until
+// ExecStmt returns (stmtCtx.release). Machines are not goroutine-safe:
+// each morsel worker acquires its own.
 func (b *binder) machine(p *vm.Program) *vm.Machine {
 	m := p.Acquire()
-	m.Bind(b.args, b.eval)
+	m.Bind(b.args, b.subquery)
 	ctx := b.ctx
 	ctx.machMu.Lock()
 	ctx.machines = append(ctx.machines, m)
 	ctx.machMu.Unlock()
 	return m
+}
+
+// evaluator runs several programs of one binder over a shared batch of
+// the binder's layout, a batch of rows at a time. A nil program's
+// machine and vector stay nil.
+type evaluator struct {
+	machines []*vm.Machine
+	vecs     []*vm.Vec
+	batch    *vm.Batch // nil when every program is nil
+}
+
+func (b *binder) evaluator(progs []*vm.Program) evaluator {
+	ev := evaluator{machines: make([]*vm.Machine, len(progs)), vecs: make([]*vm.Vec, len(progs))}
+	for i, p := range progs {
+		if p == nil {
+			continue
+		}
+		ev.machines[i] = b.machine(p)
+		if ev.batch == nil {
+			kinds := batchKinds(b.rel.cols)
+			for range b.aggs {
+				kinds = append(kinds, types.KindNull)
+			}
+			ev.batch = ev.machines[i].Batch(kinds, usedCols(progs))
+		}
+	}
+	return ev
+}
+
+// eval runs every program over the batch as loaded.
+func (ev *evaluator) eval(e *Engine) {
+	for i, m := range ev.machines {
+		if m != nil {
+			ev.vecs[i] = m.Eval(ev.batch)
+		}
+	}
+	e.countVM(ev.batch.Len())
+}
+
+// run loads rows (at most vm.BatchSize of them) and evaluates every
+// program over them; without a row or a program it does nothing.
+func (ev *evaluator) run(e *Engine, rows []types.Row) {
+	if ev.batch != nil && len(rows) > 0 {
+		ev.batch.Fill(rows)
+		ev.eval(e)
+	}
 }
 
 // release returns every machine the statement acquired to its program's
@@ -231,17 +258,4 @@ func (e *Engine) userFunc(name string) ScalarFunc {
 	fn := e.udfs[name]
 	e.udfMu.RUnlock()
 	return fn
-}
-
-// callScalarFn dispatches a scalar function call: built-ins first, then
-// the user registry. Both the interpreter and the VM's compile-time
-// resolution (vmFunc) follow this exact precedence.
-func (e *Engine) callScalarFn(name string, args []types.Value) (types.Value, error) {
-	if builtinScalars[name] {
-		return callScalar(name, args)
-	}
-	if fn := e.userFunc(name); fn != nil {
-		return fn(args)
-	}
-	return types.Null, fmt.Errorf("engine: unknown function %s", name)
 }

@@ -136,13 +136,9 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 	} else {
 		b := newBinder(e, args, nil, nil, e.writerCtx())
 		for _, exprRow := range s.Rows {
-			row := make(types.Row, len(exprRow))
-			for i, ex := range exprRow {
-				v, err := b.eval(ex, nil)
-				if err != nil {
-					return nil, nil, err
-				}
-				row[i] = v
+			row, err := e.valuesRow(exprRow, b)
+			if err != nil {
+				return nil, nil, err
 			}
 			sourceRows = append(sourceRows, row)
 		}

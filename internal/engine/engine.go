@@ -172,25 +172,19 @@ type Engine struct {
 	mPlanHit  *metrics.Counter
 	mPlanMiss *metrics.Counter
 
-	// Compiled expression VM (see compile.go / internal/engine/vm):
-	// programs cached per expression identity, purged with the plan cache
-	// on DDL and on function-registry changes. interpretAll is the
-	// reference switch of the differential tests, written only from
-	// _test.go: compiledProg wraps every expression in the interpreter
-	// instruction and buildAggFold folds nothing, so aggregates reach the
-	// evalAgg oracle.
-	interpretAll atomic.Bool
-	progs        *progCache
-	mVMCompile   *metrics.Counter
-	mVMFallback  *metrics.Counter
-	mVMBatches   *metrics.Counter
-	mVMRows      *metrics.Counter
+	// Compiled expression VM (see compile.go / internal/engine/vm), the
+	// only expression evaluator: programs cached per expression identity,
+	// purged with the plan cache on DDL and on function-registry changes.
+	progs      *progCache
+	mVMCompile *metrics.Counter
+	mVMBatches *metrics.Counter
+	mVMRows    *metrics.Counter
 
 	// Morsel-driven scans (see parallel.go). The worker budget is
 	// engine-wide: concurrent sessions draw extra workers from one
 	// shared pool so they degrade to narrower plans instead of
 	// oversubscribing the cores. parallelism is GOMAXPROCS at New and
-	// otherwise written only from _test.go, like interpretAll.
+	// otherwise written only from _test.go.
 	parallelism atomic.Int64 // target workers per scan (1 = serial)
 	parExtra    atomic.Int64 // extra workers currently running engine-wide
 	mParQueries *metrics.Counter
@@ -246,7 +240,6 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mPlanMiss = e.reg.Counter("engine.plan_cache_miss")
 	e.progs = newProgCache(1024)
 	e.mVMCompile = e.reg.Counter("vm.compile")
-	e.mVMFallback = e.reg.Counter("vm.fallback")
 	e.mVMBatches = e.reg.Counter("vm.exec_batches")
 	e.mVMRows = e.reg.Counter("vm.rows")
 	e.parallelism.Store(int64(runtime.GOMAXPROCS(0)))

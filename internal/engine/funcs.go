@@ -6,40 +6,13 @@ import (
 	"strings"
 	"time"
 
-	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
 )
 
-// evalFunc evaluates a scalar (non-aggregate) function call.
-func (b *binder) evalFunc(x *sqltext.FuncCall, row types.Row) (types.Value, error) {
-	name := strings.ToUpper(x.Name)
-	// COALESCE short-circuits, so it is handled before argument evaluation.
-	if name == "COALESCE" {
-		for _, a := range x.Args {
-			v, err := b.eval(a, row)
-			if err != nil {
-				return types.Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return types.Null, nil
-	}
-	args := make([]types.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := b.eval(a, row)
-		if err != nil {
-			return types.Null, err
-		}
-		args[i] = v
-	}
-	return b.e.callScalarFn(name, args)
-}
-
-// builtinScalars names every function callScalar implements. The VM
-// compiler and callScalarFn both consult it, so built-in resolution is
-// decided the same way at compile time and per row.
+// builtinScalars names every built-in scalar function: those callScalar
+// implements, and COALESCE, which the VM compiles to its own
+// short-circuiting instruction. vmFunc consults it before the user
+// registry, so a built-in cannot be shadowed.
 var builtinScalars = map[string]bool{
 	"COALESCE": true, "ABS": true, "LENGTH": true, "UPPER": true,
 	"LOWER": true, "TRIM": true, "SUBSTR": true, "CONCAT": true,
@@ -57,15 +30,6 @@ func callScalar(name string, args []types.Value) (types.Value, error) {
 		return nil
 	}
 	switch name {
-	case "COALESCE":
-		// Non-short-circuit variant for pre-evaluated arguments (the
-		// aggregate path); evalFunc handles the short-circuit form.
-		for _, v := range args {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return types.Null, nil
 	case "ABS":
 		if err := argn(1); err != nil {
 			return types.Null, err

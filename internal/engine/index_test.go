@@ -135,7 +135,7 @@ func TestIndexRankOrder(t *testing.T) {
 		"a = 1 AND b IN ('x')":           "index(r_a)",
 		"_tid IN (1, 2) AND id IN (1)":   "pk-point",
 		"a IN (1) AND b IN ('x')":        "index(r_a)",
-		"a IN (SELECT a FROM r)":         "full-scan",
+		"a IN (SELECT a FROM r)":         "full-scan [compiled]",
 		"a NOT IN (1, 2) OR u = 'x'":     "full-scan [compiled]",
 		"r.a = 1 AND other.b = 'x'":      "index(r_a)",
 		"a = b":                          "full-scan [compiled]",

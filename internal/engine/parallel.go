@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -88,17 +89,11 @@ func (e *Engine) releaseWorkers(n int) {
 	}
 }
 
-// workers settles the width of a scan that runs prog over n slots —
-// the calling goroutine plus whatever extras the budget grants — and
-// notes a fan-out for the vm.parallel_* metrics. 1 means the scan runs
-// inline, which it always does when prog is Interpreted: it calls into
-// the statement's binder, whose subquery and IN caches are not
-// goroutine-safe. Callers releaseWorkers(nw - 1) when the scan
-// completes.
-func (e *Engine) workers(n int, ctx *stmtCtx, prog *vm.Program) int {
-	if prog.Interpreted() {
-		return 1
-	}
+// workers settles the width of a scan over n slots — the calling
+// goroutine plus whatever extras the budget grants — and notes a fan-out
+// for the vm.parallel_* metrics. 1 means the scan runs inline. Callers
+// releaseWorkers(nw - 1) when the scan completes.
+func (e *Engine) workers(n int, ctx *stmtCtx) int {
 	nw := 1 + e.reserveWorkers(e.parallelWidth(n)-1)
 	if nw > 1 && int64(nw) > ctx.parWorkers {
 		ctx.parWorkers = int64(nw)
@@ -174,15 +169,15 @@ type scanOut struct {
 // projection (or copied out at full table width). Only the columns the
 // programs read are copied into vectors; version values (immutable
 // under MVCC) are referenced, not copied, until a lane passes the
-// filter. At width 1 (always, for an Interpreted WHERE) the whole slot
-// array is one range whose output becomes rel.rows as is; wider plans
-// claim morselSlots-sized ranges and concatenate their outputs in range
-// order.
+// filter. At width 1 the whole slot array is one range whose output
+// becomes rel.rows as is; wider plans claim morselSlots-sized ranges and
+// concatenate their outputs in range order. The workers' machines share
+// b, whose subqueries run once for all of them.
 func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, proj *scanProj, nUser int) error {
 	rel, ctx := b.rel, b.ctx
 	view := tbl.View(ctx.snap)
 	n := view.Slots()
-	nw := e.workers(n, ctx, prog)
+	nw := e.workers(n, ctx)
 	defer e.releaseWorkers(nw - 1)
 	step := n
 	if nw > 1 {
@@ -192,7 +187,6 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 	if n > 0 {
 		outs = make([]scanOut, (n+step-1)/step)
 	}
-	kinds := batchKinds(rel.cols)
 	progs := []*vm.Program{prog}
 	if proj != nil {
 		progs = append(progs, proj.progs...)
@@ -203,9 +197,8 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 	needSys := len(used) > 0 && used[len(used)-1] >= nUser
 
 	err := fanOut(nw, len(outs), func(next func() (int, bool)) error {
-		m := b.machine(prog)
-		wproj := proj.bind(b)
-		batch := m.Batch(kinds, used)
+		ev := b.evaluator(progs) // per worker: machines are not goroutine-safe
+		m, batch := ev.machines[0], ev.batch
 		var scratch types.Row
 		if needSys {
 			scratch = make(types.Row, nUser+2)
@@ -234,8 +227,8 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 				return err
 			}
 			if len(lanes) > 0 && out.projErr == nil {
-				if wproj != nil {
-					out.projErr = wproj.emit(&out.rows, batch, lanes, vals, tids, created, nUser)
+				if proj != nil {
+					out.projErr = proj.emit(&out.rows, &ev, lanes, vals, tids, created, nUser)
 				} else {
 					// One slab per batch instead of one allocation per
 					// matched row.
@@ -278,17 +271,22 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 		return nil
 	})
 	// A WHERE error aborts without counting the tally; a projection
-	// error surfaces only when no range hit a WHERE error.
+	// error surfaces only when no range hit a WHERE error, and every range
+	// was scanned to find that out.
 	if err != nil {
 		return err
 	}
-	total, scanned := 0, 0
+	scanned := 0
+	for i := range outs {
+		scanned += outs[i].scanned
+	}
+	e.countScanned(ctx, scanned)
+	total := 0
 	for i := range outs {
 		if outs[i].projErr != nil {
 			return outs[i].projErr
 		}
 		total += len(outs[i].rows)
-		scanned += outs[i].scanned
 	}
 	if len(outs) == 1 {
 		rel.rows = outs[0].rows
@@ -298,7 +296,6 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 			rel.rows = append(rel.rows, outs[i].rows...)
 		}
 	}
-	e.countScanned(ctx, scanned)
 	if nw > 1 && e.reg.Enabled() {
 		e.mParMorsels.Add(int64(len(outs)))
 	}
@@ -325,58 +322,16 @@ func usedCols(progs []*vm.Program) []int {
 	return slices.Compact(used)
 }
 
-// scratchBatch returns the batch several machines over rel share — the
-// first machine's scratch batch, laid out for the columns progs read.
-func scratchBatch(machines []*vm.Machine, rel *relation, progs []*vm.Program) *vm.Batch {
-	for _, m := range machines {
-		if m != nil {
-			return m.Batch(batchKinds(rel.cols), usedCols(progs))
-		}
-	}
-	return nil
-}
-
-// bind returns a worker-private copy of a scan projection: programs
-// and bare-column maps are shared (immutable), machines are per-worker
-// (vm.Machine is not goroutine-safe).
-func (sp *scanProj) bind(b *binder) *scanProj {
-	if sp == nil {
-		return nil
-	}
-	c := &scanProj{
-		names:    sp.names,
-		progs:    sp.progs,
-		bare:     sp.bare,
-		machines: make([]*vm.Machine, len(sp.progs)),
-		vecs:     make([]*vm.Vec, len(sp.progs)),
-	}
-	for i, p := range sp.progs {
-		if p != nil {
-			c.machines[i] = b.machine(p)
-		}
-	}
-	return c
-}
-
 // evalVecs runs several programs over b.rel.rows front to back, chunk by
 // chunk, invoking sink with each chunk's start index and result vectors
 // (valid only during the callback). The first sink error stops the run.
 func (e *Engine) evalVecs(progs []*vm.Program, b *binder, sink func(start, count int, vecs []*vm.Vec) error) error {
-	rel := b.rel
-	machines := make([]*vm.Machine, len(progs))
-	for i, p := range progs {
-		machines[i] = b.machine(p)
-	}
-	batch := scratchBatch(machines, rel, progs)
-	vecs := make([]*vm.Vec, len(progs))
-	for start := 0; start < len(rel.rows); start += vm.BatchSize {
-		end := min(start+vm.BatchSize, len(rel.rows))
-		batch.Fill(rel.rows[start:end])
-		for i, mch := range machines {
-			vecs[i] = mch.Eval(batch)
-		}
-		e.countVM(batch.Len())
-		if err := sink(start, batch.Len(), vecs); err != nil {
+	ev := b.evaluator(progs)
+	rows := b.rel.rows
+	for start := 0; start < len(rows); start += vm.BatchSize {
+		chunk := rows[start:min(start+vm.BatchSize, len(rows))]
+		ev.run(e, chunk)
+		if err := sink(start, len(chunk), ev.vecs); err != nil {
 			return err
 		}
 	}
@@ -450,9 +405,8 @@ func (st *aggState) step(op aggOp, v types.Value) {
 	}
 }
 
-// result finalizes a state into the aggregate's value with exactly
-// the interpreter's semantics (evalAggregateCall: NULL on empty,
-// int/float promotion, argument errors before fold errors).
+// result finalizes a state into the aggregate's value: NULL on empty,
+// int/float promotion, argument errors before fold errors.
 func (st *aggState) result(op aggOp) (types.Value, error) {
 	if st.argErr != nil {
 		return types.Null, st.argErr
@@ -484,64 +438,78 @@ func (st *aggState) result(op aggOp) (types.Value, error) {
 	}
 }
 
-// aggFold holds the column-native fold states for every simple
-// aggregate item, laid out [item][group].
+// aggCall is one aggregate call of an aggregate SELECT's items and
+// HAVING, and one column of its group layout.
+type aggCall struct {
+	op       aggOp
+	distinct bool
+	prog     *vm.Program // the argument; nil for COUNT(*) and a malformed call
+	err      error       // a malformed call: SUM(*), the wrong number of arguments
+	states   []aggState  // per group, for a call with an argument
+}
+
+// aggFold is every aggregate call of an aggregate SELECT, folded per
+// group. cols maps a call to its index in calls, which is its column
+// past the source relation's in the group layout (binder.aggCol).
 type aggFold struct {
-	calls    map[*sqltext.FuncCall]int
-	ops      []aggOp
-	distinct []bool
-	progs    []*vm.Program
-	states   []aggState
-	nGroups  int
+	cols   map[*sqltext.FuncCall]int
+	calls  []aggCall
+	groups []aggGroup
 }
 
-// state returns item fc's accumulator for group gi and its operator, or
-// nil when the fold does not cover fc and the interpreter must evaluate
-// it.
-func (f *aggFold) state(fc *sqltext.FuncCall, gi int) (*aggState, aggOp) {
-	if f == nil {
-		return nil, 0
+// result is call ci's value for group g, or the error reading it raises.
+func (f *aggFold) result(ci, g int) (types.Value, error) {
+	c := &f.calls[ci]
+	switch {
+	case c.err != nil:
+		return types.Null, c.err
+	case c.prog == nil: // COUNT(*): the group's size
+		return types.NewInt(int64(f.groups[g].count)), nil
 	}
-	ci, ok := f.calls[fc]
-	if !ok {
-		return nil, 0
-	}
-	return &f.states[ci*f.nGroups+gi], f.ops[ci]
+	return c.states[g].result(c.op)
 }
 
-// buildAggFold selects the foldable aggregate items (simple call, one
-// argument) and folds them over rel.rows front to back, column-natively
+// buildAggFold gives every aggregate call in exprs — nested ones too; an
+// aggregate's own argument and a subquery are other contexts — a column,
+// and folds the arguments over rel.rows front to back, column-natively
 // from typed lanes: typed int/float lanes fold without boxing a single
-// value.
-func (e *Engine) buildAggFold(items []projItem, rel *relation, b *binder, rowGroup []int32, nGroups int) *aggFold {
-	if e.interpretAll.Load() || len(rel.rows) == 0 || nGroups == 0 {
-		return nil
+// value. A relation with no rows leaves every state empty.
+func (e *Engine) buildAggFold(exprs []sqltext.Expr, b *binder, rowGroup []int32, groups []aggGroup) *aggFold {
+	f := &aggFold{cols: map[*sqltext.FuncCall]int{}, groups: groups}
+	var progs []*vm.Program
+	var folded []int // the calls progs belong to
+	for _, x := range exprs {
+		sqltext.WalkExpr(x, func(x sqltext.Expr) bool {
+			fc, ok := x.(*sqltext.FuncCall)
+			if !ok || !sqltext.IsAggregateName(fc.Name) {
+				return true
+			}
+			if _, dup := f.cols[fc]; dup {
+				return false
+			}
+			name := strings.ToUpper(fc.Name)
+			c := aggCall{distinct: fc.Distinct}
+			switch {
+			case fc.Star && name != "COUNT":
+				c.err = fmt.Errorf("engine: %s(*) is not valid", name)
+			case fc.Star:
+			case len(fc.Args) != 1:
+				c.err = fmt.Errorf("engine: %s takes one argument", name)
+			default:
+				c.op, _ = aggOpOf(name)
+				c.prog = e.compiledProg(fc.Args[0], b)
+				c.states = make([]aggState, len(groups))
+				progs, folded = append(progs, c.prog), append(folded, len(f.calls))
+			}
+			f.cols[fc] = len(f.calls)
+			f.calls = append(f.calls, c)
+			return false
+		})
 	}
-	f := &aggFold{calls: map[*sqltext.FuncCall]int{}, nGroups: nGroups}
-	for _, it := range items {
-		fc, ok := it.Expr.(*sqltext.FuncCall)
-		if !ok || !sqltext.IsAggregateName(fc.Name) || fc.Star || len(fc.Args) != 1 {
-			continue
-		}
-		if _, dup := f.calls[fc]; dup {
-			continue
-		}
-		op, ok := aggOpOf(strings.ToUpper(fc.Name))
-		if !ok {
-			continue
-		}
-		f.calls[fc] = len(f.ops)
-		f.ops = append(f.ops, op)
-		f.distinct = append(f.distinct, fc.Distinct)
-		f.progs = append(f.progs, e.compiledProg(fc.Args[0], b))
-	}
-	if len(f.ops) == 0 {
-		return nil
-	}
-	f.states = make([]aggState, len(f.ops)*nGroups)
-	_ = e.evalVecs(f.progs, b, func(start, count int, vecs []*vm.Vec) error {
-		for ci := range f.ops {
-			foldVec(f.states[ci*nGroups:(ci+1)*nGroups], f.ops[ci], f.distinct[ci], vecs[ci], rowGroup, start, count)
+	_ = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
+		for k, ci := range folded {
+			c := &f.calls[ci]
+			foldVec(c.states, c.op, c.distinct, vecs[k], rowGroup, start, count)
 		}
 		return nil
 	})

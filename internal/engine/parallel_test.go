@@ -19,63 +19,32 @@ func forceParallel(t testing.TB, e *Engine, width, slotsPerMorsel int) {
 	e.parallelism.Store(int64(width))
 }
 
-// execThreeWay runs sql on the reference (interpretAll: the interpreter
-// instruction at every site, aggregates through evalAgg), compiled at
-// width 1, and compiled at the given width, requiring byte-identical
-// behavior from all three: same error presence and text, same rows in
-// order (kind + rendering), and the same rows-scanned tally. The
-// reference is the oracle; a width-1 statement must not register as
-// parallel.
+// execThreeWay runs sql at width 1 — under TestStatementCorpus checked
+// against the golden corpus, which holds what the tree-walk interpreter
+// returned — and at the given width, requiring byte-identical behavior:
+// same error presence and text, same rows in order (kind + rendering),
+// and the same rows-scanned tally. A width-1 statement must not register
+// as parallel.
 func execThreeWay(t *testing.T, e *Engine, width int, sql string, args ...types.Value) {
 	t.Helper()
-	type outcome struct {
-		name    string
-		res     *Result
-		err     error
-		scanned int64
-	}
-	run := func(name string, compiled bool, w int) outcome {
-		e.interpretAll.Store(!compiled)
+	var scanned [2]int64
+	run := func(i, w int) (*Result, error) {
 		e.parallelism.Store(int64(w))
 		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
 		res, err := execSQL(t, e, sql, args...)
 		if w == 1 && e.mParQueries.Value() != q0 {
-			t.Fatalf("%s: %s statement ticked vm.parallel_queries", sql, name)
+			t.Fatalf("%s: width-1 statement ticked vm.parallel_queries", sql)
 		}
-		return outcome{name, res, err, e.mRowsScanned.Value() - s0}
+		scanned[i] = e.mRowsScanned.Value() - s0
+		return res, err
 	}
-	ref := run("reference", false, 1)
-	outs := []outcome{run("width 1", true, 1), run(fmt.Sprintf("width %d", width), true, width)}
+	res, err := run(0, 1)
+	wide, werr := again(func() (*Result, error) { return run(1, width) })
 	e.parallelism.Store(1)
-
-	for _, got := range outs {
-		if (ref.err == nil) != (got.err == nil) {
-			t.Fatalf("%s: error divergence\n%s: %v\n%s: %v", sql, ref.name, ref.err, got.name, got.err)
-		}
-		if ref.err != nil {
-			if ref.err.Error() != got.err.Error() {
-				t.Fatalf("%s: error text divergence\n%s: %v\n%s: %v", sql, ref.name, ref.err, got.name, got.err)
-			}
-			continue
-		}
-		if ref.scanned != got.scanned {
-			t.Fatalf("%s: rows_scanned divergence: %s %d, %s %d", sql, ref.name, ref.scanned, got.name, got.scanned)
-		}
-		if len(ref.res.Rows) != len(got.res.Rows) {
-			t.Fatalf("%s: row count divergence: %s %d, %s %d", sql, ref.name, len(ref.res.Rows), got.name, len(got.res.Rows))
-		}
-		for i := range ref.res.Rows {
-			if len(ref.res.Rows[i]) != len(got.res.Rows[i]) {
-				t.Fatalf("%s row %d: width divergence", sql, i)
-			}
-			for j := range ref.res.Rows[i] {
-				rv, gv := ref.res.Rows[i][j], got.res.Rows[i][j]
-				if rv.Kind() != gv.Kind() || rv.String() != gv.String() {
-					t.Fatalf("%s row %d col %d: %s %s(%s), %s %s(%s)",
-						sql, i, j, ref.name, rv.Kind(), rv.String(), got.name, gv.Kind(), gv.String())
-				}
-			}
-		}
+	label := fmt.Sprintf("%s (width %d)", sql, width)
+	sameOutcome(t, label, wide, werr, res, err)
+	if err == nil && scanned[0] != scanned[1] {
+		t.Fatalf("%s: rows_scanned divergence: width 1 %d, width %d %d", label, scanned[0], width, scanned[1])
 	}
 }
 
@@ -133,9 +102,9 @@ func newParTestDB(t testing.TB, rows int) *Engine {
 // TestParallelDifferential: every hot shape — filtered scans with and
 // without projection pushdown, aggregation (plain, grouped, DISTINCT,
 // HAVING), hash joins, LIKE specializations, ORDER BY over parallel
-// scans, and error statements — must behave byte-identically on the
-// interpreter, at width 1 and fanned out, including the rows_scanned
-// tally.
+// scans, and error statements — must behave byte-identically as the
+// interpreter did (the golden corpus), at width 1 and fanned out,
+// including the rows_scanned tally.
 func TestParallelDifferential(t *testing.T) {
 	e := newParTestDB(t, 3000)
 	forceParallel(t, e, 4, 256)
@@ -183,9 +152,8 @@ func TestParallelDifferential(t *testing.T) {
 		// rejects stays silent; without HAVING the same error surfaces.
 		"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)), SUM(10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3 HAVING v % 3 > 0",
 		"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3",
-		// Items the fold cannot take (IN (subquery) argument, expressions
-		// over aggregates) beside ones it can: the interpreter gets the
-		// group's rows, in source order.
+		// An IN (subquery) aggregate argument and expressions over
+		// aggregates beside bare aggregates.
 		"SELECT v % 5, SUM(v), COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(id), SUM(w) / COUNT(*), MIN(id) + 1 FROM p GROUP BY v % 5",
 		"SELECT v % 5, MAX(s) FROM p GROUP BY v % 5 HAVING SUM(v) > 100000 AND COUNT(DISTINCT b) = 2",
 		"SELECT SUM(*) FROM p",
@@ -214,10 +182,10 @@ func TestParallelDifferential(t *testing.T) {
 		"SELECT SUM(s) FROM p",
 		"SELECT MIN(s), SUM(s) FROM p GROUP BY v % 3",
 		"SELECT id FROM p WHERE v + s > 0",
-		// Interpreted shapes over a relation large enough to fan out: scan
-		// filter (with a lowered projection it must not push down), GROUP
-		// BY key, aggregate argument, and a projection whose lowered item
-		// errs on a later row than its interpreted one.
+		// Subqueries and unknown functions over a relation large enough to
+		// fan out: scan filter, GROUP BY key, aggregate argument, and a
+		// projection whose arithmetic item errs on a later row than its
+		// unknown function.
 		"SELECT id, v * 2 FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND id % 100 = 0",
 		"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*), SUM(v) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
 		"SELECT COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(NOSUCH(v)) FROM p WHERE id < 0",
@@ -335,35 +303,33 @@ func TestOnlyScansFanOut(t *testing.T) {
 	}
 }
 
-// TestInterpretedRunsAtWidthOne: a program that calls back into the
-// binder (whose subquery and IN caches are not goroutine-safe) must keep
-// its phase on the calling goroutine however large the relation — as the
-// scan filter, the one phase that could fan out, and as a GROUP BY key
-// or an aggregate argument, which run at width 1 like every phase after
-// the scan. -race is the second witness.
-func TestInterpretedRunsAtWidthOne(t *testing.T) {
+// TestSubqueryPredicateFansOut: a scan whose WHERE holds a subquery fans
+// out like any other — every worker's machine reads the subquery through
+// the statement's binder, which runs it once — and returns width 1's
+// rows. -race is the second witness.
+func TestSubqueryPredicateFansOut(t *testing.T) {
 	e := newParTestDB(t, 3000)
 	forceParallel(t, e, 4, 256)
-	for _, sql := range []string{
-		"SELECT id FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2)",
-		"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
-		"SELECT COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)) FROM p",
-	} {
-		q0, w0 := e.mParQueries.Value(), e.mParWorkers.Value()
-		mustExec(t, e, sql)
-		if e.mParQueries.Value() != q0 || e.mParWorkers.Value() != w0 {
-			t.Fatalf("%s: interpreted statement fanned out", sql)
+	const sql = "SELECT id, v * 2 FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND (SELECT MAX(k) FROM dim) > 5"
+	var rows [2]*Result
+	for i, width := range []int{1, 4} {
+		e.parallelism.Store(int64(width))
+		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
+		rows[i] = mustExec(t, e, sql)
+		if got := e.mRowsScanned.Value() - s0; got != 3000+7+7 {
+			t.Fatalf("width %d: scanned %d rows, want 3000 and each subquery's 7 once", width, got)
+		}
+		if fanned := e.mParQueries.Value() != q0; fanned != (width > 1) {
+			t.Fatalf("width %d: fanned out %v", width, fanned)
 		}
 		if e.parExtra.Load() != 0 {
-			t.Fatalf("%s: leaked worker reservations: %d", sql, e.parExtra.Load())
+			t.Fatalf("width %d: leaked worker reservations: %d", width, e.parExtra.Load())
 		}
 	}
-	// The same statement with a lowered filter does fan out.
-	q0 := e.mParQueries.Value()
-	mustExec(t, e, "SELECT id FROM p WHERE v % 7 IN (3, 4, 5, 6)")
-	if e.mParQueries.Value() != q0+1 {
-		t.Fatal("lowered twin of the interpreted filter stayed serial")
+	if len(rows[0].Rows) == 0 {
+		t.Fatal("the predicate kept no row")
 	}
+	sameOutcome(t, sql+" (width 4)", rows[1], nil, rows[0], nil)
 }
 
 // TestParallelWorkerBudget: the worker pool is engine-wide — with the

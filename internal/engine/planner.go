@@ -447,17 +447,11 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 			left = &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
 		}
 		if items, _, err := expandItems(sel, left); err == nil && len(items) > 0 {
-			allCompiled := true
 			agg := len(sel.GroupBy) > 0
 			for _, it := range items {
-				if sqltext.HasAggregate(it.Expr) {
-					agg = true
-				}
-				if !e.lowers(it.Expr, left) {
-					allCompiled = false
-				}
+				agg = agg || sqltext.HasAggregate(it.Expr)
 			}
-			if allCompiled && !agg {
+			if !agg {
 				lines = append(lines, indent+"project: compiled")
 			}
 		}
@@ -516,29 +510,21 @@ func (e *Engine) explainRef(tr sqltext.TableRef, sel *sqltext.Select, indent str
 		}
 		label = analyzeScan(sel.Where, schema, e.store.Table(target), qual).label()
 		if label == "full-scan" {
-			// The executor runs a full-scan WHERE through the expression VM
-			// when it lowers; index paths evaluate inside the index itself.
-			if rel, err := e.refCols(tr); err == nil && e.lowers(sel.Where, rel) {
-				label += " [compiled]"
-				// Morsel-parallel fan-out: shown with the configured
-				// width when the snapshot's slot count clears the
-				// threshold. The executor may still run narrower (or
-				// serial) if the engine-wide worker budget is taken.
-				if tbl := e.store.Table(target); tbl != nil {
-					if k := e.parallelWidth(tbl.View(ctx.snap).Slots()); k > 1 {
-						label += fmt.Sprintf(" [parallel n=%d]", k)
-					}
+			// The executor runs a full-scan WHERE through the expression VM;
+			// index paths evaluate inside the index itself.
+			label += " [compiled]"
+			// Morsel-parallel fan-out: shown with the configured width when
+			// the snapshot's slot count clears the threshold. The executor
+			// may still run narrower (or serial) if the engine-wide worker
+			// budget is taken.
+			if tbl := e.store.Table(target); tbl != nil {
+				if k := e.parallelWidth(tbl.View(ctx.snap).Slots()); k > 1 {
+					label += fmt.Sprintf(" [parallel n=%d]", k)
 				}
 			}
 		}
 	}
 	return []string{indent + "scan " + name + ": " + label}, nil
-}
-
-// lowers reports whether x compiles as a whole against rel's layout —
-// what earns a plan node its "compiled" marker.
-func (e *Engine) lowers(x sqltext.Expr, rel *relation) bool {
-	return !e.compiledProg(x, newBinder(e, nil, rel, nil, nil)).Interpreted()
 }
 
 func (e *Engine) explainMutation(verb, table string, where sqltext.Expr) ([]string, error) {
@@ -553,9 +539,7 @@ func (e *Engine) explainMutation(verb, table string, where sqltext.Expr) ([]stri
 	if where != nil {
 		label = analyzeScan(where, schema, e.store.Table(table), strings.ToLower(table)).label()
 		if label == "full-scan" {
-			if rel, err := e.refCols(sqltext.TableRef{Table: table}); err == nil && e.lowers(where, rel) {
-				label += " [compiled]"
-			}
+			label += " [compiled]"
 		}
 	}
 	return []string{verb + " " + table + ": " + label}, nil

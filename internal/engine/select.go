@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -109,7 +110,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 			out, srcRows, err = e.evalAggregateSelect(sel, items, rel, b)
 		} else {
 			srcRows = rel.rows
-			out, err = e.projectRows(items, rel, b, make([]types.Row, 0, len(rel.rows)))
+			out, err = e.projectRows(items, b, make([]types.Row, 0, len(rel.rows)))
 		}
 		if err != nil {
 			return nil, err
@@ -150,7 +151,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 
 	// LIMIT / OFFSET.
 	if sel.Offset != nil {
-		n, err := evalIntArg(b, sel.Offset)
+		n, err := e.intArg(sel.Offset, b)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +163,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		}
 	}
 	if sel.Limit != nil {
-		n, err := evalIntArg(b, sel.Limit)
+		n, err := e.intArg(sel.Limit, b)
 		if err != nil {
 			return nil, err
 		}
@@ -202,12 +203,42 @@ func aggOrderItems(sel *sqltext.Select, items []projItem) ([]projItem, []int) {
 	return items, orderCols
 }
 
-func evalIntArg(b *binder, e sqltext.Expr) (int64, error) {
-	v, err := b.eval(e, nil)
+// intArg evaluates LIMIT or OFFSET (see valuesRow).
+func (e *Engine) intArg(x sqltext.Expr, b *binder) (int64, error) {
+	row, err := e.valuesRow([]sqltext.Expr{x}, b)
 	if err != nil {
 		return 0, err
 	}
-	return v.AsInt()
+	return row[0].AsInt()
+}
+
+// valuesRow evaluates expressions that have no source row: the cells of
+// an INSERT … VALUES row, LIMIT, OFFSET. A literal or parameter is read
+// directly — every cell of a shaped bulk load — and a row with any other
+// expression is projected over one empty row of b's layout, as SELECT
+// 1+1 is: its columns read NULL.
+func (e *Engine) valuesRow(exprs []sqltext.Expr, b *binder) (types.Row, error) {
+	row := make(types.Row, len(exprs))
+	for i, x := range exprs {
+		v, ok := constVal(x, b.args)
+		if !ok {
+			rel := &relation{rows: []types.Row{nil}}
+			if b.rel != nil {
+				rel.cols = b.rel.cols
+			}
+			items := make([]projItem, len(exprs))
+			for j, y := range exprs {
+				items[j].Expr = y
+			}
+			out, err := e.projectRows(items, newBinder(e, b.args, rel, b.overrides, b.ctx), nil)
+			if err != nil {
+				return nil, err
+			}
+			return out[0], nil
+		}
+		row[i] = v
+	}
+	return row, nil
 }
 
 // projItem is a resolved projection item.
@@ -261,18 +292,21 @@ func expandItems(sel *sqltext.Select, rel *relation) ([]projItem, []string, erro
 }
 
 // aggGroup is one output group of an aggregate SELECT: where its first
-// source row sits in rel.rows, how many rows it has, and (once rowsOf
-// has sorted the rows by group) where its run ends in the sorted slab.
+// source row sits in rel.rows and how many rows it has.
 type aggGroup struct {
-	first, count, end int
+	first, count int
 }
 
 // evalAggregateSelect evaluates GROUP BY / aggregate projection. Rows
-// carry a group ordinal so the hot inputs — group keys and the
-// arguments of simple aggregate items — are evaluated once, batched,
-// across all rows and folded per group (buildAggFold). HAVING and items
-// the fold does not cover keep the interpreter's per-group evalAgg,
-// over row slices that are materialized only if one of them asks.
+// carry a group ordinal so the group keys and every aggregate call's
+// argument are evaluated once, batched, across all rows and folded per
+// group (buildAggFold). Each group is then a row of the group layout —
+// its first source row's columns, then every aggregate call's result,
+// an aggregate's error held as that lane's error — and HAVING and the
+// items run as programs over batches of groups, so an error surfaces
+// only if a kept group's evaluation reaches it. A bare column or a bare
+// aggregate is read directly: a projection of those alone builds no
+// group row.
 func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel *relation, b *binder) ([]types.Row, []types.Row, error) {
 	n := len(rel.rows)
 	var groups []aggGroup
@@ -299,65 +333,87 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 			rowGroup[i] = g
 		}
 	}
-	fold := e.buildAggFold(items, rel, b, rowGroup, len(groups))
-
-	// rowsOf is group gi's rows in source order, for the interpreter. The
-	// first call sorts rel.rows by group into one slab (a counting sort:
-	// group sizes are known).
-	var sorted []types.Row
-	rowsOf := func(gi int) []types.Row {
-		if rowGroup == nil {
-			return rel.rows
-		}
-		if sorted == nil {
-			sorted = make([]types.Row, n)
-			at := 0
-			for g := range groups {
-				groups[g].end = at
-				at += groups[g].count
-			}
-			for i, g := range rowGroup {
-				sorted[groups[g].end] = rel.rows[i]
-				groups[g].end++
-			}
-		}
-		g := groups[gi]
-		return sorted[g.end-g.count : g.end : g.end]
+	exprs := make([]sqltext.Expr, len(items), len(items)+1)
+	for i, it := range items {
+		exprs[i] = it.Expr
 	}
+	fold := e.buildAggFold(append(exprs, sel.Having), b, rowGroup, groups)
+	gb := b.groupBinder(fold.cols)
 
-	var out []types.Row
-	var src []types.Row
-	for gi, g := range groups {
-		if sel.Having != nil {
-			hv, err := b.evalAgg(sel.Having, rowsOf(gi))
-			if err != nil {
-				return nil, nil, err
+	// Per item a bare column, a bare aggregate or a program; HAVING's
+	// program rides last.
+	w := len(items)
+	bare, agg := make([]int, w), make([]int, w)
+	progs := make([]*vm.Program, w+1)
+	for i, it := range items {
+		bare[i], agg[i] = -1, -1
+		if c, ok := b.bareCol(it.Expr); ok {
+			bare[i] = c
+		} else if fc, ok := it.Expr.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
+			agg[i] = fold.cols[fc]
+		} else {
+			progs[i] = e.compiledProg(it.Expr, gb)
+		}
+	}
+	progs[w] = e.compiledProg(sel.Having, gb)
+	ev := gb.evaluator(progs)
+	used := usedCols(progs)
+
+	var out, src []types.Row
+	firsts := make([]types.Row, 0, min(len(groups), vm.BatchSize))
+	for start := 0; start < len(groups); start += vm.BatchSize {
+		firsts = firsts[:0]
+		for _, g := range groups[start:min(start+vm.BatchSize, len(groups))] {
+			var first types.Row // nil for the empty implicit group
+			if g.count > 0 {
+				first = rel.rows[g.first]
 			}
-			keep := false
-			if !hv.IsNull() {
-				keep, err = hv.AsBool()
+			firsts = append(firsts, first)
+		}
+		if ev.batch != nil {
+			ev.batch.Fill(firsts)
+			for _, c := range used {
+				if ci := c - len(rel.cols); ci >= 0 {
+					for k := range firsts {
+						v, err := fold.result(ci, start+k)
+						ev.batch.SetLane(c, k, v, err)
+					}
+				}
+			}
+			ev.eval(e)
+		}
+		for k, first := range firsts {
+			if having := ev.vecs[w]; having != nil {
+				keep, err := having.Truth(k)
+				if err != nil {
+					return nil, nil, err
+				}
+				if !keep {
+					continue
+				}
+			}
+			row := make(types.Row, w)
+			for i := range items {
+				var err error
+				switch {
+				case bare[i] >= 0:
+					if bare[i] < len(first) {
+						row[i] = first[bare[i]]
+					}
+				case agg[i] >= 0:
+					row[i], err = fold.result(agg[i], start+k)
+				default:
+					if err = ev.vecs[i].Err(k); err == nil {
+						row[i] = ev.vecs[i].Value(k)
+					}
+				}
 				if err != nil {
 					return nil, nil, err
 				}
 			}
-			if !keep {
-				continue
-			}
+			out = append(out, row)
+			src = append(src, first)
 		}
-		var first types.Row // nil for the empty implicit group
-		if g.count > 0 {
-			first = rel.rows[g.first]
-		}
-		row := make(types.Row, len(items))
-		for i, it := range items {
-			v, err := evalAggItem(it.Expr, gi, g.count, first, rowsOf, b, fold)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-		src = append(src, first)
 	}
 	return out, src, nil
 }
@@ -390,37 +446,14 @@ func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]str
 	return keys, err
 }
 
-// evalAggItem evaluates one aggregate-context projection item for
-// group gi: COUNT(*) is the group's size, a simple aggregate call the
-// fold covers is read from its state, an item free of aggregates is
-// evaluated on the group's first row (evalAgg's non-aggregate tail),
-// and everything else — non-lowerable arguments, expressions over
-// aggregates — goes to the interpreter's evalAgg over the group's rows.
-func evalAggItem(x sqltext.Expr, gi, count int, first types.Row, rowsOf func(int) []types.Row, b *binder, fold *aggFold) (types.Value, error) {
-	if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-		if fc.Star && strings.EqualFold(fc.Name, "COUNT") {
-			return types.NewInt(int64(count)), nil
-		}
-		if st, op := fold.state(fc, gi); st != nil {
-			return st.result(op)
-		}
-	} else if !sqltext.HasAggregate(x) {
-		return b.eval(x, first)
-	}
-	return b.evalAgg(x, rowsOf(gi))
-}
-
 // scanProj is a projection compiled for evaluation inside the scan
 // loop: per item either a direct column index (bare references) or a
-// program run on the scan's batch. The plan scanProjection returns is
-// immutable; machines and vecs exist only on the worker-private copies
-// bind makes.
+// program run on the scan's batch. It is immutable; each scan worker
+// runs the programs on machines of its own (see scanFiltered).
 type scanProj struct {
-	names    []string
-	progs    []*vm.Program
-	machines []*vm.Machine
-	bare     []int
-	vecs     []*vm.Vec
+	names []string
+	progs []*vm.Program
+	bare  []int
 }
 
 // scanProjection decides whether the statement's projection can run
@@ -429,8 +462,8 @@ type scanProj struct {
 // row matching and needs full-width rows with the _tid column — as do
 // subquery sources feeding an outer binder) and nothing downstream
 // needs the source rows: no GROUP BY / HAVING / ORDER BY, LIMIT and
-// OFFSET are literals or parameters, and no projection item is
-// Interpreted. DISTINCT is fine — it runs over output tuples.
+// OFFSET are literals or parameters. DISTINCT is fine — it runs over
+// output tuples.
 func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
 	if sel == nil || sel != b.ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
 		!plainIntArg(sel.Limit) || !plainIntArg(sel.Offset) {
@@ -441,9 +474,7 @@ func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
 		return nil
 	}
 	for _, it := range items {
-		// Aggregates route to evalAggregateSelect even when an
-		// identically named scalar is registered — mirror that here
-		// rather than trusting compile failure alone.
+		// Aggregates route to evalAggregateSelect.
 		if sqltext.HasAggregate(it.Expr) {
 			return nil
 		}
@@ -458,12 +489,8 @@ func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
 			sp.bare[i] = c
 			continue
 		}
-		p := e.compiledProg(it.Expr, b)
-		if p.Interpreted() {
-			return nil
-		}
 		sp.bare[i] = -1
-		sp.progs[i] = p
+		sp.progs[i] = e.compiledProg(it.Expr, b)
 	}
 	return sp
 }
@@ -471,7 +498,7 @@ func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
 // bareCol reports the position of a projection item that is a plain
 // resolvable column reference: it indexes the source row and needs no
 // program. (Star expansions are all of this shape, rebuilt per
-// execution.) An unresolvable one is the interpreter's to report.
+// execution.) An unresolvable one compiles to lanes holding its error.
 func (b *binder) bareCol(x sqltext.Expr) (int, bool) {
 	if cr, ok := x.(*sqltext.ColumnRef); ok {
 		if c, err := b.resolve(cr); err == nil {
@@ -491,15 +518,17 @@ func plainIntArg(x sqltext.Expr) bool {
 	return false
 }
 
-// emit projects the matched lanes of one scan batch into output tuples
-// on dst (the scan range's output). A lane error is returned (not
+// emit projects the matched lanes of one scan batch — ev's, whose
+// machine 0 is the filter's and machine 1+i item i's — into output
+// tuples on dst (the scan range's output). A lane error is returned (not
 // raised): the caller must keep scanning so a later row's WHERE error
 // still wins, exactly as the interpreter's filter-everything-then-project
 // order implies.
-func (sp *scanProj) emit(dst *[]types.Row, batch *vm.Batch, lanes []int, vals []types.Row, tids, created []int64, nUser int) error {
-	for i, mch := range sp.machines {
+func (sp *scanProj) emit(dst *[]types.Row, ev *evaluator, lanes []int, vals []types.Row, tids, created []int64, nUser int) error {
+	vecs := ev.vecs[1:]
+	for i, mch := range ev.machines[1:] {
 		if mch != nil {
-			sp.vecs[i] = mch.Eval(batch)
+			vecs[i] = mch.Eval(ev.batch)
 		}
 	}
 	w := len(sp.names)
@@ -518,57 +547,43 @@ func (sp *scanProj) emit(dst *[]types.Row, batch *vm.Batch, lanes []int, vals []
 				}
 				continue
 			}
-			if err := sp.vecs[i].Err(li); err != nil {
+			if err := vecs[i].Err(li); err != nil {
 				return err
 			}
-			row[i] = sp.vecs[i].Value(li)
+			row[i] = vecs[i].Value(li)
 		}
 		*dst = append(*dst, row)
 	}
 	return nil
 }
 
-// projectRows evaluates the projection over rel.rows, one batch of
+// projectRows evaluates the projection over b.rel.rows, one batch of
 // source rows at a time: bare column references index the source row,
 // every other item reads its program's result vector. Lanes hold their
 // errors until the row-major materialization loop reaches them, so the
 // first error surfaced is the (row, item) a row-at-a-time evaluation
 // would have hit first.
-func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []types.Row) ([]types.Row, error) {
-	if len(rel.rows) == 0 {
+func (e *Engine) projectRows(items []projItem, b *binder, out []types.Row) ([]types.Row, error) {
+	rows := b.rel.rows
+	if len(rows) == 0 {
 		return out, nil
 	}
 	w := len(items)
 	bare := make([]int, w)
 	progs := make([]*vm.Program, w) // nil for bare items: they read no batch
-	machines := make([]*vm.Machine, w)
-	allBare := true
 	for i, it := range items {
 		if c, ok := b.bareCol(it.Expr); ok {
 			bare[i] = c
 			continue
 		}
-		p := e.compiledProg(it.Expr, b)
-		bare[i], progs[i], machines[i], allBare = -1, p, b.machine(p), false
+		bare[i], progs[i] = -1, e.compiledProg(it.Expr, b)
 	}
 	// A projection of bare columns alone (the point select) fills no
 	// batch and runs no machine.
-	var batch *vm.Batch
-	if !allBare {
-		batch = scratchBatch(machines, rel, progs)
-	}
-	vecs := make([]*vm.Vec, w)
-	for start := 0; start < len(rel.rows); start += vm.BatchSize {
-		chunk := rel.rows[start:min(start+vm.BatchSize, len(rel.rows))]
-		if batch != nil {
-			batch.Fill(chunk)
-			for i, mch := range machines {
-				if mch != nil {
-					vecs[i] = mch.Eval(batch)
-				}
-			}
-			e.countVM(len(chunk))
-		}
+	ev := b.evaluator(progs)
+	for start := 0; start < len(rows); start += vm.BatchSize {
+		chunk := rows[start:min(start+vm.BatchSize, len(rows))]
+		ev.run(e, chunk)
 		// One slab of values per batch instead of one allocation per
 		// output row.
 		slab := make([]types.Value, len(chunk)*w)
@@ -581,10 +596,10 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 					}
 					continue
 				}
-				if err := vecs[i].Err(ri); err != nil {
+				if err := ev.vecs[i].Err(ri); err != nil {
 					return nil, err
 				}
-				row[i] = vecs[i].Value(ri)
+				row[i] = ev.vecs[i].Value(ri)
 			}
 			out = append(out, row)
 		}
@@ -593,30 +608,22 @@ func (e *Engine) projectRows(items []projItem, rel *relation, b *binder, out []t
 }
 
 // orderRows sorts output. ORDER BY keys may reference output
-// aliases/columns, source-relation expressions (evaluated on srcRows,
-// which align with out) or — orderCols, see aggOrderItems — aggregates
-// already evaluated as columns of out. When LIMIT (+ OFFSET) is
-// statically known, a bounded heap keeps only the top limit+offset rows
-// instead of sorting the whole result — O(n log k) comparisons instead
-// of O(n log n), and the returned slice shrinks to k.
+// aliases/columns, source-relation expressions (programs over srcRows,
+// which align with out; the empty implicit group's is an all-NULL row)
+// or — orderCols, see aggOrderItems — aggregates already evaluated as
+// columns of out. When LIMIT (+ OFFSET) is statically known, a bounded
+// heap keeps only the top limit+offset rows instead of sorting the whole
+// result — O(n log k) comparisons instead of O(n log n), and the
+// returned slice shrinks to k.
 func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, orderCols []int, out []types.Row, srcRows []types.Row, b *binder) ([]types.Row, error) {
-	type keyFn func(i int) (types.Value, error)
-	fns := make([]keyFn, len(sel.OrderBy))
-	outCol := func(p int) keyFn {
-		return func(i int) (types.Value, error) { return out[i][p], nil }
-	}
+	nk := len(sel.OrderBy)
+	outCol := make([]int, nk) // the column of out a key reads, or -1 for a program
+	progs := make([]*vm.Program, nk)
 	for oi, o := range sel.OrderBy {
+		outCol[oi] = -1
 		// Alias / output column reference?
 		if cr, ok := o.Expr.(*sqltext.ColumnRef); ok && cr.Table == "" {
-			pos := -1
-			for ci, n := range colNames {
-				if strings.EqualFold(n, cr.Column) {
-					pos = ci
-					break
-				}
-			}
-			if pos >= 0 {
-				fns[oi] = outCol(pos)
+			if outCol[oi] = slices.IndexFunc(colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) }); outCol[oi] >= 0 {
 				continue
 			}
 		}
@@ -626,32 +633,33 @@ func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, orderCols []i
 			if p < 0 || p >= len(colNames) {
 				return nil, fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
 			}
-			fns[oi] = outCol(p)
+			outCol[oi] = p
 			continue
 		}
 		if sqltext.HasAggregate(o.Expr) {
-			fns[oi] = outCol(orderCols[oi])
+			outCol[oi] = orderCols[oi]
 			continue
 		}
-		// Source expression.
-		expr := o.Expr
-		fns[oi] = func(i int) (types.Value, error) {
-			if i >= len(srcRows) {
-				return types.Null, nil
-			}
-			return b.eval(expr, srcRows[i])
-		}
+		progs[oi] = e.compiledProg(o.Expr, b)
 	}
-	// Precompute keys.
+	// Precompute keys, row-major: the first error is the first row's.
+	ev := b.evaluator(progs)
 	keys := make([][]types.Value, len(out))
-	for i := range out {
-		keys[i] = make([]types.Value, len(fns))
-		for j, fn := range fns {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
+	for start := 0; start < len(out); start += vm.BatchSize {
+		end := min(start+vm.BatchSize, len(out))
+		ev.run(e, srcRows[start:end])
+		for i := start; i < end; i++ {
+			keys[i] = make([]types.Value, nk)
+			for j, c := range outCol {
+				if c >= 0 {
+					keys[i][j] = out[i][c]
+					continue
+				}
+				if err := ev.vecs[j].Err(i - start); err != nil {
+					return nil, err
+				}
+				keys[i][j] = ev.vecs[j].Value(i - start)
 			}
-			keys[i][j] = v
 		}
 	}
 
@@ -659,7 +667,7 @@ func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, orderCols []i
 	// original position so the result matches a stable sort.
 	var sortErr error
 	less := func(a, bb int) bool {
-		for j := range fns {
+		for j := range nk {
 			c, err := types.Compare(keys[a][j], keys[bb][j])
 			if err != nil {
 				sortErr = err
@@ -903,17 +911,12 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 
 	// Streaming full scan (see scanFiltered), with projection pushdown:
 	// when the whole statement reduces to "filter, project, maybe
-	// DISTINCT/LIMIT" and neither the filter nor any item is Interpreted,
-	// the projection runs on the already-filled batch and output tuples
-	// are emitted directly — matched rows are never materialized at full
-	// table width.
+	// DISTINCT/LIMIT", the projection runs on the already-filled batch and
+	// output tuples are emitted directly — matched rows are never
+	// materialized at full table width.
 	b := newBinder(e, args, rel, overrides, ctx)
-	prog := e.compiledProg(where, b)
-	var proj *scanProj
-	if !prog.Interpreted() {
-		proj = e.scanProjection(sel, b)
-	}
-	if err := e.scanFiltered(tbl, b, prog, proj, len(schema.Columns)); err != nil {
+	proj := e.scanProjection(sel, b)
+	if err := e.scanFiltered(tbl, b, e.compiledProg(where, b), proj, len(schema.Columns)); err != nil {
 		return nil, false, err
 	}
 	return rel, true, nil
@@ -1043,29 +1046,65 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 		row := make(types.Row, 0, len(l)+len(r))
 		return append(append(row, l...), r...)
 	}
-	for _, lr := range left.rows {
-		matched := false
-	pairs:
-		for _, rr := range rightFor(lr) {
-			row := concat(lr, rr)
-			for _, c := range on {
-				ok, err := b.evalBool(c, row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue pairs
+	// Left rows settle in order: each kept pair is appended, and a LEFT
+	// join pads a left row none of whose pairs was kept once a later row's
+	// pair or the end is reached. matched is for left row next.
+	next, matched := 0, false
+	settle := func(to int) {
+		for ; next < to; next++ {
+			if !matched && jc.Kind == "LEFT" {
+				pad := make(types.Row, len(left.rows[next])+len(right.cols)) // right side all NULL
+				copy(pad, left.rows[next])
+				out.rows = append(out.rows, pad)
+			}
+			matched = false
+		}
+	}
+	// Candidate pairs meet the ON conjuncts in on a batch at a time, each
+	// conjunct a program over the joined layout. A pair's verdict is its
+	// first conjunct that errs (the statement fails) or is not TRUE (the
+	// pair is dropped), so the first error in pair order wins — what
+	// checking the conjuncts pair by pair would raise.
+	progs := make([]*vm.Program, len(on))
+	for i, c := range on {
+		progs[i] = e.compiledProg(c, b)
+	}
+	ev := b.evaluator(progs)
+	var pairs []types.Row
+	var owner []int // each pair's left row
+	flush := func() error {
+		ev.run(e, pairs)
+	verdicts:
+		for k, row := range pairs {
+			for _, v := range ev.vecs {
+				if ok, err := v.Truth(k); err != nil {
+					return err
+				} else if !ok {
+					continue verdicts
 				}
 			}
+			settle(owner[k])
 			matched = true
 			out.rows = append(out.rows, row)
 		}
-		if !matched && jc.Kind == "LEFT" {
-			pad := make(types.Row, len(lr)+len(right.cols)) // right side all NULL
-			copy(pad, lr)
-			out.rows = append(out.rows, pad)
+		pairs, owner = pairs[:0], owner[:0]
+		return nil
+	}
+	for li, lr := range left.rows {
+		for _, rr := range rightFor(lr) {
+			// Without a conjunct to check, every pair is kept at once.
+			pairs, owner = append(pairs, concat(lr, rr)), append(owner, li)
+			if len(pairs) == vm.BatchSize || len(on) == 0 {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	settle(len(left.rows))
 	e.countScanned(ctx, probed)
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ediflow/internal/types"
@@ -183,7 +184,7 @@ func TestMinMaxOverStrings(t *testing.T) {
 // TestOrderByAggregate is the regression for ORDER BY <aggregate>
 // sorting by the group's first source row: the key used to be evaluated
 // over a one-row "group", so SUM(v) sorted by the first v of each group.
-// Both evaluation modes agreed on the wrong answer.
+// The interpreter agreed on the wrong answer.
 func TestOrderByAggregate(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)")
@@ -205,38 +206,89 @@ func TestOrderByAggregate(t *testing.T) {
 		// An aggregate ORDER BY key alone makes the statement an aggregate.
 		{"SELECT 7 FROM t ORDER BY SUM(v)", [][]int64{{7}}},
 	} {
-		for _, ref := range []bool{false, true} {
-			e.interpretAll.Store(ref)
-			res := mustExec(t, e, c.sql)
-			if len(res.Rows) != len(c.want) || len(res.Columns) != len(c.want[0]) {
-				t.Fatalf("%s (reference=%v): got %v, want %v", c.sql, ref, res.Rows, c.want)
+		res := mustExec(t, e, c.sql)
+		if len(res.Rows) != len(c.want) || len(res.Columns) != len(c.want[0]) {
+			t.Fatalf("%s: got %v, want %v", c.sql, res.Rows, c.want)
+		}
+		for i, w := range c.want {
+			if len(res.Rows[i]) != len(w) {
+				t.Fatalf("%s: row %d has %d columns, want %d (hidden sort key not stripped?)", c.sql, i, len(res.Rows[i]), len(w))
 			}
-			for i, w := range c.want {
-				if len(res.Rows[i]) != len(w) {
-					t.Fatalf("%s: row %d has %d columns, want %d (hidden sort key not stripped?)", c.sql, i, len(res.Rows[i]), len(w))
-				}
-				for j := range w {
-					if res.Rows[i][j].Int() != w[j] {
-						t.Fatalf("%s (reference=%v): got %v, want %v", c.sql, ref, res.Rows, c.want)
-					}
+			for j := range w {
+				if res.Rows[i][j].Int() != w[j] {
+					t.Fatalf("%s: got %v, want %v", c.sql, res.Rows, c.want)
 				}
 			}
 		}
-		e.interpretAll.Store(false)
 	}
 }
 
 // TestFailingSubqueryRunsOnce: batch evaluation holds a lane's error and
 // moves on to the next lane, so a subquery that fails must be remembered
-// like one that succeeds — not re-run for every outer row.
+// like one that succeeds — not re-run for every batch, nor by every
+// morsel worker of a scan that fans out.
 func TestFailingSubqueryRunsOnce(t *testing.T) {
 	e := newVMTestDB(t)
-	s0 := e.mRowsScanned.Value()
-	_, err := e.Exec("SELECT id FROM v WHERE a IN (SELECT 10 / (a - 7) FROM v)")
-	if err == nil {
-		t.Fatal("want division by zero from the subquery")
+	for _, width := range []int{1, 4} {
+		forceParallel(t, e, width, 2)
+		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
+		_, err := e.Exec("SELECT id FROM v WHERE a IN (SELECT 10 / (a - 7) FROM v)")
+		if err == nil || err.Error() != "types: division by zero" {
+			t.Fatalf("width %d: want division by zero from the subquery, got %v", width, err)
+		}
+		if got := e.mRowsScanned.Value() - s0; got != 7 {
+			t.Fatalf("width %d: failing subquery scanned %d rows, want its 7 once", width, got)
+		}
+		if fanned := e.mParQueries.Value() > q0; fanned != (width > 1) {
+			t.Fatalf("width %d: fanned out %v", width, fanned)
+		}
 	}
-	if got := e.mRowsScanned.Value() - s0; got != 7 {
-		t.Fatalf("failing subquery scanned %d rows, want its 7 once", got)
+}
+
+// TestAggregateInScalarShapes: an expression over aggregates means what
+// it means in row context with each aggregate's value in its place —
+// CASE, IS [NOT] NULL, BETWEEN, IN, LIKE and COALESCE around aggregates,
+// in the items, in HAVING and in ORDER BY — and short-circuits the same
+// way: an aggregate's error surfaces only where evaluation reaches it.
+func TestAggregateInScalarShapes(t *testing.T) {
+	e := newVMTestDB(t)
+	for _, c := range []struct{ sql, want string }{
+		// Groups of s in first-appearance order: alpha, beta (2 rows),
+		// NULL, '', Alpha, a%b_c.
+		{"SELECT CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END FROM v GROUP BY s",
+			"STRING:one| STRING:many| STRING:one| STRING:one| STRING:one| STRING:one|"},
+		{"SELECT s, MAX(a) IS NULL FROM v GROUP BY s",
+			"STRING:alpha|BOOL:false| STRING:beta|BOOL:false| NULL:NULL|BOOL:true| STRING:|BOOL:false| STRING:Alpha|BOOL:false| STRING:a%b_c|BOOL:false|"},
+		{"SELECT s FROM v GROUP BY s HAVING MAX(a) IS NOT NULL",
+			"STRING:alpha| STRING:beta| STRING:| STRING:Alpha| STRING:a%b_c|"},
+		{"SELECT s, MAX(a) FROM v GROUP BY s HAVING MAX(a) BETWEEN 0 AND 20",
+			"STRING:alpha|INT:10| STRING:|INT:0| STRING:Alpha|INT:7|"},
+		{"SELECT s, COUNT(*) FROM v GROUP BY s HAVING COUNT(*) IN (2, 3)",
+			"STRING:beta|INT:2|"},
+		{"SELECT s FROM v GROUP BY s HAVING MAX(s) LIKE 'a%'",
+			"STRING:alpha| STRING:a%b_c|"},
+		{"SELECT s, COALESCE(MAX(a), -100) FROM v GROUP BY s ORDER BY COALESCE(MAX(a), -100)",
+			"NULL:NULL|INT:-100| STRING:beta|INT:-1| STRING:|INT:0| STRING:Alpha|INT:7| STRING:alpha|INT:10| STRING:a%b_c|INT:1000000|"},
+		{"SELECT s FROM v GROUP BY s ORDER BY CASE WHEN COUNT(*) > 1 THEN 0 ELSE 1 END, s",
+			"STRING:beta| NULL:NULL| STRING:| STRING:Alpha| STRING:a%b_c| STRING:alpha|"},
+		{"SELECT COUNT(*) IS NULL, MAX(a) IS NULL FROM v WHERE id < 0",
+			"BOOL:false|BOOL:true|"},
+		// Short-circuits: a FALSE left operand, a non-NULL COALESCE
+		// argument and an untaken CASE arm keep the division from running.
+		{"SELECT s FROM v GROUP BY s HAVING COUNT(*) > 5 AND MAX(a) / 0 > 0", ""},
+		{"SELECT s FROM v GROUP BY s HAVING COUNT(*) > 0 AND MAX(a) / 0 > 0", "error: types: division by zero"},
+		{"SELECT COALESCE(MAX(a), 1 / 0), CASE WHEN COUNT(*) > 100 THEN SUM(a) / 0 ELSE 0 END FROM v",
+			"INT:1000000|INT:0|"},
+	} {
+		res, err := execSQL(t, e, c.sql)
+		got := ""
+		if err != nil {
+			got = "error: " + err.Error()
+		} else {
+			got = strings.Join(renderRows(res, true), " ")
+		}
+		if got != c.want {
+			t.Errorf("%s:\n got  %s\n want %s", c.sql, got, c.want)
+		}
 	}
 }

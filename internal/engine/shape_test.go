@@ -19,24 +19,29 @@ type shapeTwins struct {
 	shaped     int // of which sqltext.Shape lifted literals
 }
 
-// execSQL is how the engine tests run a statement text. Outside
-// TestShapedMatchesAsWritten it is e.Exec. Inside, the same text also
-// runs as written — ExecStmt(sqltext.Parse(text)), past the plan cache and
-// shaping — on a twin of e that has run every statement e has, with the
-// same evaluation mode and width, and the two outcomes must be identical:
-// error text, columns, rows in order, affected count, tids and rows
-// scanned.
+// execSQL is how the engine tests run a statement text: e.Exec, and
+// under TestStatementCorpus one line of the golden corpus. Inside
+// TestShapedMatchesAsWritten the same text also runs as written —
+// ExecStmt(sqltext.Parse(text)), past the plan cache and shaping — on a
+// twin of e that has run every statement e has, at the same width, and
+// the two outcomes must be identical: error text, columns, rows in order,
+// affected count, tids and rows scanned.
 func execSQL(t testing.TB, e *Engine, sql string, args ...types.Value) (*Result, error) {
 	t.Helper()
 	if asWritten == nil {
-		return e.Exec(sql, args...)
+		if corpus == nil {
+			return e.Exec(sql, args...)
+		}
+		s0 := e.mRowsScanned.Value()
+		res, err := e.Exec(sql, args...)
+		corpus.record(sql, args, res, err, e.mRowsScanned.Value()-s0)
+		return res, err
 	}
 	twin := asWritten.twins[e]
 	if twin == nil {
 		twin = newTestDB(t)
 		asWritten.twins[e] = twin
 	}
-	twin.interpretAll.Store(e.interpretAll.Load())
 	twin.parallelism.Store(e.parallelism.Load())
 	asWritten.statements++
 	if shaped, _ := sqltext.Shape(sql, args); shaped != sql {

@@ -12,24 +12,32 @@ import (
 )
 
 // ScalarFunc evaluates a scalar function over already-evaluated
-// arguments, exactly like the interpreter's callScalar: the function is
+// arguments, exactly like the engine's built-ins (callScalar): the function is
 // responsible for its own NULL handling. The args slice is reused
 // between lanes and must not be retained.
 type ScalarFunc func(args []types.Value) (types.Value, error)
 
 // Env is the compile-time environment the engine supplies: how column
-// references resolve against the relation the program will run over,
-// which scalar functions exist, and how a missing positional parameter
-// errors (so compiled statements fail with the engine's exact message).
+// references and aggregate calls resolve against the layout the program
+// will run over, which scalar functions exist, and how a missing
+// positional parameter errors (so compiled statements fail with the
+// engine's exact messages). Every callback answers for every input — a
+// name that does not resolve answers with the error its lanes carry —
+// which is what makes Compile total.
 type Env struct {
-	// Resolve maps a column reference to a column index. Returning
-	// ok=false (unknown or ambiguous) makes the expression unlowerable;
-	// the engine's interpreter then reports its own error.
-	Resolve func(cr *sqltext.ColumnRef) (col int, ok bool)
-	// Func resolves a scalar function by upper-cased name. The returned
-	// implementation is baked into the program, so the engine must purge
-	// compiled programs when its function registry changes.
-	Func func(name string) (ScalarFunc, bool)
+	// Resolve maps a column reference to a column index, or to the error
+	// (unknown, ambiguous) every lane reading it holds.
+	Resolve func(cr *sqltext.ColumnRef) (int, error)
+	// Agg maps an aggregate call to the layout column that holds its
+	// result, or to the error every lane reading it holds (an aggregate
+	// outside an aggregate context).
+	Agg func(fc *sqltext.FuncCall) (int, error)
+	// Func resolves a scalar function by upper-cased name. An unknown name
+	// resolves to a function returning the engine's error, so argument
+	// errors still come first. The implementation is baked into the
+	// program, so the engine must purge compiled programs when its
+	// function registry changes.
+	Func func(name string) ScalarFunc
 	// MissingParam builds the error for a parameter index with no bound
 	// argument.
 	MissingParam func(idx int) error
@@ -61,7 +69,15 @@ const (
 	opCoalesce                // dst = first non-NULL of args regs
 	opCase                    // dst = CASE: args = cond/result reg pairs, a = else reg or -1
 	opCaseMatch               // dst = (a == b) for operand-form CASE arms
-	opInterp                  // dst = the engine's interpreter over x and the lane's rebuilt row (imm = row width)
+	opErr                     // dst = err in every lane
+	opSubquery                // dst = subquery q: scalar, EXISTS, or a [NOT] IN a (imm = not | kind<<1, b = slot)
+)
+
+// Subquery kinds, packed into opSubquery's imm above the NOT bit.
+const (
+	subScalar = iota
+	subExists
+	subIn
 )
 
 // comparison immediates for opCmp, in terms of types.Compare's result.
@@ -83,7 +99,8 @@ type inst struct {
 	args    []int
 	fn      ScalarFunc
 	set     *inListSpec
-	x       sqltext.Expr // opInterp: the expression, whole
+	err     error           // opErr
+	q       *sqltext.Select // opSubquery
 }
 
 // Specialized LIKE shapes, packed into opLike's imm above the NOT bit
@@ -157,6 +174,7 @@ type Program struct {
 	result       int
 	cols         []int
 	maxParam     int // highest parameter index referenced + 1
+	nsubs        int // opSubquery slots
 	missingParam func(idx int) error
 	pool         sync.Pool // of *Machine
 }
@@ -165,54 +183,20 @@ type Program struct {
 // engine fills only these in each batch.
 func (p *Program) Cols() []int { return p.cols }
 
-// InterpFunc is the engine's tree-walk interpreter: it evaluates x
-// against one row. The row is reused between lanes and must not be
-// retained.
-type InterpFunc func(x sqltext.Expr, row types.Row) (types.Value, error)
-
-// Interpret wraps an expression Compile cannot lower, whole, as a
-// one-instruction program over a layout of ncols columns: each lane's
-// row is rebuilt from the batch and handed to the InterpFunc the
-// machine was bound with, errors held per lane like every other op. So
-// the engine has one evaluation path per expression site, and making
-// the compiler total later is deleting this instruction.
-func Interpret(x sqltext.Expr, ncols int) *Program {
-	cols := make([]int, ncols)
-	for i := range cols {
-		cols[i] = i
-	}
-	return &Program{insts: []inst{{op: opInterp, x: x, imm: ncols}}, nregs: 1, cols: cols}
-}
-
-// Interpreted reports whether the program is an Interpret wrapper. Such
-// a program calls back into per-statement interpreter state that is not
-// goroutine-safe, so it must run on one goroutine.
-func (p *Program) Interpreted() bool { return p.insts[0].op == opInterp }
-
-// notLowerableError is the signal that an expression must stay on the
-// tree-walk interpreter. It is returned (wrapped with the node kind)
-// from Compile; engines treat any Compile error as "wrap it with
-// Interpret", never as a statement failure.
-type notLowerableError struct{ what string }
-
-func (e *notLowerableError) Error() string { return "vm: cannot lower " + e.what }
-
-// Compile lowers an expression tree into a Program, or reports why it
-// cannot be lowered (subqueries, aggregates, unknown functions,
-// unresolvable columns). A Compile error is a fallback signal, not a
-// statement error.
-func Compile(x sqltext.Expr, env *Env) (*Program, error) {
+// Compile lowers an expression tree into a Program. It is total: a name
+// that does not resolve, an aggregate outside an aggregate context, or a
+// node the engine cannot evaluate lowers to an instruction whose lanes
+// hold the error evaluation raises, where it raises it — masked, like
+// any lane error, by AND/OR/CASE/COALESCE, and never raised over a
+// relation with no rows.
+func Compile(x sqltext.Expr, env *Env) *Program {
 	c := &compiler{env: env, p: &Program{missingParam: env.MissingParam}, colSet: map[int]bool{}}
-	r, err := c.expr(x)
-	if err != nil {
-		return nil, err
-	}
-	c.p.result = r
+	c.p.result = c.expr(x)
 	for col := range c.colSet {
 		c.p.cols = append(c.p.cols, col)
 	}
 	sort.Ints(c.p.cols)
-	return c.p, nil
+	return c.p
 }
 
 type compiler struct {
@@ -233,81 +217,79 @@ func (c *compiler) emit(i inst) int {
 	return i.dst
 }
 
-func (c *compiler) expr(x sqltext.Expr) (int, error) {
+func (c *compiler) expr(x sqltext.Expr) int {
 	switch x := x.(type) {
 	case *sqltext.Literal:
-		return c.constReg(x.Value), nil
+		return c.constReg(x.Value)
 	case *sqltext.ColumnRef:
-		col, ok := c.env.Resolve(x)
-		if !ok {
-			return 0, &notLowerableError{what: fmt.Sprintf("column %s", x.Column)}
-		}
-		c.colSet[col] = true
-		return c.emit(inst{op: opCol, imm: col}), nil
-	case *sqltext.Param:
-		if x.Index+1 > c.p.maxParam {
-			c.p.maxParam = x.Index + 1
-		}
-		return c.emit(inst{op: opParam, imm: x.Index}), nil
-	case *sqltext.Unary:
-		a, err := c.expr(x.X)
+		col, err := c.env.Resolve(x)
 		if err != nil {
-			return 0, err
+			return c.fail(err)
 		}
+		return c.col(col)
+	case *sqltext.Param:
+		c.param(x.Index)
+		return c.emit(inst{op: opParam, imm: x.Index})
+	case *sqltext.Unary:
+		a := c.expr(x.X)
 		if x.Op == "NOT" {
-			return c.emit(inst{op: opNot, a: a}), nil
+			return c.emit(inst{op: opNot, a: a})
 		}
-		return c.emit(inst{op: opNeg, a: a}), nil
+		return c.emit(inst{op: opNeg, a: a})
 	case *sqltext.Binary:
 		return c.binary(x)
 	case *sqltext.FuncCall:
+		if sqltext.IsAggregateName(x.Name) {
+			col, err := c.env.Agg(x)
+			if err != nil {
+				return c.fail(err)
+			}
+			return c.col(col)
+		}
 		return c.call(x)
 	case *sqltext.InExpr:
 		return c.in(x)
 	case *sqltext.IsNull:
-		a, err := c.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return c.emit(inst{op: opIsNull, a: a, imm: boolImm(x.Not)}), nil
+		return c.emit(inst{op: opIsNull, a: c.expr(x.X), imm: boolImm(x.Not)})
 	case *sqltext.Like:
-		a, err := c.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
+		a := c.expr(x.X)
 		if lit, ok := x.Pattern.(*sqltext.Literal); ok && lit.Value.Kind() == types.KindString {
 			if kind, needle, ok := classifyLike(lit.Value.AsString()); ok {
 				// Specialized shape: the pattern register is never
 				// materialized, the kernel compares against the needle
 				// directly. The shape is packed above the NOT bit.
-				return c.emit(inst{op: opLike, a: a, b: -1, imm: boolImm(x.Not) | kind<<1, str: needle}), nil
+				return c.emit(inst{op: opLike, a: a, b: -1, imm: boolImm(x.Not) | kind<<1, str: needle})
 			}
 		}
-		b, err := c.expr(x.Pattern)
-		if err != nil {
-			return 0, err
-		}
-		return c.emit(inst{op: opLike, a: a, b: b, imm: boolImm(x.Not)}), nil
+		return c.emit(inst{op: opLike, a: a, b: c.expr(x.Pattern), imm: boolImm(x.Not)})
 	case *sqltext.Between:
-		a, err := c.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := c.expr(x.Lo)
-		if err != nil {
-			return 0, err
-		}
-		hi, err := c.expr(x.Hi)
-		if err != nil {
-			return 0, err
-		}
-		return c.emit(inst{op: opBetween, a: a, b: lo, c: hi, imm: boolImm(x.Not)}), nil
+		a, lo, hi := c.expr(x.X), c.expr(x.Lo), c.expr(x.Hi)
+		return c.emit(inst{op: opBetween, a: a, b: lo, c: hi, imm: boolImm(x.Not)})
 	case *sqltext.CaseExpr:
 		return c.caseExpr(x)
-	default:
-		// Subquery, Exists, and anything the parser grows later stay on
-		// the interpreter.
-		return 0, &notLowerableError{what: fmt.Sprintf("%T", x)}
+	case *sqltext.Subquery:
+		return c.subquery(x.Query, subScalar, false, -1)
+	case *sqltext.Exists:
+		return c.subquery(x.Query, subExists, x.Not, -1)
+	}
+	// The interpreter's text for a node it has no case for.
+	return c.fail(fmt.Errorf("engine: cannot evaluate %T", x))
+}
+
+// fail lowers an expression that cannot evaluate to the error every lane
+// holds.
+func (c *compiler) fail(err error) int {
+	return c.emit(inst{op: opErr, err: err})
+}
+
+func (c *compiler) col(col int) int {
+	c.colSet[col] = true
+	return c.emit(inst{op: opCol, imm: col})
+}
+
+func (c *compiler) param(idx int) {
+	if idx+1 > c.p.maxParam {
+		c.p.maxParam = idx + 1
 	}
 }
 
@@ -317,154 +299,99 @@ func (c *compiler) constReg(v types.Value) int {
 	return c.emit(inst{op: opConst, imm: idx})
 }
 
-func (c *compiler) binary(x *sqltext.Binary) (int, error) {
-	a, err := c.expr(x.L)
-	if err != nil {
-		return 0, err
-	}
-	b, err := c.expr(x.R)
-	if err != nil {
-		return 0, err
-	}
-	switch x.Op {
-	case "AND":
-		return c.emit(inst{op: opAnd, a: a, b: b}), nil
-	case "OR":
-		return c.emit(inst{op: opOr, a: a, b: b}), nil
-	case "+":
-		return c.emit(inst{op: opAdd, a: a, b: b}), nil
-	case "-":
-		return c.emit(inst{op: opSub, a: a, b: b}), nil
-	case "*":
-		return c.emit(inst{op: opMul, a: a, b: b}), nil
-	case "/":
-		return c.emit(inst{op: opDiv, a: a, b: b}), nil
-	case "%":
-		return c.emit(inst{op: opMod, a: a, b: b}), nil
-	case "||":
-		return c.emit(inst{op: opConcat, a: a, b: b}), nil
-	case "=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpEq}), nil
-	case "!=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpNe}), nil
-	case "<":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpLt}), nil
-	case "<=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpLe}), nil
-	case ">":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpGt}), nil
-	case ">=":
-		return c.emit(inst{op: opCmp, a: a, b: b, imm: cmpGe}), nil
-	default:
-		return 0, &notLowerableError{what: "operator " + x.Op}
-	}
+var binaryOps = map[string]inst{
+	"AND": {op: opAnd}, "OR": {op: opOr},
+	"+": {op: opAdd}, "-": {op: opSub}, "*": {op: opMul}, "/": {op: opDiv}, "%": {op: opMod},
+	"||": {op: opConcat},
+	"=":  {op: opCmp, imm: cmpEq}, "!=": {op: opCmp, imm: cmpNe},
+	"<": {op: opCmp, imm: cmpLt}, "<=": {op: opCmp, imm: cmpLe},
+	">": {op: opCmp, imm: cmpGt}, ">=": {op: opCmp, imm: cmpGe},
 }
 
-func (c *compiler) call(x *sqltext.FuncCall) (int, error) {
-	name := strings.ToUpper(x.Name)
-	if x.Star || x.Distinct || sqltext.IsAggregateName(x.Name) {
-		// Aggregates (and misuse of aggregate syntax) keep the
-		// interpreter's contextual error messages.
-		return 0, &notLowerableError{what: "aggregate " + x.Name}
+func (c *compiler) binary(x *sqltext.Binary) int {
+	a, b := c.expr(x.L), c.expr(x.R)
+	i, ok := binaryOps[x.Op]
+	if !ok {
+		// The interpreter evaluates both operands before it rejects the
+		// operator: a call whose function is the rejection keeps that order.
+		err := fmt.Errorf("engine: unknown operator %q", x.Op)
+		return c.emit(inst{op: opCall, args: []int{a, b}, fn: func([]types.Value) (types.Value, error) { return types.Null, err }})
 	}
-	args := make([]int, 0, len(x.Args))
-	for _, a := range x.Args {
-		r, err := c.expr(a)
-		if err != nil {
-			return 0, err
-		}
-		args = append(args, r)
+	i.a, i.b = a, b
+	return c.emit(i)
+}
+
+// call lowers a scalar function call. DISTINCT and * mean nothing to a
+// scalar function: the arguments written are the arguments passed.
+func (c *compiler) call(x *sqltext.FuncCall) int {
+	name := strings.ToUpper(x.Name)
+	args := make([]int, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = c.expr(a)
 	}
 	if name == "COALESCE" {
 		// COALESCE short-circuits per the interpreter's evalFunc: lanes
 		// take the first non-NULL argument in order.
-		return c.emit(inst{op: opCoalesce, args: args}), nil
+		return c.emit(inst{op: opCoalesce, args: args})
 	}
-	fn, ok := c.env.Func(name)
-	if !ok {
-		return 0, &notLowerableError{what: "function " + name}
-	}
-	return c.emit(inst{op: opCall, args: args, fn: fn}), nil
+	return c.emit(inst{op: opCall, args: args, fn: c.env.Func(name)})
 }
 
-func (c *compiler) in(x *sqltext.InExpr) (int, error) {
+func (c *compiler) in(x *sqltext.InExpr) int {
+	a := c.expr(x.X)
 	if x.Query != nil {
-		return 0, &notLowerableError{what: "IN (subquery)"}
-	}
-	a, err := c.expr(x.X)
-	if err != nil {
-		return 0, err
+		return c.subquery(x.Query, subIn, x.Not, a)
 	}
 	// Const list: literals and parameters only, matching the
 	// interpreter's memoized-set path.
 	spec := &inListSpec{not: x.Not}
-	constList := true
 	for _, el := range x.List {
 		switch el := el.(type) {
 		case *sqltext.Literal:
 			spec.elems = append(spec.elems, inElem{param: -1, val: el.Value})
+			continue
 		case *sqltext.Param:
-			if el.Index+1 > c.p.maxParam {
-				c.p.maxParam = el.Index + 1
-			}
+			c.param(el.Index)
 			spec.elems = append(spec.elems, inElem{param: el.Index})
 			spec.hasParam = true
-		default:
-			constList = false
+			continue
 		}
-		if !constList {
-			break
+		regs := make([]int, len(x.List))
+		for i, el := range x.List {
+			regs[i] = c.expr(el)
 		}
+		return c.emit(inst{op: opInExpr, a: a, args: regs, imm: boolImm(x.Not)})
 	}
-	if constList {
-		c.p.sets = append(c.p.sets, spec)
-		return c.emit(inst{op: opInList, a: a, imm: len(c.p.sets) - 1, set: spec}), nil
-	}
-	regs := make([]int, 0, len(x.List))
-	for _, el := range x.List {
-		r, err := c.expr(el)
-		if err != nil {
-			return 0, err
-		}
-		regs = append(regs, r)
-	}
-	return c.emit(inst{op: opInExpr, a: a, args: regs, imm: boolImm(x.Not)}), nil
+	c.p.sets = append(c.p.sets, spec)
+	return c.emit(inst{op: opInList, a: a, imm: len(c.p.sets) - 1, set: spec})
 }
 
-func (c *compiler) caseExpr(x *sqltext.CaseExpr) (int, error) {
-	var operand int
-	hasOperand := x.Operand != nil
-	if hasOperand {
-		r, err := c.expr(x.Operand)
-		if err != nil {
-			return 0, err
-		}
-		operand = r
+// subquery lowers a scalar subquery, EXISTS or [NOT] IN (subquery) over
+// operand register a to one instruction with its own slot: the machine
+// runs the subquery once per Bind, on first use.
+func (c *compiler) subquery(q *sqltext.Select, kind int, not bool, a int) int {
+	c.p.nsubs++
+	return c.emit(inst{op: opSubquery, a: a, b: c.p.nsubs - 1, imm: boolImm(not) | kind<<1, q: q})
+}
+
+func (c *compiler) caseExpr(x *sqltext.CaseExpr) int {
+	operand := -1
+	if x.Operand != nil {
+		operand = c.expr(x.Operand)
 	}
 	args := make([]int, 0, 2*len(x.Whens))
 	for _, w := range x.Whens {
-		cond, err := c.expr(w.Cond)
-		if err != nil {
-			return 0, err
-		}
-		if hasOperand {
+		cond := c.expr(w.Cond)
+		if operand >= 0 {
 			cond = c.emit(inst{op: opCaseMatch, a: operand, b: cond})
 		}
-		res, err := c.expr(w.Result)
-		if err != nil {
-			return 0, err
-		}
-		args = append(args, cond, res)
+		args = append(args, cond, c.expr(w.Result))
 	}
 	elseReg := -1
 	if x.Else != nil {
-		r, err := c.expr(x.Else)
-		if err != nil {
-			return 0, err
-		}
-		elseReg = r
+		elseReg = c.expr(x.Else)
 	}
-	return c.emit(inst{op: opCase, args: args, a: elseReg, imm: boolImm(hasOperand)}), nil
+	return c.emit(inst{op: opCase, args: args, a: elseReg, imm: boolImm(operand >= 0)})
 }
 
 func boolImm(b bool) int {

@@ -2,37 +2,51 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 
+	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
 )
 
 // Machine executes one Program. It owns the register file, the constant
 // and parameter broadcasts, the selection vector, a scratch batch — all
 // sized by the widest batch it has run — and the sets of literal IN
-// lists, plus the bind-time state (arguments, interpreter, the sets of
-// IN lists that mention a parameter). Machines are pooled on their
-// Program: Acquire one, Bind it to the statement, run any number of
-// batches, Release it when the statement is done. A machine must not be
-// shared between goroutines.
+// lists, plus the bind-time state (arguments, the subquery runner, the
+// sets of IN lists that mention a parameter, subquery outcomes).
+// Machines are pooled on their Program: Acquire one, Bind it to the
+// statement, run any number of batches, Release it when the statement is
+// done. A machine must not be shared between goroutines.
 type Machine struct {
 	p      *Program
 	regs   []Vec
 	consts []Vec // broadcast at opConst; n = lanes filled
 	params []Vec // broadcast at opParam; n = lanes filled, 0 after Bind
 	sets   []*runInSet
+	subs   []*subResult // opSubquery outcomes, nil until first use after Bind
 	args   []types.Value
+	sub    SubqueryFunc
 	argBuf []types.Value // reused per-lane scratch for opCall
-	interp InterpFunc
-	row    types.Row // reused per-lane row for opInterp
 	sel    []int
 	batch  *Batch
 }
 
+// SubqueryFunc runs an uncorrelated subquery of the statement and returns
+// its rows. It must be safe for concurrent callers — the machines of every
+// morsel worker of a scan share it — and should run each subquery once.
+type SubqueryFunc func(q *sqltext.Select) ([]types.Row, error)
+
+// subResult is one subquery's outcome on one machine, and for IN its set.
+type subResult struct {
+	rows []types.Row
+	err  error
+	set  *runInSet
+}
+
 // runInSet is a bound IN list: either a hash set (all parameters in
-// range, mirroring the interpreter's constInSet) or the element-walk
-// slow path when a parameter is missing.
+// range, mirroring the interpreter's constInSet; or a subquery's rows)
+// or the element-walk slow path when a parameter is missing.
 type runInSet struct {
 	vals    map[string]bool
 	hasNull bool
@@ -48,6 +62,7 @@ func NewMachine(p *Program) *Machine {
 		consts: make([]Vec, len(p.consts)),
 		params: make([]Vec, p.maxParam),
 		sets:   make([]*runInSet, len(p.sets)),
+		subs:   make([]*subResult, p.nsubs),
 	}
 }
 
@@ -63,11 +78,12 @@ func (p *Program) Acquire() *Machine {
 }
 
 // Release unbinds the machine — it keeps no reference to the statement's
-// arguments, interpreter or parameter IN sets — and returns it to its
+// arguments, subqueries or parameter IN sets — and returns it to its
 // program's pool. The caller must not use it, or any vector it
 // returned, again.
 func (m *Machine) Release() {
-	m.args, m.interp = nil, nil
+	m.args, m.sub = nil, nil
+	clear(m.subs)
 	for i, spec := range m.p.sets {
 		if spec.hasParam {
 			m.sets[i] = nil
@@ -76,13 +92,15 @@ func (m *Machine) Release() {
 	m.p.pool.Put(m)
 }
 
-// Bind fixes the statement arguments and interpreter for the batches
-// that follow. Parameter broadcasts go stale (opParam refills the ones
-// the program reads, in place); IN lists that mention a parameter get
-// their set built here, literal-only lists on the machine's first Bind
-// alone. interp may be nil unless the program is Interpreted.
-func (m *Machine) Bind(args []types.Value, interp InterpFunc) {
-	m.args, m.interp = args, interp
+// Bind fixes the statement arguments and subquery runner for the
+// batches that follow. Parameter broadcasts go stale (opParam refills the
+// ones the program reads, in place); IN lists that mention a parameter
+// get their set built here, literal-only lists on the machine's first
+// Bind alone; each subquery runs on its first use after Bind. sub may be
+// nil for a program without subqueries.
+func (m *Machine) Bind(args []types.Value, sub SubqueryFunc) {
+	m.args, m.sub = args, sub
+	clear(m.subs)
 	for i := range m.params {
 		m.params[i].n = 0
 	}
@@ -185,34 +203,15 @@ func (m *Machine) Eval(b *Batch) *Vec {
 			m.caseOp(ins, n)
 		case opCaseMatch:
 			m.caseMatch(ins, n)
-		case opInterp:
-			m.interpRows(ins, b)
+		case opErr:
+			m.regs[ins.dst].broadcastErr(ins.err, n)
+		case opSubquery:
+			m.subquery(ins, n)
 		}
 	}
 	r := &m.regs[m.p.result]
 	r.n = n
 	return r
-}
-
-// interpRows evaluates ins.x on the bound interpreter, lane by lane,
-// over rows rebuilt from the batch columns.
-func (m *Machine) interpRows(ins *inst, b *Batch) {
-	dst := &m.regs[ins.dst]
-	dst.resetBoxed(b.n)
-	if m.row == nil {
-		m.row = make(types.Row, ins.imm)
-	}
-	for i := 0; i < b.n; i++ {
-		for c := range m.row {
-			m.row[c] = b.cols[c].Value(i)
-		}
-		v, err := m.interp(ins.x, m.row)
-		if err != nil {
-			dst.setErr(i, err)
-			continue
-		}
-		dst.any[i] = v
-	}
 }
 
 // Filter evaluates the program as a predicate and returns the selection
@@ -232,33 +231,26 @@ func (m *Machine) Filter(b *Batch) ([]int, error) {
 		return m.sel, nil
 	}
 	for i := 0; i < b.n; i++ {
-		if err := v.Err(i); err != nil {
+		t, err := v.Truth(i)
+		if err != nil {
 			return nil, err
-		}
-		// evalBool: unknown collapses to false at a filter boundary.
-		if v.isNull(i) {
-			continue
-		}
-		var t bool
-		switch v.kind {
-		case types.KindBool:
-			t = v.bs[i]
-		case types.KindInt:
-			t = v.i64[i] != 0
-		case types.KindFloat:
-			t = v.f64[i] != 0
-		default:
-			bv, err := v.any[i].AsBool()
-			if err != nil {
-				return nil, err
-			}
-			t = bv
 		}
 		if t {
 			m.sel = append(m.sel, i)
 		}
 	}
 	return m.sel, nil
+}
+
+// Truth reads lane i the way a filter boundary (WHERE, HAVING, JOIN ON)
+// does: the lane's error, else false for NULL — unknown collapses to
+// false — else the value's truth.
+func (v *Vec) Truth(i int) (bool, error) {
+	if err := v.Err(i); err != nil {
+		return false, err
+	}
+	t, err := truthLane(v, i)
+	return t == tvTrue, err
 }
 
 // truthLane is truth3 over one lane: tvFalse/tvTrue/tvUnknown exactly
@@ -979,6 +971,99 @@ func (m *Machine) coalesce(ins *inst, n int) {
 	}
 }
 
+// subquery evaluates an opSubquery: a scalar or EXISTS outcome broadcast
+// to every lane, or [NOT] IN per lane. The subquery runs on the first
+// lane that needs it — never for an IN whose operand lanes are all NULL
+// or errors — and its error is held by the lanes that read it.
+func (m *Machine) subquery(ins *inst, n int) {
+	dst := &m.regs[ins.dst]
+	not, kind := ins.imm&1 == 1, ins.imm>>1
+	if kind != subIn {
+		v, err := m.runSub(ins).value(kind, not)
+		if err != nil {
+			dst.broadcastErr(err, n)
+		} else {
+			dst.broadcast(v, n)
+		}
+		return
+	}
+	a := &m.regs[ins.a]
+	dst.resetBool(n)
+	var set *runInSet
+	var setErr error
+	for i := 0; i < n; i++ {
+		if e := a.Err(i); e != nil {
+			dst.setErr(i, e)
+			continue
+		}
+		if a.isNull(i) {
+			dst.null.Set(i) // NULL IN (subquery) is unknown, the set unread
+			continue
+		}
+		if set == nil && setErr == nil {
+			set, setErr = m.runSub(ins).inSet()
+		}
+		switch {
+		case setErr != nil:
+			dst.setErr(i, setErr)
+		case set.vals[a.Value(i).HashKey()]:
+			dst.bs[i] = !not
+		case set.hasNull:
+			dst.null.Set(i)
+		default:
+			dst.bs[i] = not
+		}
+	}
+}
+
+// runSub returns the outcome of ins's subquery, running it on first use.
+func (m *Machine) runSub(ins *inst) *subResult {
+	s := m.subs[ins.b]
+	if s == nil {
+		s = &subResult{}
+		s.rows, s.err = m.sub(ins.q)
+		m.subs[ins.b] = s
+	}
+	return s
+}
+
+// value is a scalar subquery's or EXISTS's outcome, with the
+// interpreter's error texts.
+func (s *subResult) value(kind int, not bool) (types.Value, error) {
+	switch {
+	case s.err != nil:
+		return types.Null, s.err
+	case kind == subExists:
+		return types.NewBool((len(s.rows) > 0) != not), nil
+	case len(s.rows) == 0:
+		return types.Null, nil
+	case len(s.rows) > 1 || len(s.rows[0]) != 1:
+		return types.Null, fmt.Errorf("engine: scalar subquery returned %d rows", len(s.rows))
+	}
+	return s.rows[0][0], nil
+}
+
+// inSet is an IN subquery's rows as a set matched by HashKey, built once.
+func (s *subResult) inSet() (*runInSet, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	if len(s.rows) > 0 && len(s.rows[0]) != 1 {
+		return nil, errors.New("engine: IN subquery must return one column")
+	}
+	if s.set == nil {
+		s.set = &runInSet{vals: make(map[string]bool, len(s.rows))}
+		for _, r := range s.rows {
+			if r[0].IsNull() {
+				s.set.hasNull = true
+			} else {
+				s.set.vals[r[0].HashKey()] = true
+			}
+		}
+	}
+	return s.set, nil
+}
+
 // caseMatch computes one operand-form CASE arm's match: NULL operand or
 // NULL when-value never matches, and an incomparable pair is a
 // non-match (the interpreter swallows that Compare error).
@@ -1043,8 +1128,7 @@ lanes:
 }
 
 // LikeMatch implements SQL LIKE with % (any run) and _ (any single
-// rune), case-sensitive, via iterative backtracking. The engine's
-// interpreter delegates here so both paths share one matcher. The %
+// rune), case-sensitive, via iterative backtracking. The %
 // case must be tried before the literal case: a '%' pattern rune is
 // always a wildcard, even when the subject rune at that position is
 // itself '%' — otherwise 'a%b' LIKE 'a%' would consume the subject's

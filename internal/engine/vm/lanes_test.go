@@ -9,9 +9,9 @@ import (
 )
 
 // refEval is the row-at-a-time meaning of the expression subset the
-// lane tests use, written against internal/types alone. Wrapped by
-// Interpret it is the oracle the compiled program must match lane for
-// lane — value, NULL and error text.
+// lane tests use, written against internal/types alone: the oracle the
+// compiled program must match lane for lane — value, NULL and error
+// text.
 func refEval(x sqltext.Expr, r types.Row, args []types.Value) (types.Value, error) {
 	switch x := x.(type) {
 	case *sqltext.Literal:
@@ -144,32 +144,50 @@ func laneRows(n int) []types.Row {
 	return rows
 }
 
-// sameLanes requires got and want to agree lane for lane.
-func sameLanes(t *testing.T, label string, got, want *Vec) {
+// lane is one row's expected outcome.
+type lane struct {
+	v   types.Value
+	err error
+}
+
+// sameLanes requires got to agree with want lane for lane.
+func sameLanes(t *testing.T, label string, got *Vec, want []lane) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d lanes, want %d", label, got.Len(), want.Len())
+	if got.Len() != len(want) {
+		t.Fatalf("%s: %d lanes, want %d", label, got.Len(), len(want))
 	}
-	for i := 0; i < want.Len(); i++ {
-		ge, we := got.Err(i), want.Err(i)
-		if (ge == nil) != (we == nil) || (ge != nil && ge.Error() != we.Error()) {
-			t.Fatalf("%s lane %d: error %v, want %v", label, i, ge, we)
+	for i, w := range want {
+		ge := got.Err(i)
+		if (ge == nil) != (w.err == nil) || (ge != nil && ge.Error() != w.err.Error()) {
+			t.Fatalf("%s lane %d: error %v, want %v", label, i, ge, w.err)
 		}
 		if ge != nil {
 			continue
 		}
-		gv, wv := got.Value(i), want.Value(i)
-		if gv.Kind() != wv.Kind() || gv.String() != wv.String() {
-			t.Fatalf("%s lane %d: %s(%s), want %s(%s)", label, i, gv.Kind(), gv, wv.Kind(), wv)
+		if gv := got.Value(i); gv.Kind() != w.v.Kind() || gv.String() != w.v.String() {
+			t.Fatalf("%s lane %d: %s(%s), want %s(%s)", label, i, gv.Kind(), gv, w.v.Kind(), w.v)
 		}
 	}
 }
 
-// oracle evaluates x over the batch through the interpreter instruction.
-func oracle(x sqltext.Expr, b *Batch, args []types.Value) *Vec {
-	m := NewMachine(Interpret(x, len(laneKinds)))
-	m.Bind(args, func(x sqltext.Expr, r types.Row) (types.Value, error) { return refEval(x, r, args) })
-	return m.Eval(b)
+// lanesOf reads a result vector back as lanes.
+func lanesOf(v *Vec) []lane {
+	out := make([]lane, v.Len())
+	for i := range out {
+		if out[i].err = v.Err(i); out[i].err == nil {
+			out[i].v = v.Value(i)
+		}
+	}
+	return out
+}
+
+// oracle evaluates x over rows one row at a time.
+func oracle(x sqltext.Expr, rows []types.Row, args []types.Value) []lane {
+	out := make([]lane, len(rows))
+	for i, r := range rows {
+		out[i].v, out[i].err = refEval(x, r, args)
+	}
+	return out
 }
 
 func fillOrAppend(b *Batch, rows []types.Row, fill bool) {
@@ -183,25 +201,21 @@ func fillOrAppend(b *Batch, rows []types.Row, fill bool) {
 	}
 }
 
-// TestLaneSizingMatchesInterpret runs every lane expression over batches
-// at and around each allocation size, through Fill and through Append,
-// on a fresh machine and on one pooled machine that sees all the sizes
-// in turn (so its storage is reused both wider and narrower).
+// TestLaneSizingMatchesInterpret runs every lane expression against the
+// row-at-a-time oracle over batches at and around each allocation size,
+// through Fill and through Append, on a fresh machine and on one pooled
+// machine that sees all the sizes in turn (so its storage is reused both
+// wider and narrower).
 func TestLaneSizingMatchesInterpret(t *testing.T) {
 	args := []types.Value{types.NewInt(3)}
 	for _, src := range laneExprs {
 		x := parseExpr(t, src)
-		p, err := Compile(x, testEnv())
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
+		p := Compile(x, testEnv())
 		for _, fill := range []bool{true, false} {
 			for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1023, 1024} {
 				label := fmt.Sprintf("%s n=%d fill=%v", src, n, fill)
 				rows := laneRows(n)
-				ref := NewBatch(laneKinds, []int{0, 1, 2})
-				ref.Fill(rows)
-				want := oracle(x, ref, args)
+				want := oracle(x, rows, args)
 
 				fresh := NewMachine(p)
 				fresh.Bind(args, nil)
@@ -235,10 +249,7 @@ func TestNarrowBatchAfterWideShowsNothingStale(t *testing.T) {
 	narrow := laneRows(4)[:3] // a = 0, 1, 2.5 (promotes); b = 1, 2, 3: no NULL, no error, mixed truth
 	for _, src := range laneExprs {
 		x := parseExpr(t, src)
-		p, err := Compile(x, testEnv())
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
+		p := Compile(x, testEnv())
 		args := []types.Value{types.NewInt(3)}
 		m := p.Acquire()
 		m.Bind(args, nil)
@@ -252,10 +263,8 @@ func TestNarrowBatchAfterWideShowsNothingStale(t *testing.T) {
 			wide(types.NewInt(9), 1), // a>5 AND b<3 TRUE everywhere
 			narrow[:1],
 		} {
-			ref := NewBatch(laneKinds, []int{0, 1, 2})
-			ref.Fill(rows)
 			b.Fill(rows)
-			sameLanes(t, fmt.Sprintf("%s step %d (%d lanes)", src, step, len(rows)), m.Eval(b), oracle(x, ref, args))
+			sameLanes(t, fmt.Sprintf("%s step %d (%d lanes)", src, step, len(rows)), m.Eval(b), oracle(x, rows, args))
 		}
 		m.Release()
 	}
@@ -268,10 +277,7 @@ func TestNarrowBatchAfterWideShowsNothingStale(t *testing.T) {
 // must hold nothing of the statement that used it.
 func TestPooledMachineRebinds(t *testing.T) {
 	x := parseExpr(t, "a + ? > 3 OR a IN (?, 7)")
-	p, err := Compile(x, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Compile(x, testEnv())
 	binds := []struct {
 		args []types.Value
 		rows []types.Row
@@ -287,7 +293,7 @@ func TestPooledMachineRebinds(t *testing.T) {
 		fresh.Bind(bind.args, nil)
 		fb := NewBatch(laneKinds, p.Cols())
 		fb.Fill(bind.rows)
-		want := fresh.Eval(fb)
+		want := lanesOf(fresh.Eval(fb))
 
 		m := p.Acquire()
 		m.Bind(bind.args, nil)
@@ -295,9 +301,9 @@ func TestPooledMachineRebinds(t *testing.T) {
 		b.Fill(bind.rows)
 		sameLanes(t, fmt.Sprintf("bind %d", i), m.Eval(b), want)
 		m.Release()
-		if m.args != nil || m.interp != nil || m.sets[0] != nil {
-			t.Fatalf("bind %d: released machine still holds args %v, interp set %v, IN set %v",
-				i, m.args, m.interp != nil, m.sets[0])
+		if m.args != nil || m.sub != nil || m.sets[0] != nil {
+			t.Fatalf("bind %d: released machine still holds args %v, subquery runner set %v, IN set %v",
+				i, m.args, m.sub != nil, m.sets[0])
 		}
 	}
 }

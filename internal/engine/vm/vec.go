@@ -1,22 +1,21 @@
 // Package vm compiles sqltext expression trees into flat register-based
-// opcode programs and executes them over column batches, so the
-// per-row interface dispatch of the tree-walk interpreter amortizes
-// across ~1k rows at a time.
+// opcode programs and executes them over column batches, so per-row
+// interface dispatch amortizes across ~1k rows at a time. It is the
+// engine's only expression evaluator.
 //
-// The contract with the interpreter is strict equivalence: for every
-// lane the compiled program must produce the same value, the same NULL,
-// or the same error that internal/engine's binder.eval would have
-// produced for that row — including evaluation order, three-valued
-// logic, and short-circuit error suppression. Equivalence is achieved
-// by eager evaluation with per-lane error propagation: an operand lane
-// may carry an error instead of a value, and every opcode combines
-// operand errors with exactly the precedence the interpreter's
-// short-circuit order implies (e.g. AND discards the right operand's
-// error when the left operand is FALSE). Expressions the compiler
-// cannot lower (subqueries, aggregates, unknown functions) are not
-// errors: Compile reports them and the engine wraps the expression,
-// whole, in the one instruction that calls the interpreter per lane
-// (Interpret).
+// The contract is strict equivalence with row-at-a-time evaluation (the
+// tree-walk reference the engine's tests keep): for every lane the
+// compiled program must produce the same value, the same NULL, or the
+// same error that evaluating the expression against that row would have
+// produced — including evaluation order, three-valued logic, and
+// short-circuit error suppression. Equivalence is achieved by eager
+// evaluation with per-lane error propagation: an operand lane may carry
+// an error instead of a value, and every opcode combines operand errors
+// with exactly the precedence the short-circuit order implies (e.g. AND
+// discards the right operand's error when the left operand is FALSE).
+// Compile is total: a name that does not resolve or an aggregate outside
+// an aggregate context lowers to an instruction whose lanes hold the
+// error, and subqueries lower to one instruction that runs them once.
 package vm
 
 import (
@@ -243,20 +242,6 @@ func (v *Vec) Int(i int) int64 { return v.i64[i] }
 // Kind() == types.KindFloat and the lane is non-NULL and error-free.
 func (v *Vec) Float(i int) float64 { return v.f64[i] }
 
-// AnyErr reports whether any lane of the vector carries an error —
-// cheap pre-check before a fold takes a no-error fast path.
-func (v *Vec) AnyErr() bool {
-	if v.errs == nil {
-		return false
-	}
-	for i := 0; i < v.n; i++ {
-		if v.errs[i] != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // Value reconstructs lane i as a types.Value. Undefined when the lane
 // carries an error — callers must check Err first.
 func (v *Vec) Value(i int) types.Value {
@@ -339,6 +324,18 @@ func (b *Batch) Col(c int) *Vec {
 	v := &b.cols[c]
 	v.n = b.n
 	return v
+}
+
+// SetLane overwrites lane i of boxed column c with val, or holds err
+// there instead when err is non-nil: how a value computed outside the
+// batch (an aggregate's result) enters a program as a column. The batch
+// must already hold lane i.
+func (b *Batch) SetLane(c, i int, val types.Value, err error) {
+	v := b.Col(c)
+	v.any[i] = val
+	if err != nil {
+		v.setErr(i, err)
+	}
 }
 
 // Fill replaces the batch contents with the used columns of rows,

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,19 +9,21 @@ import (
 	"ediflow/internal/types"
 )
 
-// testEnv resolves single-letter int columns a=0, b=1, s=2 (string) and
-// knows one function DOUBLE.
+// testEnv resolves single-letter int columns a=0, b=1, s=2 (string),
+// knows one function DOUBLE, and has no aggregate context.
 func testEnv() *Env {
 	cols := map[string]int{"a": 0, "b": 1, "s": 2}
 	return &Env{
-		Resolve: func(cr *sqltext.ColumnRef) (int, bool) {
-			if cr.Table != "" {
-				return 0, false
+		Resolve: func(cr *sqltext.ColumnRef) (int, error) {
+			if i, ok := cols[cr.Column]; ok && cr.Table == "" {
+				return i, nil
 			}
-			i, ok := cols[cr.Column]
-			return i, ok
+			return 0, fmt.Errorf("unknown column %s", cr.Column)
 		},
-		Func: func(name string) (ScalarFunc, bool) {
+		Agg: func(fc *sqltext.FuncCall) (int, error) {
+			return 0, fmt.Errorf("aggregate %s outside GROUP BY context", fc.Name)
+		},
+		Func: func(name string) ScalarFunc {
 			if name == "DOUBLE" {
 				return func(args []types.Value) (types.Value, error) {
 					n, err := args[0].AsInt()
@@ -28,9 +31,11 @@ func testEnv() *Env {
 						return types.Null, err
 					}
 					return types.NewInt(2 * n), nil
-				}, true
+				}
 			}
-			return nil, false
+			return func([]types.Value) (types.Value, error) {
+				return types.Null, fmt.Errorf("unknown function %s", name)
+			}
 		},
 		MissingParam: func(idx int) error { return errMissing },
 	}
@@ -44,11 +49,7 @@ func (*missingErr) Error() string { return "missing param" }
 
 func compileExprSQL(t *testing.T, src string) *Program {
 	t.Helper()
-	p, err := Compile(parseExpr(t, src), testEnv())
-	if err != nil {
-		t.Fatalf("compile %q: %v", src, err)
-	}
-	return p
+	return Compile(parseExpr(t, src), testEnv())
 }
 
 func makeBatch(rows []types.Row) *Batch {
@@ -174,68 +175,96 @@ func TestParamsAndInList(t *testing.T) {
 	}
 }
 
-func TestNotLowerable(t *testing.T) {
-	// Subquery IN must refuse to lower, not miscompile.
-	stmt, err := sqltext.Parse("SELECT a FROM t WHERE a IN (SELECT a FROM t)")
-	if err != nil {
-		t.Fatal(err)
+// totalRows is the three-row batch the totality tests evaluate over: an
+// int, a NULL and a value past 100 in column a; b is always 0.
+var totalRows = []types.Row{row(1, 0, "x"), {types.Null, types.NewInt(0), types.NewString("y")}, row(200, 0, "z")}
+
+// evalLanes renders every lane of m's result over rows, value or error,
+// joined by " | ".
+func evalLanes(m *Machine, rows []types.Row) string {
+	v := m.Eval(makeBatch(rows))
+	out := make([]string, v.Len())
+	for i := range out {
+		if err := v.Err(i); err != nil {
+			out[i] = "error: " + err.Error()
+		} else {
+			out[i] = v.Value(i).String()
+		}
 	}
-	sel := stmt.(*sqltext.Select)
-	if _, err := Compile(sel.Where, testEnv()); err == nil {
-		t.Fatal("want notLowerable error for subquery IN")
-	}
-	// Unknown function likewise.
-	stmt2, err := sqltext.Parse("SELECT NO_SUCH_FN(a)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(stmt2.(*sqltext.Select).Items[0].Expr, testEnv()); err == nil {
-		t.Fatal("want notLowerable error for unknown function")
+	return strings.Join(out, " | ")
+}
+
+// TestCompileIsTotal: every shape compiles — the ones that cannot
+// evaluate into lanes holding the error evaluation raises, where it
+// raises it.
+func TestCompileIsTotal(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		// Unresolvable names and misplaced aggregates hold their error per
+		// lane; AND/CASE/COALESCE mask it exactly where evaluation would
+		// never reach it.
+		{"nosuch + 1", "error: unknown column nosuch | error: unknown column nosuch | error: unknown column nosuch"},
+		{"a > 100 AND nosuch = 1", "false | error: unknown column nosuch | error: unknown column nosuch"},
+		{"CASE WHEN a > 100 THEN NOSUCH(a) ELSE 0 END", "0 | 0 | error: unknown function NOSUCH"},
+		{"COALESCE(a, MAX(a))", "1 | error: aggregate MAX outside GROUP BY context | 200"},
+		// An unknown function evaluates its arguments first.
+		{"NOSUCH(a / b)", "error: types: division by zero | error: unknown function NOSUCH | error: types: division by zero"},
+		// DISTINCT means nothing to a scalar function.
+		{"DOUBLE(DISTINCT 21)", "42 | 42 | 42"},
+	} {
+		m := NewMachine(compileExprSQL(t, c.src))
+		m.Bind(nil, nil)
+		if got := evalLanes(m, totalRows); got != c.want {
+			t.Errorf("%s:\n got  %s\n want %s", c.src, got, c.want)
+		}
 	}
 }
 
-// TestInterpretProgram: an Interpret wrapper rebuilds each lane's row
-// from the batch, calls the bound interpreter once per lane and holds
-// its errors per lane; nothing else about it looks compiled.
-func TestInterpretProgram(t *testing.T) {
-	x := &sqltext.ColumnRef{Column: "whatever"}
-	p := Interpret(x, 3)
-	if !p.Interpreted() || compileExprSQL(t, "a + 1").Interpreted() {
-		t.Fatal("Interpreted() must hold for Interpret programs only")
+// TestSubqueryInstruction: a subquery compiles to one instruction that
+// runs its subquery once per Bind, on first use, and holds the
+// subquery's errors per lane.
+func TestSubqueryInstruction(t *testing.T) {
+	runs := 0
+	subRows := func(res ...types.Row) SubqueryFunc {
+		return func(*sqltext.Select) ([]types.Row, error) { runs++; return res, nil }
 	}
-	if len(p.Cols()) != 3 {
-		t.Fatalf("wrapper must read every column: cols %v", p.Cols())
-	}
-	m := NewMachine(p)
-	var seen []string
-	m.Bind(nil, func(got sqltext.Expr, r types.Row) (types.Value, error) {
-		if got != sqltext.Expr(x) {
-			t.Fatalf("interpreter got %v", got)
+	failing := func(*sqltext.Select) ([]types.Row, error) { runs++; return nil, errMissing }
+	for _, c := range []struct {
+		src  string
+		sub  SubqueryFunc
+		want string
+	}{
+		// IN by HashKey with NULL semantics, EXISTS, scalar.
+		{"a IN (SELECT a FROM t)", subRows(types.Row{types.NewFloat(1)}, types.Row{types.Null}), "true | NULL | NULL"},
+		{"a NOT IN (SELECT a FROM t)", subRows(types.Row{types.NewInt(7)}), "true | NULL | true"},
+		{"NOT EXISTS (SELECT a FROM t)", subRows(), "true | true | true"},
+		{"(SELECT a FROM t) + a", subRows(types.Row{types.NewInt(5)}), "6 | NULL | 205"},
+		{"(SELECT a FROM t) + a", subRows(), "NULL | NULL | NULL"},
+		{"(SELECT a FROM t)", subRows(types.Row{types.NewInt(5)}, types.Row{types.NewInt(6)}),
+			"error: engine: scalar subquery returned 2 rows | error: engine: scalar subquery returned 2 rows | error: engine: scalar subquery returned 2 rows"},
+		{"a IN (SELECT a, b FROM t)", subRows(types.Row{types.NewInt(1), types.NewInt(2)}),
+			"error: engine: IN subquery must return one column | NULL | error: engine: IN subquery must return one column"},
+		{"a > 100 AND a IN (SELECT a FROM t)", failing, "false | NULL | error: missing param"},
+	} {
+		runs = 0
+		m := NewMachine(compileExprSQL(t, c.src))
+		m.Bind(nil, c.sub)
+		if got := evalLanes(m, totalRows); got != c.want {
+			t.Errorf("%s:\n got  %s\n want %s", c.src, got, c.want)
 		}
-		seen = append(seen, types.RowKey(r))
-		if r[0].Int() == 2 {
-			return types.Null, errMissing
+		if evalLanes(m, totalRows) != c.want || runs != 1 {
+			t.Errorf("%s: second batch differs or the subquery ran %d times, want once", c.src, runs)
 		}
-		return types.NewInt(r[0].Int() + r[1].Int()), nil
-	})
-	rows := []types.Row{row(1, 10, "x"), row(2, 20, "y"), row(3, 30, "z")}
-	v := m.Eval(makeBatch(rows))
-	if v.Err(0) != nil || v.Value(0).Int() != 11 {
-		t.Fatalf("lane 0: %v %v", v.Value(0), v.Err(0))
-	}
-	if v.Err(1) != errMissing {
-		t.Fatalf("lane 1 must hold its error, got %v", v.Err(1))
-	}
-	if v.Err(2) != nil || v.Value(2).Int() != 33 {
-		t.Fatalf("lane 2 (after an erroring lane): %v %v", v.Value(2), v.Err(2))
-	}
-	for i, r := range rows {
-		if seen[i] != types.RowKey(r) {
-			t.Fatalf("lane %d: interpreter saw %s, want %s", i, seen[i], types.RowKey(r))
+		m.Bind(nil, c.sub)
+		if evalLanes(m, totalRows); runs != 2 {
+			t.Errorf("%s: a rebound machine kept the subquery's outcome (%d runs)", c.src, runs)
 		}
 	}
-	if _, err := m.Filter(makeBatch(rows)); err != errMissing {
-		t.Fatalf("Filter must surface the first lane error, got %v", err)
+	// An IN whose operand lanes are all NULL never runs its subquery.
+	runs = 0
+	m := NewMachine(compileExprSQL(t, "a IN (SELECT a FROM t)"))
+	m.Bind(nil, failing)
+	if got := evalLanes(m, totalRows[1:2]); got != "NULL" || runs != 0 {
+		t.Errorf("NULL IN (subquery): %s after %d runs, want NULL after none", got, runs)
 	}
 }
 

@@ -6,77 +6,79 @@ import (
 	"testing"
 
 	"ediflow/internal/engine/vm"
+	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
 )
 
-// execBothModes runs sql under compiled evaluation and on the reference
-// (interpretAll: every expression through the interpreter instruction,
-// aggregates through evalAgg) and requires identical results: same error
-// presence/text, same columns, same rows in order, with values compared
-// by kind and rendering.
+// execBothModes runs sql twice and requires the second run — which finds
+// its programs cached and draws the machines the first run released
+// from their pools — to match the first: same error presence and text,
+// same columns, same rows in order, values compared by kind and
+// rendering. Under TestStatementCorpus the second run is also checked
+// against the golden corpus, which holds what the tree-walk interpreter
+// returned for it.
 func execBothModes(t *testing.T, e *Engine, sql string, args ...types.Value) {
 	t.Helper()
 	compareModes(t, e, sql, func() (*Result, error) { return execSQL(t, e, sql, args...) })
 }
 
-// compareModes is execBothModes over an arbitrary run. A run may return
-// rows beside an error (the table an erroring UPDATE left behind); they
-// are compared too. The compiled mode runs twice in a row: the second
-// run finds its programs cached and draws the machines the first run
-// released from their pools, and must match the reference all the same.
-func compareModes(t *testing.T, e *Engine, label string, run func() (*Result, error)) {
+// compareModes is execBothModes over an arbitrary run, returning the
+// second run's outcome. A run may return rows beside an error (the table
+// an erroring UPDATE left behind); they are compared too.
+func compareModes(t *testing.T, e *Engine, label string, run func() (*Result, error)) (*Result, error) {
 	t.Helper()
-	cres, cerr := run()
-	pres, perr := run()
-	e.interpretAll.Store(true)
-	ires, ierr := run()
-	e.interpretAll.Store(false)
-	sameOutcome(t, label, cres, cerr, ires, ierr)
-	sameOutcome(t, label+" (pooled rerun)", pres, perr, ires, ierr)
+	first, ferr := again(run)
+	res, err := run()
+	sameOutcome(t, label+" (pooled rerun)", res, err, first, ferr)
+	return res, err
 }
 
-func sameOutcome(t *testing.T, label string, cres *Result, cerr error, ires *Result, ierr error) {
+func sameOutcome(t *testing.T, label string, got *Result, gerr error, want *Result, werr error) {
 	t.Helper()
-	if (cerr == nil) != (ierr == nil) {
-		t.Fatalf("%s: error divergence\ncompiled:  %v\nreference: %v", label, cerr, ierr)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: error divergence\ngot:  %v\nwant: %v", label, gerr, werr)
 	}
-	if cerr != nil && cerr.Error() != ierr.Error() {
-		t.Fatalf("%s: error text divergence\ncompiled:  %v\nreference: %v", label, cerr, ierr)
+	if gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%s: error text divergence\ngot:  %v\nwant: %v", label, gerr, werr)
 	}
-	if cres == nil || ires == nil {
-		if cres != ires {
-			t.Fatalf("%s: one mode returned no result", label)
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("%s: one run returned no result", label)
 		}
 		return
 	}
-	if len(cres.Rows) != len(ires.Rows) {
-		t.Fatalf("%s: row count divergence: compiled %d, reference %d", label, len(cres.Rows), len(ires.Rows))
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: row count divergence: got %d, want %d", label, len(got.Rows), len(want.Rows))
 	}
-	for i := range cres.Rows {
-		if len(cres.Rows[i]) != len(ires.Rows[i]) {
+	for i := range got.Rows {
+		if len(got.Rows[i]) != len(want.Rows[i]) {
 			t.Fatalf("%s row %d: width divergence", label, i)
 		}
-		for j := range cres.Rows[i] {
-			cv, iv := cres.Rows[i][j], ires.Rows[i][j]
-			if cv.Kind() != iv.Kind() || cv.String() != iv.String() {
-				t.Fatalf("%s row %d col %d: compiled %s(%s), reference %s(%s)",
-					label, i, j, cv.Kind(), cv.String(), iv.Kind(), iv.String())
+		for j := range got.Rows[i] {
+			gv, wv := got.Rows[i][j], want.Rows[i][j]
+			if gv.Kind() != wv.Kind() || gv.String() != wv.String() {
+				t.Fatalf("%s row %d col %d: got %s(%s), want %s(%s)",
+					label, i, j, gv.Kind(), gv.String(), wv.Kind(), wv.String())
 			}
 		}
 	}
 }
 
 // updateBothModes runs an UPDATE of w, a scratch copy of v refilled
-// before each run, in both modes and compares the error and the table
-// it leaves behind (rows before an erroring one stay applied).
-func updateBothModes(t *testing.T, e *Engine, sql string) {
+// before each run, twice (execBothModes) and compares the error and the
+// table it leaves behind; it returns the second run's.
+func updateBothModes(t *testing.T, e *Engine, sql string) (*Result, error) {
 	t.Helper()
-	compareModes(t, e, sql, func() (*Result, error) {
-		mustExec(t, e, "DELETE FROM w")
-		mustExec(t, e, "INSERT INTO w (id, a, f, s, b) SELECT id, a, f, s, b FROM v")
+	return compareModes(t, e, sql, func() (*Result, error) {
+		refillW(t, e)
 		_, err := execSQL(t, e, sql)
 		return mustExec(t, e, "SELECT id, a, f, s, b FROM w ORDER BY id"), err
 	})
+}
+
+func refillW(t testing.TB, e *Engine) {
+	mustExec(t, e, "DELETE FROM w")
+	mustExec(t, e, "INSERT INTO w (id, a, f, s, b) SELECT id, a, f, s, b FROM v")
 }
 
 func newVMTestDB(t testing.TB) *Engine {
@@ -98,9 +100,10 @@ func newVMTestDB(t testing.TB) *Engine {
 	return e
 }
 
-// TestVMDifferentialStatements runs a catalog of full statements in both
-// evaluation modes and requires bit-identical behavior — including NULL
-// three-valued logic, lane-held errors, and type-coercion failures.
+// TestVMDifferentialStatements runs a catalog of full statements and
+// requires the interpreter's behavior (the golden corpus) and the
+// pooled rerun's to be bit-identical — including NULL three-valued
+// logic, lane-held errors, and type-coercion failures.
 func TestVMDifferentialStatements(t *testing.T) {
 	e := newVMTestDB(t)
 	stmts := []string{
@@ -171,15 +174,15 @@ func TestVMDifferentialStatements(t *testing.T) {
 		// ORDER BY / LIMIT on compiled scans.
 		"SELECT id FROM v WHERE a IS NOT NULL ORDER BY a DESC LIMIT 3",
 		"SELECT id, a FROM v ORDER BY id LIMIT 2 OFFSET 2",
-		// Mixed compiled/interpreted projection (subquery item falls back).
+		// A subquery item beside lowered ones.
 		"SELECT id, a * 2, (SELECT MAX(a) FROM v) FROM v WHERE id <= 3",
-		// A lowered item and an interpreted one erring on different rows:
-		// the single row-major loop must surface the lowest row's error,
-		// and within a row the leftmost item's.
+		// An arithmetic item and an unknown function erring on different
+		// rows: the single row-major loop must surface the lowest row's
+		// error, and within a row the leftmost item's.
 		"SELECT id, 10 / (id - 5), CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END FROM v",
 		"SELECT id, 10 / (id - 3), CASE WHEN id = 5 THEN NOSUCH(a) ELSE 1 END FROM v",
 		"SELECT id, CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END, 10 / (id - 3) FROM v",
-		// Interpreted WHERE (no projection pushdown) before a lowered
+		// Subquery and unknown-function WHEREs before an arithmetic
 		// projection; WHERE errors beat projection errors.
 		"SELECT id, a * 2 FROM v WHERE a IN (SELECT a FROM v WHERE a > 0)",
 		"SELECT id, 10 / (id - 1) FROM v WHERE NOSUCH(a) > 0",
@@ -192,12 +195,13 @@ func TestVMDifferentialStatements(t *testing.T) {
 		"SELECT s, COUNT(NOSUCH(a)) FROM v WHERE id < 0 GROUP BY NOSUCH(s)",
 		"SELECT NOSUCH(a) FROM v",
 		"SELECT nosuch FROM v",
-		// Interpreted GROUP BY keys, aggregate arguments and HAVING.
+		// Subqueries and unknown functions as GROUP BY keys, aggregate
+		// arguments and in HAVING.
 		"SELECT COUNT(*), MIN(a) FROM v GROUP BY a IN (SELECT a FROM v WHERE a > 5)",
 		"SELECT COUNT(a IN (SELECT a FROM v WHERE a > 5)), SUM(a) FROM v",
 		"SELECT s, COUNT(NOSUCH(a)) FROM v GROUP BY s",
 		"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) IN (SELECT a FROM v)",
-		// An ambiguous name in a self-join is the interpreter's to report.
+		// An ambiguous name in a self-join errs where it is evaluated.
 		"SELECT x.id, a FROM v x JOIN v y ON x.id = y.id",
 		"SELECT x.id FROM v x JOIN v y ON x.id = y.id WHERE a > 0",
 		// A failing subquery fails the same way on every row.
@@ -215,7 +219,8 @@ func TestVMDifferentialStatements(t *testing.T) {
 	execBothModes(t, e2, "SELECT id FROM v WHERE a IN (SELECT a FROM v WHERE a > ?)", types.NewInt(0))
 	execBothModes(t, e2, "SELECT id, a + ? FROM v WHERE id < 0")
 
-	// UPDATE SET, lowered and interpreted, erring mid-way and not.
+	// UPDATE SET, with and without subqueries and unknown functions,
+	// erring mid-way and not.
 	for _, sql := range []string{
 		"UPDATE w SET a = a * 2 + 1, s = s || '!' WHERE a IS NOT NULL",
 		"UPDATE w SET a = (SELECT MAX(a) FROM v), f = f + 1 WHERE id > 2",
@@ -229,11 +234,12 @@ func TestVMDifferentialStatements(t *testing.T) {
 }
 
 // TestVMDifferentialUpdates covers the compiled UPDATE SET and
-// UPDATE/DELETE WHERE paths against the interpreter.
+// UPDATE/DELETE WHERE paths: at width 1 against the golden corpus, and
+// with scans forced into two-row morsels at width 4 against width 1.
 func TestVMDifferentialUpdates(t *testing.T) {
-	run := func(compiled bool) []string {
+	run := func(width int) []string {
 		e := newVMTestDB(t)
-		e.interpretAll.Store(!compiled)
+		forceParallel(t, e, width, 2)
 		mustExec(t, e, "UPDATE v SET a = a * 2 + 1 WHERE a IS NOT NULL")
 		mustExec(t, e, "UPDATE v SET s = s || '!' WHERE s LIKE 'a%'")
 		mustExec(t, e, "DELETE FROM v WHERE a > 100")
@@ -244,23 +250,25 @@ func TestVMDifferentialUpdates(t *testing.T) {
 		}
 		return out
 	}
-	c, i := run(true), run(false)
-	if len(c) != len(i) {
-		t.Fatalf("row count divergence: compiled %d, interpreted %d", len(c), len(i))
+	one := run(1)
+	var four []string
+	again(func() (*Result, error) { four = run(4); return nil, nil })
+	if len(one) != len(four) {
+		t.Fatalf("row count divergence: width 1 %d, width 4 %d", len(one), len(four))
 	}
-	for k := range c {
-		if c[k] != i[k] {
-			t.Fatalf("row %d divergence\ncompiled:    %s\ninterpreted: %s", k, c[k], i[k])
+	for k := range one {
+		if one[k] != four[k] {
+			t.Fatalf("row %d divergence\nwidth 1: %s\nwidth 4: %s", k, one[k], four[k])
 		}
 	}
 }
 
-// FuzzVMDifferential feeds arbitrary expression text through both
-// evaluation modes at every expression site — scan filter, projection,
-// GROUP BY key beside an aggregate argument, UPDATE SET — requiring
-// identical rows and identical error text. NOW() is excluded: it is the
-// one non-deterministic builtin, so the two executions legitimately
-// differ.
+// FuzzVMDifferential feeds arbitrary expression text through every
+// expression site — scan filter, projection, GROUP BY key beside an
+// aggregate argument, UPDATE SET — requiring the rows and first error of
+// the tree-walk oracle run per row of v (refSelect, refUpdate), and a
+// pooled rerun identical to the first. NOW() is excluded: it is the one
+// non-deterministic builtin.
 func FuzzVMDifferential(f *testing.F) {
 	seeds := []string{
 		"a > 0",
@@ -280,7 +288,9 @@ func FuzzVMDifferential(f *testing.F) {
 		"SUBSTR(s, a, 2)",
 		"a + s",
 		"1 / 0",
-		// Shapes that do not lower: the interpreter instruction.
+		// Shapes that lower to a subquery instruction or to lanes holding
+		// an error: subqueries, an unknown function, an ambiguous column
+		// in a self-join.
 		"a IN (SELECT a FROM v)",
 		"EXISTS (SELECT 1 FROM v WHERE a > 5)",
 		"(SELECT MAX(a) FROM v) > a",
@@ -301,8 +311,24 @@ func FuzzVMDifferential(f *testing.F) {
 			"SELECT COUNT(*), MIN(" + expr + ") FROM v GROUP BY " + expr,
 		} {
 			execBothModes(t, e, sql)
+			if st, err := sqltext.Parse(sql); err == nil {
+				if sel, ok := st.(*sqltext.Select); ok {
+					if want, werr, ok := refSelect(e, sel); ok {
+						got, gerr := e.Exec(sql)
+						sameOutcome(t, sql+" (oracle)", got, gerr, want, werr)
+					}
+				}
+			}
 		}
-		updateBothModes(t, e, "UPDATE w SET a = "+expr)
+		sql := "UPDATE w SET a = " + expr
+		got, gerr := updateBothModes(t, e, sql)
+		if st, err := sqltext.Parse(sql); err == nil {
+			if up, ok := st.(*sqltext.Update); ok {
+				if want, werr, ok := refUpdate(t, e, up); ok {
+					sameOutcome(t, sql+" (oracle)", got, gerr, want, werr)
+				}
+			}
+		}
 	})
 }
 
@@ -365,12 +391,7 @@ func TestVMFunctionRegistryInvalidation(t *testing.T) {
 	if res := mustExec(t, e, q); res.Rows[0][0].Int() != 30 {
 		t.Fatalf("re-registered impl not picked up: got %v (stale compiled program?)", res.Rows[0][0])
 	}
-	// UDFs work interpreted too, and cannot shadow builtins.
-	e.interpretAll.Store(true)
-	if res := mustExec(t, e, q); res.Rows[0][0].Int() != 30 {
-		t.Fatalf("interpreted UDF: got %v", res.Rows[0][0])
-	}
-	e.interpretAll.Store(false)
+	// UDFs cannot shadow builtins.
 	e.RegisterFunc("ABS", func([]types.Value) (types.Value, error) {
 		return types.NewInt(-1), nil
 	})
@@ -380,31 +401,41 @@ func TestVMFunctionRegistryInvalidation(t *testing.T) {
 }
 
 // TestVMBatchBoundaries sweeps result sizes around the batch constant —
-// 0, 1, batch-1, batch, batch+1, 3*batch — against plain scans, LIMIT,
-// and top-k, under both evaluation modes. Catches off-by-one selection
-// carryover at batch edges.
+// 0, 1, batch-1, batch, batch+1, 3*batch — against plain scans (at width
+// 1 and fanned out over 256-slot morsels), LIMIT, and top-k. Catches
+// off-by-one selection carryover at batch edges.
 func TestVMBatchBoundaries(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE big (n INT, grp INT)")
 	total := 3*vm.BatchSize + 17
-	mustExec(t, e, "BEGIN")
+	var sb strings.Builder
 	for i := 0; i < total; i++ {
-		mustExec(t, e, fmt.Sprintf("INSERT INTO big (n, grp) VALUES (%d, %d)", i, i%10))
+		if sb.Len() == 0 {
+			sb.WriteString("INSERT INTO big (n, grp) VALUES ")
+		} else {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, i%10)
+		if (i+1)%1000 == 0 || i == total-1 {
+			mustExec(t, e, sb.String())
+			sb.Reset()
+		}
 	}
-	mustExec(t, e, "COMMIT")
 
+	forceParallel(t, e, 1, 256)
 	sizes := []int{0, 1, vm.BatchSize - 1, vm.BatchSize, vm.BatchSize + 1, 3 * vm.BatchSize}
 	for _, want := range sizes {
 		sql := fmt.Sprintf("SELECT n FROM big WHERE n < %d", want)
-		for _, compiled := range []bool{true, false} {
-			e.interpretAll.Store(!compiled)
-			res := mustExec(t, e, sql)
-			if len(res.Rows) != want {
-				t.Fatalf("compiled=%v size %d: got %d rows", compiled, want, len(res.Rows))
-			}
+		res, err := execSQL(t, e, sql)
+		if err != nil || len(res.Rows) != want {
+			t.Fatalf("size %d: got %v, %v", want, res, err)
 		}
+		e.parallelism.Store(4)
+		wide, werr := again(func() (*Result, error) { return execSQL(t, e, sql) })
+		e.parallelism.Store(1)
+		sameOutcome(t, sql+" (width 4)", wide, werr, res, err)
 		// LIMIT capping a larger compiled result to the boundary size.
-		res := mustExec(t, e, fmt.Sprintf("SELECT n FROM big WHERE n >= 0 LIMIT %d", want))
+		res = mustExec(t, e, fmt.Sprintf("SELECT n FROM big WHERE n >= 0 LIMIT %d", want))
 		if len(res.Rows) != want {
 			t.Fatalf("LIMIT %d: got %d rows", want, len(res.Rows))
 		}
@@ -419,8 +450,7 @@ func TestVMBatchBoundaries(t *testing.T) {
 			}
 		}
 	}
-	e.interpretAll.Store(false)
-	// Batched grouping across chunk edges must agree with the interpreter.
+	// Batched grouping across chunk edges.
 	execBothModes(t, e, "SELECT grp, COUNT(*), SUM(n) FROM big GROUP BY grp")
 }
 
@@ -449,8 +479,30 @@ func TestVMMultiBatchLogicalReuse(t *testing.T) {
 	}
 }
 
+// TestErrorsStayLazy: a name that does not resolve, an unknown function
+// and a failing subquery err only where evaluation reaches them — never
+// behind a FALSE AND operand, and never over a relation with no rows.
+func TestErrorsStayLazy(t *testing.T) {
+	e := newVMTestDB(t) // w is empty
+	for _, sql := range []string{
+		"SELECT id FROM v WHERE id > 100 AND nofunc(a) = 1",
+		"SELECT id FROM v WHERE id > 100 AND nosuch IN (SELECT 1 / 0 FROM v)",
+		"SELECT nofunc(a) FROM w",
+		"SELECT nosuch, COUNT(nofunc(a)) FROM w GROUP BY nosuch",
+		"SELECT id FROM w WHERE a IN (SELECT nosuch FROM v)",
+		"SELECT id FROM v ORDER BY CASE WHEN id > 0 THEN 1 ELSE nosuch END LIMIT 0",
+	} {
+		if res, err := execSQL(t, e, sql); err != nil || len(res.Rows) != 0 {
+			t.Errorf("%s: got %v, %v; want no rows and no error", sql, res, err)
+		}
+	}
+	if _, err := execSQL(t, e, "SELECT id FROM v WHERE id > 6 AND nofunc(a) = 1"); err == nil || err.Error() != "engine: unknown function NOFUNC" {
+		t.Errorf("a reached unknown function: got %v", err)
+	}
+}
+
 // TestVMMetricsCounters: the vm.* counters must tick for compiled
-// statements and vm.fallback must tick for unlowerable expressions.
+// statements.
 func TestVMMetricsCounters(t *testing.T) {
 	e := newVMTestDB(t)
 	c0, b0, r0 := e.mVMCompile.Value(), e.mVMBatches.Value(), e.mVMRows.Value()
@@ -461,37 +513,32 @@ func TestVMMetricsCounters(t *testing.T) {
 	if e.mVMBatches.Value() == b0 || e.mVMRows.Value() == r0 {
 		t.Fatal("vm.exec_batches / vm.rows did not increase")
 	}
-	f0 := e.mVMFallback.Value()
-	mustExec(t, e, "SELECT id FROM v WHERE a > (SELECT MIN(a) FROM v)")
-	if e.mVMFallback.Value() == f0 {
-		t.Fatal("vm.fallback did not increase for subquery predicate")
-	}
 	// Counters are exported through sys_metrics.
 	res := mustExec(t, e, "SELECT name FROM sys_metrics WHERE name LIKE 'vm.%'")
-	if len(res.Rows) < 4 {
-		t.Fatalf("sys_metrics vm.* rows: got %d, want >= 4", len(res.Rows))
+	if len(res.Rows) < 3 {
+		t.Fatalf("sys_metrics vm.* rows: got %d, want >= 3", len(res.Rows))
 	}
 }
 
-// TestExplainCompiledMarkers: the marker must appear on lowered nodes
-// and stay absent when the expression falls back.
+// TestExplainCompiledMarkers: every full-scan filter and every
+// non-aggregate projection runs on the VM, so the markers appear on those
+// plan shapes whatever the expressions hold — subqueries and names that
+// do not resolve included — and never on index paths or aggregates.
 func TestExplainCompiledMarkers(t *testing.T) {
 	e := newVMTestDB(t)
 	wantLine(t, explainLines(t, e, "SELECT id FROM v WHERE a + 1 > 0"), "scan v: full-scan [compiled]")
 	wantLine(t, explainLines(t, e, "SELECT a * 2 FROM v WHERE a > 0"), "project: compiled")
 	wantLine(t, explainLines(t, e, "UPDATE v SET a = 0 WHERE a < 0"), "update v: full-scan [compiled]")
 	wantLine(t, explainLines(t, e, "DELETE FROM v WHERE a < 0"), "delete v: full-scan [compiled]")
-	// Subquery predicates cannot lower: no marker.
-	for _, l := range explainLines(t, e, "SELECT id FROM v WHERE a > (SELECT MIN(a) FROM v)") {
-		if strings.Contains(l, "[compiled]") {
-			t.Fatalf("unexpected compiled marker in %q", l)
-		}
-	}
-	// With the VM disabled the marker disappears entirely.
-	e.interpretAll.Store(true)
-	for _, l := range explainLines(t, e, "SELECT id FROM v WHERE a + 1 > 0") {
-		if strings.Contains(l, "compiled") {
-			t.Fatalf("compiled marker with VM off: %q", l)
+	lines := explainLines(t, e, "SELECT id, NOSUCH(a) FROM v WHERE a > (SELECT MIN(a) FROM v)")
+	wantLine(t, lines, "scan v: full-scan [compiled]")
+	wantLine(t, lines, "project: compiled")
+	wantLine(t, explainLines(t, e, "DELETE FROM v WHERE nosuch IN (SELECT a FROM v)"), "delete v: full-scan [compiled]")
+	// An index path and an aggregate projection carry no marker.
+	wantLine(t, explainLines(t, e, "SELECT id FROM v WHERE id = 3"), "scan v: pk-point")
+	for _, l := range explainLines(t, e, "SELECT COUNT(*) FROM v WHERE a > 0") {
+		if l == "project: compiled" {
+			t.Fatalf("aggregate projection marked %q", l)
 		}
 	}
 }
