@@ -18,8 +18,8 @@ import (
 // (plancache.go) already guarantees pointer stability: a SQL text parses
 // once and every execution reuses the same AST, so caching by expression
 // identity is exactly "compiled programs live beside parsed plans" —
-// with the bonus that statement-internal expressions (IVM refresh
-// queries, UPDATE SET lists) cache the same way. DDL and
+// with the bonus that statement-internal expressions (a view's fold and
+// delta queries, UPDATE SET lists) cache the same way. DDL and
 // function-registry changes purge the cache (and bump a generation so
 // in-flight EXPLAINs never resurrect a stale program).
 
@@ -53,8 +53,8 @@ func (c *progCache) put(x sqltext.Expr, ncols int, p *vm.Program) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= c.cap {
-		// Unbounded keys are possible (IVM MIN/MAX recompute builds fresh
-		// ASTs); a rare clear-all is cheaper than tracking LRU order.
+		// Unbounded keys are possible (evicted plans leave their ASTs
+		// behind); a rare clear-all is cheaper than tracking LRU order.
 		c.m = make(map[sqltext.Expr]*progEntry)
 	}
 	c.m[x] = &progEntry{prog: p, ncols: ncols}

@@ -134,7 +134,7 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 		}
 		sourceRows = res.Rows
 	} else {
-		b := newBinder(e, args, nil, nil, e.writerCtx())
+		b := newBinder(e, args, nil, e.writerCtx())
 		for _, exprRow := range s.Rows {
 			row, err := e.valuesRow(exprRow, b)
 			if err != nil {
@@ -194,7 +194,7 @@ func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value
 	if err != nil {
 		return nil, nil, err
 	}
-	b := newBinder(e, args, rel, nil, e.writerCtx())
+	b := newBinder(e, args, rel, e.writerCtx())
 	if where != nil && !whereApplied {
 		if rel.rows, err = e.filterRows(where, b); err != nil {
 			return nil, nil, err

@@ -138,7 +138,7 @@ type Engine struct {
 	pending []ChangeEvent
 
 	// writeCtx is the statement context of the mutation currently holding
-	// the write lock; IVM re-entry (EvalWith) reads through it so
+	// the write lock; IVM re-entry (EvalWith, Fold) reads through it so
 	// writer-side SELECTs see the statement's own uncommitted writes and
 	// charge their scans to the right statement.
 	writeCtx *stmtCtx

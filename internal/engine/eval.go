@@ -55,12 +55,11 @@ type binder struct {
 	// to its result's column past rel's. nil in row context.
 	aggs map[*sqltext.FuncCall]int
 
-	subMu     sync.Mutex // held while a subquery runs: morsel workers share the binder
-	subCache  map[*sqltext.Select]subResult
-	overrides map[string][]types.Row // IVM table substitution
+	subMu    sync.Mutex // held while a subquery runs: morsel workers share the binder
+	subCache map[*sqltext.Select]subResult
 }
 
-func newBinder(e *Engine, args []types.Value, rel *relation, overrides map[string][]types.Row, ctx *stmtCtx) *binder {
+func newBinder(e *Engine, args []types.Value, rel *relation, ctx *stmtCtx) *binder {
 	ncols := 0
 	if rel != nil {
 		ncols = len(rel.cols)
@@ -71,7 +70,6 @@ func newBinder(e *Engine, args []types.Value, rel *relation, overrides map[strin
 		byName:    make(map[string]int, ncols),
 		ambiguous: map[string]bool{},
 		subCache:  map[*sqltext.Select]subResult{},
-		overrides: overrides,
 	}
 	if rel != nil {
 		for i, c := range rel.cols {
@@ -117,7 +115,7 @@ type subResult struct {
 // columns, then the result of each aggregate call in aggs.
 func (b *binder) groupBinder(aggs map[*sqltext.FuncCall]int) *binder {
 	return &binder{e: b.e, args: b.args, rel: b.rel, ctx: b.ctx, byQual: b.byQual, byName: b.byName,
-		ambiguous: b.ambiguous, aggs: aggs, subCache: map[*sqltext.Select]subResult{}, overrides: b.overrides}
+		ambiguous: b.ambiguous, aggs: aggs, subCache: map[*sqltext.Select]subResult{}}
 }
 
 // aggCol maps an aggregate call to its column in the group layout; in row
@@ -140,7 +138,7 @@ func (b *binder) subquery(q *sqltext.Select) ([]types.Row, error) {
 	r, ok := b.subCache[q]
 	if !ok {
 		var res *Result
-		if res, r.err = b.e.evalSelect(q, b.args, b.overrides, b.ctx); r.err == nil {
+		if res, r.err = b.e.evalSelect(q, b.args, nil, b.ctx); r.err == nil {
 			r.rows = res.Rows
 		}
 		b.subCache[q] = r

@@ -373,36 +373,121 @@ func aggOpOf(name string) (aggOp, bool) {
 // would surface, always beating fold errors); foldErr is the first
 // error the fold itself raised (AsFloat on a non-numeric SUM operand,
 // cross-class Compare). Errors stay in the state until its result is
-// read, so a group HAVING rejects never surfaces one. notAllInt marks a
-// sum that saw a non-integer operand and so finalizes as a float. seen
-// is a DISTINCT item's dedup set: only a value's first occurrence in
-// row order is folded.
+// read, so a group HAVING rejects never surfaces one. nonInt counts the
+// non-integer operands of a sum, which finalizes as a float while there
+// are any. seen is a DISTINCT item's dedup set — only a value's first
+// occurrence in row order is folded — and, in a view's fold, the counted
+// multiset of a MIN/MAX or DISTINCT item (apply).
 type aggState struct {
-	seen      map[string]struct{}
-	cnt       int64
-	si        int64
-	sf        float64
-	best      types.Value
-	argErr    error
-	foldErr   error
-	have      bool
-	notAllInt bool
+	seen    map[string]tally
+	cnt     int64
+	si      int64
+	sf      float64
+	best    types.Value
+	argErr  error
+	foldErr error
+	have    bool
+	nonInt  int32
 }
 
-// step folds one MIN/MAX operand through the generic Compare path.
-func (st *aggState) step(op aggOp, v types.Value) {
-	if !st.have {
-		st.best, st.have = v, true
-		return
+// tally is one value of a counted set: the operand folded for it and how
+// many operands with its HashKey the state holds.
+type tally struct {
+	v types.Value
+	n int64
+}
+
+// fold folds one non-NULL operand. An operand it cannot fold (a SUM of a
+// non-number, a MIN/MAX across comparability classes) leaves the state
+// as it was and is the error.
+func (st *aggState) fold(op aggOp, v types.Value) error {
+	switch op {
+	case aggCount:
+		st.cnt++
+	case aggSum, aggAvg:
+		if v.LaneKind() == types.KindInt {
+			st.si += v.LaneInt()
+			st.cnt++
+			return nil
+		}
+		fl, err := v.AsFloat()
+		if err != nil {
+			return err
+		}
+		st.sf += fl
+		st.cnt++
+		st.nonInt++
+	default: // aggMin, aggMax
+		if !st.have {
+			st.best, st.have = v, true
+			return nil
+		}
+		c, err := types.Compare(v, st.best)
+		if err != nil {
+			return err
+		}
+		if (op == aggMin && c < 0) || (op == aggMax && c > 0) {
+			st.best = v
+		}
 	}
-	c, err := types.Compare(v, st.best)
-	if err != nil {
-		st.foldErr = err
-		return
+	return nil
+}
+
+// apply folds (w = +1) or retracts (w = −1) one non-NULL operand of a
+// materialized view's fold. Every MIN/MAX operand and every operand of a
+// DISTINCT item is counted in seen by HashKey and reaches the fold only
+// when its count moves between 0 and 1; when a MIN/MAX extreme's count
+// reaches 0 the rest of seen is rescanned, never the base table. An
+// error leaves the state as it was; retracting an operand the state
+// holds cannot fail.
+func (st *aggState) apply(op aggOp, distinct bool, v types.Value, w int64) error {
+	if distinct || op == aggMin || op == aggMax {
+		k := v.HashKey()
+		t, ok := st.seen[k]
+		switch {
+		case w > 0 && !ok:
+			if err := st.fold(op, v); err != nil {
+				return err
+			}
+			if st.seen == nil {
+				st.seen = map[string]tally{}
+			}
+			st.seen[k] = tally{v: v, n: 1}
+			return nil
+		case !ok:
+			return fmt.Errorf("engine: retracted %s was never folded", v)
+		case w > 0 || t.n > 1:
+			t.n += w
+			st.seen[k] = t
+			return nil
+		}
+		delete(st.seen, k)
+		if op == aggMin || op == aggMax {
+			if k == st.best.HashKey() {
+				st.have = false
+				for _, t := range st.seen {
+					_ = st.fold(op, t.v) // one comparability class: cannot fail
+				}
+			}
+			return nil
+		}
+		v = t.v // the operand folded for this value
+	} else if w > 0 {
+		return st.fold(op, v)
 	}
-	if (op == aggMin && c < 0) || (op == aggMax && c > 0) {
-		st.best = v
+	st.cnt--
+	switch {
+	case op == aggCount:
+	case v.LaneKind() == types.KindInt:
+		st.si -= v.LaneInt()
+	default:
+		fl, _ := v.AsFloat()
+		st.sf -= fl
+		if st.nonInt--; st.nonInt == 0 {
+			st.sf = 0 // what remains is integers only, exactly
+		}
 	}
+	return nil
 }
 
 // result finalizes a state into the aggregate's value: NULL on empty,
@@ -421,7 +506,7 @@ func (st *aggState) result(op aggOp) (types.Value, error) {
 		if st.cnt == 0 {
 			return types.Null, nil
 		}
-		if !st.notAllInt {
+		if st.nonInt == 0 {
 			return types.NewInt(st.si), nil
 		}
 		return types.NewFloat(st.sf + float64(st.si)), nil
@@ -443,48 +528,36 @@ func (st *aggState) result(op aggOp) (types.Value, error) {
 type aggCall struct {
 	op       aggOp
 	distinct bool
-	prog     *vm.Program // the argument; nil for COUNT(*) and a malformed call
-	err      error       // a malformed call: SUM(*), the wrong number of arguments
-	states   []aggState  // per group, for a call with an argument
+	arg      sqltext.Expr // nil for COUNT(*) and a malformed call
+	err      error        // a malformed call: SUM(*), the wrong number of arguments
+	states   []aggState   // per group, for a call with an argument
 }
 
-// aggFold is every aggregate call of an aggregate SELECT, folded per
-// group. cols maps a call to its index in calls, which is its column
-// past the source relation's in the group layout (binder.aggCol).
-type aggFold struct {
-	cols   map[*sqltext.FuncCall]int
-	calls  []aggCall
-	groups []aggGroup
-}
-
-// result is call ci's value for group g, or the error reading it raises.
-func (f *aggFold) result(ci, g int) (types.Value, error) {
-	c := &f.calls[ci]
+// result is the call's value over a group of count rows whose state,
+// for a call with an argument, is st.
+func (c *aggCall) result(st *aggState, count int64) (types.Value, error) {
 	switch {
 	case c.err != nil:
 		return types.Null, c.err
-	case c.prog == nil: // COUNT(*): the group's size
-		return types.NewInt(int64(f.groups[g].count)), nil
+	case c.arg == nil: // COUNT(*): the group's size
+		return types.NewInt(count), nil
 	}
-	return c.states[g].result(c.op)
+	return st.result(c.op)
 }
 
-// buildAggFold gives every aggregate call in exprs — nested ones too; an
-// aggregate's own argument and a subquery are other contexts — a column,
-// and folds the arguments over rel.rows front to back, column-natively
-// from typed lanes: typed int/float lanes fold without boxing a single
-// value. A relation with no rows leaves every state empty.
-func (e *Engine) buildAggFold(exprs []sqltext.Expr, b *binder, rowGroup []int32, groups []aggGroup) *aggFold {
-	f := &aggFold{cols: map[*sqltext.FuncCall]int{}, groups: groups}
-	var progs []*vm.Program
-	var folded []int // the calls progs belong to
+// aggCalls gives every aggregate call in exprs — nested ones too; an
+// aggregate's own argument and a subquery are other contexts — a column
+// of the group layout: cols maps a call to its index in calls, which is
+// its column past the source relation's (binder.aggCol).
+func aggCalls(exprs []sqltext.Expr) (cols map[*sqltext.FuncCall]int, calls []aggCall) {
+	cols = map[*sqltext.FuncCall]int{}
 	for _, x := range exprs {
 		sqltext.WalkExpr(x, func(x sqltext.Expr) bool {
 			fc, ok := x.(*sqltext.FuncCall)
 			if !ok || !sqltext.IsAggregateName(fc.Name) {
 				return true
 			}
-			if _, dup := f.cols[fc]; dup {
+			if _, dup := cols[fc]; dup {
 				return false
 			}
 			name := strings.ToUpper(fc.Name)
@@ -497,14 +570,48 @@ func (e *Engine) buildAggFold(exprs []sqltext.Expr, b *binder, rowGroup []int32,
 				c.err = fmt.Errorf("engine: %s takes one argument", name)
 			default:
 				c.op, _ = aggOpOf(name)
-				c.prog = e.compiledProg(fc.Args[0], b)
-				c.states = make([]aggState, len(groups))
-				progs, folded = append(progs, c.prog), append(folded, len(f.calls))
+				c.arg = fc.Args[0]
 			}
-			f.cols[fc] = len(f.calls)
-			f.calls = append(f.calls, c)
+			cols[fc] = len(calls)
+			calls = append(calls, c)
 			return false
 		})
+	}
+	return cols, calls
+}
+
+// aggFold is every aggregate call of an aggregate SELECT, folded per
+// group.
+type aggFold struct {
+	cols   map[*sqltext.FuncCall]int
+	calls  []aggCall
+	groups []aggGroup
+}
+
+// result is call ci's value for group g, or the error reading it raises.
+func (f *aggFold) result(ci, g int) (types.Value, error) {
+	c := &f.calls[ci]
+	var st *aggState
+	if c.states != nil {
+		st = &c.states[g]
+	}
+	return c.result(st, int64(f.groups[g].count))
+}
+
+// buildAggFold folds the arguments of every aggregate call in exprs
+// (aggCalls) over rel.rows front to back, column-natively from typed
+// lanes: typed int/float lanes fold without boxing a single value. A
+// relation with no rows leaves every state empty.
+func (e *Engine) buildAggFold(exprs []sqltext.Expr, b *binder, rowGroup []int32, groups []aggGroup) *aggFold {
+	f := &aggFold{groups: groups}
+	f.cols, f.calls = aggCalls(exprs)
+	var progs []*vm.Program
+	var folded []int // the calls progs belong to
+	for ci := range f.calls {
+		if c := &f.calls[ci]; c.arg != nil {
+			c.states = make([]aggState, len(groups))
+			progs, folded = append(progs, e.compiledProg(c.arg, b)), append(folded, ci)
+		}
 	}
 	_ = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
 		for k, ci := range folded {
@@ -521,8 +628,8 @@ func (e *Engine) buildAggFold(exprs []sqltext.Expr, b *binder, rowGroup []int32,
 // becomes the state's argument error (first in row order, matching the
 // interpreter's collect loop, which surfaces any argument error before
 // folding); a state with a fold error keeps watching for argument
-// errors only; NULL lanes are skipped, and so is every repeat of a
-// value a DISTINCT item has already folded.
+// errors only; NULL lanes are skipped, and a DISTINCT item's operand
+// goes through apply, which folds only a value's first occurrence.
 func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup []int32, start, count int) {
 	kind := vec.Kind()
 	for ri := 0; ri < count; ri++ {
@@ -544,70 +651,35 @@ func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup [
 			continue
 		}
 		if distinct {
-			k := vec.Value(ri).HashKey()
-			if _, dup := st.seen[k]; dup {
-				continue
+			if err := st.apply(op, true, vec.Value(ri), 1); err != nil {
+				st.foldErr = err
 			}
-			if st.seen == nil {
-				st.seen = map[string]struct{}{}
-			}
-			st.seen[k] = struct{}{}
+			continue
 		}
-		switch op {
-		case aggCount:
+		switch {
+		case op == aggCount:
 			st.cnt++
-		case aggSum, aggAvg:
-			switch kind {
-			case types.KindInt:
-				st.si += vec.Int(ri)
-				st.cnt++
-			case types.KindFloat:
-				st.sf += vec.Float(ri)
-				st.cnt++
-				st.notAllInt = true
-			default:
-				v := vec.Value(ri)
-				if v.LaneKind() == types.KindInt {
-					st.si += v.LaneInt()
-					st.cnt++
-					continue
-				}
-				fl, err := v.AsFloat()
-				if err != nil {
-					st.foldErr = err
-					continue
-				}
-				st.sf += fl
-				st.cnt++
-				st.notAllInt = true
+		case op != aggMin && op != aggMax && kind == types.KindInt:
+			st.si += vec.Int(ri)
+			st.cnt++
+		case op != aggMin && op != aggMax && kind == types.KindFloat:
+			st.sf += vec.Float(ri)
+			st.cnt++
+			st.nonInt++
+		case kind == types.KindInt && st.have && st.best.LaneKind() == types.KindInt:
+			// Typed compare; strict replacement keeps the first of
+			// equals, and cmpInt agrees with < and >.
+			if x := vec.Int(ri); (op == aggMin && x < st.best.LaneInt()) || (op == aggMax && x > st.best.LaneInt()) {
+				st.best = types.NewInt(x)
 			}
-		case aggMin, aggMax:
-			switch kind {
-			case types.KindInt:
-				x := vec.Int(ri)
-				if st.have && st.best.LaneKind() == types.KindInt {
-					// Typed compare; strict replacement keeps the first
-					// of equals, and cmpInt agrees with < and >.
-					if (op == aggMin && x < st.best.LaneInt()) || (op == aggMax && x > st.best.LaneInt()) {
-						st.best = types.NewInt(x)
-					}
-					continue
-				}
-				st.step(op, types.NewInt(x))
-			case types.KindFloat:
-				x := vec.Float(ri)
-				if st.have && st.best.LaneKind() == types.KindFloat {
-					// Strict < and > agree with types.Compare's cmpFloat
-					// for NaN too: NaN compares equal, first value kept.
-					if (op == aggMin && x < st.best.LaneFloat()) || (op == aggMax && x > st.best.LaneFloat()) {
-						st.best = types.NewFloat(x)
-					}
-					continue
-				}
-				st.step(op, types.NewFloat(x))
-			default:
-				st.step(op, vec.Value(ri))
+		case kind == types.KindFloat && st.have && st.best.LaneKind() == types.KindFloat:
+			// Strict < and > agree with types.Compare's cmpFloat for NaN
+			// too: NaN compares equal, first value kept.
+			if x := vec.Float(ri); (op == aggMin && x < st.best.LaneFloat()) || (op == aggMax && x > st.best.LaneFloat()) {
+				st.best = types.NewFloat(x)
 			}
+		default:
+			st.foldErr = st.fold(op, vec.Value(ri))
 		}
 	}
 }

@@ -99,6 +99,93 @@ func newParTestDB(t testing.TB, rows int) *Engine {
 	return e
 }
 
+// parallelDifferentialStmts is TestParallelDifferential's corpus over
+// newParTestDB; TestViewDifferential maintains its legal view shapes.
+var parallelDifferentialStmts = []string{
+	// Filtered scans with projection pushdown (bare and computed).
+	"SELECT id FROM p WHERE v > 500",
+	"SELECT id, v, w FROM p WHERE (v * 3 + id) % 7 = 0",
+	"SELECT id * 2 + v FROM p WHERE v < 100 AND b",
+	"SELECT id FROM p WHERE v IS NULL",
+	"SELECT id FROM p WHERE s IS NOT NULL AND v >= 0 LIMIT 17",
+	"SELECT DISTINCT v FROM p WHERE v < 50",
+	// Full-width rows (no pushdown: ORDER BY needs source rows).
+	"SELECT id, s FROM p WHERE v > 900 ORDER BY s, id DESC LIMIT 25",
+	"SELECT * FROM p WHERE w > 40.0 ORDER BY id LIMIT 10",
+	// LIKE specializations (prefix/suffix/contains/exact) over data
+	// holding literal % and _ characters, plus the generic matcher.
+	"SELECT id FROM p WHERE s LIKE 'a%'",
+	"SELECT id FROM p WHERE s LIKE '%_3'",
+	"SELECT id FROM p WHERE s LIKE '%b_%'",
+	"SELECT id FROM p WHERE s LIKE 'a%b_3'",
+	"SELECT id FROM p WHERE s LIKE 'str_1'",
+	"SELECT id FROM p WHERE s NOT LIKE 'str%'",
+	"SELECT id FROM p WHERE s LIKE '%'",
+	// Aggregation: column-native folds, grouped and global.
+	"SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) FROM p",
+	"SELECT SUM(w), AVG(w), MIN(w), MAX(w) FROM p WHERE v > 250",
+	"SELECT MIN(s), MAX(s), COUNT(s) FROM p",
+	"SELECT v % 7, COUNT(*), SUM(id) FROM p WHERE v IS NOT NULL GROUP BY v % 7",
+	"SELECT v % 10, AVG(v) FROM p GROUP BY v % 10 HAVING COUNT(*) > 100",
+	"SELECT COUNT(DISTINCT v), SUM(DISTINCT v) FROM p",
+	"SELECT b, MIN(w), MAX(id) FROM p GROUP BY b",
+	"SELECT COUNT(*) FROM p WHERE s LIKE 'str%'",
+	// Grouped COUNT(*) and DISTINCT folds (a per-state seen-set).
+	"SELECT v % 7, COUNT(*), COUNT(DISTINCT s), SUM(DISTINCT v % 10), AVG(DISTINCT w), MIN(DISTINCT s) FROM p GROUP BY v % 7",
+	"SELECT b, COUNT(DISTINCT v), COUNT(v), MAX(w) FROM p GROUP BY b ORDER BY COUNT(*) DESC",
+	// An empty relation: the implicit group still yields one row, a
+	// GROUP BY none.
+	"SELECT COUNT(*), COUNT(v), SUM(v), MIN(s), COUNT(DISTINCT v), 1 + 1 FROM p WHERE id < 0",
+	"SELECT v % 7, COUNT(*), SUM(v) FROM p WHERE id < 0 GROUP BY v % 7",
+	// A DISTINCT argument that errors only in the group HAVING
+	// rejects stays silent; without HAVING the same error surfaces.
+	"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)), SUM(10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3 HAVING v % 3 > 0",
+	"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3",
+	// An IN (subquery) aggregate argument and expressions over
+	// aggregates beside bare aggregates.
+	"SELECT v % 5, SUM(v), COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(id), SUM(w) / COUNT(*), MIN(id) + 1 FROM p GROUP BY v % 5",
+	"SELECT v % 5, MAX(s) FROM p GROUP BY v % 5 HAVING SUM(v) > 100000 AND COUNT(DISTINCT b) = 2",
+	"SELECT SUM(*) FROM p",
+	// Order-sensitive folds, width 1 like every fold: float sums
+	// (addition order matters) and MIN/MAX over mixed comparability
+	// classes, global and grouped.
+	"SELECT b, SUM(w), AVG(w * 1.1), SUM(v + w) FROM p GROUP BY b",
+	"SELECT MIN(CASE WHEN id % 2 = 0 THEN v ELSE id * 1.5 END), MAX(CASE WHEN id % 3 = 0 THEN w ELSE id END) FROM p",
+	"SELECT MAX(CASE WHEN id > 2900 THEN s ELSE v END) FROM p",
+	"SELECT v % 4, MIN(CASE WHEN id > 2900 THEN s ELSE v END) FROM p WHERE v IS NOT NULL AND s IS NOT NULL GROUP BY v % 4",
+	"SELECT MIN(m), MAX(m), COUNT(m) FROM mixv",
+	"SELECT MIN(m), MAX(m) FROM mixv WHERE id < 2000",
+	"SELECT id % 3, MAX(m) FROM mixv WHERE id < 2000 GROUP BY id % 3",
+	// Joins: the primary-key probe and the hash build run at width 1.
+	"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
+	"SELECT dim.label, COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k GROUP BY dim.label",
+	"SELECT p.id FROM p LEFT JOIN dim ON p.v % 7 = dim.k AND dim.k > 3 WHERE p.id < 40 ORDER BY p.id",
+	// Right side keyed on an unindexed column: the width-1 hash build
+	// runs over NULL stripes, duplicate keys and a two-column key.
+	"SELECT d.k, b.id FROM dim d JOIN p b ON d.k = b.v",
+	"SELECT d.label, COUNT(*), MIN(b.id) FROM dim d LEFT JOIN p b ON d.k = b.v AND b.id > 1000 GROUP BY d.label",
+	"SELECT a.id, b.id FROM p a JOIN p b ON a.v = b.v AND a.s = b.s WHERE a.id < 300 AND b.id > a.id",
+	// Error statements: WHERE errors, projection errors, fold errors.
+	"SELECT id FROM p WHERE v / (id - 1500) >= 0",
+	"SELECT v / (id - 2999) FROM p WHERE v IS NOT NULL",
+	"SELECT SUM(s) FROM p",
+	"SELECT MIN(s), SUM(s) FROM p GROUP BY v % 3",
+	"SELECT id FROM p WHERE v + s > 0",
+	// Subqueries and unknown functions over a relation large enough to
+	// fan out: scan filter, GROUP BY key, aggregate argument, and a
+	// projection whose arithmetic item errs on a later row than its
+	// unknown function.
+	"SELECT id, v * 2 FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND id % 100 = 0",
+	"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*), SUM(v) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
+	"SELECT COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(NOSUCH(v)) FROM p WHERE id < 0",
+	"SELECT v % 5, COUNT(NOSUCH(v)) FROM p GROUP BY v % 5",
+	"SELECT id, v / (id - 2500), CASE WHEN id = 1200 THEN NOSUCH(v) ELSE 1 END FROM p WHERE v IS NOT NULL",
+	"SELECT id FROM p WHERE v > (SELECT MAX(k) FROM dim) * 160 AND v / (id - 2990) >= 0",
+	// ORDER BY an aggregate: a group's key, not its first row's.
+	"SELECT v % 5, SUM(v) FROM p GROUP BY v % 5 ORDER BY SUM(v) DESC",
+	"SELECT v % 5 FROM p GROUP BY v % 5 HAVING COUNT(*) > 100 ORDER BY MIN(id) DESC, COUNT(*)",
+}
+
 // TestParallelDifferential: every hot shape — filtered scans with and
 // without projection pushdown, aggregation (plain, grouped, DISTINCT,
 // HAVING), hash joins, LIKE specializations, ORDER BY over parallel
@@ -112,91 +199,7 @@ func TestParallelDifferential(t *testing.T) {
 	// strings above: MIN/MAX over it compares across kinds, so only a
 	// front-to-back fold yields the interpreter's result and error.
 	mustExec(t, e, "CREATE VIEW mixv AS SELECT id, CASE WHEN id < 2000 THEN v ELSE s END AS m FROM p")
-	stmts := []string{
-		// Filtered scans with projection pushdown (bare and computed).
-		"SELECT id FROM p WHERE v > 500",
-		"SELECT id, v, w FROM p WHERE (v * 3 + id) % 7 = 0",
-		"SELECT id * 2 + v FROM p WHERE v < 100 AND b",
-		"SELECT id FROM p WHERE v IS NULL",
-		"SELECT id FROM p WHERE s IS NOT NULL AND v >= 0 LIMIT 17",
-		"SELECT DISTINCT v FROM p WHERE v < 50",
-		// Full-width rows (no pushdown: ORDER BY needs source rows).
-		"SELECT id, s FROM p WHERE v > 900 ORDER BY s, id DESC LIMIT 25",
-		"SELECT * FROM p WHERE w > 40.0 ORDER BY id LIMIT 10",
-		// LIKE specializations (prefix/suffix/contains/exact) over data
-		// holding literal % and _ characters, plus the generic matcher.
-		"SELECT id FROM p WHERE s LIKE 'a%'",
-		"SELECT id FROM p WHERE s LIKE '%_3'",
-		"SELECT id FROM p WHERE s LIKE '%b_%'",
-		"SELECT id FROM p WHERE s LIKE 'a%b_3'",
-		"SELECT id FROM p WHERE s LIKE 'str_1'",
-		"SELECT id FROM p WHERE s NOT LIKE 'str%'",
-		"SELECT id FROM p WHERE s LIKE '%'",
-		// Aggregation: column-native folds, grouped and global.
-		"SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) FROM p",
-		"SELECT SUM(w), AVG(w), MIN(w), MAX(w) FROM p WHERE v > 250",
-		"SELECT MIN(s), MAX(s), COUNT(s) FROM p",
-		"SELECT v % 7, COUNT(*), SUM(id) FROM p WHERE v IS NOT NULL GROUP BY v % 7",
-		"SELECT v % 10, AVG(v) FROM p GROUP BY v % 10 HAVING COUNT(*) > 100",
-		"SELECT COUNT(DISTINCT v), SUM(DISTINCT v) FROM p",
-		"SELECT b, MIN(w), MAX(id) FROM p GROUP BY b",
-		"SELECT COUNT(*) FROM p WHERE s LIKE 'str%'",
-		// Grouped COUNT(*) and DISTINCT folds (a per-state seen-set).
-		"SELECT v % 7, COUNT(*), COUNT(DISTINCT s), SUM(DISTINCT v % 10), AVG(DISTINCT w), MIN(DISTINCT s) FROM p GROUP BY v % 7",
-		"SELECT b, COUNT(DISTINCT v), COUNT(v), MAX(w) FROM p GROUP BY b ORDER BY COUNT(*) DESC",
-		// An empty relation: the implicit group still yields one row, a
-		// GROUP BY none.
-		"SELECT COUNT(*), COUNT(v), SUM(v), MIN(s), COUNT(DISTINCT v), 1 + 1 FROM p WHERE id < 0",
-		"SELECT v % 7, COUNT(*), SUM(v) FROM p WHERE id < 0 GROUP BY v % 7",
-		// A DISTINCT argument that errors only in the group HAVING
-		// rejects stays silent; without HAVING the same error surfaces.
-		"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)), SUM(10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3 HAVING v % 3 > 0",
-		"SELECT v % 3, COUNT(DISTINCT 10 / (v % 3)) FROM p WHERE v IS NOT NULL GROUP BY v % 3",
-		// An IN (subquery) aggregate argument and expressions over
-		// aggregates beside bare aggregates.
-		"SELECT v % 5, SUM(v), COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(id), SUM(w) / COUNT(*), MIN(id) + 1 FROM p GROUP BY v % 5",
-		"SELECT v % 5, MAX(s) FROM p GROUP BY v % 5 HAVING SUM(v) > 100000 AND COUNT(DISTINCT b) = 2",
-		"SELECT SUM(*) FROM p",
-		// Order-sensitive folds, width 1 like every fold: float sums
-		// (addition order matters) and MIN/MAX over mixed comparability
-		// classes, global and grouped.
-		"SELECT b, SUM(w), AVG(w * 1.1), SUM(v + w) FROM p GROUP BY b",
-		"SELECT MIN(CASE WHEN id % 2 = 0 THEN v ELSE id * 1.5 END), MAX(CASE WHEN id % 3 = 0 THEN w ELSE id END) FROM p",
-		"SELECT MAX(CASE WHEN id > 2900 THEN s ELSE v END) FROM p",
-		"SELECT v % 4, MIN(CASE WHEN id > 2900 THEN s ELSE v END) FROM p WHERE v IS NOT NULL AND s IS NOT NULL GROUP BY v % 4",
-		"SELECT MIN(m), MAX(m), COUNT(m) FROM mixv",
-		"SELECT MIN(m), MAX(m) FROM mixv WHERE id < 2000",
-		"SELECT id % 3, MAX(m) FROM mixv WHERE id < 2000 GROUP BY id % 3",
-		// Joins: the primary-key probe and the hash build run at width 1.
-		"SELECT COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k",
-		"SELECT dim.label, COUNT(*) FROM p JOIN dim ON p.v % 7 = dim.k GROUP BY dim.label",
-		"SELECT p.id FROM p LEFT JOIN dim ON p.v % 7 = dim.k AND dim.k > 3 WHERE p.id < 40 ORDER BY p.id",
-		// Right side keyed on an unindexed column: the width-1 hash build
-		// runs over NULL stripes, duplicate keys and a two-column key.
-		"SELECT d.k, b.id FROM dim d JOIN p b ON d.k = b.v",
-		"SELECT d.label, COUNT(*), MIN(b.id) FROM dim d LEFT JOIN p b ON d.k = b.v AND b.id > 1000 GROUP BY d.label",
-		"SELECT a.id, b.id FROM p a JOIN p b ON a.v = b.v AND a.s = b.s WHERE a.id < 300 AND b.id > a.id",
-		// Error statements: WHERE errors, projection errors, fold errors.
-		"SELECT id FROM p WHERE v / (id - 1500) >= 0",
-		"SELECT v / (id - 2999) FROM p WHERE v IS NOT NULL",
-		"SELECT SUM(s) FROM p",
-		"SELECT MIN(s), SUM(s) FROM p GROUP BY v % 3",
-		"SELECT id FROM p WHERE v + s > 0",
-		// Subqueries and unknown functions over a relation large enough to
-		// fan out: scan filter, GROUP BY key, aggregate argument, and a
-		// projection whose arithmetic item errs on a later row than its
-		// unknown function.
-		"SELECT id, v * 2 FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND id % 100 = 0",
-		"SELECT v % 7 IN (SELECT k FROM dim WHERE k > 2), COUNT(*), SUM(v) FROM p GROUP BY v % 7 IN (SELECT k FROM dim WHERE k > 2)",
-		"SELECT COUNT(v % 7 IN (SELECT k FROM dim WHERE k > 2)), MAX(NOSUCH(v)) FROM p WHERE id < 0",
-		"SELECT v % 5, COUNT(NOSUCH(v)) FROM p GROUP BY v % 5",
-		"SELECT id, v / (id - 2500), CASE WHEN id = 1200 THEN NOSUCH(v) ELSE 1 END FROM p WHERE v IS NOT NULL",
-		"SELECT id FROM p WHERE v > (SELECT MAX(k) FROM dim) * 160 AND v / (id - 2990) >= 0",
-		// ORDER BY an aggregate: a group's key, not its first row's.
-		"SELECT v % 5, SUM(v) FROM p GROUP BY v % 5 ORDER BY SUM(v) DESC",
-		"SELECT v % 5 FROM p GROUP BY v % 5 HAVING COUNT(*) > 100 ORDER BY MIN(id) DESC, COUNT(*)",
-	}
-	for _, sql := range stmts {
+	for _, sql := range parallelDifferentialStmts {
 		execThreeWay(t, e, 4, sql)
 	}
 	// Same corpus at width 2 and 8 for morsel-boundary coverage.

@@ -305,8 +305,8 @@ func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args 
 		return &joinPlan{kind: "cross"}
 	}
 	plan := &joinPlan{kind: "nested"}
-	lb := newBinder(e, args, left, overrides, ctx)
-	rb := newBinder(e, args, right, overrides, ctx)
+	lb := newBinder(e, args, left, ctx)
+	rb := newBinder(e, args, right, ctx)
 	for _, c := range andConjuncts(jc.On) {
 		eqv, ok := c.(*sqltext.Binary)
 		if !ok || eqv.Op != "=" {

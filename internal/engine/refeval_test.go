@@ -724,7 +724,7 @@ func refUpdate(t testing.TB, e *Engine, up *sqltext.Update) (res *Result, err er
 		return nil, err, true
 	}
 	e.materializeRel(rel, ctx)
-	o := &refEval{binder: newBinder(e, nil, rel, nil, ctx)}
+	o := &refEval{binder: newBinder(e, nil, rel, ctx)}
 	byID := func(rows []types.Row) *Result {
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i][0].Int() < rows[j][0].Int() })
 		return &Result{Rows: rows}

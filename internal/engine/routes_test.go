@@ -177,6 +177,7 @@ func TestFailedStatementLeavesNothing(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
 	mustExec(t, e, "CREATE TABLE src (id INT, g INT)")
 	mustExec(t, e, "CREATE MATERIALIZED VIEW tv AS SELECT g, COUNT(*) AS n FROM t GROUP BY g")
+	mustExec(t, e, "CREATE MATERIALIZED VIEW tm AS SELECT g, MIN(CASE WHEN id > 100 THEN 'x' ELSE id END) AS lo FROM t GROUP BY g")
 	mustExec(t, e, "INSERT INTO t VALUES (10, 1), (11, 1), (12, 2)")
 	mustExec(t, e, "INSERT INTO src VALUES (20, 3), (21, 3), (10, 3)")
 	failing := []string{
@@ -186,6 +187,8 @@ func TestFailedStatementLeavesNothing(t *testing.T) {
 		"UPDATE t SET id = id + 1",                         // 10 → 11 collides... or 11 → 12
 		"UPDATE t SET g = 10 / (g - 2)",                    // SET evaluation fails on the g = 2 row
 		"UPDATE t SET g = 5, id = 10 WHERE id IN (10, 11)", // second row collides with the first
+		"INSERT INTO t VALUES (5, 1), (141, 1)",            // 5 lowers tm's MIN, then 'x' cannot compare
+		"UPDATE t SET id = 210 WHERE id = 10",              // the new row's 'x' cannot compare
 	}
 	state := func() string {
 		t.Helper()
@@ -199,6 +202,9 @@ func TestFailedStatementLeavesNothing(t *testing.T) {
 		if v, r := rowSet(mustExec(t, e, "SELECT g, n FROM tv ORDER BY g")), rowSet(mustExec(t, e, "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g")); fmt.Sprint(v) != fmt.Sprint(r) {
 			t.Fatalf("%s: view %v, recompute %v", when, v, r)
 		}
+		if v, r := rowSet(mustExec(t, e, "SELECT g, lo FROM tm ORDER BY g")), rowSet(mustExec(t, e, "SELECT g, MIN(CASE WHEN id > 100 THEN 'x' ELSE id END) FROM t GROUP BY g ORDER BY g")); fmt.Sprint(v) != fmt.Sprint(r) {
+			t.Fatalf("%s: view tm %v, recompute %v", when, v, r)
+		}
 	}
 	want := state()
 	events = 0
@@ -211,6 +217,11 @@ func TestFailedStatementLeavesNothing(t *testing.T) {
 	if events != 0 {
 		t.Errorf("failed statements fired %d change events", events)
 	}
+	// The failed statements left no state behind in either view: a row
+	// can join group 1 and leave it again.
+	mustExec(t, e, "INSERT INTO t VALUES (50, 1)")
+	mustExec(t, e, "DELETE FROM t WHERE id = 50")
+	check("after inserting and deleting row 50", want)
 
 	// Inside a transaction only the failed statement goes; the rest
 	// commits, or rolls back, as if it had never run.

@@ -66,7 +66,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 	whereApplied := false
 	if sel.From == nil {
 		rel = &relation{rows: []types.Row{nil}} // one empty row: SELECT 1+1
-		b = newBinder(e, args, rel, overrides, ctx)
+		b = newBinder(e, args, rel, ctx)
 	} else {
 		var err error
 		rel, b, whereApplied, err = e.buildFrom(sel, args, overrides, ctx)
@@ -230,7 +230,7 @@ func (e *Engine) valuesRow(exprs []sqltext.Expr, b *binder) (types.Row, error) {
 			for j, y := range exprs {
 				items[j].Expr = y
 			}
-			out, err := e.projectRows(items, newBinder(e, b.args, rel, b.overrides, b.ctx), nil)
+			out, err := e.projectRows(items, newBinder(e, b.args, rel, b.ctx), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -300,13 +300,8 @@ type aggGroup struct {
 // evalAggregateSelect evaluates GROUP BY / aggregate projection. Rows
 // carry a group ordinal so the group keys and every aggregate call's
 // argument are evaluated once, batched, across all rows and folded per
-// group (buildAggFold). Each group is then a row of the group layout —
-// its first source row's columns, then every aggregate call's result,
-// an aggregate's error held as that lane's error — and HAVING and the
-// items run as programs over batches of groups, so an error surfaces
-// only if a kept group's evaluation reaches it. A bare column or a bare
-// aggregate is read directly: a projection of those alone builds no
-// group row.
+// group (buildAggFold); each group's first source row represents it in
+// the group layout, and emitGroups produces its output row.
 func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel *relation, b *binder) ([]types.Row, []types.Row, error) {
 	n := len(rel.rows)
 	var groups []aggGroup
@@ -337,85 +332,103 @@ func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel 
 	for i, it := range items {
 		exprs[i] = it.Expr
 	}
-	fold := e.buildAggFold(append(exprs, sel.Having), b, rowGroup, groups)
-	gb := b.groupBinder(fold.cols)
+	exprs = append(exprs, sel.Having)
+	fold := e.buildAggFold(exprs, b, rowGroup, groups)
+	first := func(g int) types.Row {
+		if groups[g].count == 0 {
+			return nil // the empty implicit group
+		}
+		return rel.rows[groups[g].first]
+	}
+	var out, src []types.Row
+	err := e.emitGroups(exprs, b, fold.cols, len(groups), first, fold.result, func(g int, row types.Row) {
+		if row != nil {
+			out, src = append(out, row), append(src, first(g))
+		}
+	})
+	return out, src, err
+}
 
-	// Per item a bare column, a bare aggregate or a program; HAVING's
-	// program rides last.
-	w := len(items)
-	bare, agg := make([]int, w), make([]int, w)
-	progs := make([]*vm.Program, w+1)
-	for i, it := range items {
+// emitGroups is the per-group tail of an aggregate query, shared by
+// SELECT and the materialized views' fold: exprs are the items, then
+// HAVING (nil when there is none). Each of groups [0, n) is a row
+// of the group layout — its representative source row rep(g) (nil for
+// the empty implicit group), then every aggregate call's result(ci, g),
+// an aggregate's error held as that lane's error — and HAVING and the
+// items run as programs over batches of groups, row-major, so an error
+// surfaces only if a kept group's evaluation reaches it. A bare column or
+// a bare aggregate is read directly: a projection of those alone builds
+// no group row. out receives every group's output row, nil when HAVING
+// rejects the group; the first error stops the run.
+func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, cols map[*sqltext.FuncCall]int,
+	n int, rep func(g int) types.Row, result func(ci, g int) (types.Value, error), out func(g int, row types.Row)) error {
+	gb := b.groupBinder(cols)
+	w := len(exprs) - 1
+	bare, agg, progs := make([]int, w), make([]int, w), make([]*vm.Program, w+1) // HAVING's program rides last
+	for i, x := range exprs[:w] {
 		bare[i], agg[i] = -1, -1
-		if c, ok := b.bareCol(it.Expr); ok {
+		if c, ok := b.bareCol(x); ok {
 			bare[i] = c
-		} else if fc, ok := it.Expr.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-			agg[i] = fold.cols[fc]
+		} else if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
+			agg[i] = cols[fc]
 		} else {
-			progs[i] = e.compiledProg(it.Expr, gb)
+			progs[i] = e.compiledProg(x, gb)
 		}
 	}
-	progs[w] = e.compiledProg(sel.Having, gb)
-	ev := gb.evaluator(progs)
-	used := usedCols(progs)
-
-	var out, src []types.Row
-	firsts := make([]types.Row, 0, min(len(groups), vm.BatchSize))
-	for start := 0; start < len(groups); start += vm.BatchSize {
-		firsts = firsts[:0]
-		for _, g := range groups[start:min(start+vm.BatchSize, len(groups))] {
-			var first types.Row // nil for the empty implicit group
-			if g.count > 0 {
-				first = rel.rows[g.first]
-			}
-			firsts = append(firsts, first)
+	progs[w] = e.compiledProg(exprs[w], gb)
+	ev, used := gb.evaluator(progs), usedCols(progs)
+	reps := make([]types.Row, 0, min(n, vm.BatchSize))
+	for start := 0; start < n; start += vm.BatchSize {
+		reps = reps[:0]
+		for g := start; g < min(start+vm.BatchSize, n); g++ {
+			reps = append(reps, rep(g))
 		}
 		if ev.batch != nil {
-			ev.batch.Fill(firsts)
+			ev.batch.Fill(reps)
 			for _, c := range used {
-				if ci := c - len(rel.cols); ci >= 0 {
-					for k := range firsts {
-						v, err := fold.result(ci, start+k)
+				if ci := c - len(b.rel.cols); ci >= 0 {
+					for k := range reps {
+						v, err := result(ci, start+k)
 						ev.batch.SetLane(c, k, v, err)
 					}
 				}
 			}
 			ev.eval(e)
 		}
-		for k, first := range firsts {
+		for k, r := range reps {
 			if having := ev.vecs[w]; having != nil {
 				keep, err := having.Truth(k)
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
 				if !keep {
+					out(start+k, nil)
 					continue
 				}
 			}
 			row := make(types.Row, w)
-			for i := range items {
+			for i := range row {
 				var err error
 				switch {
 				case bare[i] >= 0:
-					if bare[i] < len(first) {
-						row[i] = first[bare[i]]
+					if bare[i] < len(r) {
+						row[i] = r[bare[i]]
 					}
 				case agg[i] >= 0:
-					row[i], err = fold.result(agg[i], start+k)
+					row[i], err = result(agg[i], start+k)
 				default:
 					if err = ev.vecs[i].Err(k); err == nil {
 						row[i] = ev.vecs[i].Value(k)
 					}
 				}
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
 			}
-			out = append(out, row)
-			src = append(src, first)
+			out(start+k, row)
 		}
 	}
-	return out, src, nil
+	return nil
 }
 
 // groupKeys computes the RowKey of the GROUP BY expressions for every
@@ -800,7 +813,7 @@ func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides ma
 			return nil, nil, false, err
 		}
 	}
-	return left, newBinder(e, args, left, overrides, ctx), whereApplied, nil
+	return left, newBinder(e, args, left, ctx), whereApplied, nil
 }
 
 // buildTableRef builds one FROM entry. When sel is non-nil (single base
@@ -914,7 +927,7 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 	// DISTINCT/LIMIT", the projection runs on the already-filled batch and
 	// output tuples are emitted directly — matched rows are never
 	// materialized at full table width.
-	b := newBinder(e, args, rel, overrides, ctx)
+	b := newBinder(e, args, rel, ctx)
 	proj := e.scanProjection(sel, b)
 	if err := e.scanFiltered(tbl, b, e.compiledProg(where, b), proj, len(schema.Columns)); err != nil {
 		return nil, false, err
@@ -996,7 +1009,7 @@ func (e *Engine) countScanned(ctx *stmtCtx, n int) {
 func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, error) {
 	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
 	plan := e.analyzeJoin(left, right, jc, args, overrides, ctx)
-	b := newBinder(e, args, out, overrides, ctx)
+	b := newBinder(e, args, out, ctx)
 
 	// on is what a candidate pair must still satisfy: the residual
 	// conjuncts beyond the hash equalities, the whole ON clause for a

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ediflow/internal/catalog"
+	"ediflow/internal/engine/vm"
 	"ediflow/internal/ivm"
 	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
@@ -139,23 +141,14 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		return err
 	}
 	// Reset backing contents to exactly `rows`.
-	bt := e.store.Table(backing)
-	var stale []int64
-	for _, r := range bt.Rows() {
-		stale = append(stale, r.TID)
-	}
-	for _, tid := range stale {
-		if _, err := e.store.Delete(backing, tid); err != nil {
-			return err
-		}
-	}
 	vs := &viewState{def: def, m: m, rowIndex: map[string][]int64{}}
-	for _, r := range rows {
-		tid, _, err := e.store.Insert(backing, r)
-		if err != nil {
-			return err
-		}
-		vs.indexAdd(r, tid)
+	var stale []types.Row
+	for _, r := range e.store.Table(backing).Rows() {
+		vs.indexAdd(r.Values, r.TID)
+		stale = append(stale, r.Values)
+	}
+	if _, err := e.views.write(vs, rows, stale); err != nil {
+		return err
 	}
 
 	e.views.views[strings.ToLower(name)] = vs
@@ -194,67 +187,37 @@ func (e *Engine) execDropView(s *sqltext.DropView) (*Result, []ChangeEvent, erro
 }
 
 // viewColumns infers backing-table columns (names and advisory types) for
-// a view query.
+// a view query from the FROM tables' shapes, without touching any rows.
 func (e *Engine) viewColumns(q *sqltext.Select) ([]catalog.Column, error) {
-	// Build the source relation's column metadata without materializing
-	// rows: reuse buildTableRef against empty overrides is wasteful; here
-	// we only need names, so expand stars against catalog schemas.
-	var cols []catalog.Column
-	seen := map[string]bool{}
-	addCol := func(name string, kind types.Kind) error {
-		n := strings.ToLower(name)
-		if seen[n] {
-			return fmt.Errorf("engine: duplicate view column %q (use AS aliases)", name)
-		}
-		seen[n] = true
-		cols = append(cols, catalog.Column{Name: n, Type: kind})
-		return nil
+	refs := []sqltext.TableRef{*q.From}
+	for _, j := range q.Joins {
+		refs = append(refs, j.Right)
 	}
-	tableSchemas := map[string]*catalog.TableSchema{}
-	addTable := func(tr sqltext.TableRef) error {
-		if tr.Subquery != nil {
-			return fmt.Errorf("engine: view FROM subquery unsupported")
-		}
-		s, ok := e.cat.Table(tr.Table)
-		if !ok {
-			return fmt.Errorf("engine: view references unknown table %q", tr.Table)
-		}
-		alias := tr.Alias
-		if alias == "" {
-			alias = tr.Table
-		}
-		tableSchemas[strings.ToLower(alias)] = s
-		return nil
-	}
-	if q.From != nil {
-		if err := addTable(*q.From); err != nil {
+	rel := &relation{}
+	for _, tr := range refs {
+		r, err := e.refCols(tr)
+		if err != nil {
 			return nil, err
 		}
-		for _, j := range q.Joins {
-			if err := addTable(j.Right); err != nil {
-				return nil, err
+		rel.cols = append(rel.cols, r.cols...)
+	}
+	items, _, err := expandItems(q, rel)
+	if err != nil {
+		return nil, err
+	}
+	b := newBinder(e, nil, rel, nil)
+	colKind := func(x sqltext.Expr) (types.Kind, bool) {
+		if cr, ok := x.(*sqltext.ColumnRef); ok {
+			if c, err := b.resolve(cr); err == nil {
+				return rel.cols[c].kind, true
 			}
 		}
+		return types.KindString, false
 	}
-	inferKind := func(ex sqltext.Expr) types.Kind {
-		switch x := ex.(type) {
+	kind := func(x sqltext.Expr) types.Kind {
+		switch x := x.(type) {
 		case *sqltext.Literal:
 			return x.Value.Kind()
-		case *sqltext.ColumnRef:
-			if x.Table != "" {
-				if s, ok := tableSchemas[strings.ToLower(x.Table)]; ok {
-					if p := s.ColIndex(x.Column); p >= 0 {
-						return s.Columns[p].Type
-					}
-				}
-				return types.KindString
-			}
-			for _, s := range tableSchemas {
-				if p := s.ColIndex(x.Column); p >= 0 {
-					return s.Columns[p].Type
-				}
-			}
-			return types.KindString
 		case *sqltext.FuncCall:
 			switch strings.ToUpper(x.Name) {
 			case "COUNT":
@@ -263,104 +226,336 @@ func (e *Engine) viewColumns(q *sqltext.Select) ([]catalog.Column, error) {
 				return types.KindFloat
 			case "SUM", "MIN", "MAX":
 				if len(x.Args) == 1 {
-					// recurse on the argument
-					if cr, ok := x.Args[0].(*sqltext.ColumnRef); ok {
-						for _, s := range tableSchemas {
-							if p := s.ColIndex(cr.Column); p >= 0 {
-								return s.Columns[p].Type
-							}
-						}
+					if k, ok := colKind(x.Args[0]); ok {
+						return k
 					}
 				}
 				return types.KindFloat
 			}
-			return types.KindString
 		case *sqltext.Binary:
 			return types.KindFloat
 		}
-		return types.KindString
+		k, _ := colKind(x)
+		return k
 	}
-	for _, it := range q.Items {
-		if it.Star {
-			qual := strings.ToLower(it.Table)
-			matched := false
-			for alias, s := range tableSchemas {
-				if qual != "" && alias != qual {
-					continue
-				}
-				matched = true
-				for _, c := range s.Columns {
-					if err := addCol(c.Name, c.Type); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("engine: view * expansion failed for %q", it.Table)
-			}
-			continue
-		}
+	var cols []catalog.Column
+	seen := map[string]bool{}
+	for _, it := range items {
 		name := it.Alias
-		if name == "" {
-			if cr, ok := it.Expr.(*sqltext.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = fmt.Sprintf("col%d", len(cols)+1)
-			}
+		if cr, ok := it.Expr.(*sqltext.ColumnRef); ok && name == "" {
+			name = cr.Column
+		} else if name == "" {
+			name = fmt.Sprintf("col%d", len(cols)+1)
 		}
-		if err := addCol(name, inferKind(it.Expr)); err != nil {
-			return nil, err
+		n := strings.ToLower(name)
+		if seen[n] {
+			return nil, fmt.Errorf("engine: duplicate view column %q (use AS aliases)", name)
 		}
+		seen[n] = true
+		cols = append(cols, catalog.Column{Name: n, Type: kind(it.Expr)})
 	}
 	return cols, nil
 }
 
-// applyDelta routes a base-table change to every dependent view, applies
-// the computed deltas to the backing tables, and returns view-level change
-// events (so the notification layer covers views too).
+// applyDelta routes a base-table change to every dependent view, in name
+// order, applies the computed deltas to the backing tables, and returns
+// view-level change events (so the notification layer covers views too).
+// Every view's delta is computed before any backing row is written: when
+// one view fails, the views before it take their deltas back with the
+// inverse delta and the statement fails.
 func (vs *viewSet) applyDelta(table string, inserted, deleted []types.Row) ([]ChangeEvent, error) {
-	var events []ChangeEvent
-	for _, v := range vs.views {
-		if !v.m.DependsOn(table) {
-			continue
-		}
+	deps := vs.dependents(table)
+	slices.SortFunc(deps, func(a, b *viewState) int { return strings.Compare(a.def.Name, b.def.Name) })
+	deltas := make([][2][]types.Row, len(deps))
+	for j, v := range deps {
 		adds, removes, err := v.m.Delta(table, inserted, deleted)
-		if err != nil {
-			return nil, fmt.Errorf("engine: maintaining view %s: %w", v.def.Name, err)
-		}
-		// Net out view rows that are both removed and re-added by the same
-		// batch (an update leaving some output rows unchanged): no backing
-		// churn, no event rows, and the mirror never sees a phantom flap.
-		adds, removes, _ = ivm.NetDelta(adds, removes)
-		if len(adds) == 0 && len(removes) == 0 {
+		if err == nil {
+			deltas[j] = [2][]types.Row{adds, removes}
 			continue
 		}
-		ev := ChangeEvent{Table: v.def.Name, Op: OpUpdate}
-		for _, rm := range removes {
-			// Remove one matching row per delta row (multiset semantics);
-			// the row index finds a victim tid in O(1).
-			tid, found := v.indexTake(rm)
-			if !found {
-				return nil, fmt.Errorf("engine: view %s: stale delta (row to remove not found)", v.def.Name)
-			}
-			if _, err := vs.e.store.Delete(v.def.Backing, tid); err != nil {
-				return nil, err
-			}
-			ev.TIDs = append(ev.TIDs, tid)
-			ev.OldRows = append(ev.OldRows, rm)
+		for i := j - 1; i >= 0; i-- {
+			// The inverse retracts what view i just accepted: it cannot
+			// fail. A float sum need not come back bit for bit, so the
+			// backing table takes what delta and inverse net to and holds
+			// what the fold emits. The failed statement fires no event and
+			// reports view j's error whatever the write does.
+			back, gone, _ := deps[i].m.Delta(table, deleted, inserted)
+			_, adds, _, removes, _ := ivm.NetDelta(nil, append(deltas[i][0], back...), nil, append(deltas[i][1], gone...))
+			_, _ = vs.write(deps[i], adds, removes)
 		}
-		for _, add := range adds {
-			tid, _, err := vs.e.store.Insert(v.def.Backing, add)
-			if err != nil {
-				return nil, err
-			}
-			v.indexAdd(add, tid)
-			ev.TIDs = append(ev.TIDs, tid)
-			ev.Rows = append(ev.Rows, add)
+		return nil, fmt.Errorf("engine: maintaining view %s: %w", v.def.Name, err)
+	}
+	var events []ChangeEvent
+	for j, v := range deps {
+		if len(deltas[j][0]) == 0 && len(deltas[j][1]) == 0 {
+			continue
+		}
+		ev, err := vs.write(v, deltas[j][0], deltas[j][1])
+		if err != nil {
+			return nil, err
 		}
 		vs.e.seq++
 		ev.Seq = vs.e.seq
 		events = append(events, ev)
 	}
 	return events, nil
+}
+
+// write applies one view's delta to its backing table and returns the
+// change event describing it.
+func (vs *viewSet) write(v *viewState, adds, removes []types.Row) (ChangeEvent, error) {
+	ev := ChangeEvent{Table: v.def.Name, Op: OpUpdate}
+	for _, rm := range removes {
+		// Remove one matching row per delta row (multiset semantics); the
+		// row index finds a victim tid in O(1).
+		tid, found := v.indexTake(rm)
+		if !found {
+			return ev, fmt.Errorf("engine: view %s: stale delta (row to remove not found)", v.def.Name)
+		}
+		if _, err := vs.e.store.Delete(v.def.Backing, tid); err != nil {
+			return ev, err
+		}
+		ev.TIDs = append(ev.TIDs, tid)
+		ev.OldRows = append(ev.OldRows, rm)
+	}
+	for _, add := range adds {
+		tid, _, err := vs.e.store.Insert(v.def.Backing, add)
+		if err != nil {
+			return ev, err
+		}
+		v.indexAdd(add, tid)
+		ev.TIDs = append(ev.TIDs, tid)
+		ev.Rows = append(ev.Rows, add)
+	}
+	return ev, nil
+}
+
+// Fold implements ivm.Evaluator: an aggregate view's maintenance is the
+// query's own fold — the aggregate states and group emit of
+// evalAggregateSelect — run with signed weights. A column read outside
+// an aggregate must sit inside a GROUP BY expression: what a SELECT reads
+// there comes from its group's first row in table order, which a fold of
+// deltas does not know.
+func (e *Engine) Fold(sel *sqltext.Select) (ivm.Fold, error) {
+	exprs := make([]sqltext.Expr, 0, len(sel.Items)+1) // the items, then HAVING
+	for _, it := range sel.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	exprs = append(exprs, sel.Having)
+	for _, x := range exprs {
+		var err error
+		sqltext.WalkExpr(x, func(y sqltext.Expr) bool {
+			grouped := slices.ContainsFunc(sel.GroupBy, func(g sqltext.Expr) bool { return g.String() == y.String() })
+			if fc, ok := y.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) || grouped || err != nil {
+				return false
+			}
+			if _, ok := y.(*sqltext.ColumnRef); ok {
+				err = fmt.Errorf("output %s is neither a GROUP BY expression nor an aggregate", x)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	f := &viewFold{e: e, sel: sel, exprs: exprs, groups: map[string]*viewGroup{}}
+	f.cols, f.calls = aggCalls(exprs)
+	if len(sel.GroupBy) == 0 {
+		f.groups[""] = &viewGroup{states: make([]aggState, len(f.calls))}
+	}
+	return f, nil
+}
+
+// viewFold is an aggregate view's fold: per group, the states of every
+// aggregate call of the items and HAVING. The implicit group of a query
+// without GROUP BY always exists; a GROUP BY group goes when its last
+// row does.
+type viewFold struct {
+	e      *Engine
+	sel    *sqltext.Select
+	exprs  []sqltext.Expr // the items, then HAVING
+	cols   map[*sqltext.FuncCall]int
+	calls  []aggCall // states unused: they live in the groups
+	groups map[string]*viewGroup
+}
+
+type viewGroup struct {
+	key     string
+	rep     types.Row  // a copy of the base row that opened the group, layout width
+	states  []aggState // per call
+	count   int64
+	out     types.Row // the group's output row, nil while HAVING rejects it
+	touched bool
+}
+
+// Apply implements ivm.Fold. WHERE, the group keys and the aggregate
+// arguments are evaluated over the delta rows (eval) before any state
+// changes. Inserts fold before deletes: a delete may target a group the
+// same batch opens. A fold or emit error un-folds the rows folded so far.
+func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
+	rows, keys, args, b, err := f.eval(inserted)
+	if err != nil {
+		return nil, nil, err
+	}
+	nIns, nk, nc := len(rows), len(f.sel.GroupBy), len(f.calls)
+	drows, dkeys, dargs, _, err := f.eval(deleted)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, keys, args = append(rows, drows...), append(keys, dkeys...), append(args, dargs...)
+	na := len(args) / max(len(rows), 1) // argument values per row
+
+	var touched []*viewGroup
+	if g := f.groups[""]; nk == 0 { // the implicit group always emits
+		g.touched, touched = true, append(touched, g)
+	}
+	// undo un-folds rows [0, n) and forgets the groups they opened.
+	undo := func(n int) {
+		for i := n - 1; i >= 0; i-- {
+			g, w := f.groups[keys[i]], int64(1)
+			if i >= nIns {
+				w = -1
+			}
+			_ = f.fold(g, args[i*na:(i+1)*na], -w, nc) // un-folds an accepted row: cannot fail
+			g.count -= w
+		}
+		for _, g := range touched {
+			if g.touched = false; g.count == 0 && nk > 0 {
+				delete(f.groups, g.key)
+			}
+		}
+	}
+	for i := range rows {
+		g, w := f.groups[keys[i]], int64(1) // inserted rows, then deleted ones
+		if i >= nIns {
+			w = -1
+		}
+		if g == nil && w > 0 {
+			g = &viewGroup{key: keys[i], rep: slices.Clone(rows[i]), states: make([]aggState, nc)}
+			f.groups[keys[i]] = g
+		}
+		if g == nil || g.count+w < 0 {
+			undo(i)
+			return nil, nil, fmt.Errorf("delete from unknown group")
+		}
+		if !g.touched {
+			g.touched, touched = true, append(touched, g)
+		}
+		if err := f.fold(g, args[i*na:(i+1)*na], w, nc); err != nil {
+			undo(i)
+			return nil, nil, err
+		}
+		g.count += w
+	}
+
+	// Emit every touched group that still has rows, then diff against its
+	// previous output.
+	after := make([]types.Row, len(touched))
+	var live []int // the touched groups that still have rows
+	for j, g := range touched {
+		if g.count > 0 || nk == 0 {
+			live = append(live, j)
+		}
+	}
+	err = f.e.emitGroups(f.exprs, b, f.cols, len(live),
+		func(k int) types.Row { return touched[live[k]].rep },
+		func(ci, k int) (types.Value, error) {
+			g := touched[live[k]]
+			return f.calls[ci].result(&g.states[ci], g.count)
+		},
+		func(k int, row types.Row) { after[live[k]] = row })
+	if err != nil {
+		undo(len(rows))
+		return nil, nil, err
+	}
+	for j, g := range touched {
+		if !sameRow(g.out, after[j]) {
+			if g.out != nil {
+				removes = append(removes, g.out)
+			}
+			if after[j] != nil {
+				adds = append(adds, after[j])
+			}
+		}
+		if g.out, g.touched = after[j], false; g.count == 0 && nk > 0 {
+			delete(f.groups, g.key)
+		}
+	}
+	return adds, removes, nil
+}
+
+// eval evaluates WHERE over base rows, then the group keys and the
+// aggregate arguments over the rows it keeps: those rows at layout
+// width, their group keys, and per row one argument value per call (NULL
+// for COUNT(*)). The first error in that order is the result; b is the
+// binder over the base table's layout.
+func (f *viewFold) eval(base []types.Row) (rows []types.Row, keys []string, args []types.Value, b *binder, err error) {
+	e, sel := f.e, f.sel
+	rel, err := e.refCols(*sel.From)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	// The delta rows as they are: user columns, since they have no tid.
+	rel.cols, rel.rows, rel.tbl, rel.lazy = rel.cols[:len(rel.cols)-2], base, nil, false
+	if b = newBinder(e, nil, rel, e.writerCtx()); len(base) == 0 {
+		return nil, nil, nil, b, nil
+	}
+	if sel.Where != nil {
+		if rel.rows, err = e.filterRows(sel.Where, b); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("WHERE: %w", err)
+		}
+	}
+	if keys, err = e.groupKeys(sel, rel, b); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	var progs []*vm.Program
+	for _, c := range f.calls {
+		if c.arg != nil {
+			progs = append(progs, e.compiledProg(c.arg, b))
+		}
+	}
+	args = make([]types.Value, len(rel.rows)*len(progs))
+	err = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
+		for ri := 0; ri < count; ri++ {
+			for k, vec := range vecs {
+				if err := vec.Err(ri); err != nil {
+					return err
+				}
+				args[(start+ri)*len(vecs)+k] = vec.Value(ri)
+			}
+		}
+		return nil
+	})
+	return rel.rows, keys, args, b, err
+}
+
+// fold folds one row's aggregate arguments — one per call with an
+// argument — into g's states with weight w, over calls [0, n). On an
+// error it un-folds the calls it had applied.
+func (f *viewFold) fold(g *viewGroup, args []types.Value, w int64, n int) error {
+	k := 0
+	for ci := 0; ci < n; ci++ {
+		c := &f.calls[ci]
+		if c.arg == nil {
+			continue
+		}
+		if k++; args[k-1].IsNull() {
+			continue
+		}
+		if err := g.states[ci].apply(c.op, c.distinct, args[k-1], w); err != nil {
+			_ = f.fold(g, args, -w, ci) // un-folds what it just folded: cannot fail
+			return err
+		}
+	}
+	return nil
+}
+
+// sameRow reports whether two output rows hold the same values of the
+// same kinds: a SUM going from FLOAT 3 to INT 3 is a change.
+func sameRow(a, b types.Row) bool {
+	same := (a == nil) == (b == nil) && len(a) == len(b)
+	for i := 0; same && i < len(a); i++ {
+		same = a[i].Kind() == b[i].Kind() && types.Equal(a[i], b[i])
+	}
+	return same
 }

@@ -177,14 +177,16 @@ func TestViewUnsupportedShapes(t *testing.T) {
 		"CREATE MATERIALIZED VIEW v1 AS SELECT id FROM users ORDER BY id",
 		"CREATE MATERIALIZED VIEW v2 AS SELECT u1.id FROM users u1, users u2", // self join
 		"CREATE MATERIALIZED VIEW v3 AS SELECT DISTINCT city FROM users",
-		"CREATE MATERIALIZED VIEW v4 AS SELECT city, COUNT(DISTINCT name) FROM users GROUP BY city",
 		"CREATEMATERIALIZED VIEW",
+		"CREATE MATERIALIZED VIEW v5 AS SELECT city, COUNT(*) FROM users WHERE age IN (SELECT age FROM users WHERE city = 'paris') GROUP BY city",
 	}
 	for _, sql := range bad {
 		if _, err := e.Exec(sql); err == nil {
 			t.Errorf("%q should be rejected", sql)
 		}
 	}
+	// A DISTINCT aggregate folds with counted value sets.
+	mustExec(t, e, "CREATE MATERIALIZED VIEW v4 AS SELECT city, COUNT(DISTINCT name) FROM users GROUP BY city")
 }
 
 func TestViewRestartRebuild(t *testing.T) {

@@ -100,114 +100,117 @@ func newVMTestDB(t testing.TB) *Engine {
 	return e
 }
 
+// vmDifferentialStmts is TestVMDifferentialStatements' catalog over
+// newVMTestDB; TestViewDifferential maintains its legal view shapes.
+var vmDifferentialStmts = []string{
+	// Comparisons and arithmetic over ints/floats with NULLs mixed in.
+	"SELECT id FROM v WHERE a > 0",
+	"SELECT id FROM v WHERE a >= -1 AND a <= 10",
+	"SELECT id FROM v WHERE a * 2 + 1 = 15",
+	"SELECT id, a + f FROM v",
+	"SELECT id, a - f, a * f FROM v",
+	"SELECT id FROM v WHERE f < 2.0 OR a > 5",
+	"SELECT id FROM v WHERE NOT (a > 0)",
+	"SELECT id FROM v WHERE a != 7",
+	// NULL 3VL: NULL comparisons drop rows; IS NULL keeps them.
+	"SELECT id FROM v WHERE a = NULL",
+	"SELECT id FROM v WHERE a IS NULL",
+	"SELECT id FROM v WHERE a IS NOT NULL AND b",
+	"SELECT id FROM v WHERE b OR a > 100",
+	"SELECT id, a IS NULL FROM v",
+	// Errors: division by zero only when the erroring row survives.
+	"SELECT id FROM v WHERE 10 / a > 0 AND a > 0",
+	"SELECT id, 10 / a FROM v",
+	"SELECT id, 10 / a FROM v WHERE a != 0 AND a IS NOT NULL",
+	"SELECT id, a % 3 FROM v WHERE a IS NOT NULL AND a != 0",
+	// Type-coercion failures must error identically.
+	"SELECT id FROM v WHERE s > 1",
+	"SELECT id, a + s FROM v",
+	"SELECT id FROM v WHERE b + 1 = 2",
+	// Strings: LIKE, concat, case sensitivity.
+	"SELECT id FROM v WHERE s LIKE 'a%'",
+	"SELECT id FROM v WHERE s LIKE '%eta'",
+	"SELECT id FROM v WHERE s LIKE '_lpha'",
+	"SELECT id FROM v WHERE s NOT LIKE 'b%'",
+	"SELECT id, s || '-x' FROM v",
+	"SELECT id FROM v WHERE s || 'z' = 'betaz'",
+	// IN with constants, params, NULL semantics.
+	"SELECT id FROM v WHERE a IN (10, 7, -1)",
+	"SELECT id FROM v WHERE a IN (10, NULL)",
+	"SELECT id FROM v WHERE a NOT IN (10, 7)",
+	"SELECT id FROM v WHERE a NOT IN (10, NULL)",
+	"SELECT id FROM v WHERE s IN ('alpha', 'beta')",
+	// BETWEEN.
+	"SELECT id FROM v WHERE a BETWEEN 0 AND 10",
+	"SELECT id FROM v WHERE f BETWEEN -5.0 AND 1.0",
+	"SELECT id FROM v WHERE a NOT BETWEEN 0 AND 10",
+	// Functions: builtins over mixed/NULL input.
+	"SELECT id, ABS(a), LENGTH(s) FROM v",
+	"SELECT id, UPPER(s), LOWER(s) FROM v",
+	"SELECT id, COALESCE(a, -99) FROM v",
+	"SELECT id, SUBSTR(s, 2, 2) FROM v",
+	"SELECT id, NULLIF(a, 0), IIF(a > 0, 'pos', 'neg') FROM v",
+	"SELECT id, ROUND(f), FLOOR(f), CEIL(f) FROM v WHERE f IS NOT NULL",
+	"SELECT id, SQRT(a) FROM v WHERE a >= 0",
+	"SELECT id, SQRT(a) FROM v",
+	"SELECT id, CAST_INT(f) FROM v WHERE f IS NOT NULL",
+	"SELECT id, CAST_INT(s) FROM v",
+	// CASE, both forms.
+	"SELECT id, CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END FROM v",
+	"SELECT id, CASE a WHEN 10 THEN 'ten' WHEN 0 THEN 'zero' END FROM v",
+	// Unary minus.
+	"SELECT id, -a, -f FROM v",
+	// Aggregates fed by compiled argument vectors.
+	"SELECT COUNT(*), SUM(a), AVG(a), MIN(a), MAX(a) FROM v",
+	"SELECT COUNT(a), COUNT(DISTINCT s) FROM v",
+	"SELECT s, COUNT(*), SUM(a) FROM v GROUP BY s",
+	"SELECT a % 2, COUNT(*) FROM v WHERE a IS NOT NULL AND a != 0 GROUP BY a % 2",
+	"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) > 0",
+	"SELECT SUM(a + 1), SUM(f * 2.0) FROM v",
+	// ORDER BY / LIMIT on compiled scans.
+	"SELECT id FROM v WHERE a IS NOT NULL ORDER BY a DESC LIMIT 3",
+	"SELECT id, a FROM v ORDER BY id LIMIT 2 OFFSET 2",
+	// A subquery item beside lowered ones.
+	"SELECT id, a * 2, (SELECT MAX(a) FROM v) FROM v WHERE id <= 3",
+	// An arithmetic item and an unknown function erring on different
+	// rows: the single row-major loop must surface the lowest row's
+	// error, and within a row the leftmost item's.
+	"SELECT id, 10 / (id - 5), CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END FROM v",
+	"SELECT id, 10 / (id - 3), CASE WHEN id = 5 THEN NOSUCH(a) ELSE 1 END FROM v",
+	"SELECT id, CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END, 10 / (id - 3) FROM v",
+	// Subquery and unknown-function WHEREs before an arithmetic
+	// projection; WHERE errors beat projection errors.
+	"SELECT id, a * 2 FROM v WHERE a IN (SELECT a FROM v WHERE a > 0)",
+	"SELECT id, 10 / (id - 1) FROM v WHERE NOSUCH(a) > 0",
+	"SELECT DISTINCT s FROM v WHERE EXISTS (SELECT 1 FROM v WHERE a > 5) LIMIT 3 OFFSET 1",
+	"SELECT DISTINCT s FROM v WHERE a IS NOT NULL LIMIT 3 OFFSET 1",
+	// Errors stay lazy: an unknown function or column over an empty
+	// relation is never evaluated.
+	"SELECT NOSUCH(a) FROM v WHERE id < 0",
+	"SELECT nosuch FROM v WHERE id < 0",
+	"SELECT s, COUNT(NOSUCH(a)) FROM v WHERE id < 0 GROUP BY NOSUCH(s)",
+	"SELECT NOSUCH(a) FROM v",
+	"SELECT nosuch FROM v",
+	// Subqueries and unknown functions as GROUP BY keys, aggregate
+	// arguments and in HAVING.
+	"SELECT COUNT(*), MIN(a) FROM v GROUP BY a IN (SELECT a FROM v WHERE a > 5)",
+	"SELECT COUNT(a IN (SELECT a FROM v WHERE a > 5)), SUM(a) FROM v",
+	"SELECT s, COUNT(NOSUCH(a)) FROM v GROUP BY s",
+	"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) IN (SELECT a FROM v)",
+	// An ambiguous name in a self-join errs where it is evaluated.
+	"SELECT x.id, a FROM v x JOIN v y ON x.id = y.id",
+	"SELECT x.id FROM v x JOIN v y ON x.id = y.id WHERE a > 0",
+	// A failing subquery fails the same way on every row.
+	"SELECT id FROM v WHERE a IN (SELECT 10 / (a - 7) FROM v)",
+}
+
 // TestVMDifferentialStatements runs a catalog of full statements and
 // requires the interpreter's behavior (the golden corpus) and the
 // pooled rerun's to be bit-identical — including NULL three-valued
 // logic, lane-held errors, and type-coercion failures.
 func TestVMDifferentialStatements(t *testing.T) {
 	e := newVMTestDB(t)
-	stmts := []string{
-		// Comparisons and arithmetic over ints/floats with NULLs mixed in.
-		"SELECT id FROM v WHERE a > 0",
-		"SELECT id FROM v WHERE a >= -1 AND a <= 10",
-		"SELECT id FROM v WHERE a * 2 + 1 = 15",
-		"SELECT id, a + f FROM v",
-		"SELECT id, a - f, a * f FROM v",
-		"SELECT id FROM v WHERE f < 2.0 OR a > 5",
-		"SELECT id FROM v WHERE NOT (a > 0)",
-		"SELECT id FROM v WHERE a != 7",
-		// NULL 3VL: NULL comparisons drop rows; IS NULL keeps them.
-		"SELECT id FROM v WHERE a = NULL",
-		"SELECT id FROM v WHERE a IS NULL",
-		"SELECT id FROM v WHERE a IS NOT NULL AND b",
-		"SELECT id FROM v WHERE b OR a > 100",
-		"SELECT id, a IS NULL FROM v",
-		// Errors: division by zero only when the erroring row survives.
-		"SELECT id FROM v WHERE 10 / a > 0 AND a > 0",
-		"SELECT id, 10 / a FROM v",
-		"SELECT id, 10 / a FROM v WHERE a != 0 AND a IS NOT NULL",
-		"SELECT id, a % 3 FROM v WHERE a IS NOT NULL AND a != 0",
-		// Type-coercion failures must error identically.
-		"SELECT id FROM v WHERE s > 1",
-		"SELECT id, a + s FROM v",
-		"SELECT id FROM v WHERE b + 1 = 2",
-		// Strings: LIKE, concat, case sensitivity.
-		"SELECT id FROM v WHERE s LIKE 'a%'",
-		"SELECT id FROM v WHERE s LIKE '%eta'",
-		"SELECT id FROM v WHERE s LIKE '_lpha'",
-		"SELECT id FROM v WHERE s NOT LIKE 'b%'",
-		"SELECT id, s || '-x' FROM v",
-		"SELECT id FROM v WHERE s || 'z' = 'betaz'",
-		// IN with constants, params, NULL semantics.
-		"SELECT id FROM v WHERE a IN (10, 7, -1)",
-		"SELECT id FROM v WHERE a IN (10, NULL)",
-		"SELECT id FROM v WHERE a NOT IN (10, 7)",
-		"SELECT id FROM v WHERE a NOT IN (10, NULL)",
-		"SELECT id FROM v WHERE s IN ('alpha', 'beta')",
-		// BETWEEN.
-		"SELECT id FROM v WHERE a BETWEEN 0 AND 10",
-		"SELECT id FROM v WHERE f BETWEEN -5.0 AND 1.0",
-		"SELECT id FROM v WHERE a NOT BETWEEN 0 AND 10",
-		// Functions: builtins over mixed/NULL input.
-		"SELECT id, ABS(a), LENGTH(s) FROM v",
-		"SELECT id, UPPER(s), LOWER(s) FROM v",
-		"SELECT id, COALESCE(a, -99) FROM v",
-		"SELECT id, SUBSTR(s, 2, 2) FROM v",
-		"SELECT id, NULLIF(a, 0), IIF(a > 0, 'pos', 'neg') FROM v",
-		"SELECT id, ROUND(f), FLOOR(f), CEIL(f) FROM v WHERE f IS NOT NULL",
-		"SELECT id, SQRT(a) FROM v WHERE a >= 0",
-		"SELECT id, SQRT(a) FROM v",
-		"SELECT id, CAST_INT(f) FROM v WHERE f IS NOT NULL",
-		"SELECT id, CAST_INT(s) FROM v",
-		// CASE, both forms.
-		"SELECT id, CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END FROM v",
-		"SELECT id, CASE a WHEN 10 THEN 'ten' WHEN 0 THEN 'zero' END FROM v",
-		// Unary minus.
-		"SELECT id, -a, -f FROM v",
-		// Aggregates fed by compiled argument vectors.
-		"SELECT COUNT(*), SUM(a), AVG(a), MIN(a), MAX(a) FROM v",
-		"SELECT COUNT(a), COUNT(DISTINCT s) FROM v",
-		"SELECT s, COUNT(*), SUM(a) FROM v GROUP BY s",
-		"SELECT a % 2, COUNT(*) FROM v WHERE a IS NOT NULL AND a != 0 GROUP BY a % 2",
-		"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) > 0",
-		"SELECT SUM(a + 1), SUM(f * 2.0) FROM v",
-		// ORDER BY / LIMIT on compiled scans.
-		"SELECT id FROM v WHERE a IS NOT NULL ORDER BY a DESC LIMIT 3",
-		"SELECT id, a FROM v ORDER BY id LIMIT 2 OFFSET 2",
-		// A subquery item beside lowered ones.
-		"SELECT id, a * 2, (SELECT MAX(a) FROM v) FROM v WHERE id <= 3",
-		// An arithmetic item and an unknown function erring on different
-		// rows: the single row-major loop must surface the lowest row's
-		// error, and within a row the leftmost item's.
-		"SELECT id, 10 / (id - 5), CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END FROM v",
-		"SELECT id, 10 / (id - 3), CASE WHEN id = 5 THEN NOSUCH(a) ELSE 1 END FROM v",
-		"SELECT id, CASE WHEN id = 3 THEN NOSUCH(a) ELSE 1 END, 10 / (id - 3) FROM v",
-		// Subquery and unknown-function WHEREs before an arithmetic
-		// projection; WHERE errors beat projection errors.
-		"SELECT id, a * 2 FROM v WHERE a IN (SELECT a FROM v WHERE a > 0)",
-		"SELECT id, 10 / (id - 1) FROM v WHERE NOSUCH(a) > 0",
-		"SELECT DISTINCT s FROM v WHERE EXISTS (SELECT 1 FROM v WHERE a > 5) LIMIT 3 OFFSET 1",
-		"SELECT DISTINCT s FROM v WHERE a IS NOT NULL LIMIT 3 OFFSET 1",
-		// Errors stay lazy: an unknown function or column over an empty
-		// relation is never evaluated.
-		"SELECT NOSUCH(a) FROM v WHERE id < 0",
-		"SELECT nosuch FROM v WHERE id < 0",
-		"SELECT s, COUNT(NOSUCH(a)) FROM v WHERE id < 0 GROUP BY NOSUCH(s)",
-		"SELECT NOSUCH(a) FROM v",
-		"SELECT nosuch FROM v",
-		// Subqueries and unknown functions as GROUP BY keys, aggregate
-		// arguments and in HAVING.
-		"SELECT COUNT(*), MIN(a) FROM v GROUP BY a IN (SELECT a FROM v WHERE a > 5)",
-		"SELECT COUNT(a IN (SELECT a FROM v WHERE a > 5)), SUM(a) FROM v",
-		"SELECT s, COUNT(NOSUCH(a)) FROM v GROUP BY s",
-		"SELECT s, SUM(a) FROM v GROUP BY s HAVING SUM(a) IN (SELECT a FROM v)",
-		// An ambiguous name in a self-join errs where it is evaluated.
-		"SELECT x.id, a FROM v x JOIN v y ON x.id = y.id",
-		"SELECT x.id FROM v x JOIN v y ON x.id = y.id WHERE a > 0",
-		// A failing subquery fails the same way on every row.
-		"SELECT id FROM v WHERE a IN (SELECT 10 / (a - 7) FROM v)",
-	}
-	for _, sql := range stmts {
+	for _, sql := range vmDifferentialStmts {
 		execBothModes(t, e, sql)
 	}
 	// Parameterized forms.

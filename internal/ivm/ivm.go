@@ -10,10 +10,16 @@
 //     restricted to the inserted rows; symmetrically for deletes. Each
 //     base table may appear at most once in the FROM clause.
 //
-//   - aggregate views (single-table GROUP BY with COUNT/SUM/AVG/MIN/MAX):
-//     maintained with the counting algorithm — per-group counts and sums
-//     support deletes without recomputation; MIN/MAX recompute only the
-//     affected group when the current extreme is deleted.
+//   - aggregate views (single-table GROUP BY, items and HAVING any
+//     expression over GROUP BY expressions and aggregates): the query's
+//     own fold, supplied by the Evaluator, run with signed weights — a
+//     delta is a multiset of rows weighted +1 (inserted) or −1 (deleted),
+//     as in DBSP [Budiu et al., VLDB 2023]. COUNT, SUM and AVG subtract;
+//     MIN/MAX and DISTINCT items keep counted value sets, so no delete
+//     re-queries the base table.
+//
+// Neither class may read a subquery: its result would change with tables
+// the view does not watch.
 //
 // The package is engine-agnostic: the engine supplies an Evaluator.
 package ivm
@@ -33,6 +39,17 @@ type Evaluator interface {
 	// by the given rows (user columns only, in schema order). A nil map
 	// evaluates against current table contents.
 	EvalWith(sel *sqltext.Select, overrides map[string][]types.Row) ([]types.Row, error)
+	// Fold compiles a single-table aggregate query into an empty fold of
+	// its base table's rows, or refuses the query.
+	Fold(sel *sqltext.Select) (Fold, error)
+}
+
+// Fold is an aggregate query's fold over its base table.
+type Fold interface {
+	// Apply folds base rows in (inserted, weight +1) and out (deleted,
+	// weight −1) and returns the output rows that joined and left the
+	// query's result. All or nothing: an error leaves the fold as it was.
+	Apply(inserted, deleted []types.Row) (adds, removes []types.Row, err error)
 }
 
 // Class describes how a view is maintained.
@@ -41,7 +58,7 @@ type Class int
 // Maintenance classes.
 const (
 	ClassDeltaQuery Class = iota // SP / join views, delta substitution
-	ClassAggregate               // single-table GROUP BY, counting algorithm
+	ClassAggregate               // single-table GROUP BY, signed fold
 )
 
 func (c Class) String() string {
@@ -51,24 +68,6 @@ func (c Class) String() string {
 	return "delta-query"
 }
 
-// aggSpec is one aggregate output of an aggregate-class view.
-type aggSpec struct {
-	kind string       // COUNT*, COUNT, SUM, AVG, MIN, MAX
-	arg  sqltext.Expr // nil for COUNT(*)
-}
-
-// groupState is the counting-algorithm state of one group.
-type groupState struct {
-	key    []types.Value
-	count  int64 // number of contributing base rows
-	counts []int64
-	sums   []float64
-	sumInt []int64
-	isInt  []bool
-	mins   []types.Value
-	maxs   []types.Value
-}
-
 // Maintainer incrementally maintains one materialized view.
 type Maintainer struct {
 	Name  string
@@ -76,24 +75,9 @@ type Maintainer struct {
 	class Class
 	ev    Evaluator
 
-	// delta-query state
 	baseTables map[string]bool // lower-cased FROM tables
-
-	// aggregate state
-	table     string // single FROM table
-	groupBy   []sqltext.Expr
-	items     []viewItem
-	aggs      []aggSpec
-	groups    map[string]*groupState
-	havingIdx sqltext.Expr
-	batchSel  *sqltext.Select // memoized evalBatch query: stable expression pointers keep the engine's compiled-program cache hot
-}
-
-// viewItem describes one output column of an aggregate view: either a
-// group-by expression (groupPos ≥ 0) or an aggregate (aggPos ≥ 0).
-type viewItem struct {
-	groupPos int
-	aggPos   int
+	table      string          // aggregate: the single FROM table
+	fold       Fold            // aggregate: the query's fold
 }
 
 // New classifies the view query and returns a maintainer.
@@ -105,17 +89,19 @@ func New(name string, q *sqltext.Select, ev Evaluator) (*Maintainer, error) {
 	if q.OrderBy != nil || q.Limit != nil || q.Offset != nil {
 		return nil, fmt.Errorf("ivm: view %s: ORDER BY/LIMIT not allowed in materialized views", name)
 	}
-	hasAgg := len(q.GroupBy) > 0
+	if hasSubquery(q) {
+		return nil, fmt.Errorf("ivm: view %s: subqueries are not incrementally maintainable", name)
+	}
+	hasAgg, star := len(q.GroupBy) > 0, false
 	for _, it := range q.Items {
-		if !it.Star && sqltext.HasAggregate(it.Expr) {
-			hasAgg = true
-		}
+		star = star || it.Star
+		hasAgg = hasAgg || !it.Star && sqltext.HasAggregate(it.Expr)
 	}
 	if !hasAgg {
-		if q.Distinct {
+		switch {
+		case q.Distinct:
 			return nil, fmt.Errorf("ivm: view %s: DISTINCT requires aggregation support; use GROUP BY", name)
-		}
-		if q.Having != nil {
+		case q.Having != nil:
 			return nil, fmt.Errorf("ivm: view %s: HAVING without aggregation", name)
 		}
 		// Delta-query class: collect base tables, each at most once.
@@ -126,65 +112,45 @@ func New(name string, q *sqltext.Select, ev Evaluator) (*Maintainer, error) {
 		return m, nil
 	}
 	// Aggregate class.
-	if len(q.Joins) > 0 || q.From.Subquery != nil {
+	switch {
+	case len(q.Joins) > 0 || q.From.Subquery != nil:
 		return nil, fmt.Errorf("ivm: view %s: aggregates over joins are not incrementally maintainable here", name)
-	}
-	if q.Distinct {
+	case q.Distinct:
 		return nil, fmt.Errorf("ivm: view %s: DISTINCT with aggregates unsupported", name)
+	case star:
+		return nil, fmt.Errorf("ivm: view %s: * not allowed with GROUP BY", name)
 	}
-	m.class = ClassAggregate
+	f, err := ev.Fold(q)
+	if err != nil {
+		return nil, fmt.Errorf("ivm: view %s: %w", name, err)
+	}
+	m.class, m.fold = ClassAggregate, f
 	m.table = strings.ToLower(q.From.Table)
 	m.baseTables[m.table] = true
-	m.groupBy = q.GroupBy
-	m.havingIdx = q.Having
-	for _, it := range q.Items {
-		if it.Star {
-			return nil, fmt.Errorf("ivm: view %s: * not allowed with GROUP BY", name)
-		}
-		if fc, ok := it.Expr.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-			spec, err := specFromCall(fc)
-			if err != nil {
-				return nil, fmt.Errorf("ivm: view %s: %w", name, err)
-			}
-			m.items = append(m.items, viewItem{groupPos: -1, aggPos: len(m.aggs)})
-			m.aggs = append(m.aggs, spec)
-			continue
-		}
-		pos := -1
-		for gi, g := range q.GroupBy {
-			if g.String() == it.Expr.String() {
-				pos = gi
-				break
-			}
-		}
-		if pos < 0 {
-			return nil, fmt.Errorf("ivm: view %s: output %s is neither a GROUP BY expression nor an aggregate", name, it.Expr.String())
-		}
-		m.items = append(m.items, viewItem{groupPos: pos, aggPos: -1})
-	}
-	m.groups = map[string]*groupState{}
 	return m, nil
 }
 
-func specFromCall(fc *sqltext.FuncCall) (aggSpec, error) {
-	name := strings.ToUpper(fc.Name)
-	if fc.Distinct {
-		return aggSpec{}, fmt.Errorf("DISTINCT aggregates are not incrementally maintainable")
+// hasSubquery reports whether any expression of q holds a scalar, EXISTS
+// or IN subquery.
+func hasSubquery(q *sqltext.Select) bool {
+	exprs := append([]sqltext.Expr{q.Where, q.Having}, q.GroupBy...)
+	for _, it := range q.Items {
+		exprs = append(exprs, it.Expr)
 	}
-	if fc.Star {
-		if name != "COUNT" {
-			return aggSpec{}, fmt.Errorf("%s(*) is not valid", name)
-		}
-		return aggSpec{kind: "COUNT*"}, nil
+	for _, j := range q.Joins {
+		exprs = append(exprs, j.On)
 	}
-	if len(fc.Args) != 1 {
-		return aggSpec{}, fmt.Errorf("%s takes one argument", name)
+	found := false
+	for _, x := range exprs {
+		sqltext.WalkExpr(x, func(x sqltext.Expr) bool {
+			in, isIn := x.(*sqltext.InExpr)
+			_, isSub := x.(*sqltext.Subquery)
+			_, isExists := x.(*sqltext.Exists)
+			found = found || isSub || isExists || isIn && in.Query != nil
+			return !found
+		})
 	}
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return aggSpec{kind: name, arg: fc.Args[0]}, nil
-	}
-	return aggSpec{}, fmt.Errorf("unsupported aggregate %s", name)
+	return found
 }
 
 func (m *Maintainer) collectTables(q *sqltext.Select) error {
@@ -230,500 +196,104 @@ func (m *Maintainer) Tables() []string {
 	return out
 }
 
-// Init computes the full view contents and primes internal state.
+// Init computes the full view contents and primes internal state: an
+// aggregate view starts a fresh fold and folds the whole table in.
 func (m *Maintainer) Init() ([]types.Row, error) {
 	if m.class == ClassDeltaQuery {
 		return m.ev.EvalWith(m.Query, nil)
 	}
-	// Aggregate: replay the whole table through the counting machinery so
-	// state and output stay consistent by construction.
-	m.groups = map[string]*groupState{}
-	base := &sqltext.Select{
-		Items: []sqltext.SelectItem{{Star: true}},
-		From:  &sqltext.TableRef{Table: m.table},
+	f, err := m.ev.Fold(m.Query)
+	var rows, adds []types.Row
+	if err == nil {
+		rows, err = m.ev.EvalWith(&sqltext.Select{Items: []sqltext.SelectItem{{Star: true}}, From: &sqltext.TableRef{Table: m.table}}, nil)
 	}
-	rows, err := m.ev.EvalWith(base, nil)
+	if err == nil {
+		adds, _, err = f.Apply(rows, nil)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ivm: view %s: %w", m.Name, err)
 	}
-	adds, _, err := m.Delta(m.table, rows, nil)
-	return adds, err
+	m.fold = f
+	return adds, nil
 }
 
 // Delta ingests a change to a base table and returns the rows to add to
 // and remove from the materialized contents. Updates are passed as
 // (inserted = new rows, deleted = old rows). The two sides may describe a
 // whole commit batch: rows inserted and deleted within the same batch are
-// cancelled pairwise (multiset semantics) before maintenance, so a row
-// that never outlives its batch contributes nothing — and in particular
-// cannot trip "delete from unknown group".
+// cancelled pairwise (NetDelta) before maintenance, so a row that never
+// outlives its batch contributes nothing. An error leaves the view's
+// state as it was.
 func (m *Maintainer) Delta(table string, inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
 	if !m.DependsOn(table) {
 		return nil, nil, nil
 	}
-	inserted, deleted, _ = NetDelta(inserted, deleted)
-	if m.class == ClassDeltaQuery {
-		return m.deltaQuery(table, inserted, deleted)
-	}
-	return m.deltaAggregate(inserted, deleted)
-}
-
-// NetDelta cancels rows that appear in both the inserted and deleted
-// multisets of one batch delta: each deleted row annihilates one
-// value-equal inserted row. Cancellation is by row value (types.RowKey),
-// so in a multiset with duplicates the surviving rows are equal to —
-// though not necessarily the same occurrences as — the true net effect.
-// Returns the net inserted rows, the net deleted rows (input order
-// preserved), and the number of cancelled pairs.
-func NetDelta(inserted, deleted []types.Row) (netIns, netDel []types.Row, cancelled int) {
-	if len(inserted) == 0 || len(deleted) == 0 {
-		return inserted, deleted, 0
-	}
-	del := make(map[string]int, len(deleted))
-	for _, r := range deleted {
-		del[types.RowKey(r)]++
-	}
-	consumed := make(map[string]int)
-	netIns = make([]types.Row, 0, len(inserted))
-	for _, r := range inserted {
-		k := types.RowKey(r)
-		if del[k] > 0 {
-			del[k]--
-			consumed[k]++
-			cancelled++
-			continue
+	_, inserted, _, deleted, _ = NetDelta(nil, inserted, nil, deleted)
+	if m.class == ClassAggregate {
+		if adds, removes, err = m.fold.Apply(inserted, deleted); err != nil {
+			return nil, nil, fmt.Errorf("ivm: view %s: %w", m.Name, err)
 		}
-		netIns = append(netIns, r)
+		return adds, removes, nil
 	}
-	if cancelled == 0 {
-		return inserted, deleted, 0
-	}
-	netDel = make([]types.Row, 0, len(deleted)-cancelled)
-	for _, r := range deleted {
-		k := types.RowKey(r)
-		if consumed[k] > 0 {
-			consumed[k]--
-			continue
-		}
-		netDel = append(netDel, r)
-	}
-	return netIns, netDel, cancelled
-}
-
-func (m *Maintainer) deltaQuery(table string, inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
 	if len(inserted) > 0 {
-		adds, err = m.ev.EvalWith(m.Query, map[string][]types.Row{table: inserted})
-		if err != nil {
+		if adds, err = m.ev.EvalWith(m.Query, map[string][]types.Row{table: inserted}); err != nil {
 			return nil, nil, err
 		}
 	}
 	if len(deleted) > 0 {
-		removes, err = m.ev.EvalWith(m.Query, map[string][]types.Row{table: deleted})
-		if err != nil {
+		if removes, err = m.ev.EvalWith(m.Query, map[string][]types.Row{table: deleted}); err != nil {
 			return nil, nil, err
 		}
 	}
+	// An update leaving output rows unchanged removes and re-adds them: no
+	// backing churn, no phantom flap. (A fold reports only changed rows.)
+	_, adds, _, removes, _ = NetDelta(nil, adds, nil, removes)
 	return adds, removes, nil
 }
 
-// evalOnRow evaluates expr against a single row of the base table by
-// running a one-row query through the Evaluator.
-func (m *Maintainer) evalOnRow(expr sqltext.Expr, row types.Row) (types.Value, error) {
-	sel := &sqltext.Select{
-		Items: []sqltext.SelectItem{{Expr: expr}},
-		From:  &sqltext.TableRef{Table: m.table},
+// NetDelta cancels rows that appear in both the inserted and deleted
+// multisets of one batch delta: each deleted row annihilates one
+// value-equal (types.RowKey) inserted row, earlier or later in the batch
+// — the surviving rows equal the net effect, if not always the same
+// occurrences. Tuple ids are optional: insT and delT, when given, run
+// parallel to their rows and stay aligned with the survivors. Returns
+// the net sides, in input order, and the number of cancelled pairs.
+func NetDelta(insT []int64, ins []types.Row, delT []int64, del []types.Row) ([]int64, []types.Row, []int64, []types.Row, int) {
+	if len(ins) == 0 || len(del) == 0 {
+		return insT, ins, delT, del, 0
 	}
-	out, err := m.ev.EvalWith(sel, map[string][]types.Row{m.table: {row}})
-	if err != nil {
-		return types.Null, err
+	pending := make(map[string]int, len(del)) // deleted rows not yet matched
+	for _, r := range del {
+		pending[types.RowKey(r)]++
 	}
-	if len(out) != 1 || len(out[0]) != 1 {
-		return types.Null, fmt.Errorf("ivm: expected one value, got %d rows", len(out))
-	}
-	return out[0][0], nil
-}
-
-// evalBatch evaluates the WHERE clause, the group-by keys and every
-// aggregate argument for a batch of base rows in a single Evaluator call.
-func (m *Maintainer) evalBatch(rows []types.Row) (keep []bool, keys [][]types.Value, argv [][]types.Value, err error) {
-	if m.batchSel == nil {
-		items := make([]sqltext.SelectItem, 0, 1+len(m.groupBy)+len(m.aggs))
-		whereExpr := m.Query.Where
-		if whereExpr == nil {
-			whereExpr = &sqltext.Literal{Value: types.NewBool(true)}
+	consumed := make(map[string]int) // deleted rows an insert cancelled
+	var nIT, nDT []int64
+	nI := make([]types.Row, 0, len(ins))
+	for i, r := range ins {
+		if k := types.RowKey(r); pending[k] > 0 {
+			pending[k]--
+			consumed[k]++
+			continue
 		}
-		items = append(items, sqltext.SelectItem{Expr: whereExpr})
-		for _, g := range m.groupBy {
-			items = append(items, sqltext.SelectItem{Expr: g})
-		}
-		for _, a := range m.aggs {
-			arg := a.arg
-			if arg == nil {
-				arg = &sqltext.Literal{Value: types.NewInt(1)}
-			}
-			items = append(items, sqltext.SelectItem{Expr: arg})
-		}
-		m.batchSel = &sqltext.Select{Items: items, From: &sqltext.TableRef{Table: m.table}}
-	}
-	out, err := m.ev.EvalWith(m.batchSel, map[string][]types.Row{m.table: rows})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if len(out) != len(rows) {
-		return nil, nil, nil, fmt.Errorf("ivm: batch evaluation returned %d rows for %d inputs", len(out), len(rows))
-	}
-	keep = make([]bool, len(rows))
-	keys = make([][]types.Value, len(rows))
-	argv = make([][]types.Value, len(rows))
-	for i, r := range out {
-		// Mirror the engine's WHERE semantics: NULL excludes the row, a
-		// coercion error aborts the whole maintenance step.
-		if r[0].IsNull() {
-			keep[i] = false
-		} else {
-			b, err := r[0].AsBool()
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("ivm: view %s: WHERE: %w", m.Name, err)
-			}
-			keep[i] = b
-		}
-		keys[i] = r[1 : 1+len(m.groupBy)]
-		argv[i] = r[1+len(m.groupBy):]
-	}
-	return keep, keys, argv, nil
-}
-
-func (m *Maintainer) deltaAggregate(inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
-	touched := map[string]bool{}
-	before := map[string]types.Row{}
-
-	snapshot := func(key string, g *groupState) {
-		if touched[key] {
-			return
-		}
-		touched[key] = true
-		if g != nil && g.count > 0 {
-			if row, ok, err2 := m.emit(g); err2 == nil && ok {
-				before[key] = row
-			} else if err2 != nil {
-				err = err2
-			}
+		nI = append(nI, r)
+		if i < len(insT) {
+			nIT = append(nIT, insT[i])
 		}
 	}
-
-	process := func(rows []types.Row, sign int64) error {
-		if len(rows) == 0 {
-			return nil
-		}
-		keep, keys, argv, err := m.evalBatch(rows)
-		if err != nil {
-			return err
-		}
-		for i := range rows {
-			if !keep[i] {
-				continue
-			}
-			key := types.RowKey(keys[i])
-			g := m.groups[key]
-			snapshot(key, g)
-			if g == nil {
-				if sign < 0 {
-					return fmt.Errorf("ivm: view %s: delete from unknown group", m.Name)
-				}
-				g = newGroupState(keys[i], len(m.aggs))
-				m.groups[key] = g
-			}
-			if err := m.apply(g, argv[i], sign); err != nil {
-				return err
-			}
-		}
-		return nil
+	cancelled := len(ins) - len(nI)
+	if cancelled == 0 {
+		return insT, ins, delT, del, 0
 	}
-
-	// Inserts fold in before deletes: within one coalesced batch a delete
-	// may target a group that only comes into existence through an insert
-	// of the same batch. The counting algorithm is sign-commutative for
-	// COUNT/SUM/AVG, and the MIN/MAX escape hatch recomputes from the base
-	// table (which already holds the batch's final state), so the order is
-	// free to pick — delete-first is the one that spuriously errors.
-	if err := process(inserted, +1); err != nil {
-		return nil, nil, err
-	}
-	if err := process(deleted, -1); err != nil {
-		return nil, nil, err
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Emit diffs for every touched group.
-	for key := range touched {
-		g := m.groups[key]
-		var after types.Row
-		if g != nil && g.count > 0 {
-			row, ok, err := m.emit(g)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				after = row
-			}
-		} else if g != nil {
-			delete(m.groups, key)
+	nD := make([]types.Row, 0, len(del)-cancelled)
+	for i, r := range del {
+		if k := types.RowKey(r); consumed[k] > 0 {
+			consumed[k]--
+			continue
 		}
-		b := before[key]
-		switch {
-		case b == nil && after != nil:
-			adds = append(adds, after)
-		case b != nil && after == nil:
-			removes = append(removes, b)
-		case b != nil && after != nil && !types.RowsEqual(b, after):
-			removes = append(removes, b)
-			adds = append(adds, after)
+		nD = append(nD, r)
+		if i < len(delT) {
+			nDT = append(nDT, delT[i])
 		}
 	}
-	return adds, removes, nil
-}
-
-func newGroupState(key []types.Value, naggs int) *groupState {
-	g := &groupState{
-		key:    append([]types.Value(nil), key...),
-		counts: make([]int64, naggs),
-		sums:   make([]float64, naggs),
-		sumInt: make([]int64, naggs),
-		isInt:  make([]bool, naggs),
-		mins:   make([]types.Value, naggs),
-		maxs:   make([]types.Value, naggs),
-	}
-	for i := range g.isInt {
-		g.isInt[i] = true
-		g.mins[i] = types.Null
-		g.maxs[i] = types.Null
-	}
-	return g
-}
-
-// apply folds one base row's aggregate arguments into the group with the
-// given sign (+1 insert, -1 delete).
-func (m *Maintainer) apply(g *groupState, args []types.Value, sign int64) error {
-	g.count += sign
-	if g.count < 0 {
-		return fmt.Errorf("ivm: view %s: negative group multiplicity", m.Name)
-	}
-	for i, spec := range m.aggs {
-		v := args[i]
-		switch spec.kind {
-		case "COUNT*":
-			g.counts[i] += sign
-		case "COUNT":
-			if !v.IsNull() {
-				g.counts[i] += sign
-			}
-		case "SUM", "AVG":
-			if v.IsNull() {
-				continue
-			}
-			g.counts[i] += sign
-			if v.Kind() == types.KindInt {
-				g.sumInt[i] += sign * v.Int()
-			} else {
-				f, err := v.AsFloat()
-				if err != nil {
-					return err
-				}
-				g.isInt[i] = false
-				g.sums[i] += float64(sign) * f
-			}
-		case "MIN", "MAX":
-			if v.IsNull() {
-				continue
-			}
-			g.counts[i] += sign
-			if sign > 0 {
-				if g.mins[i].IsNull() {
-					g.mins[i], g.maxs[i] = v, v
-					continue
-				}
-				cMin, err := types.Compare(v, g.mins[i])
-				if err != nil {
-					return fmt.Errorf("ivm: view %s: %s: %w", m.Name, spec.kind, err)
-				}
-				if cMin < 0 {
-					g.mins[i] = v
-				}
-				cMax, err := types.Compare(v, g.maxs[i])
-				if err != nil {
-					return fmt.Errorf("ivm: view %s: %s: %w", m.Name, spec.kind, err)
-				}
-				if cMax > 0 {
-					g.maxs[i] = v
-				}
-			} else {
-				// Deleting the current extreme invalidates it: recompute
-				// the group from the base table (counting algorithm's
-				// MIN/MAX escape hatch).
-				cMin, err := types.Compare(v, g.mins[i])
-				if err != nil {
-					return fmt.Errorf("ivm: view %s: %s: %w", m.Name, spec.kind, err)
-				}
-				cMax, err := types.Compare(v, g.maxs[i])
-				if err != nil {
-					return fmt.Errorf("ivm: view %s: %s: %w", m.Name, spec.kind, err)
-				}
-				if cMin == 0 || cMax == 0 {
-					if err := m.recomputeExtremes(g, i); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// recomputeExtremes re-derives MIN/MAX of aggregate i for group g by
-// querying the base table restricted to the group key.
-func (m *Maintainer) recomputeExtremes(g *groupState, i int) error {
-	where := m.Query.Where
-	for gi, expr := range m.groupBy {
-		cond := groupKeyPredicate(expr, g.key[gi])
-		if where == nil {
-			where = cond
-		} else {
-			where = &sqltext.Binary{Op: "AND", L: where, R: cond}
-		}
-	}
-	sel := &sqltext.Select{
-		Items: []sqltext.SelectItem{
-			{Expr: &sqltext.FuncCall{Name: "MIN", Args: []sqltext.Expr{m.aggs[i].arg}}},
-			{Expr: &sqltext.FuncCall{Name: "MAX", Args: []sqltext.Expr{m.aggs[i].arg}}},
-		},
-		From:  &sqltext.TableRef{Table: m.table},
-		Where: where,
-	}
-	out, err := m.ev.EvalWith(sel, nil)
-	if err != nil {
-		return err
-	}
-	if len(out) == 1 {
-		g.mins[i] = out[0][0]
-		g.maxs[i] = out[0][1]
-	} else {
-		g.mins[i] = types.Null
-		g.maxs[i] = types.Null
-	}
-	return nil
-}
-
-// groupKeyPredicate builds `expr = key` (or `expr IS NULL` for NULL keys).
-func groupKeyPredicate(expr sqltext.Expr, key types.Value) sqltext.Expr {
-	if key.IsNull() {
-		return &sqltext.IsNull{X: expr}
-	}
-	return &sqltext.Binary{Op: "=", L: expr, R: &sqltext.Literal{Value: key}}
-}
-
-// emit materializes the current output row for a group. ok=false when the
-// HAVING clause rejects the group.
-func (m *Maintainer) emit(g *groupState) (types.Row, bool, error) {
-	aggVal := func(i int) types.Value {
-		switch m.aggs[i].kind {
-		case "COUNT*", "COUNT":
-			return types.NewInt(g.counts[i])
-		case "SUM":
-			if g.counts[i] == 0 {
-				return types.Null
-			}
-			if g.isInt[i] {
-				return types.NewInt(g.sumInt[i])
-			}
-			return types.NewFloat(g.sums[i] + float64(g.sumInt[i]))
-		case "AVG":
-			if g.counts[i] == 0 {
-				return types.Null
-			}
-			total := g.sums[i] + float64(g.sumInt[i])
-			return types.NewFloat(total / float64(g.counts[i]))
-		case "MIN":
-			return g.mins[i]
-		case "MAX":
-			return g.maxs[i]
-		}
-		return types.Null
-	}
-	if m.havingIdx != nil {
-		ok, err := m.evalHaving(g, aggVal)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-	}
-	row := make(types.Row, len(m.items))
-	for i, it := range m.items {
-		if it.groupPos >= 0 {
-			row[i] = g.key[it.groupPos]
-		} else {
-			row[i] = aggVal(it.aggPos)
-		}
-	}
-	return row, true, nil
-}
-
-// evalHaving evaluates the HAVING clause by substituting aggregate calls
-// and group-by expressions with their computed values, then evaluating the
-// residual expression through the Evaluator on a dummy row.
-func (m *Maintainer) evalHaving(g *groupState, aggVal func(int) types.Value) (bool, error) {
-	subst := substituteAggregates(m.havingIdx, m, g, aggVal)
-	sel := &sqltext.Select{Items: []sqltext.SelectItem{{Expr: subst}}}
-	out, err := m.ev.EvalWith(sel, nil)
-	if err != nil {
-		return false, err
-	}
-	if len(out) != 1 {
-		return false, fmt.Errorf("ivm: HAVING evaluation failed")
-	}
-	b, err := out[0][0].AsBool()
-	return err == nil && b, nil
-}
-
-// substituteAggregates replaces aggregate calls and group-by expressions
-// in e with literals from the group state.
-func substituteAggregates(e sqltext.Expr, m *Maintainer, g *groupState, aggVal func(int) types.Value) sqltext.Expr {
-	if e == nil {
-		return nil
-	}
-	if fc, ok := e.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-		want, err := specFromCall(fc)
-		if err == nil {
-			for i, spec := range m.aggs {
-				if spec.kind == want.kind && exprEq(spec.arg, want.arg) {
-					return &sqltext.Literal{Value: aggVal(i)}
-				}
-			}
-		}
-		return e
-	}
-	for gi, expr := range m.groupBy {
-		if exprEq(e, expr) {
-			return &sqltext.Literal{Value: g.key[gi]}
-		}
-	}
-	switch x := e.(type) {
-	case *sqltext.Binary:
-		return &sqltext.Binary{Op: x.Op, L: substituteAggregates(x.L, m, g, aggVal), R: substituteAggregates(x.R, m, g, aggVal)}
-	case *sqltext.Unary:
-		return &sqltext.Unary{Op: x.Op, X: substituteAggregates(x.X, m, g, aggVal)}
-	case *sqltext.IsNull:
-		return &sqltext.IsNull{X: substituteAggregates(x.X, m, g, aggVal), Not: x.Not}
-	}
-	return e
-}
-
-func exprEq(a, b sqltext.Expr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.String() == b.String()
+	return nIT, nI, nDT, nD, cancelled
 }

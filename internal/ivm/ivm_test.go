@@ -57,7 +57,7 @@ func TestClassification(t *testing.T) {
 		{"SELECT DISTINCT k FROM t", 0, true},
 		{"SELECT a.k FROM t a, t b", 0, true},                                     // self join
 		{"SELECT t.k, COUNT(*) FROM t JOIN s ON t.k = s.k GROUP BY t.k", 0, true}, // agg over join
-		{"SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k", 0, true},
+		{"SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k", ivm.ClassAggregate, false},
 		{"SELECT v, COUNT(*) FROM t GROUP BY k", 0, true}, // output not grouped
 		{"SELECT x.k FROM (SELECT k FROM t) AS x", 0, true},
 		{"SELECT a.k FROM t a LEFT JOIN s b ON a.k = b.k", 0, true},
@@ -334,7 +334,7 @@ func TestNetDelta(t *testing.T) {
 	}
 	ins := []types.Row{r(1), r(2), r(2), r(3)}
 	del := []types.Row{r(2), r(4)}
-	netIns, netDel, cancelled := ivm.NetDelta(ins, del)
+	_, netIns, _, netDel, cancelled := ivm.NetDelta(nil, ins, nil, del)
 	if cancelled != 1 {
 		t.Fatalf("cancelled: %d", cancelled)
 	}
@@ -343,13 +343,27 @@ func TestNetDelta(t *testing.T) {
 		t.Fatalf("%v %v", netIns, netDel)
 	}
 	// Disjoint multisets come back untouched (fast path).
-	netIns, netDel, cancelled = ivm.NetDelta(ins[:1], del[1:])
+	_, netIns, _, netDel, cancelled = ivm.NetDelta(nil, ins[:1], nil, del[1:])
 	if cancelled != 0 || len(netIns) != 1 || len(netDel) != 1 {
 		t.Fatalf("%v %v %d", netIns, netDel, cancelled)
 	}
 	// Full annihilation.
-	_, _, cancelled = ivm.NetDelta([]types.Row{r(7)}, []types.Row{r(7)})
+	_, _, _, _, cancelled = ivm.NetDelta(nil, []types.Row{r(7)}, nil, []types.Row{r(7)})
 	if cancelled != 1 {
 		t.Fatalf("cancelled: %d", cancelled)
+	}
+	// Tuple ids stay aligned with the surviving rows on both sides: a
+	// delete may cancel an insert that came later in the batch.
+	insT, ins2, delT, del2, cancelled := ivm.NetDelta(
+		[]int64{10, 11, 12}, []types.Row{r(1), r(2), r(3)},
+		[]int64{20, 21, 22}, []types.Row{r(3), r(5), r(1)})
+	if cancelled != 2 {
+		t.Fatalf("cancelled: %d", cancelled)
+	}
+	if len(insT) != 1 || insT[0] != 11 || ins2[0][0].Int() != 2 {
+		t.Fatalf("inserted: %v %v", insT, ins2)
+	}
+	if len(delT) != 1 || delT[0] != 21 || del2[0][0].Int() != 5 {
+		t.Fatalf("deleted: %v %v", delT, del2)
 	}
 }

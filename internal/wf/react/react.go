@@ -26,6 +26,7 @@ import (
 
 	"ediflow/internal/database"
 	"ediflow/internal/engine"
+	"ediflow/internal/ivm"
 	"ediflow/internal/metrics"
 	"ediflow/internal/module"
 	"ediflow/internal/types"
@@ -222,8 +223,8 @@ func (r *Router) fireBatch(rel string, events []engine.ChangeEvent) {
 
 // coalesceEvents folds a relation's share of one dispatch batch into a
 // single delta: updates contribute to both sides, and rows inserted and
-// deleted within the batch cancel pairwise. Returns the delta and the
-// number of cancelled pairs.
+// deleted within the batch cancel pairwise (ivm.NetDelta). Returns the
+// delta and the number of cancelled pairs.
 func coalesceEvents(events []engine.ChangeEvent) (module.Delta, int) {
 	d := module.Delta{Table: events[0].Table, Op: events[0].Op, Events: len(events)}
 	var insT, delT []int64
@@ -250,57 +251,8 @@ func coalesceEvents(events []engine.ChangeEvent) (module.Delta, int) {
 		}
 	}
 	var cancelled int
-	d.TIDs, d.Rows, d.OldTIDs, d.OldRows, cancelled = netCancel(insT, ins, delT, del)
+	d.TIDs, d.Rows, d.OldTIDs, d.OldRows, cancelled = ivm.NetDelta(insT, ins, delT, del)
 	return d, cancelled
-}
-
-// netCancel cancels value-equal pairs across the inserted and deleted
-// sides (multiset semantics via types.RowKey), keeping tuple ids aligned
-// with their rows. Because a multiset delta is order-free, a delete is
-// allowed to cancel an insert that came later in the batch: the net
-// table contents are identical either way.
-func netCancel(insT []int64, ins []types.Row, delT []int64, del []types.Row) ([]int64, []types.Row, []int64, []types.Row, int) {
-	if len(ins) == 0 || len(del) == 0 {
-		return insT, ins, delT, del, 0
-	}
-	delCount := make(map[string]int, len(del))
-	for _, row := range del {
-		delCount[types.RowKey(row)]++
-	}
-	consumed := map[string]int{}
-	cancelled := 0
-	var nIT []int64
-	var nI []types.Row
-	for i, row := range ins {
-		k := types.RowKey(row)
-		if delCount[k] > 0 {
-			delCount[k]--
-			consumed[k]++
-			cancelled++
-			continue
-		}
-		nI = append(nI, row)
-		if i < len(insT) {
-			nIT = append(nIT, insT[i])
-		}
-	}
-	if cancelled == 0 {
-		return insT, ins, delT, del, 0
-	}
-	var nDT []int64
-	var nD []types.Row
-	for i, row := range del {
-		k := types.RowKey(row)
-		if consumed[k] > 0 {
-			consumed[k]--
-			continue
-		}
-		nD = append(nD, row)
-		if i < len(delT) {
-			nDT = append(nDT, delT[i])
-		}
-	}
-	return nIT, nI, nDT, nD, cancelled
 }
 
 // eventCount treats hand-built deltas (Events == 0) as covering one event.
@@ -325,7 +277,7 @@ func mergeDeltas(a, b module.Delta) module.Delta {
 	ins := append(append([]types.Row(nil), a.Rows...), b.Rows...)
 	delT := append(append([]int64(nil), a.OldTIDs...), b.OldTIDs...)
 	del := append(append([]types.Row(nil), a.OldRows...), b.OldRows...)
-	out.TIDs, out.Rows, out.OldTIDs, out.OldRows, _ = netCancel(insT, ins, delT, del)
+	out.TIDs, out.Rows, out.OldTIDs, out.OldRows, _ = ivm.NetDelta(insT, ins, delT, del)
 	return out
 }
 

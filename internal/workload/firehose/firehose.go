@@ -175,7 +175,7 @@ func Run(cfg Config) (Stats, error) {
 	if _, err := db.Exec("CREATE TABLE fh_edits (id INT PRIMARY KEY, entity INT, v INT, ts INT)"); err != nil {
 		return Stats{}, err
 	}
-	// One view per maintenance class: the counting algorithm and delta
+	// One view per maintenance class: the signed fold and delta
 	// substitution both ride every batch.
 	if _, err := db.Exec("CREATE MATERIALIZED VIEW fh_totals AS SELECT entity, COUNT(*) AS n, SUM(v) AS s FROM fh_edits GROUP BY entity"); err != nil {
 		return Stats{}, err
