@@ -141,10 +141,14 @@ type evaluator struct {
 	machines []*vm.Machine
 	vecs     []*vm.Vec
 	batch    *vm.Batch // nil when every program is nil
+	sys      bool      // a program reads a base table's _tid or _created
+	scratch  types.Row
 }
 
 func (b *binder) evaluator(progs []*vm.Program) evaluator {
 	ev := evaluator{machines: make([]*vm.Machine, len(progs)), vecs: make([]*vm.Vec, len(progs))}
+	used := usedCols(progs)
+	ev.sys = len(used) > 0 && used[len(used)-1] >= len(b.rel.cols)-2
 	for i, p := range progs {
 		if p == nil {
 			continue
@@ -155,10 +159,28 @@ func (b *binder) evaluator(progs []*vm.Program) evaluator {
 			for range b.aggs {
 				kinds = append(kinds, types.KindNull)
 			}
-			ev.batch = ev.machines[i].Batch(kinds, usedCols(progs))
+			ev.batch = ev.machines[i].Batch(kinds, used)
 		}
 	}
 	return ev
+}
+
+// fill loads src's lanes into the batch. A base table's system columns,
+// kept beside its rows, are spliced in row by row when a program reads
+// them.
+func (ev *evaluator) fill(src *batch) {
+	if !ev.sys || src.tids == nil {
+		ev.batch.Fill(src.rows)
+		return
+	}
+	ev.batch.Reset()
+	if ev.scratch == nil {
+		ev.scratch = make(types.Row, 0, len(src.rows[0])+2)
+	}
+	for i, r := range src.rows {
+		ev.scratch = append(append(ev.scratch[:0], r...), types.NewInt(src.tids[i]), types.NewInt(src.created[i]))
+		ev.batch.Append(ev.scratch)
+	}
 }
 
 // eval runs every program over the batch as loaded.
@@ -171,11 +193,12 @@ func (ev *evaluator) eval(e *Engine) {
 	e.countVM(ev.batch.Len())
 }
 
-// run loads rows (at most vm.BatchSize of them) and evaluates every
-// program over them; without a row or a program it does nothing.
-func (ev *evaluator) run(e *Engine, rows []types.Row) {
-	if ev.batch != nil && len(rows) > 0 {
-		ev.batch.Fill(rows)
+// load fills the batch with src's lanes (at most vm.BatchSize of them)
+// and evaluates every program over them; without a lane or a program it
+// does nothing.
+func (ev *evaluator) load(e *Engine, src *batch) {
+	if ev.batch != nil && len(src.rows) > 0 {
+		ev.fill(src)
 		ev.eval(e)
 	}
 }
@@ -206,29 +229,6 @@ func batchKinds(cols []colMeta) []types.Kind {
 		kinds[i] = c.kind
 	}
 	return kinds
-}
-
-// filterRows keeps the rows of b's relation that pass the predicate,
-// batch by batch; the first erroring row in row order aborts.
-func (e *Engine) filterRows(where sqltext.Expr, b *binder) ([]types.Row, error) {
-	prog := e.compiledProg(where, b)
-	rows := b.rel.rows
-	m := b.machine(prog)
-	batch := m.Batch(batchKinds(b.rel.cols), prog.Cols())
-	kept := rows[:0:0]
-	for start := 0; start < len(rows); start += vm.BatchSize {
-		end := min(start+vm.BatchSize, len(rows))
-		batch.Fill(rows[start:end])
-		sel, err := m.Filter(batch)
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range sel {
-			kept = append(kept, rows[start+i])
-		}
-		e.countVM(batch.Len())
-	}
-	return kept, nil
 }
 
 // ScalarFunc is a user-registered scalar SQL function. Arguments are

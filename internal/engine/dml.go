@@ -182,25 +182,19 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 	return &Result{Affected: len(ev.TIDs), TIDs: ev.TIDs}, events, nil
 }
 
-// matchTable builds the single-table relation for UPDATE/DELETE row
-// selection, using the same planner access paths as SELECT scans.
-func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value) (*relation, *binder, error) {
-	sel := &sqltext.Select{
-		Items: []sqltext.SelectItem{{Star: true}},
-		From:  &sqltext.TableRef{Table: table},
-		Where: where,
-	}
-	rel, whereApplied, err := e.buildTableRef(*sel.From, args, nil, sel, e.writerCtx())
+// matchTable collects the rows of a table that UPDATE/DELETE match —
+// each at layout width, its _tid and _created last — through the same
+// planner access paths and pipeline as a SELECT, and returns the binder
+// over their layout.
+func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value) (*binder, []types.Row, error) {
+	sel := &sqltext.Select{From: &sqltext.TableRef{Table: table}, Where: where}
+	rel, src, err := e.buildTableRef(*sel.From, args, nil, sel, e.writerCtx())
 	if err != nil {
 		return nil, nil, err
 	}
 	b := newBinder(e, args, rel, e.writerCtx())
-	if where != nil && !whereApplied {
-		if rel.rows, err = e.filterRows(where, b); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rel, b, nil
+	rows, err := e.collect(b, src, where)
+	return b, rows, err
 }
 
 func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []ChangeEvent, error) {
@@ -220,41 +214,52 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 		}
 		setPos[i] = p
 	}
-	rel, b, err := e.matchTable(s.Table, s.Where, args)
+	b, rows, err := e.matchTable(s.Table, s.Where, args)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	nUser := len(schema.Columns)
-	// Batch-evaluate the SET expressions across all matched rows. Lane
-	// errors are held per (row, assignment) and surfaced inside the apply
-	// loop below, at the row row-at-a-time evaluation would stop at; the
-	// rows applied before it are undone with the statement (see execStmt).
-	setVals, setErrs := e.updateSetVecs(s, b)
+	// The SET expressions run over batches of the matched rows. A lane
+	// error surfaces in the apply loop, at the (row, assignment)
+	// row-at-a-time evaluation would stop at; the rows applied before it
+	// are undone with the statement (see execStmt).
+	progs := make([]*vm.Program, len(s.Set))
+	for i, a := range s.Set {
+		progs[i] = e.compiledProg(a.Value, b)
+	}
+	set := b.evaluator(progs)
 	ev := ChangeEvent{Table: schema.Name, Op: OpUpdate}
-	for ri, r := range rel.rows {
-		tid := r[nUser].Int() // _tid system column
-		oldRow := make(types.Row, nUser)
-		copy(oldRow, r[:nUser])
-		newRow := make(types.Row, nUser)
-		copy(newRow, oldRow)
-		for i, a := range s.Set {
-			if setErrs[i] != nil && setErrs[i][ri] != nil {
-				return nil, nil, setErrs[i][ri]
+	err = (&batch{rows: rows}).chunks(func(matched *batch) error {
+		set.load(e, matched)
+		for k, r := range matched.rows {
+			tid := r[nUser].Int() // _tid system column
+			oldRow := make(types.Row, nUser)
+			copy(oldRow, r[:nUser])
+			newRow := make(types.Row, nUser)
+			copy(newRow, oldRow)
+			for i, a := range s.Set {
+				if err := set.vecs[i].Err(k); err != nil {
+					return err
+				}
+				cv, err := set.vecs[i].Value(k).CoerceTo(schema.Columns[setPos[i]].Type)
+				if err != nil {
+					return fmt.Errorf("engine: column %s.%s: %w", s.Table, a.Column, err)
+				}
+				newRow[setPos[i]] = cv
 			}
-			cv, err := setVals[i][ri].CoerceTo(schema.Columns[setPos[i]].Type)
-			if err != nil {
-				return nil, nil, fmt.Errorf("engine: column %s.%s: %w", s.Table, a.Column, err)
+			if _, err := e.store.Update(schema.Name, tid, newRow); err != nil {
+				return err
 			}
-			newRow[setPos[i]] = cv
+			e.undo = append(e.undo, undoEntry{op: OpUpdate, table: schema.Name, tid: tid, oldRow: oldRow, newRow: newRow})
+			ev.TIDs = append(ev.TIDs, tid)
+			ev.Rows = append(ev.Rows, newRow)
+			ev.OldRows = append(ev.OldRows, oldRow)
 		}
-		if _, err := e.store.Update(schema.Name, tid, newRow); err != nil {
-			return nil, nil, err
-		}
-		e.undo = append(e.undo, undoEntry{op: OpUpdate, table: schema.Name, tid: tid, oldRow: oldRow, newRow: newRow})
-		ev.TIDs = append(ev.TIDs, tid)
-		ev.Rows = append(ev.Rows, newRow)
-		ev.OldRows = append(ev.OldRows, oldRow)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	events := []ChangeEvent{}
 	if len(ev.TIDs) > 0 {
@@ -270,40 +275,6 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 	return &Result{Affected: len(ev.TIDs)}, events, nil
 }
 
-// updateSetVecs batch-evaluates the UPDATE's SET expressions over the
-// matched rows. Returns per-assignment value and error columns (an error
-// column is nil while its assignment has not erred).
-func (e *Engine) updateSetVecs(s *sqltext.Update, b *binder) ([][]types.Value, [][]error) {
-	n := len(b.rel.rows)
-	if n == 0 {
-		return nil, nil
-	}
-	progs := make([]*vm.Program, len(s.Set))
-	setVals := make([][]types.Value, len(s.Set))
-	setErrs := make([][]error, len(s.Set))
-	for i, a := range s.Set {
-		progs[i] = e.compiledProg(a.Value, b)
-		setVals[i] = make([]types.Value, n)
-	}
-	// evalVecs only fails through the sink, which never errors here.
-	_ = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
-		for i, vec := range vecs {
-			for ri := 0; ri < count; ri++ {
-				if err := vec.Err(ri); err != nil {
-					if setErrs[i] == nil {
-						setErrs[i] = make([]error, n)
-					}
-					setErrs[i][start+ri] = err
-					continue
-				}
-				setVals[i][start+ri] = vec.Value(ri)
-			}
-		}
-		return nil
-	})
-	return setVals, setErrs
-}
-
 func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []ChangeEvent, error) {
 	if _, isView := e.cat.View(s.Table); isView {
 		return nil, nil, fmt.Errorf("engine: cannot DELETE from view %q", s.Table)
@@ -312,13 +283,13 @@ func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []C
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: no such table %q", s.Table)
 	}
-	rel, _, err := e.matchTable(s.Table, s.Where, args)
+	_, rows, err := e.matchTable(s.Table, s.Where, args)
 	if err != nil {
 		return nil, nil, err
 	}
 	nUser := len(schema.Columns)
 	ev := ChangeEvent{Table: schema.Name, Op: OpDelete}
-	for _, r := range rel.rows {
+	for _, r := range rows {
 		tid := r[nUser].Int()
 		created := r[nUser+1].Int()
 		old, err := e.store.Delete(schema.Name, tid)

@@ -20,21 +20,14 @@ type colMeta struct {
 	// boxed lanes on mismatch (view backing tables infer kinds).
 }
 
-// relation is an intermediate result. Base-table sources may start lazy
-// (cols known, rows not yet fetched) so joins can probe the table's
-// storage indexes instead of materializing it; materializeRel fills rows
-// on demand.
+// relation is the column layout of an intermediate result, and its rows
+// where a join collected them. tbl is set on a base table's layout
+// (refCols): a join probes that table's storage indexes, or collects its
+// rows, instead of being handed them.
 type relation struct {
 	cols []colMeta
 	rows []types.Row
-
-	tbl  *storage.Table // backing table for a base-table source, else nil
-	lazy bool           // true until rows are filled from tbl
-
-	// projNames is non-nil when the compiled scan already evaluated the
-	// statement's projection (see scanProjection): rows are the final
-	// output tuples and cols describe them, not the source table.
-	projNames []string
+	tbl  *storage.Table
 }
 
 // binder is the compile and run environment of one statement's

@@ -13,24 +13,28 @@ import (
 	"ediflow/internal/types"
 )
 
-// Morsel-driven intra-query parallelism, and the batched operators over
-// materialized rows.
+// The SELECT pipeline's source side, its one parallel operator, and the
+// aggregate fold.
 //
-// The engine has one parallel operator: the compiled snapshot scan
-// (scanFiltered). A full scan over an MVCC snapshot is embarrassingly
-// parallel: the slot array is captured once (storage.SlotView), every
-// worker resolves visibility lock-free against the same pinned sequence
-// number, and the only coordination is an atomic cursor handing out
-// morsels — fixed runs of version-chain slots, each a few VM batches
-// long. Morsel outputs concatenate in slot order, so rows, the first
-// surfaced error and the rows-scanned tally are byte-identical at every
-// width.
+// A source pushes batches of rows — by reference, never copied —
+// through the WHERE program (pipe), which runs there and nowhere else;
+// the lanes that survive go to one sink: the projection, the aggregate
+// fold, or a collection of rows (a join's inputs, a mutation's matched
+// rows). A sink copies only what it keeps.
 //
-// Everything downstream of the scan — program evaluation over
-// materialized rows, group keys, aggregate folds, the hash-join build —
-// runs front to back over [0, n) on the statement's goroutine. Splitting
-// those phases paid for nothing measurable (DESIGN.md §16) and needed
-// partial-state merges to stay exact.
+// The one parallel operator is the full scan of a table with a WHERE
+// (scanTable). A scan over an MVCC snapshot is embarrassingly parallel:
+// the slot array is captured once (storage.SlotView), every worker
+// resolves visibility lock-free against the same pinned sequence number,
+// and the only coordination is an atomic cursor handing out morsels —
+// fixed runs of version-chain slots, each a few VM batches long. Workers
+// run WHERE and return each morsel's matched lanes as references; the
+// sink consumes the morsels in slot order on the statement's goroutine,
+// so rows, the first surfaced error and the rows-scanned tally are
+// byte-identical at every width. Everything downstream — projection,
+// group keys, aggregate folds, the hash-join build — runs front to back.
+// Splitting those phases paid for nothing measurable (DESIGN.md §16) and
+// needed partial-state merges to stay exact.
 //
 // The worker budget is engine-wide (Engine.parExtra): a scan reserves
 // extra workers against the configured parallelism before fanning out
@@ -153,32 +157,146 @@ func fanOut(nw, tasks int, work func(next func() (task int, ok bool)) error) err
 	return nil
 }
 
-// scanOut is what one scan range produced. A WHERE error is the range's
-// task error; a projection error is only recorded, because it must not
-// surface before a WHERE error from a later row (the interpreter
-// filters the whole table before projecting anything).
-type scanOut struct {
-	rows    []types.Row
-	scanned int
-	projErr error
+// batch is a run of a source's rows of one layout, by reference: the
+// values of stored versions (immutable under MVCC) or of rows already
+// built. A base table's rows hold its user columns, and tids and created
+// its system columns beside them; every other source's rows are at
+// layout width and tids is nil.
+type batch struct {
+	rows          []types.Row
+	tids, created []int64
 }
 
-// scanFiltered is the compiled streaming full scan: snapshot rows are
-// pulled into a column batch, the compiled WHERE runs over ~1k lanes at
-// a time, and matched lanes are emitted through the pushed-down
-// projection (or copied out at full table width). Only the columns the
-// programs read are copied into vectors; version values (immutable
-// under MVCC) are referenced, not copied, until a lane passes the
-// filter. At width 1 the whole slot array is one range whose output
-// becomes rel.rows as is; wider plans claim morselSlots-sized ranges and
-// concatenate their outputs in range order. The workers' machines share
-// b, whose subqueries run once for all of them.
-func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, proj *scanProj, nUser int) error {
-	rel, ctx := b.rel, b.ctx
+// row copies lane i out at layout width: a sink keeps a row only so.
+func (s *batch) row(i int) types.Row {
+	if s.tids == nil {
+		return slices.Clone(s.rows[i])
+	}
+	return fullRow(storage.StoredRow{Values: s.rows[i], TID: s.tids[i], Created: s.created[i]})
+}
+
+// col reads layout column c of lane i: past a base table's user columns
+// come its system columns, past a built row's end NULL.
+func (s *batch) col(i, c int) types.Value {
+	switch r := s.rows[i]; {
+	case c < len(r):
+		return r[c]
+	case s.tids == nil:
+		return types.Null
+	case c == len(r):
+		return types.NewInt(s.tids[i])
+	}
+	return types.NewInt(s.created[i])
+}
+
+// chunks hands s to fn vm.BatchSize lanes at a time.
+func (s *batch) chunks(fn func(*batch) error) error {
+	for start := 0; start < len(s.rows); start += vm.BatchSize {
+		end := min(start+vm.BatchSize, len(s.rows))
+		c := batch{rows: s.rows[start:end]}
+		if s.tids != nil {
+			c.tids, c.created = s.tids[start:end], s.created[start:end]
+		}
+		if err := fn(&c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// source is where a FROM clause's rows come from: the full scan of tbl
+// at the statement's snapshot, or rows in memory — an index path's
+// candidates, override or delta rows, a FROM subquery's result, a
+// virtual table, a join's output.
+type source struct {
+	tbl *storage.Table
+	mem batch
+}
+
+// pipe pushes src's rows, a batch at a time, through the WHERE program
+// of where over b's layout (nil keeps every row) into sink, which never
+// sees an empty batch and must consume each before it returns. The
+// first WHERE error in row order aborts the run; a sink holds its own
+// errors.
+func (e *Engine) pipe(b *binder, src *source, where sqltext.Expr, sink func(*batch)) error {
+	prog := e.compiledProg(where, b)
+	if src.tbl != nil {
+		return e.scanTable(src.tbl, b, prog, sink)
+	}
+	ev := b.evaluator([]*vm.Program{prog})
+	buf := lanePool.Get().(*batch)
+	defer lanePool.Put(buf)
+	return src.mem.chunks(func(c *batch) error {
+		in := batch{rows: append(buf.rows[:0], c.rows...)} // WHERE compacts a copy, not the source
+		if c.tids != nil {
+			in.tids, in.created = append(buf.tids[:0], c.tids...), append(buf.created[:0], c.created...)
+		}
+		if err := ev.filter(e, &in); err != nil || len(in.rows) == 0 {
+			return err
+		}
+		sink(&in)
+		return nil
+	})
+}
+
+// lanePool holds batches with room for vm.BatchSize lanes, which a scan
+// worker reads into and WHERE compacts in place: like a machine's
+// vectors, they are pooled so a statement allocates none once warm.
+var lanePool = sync.Pool{New: func() any {
+	return &batch{rows: make([]types.Row, 0, vm.BatchSize), tids: make([]int64, 0, vm.BatchSize), created: make([]int64, 0, vm.BatchSize)}
+}}
+
+// filter compacts in to the lanes that pass the WHERE program, ev's one
+// machine (all of in without one). The first erring lane in row order is
+// the error.
+func (ev *evaluator) filter(e *Engine, in *batch) error {
+	m := ev.machines[0]
+	if m == nil {
+		return nil
+	}
+	ev.fill(in)
+	lanes, err := m.Filter(ev.batch)
+	if err != nil {
+		return err
+	}
+	e.countVM(len(in.rows))
+	for j, i := range lanes {
+		in.rows[j] = in.rows[i]
+		if in.tids != nil {
+			in.tids[j], in.created[j] = in.tids[i], in.created[i]
+		}
+	}
+	in.rows = in.rows[:len(lanes)]
+	if in.tids != nil {
+		in.tids, in.created = in.tids[:len(lanes)], in.created[:len(lanes)]
+	}
+	return nil
+}
+
+// scanOut is what one scan range produced: the rows it read and, at
+// width above 1, the lanes WHERE kept, a batch at a time.
+type scanOut struct {
+	kept    []batch
+	scanned int
+}
+
+// scanTable is the full scan of tbl at the statement's snapshot: slots
+// are read a batch at a time and the lanes WHERE keeps go to sink by
+// reference. Without a WHERE, or below two morsels, the whole slot array
+// is one range streamed straight into sink. Otherwise workers claim
+// morselSlots-sized ranges and keep each range's matched lanes, which
+// sink consumes in range order once every range is scanned. The
+// workers' machines share b, whose subqueries run once for all of them.
+// A WHERE error aborts the scan without counting the tally.
+func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *vm.Program, sink func(*batch)) error {
+	ctx := b.ctx
 	view := tbl.View(ctx.snap)
 	n := view.Slots()
-	nw := e.workers(n, ctx)
-	defer e.releaseWorkers(nw - 1)
+	nw := 1
+	if where != nil {
+		nw = e.workers(n, ctx)
+		defer e.releaseWorkers(nw - 1)
+	}
 	step := n
 	if nw > 1 {
 		step = morselSlots
@@ -187,92 +305,39 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 	if n > 0 {
 		outs = make([]scanOut, (n+step-1)/step)
 	}
-	progs := []*vm.Program{prog}
-	if proj != nil {
-		progs = append(progs, proj.progs...)
-	}
-	used := usedCols(progs)
-	// Programs reading the tid/created pseudo-columns get them spliced
-	// into a scratch row, filled row-at-a-time.
-	needSys := len(used) > 0 && used[len(used)-1] >= nUser
-
 	err := fanOut(nw, len(outs), func(next func() (int, bool)) error {
-		ev := b.evaluator(progs) // per worker: machines are not goroutine-safe
-		m, batch := ev.machines[0], ev.batch
-		var scratch types.Row
-		if needSys {
-			scratch = make(types.Row, nUser+2)
-		}
-		vals := make([]types.Row, 0, vm.BatchSize)
-		tids := make([]int64, 0, vm.BatchSize)
-		created := make([]int64, 0, vm.BatchSize)
-		var out *scanOut
-		flush := func() error {
-			if len(vals) == 0 {
-				return nil
-			}
-			if needSys {
-				batch.Reset()
-				for i := range vals {
-					copy(scratch, vals[i])
-					scratch[nUser] = types.NewInt(tids[i])
-					scratch[nUser+1] = types.NewInt(created[i])
-					batch.Append(scratch)
-				}
-			} else {
-				batch.Fill(vals)
-			}
-			lanes, err := m.Filter(batch)
-			if err != nil {
-				return err
-			}
-			if len(lanes) > 0 && out.projErr == nil {
-				if proj != nil {
-					out.projErr = proj.emit(&out.rows, &ev, lanes, vals, tids, created, nUser)
-				} else {
-					// One slab per batch instead of one allocation per
-					// matched row.
-					w := nUser + 2
-					slab := make([]types.Value, len(lanes)*w)
-					for k, i := range lanes {
-						full := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
-						copy(full, vals[i])
-						full[nUser] = types.NewInt(tids[i])
-						full[nUser+1] = types.NewInt(created[i])
-						out.rows = append(out.rows, full)
-					}
-				}
-			}
-			e.countVM(batch.Len())
-			vals, tids, created = vals[:0], tids[:0], created[:0]
-			return nil
-		}
+		ev := b.evaluator([]*vm.Program{where}) // per worker: machines are not goroutine-safe
+		buf := lanePool.Get().(*batch)
+		defer lanePool.Put(buf)
+		in := &batch{rows: buf.rows[:0], tids: buf.tids[:0], created: buf.created[:0]}
 		for ri, ok := next(); ok; ri, ok = next() {
-			out = &outs[ri]
+			out := &outs[ri]
 			for it := view.IterateRange(ri*step, (ri+1)*step); ; {
 				sr, more := it.Next()
+				if more {
+					out.scanned++
+					in.rows, in.tids, in.created = append(in.rows, sr.Values), append(in.tids, sr.TID), append(in.created, sr.Created)
+				}
+				if len(in.rows) == vm.BatchSize || !more && len(in.rows) > 0 {
+					if err := ev.filter(e, in); err != nil {
+						return err
+					}
+					switch {
+					case len(in.rows) == 0:
+					case nw > 1:
+						out.kept = append(out.kept, batch{rows: slices.Clone(in.rows), tids: slices.Clone(in.tids), created: slices.Clone(in.created)})
+					default:
+						sink(in)
+					}
+					in.rows, in.tids, in.created = in.rows[:0], in.tids[:0], in.created[:0]
+				}
 				if !more {
 					break
 				}
-				out.scanned++
-				vals = append(vals, sr.Values)
-				tids = append(tids, sr.TID)
-				created = append(created, sr.Created)
-				if len(vals) == vm.BatchSize {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-			if err := flush(); err != nil {
-				return err
 			}
 		}
 		return nil
 	})
-	// A WHERE error aborts without counting the tally; a projection
-	// error surfaces only when no range hit a WHERE error, and every range
-	// was scanned to find that out.
 	if err != nil {
 		return err
 	}
@@ -281,30 +346,15 @@ func (e *Engine) scanFiltered(tbl *storage.Table, b *binder, prog *vm.Program, p
 		scanned += outs[i].scanned
 	}
 	e.countScanned(ctx, scanned)
-	total := 0
-	for i := range outs {
-		if outs[i].projErr != nil {
-			return outs[i].projErr
+	if nw > 1 {
+		if e.reg.Enabled() {
+			e.mParMorsels.Add(int64(len(outs)))
 		}
-		total += len(outs[i].rows)
-	}
-	if len(outs) == 1 {
-		rel.rows = outs[0].rows
-	} else if len(outs) > 1 {
-		rel.rows = make([]types.Row, 0, total)
 		for i := range outs {
-			rel.rows = append(rel.rows, outs[i].rows...)
+			for j := range outs[i].kept {
+				sink(&outs[i].kept[j])
+			}
 		}
-	}
-	if nw > 1 && e.reg.Enabled() {
-		e.mParMorsels.Add(int64(len(outs)))
-	}
-	if proj != nil {
-		rel.cols = make([]colMeta, len(proj.names))
-		for i, n := range proj.names {
-			rel.cols[i] = colMeta{name: strings.ToLower(n)}
-		}
-		rel.projNames = proj.names
 	}
 	return nil
 }
@@ -320,22 +370,6 @@ func usedCols(progs []*vm.Program) []int {
 	}
 	slices.Sort(used)
 	return slices.Compact(used)
-}
-
-// evalVecs runs several programs over b.rel.rows front to back, chunk by
-// chunk, invoking sink with each chunk's start index and result vectors
-// (valid only during the callback). The first sink error stops the run.
-func (e *Engine) evalVecs(progs []*vm.Program, b *binder, sink func(start, count int, vecs []*vm.Vec) error) error {
-	ev := b.evaluator(progs)
-	rows := b.rel.rows
-	for start := 0; start < len(rows); start += vm.BatchSize {
-		chunk := rows[start:min(start+vm.BatchSize, len(rows))]
-		ev.run(e, chunk)
-		if err := sink(start, len(chunk), ev.vecs); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -530,7 +564,7 @@ type aggCall struct {
 	distinct bool
 	arg      sqltext.Expr // nil for COUNT(*) and a malformed call
 	err      error        // a malformed call: SUM(*), the wrong number of arguments
-	states   []aggState   // per group, for a call with an argument
+	vec      int          // its argument's vector in the fold's evaluator
 }
 
 // result is the call's value over a group of count rows whose state,
@@ -580,63 +614,163 @@ func aggCalls(exprs []sqltext.Expr) (cols map[*sqltext.FuncCall]int, calls []agg
 	return cols, calls
 }
 
-// aggFold is every aggregate call of an aggregate SELECT, folded per
-// group.
-type aggFold struct {
+// foldGroup is one group of an aggregate fold, SELECT's or a view's: its
+// key, a copy of the row that opened it at layout width (nil for a
+// view's implicit group and an empty query's), per aggregate call its
+// state, and its row count. out and touched are a view's (viewFold).
+type foldGroup struct {
+	key     string
+	rep     types.Row
+	states  []aggState
+	count   int64
+	out     types.Row
+	touched bool
+}
+
+// foldSink is the sink of an aggregate query: per batch it evaluates
+// the GROUP BY programs and every aggregate call's argument, and looks
+// each lane's group up in one map, opening a group — copying its first
+// row — on a key's first sight. A SELECT then folds the argument lanes
+// into the groups' states at once (add); a view gathers them, to apply
+// with weights once the whole delta evaluated cleanly (gather). A GROUP
+// BY error is held (err) and stops the fold; WHERE runs on.
+type foldSink struct {
 	cols   map[*sqltext.FuncCall]int
 	calls  []aggCall
-	groups []aggGroup
+	keys   []sqltext.Expr
+	groups map[string]*foldGroup
+
+	// One run's state (start).
+	e      *Engine
+	ev     evaluator // the GROUP BY programs, then each argument
+	key    types.Row
+	lanes  []*foldGroup // the current batch's lanes' groups
+	st     []*aggState
+	opened []*foldGroup // in opening order
+	err    error
+	// A view's gathered rows: per kept lane its group (nil for a delete
+	// from no group) and one value per call with an argument.
+	gs     []*foldGroup
+	args   []types.Value
+	argErr error
 }
 
-// result is call ci's value for group g, or the error reading it raises.
-func (f *aggFold) result(ci, g int) (types.Value, error) {
-	c := &f.calls[ci]
-	var st *aggState
-	if c.states != nil {
-		st = &c.states[g]
-	}
-	return c.result(st, int64(f.groups[g].count))
-}
-
-// buildAggFold folds the arguments of every aggregate call in exprs
-// (aggCalls) over rel.rows front to back, column-natively from typed
-// lanes: typed int/float lanes fold without boxing a single value. A
-// relation with no rows leaves every state empty.
-func (e *Engine) buildAggFold(exprs []sqltext.Expr, b *binder, rowGroup []int32, groups []aggGroup) *aggFold {
-	f := &aggFold{groups: groups}
+// newFoldSink prepares the fold of every aggregate call in exprs
+// (aggCalls) grouped by keys.
+func newFoldSink(keys, exprs []sqltext.Expr) *foldSink {
+	f := &foldSink{keys: keys, groups: map[string]*foldGroup{}}
 	f.cols, f.calls = aggCalls(exprs)
-	var progs []*vm.Program
-	var folded []int // the calls progs belong to
-	for ci := range f.calls {
-		if c := &f.calls[ci]; c.arg != nil {
-			c.states = make([]aggState, len(groups))
-			progs, folded = append(progs, e.compiledProg(c.arg, b)), append(folded, ci)
-		}
-	}
-	_ = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
-		for k, ci := range folded {
-			c := &f.calls[ci]
-			foldVec(c.states, c.op, c.distinct, vecs[k], rowGroup, start, count)
-		}
-		return nil
-	})
 	return f
 }
 
-// foldVec folds one result vector into per-group states. Per lane: a
-// state that already holds an argument error is done; a lane error
+// open adds the group of key, opened by rep.
+func (f *foldSink) open(key string, rep types.Row) *foldGroup {
+	g := &foldGroup{key: key, rep: rep, states: make([]aggState, len(f.calls))}
+	f.groups[key] = g
+	f.opened = append(f.opened, g)
+	return g
+}
+
+// start compiles the key and argument programs over b's layout for one
+// run and clears what the last run left.
+func (f *foldSink) start(e *Engine, b *binder) {
+	progs := make([]*vm.Program, 0, len(f.keys)+len(f.calls))
+	for _, k := range f.keys {
+		progs = append(progs, e.compiledProg(k, b))
+	}
+	for ci := range f.calls {
+		if c := &f.calls[ci]; c.arg != nil {
+			c.vec, progs = len(progs), append(progs, e.compiledProg(c.arg, b))
+		}
+	}
+	f.e, f.ev, f.key = e, b.evaluator(progs), make(types.Row, len(f.keys))
+	f.opened, f.gs, f.args, f.err, f.argErr = nil, nil, nil, nil, nil
+}
+
+// group evaluates src's lanes and finds each one's group, opening the
+// missing ones when open is set. Group keys are read row-major: the
+// first error is held and reported false.
+func (f *foldSink) group(src *batch, open bool) bool {
+	f.ev.load(f.e, src)
+	f.lanes = f.lanes[:0]
+	for k := range src.rows {
+		var g *foldGroup
+		if k > 0 && len(f.keys) == 0 {
+			g = f.lanes[0]
+		} else {
+			for j, v := range f.ev.vecs[:len(f.keys)] {
+				if err := v.Err(k); err != nil {
+					f.err = err
+					return false
+				}
+				f.key[j] = v.Value(k)
+			}
+			key := types.RowKey(f.key)
+			if g = f.groups[key]; g == nil && open {
+				g = f.open(key, src.row(k))
+			}
+		}
+		f.lanes = append(f.lanes, g)
+	}
+	return true
+}
+
+// add folds src's lanes into their groups with weight +1: typed lanes
+// through foldVec, argument errors held in the states.
+func (f *foldSink) add(src *batch) {
+	if f.err != nil || !f.group(src, true) {
+		return
+	}
+	for _, g := range f.lanes {
+		g.count++
+	}
+	f.st = slices.Grow(f.st[:0], len(f.lanes))[:len(f.lanes)]
+	for ci := range f.calls {
+		c := &f.calls[ci]
+		if c.arg == nil {
+			continue
+		}
+		for k, g := range f.lanes {
+			f.st[k] = &g.states[ci]
+		}
+		foldVec(f.st, c.op, c.distinct, f.ev.vecs[c.vec])
+	}
+}
+
+// gather records src's lanes for a view's fold: each lane's group —
+// opening missing ones when open is set (inserted rows) — and its
+// argument values, the first argument error held after any GROUP BY
+// error.
+func (f *foldSink) gather(src *batch, open bool) {
+	if f.err != nil || !f.group(src, open) || f.argErr != nil {
+		return
+	}
+	for k := range src.rows {
+		for _, c := range f.calls {
+			if c.arg == nil {
+				continue
+			}
+			v := f.ev.vecs[c.vec]
+			if err := v.Err(k); err != nil {
+				f.argErr = err
+				return
+			}
+			f.args = append(f.args, v.Value(k))
+		}
+	}
+	f.gs = append(f.gs, f.lanes...)
+}
+
+// foldVec folds one result vector into the states of its lanes. Per
+// lane: a state that already holds an argument error is done; a lane error
 // becomes the state's argument error (first in row order, matching the
 // interpreter's collect loop, which surfaces any argument error before
 // folding); a state with a fold error keeps watching for argument
 // errors only; NULL lanes are skipped, and a DISTINCT item's operand
 // goes through apply, which folds only a value's first occurrence.
-func foldVec(states []aggState, op aggOp, distinct bool, vec *vm.Vec, rowGroup []int32, start, count int) {
+func foldVec(states []*aggState, op aggOp, distinct bool, vec *vm.Vec) {
 	kind := vec.Kind()
-	for ri := 0; ri < count; ri++ {
-		st := &states[0]
-		if rowGroup != nil {
-			st = &states[rowGroup[start+ri]]
-		}
+	for ri, st := range states {
 		if st.argErr != nil {
 			continue
 		}

@@ -277,10 +277,10 @@ func TestParallelMetrics(t *testing.T) {
 	}
 }
 
-// TestOnlyScansFanOut: the compiled snapshot scan is the one parallel
-// operator. Group keys, aggregate folds and hash-join builds over a
-// relation large enough to fan out run at width 1 when the rows came
-// from materializeRel; a filtered GROUP BY fans out its scan alone and
+// TestOnlyScansFanOut: the compiled snapshot scan with a WHERE is the
+// one parallel operator. Group keys, aggregate folds and hash-join
+// builds over a table large enough to fan out run at width 1 when its
+// scan has no WHERE; a filtered GROUP BY fans out its scan alone and
 // counts as one parallel query.
 func TestOnlyScansFanOut(t *testing.T) {
 	e := newParTestDB(t, 3000)

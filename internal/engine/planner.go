@@ -341,11 +341,11 @@ func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args 
 	}
 	plan.kind = "hash"
 
-	// Build on the indexed side: when the right side is a lazy base-table
-	// scan and storage already maintains a hash index over exactly the
+	// Build on the indexed side: when the right side is an unread base
+	// table and storage already maintains a hash index over exactly the
 	// join key columns, probe that index per left row instead of
-	// materializing the right side and building a second hash table.
-	if right.lazy && right.tbl != nil {
+	// collecting the right side and building a second hash table.
+	if right.tbl != nil {
 		for _, ix := range right.tbl.Indexes() {
 			if perm := coverPerm(ix.Cols, plan.eqR); perm != nil {
 				plan.probe, plan.perm = ix, perm
@@ -588,7 +588,7 @@ func (e *Engine) refCols(tr sqltext.TableRef) (*relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: no such table %q", tr.Table)
 	}
-	rel := &relation{tbl: e.store.Table(name), lazy: true}
+	rel := &relation{tbl: e.store.Table(name)}
 	for _, c := range schema.Columns {
 		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
 	}

@@ -582,6 +582,24 @@ func (e *Engine) callScalarFn(name string, args []types.Value) (types.Value, err
 	return types.Null, fmt.Errorf("engine: unknown function %s", name)
 }
 
+// refRead reads a base table of a FROM clause straight from storage, as
+// of ctx's snapshot: its layout and every row at layout width. A nil
+// layout means the entry is not a base table.
+func refRead(e *Engine, tr sqltext.TableRef, ctx *stmtCtx) (*relation, []types.Row, error) {
+	rel, err := e.refCols(tr)
+	if err != nil || rel.tbl == nil {
+		return nil, nil, err
+	}
+	var rows []types.Row
+	for it := rel.tbl.Iterate(ctx.snap); ; {
+		sr, more := it.Next()
+		if !more {
+			return rel, rows, nil
+		}
+		rows = append(rows, fullRow(sr))
+	}
+}
+
 // refSelect evaluates a SELECT of the shapes the fuzz sites produce —
 // FROM a table or a join, WHERE, then a projection or GROUP BY/HAVING
 // with aggregates; no DISTINCT, ORDER BY, LIMIT or AS OF — the way the
@@ -595,14 +613,22 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 	}
 	ctx := &stmtCtx{snap: storage.SeqLatest, top: sel}
 	defer ctx.release()
-	from := *sel
-	from.Where = nil
-	rel, b, _, err := e.buildFrom(&from, nil, nil, ctx)
-	if err != nil {
-		return nil, err, true
+	rel, rows, err := refRead(e, *sel.From, ctx)
+	if err != nil || rel == nil {
+		return nil, err, rel != nil
 	}
-	o := &refEval{binder: b}
-	rows := rel.rows
+	for _, j := range sel.Joins {
+		right, rrows, err := refRead(e, j.Right, ctx)
+		if err != nil || right == nil {
+			return nil, err, right != nil
+		}
+		rel.rows, right.rows, right.tbl = rows, rrows, nil
+		if rel, err = e.join(rel, right, j, nil, nil, ctx); err != nil {
+			return nil, err, true
+		}
+		rows = rel.rows
+	}
+	o := &refEval{binder: newBinder(e, nil, rel, ctx)}
 	if sel.Where != nil {
 		if rel.tbl != nil && len(sel.Joins) == 0 {
 			qual := strings.ToLower(sel.From.Alias)
@@ -719,22 +745,21 @@ func refUpdate(t testing.TB, e *Engine, up *sqltext.Update) (res *Result, err er
 	refillW(t, e)
 	ctx := &stmtCtx{snap: storage.SeqLatest}
 	defer ctx.release()
-	rel, err := e.buildJoinSource(sqltext.TableRef{Table: "w"}, nil, nil, ctx)
+	rel, rows, err := refRead(e, sqltext.TableRef{Table: "w"}, ctx)
 	if err != nil {
 		return nil, err, true
 	}
-	e.materializeRel(rel, ctx)
 	o := &refEval{binder: newBinder(e, nil, rel, ctx)}
 	byID := func(rows []types.Row) *Result {
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i][0].Int() < rows[j][0].Int() })
 		return &Result{Rows: rows}
 	}
-	orig := make([]types.Row, len(rel.rows))
-	for i, r := range rel.rows {
+	orig := make([]types.Row, len(rows))
+	for i, r := range rows {
 		orig[i] = r[:5:5]
 	}
-	upd := make([]types.Row, len(rel.rows))
-	for i, r := range rel.rows {
+	upd := make([]types.Row, len(rows))
+	for i, r := range rows {
 		v, err := o.eval(up.Set[0].Value, r)
 		if err == nil {
 			if v, err = v.CoerceTo(types.KindInt); err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/heap"
 	"fmt"
 	"slices"
 	"sort"
@@ -53,99 +54,69 @@ func (e *Engine) EvalWith(sel *sqltext.Select, overrides map[string][]types.Row)
 
 // evalSelect runs a SELECT — top-level, subquery or view query — against
 // the snapshot captured in ctx, with overrides substituted for the tables
-// they name. Result rows are always freshly built slices, but their
+// they name, as one pipeline: the FROM clause's source pushes batches
+// through WHERE into the projection or the aggregate fold, whose rows
+// pass DISTINCT and ORDER BY (output). Each phase holds its first error
+// and the earlier phases run on, so the error reported is the first of
+// WHERE, then projection or group key, then ORDER BY key, whatever rows
+// they fail on. Result rows are always freshly built slices, but their
 // values may share BYTES payloads with stored versions: only execSelect
 // hands rows out of the engine, and it detaches them there.
 func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
 	if sel.AsOf != nil && sel != ctx.top {
 		return nil, fmt.Errorf("engine: AS OF is only supported on the top-level SELECT")
 	}
-	// Build the source relation (FROM + JOINs + WHERE).
-	var rel *relation
-	var b *binder
-	whereApplied := false
-	if sel.From == nil {
-		rel = &relation{rows: []types.Row{nil}} // one empty row: SELECT 1+1
-		b = newBinder(e, args, rel, ctx)
-	} else {
+	rel, src := &relation{}, &source{mem: batch{rows: []types.Row{nil}}} // no FROM: one empty row, SELECT 1+1
+	if sel.From != nil {
 		var err error
-		rel, b, whereApplied, err = e.buildFrom(sel, args, overrides, ctx)
-		if err != nil {
+		if rel, src, err = e.buildFrom(sel, args, overrides, ctx); err != nil {
 			return nil, err
 		}
 	}
-
-	// Scan-side projection (see scanProjection): rows already ARE the
-	// output tuples, and the pushdown gates guarantee that only
-	// DISTINCT and LIMIT/OFFSET remain to apply.
-	colNames := rel.projNames
-	out := rel.rows
-	var srcRows []types.Row // representative source row per output row (for ORDER BY)
-	var items []projItem
+	b := newBinder(e, args, rel, ctx)
+	items, names, err := expandItems(sel, rel)
+	if err != nil { // a bad t.* is a projection error: WHERE's comes first
+		if werr := e.pipe(b, src, sel.Where, func(*batch) {}); werr != nil {
+			return nil, werr
+		}
+		return nil, err
+	}
+	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
+	for _, it := range items {
+		aggregate = aggregate || (it.Expr != nil && sqltext.HasAggregate(it.Expr))
+	}
+	for _, o := range sel.OrderBy {
+		aggregate = aggregate || sqltext.HasAggregate(o.Expr)
+	}
 	var orderCols []int
-	if colNames == nil {
-		// WHERE (unless the scan already streamed it — see buildTableRef):
-		// index-scan refiltering, post-join filters, and IVM override
-		// evaluation alike — anything already materialized.
-		var err error
-		if sel.Where != nil && !whereApplied {
-			if rel.rows, err = e.filterRows(sel.Where, b); err != nil {
-				return nil, err
-			}
-		}
-
-		// Projection: expand stars, determine output columns.
-		if items, colNames, err = expandItems(sel, rel); err != nil {
-			return nil, err
-		}
-		aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-		for _, it := range items {
-			aggregate = aggregate || (it.Expr != nil && sqltext.HasAggregate(it.Expr))
-		}
-		for _, o := range sel.OrderBy {
-			aggregate = aggregate || sqltext.HasAggregate(o.Expr)
-		}
-		if aggregate {
-			items, orderCols = aggOrderItems(sel, items)
-			out, srcRows, err = e.evalAggregateSelect(sel, items, rel, b)
-		} else {
-			srcRows = rel.rows
-			out, err = e.projectRows(items, b, make([]types.Row, 0, len(rel.rows)))
-		}
-		if err != nil {
-			return nil, err
-		}
+	if aggregate {
+		items, orderCols = aggOrderItems(sel, items)
 	}
-
-	// DISTINCT, over the visible columns (aggOrderItems may have appended
-	// hidden sort keys).
+	out := &output{visible: len(names)}
 	if sel.Distinct {
-		seen := map[string]bool{}
-		kept, keptSrc := out[:0:0], srcRows[:0:0]
-		for i, r := range out {
-			k := types.RowKey(r[:len(colNames)])
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, r)
-			if i < len(srcRows) {
-				keptSrc = append(keptSrc, srcRows[i])
-			}
-		}
-		out, srcRows = kept, keptSrc
+		out.seen = map[string]bool{}
 	}
-
-	// ORDER BY (bounded top-k selection when LIMIT is statically known).
 	if len(sel.OrderBy) > 0 {
-		var err error
-		if out, err = e.orderRows(sel, colNames, orderCols, out, srcRows, b); err != nil {
-			return nil, err
+		out.sort = e.newSorter(sel, names, orderCols, b)
+	}
+	if aggregate {
+		err = e.aggregate(sel, items, b, src, out)
+	} else {
+		p := e.newProject(items, b, out)
+		if err = e.pipe(b, src, sel.Where, p.add); err == nil {
+			err = p.err
 		}
-		if len(items) > len(colNames) {
-			for i, r := range out {
-				out[i] = r[:len(colNames):len(colNames)]
-			}
+	}
+	if err != nil {
+		return nil, err
+	}
+	rows, err := out.result()
+	if err != nil {
+		return nil, err
+	}
+	if len(items) > len(names) {
+		for i, r := range rows {
+			rows[i] = r[:len(names):len(names)]
 		}
 	}
 
@@ -155,11 +126,11 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		if err != nil {
 			return nil, err
 		}
-		if n > int64(len(out)) {
-			n = int64(len(out))
+		if n > int64(len(rows)) {
+			n = int64(len(rows))
 		}
 		if n > 0 {
-			out = out[n:]
+			rows = rows[n:]
 		}
 	}
 	if sel.Limit != nil {
@@ -167,12 +138,11 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		if err != nil {
 			return nil, err
 		}
-		if n < int64(len(out)) && n >= 0 {
-			out = out[:n]
+		if n < int64(len(rows)) && n >= 0 {
+			rows = rows[:n]
 		}
 	}
-
-	return &Result{Columns: colNames, Rows: out}, nil
+	return &Result{Columns: names, Rows: rows}, nil
 }
 
 // aggOrderItems makes every ORDER BY key that contains an aggregate a
@@ -222,7 +192,7 @@ func (e *Engine) valuesRow(exprs []sqltext.Expr, b *binder) (types.Row, error) {
 	for i, x := range exprs {
 		v, ok := constVal(x, b.args)
 		if !ok {
-			rel := &relation{rows: []types.Row{nil}}
+			rel := &relation{}
 			if b.rel != nil {
 				rel.cols = b.rel.cols
 			}
@@ -230,11 +200,12 @@ func (e *Engine) valuesRow(exprs []sqltext.Expr, b *binder) (types.Row, error) {
 			for j, y := range exprs {
 				items[j].Expr = y
 			}
-			out, err := e.projectRows(items, newBinder(e, b.args, rel, b.ctx), nil)
-			if err != nil {
-				return nil, err
+			out := &output{}
+			p := e.newProject(items, newBinder(e, b.args, rel, b.ctx), out)
+			if p.add(&batch{rows: []types.Row{nil}}); p.err != nil {
+				return nil, p.err
 			}
-			return out[0], nil
+			return out.rows[0], nil
 		}
 		row[i] = v
 	}
@@ -291,78 +262,51 @@ func expandItems(sel *sqltext.Select, rel *relation) ([]projItem, []string, erro
 	return items, names, nil
 }
 
-// aggGroup is one output group of an aggregate SELECT: where its first
-// source row sits in rel.rows and how many rows it has.
-type aggGroup struct {
-	first, count int
-}
-
-// evalAggregateSelect evaluates GROUP BY / aggregate projection. Rows
-// carry a group ordinal so the group keys and every aggregate call's
-// argument are evaluated once, batched, across all rows and folded per
-// group (buildAggFold); each group's first source row represents it in
-// the group layout, and emitGroups produces its output row.
-func (e *Engine) evalAggregateSelect(sel *sqltext.Select, items []projItem, rel *relation, b *binder) ([]types.Row, []types.Row, error) {
-	n := len(rel.rows)
-	var groups []aggGroup
-	var rowGroup []int32 // per-row group ordinal; nil = single group
-	if len(sel.GroupBy) == 0 {
-		// Single implicit group; aggregates over an empty relation still
-		// produce one row (COUNT(*) = 0).
-		groups = []aggGroup{{count: n}}
-	} else {
-		keys, err := e.groupKeys(sel, rel, b)
-		if err != nil {
-			return nil, nil, err
-		}
-		rowGroup = make([]int32, n)
-		ordinal := make(map[string]int32)
-		for i, k := range keys {
-			g, ok := ordinal[k]
-			if !ok {
-				g = int32(len(groups))
-				ordinal[k] = g
-				groups = append(groups, aggGroup{first: i})
-			}
-			groups[g].count++
-			rowGroup[i] = g
-		}
-	}
+// aggregate runs an aggregate SELECT: the kept lanes of src fold into
+// their groups (foldSink.add), a GROUP BY error surfacing once WHERE has
+// run over every row, and then each group's output row goes to out, its
+// representative row the source of ORDER BY's programs. A query without
+// GROUP BY always has its implicit group: over no rows, COUNT(*) = 0.
+func (e *Engine) aggregate(sel *sqltext.Select, items []projItem, b *binder, src *source, out *output) error {
 	exprs := make([]sqltext.Expr, len(items), len(items)+1)
 	for i, it := range items {
 		exprs[i] = it.Expr
 	}
 	exprs = append(exprs, sel.Having)
-	fold := e.buildAggFold(exprs, b, rowGroup, groups)
-	first := func(g int) types.Row {
-		if groups[g].count == 0 {
-			return nil // the empty implicit group
-		}
-		return rel.rows[groups[g].first]
+	f := newFoldSink(sel.GroupBy, exprs)
+	f.start(e, b)
+	if err := e.pipe(b, src, sel.Where, f.add); err != nil {
+		return err
 	}
-	var out, src []types.Row
-	err := e.emitGroups(exprs, b, fold.cols, len(groups), first, fold.result, func(g int, row types.Row) {
-		if row != nil {
-			out, src = append(out, row), append(src, first(g))
+	if f.err != nil {
+		return f.err
+	}
+	if len(f.opened) == 0 && len(sel.GroupBy) == 0 {
+		f.open("", nil)
+	}
+	return e.emitGroups(exprs, b, f, f.opened, func(reps *batch, rows []types.Row) {
+		out.load(e, reps)
+		for k, row := range rows {
+			if row != nil {
+				out.add(k, row)
+			}
 		}
 	})
-	return out, src, err
 }
 
 // emitGroups is the per-group tail of an aggregate query, shared by
 // SELECT and the materialized views' fold: exprs are the items, then
-// HAVING (nil when there is none). Each of groups [0, n) is a row
-// of the group layout — its representative source row rep(g) (nil for
-// the empty implicit group), then every aggregate call's result(ci, g),
-// an aggregate's error held as that lane's error — and HAVING and the
-// items run as programs over batches of groups, row-major, so an error
-// surfaces only if a kept group's evaluation reaches it. A bare column or
-// a bare aggregate is read directly: a projection of those alone builds
-// no group row. out receives every group's output row, nil when HAVING
-// rejects the group; the first error stops the run.
-func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, cols map[*sqltext.FuncCall]int,
-	n int, rep func(g int) types.Row, result func(ci, g int) (types.Value, error), out func(g int, row types.Row)) error {
-	gb := b.groupBinder(cols)
+// HAVING (nil when there is none). Each group is a row of the group
+// layout — its representative source row (nil for an empty implicit
+// group), then every aggregate call's result, an aggregate's error held
+// as that lane's error — and HAVING and the items run as programs over
+// batches of groups, row-major, so an error surfaces only if a kept
+// group's evaluation reaches it. A bare column or a bare aggregate is
+// read directly: a projection of those alone builds no group row. out
+// receives each batch of groups' representative rows and output rows,
+// nil where HAVING rejects the group; the first error stops the run.
+func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, f *foldSink, groups []*foldGroup, out func(reps *batch, rows []types.Row)) error {
+	gb := b.groupBinder(f.cols)
 	w := len(exprs) - 1
 	bare, agg, progs := make([]int, w), make([]int, w), make([]*vm.Program, w+1) // HAVING's program rides last
 	for i, x := range exprs[:w] {
@@ -370,39 +314,42 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, cols map[*sqltext.F
 		if c, ok := b.bareCol(x); ok {
 			bare[i] = c
 		} else if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-			agg[i] = cols[fc]
+			agg[i] = f.cols[fc]
 		} else {
 			progs[i] = e.compiledProg(x, gb)
 		}
 	}
 	progs[w] = e.compiledProg(exprs[w], gb)
 	ev, used := gb.evaluator(progs), usedCols(progs)
-	reps := make([]types.Row, 0, min(n, vm.BatchSize))
-	for start := 0; start < n; start += vm.BatchSize {
-		reps = reps[:0]
-		for g := start; g < min(start+vm.BatchSize, n); g++ {
-			reps = append(reps, rep(g))
+	reps := batch{rows: make([]types.Row, 0, min(len(groups), vm.BatchSize))}
+	var rows []types.Row
+	for start := 0; start < len(groups); start += vm.BatchSize {
+		chunk := groups[start:min(start+vm.BatchSize, len(groups))]
+		result := func(ci, k int) (types.Value, error) { return f.calls[ci].result(&chunk[k].states[ci], chunk[k].count) }
+		reps.rows, rows = reps.rows[:0], rows[:0]
+		for _, g := range chunk {
+			reps.rows = append(reps.rows, g.rep)
 		}
 		if ev.batch != nil {
-			ev.batch.Fill(reps)
+			ev.batch.Fill(reps.rows)
 			for _, c := range used {
 				if ci := c - len(b.rel.cols); ci >= 0 {
-					for k := range reps {
-						v, err := result(ci, start+k)
+					for k := range chunk {
+						v, err := result(ci, k)
 						ev.batch.SetLane(c, k, v, err)
 					}
 				}
 			}
 			ev.eval(e)
 		}
-		for k, r := range reps {
+		for k, r := range reps.rows {
 			if having := ev.vecs[w]; having != nil {
 				keep, err := having.Truth(k)
 				if err != nil {
 					return err
 				}
 				if !keep {
-					out(start+k, nil)
+					rows = append(rows, nil)
 					continue
 				}
 			}
@@ -415,7 +362,7 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, cols map[*sqltext.F
 						row[i] = r[bare[i]]
 					}
 				case agg[i] >= 0:
-					row[i], err = result(agg[i], start+k)
+					row[i], err = result(agg[i], k)
 				default:
 					if err = ev.vecs[i].Err(k); err == nil {
 						row[i] = ev.vecs[i].Value(k)
@@ -425,87 +372,11 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, cols map[*sqltext.F
 					return err
 				}
 			}
-			out(start+k, row)
+			rows = append(rows, row)
 		}
+		out(&reps, rows)
 	}
 	return nil
-}
-
-// groupKeys computes the RowKey of the GROUP BY expressions for every
-// source row, batched through the VM. Errors surface in (row,
-// expression) order.
-func (e *Engine) groupKeys(sel *sqltext.Select, rel *relation, b *binder) ([]string, error) {
-	keys := make([]string, len(rel.rows))
-	if len(keys) == 0 {
-		return keys, nil
-	}
-	progs := make([]*vm.Program, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		progs[i] = e.compiledProg(g, b)
-	}
-	keyVals := make(types.Row, len(progs))
-	err := e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
-		for ri := 0; ri < count; ri++ {
-			for gi, vec := range vecs {
-				if err := vec.Err(ri); err != nil {
-					return err
-				}
-				keyVals[gi] = vec.Value(ri)
-			}
-			keys[start+ri] = types.RowKey(keyVals)
-		}
-		return nil
-	})
-	return keys, err
-}
-
-// scanProj is a projection compiled for evaluation inside the scan
-// loop: per item either a direct column index (bare references) or a
-// program run on the scan's batch. It is immutable; each scan worker
-// runs the programs on machines of its own (see scanFiltered).
-type scanProj struct {
-	names []string
-	progs []*vm.Program
-	bare  []int
-}
-
-// scanProjection decides whether the statement's projection can run
-// inside the compiled scan. It can when the scan serves the top-level
-// SELECT itself (matchTable fabricates a star select for UPDATE/DELETE
-// row matching and needs full-width rows with the _tid column — as do
-// subquery sources feeding an outer binder) and nothing downstream
-// needs the source rows: no GROUP BY / HAVING / ORDER BY, LIMIT and
-// OFFSET are literals or parameters. DISTINCT is fine — it runs over
-// output tuples.
-func (e *Engine) scanProjection(sel *sqltext.Select, b *binder) *scanProj {
-	if sel == nil || sel != b.ctx.top || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
-		!plainIntArg(sel.Limit) || !plainIntArg(sel.Offset) {
-		return nil
-	}
-	items, names, err := expandItems(sel, b.rel)
-	if err != nil || len(items) == 0 {
-		return nil
-	}
-	for _, it := range items {
-		// Aggregates route to evalAggregateSelect.
-		if sqltext.HasAggregate(it.Expr) {
-			return nil
-		}
-	}
-	sp := &scanProj{
-		names: names,
-		progs: make([]*vm.Program, len(items)),
-		bare:  make([]int, len(items)),
-	}
-	for i, it := range items {
-		if c, ok := b.bareCol(it.Expr); ok {
-			sp.bare[i] = c
-			continue
-		}
-		sp.bare[i] = -1
-		sp.progs[i] = e.compiledProg(it.Expr, b)
-	}
-	return sp
 }
 
 // bareCol reports the position of a projection item that is a plain
@@ -521,122 +392,149 @@ func (b *binder) bareCol(x sqltext.Expr) (int, bool) {
 	return 0, false
 }
 
-// plainIntArg reports whether a LIMIT/OFFSET expression can be
-// evaluated without the source relation in scope.
-func plainIntArg(x sqltext.Expr) bool {
-	switch x.(type) {
-	case nil, *sqltext.Literal, *sqltext.Param:
-		return true
-	}
-	return false
+// project is the sink of a SELECT without aggregates: it evaluates each
+// kept lane's output row — a bare column read from the lane, any other
+// item from its program's vector — and hands it to out. The first item
+// error in (row, item) order is held and stops the projection.
+type project struct {
+	e       *Engine
+	ev      evaluator // nil programs for bare items: they read no batch
+	bare    []int
+	out     *output
+	scratch types.Row
+	err     error
 }
 
-// emit projects the matched lanes of one scan batch — ev's, whose
-// machine 0 is the filter's and machine 1+i item i's — into output
-// tuples on dst (the scan range's output). A lane error is returned (not
-// raised): the caller must keep scanning so a later row's WHERE error
-// still wins, exactly as the interpreter's filter-everything-then-project
-// order implies.
-func (sp *scanProj) emit(dst *[]types.Row, ev *evaluator, lanes []int, vals []types.Row, tids, created []int64, nUser int) error {
-	vecs := ev.vecs[1:]
-	for i, mch := range ev.machines[1:] {
-		if mch != nil {
-			vecs[i] = mch.Eval(ev.batch)
-		}
+func (e *Engine) newProject(items []projItem, b *binder, out *output) *project {
+	p := &project{e: e, bare: make([]int, len(items)), out: out}
+	if out.sort != nil {
+		p.scratch = make(types.Row, len(items))
 	}
-	w := len(sp.names)
-	slab := make([]types.Value, len(lanes)*w)
-	for k, li := range lanes {
-		row := types.Row(slab[k*w : (k+1)*w : (k+1)*w])
-		for i := range sp.names {
-			if c := sp.bare[i]; c >= 0 {
-				switch {
-				case c < len(vals[li]):
-					row[i] = vals[li][c]
-				case c == nUser:
-					row[i] = types.NewInt(tids[li])
-				case c == nUser+1:
-					row[i] = types.NewInt(created[li])
-				}
-				continue
-			}
-			if err := vecs[i].Err(li); err != nil {
-				return err
-			}
-			row[i] = vecs[i].Value(li)
-		}
-		*dst = append(*dst, row)
-	}
-	return nil
-}
-
-// projectRows evaluates the projection over b.rel.rows, one batch of
-// source rows at a time: bare column references index the source row,
-// every other item reads its program's result vector. Lanes hold their
-// errors until the row-major materialization loop reaches them, so the
-// first error surfaced is the (row, item) a row-at-a-time evaluation
-// would have hit first.
-func (e *Engine) projectRows(items []projItem, b *binder, out []types.Row) ([]types.Row, error) {
-	rows := b.rel.rows
-	if len(rows) == 0 {
-		return out, nil
-	}
-	w := len(items)
-	bare := make([]int, w)
-	progs := make([]*vm.Program, w) // nil for bare items: they read no batch
+	progs := make([]*vm.Program, len(items))
 	for i, it := range items {
 		if c, ok := b.bareCol(it.Expr); ok {
-			bare[i] = c
+			p.bare[i] = c
 			continue
 		}
-		bare[i], progs[i] = -1, e.compiledProg(it.Expr, b)
+		p.bare[i], progs[i] = -1, e.compiledProg(it.Expr, b)
 	}
-	// A projection of bare columns alone (the point select) fills no
-	// batch and runs no machine.
-	ev := b.evaluator(progs)
-	for start := 0; start < len(rows); start += vm.BatchSize {
-		chunk := rows[start:min(start+vm.BatchSize, len(rows))]
-		ev.run(e, chunk)
-		// One slab of values per batch instead of one allocation per
-		// output row.
-		slab := make([]types.Value, len(chunk)*w)
-		for ri, src := range chunk {
-			row := types.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
-			for i := range items {
-				if c := bare[i]; c >= 0 {
-					if c < len(src) {
-						row[i] = src[c]
-					}
-					continue
-				}
-				if err := ev.vecs[i].Err(ri); err != nil {
-					return nil, err
-				}
-				row[i] = ev.vecs[i].Value(ri)
-			}
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	p.ev = b.evaluator(progs)
+	return p
 }
 
-// orderRows sorts output. ORDER BY keys may reference output
-// aliases/columns, source-relation expressions (programs over srcRows,
-// which align with out; the empty implicit group's is an all-NULL row)
-// or — orderCols, see aggOrderItems — aggregates already evaluated as
-// columns of out. When LIMIT (+ OFFSET) is statically known, a bounded
-// heap keeps only the top limit+offset rows instead of sorting the whole
-// result — O(n log k) comparisons instead of O(n log n), and the
-// returned slice shrinks to k.
-func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, orderCols []int, out []types.Row, srcRows []types.Row, b *binder) ([]types.Row, error) {
+func (p *project) add(src *batch) {
+	if p.err != nil {
+		return
+	}
+	p.ev.load(p.e, src)
+	p.out.load(p.e, src)
+	// Without ORDER BY every row is kept: one slab of values per batch
+	// instead of one allocation per row. The sorter copies what it keeps.
+	w := len(p.bare)
+	var slab []types.Value
+	if p.out.sort == nil {
+		slab = make([]types.Value, len(src.rows)*w)
+	}
+	for k := range src.rows {
+		row := p.scratch
+		if slab != nil {
+			row = slab[k*w : (k+1)*w : (k+1)*w]
+		}
+		for i, c := range p.bare {
+			if c >= 0 {
+				row[i] = src.col(k, c)
+				continue
+			}
+			if err := p.ev.vecs[i].Err(k); err != nil {
+				p.err = err
+				return
+			}
+			row[i] = p.ev.vecs[i].Value(k)
+		}
+		p.out.add(k, row)
+	}
+}
+
+// output is the tail every result row passes: DISTINCT's seen-set over
+// the visible columns keeps a row's first occurrence, then ORDER BY's
+// sorter, or the result in arrival order.
+type output struct {
+	visible int
+	seen    map[string]bool
+	sort    *sorter
+	rows    []types.Row
+}
+
+// load evaluates ORDER BY's programs over src, the lanes the next rows
+// come from, while no key has failed.
+func (o *output) load(e *Engine, src *batch) {
+	if o.sort != nil && o.sort.err == nil {
+		o.sort.ev.load(e, src)
+	}
+}
+
+// add takes lane k's row: kept as it is without ORDER BY, copied if the
+// sorter keeps it.
+func (o *output) add(k int, row types.Row) {
+	if o.seen != nil {
+		key := types.RowKey(row[:o.visible])
+		if o.seen[key] {
+			return
+		}
+		o.seen[key] = true
+	}
+	if o.sort != nil {
+		o.sort.offer(k, row)
+		return
+	}
+	o.rows = append(o.rows, row)
+}
+
+// result is the rows in their final order, or the error ORDER BY held.
+func (o *output) result() ([]types.Row, error) {
+	if o.sort == nil {
+		return o.rows, nil
+	}
+	return o.sort.result()
+}
+
+// sorter is the ORDER BY sink. A key names an output column (alias,
+// position, or an aggregate's column, see aggOrderItems) or is a program
+// over the source lanes (for an aggregate query, the groups'
+// representative rows; the empty implicit group's reads NULL). Each row
+// offered is keyed and numbered; the number breaks ties, so the result
+// matches a stable sort. With LIMIT (+ OFFSET) statically known, a
+// bounded max-heap holds the best k rows and only a row entering it is
+// copied; otherwise every row is kept and sorted at the end. The first
+// key error is held (as is a bad position, found before any key) and
+// stops the keying.
+type sorter struct {
+	by     []sqltext.OrderItem
+	outCol []int // the output column key j reads, or -1 for its program
+	ev     evaluator
+	k      int // the heap's bound, -1 to keep every row
+	ents   []sortEnt
+	keys   []types.Value
+	n      int // rows offered
+	err    error
+	cmpErr error // the last comparison that failed
+}
+
+type sortEnt struct {
+	row  types.Row
+	keys []types.Value
+	n    int
+}
+
+func (e *Engine) newSorter(sel *sqltext.Select, colNames []string, orderCols []int, b *binder) *sorter {
 	nk := len(sel.OrderBy)
-	outCol := make([]int, nk) // the column of out a key reads, or -1 for a program
+	s := &sorter{by: sel.OrderBy, outCol: make([]int, nk), keys: make([]types.Value, nk), k: -1}
 	progs := make([]*vm.Program, nk)
 	for oi, o := range sel.OrderBy {
-		outCol[oi] = -1
+		s.outCol[oi] = -1
 		// Alias / output column reference?
 		if cr, ok := o.Expr.(*sqltext.ColumnRef); ok && cr.Table == "" {
-			if outCol[oi] = slices.IndexFunc(colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) }); outCol[oi] >= 0 {
+			if s.outCol[oi] = slices.IndexFunc(colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) }); s.outCol[oi] >= 0 {
 				continue
 			}
 		}
@@ -644,92 +542,107 @@ func (e *Engine) orderRows(sel *sqltext.Select, colNames []string, orderCols []i
 		if lit, ok := o.Expr.(*sqltext.Literal); ok && lit.Value.Kind() == types.KindInt {
 			p := int(lit.Value.Int()) - 1
 			if p < 0 || p >= len(colNames) {
-				return nil, fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
+				s.err = fmt.Errorf("engine: ORDER BY position %d out of range", p+1)
+				return s
 			}
-			outCol[oi] = p
+			s.outCol[oi] = p
 			continue
 		}
 		if sqltext.HasAggregate(o.Expr) {
-			outCol[oi] = orderCols[oi]
+			s.outCol[oi] = orderCols[oi]
 			continue
 		}
 		progs[oi] = e.compiledProg(o.Expr, b)
 	}
-	// Precompute keys, row-major: the first error is the first row's.
-	ev := b.evaluator(progs)
-	keys := make([][]types.Value, len(out))
-	for start := 0; start < len(out); start += vm.BatchSize {
-		end := min(start+vm.BatchSize, len(out))
-		ev.run(e, srcRows[start:end])
-		for i := start; i < end; i++ {
-			keys[i] = make([]types.Value, nk)
-			for j, c := range outCol {
-				if c >= 0 {
-					keys[i][j] = out[i][c]
-					continue
-				}
-				if err := ev.vecs[j].Err(i - start); err != nil {
-					return nil, err
-				}
-				keys[i][j] = ev.vecs[j].Value(i - start)
-			}
-		}
-	}
-
-	// less orders row indexes by the ORDER BY keys, breaking ties by
-	// original position so the result matches a stable sort.
-	var sortErr error
-	less := func(a, bb int) bool {
-		for j := range nk {
-			c, err := types.Compare(keys[a][j], keys[bb][j])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				if sel.OrderBy[j].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return a < bb
-	}
-
+	s.ev = b.evaluator(progs)
 	// Bound: LIMIT k (+ OFFSET m) means only the first k+m sorted rows
 	// survive, so a size-k+m heap suffices.
-	k := -1
-	if sel.Limit != nil {
-		if n, ok := constInt(b, sel.Limit); ok && n >= 0 {
-			k = int(n)
-			if sel.Offset != nil {
-				if m, ok := constInt(b, sel.Offset); ok && m >= 0 {
-					k += int(m)
-				} else {
-					k = -1
-				}
-			}
+	if n, ok := constInt(b, sel.Limit); ok && n >= 0 {
+		if m, ok := constInt(b, sel.Offset); sel.Offset == nil || ok && m >= 0 {
+			s.k = int(n + m)
 		}
 	}
+	return s
+}
 
-	var idx []int
-	if k >= 0 && k < len(out) {
-		idx = topKIndexes(len(out), k, less)
-	} else {
-		idx = make([]int, len(out))
-		for i := range idx {
-			idx[i] = i
+// offer keys lane k's row and keeps it if it ranks.
+func (s *sorter) offer(k int, row types.Row) {
+	if s.err != nil {
+		return
+	}
+	for j, c := range s.outCol {
+		if c >= 0 {
+			s.keys[j] = row[c]
+			continue
 		}
-		sort.Slice(idx, func(a, bb int) bool { return less(idx[a], idx[bb]) })
+		if err := s.ev.vecs[j].Err(k); err != nil {
+			s.err = err
+			return
+		}
+		s.keys[j] = s.ev.vecs[j].Value(k)
 	}
-	if sortErr != nil {
-		return nil, sortErr
+	ent := sortEnt{keys: s.keys, n: s.n}
+	s.n++
+	switch {
+	case s.k < 0 || len(s.ents) < s.k:
+		ent.row, ent.keys = slices.Clone(row), slices.Clone(s.keys)
+		if s.k < 0 {
+			s.ents = append(s.ents, ent)
+		} else {
+			heap.Push(s, ent)
+		}
+	case s.k > 0 && s.less(ent, s.ents[0]):
+		ent.row, ent.keys = slices.Clone(row), slices.Clone(s.keys)
+		s.ents[0] = ent
+		heap.Fix(s, 0)
 	}
-	sorted := make([]types.Row, len(idx))
-	for i, p := range idx {
-		sorted[i] = out[p]
+}
+
+// less orders entries by the ORDER BY keys, then by arrival.
+func (s *sorter) less(a, b sortEnt) bool {
+	for j := range a.keys {
+		c, err := types.Compare(a.keys[j], b.keys[j])
+		if err != nil {
+			s.cmpErr = err
+			return false
+		}
+		if c != 0 {
+			if s.by[j].Desc {
+				return c > 0
+			}
+			return c < 0
+		}
 	}
-	return sorted, nil
+	return a.n < b.n
+}
+
+// The heap of a bounded sorter is a max-heap: its root is the worst row
+// kept so far.
+func (s *sorter) Len() int           { return len(s.ents) }
+func (s *sorter) Less(i, j int) bool { return s.less(s.ents[j], s.ents[i]) }
+func (s *sorter) Swap(i, j int)      { s.ents[i], s.ents[j] = s.ents[j], s.ents[i] }
+func (s *sorter) Push(x any)         { s.ents = append(s.ents, x.(sortEnt)) }
+func (s *sorter) Pop() any {
+	x := s.ents[len(s.ents)-1]
+	s.ents = s.ents[:len(s.ents)-1]
+	return x
+}
+
+// result sorts the kept rows: a key error, then a failed comparison, is
+// the error.
+func (s *sorter) result() ([]types.Row, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	sort.Slice(s.ents, func(i, j int) bool { return s.less(s.ents[i], s.ents[j]) })
+	if s.cmpErr != nil {
+		return nil, s.cmpErr
+	}
+	rows := make([]types.Row, len(s.ents))
+	for i, ent := range s.ents {
+		rows[i] = ent.row
+	}
+	return rows, nil
 }
 
 // constInt evaluates a LIMIT/OFFSET expression when it is a literal or a
@@ -746,95 +659,69 @@ func constInt(b *binder, x sqltext.Expr) (int64, bool) {
 	return n, true
 }
 
-// topKIndexes selects the k smallest (per less) of n row indexes using a
-// bounded max-heap whose root is the worst row kept so far, then sorts
-// the survivors. O(n log k) comparisons, O(k) extra space.
-func topKIndexes(n, k int, less func(a, b int) bool) []int {
-	if k <= 0 {
-		return nil
+// buildFrom builds the FROM clause: the layout of its rows and their
+// source. A join collects its inputs, and its output is the source.
+func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *source, error) {
+	access := sel
+	if len(sel.Joins) > 0 {
+		access = nil // no access path: WHERE runs over the joined rows
 	}
-	h := make([]int, 0, k)
-	worse := func(a, b int) bool { return less(b, a) }
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(h) && worse(h[l], h[big]) {
-				big = l
-			}
-			if r < len(h) && worse(h[r], h[big]) {
-				big = r
-			}
-			if big == i {
-				return
-			}
-			h[i], h[big] = h[big], h[i]
-			i = big
-		}
-	}
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !worse(h[i], h[p]) {
-				return
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	for i := 0; i < n; i++ {
-		if len(h) < k {
-			h = append(h, i)
-			siftUp(len(h) - 1)
-		} else if less(i, h[0]) {
-			h[0] = i
-			siftDown(0)
-		}
-	}
-	sort.Slice(h, func(a, b int) bool { return less(h[a], h[b]) })
-	return h
-}
-
-// buildFrom builds the FROM clause (with joins) into a relation and
-// returns a binder over it. The returned bool reports whether the WHERE
-// clause was already applied during the scan (streaming full scan).
-func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *binder, bool, error) {
-	left, whereApplied, err := e.buildTableRef(*sel.From, args, overrides, sel, ctx)
+	left, src, err := e.buildTableRef(*sel.From, args, overrides, access, ctx)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	for _, j := range sel.Joins {
+		if left.rows == nil {
+			if left.rows, err = e.collect(newBinder(e, args, left, ctx), src, nil); err != nil {
+				return nil, nil, err
+			}
+		}
 		right, err := e.buildJoinSource(j.Right, args, overrides, ctx)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
-		left, err = e.join(left, right, j, args, overrides, ctx)
-		if err != nil {
-			return nil, nil, false, err
+		if left, err = e.join(left, right, j, args, overrides, ctx); err != nil {
+			return nil, nil, err
 		}
+		src = &source{mem: batch{rows: left.rows}}
 	}
-	return left, newBinder(e, args, left, ctx), whereApplied, nil
+	return left, src, nil
 }
 
-// buildTableRef builds one FROM entry. When sel is non-nil (single base
-// table with no joins), the planner chooses an access path from the
-// WHERE clause: an index point/IN lookup fetching only candidate rows,
-// or a streaming full scan that evaluates WHERE inside the scan loop so
-// non-matching rows are never copied. The bool reports whether WHERE was
-// fully applied by the scan.
-func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, sel *sqltext.Select, ctx *stmtCtx) (*relation, bool, error) {
+// collect gathers the rows of src that pass where, copied out at layout
+// width — a join's inputs, a mutation's matched rows. Rows already built
+// (no tids) are taken as they are.
+func (e *Engine) collect(b *binder, src *source, where sqltext.Expr) ([]types.Row, error) {
+	var rows []types.Row
+	err := e.pipe(b, src, where, func(s *batch) {
+		if s.tids == nil {
+			rows = append(rows, s.rows...)
+			return
+		}
+		for i := range s.rows {
+			rows = append(rows, s.row(i))
+		}
+	})
+	return rows, err
+}
+
+// buildTableRef builds one FROM entry: its layout and its source. When
+// sel is non-nil (single base table with no joins), the planner chooses
+// an access path from the WHERE clause: an index point/IN lookup
+// fetching only candidate rows, or a full scan. Either way WHERE runs
+// over the source's rows in the pipeline.
+func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, sel *sqltext.Select, ctx *stmtCtx) (*relation, *source, error) {
 	if tr.Subquery != nil {
 		res, err := e.evalSelect(tr.Subquery, args, overrides, ctx)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		qual := strings.ToLower(tr.Alias)
 		rel := &relation{}
 		for _, n := range res.Columns {
 			rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(n)})
 		}
-		rel.rows = res.Rows
-		return rel, false, nil
+		return rel, &source{mem: batch{rows: res.Rows}}, nil
 	}
 	name := tr.Table
 	qual := strings.ToLower(tr.Alias)
@@ -849,9 +736,9 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 		for _, c := range vt.cols {
 			rel.cols = append(rel.cols, colMeta{qual: qual, name: c})
 		}
-		rel.rows = vt.fn()
-		e.countScanned(ctx, len(rel.rows))
-		return rel, false, nil
+		rows := vt.fn()
+		e.countScanned(ctx, len(rows))
+		return rel, &source{mem: batch{rows: rows}}, nil
 	}
 
 	// View resolution: the backing table holds the materialized rows.
@@ -861,7 +748,7 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 
 	schema, ok := e.cat.Table(name)
 	if !ok {
-		return nil, false, fmt.Errorf("engine: no such table %q", tr.Table)
+		return nil, nil, fmt.Errorf("engine: no such table %q", tr.Table)
 	}
 	rel := &relation{cols: make([]colMeta, 0, len(schema.Columns)+2)}
 	for _, c := range schema.Columns {
@@ -874,65 +761,37 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 
 	// IVM override: substitute rows (user columns only; system columns 0).
 	if rows, ok := overrides[strings.ToLower(tr.Table)]; ok {
-		w := len(schema.Columns) + 2
-		slab := make(types.Row, len(rows)*w)
-		rel.rows = make([]types.Row, 0, len(rows))
-		for ri, r := range rows {
+		for _, r := range rows {
 			if len(r) != len(schema.Columns) {
-				return nil, false, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), tr.Table, len(schema.Columns))
+				return nil, nil, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), tr.Table, len(schema.Columns))
 			}
-			full := slab[ri*w : (ri+1)*w : (ri+1)*w]
-			copy(full, r)
-			full[w-2] = types.NewInt(0)
-			full[w-1] = types.NewInt(0)
-			rel.rows = append(rel.rows, full)
 		}
-		return rel, false, nil
+		zeros := make([]int64, len(rows))
+		return rel, &source{mem: batch{rows: rows, tids: zeros, created: zeros}}, nil
 	}
 
 	tbl := e.store.Table(name)
 	if tbl == nil {
-		return nil, false, fmt.Errorf("engine: storage missing for table %q", name)
-	}
-	rel.tbl = tbl
-
-	var where sqltext.Expr
-	if sel != nil && len(sel.Joins) == 0 {
-		where = sel.Where
+		return nil, nil, fmt.Errorf("engine: storage missing for table %q", name)
 	}
 
-	// Index access path: fetch only candidate rows, then let the caller
-	// re-apply the full WHERE (a conjunct only restricts, so the
-	// candidate set over-approximates and re-filtering is sound).
-	if where != nil {
-		if plan := analyzeScan(where, schema, tbl, qual); plan.kind != pathFullScan {
+	// Index access path: fetch only candidate rows; WHERE then runs over
+	// them (a conjunct only restricts, so the candidate set
+	// over-approximates and re-filtering is sound).
+	if sel != nil && sel.Where != nil {
+		if plan := analyzeScan(sel.Where, schema, tbl, qual); plan.kind != pathFullScan {
 			if found, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
+				src := &source{}
+				m := &src.mem
 				for _, sr := range found {
-					rel.rows = append(rel.rows, fullRow(sr))
+					m.rows, m.tids, m.created = append(m.rows, sr.Values), append(m.tids, sr.TID), append(m.created, sr.Created)
 				}
 				e.countScanned(ctx, len(found))
-				return rel, false, nil
+				return rel, src, nil
 			}
 		}
 	}
-
-	if where == nil {
-		rel.lazy = true
-		e.materializeRel(rel, ctx)
-		return rel, false, nil
-	}
-
-	// Streaming full scan (see scanFiltered), with projection pushdown:
-	// when the whole statement reduces to "filter, project, maybe
-	// DISTINCT/LIMIT", the projection runs on the already-filled batch and
-	// output tuples are emitted directly — matched rows are never
-	// materialized at full table width.
-	b := newBinder(e, args, rel, ctx)
-	proj := e.scanProjection(sel, b)
-	if err := e.scanFiltered(tbl, b, e.compiledProg(where, b), proj, len(schema.Columns)); err != nil {
-		return nil, false, err
-	}
-	return rel, true, nil
+	return rel, &source{tbl: tbl}, nil
 }
 
 // fullRow is a stored version as a base-table relation row: the user
@@ -943,9 +802,9 @@ func fullRow(sr storage.StoredRow) types.Row {
 	return append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
 }
 
-// buildJoinSource builds the right side of a join. Plain base tables
-// stay lazy (columns only) so the join can probe their storage indexes
-// without materializing; everything else falls back to buildTableRef.
+// buildJoinSource builds the right side of a join. A plain base table
+// stays unread (columns only) so the join can probe its storage indexes;
+// everything else is built by buildTableRef and collected.
 func (e *Engine) buildJoinSource(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, error) {
 	if tr.Subquery == nil && e.lookupVirtual(tr.Table) == nil {
 		if _, hasOverride := overrides[strings.ToLower(tr.Table)]; !hasOverride {
@@ -960,35 +819,16 @@ func (e *Engine) buildJoinSource(tr sqltext.TableRef, args []types.Value, overri
 			}
 		}
 	}
-	rel, _, err := e.buildTableRef(tr, args, overrides, nil, ctx)
+	rel, src, err := e.buildTableRef(tr, args, overrides, nil, ctx)
+	if err == nil {
+		rel.rows, err = e.collect(newBinder(e, args, rel, ctx), src, nil)
+	}
 	return rel, err
-}
-
-// materializeRel fills a lazy base-table relation's rows as of the
-// statement's snapshot.
-func (e *Engine) materializeRel(rel *relation, ctx *stmtCtx) {
-	if !rel.lazy {
-		return
-	}
-	rel.lazy = false
-	scanned := 0
-	// Sized up front: grown by appends, the row index of a large table
-	// would leave about four times its final size behind as garbage.
-	rel.rows = make([]types.Row, 0, rel.tbl.Len())
-	for it := rel.tbl.Iterate(ctx.snap); ; {
-		sr, more := it.Next()
-		if !more {
-			break
-		}
-		scanned++
-		rel.rows = append(rel.rows, fullRow(sr))
-	}
-	e.countScanned(ctx, scanned)
 }
 
 // countScanned credits base-relation rows examined by a statement —
 // rows the executor actually touched (streamed past, probed or
-// materialized), not rows returned. The per-statement tally is exact;
+// fetched by an index), not rows returned. The per-statement tally is exact;
 // the global counter aggregates across statements for sys_metrics.
 func (e *Engine) countScanned(ctx *stmtCtx, n int) {
 	if n <= 0 {
@@ -1024,6 +864,9 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 	var rightFor func(lr types.Row) []types.Row
 	var buf []types.Row
 	probed := 0
+	if right.tbl != nil && plan.probe == nil { // a base table the join does not probe
+		right.rows, _ = e.collect(newBinder(e, args, right, ctx), &source{tbl: right.tbl}, nil) // no WHERE: cannot fail
+	}
 	switch {
 	case plan.kind == "hash" && plan.probe != nil:
 		key := make(types.Row, len(plan.perm))
@@ -1039,7 +882,6 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 			return buf
 		}
 	case plan.kind == "hash":
-		e.materializeRel(right, ctx)
 		idx := buildJoinIndex(right.rows, plan.eqR)
 		rightFor = func(lr types.Row) []types.Row {
 			buf = buf[:0]
@@ -1051,7 +893,6 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 			return buf
 		}
 	default:
-		e.materializeRel(right, ctx)
 		rightFor = func(types.Row) []types.Row { return right.rows }
 	}
 
@@ -1086,7 +927,7 @@ func (e *Engine) join(left, right *relation, jc sqltext.JoinClause, args []types
 	var pairs []types.Row
 	var owner []int // each pair's left row
 	flush := func() error {
-		ev.run(e, pairs)
+		ev.load(e, &batch{rows: pairs})
 	verdicts:
 		for k, row := range pairs {
 			for _, v := range ev.vecs {

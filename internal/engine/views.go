@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ediflow/internal/catalog"
-	"ediflow/internal/engine/vm"
 	"ediflow/internal/ivm"
 	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
@@ -132,13 +131,21 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		return err
 	}
 
+	// fail takes back what a failed CREATE added: the catalog entry and a
+	// fresh view's backing table, so the name can be used again.
+	fail := func(err error) error {
+		e.cat.DropView(name)
+		if fresh {
+			_ = e.dropTable(backing)
+		}
+		return err
+	}
 	// Compute initial contents. On restore the backing table already holds
 	// the materialized rows, but aggregate maintainers must rebuild their
 	// group state; re-materializing from scratch keeps both consistent.
 	rows, err := m.Init()
 	if err != nil {
-		e.cat.DropView(name)
-		return err
+		return fail(err)
 	}
 	// Reset backing contents to exactly `rows`.
 	vs := &viewState{def: def, m: m, rowIndex: map[string][]int64{}}
@@ -148,7 +155,7 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		stale = append(stale, r.Values)
 	}
 	if _, err := e.views.write(vs, rows, stale); err != nil {
-		return err
+		return fail(err)
 	}
 
 	e.views.views[strings.ToLower(name)] = vs
@@ -331,8 +338,8 @@ func (vs *viewSet) write(v *viewState, adds, removes []types.Row) (ChangeEvent, 
 }
 
 // Fold implements ivm.Evaluator: an aggregate view's maintenance is the
-// query's own fold — the aggregate states and group emit of
-// evalAggregateSelect — run with signed weights. A column read outside
+// query's own fold — the fold sink, aggregate states and group emit of
+// an aggregate SELECT — run with signed weights. A column read outside
 // an aggregate must sit inside a GROUP BY expression: what a SELECT reads
 // there comes from its group's first row in table order, which a fold of
 // deltas does not know.
@@ -358,10 +365,9 @@ func (e *Engine) Fold(sel *sqltext.Select) (ivm.Fold, error) {
 			return nil, err
 		}
 	}
-	f := &viewFold{e: e, sel: sel, exprs: exprs, groups: map[string]*viewGroup{}}
-	f.cols, f.calls = aggCalls(exprs)
+	f := &viewFold{e: e, sel: sel, exprs: exprs, foldSink: newFoldSink(sel.GroupBy, exprs)}
 	if len(sel.GroupBy) == 0 {
-		f.groups[""] = &viewGroup{states: make([]aggState, len(f.calls))}
+		f.open("", nil)
 	}
 	return f, nil
 }
@@ -371,52 +377,68 @@ func (e *Engine) Fold(sel *sqltext.Select) (ivm.Fold, error) {
 // without GROUP BY always exists; a GROUP BY group goes when its last
 // row does.
 type viewFold struct {
-	e      *Engine
-	sel    *sqltext.Select
-	exprs  []sqltext.Expr // the items, then HAVING
-	cols   map[*sqltext.FuncCall]int
-	calls  []aggCall // states unused: they live in the groups
-	groups map[string]*viewGroup
+	e     *Engine
+	sel   *sqltext.Select
+	exprs []sqltext.Expr // the items, then HAVING
+	*foldSink
 }
 
-type viewGroup struct {
-	key     string
-	rep     types.Row  // a copy of the base row that opened the group, layout width
-	states  []aggState // per call
-	count   int64
-	out     types.Row // the group's output row, nil while HAVING rejects it
-	touched bool
-}
-
-// Apply implements ivm.Fold. WHERE, the group keys and the aggregate
-// arguments are evaluated over the delta rows (eval) before any state
-// changes. Inserts fold before deletes: a delete may target a group the
-// same batch opens. A fold or emit error un-folds the rows folded so far.
+// Apply implements ivm.Fold. The delta rows go through the query's own
+// pipeline — WHERE, then the fold sink gathering each row's group and
+// aggregate arguments — the inserted rows, then the deleted ones, before
+// any state changes; the first error of WHERE, group keys, arguments in
+// that order is the result. Inserts fold before deletes: a delete may
+// target a group the same batch opens. A fold or emit error un-folds the
+// rows folded so far.
 func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
-	rows, keys, args, b, err := f.eval(inserted)
+	e, sel := f.e, f.sel
+	rel, err := e.refCols(*sel.From)
 	if err != nil {
 		return nil, nil, err
 	}
-	nIns, nk, nc := len(rows), len(f.sel.GroupBy), len(f.calls)
-	drows, dkeys, dargs, _, err := f.eval(deleted)
-	if err != nil {
-		return nil, nil, err
+	// The delta rows as they are: user columns, since they have no tid.
+	rel.cols, rel.tbl = rel.cols[:len(rel.cols)-2], nil
+	b := newBinder(e, nil, rel, e.writerCtx())
+	f.start(e, b)
+	nIns, nk, nc := 0, len(sel.GroupBy), len(f.calls)
+	for i, rows := range [][]types.Row{inserted, deleted} {
+		err := e.pipe(b, &source{mem: batch{rows: rows}}, sel.Where, func(s *batch) { f.gather(s, i == 0) })
+		if err != nil {
+			err = fmt.Errorf("WHERE: %w", err)
+		} else if err = f.err; err == nil {
+			err = f.argErr
+		}
+		if err != nil {
+			for _, g := range f.opened {
+				delete(f.groups, g.key)
+			}
+			return nil, nil, err
+		}
+		if i == 0 {
+			nIns = len(f.gs)
+		}
 	}
-	rows, keys, args = append(rows, drows...), append(keys, dkeys...), append(args, dargs...)
-	na := len(args) / max(len(rows), 1) // argument values per row
+	na := len(f.args) / max(len(f.gs), 1) // argument values per row
 
-	var touched []*viewGroup
-	if g := f.groups[""]; nk == 0 { // the implicit group always emits
+	// Every group a row reaches is touched, the implicit one always.
+	var touched []*foldGroup
+	if nk == 0 {
+		g := f.groups[""]
 		g.touched, touched = true, append(touched, g)
+	}
+	for _, g := range f.gs {
+		if g != nil && !g.touched {
+			g.touched, touched = true, append(touched, g)
+		}
 	}
 	// undo un-folds rows [0, n) and forgets the groups they opened.
 	undo := func(n int) {
 		for i := n - 1; i >= 0; i-- {
-			g, w := f.groups[keys[i]], int64(1)
+			g, w := f.gs[i], int64(1)
 			if i >= nIns {
 				w = -1
 			}
-			_ = f.fold(g, args[i*na:(i+1)*na], -w, nc) // un-folds an accepted row: cannot fail
+			_ = f.foldRow(g, f.args[i*na:(i+1)*na], -w, nc) // un-folds an accepted row: cannot fail
 			g.count -= w
 		}
 		for _, g := range touched {
@@ -425,23 +447,16 @@ func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.R
 			}
 		}
 	}
-	for i := range rows {
-		g, w := f.groups[keys[i]], int64(1) // inserted rows, then deleted ones
+	for i, g := range f.gs { // inserted rows, then deleted ones
+		w := int64(1)
 		if i >= nIns {
 			w = -1
-		}
-		if g == nil && w > 0 {
-			g = &viewGroup{key: keys[i], rep: slices.Clone(rows[i]), states: make([]aggState, nc)}
-			f.groups[keys[i]] = g
 		}
 		if g == nil || g.count+w < 0 {
 			undo(i)
 			return nil, nil, fmt.Errorf("delete from unknown group")
 		}
-		if !g.touched {
-			g.touched, touched = true, append(touched, g)
-		}
-		if err := f.fold(g, args[i*na:(i+1)*na], w, nc); err != nil {
+		if err := f.foldRow(g, f.args[i*na:(i+1)*na], w, nc); err != nil {
 			undo(i)
 			return nil, nil, err
 		}
@@ -450,89 +465,42 @@ func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.R
 
 	// Emit every touched group that still has rows, then diff against its
 	// previous output.
-	after := make([]types.Row, len(touched))
-	var live []int // the touched groups that still have rows
-	for j, g := range touched {
+	var live []*foldGroup
+	for _, g := range touched {
 		if g.count > 0 || nk == 0 {
-			live = append(live, j)
+			live = append(live, g)
 		}
 	}
-	err = f.e.emitGroups(f.exprs, b, f.cols, len(live),
-		func(k int) types.Row { return touched[live[k]].rep },
-		func(ci, k int) (types.Value, error) {
-			g := touched[live[k]]
-			return f.calls[ci].result(&g.states[ci], g.count)
-		},
-		func(k int, row types.Row) { after[live[k]] = row })
+	var after []types.Row
+	err = e.emitGroups(f.exprs, b, f.foldSink, live, func(_ *batch, rows []types.Row) { after = append(after, rows...) })
 	if err != nil {
-		undo(len(rows))
+		undo(len(f.gs))
 		return nil, nil, err
 	}
-	for j, g := range touched {
-		if !sameRow(g.out, after[j]) {
+	for _, g := range touched {
+		var row types.Row
+		if len(live) > 0 && live[0] == g {
+			row, live, after = after[0], live[1:], after[1:]
+		}
+		if !sameRow(g.out, row) {
 			if g.out != nil {
 				removes = append(removes, g.out)
 			}
-			if after[j] != nil {
-				adds = append(adds, after[j])
+			if row != nil {
+				adds = append(adds, row)
 			}
 		}
-		if g.out, g.touched = after[j], false; g.count == 0 && nk > 0 {
+		if g.out, g.touched = row, false; g.count == 0 && nk > 0 {
 			delete(f.groups, g.key)
 		}
 	}
 	return adds, removes, nil
 }
 
-// eval evaluates WHERE over base rows, then the group keys and the
-// aggregate arguments over the rows it keeps: those rows at layout
-// width, their group keys, and per row one argument value per call (NULL
-// for COUNT(*)). The first error in that order is the result; b is the
-// binder over the base table's layout.
-func (f *viewFold) eval(base []types.Row) (rows []types.Row, keys []string, args []types.Value, b *binder, err error) {
-	e, sel := f.e, f.sel
-	rel, err := e.refCols(*sel.From)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	// The delta rows as they are: user columns, since they have no tid.
-	rel.cols, rel.rows, rel.tbl, rel.lazy = rel.cols[:len(rel.cols)-2], base, nil, false
-	if b = newBinder(e, nil, rel, e.writerCtx()); len(base) == 0 {
-		return nil, nil, nil, b, nil
-	}
-	if sel.Where != nil {
-		if rel.rows, err = e.filterRows(sel.Where, b); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("WHERE: %w", err)
-		}
-	}
-	if keys, err = e.groupKeys(sel, rel, b); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	var progs []*vm.Program
-	for _, c := range f.calls {
-		if c.arg != nil {
-			progs = append(progs, e.compiledProg(c.arg, b))
-		}
-	}
-	args = make([]types.Value, len(rel.rows)*len(progs))
-	err = e.evalVecs(progs, b, func(start, count int, vecs []*vm.Vec) error {
-		for ri := 0; ri < count; ri++ {
-			for k, vec := range vecs {
-				if err := vec.Err(ri); err != nil {
-					return err
-				}
-				args[(start+ri)*len(vecs)+k] = vec.Value(ri)
-			}
-		}
-		return nil
-	})
-	return rel.rows, keys, args, b, err
-}
-
-// fold folds one row's aggregate arguments — one per call with an
+// foldRow folds one row's aggregate arguments — one per call with an
 // argument — into g's states with weight w, over calls [0, n). On an
 // error it un-folds the calls it had applied.
-func (f *viewFold) fold(g *viewGroup, args []types.Value, w int64, n int) error {
+func (f *viewFold) foldRow(g *foldGroup, args []types.Value, w int64, n int) error {
 	k := 0
 	for ci := 0; ci < n; ci++ {
 		c := &f.calls[ci]
@@ -543,7 +511,7 @@ func (f *viewFold) fold(g *viewGroup, args []types.Value, w int64, n int) error 
 			continue
 		}
 		if err := g.states[ci].apply(c.op, c.distinct, args[k-1], w); err != nil {
-			_ = f.fold(g, args, -w, ci) // un-folds what it just folded: cannot fail
+			_ = f.foldRow(g, args, -w, ci) // un-folds what it just folded: cannot fail
 			return err
 		}
 	}

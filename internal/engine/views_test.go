@@ -187,6 +187,20 @@ func TestViewUnsupportedShapes(t *testing.T) {
 	}
 	// A DISTINCT aggregate folds with counted value sets.
 	mustExec(t, e, "CREATE MATERIALIZED VIEW v4 AS SELECT city, COUNT(DISTINCT name) FROM users GROUP BY city")
+
+	// A CREATE that fails computing the view's first contents leaves no
+	// backing table behind: a valid query under the same name succeeds.
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, g INT, s STRING)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, 1, 'x')")
+	for _, c := range [][2]string{
+		{"CREATE MATERIALIZED VIEW v6 AS SELECT g, SUM(s) AS n FROM t GROUP BY g", "CREATE MATERIALIZED VIEW v6 AS SELECT g, COUNT(*) AS n FROM t GROUP BY g"},
+		{"CREATE MATERIALIZED VIEW v7 AS SELECT id, 10 / (g - 1) AS q FROM t", "CREATE MATERIALIZED VIEW v7 AS SELECT id, g AS q FROM t"},
+	} {
+		if _, err := e.Exec(c[0]); err == nil {
+			t.Errorf("%q should fail", c[0])
+		}
+		mustExec(t, e, c[1])
+	}
 }
 
 func TestViewRestartRebuild(t *testing.T) {
