@@ -20,13 +20,12 @@ type colMeta struct {
 	// boxed lanes on mismatch (view backing tables infer kinds).
 }
 
-// relation is the column layout of an intermediate result, and its rows
-// where a join collected them. tbl is set on a base table's layout
-// (refCols): a join probes that table's storage indexes, or collects its
-// rows, instead of being handed them.
+// relation is the column layout of an intermediate result. tbl is set on
+// a base table's layout (refCols): a join probes that table's storage
+// indexes, or scans it to build its right side, instead of being handed
+// its rows.
 type relation struct {
 	cols []colMeta
-	rows []types.Row
 	tbl  *storage.Table
 }
 

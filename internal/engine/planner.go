@@ -241,7 +241,6 @@ func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table
 		seen = map[int64]bool{}
 	}
 	key := make(types.Row, len(plan.keys[0]))
-	var one [1]storage.StoredRow
 	for _, tuple := range plan.keys {
 		match := true
 		for i, kx := range tuple {
@@ -262,20 +261,22 @@ func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table
 		if !match {
 			continue
 		}
-		found := one[:0]
+		found := len(rows)
 		if plan.kind == pathIndex {
-			found = tbl.Lookup(plan.index, key, asOf)
+			rows = tbl.Lookup(plan.index, key, asOf, rows)
 		} else if sr, hit := tbl.GetAt(key[0].Int(), asOf); hit {
-			found = append(found, sr)
-		}
-		for _, sr := range found {
-			if seen != nil {
-				if seen[sr.TID] {
-					continue
-				}
-				seen[sr.TID] = true
-			}
 			rows = append(rows, sr)
+		}
+		if seen != nil { // keep each tid's first find
+			kept := found
+			for _, sr := range rows[found:] {
+				if !seen[sr.TID] {
+					seen[sr.TID] = true
+					rows[kept] = sr
+					kept++
+				}
+			}
+			rows = rows[:kept]
 		}
 	}
 	return rows, true

@@ -582,6 +582,14 @@ func (e *Engine) callScalarFn(name string, args []types.Value) (types.Value, err
 	return types.Null, fmt.Errorf("engine: unknown function %s", name)
 }
 
+// fullRow is a stored version as a base-table relation row: the user
+// columns, then the _tid and _created system columns.
+func fullRow(sr storage.StoredRow) types.Row {
+	full := make(types.Row, 0, len(sr.Values)+2)
+	full = append(full, sr.Values...)
+	return append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
+}
+
 // refRead reads a base table of a FROM clause straight from storage, as
 // of ctx's snapshot: its layout and every row at layout width. A nil
 // layout means the entry is not a base table.
@@ -598,6 +606,66 @@ func refRead(e *Engine, tr sqltext.TableRef, ctx *stmtCtx) (*relation, []types.R
 		}
 		rows = append(rows, fullRow(sr))
 	}
+}
+
+// refJoin joins two relations' rows as the planner classifies the
+// clause, one pair at a time: each left row meets, in order, the right
+// rows with its hash key (every right row for a nested loop or a cross
+// join; a NULL key column finds none), and a pair is kept when each ON conjunct left to check is TRUE
+// — the first that errs is the error, the first that is not TRUE drops
+// the pair. A LEFT join pads a left row none of whose pairs was kept.
+func refJoin(e *Engine, left *relation, lrows []types.Row, right *relation, rrows []types.Row, jc sqltext.JoinClause, ctx *stmtCtx) (*relation, []types.Row, error) {
+	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
+	plan := e.analyzeJoin(left, right, jc, nil, nil, ctx)
+	on := plan.residual
+	if plan.kind == "nested" {
+		on = []sqltext.Expr{jc.On}
+	}
+	key := func(r types.Row, cols []int) (string, bool) {
+		k := make(types.Row, len(cols))
+		for i, c := range cols {
+			if k[i] = r[c]; k[i].IsNull() {
+				return "", false // NULL never joins
+			}
+		}
+		return types.RowKey(k), true
+	}
+	all := make([]int, len(rrows))
+	byKey := map[string][]int{}
+	for i, rr := range rrows {
+		all[i] = i
+		if k, ok := key(rr, plan.eqR); ok {
+			byKey[k] = append(byKey[k], i)
+		}
+	}
+	o := &refEval{binder: newBinder(e, nil, out, ctx)}
+	var rows []types.Row
+	for _, lr := range lrows {
+		cands := all
+		if plan.kind == "hash" {
+			k, ok := key(lr, plan.eqL)
+			if cands = byKey[k]; !ok {
+				cands = nil
+			}
+		}
+		matched := false
+	pairs:
+		for _, i := range cands {
+			row := append(append(types.Row{}, lr...), rrows[i]...)
+			for _, c := range on {
+				if keep, err := o.evalBool(c, row); err != nil {
+					return nil, nil, err
+				} else if !keep {
+					continue pairs
+				}
+			}
+			rows, matched = append(rows, row), true
+		}
+		if !matched && jc.Kind == "LEFT" {
+			rows = append(rows, append(append(types.Row{}, lr...), make(types.Row, len(right.cols))...))
+		}
+	}
+	return out, rows, nil
 }
 
 // refSelect evaluates a SELECT of the shapes the fuzz sites produce —
@@ -622,11 +690,10 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 		if err != nil || right == nil {
 			return nil, err, right != nil
 		}
-		rel.rows, right.rows, right.tbl = rows, rrows, nil
-		if rel, err = e.join(rel, right, j, nil, nil, ctx); err != nil {
+		right.tbl = nil // the oracle hashes; it never probes
+		if rel, rows, err = refJoin(e, rel, rows, right, rrows, j, ctx); err != nil {
 			return nil, err, true
 		}
-		rows = rel.rows
 	}
 	o := &refEval{binder: newBinder(e, nil, rel, ctx)}
 	if sel.Where != nil {

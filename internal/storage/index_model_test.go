@@ -154,7 +154,7 @@ func checkLookups(t *testing.T, tbl *Table, asOf int64, step int) {
 				}
 			}
 			var got []string
-			for _, r := range tbl.Lookup(ix, key, asOf) {
+			for _, r := range tbl.Lookup(ix, key, asOf, nil) {
 				got = append(got, fmt.Sprint(r.TID, r.Created, r.Values))
 			}
 			sort.Strings(want)
