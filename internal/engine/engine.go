@@ -852,9 +852,18 @@ func oneRow(r types.Row) []types.Row {
 	return []types.Row{r}
 }
 
+// undoKeepCap bounds the undo slice kept for reuse once it is emptied: a
+// larger one, left by a big transaction, is released with its entries.
+const undoKeepCap = 4096
+
 // forgetUndo drops the undo entries past mark: their rows are released,
-// the slice is kept for the next statement.
+// and the slice is kept for the next statement unless it is emptied past
+// undoKeepCap.
 func (e *Engine) forgetUndo(mark int) {
+	if mark == 0 && cap(e.undo) > undoKeepCap {
+		e.undo = nil
+		return
+	}
 	clear(e.undo[mark:])
 	e.undo = e.undo[:mark]
 }

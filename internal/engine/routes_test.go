@@ -294,6 +294,44 @@ func TestAutocommitUndoLogIsReused(t *testing.T) {
 	}
 }
 
+// TestLargeTransactionReleasesUndoLog: a transaction that writes more
+// rows than undoKeepCap leaves no undo slice of its size behind once it
+// commits, nor does one large autocommit statement.
+func TestLargeTransactionReleasesUndoLog(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+	const perStmt = 500
+	insert := func(from int) {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO t VALUES ")
+		for i := from; i < from+perStmt; i++ {
+			if i > from {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d)", i, i%7)
+		}
+		mustExec(t, e, sb.String())
+	}
+	mustExec(t, e, "BEGIN")
+	for id := 0; id < 3*undoKeepCap; id += perStmt {
+		insert(id)
+	}
+	if n := len(e.undo); n < 3*undoKeepCap {
+		t.Fatalf("open transaction holds %d undo entries", n)
+	}
+	mustExec(t, e, "COMMIT")
+	if len(e.undo) != 0 || cap(e.undo) > undoKeepCap {
+		t.Fatalf("after COMMIT: len %d cap %d, want cap ≤ %d", len(e.undo), cap(e.undo), undoKeepCap)
+	}
+	mustExec(t, e, "UPDATE t SET g = g + 1")
+	if len(e.undo) != 0 || cap(e.undo) > undoKeepCap {
+		t.Fatalf("after a large autocommit UPDATE: len %d cap %d, want cap ≤ %d", len(e.undo), cap(e.undo), undoKeepCap)
+	}
+	if got := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE g = 1").Rows[0][0].Int(); got == 0 {
+		t.Fatal("the committed rows are gone")
+	}
+}
+
 // ------------------------------------------------- five routes, one state
 
 // routeProbes are the queries whose access path must not depend on the

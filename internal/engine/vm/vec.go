@@ -355,8 +355,8 @@ func (b *Batch) fillCol(c int, rows []types.Row) {
 	v := &b.cols[c]
 	n := len(rows)
 	i := 0
-	// Lanes are read through *Value (LaneKind/LaneInt/...) so the
-	// 88-byte struct is never copied on the typed paths.
+	// Lanes are read through *Value (LaneKind/LaneInt/...), so a cell
+	// is never copied on the typed paths.
 	switch v.kind {
 	case types.KindInt:
 		for ; i < n; i++ {

@@ -13,7 +13,7 @@ func Add(a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
-	if a.kind == KindString && b.kind == KindString {
+	if a.Kind() == KindString && b.Kind() == KindString {
 		return NewString(a.s + b.s), nil
 	}
 	return numericOp(a, b, "+")
@@ -64,34 +64,37 @@ func Mod(a, b Value) (Value, error) {
 
 // Neg returns -a.
 func Neg(a Value) (Value, error) {
-	switch a.kind {
+	switch k := a.Kind(); k {
 	case KindNull:
 		return Null, nil
 	case KindInt:
-		return NewInt(-a.i), nil
+		return NewInt(-a.Int()), nil
 	case KindFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.Float()), nil
+	default:
+		return Null, fmt.Errorf("types: cannot negate %s", k)
 	}
-	return Null, fmt.Errorf("types: cannot negate %s", a.kind)
 }
 
 func numericOp(a, b Value, op string) (Value, error) {
-	if !numericKind(a.kind) || !numericKind(b.kind) {
-		return Null, fmt.Errorf("types: %s not defined on %s and %s", op, a.kind, b.kind)
+	ak, bk := a.Kind(), b.Kind()
+	if !numericKind(ak) || !numericKind(bk) {
+		return Null, fmt.Errorf("types: %s not defined on %s and %s", op, ak, bk)
 	}
-	if a.kind == KindInt && b.kind == KindInt {
+	if ak == KindInt && bk == KindInt {
+		ai, bi := a.Int(), b.Int()
 		switch op {
 		case "+":
-			return NewInt(a.i + b.i), nil
+			return NewInt(ai + bi), nil
 		case "-":
-			return NewInt(a.i - b.i), nil
+			return NewInt(ai - bi), nil
 		case "*":
-			return NewInt(a.i * b.i), nil
+			return NewInt(ai * bi), nil
 		case "/":
-			if b.i == 0 {
+			if bi == 0 {
 				return Null, fmt.Errorf("types: division by zero")
 			}
-			return NewInt(a.i / b.i), nil
+			return NewInt(ai / bi), nil
 		}
 	}
 	af, _ := a.AsFloat()

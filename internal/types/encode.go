@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Binary encoding of values and rows, used by the WAL and snapshot files.
@@ -21,33 +20,24 @@ import (
 // AppendValue appends the binary encoding of v to dst and returns the
 // extended slice.
 func AppendValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
-	case KindNull:
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	case KindInt:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.i))
-	case KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
-	case KindString:
+		dst = append(dst, byte(v.n))
+	case KindInt, KindFloat, KindTime:
+		dst = binary.BigEndian.AppendUint64(dst, v.n)
+	case KindString, KindBytes:
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
-	case KindTime:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.t.UnixNano()))
-	case KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.raw)))
-		dst = append(dst, v.raw...)
 	}
 	return dst
 }
 
 // DecodeValue decodes one value from buf, returning the value and the number
-// of bytes consumed.
+// of bytes consumed. It accepts only the canonical encoding AppendValue
+// writes (a BOOL byte of 0 or 1, minimal length varints), so a value it
+// accepts re-encodes to exactly the bytes it consumed.
 func DecodeValue(buf []byte) (Value, int, error) {
 	if len(buf) == 0 {
 		return Null, 0, fmt.Errorf("types: empty buffer")
@@ -61,7 +51,10 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		if len(rest) < 1 {
 			return Null, 0, fmt.Errorf("types: short BOOL")
 		}
-		return NewBool(rest[0] != 0), 2, nil
+		if rest[0] > 1 {
+			return Null, 0, fmt.Errorf("types: BOOL byte %d", rest[0])
+		}
+		return NewBool(rest[0] == 1), 2, nil
 	case KindInt:
 		if len(rest) < 8 {
 			return Null, 0, fmt.Errorf("types: short INT")
@@ -73,7 +66,7 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		}
 		return NewFloat(math.Float64frombits(binary.BigEndian.Uint64(rest))), 9, nil
 	case KindString:
-		n, w := binary.Uvarint(rest)
+		n, w := uvarintLen(rest)
 		if w <= 0 || uint64(len(rest)-w) < n {
 			return Null, 0, fmt.Errorf("types: short STRING")
 		}
@@ -82,9 +75,9 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		if len(rest) < 8 {
 			return Null, 0, fmt.Errorf("types: short TIME")
 		}
-		return NewTime(time.Unix(0, int64(binary.BigEndian.Uint64(rest)))), 9, nil
+		return Value{s: tag(KindTime), n: binary.BigEndian.Uint64(rest)}, 9, nil
 	case KindBytes:
-		n, w := binary.Uvarint(rest)
+		n, w := uvarintLen(rest)
 		if w <= 0 || uint64(len(rest)-w) < n {
 			return Null, 0, fmt.Errorf("types: short BYTES")
 		}
@@ -93,6 +86,16 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		return NewBytes(b), 1 + w + int(n), nil
 	}
 	return Null, 0, fmt.Errorf("types: unknown kind tag %d", buf[0])
+}
+
+// uvarintLen reads a length prefix as binary.Uvarint does, but reports a
+// non-minimal encoding (a last group of zero after the first) as malformed.
+func uvarintLen(buf []byte) (uint64, int) {
+	n, w := binary.Uvarint(buf)
+	if w > 1 && buf[w-1] == 0 {
+		return 0, -w
+	}
+	return n, w
 }
 
 // AppendRow appends the encoding of r (uvarint arity, then each value).

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic type of a Value.
@@ -75,90 +76,135 @@ func KindFromName(name string) (Kind, error) {
 
 // Value is a dynamically typed SQL value. The zero Value is NULL.
 //
+// A Value is 24 bytes with one pointer word, so a row of values costs the
+// collector one pointer per cell to scan:
+//
+//   - s holds the content of a STRING or BYTES value. For BOOL, INT,
+//     FLOAT and TIME it is a one-byte tag string inside the package-level
+//     array tags, and the kind is the tag's offset in that array.
+//   - n holds the INT, the FLOAT's bits, the BOOL (0/1) or the TIME as
+//     unix nanoseconds. For NULL, STRING and BYTES it holds the kind.
+//
+// A one-byte STRING or BYTES value never reads as a tag: its content lives
+// in memory of its own, never inside tags. The zero-length func array keeps
+// Value non-comparable; use Equal or Compare.
+//
 // Value is a value type: copying it copies the content, except for
-// KindBytes where the underlying byte slice is shared (callers that mutate
-// byte payloads must Clone first).
+// KindBytes where the underlying bytes are shared with the slice given to
+// NewBytes (callers that mutate byte payloads must Clone first).
 type Value struct {
-	kind Kind
-	b    bool
-	i    int64
-	f    float64
-	s    string
-	t    time.Time
-	raw  []byte
+	_ [0]func()
+	s string
+	n uint64
 }
+
+// tags backs the tag strings of the kinds whose payload lives in n; entry
+// k is the tag of Kind k. Entries for NULL, STRING and BYTES are never
+// referenced.
+var tags = [...]byte{0, 1, 2, 3, 4, 5, 6}
+
+// tag returns the one-byte tag string of kind k.
+func tag(k Kind) string { return unsafe.String(&tags[k], 1) }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // NewBool returns a BOOL value.
-func NewBool(b bool) Value { return Value{kind: KindBool, b: b} }
+func NewBool(b bool) Value {
+	var n uint64
+	if b {
+		n = 1
+	}
+	return Value{s: tag(KindBool), n: n}
+}
 
 // NewInt returns an INT value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{s: tag(KindInt), n: uint64(i)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{s: tag(KindFloat), n: math.Float64bits(f)} }
 
 // NewString returns a STRING value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+func NewString(s string) Value { return Value{s: s, n: uint64(KindString)} }
 
-// NewTime returns a TIME value, truncated to microseconds so that encoded
-// round-trips are exact.
-func NewTime(t time.Time) Value { return Value{kind: KindTime, t: t.Truncate(time.Microsecond)} }
+// NewTime returns a TIME value: the instant t, truncated to microseconds
+// and held as int64 unix nanoseconds; the location is not kept. An instant
+// before 1678 or after 2262 lies outside that range and wraps as
+// t.UnixNano does.
+func NewTime(t time.Time) Value {
+	return Value{s: tag(KindTime), n: uint64(t.Truncate(time.Microsecond).UnixNano())}
+}
 
 // NewBytes returns a BYTES value sharing the given slice.
-func NewBytes(b []byte) Value { return Value{kind: KindBytes, raw: b} }
+func NewBytes(b []byte) Value {
+	return Value{s: unsafe.String(unsafe.SliceData(b), len(b)), n: uint64(KindBytes)}
+}
 
 // Kind reports the dynamic type of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if len(v.s) == 1 {
+		if d := uintptr(unsafe.Pointer(unsafe.StringData(v.s))) - uintptr(unsafe.Pointer(&tags[0])); d < uintptr(len(tags)) {
+			return Kind(d)
+		}
+	}
+	return Kind(v.n)
+}
 
-// The Lane accessors below take pointer receivers on purpose: Value
-// has too many fields for the compiler's SSA form, so even an inlined
-// value-receiver accessor copies the whole struct per call. In
-// per-lane loops (the expression VM's batch fill) that copy dominates
-// the loop, so hot paths read single fields through a pointer. They
-// carry the same preconditions as their value-receiver counterparts.
+// The Lane accessors below read *v through a pointer. Hot per-lane loops
+// (the expression VM's batch fill) and the benchmark's generators call
+// them; at 24 bytes a value-receiver accessor would serve as well, and
+// they carry the same preconditions as their value-receiver counterparts.
 
-// LaneKind reports the dynamic type of *v without copying it.
-func (v *Value) LaneKind() Kind { return v.kind }
+// LaneKind reports the dynamic type of *v.
+func (v *Value) LaneKind() Kind { return v.Kind() }
 
 // LaneInt returns the integer content; Kind must be KindInt.
-func (v *Value) LaneInt() int64 { return v.i }
+func (v *Value) LaneInt() int64 { return int64(v.n) }
 
 // LaneFloat returns the float content; Kind must be KindFloat.
-func (v *Value) LaneFloat() float64 { return v.f }
+func (v *Value) LaneFloat() float64 { return math.Float64frombits(v.n) }
 
 // LaneBool returns the boolean content; Kind must be KindBool.
-func (v *Value) LaneBool() bool { return v.b }
+func (v *Value) LaneBool() bool { return v.n != 0 }
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.n == uint64(KindNull) && v.s == "" }
 
 // Bool returns the boolean content; it must only be called when Kind is KindBool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.n != 0 }
 
 // Int returns the integer content; it must only be called when Kind is KindInt.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 { return int64(v.n) }
 
 // Float returns the float content; it must only be called when Kind is KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(v.n) }
 
-// Str returns the string content; it must only be called when Kind is KindString.
-func (v Value) Str() string { return v.s }
+// Str returns the string content; it must only be called when Kind is
+// KindString. Called on another kind it returns "", never a tag.
+func (v Value) Str() string {
+	if v.Kind() != KindString {
+		return ""
+	}
+	return v.s
+}
 
-// Time returns the time content; it must only be called when Kind is KindTime.
-func (v Value) Time() time.Time { return v.t }
+// Time returns the instant held by v, in the local time zone; it must only
+// be called when Kind is KindTime.
+func (v Value) Time() time.Time { return time.Unix(0, int64(v.n)) }
 
-// Bytes returns the raw byte content; it must only be called when Kind is KindBytes.
-func (v Value) Bytes() []byte { return v.raw }
+// Bytes returns the raw byte content, sharing it; it must only be called
+// when Kind is KindBytes. Called on another kind it returns nil.
+func (v Value) Bytes() []byte {
+	if v.Kind() != KindBytes {
+		return nil
+	}
+	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
+}
 
 // Clone returns a deep copy of v (relevant only for KindBytes).
 func (v Value) Clone() Value {
-	if v.kind == KindBytes && v.raw != nil {
-		c := make([]byte, len(v.raw))
-		copy(c, v.raw)
-		v.raw = c
+	if v.Kind() == KindBytes && v.s != "" {
+		v.s = strings.Clone(v.s)
 	}
 	return v
 }
@@ -166,51 +212,43 @@ func (v Value) Clone() Value {
 // AsInt coerces v to an int64. Floats truncate toward zero; strings parse;
 // booleans map to 0/1. NULL and unparsable values return an error.
 func (v Value) AsInt() (int64, error) {
-	switch v.kind {
-	case KindInt:
-		return v.i, nil
+	switch k := v.Kind(); k {
+	case KindInt, KindBool:
+		return int64(v.n), nil
 	case KindFloat:
-		return int64(v.f), nil
-	case KindBool:
-		if v.b {
-			return 1, nil
-		}
-		return 0, nil
+		return int64(v.Float()), nil
 	case KindString:
 		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		if err != nil {
 			return 0, fmt.Errorf("types: cannot convert %q to INT", v.s)
 		}
 		return n, nil
+	default:
+		return 0, fmt.Errorf("types: cannot convert %s to INT", k)
 	}
-	return 0, fmt.Errorf("types: cannot convert %s to INT", v.kind)
 }
 
 // AsFloat coerces v to a float64.
 func (v Value) AsFloat() (float64, error) {
-	switch v.kind {
-	case KindInt:
-		return float64(v.i), nil
+	switch k := v.Kind(); k {
+	case KindInt, KindBool:
+		return float64(int64(v.n)), nil
 	case KindFloat:
-		return v.f, nil
-	case KindBool:
-		if v.b {
-			return 1, nil
-		}
-		return 0, nil
+		return v.Float(), nil
 	case KindString:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		if err != nil {
 			return 0, fmt.Errorf("types: cannot convert %q to FLOAT", v.s)
 		}
 		return f, nil
+	default:
+		return 0, fmt.Errorf("types: cannot convert %s to FLOAT", k)
 	}
-	return 0, fmt.Errorf("types: cannot convert %s to FLOAT", v.kind)
 }
 
 // AsString coerces v to its textual form. NULL returns "".
 func (v Value) AsString() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return ""
 	case KindString:
@@ -223,55 +261,51 @@ func (v Value) AsString() string {
 // AsBool coerces v to a boolean: BOOL is itself, numbers are non-zero,
 // strings parse "true"/"false". NULL is an error.
 func (v Value) AsBool() (bool, error) {
-	switch v.kind {
-	case KindBool:
-		return v.b, nil
-	case KindInt:
-		return v.i != 0, nil
+	switch k := v.Kind(); k {
+	case KindBool, KindInt:
+		return v.n != 0, nil
 	case KindFloat:
-		return v.f != 0, nil
+		return v.Float() != 0, nil
 	case KindString:
 		b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v.s)))
 		if err != nil {
 			return false, fmt.Errorf("types: cannot convert %q to BOOL", v.s)
 		}
 		return b, nil
+	default:
+		return false, fmt.Errorf("types: cannot convert %s to BOOL", k)
 	}
-	return false, fmt.Errorf("types: cannot convert %s to BOOL", v.kind)
 }
 
 // String renders v for display. Strings are returned verbatim (no quoting);
 // use SQLLiteral for a parseable form.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.b {
-			return "true"
-		}
-		return "false"
+		return strconv.FormatBool(v.Bool())
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTime:
-		return v.t.Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	case KindBytes:
-		return fmt.Sprintf("x'%x'", v.raw)
+		return fmt.Sprintf("x'%x'", v.s)
 	}
 	return "?"
 }
 
 // SQLLiteral renders v as a SQL literal that the sqltext parser accepts.
 func (v Value) SQLLiteral() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
-		return "'" + v.t.Format(time.RFC3339Nano) + "'"
+		return "'" + v.Time().Format(time.RFC3339Nano) + "'"
 	default:
 		return v.String()
 	}
@@ -287,51 +321,35 @@ func numericKind(k Kind) bool { return k == KindInt || k == KindFloat }
 // INT and FLOAT compare numerically across kinds. Other cross-kind
 // comparisons are errors.
 func Compare(a, b Value) (int, error) {
-	if a.kind == KindNull || b.kind == KindNull {
+	ak, bk := a.Kind(), b.Kind()
+	if ak == KindNull || bk == KindNull {
 		switch {
-		case a.kind == b.kind:
+		case ak == bk:
 			return 0, nil
-		case a.kind == KindNull:
+		case ak == KindNull:
 			return -1, nil
 		default:
 			return 1, nil
 		}
 	}
-	if numericKind(a.kind) && numericKind(b.kind) {
-		if a.kind == KindInt && b.kind == KindInt {
-			return cmpInt(a.i, b.i), nil
+	if numericKind(ak) && numericKind(bk) {
+		if ak == KindInt && bk == KindInt {
+			return cmpInt(a.Int(), b.Int()), nil
 		}
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
 		return cmpFloat(af, bf), nil
 	}
-	if a.kind != b.kind {
-		return 0, fmt.Errorf("types: cannot compare %s with %s", a.kind, b.kind)
+	if ak != bk {
+		return 0, fmt.Errorf("types: cannot compare %s with %s", ak, bk)
 	}
-	switch a.kind {
-	case KindBool:
-		x, y := 0, 0
-		if a.b {
-			x = 1
-		}
-		if b.b {
-			y = 1
-		}
-		return cmpInt(int64(x), int64(y)), nil
-	case KindString:
+	switch ak {
+	case KindBool, KindTime:
+		return cmpInt(int64(a.n), int64(b.n)), nil
+	case KindString, KindBytes:
 		return strings.Compare(a.s, b.s), nil
-	case KindTime:
-		switch {
-		case a.t.Before(b.t):
-			return -1, nil
-		case a.t.After(b.t):
-			return 1, nil
-		}
-		return 0, nil
-	case KindBytes:
-		return strings.Compare(string(a.raw), string(b.raw)), nil
 	}
-	return 0, fmt.Errorf("types: cannot compare %s", a.kind)
+	return 0, fmt.Errorf("types: cannot compare %s", ak)
 }
 
 func cmpInt(a, b int64) int {
@@ -368,27 +386,27 @@ func Equal(a, b Value) bool {
 // (|i| ≤ 2^53); beyond, it rounds the INT and may call equal what the keys
 // keep apart. Values of different non-numeric kinds never share a key.
 func (v Value) HashKey() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "\x00"
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "b1"
 		}
 		return "b0"
 	case KindInt:
-		return "n" + strconv.FormatInt(v.i, 10)
+		return "n" + strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= -1<<63 && v.f < 1<<63 {
-			return "n" + strconv.FormatInt(int64(v.f), 10)
+		if f := v.Float(); f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
+			return "n" + strconv.FormatInt(int64(f), 10)
 		}
-		return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "n" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return "s" + v.s
 	case KindTime:
-		return "t" + strconv.FormatInt(v.t.UnixNano(), 10)
+		return "t" + strconv.FormatInt(int64(v.n), 10)
 	case KindBytes:
-		return "y" + string(v.raw)
+		return "y" + v.s
 	}
 	return "?"
 }
@@ -396,7 +414,8 @@ func (v Value) HashKey() string {
 // CoerceTo converts v to the target kind, or errors when no sensible
 // conversion exists. NULL coerces to NULL of any kind.
 func (v Value) CoerceTo(k Kind) (Value, error) {
-	if v.kind == KindNull || v.kind == k {
+	vk := v.Kind()
+	if vk == KindNull || vk == k {
 		return v, nil
 	}
 	switch k {
@@ -421,7 +440,7 @@ func (v Value) CoerceTo(k Kind) (Value, error) {
 	case KindString:
 		return NewString(v.AsString()), nil
 	case KindTime:
-		if v.kind == KindString {
+		if vk == KindString {
 			for _, layout := range []string{time.RFC3339Nano, time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
 				if t, err := time.Parse(layout, v.s); err == nil {
 					return NewTime(t), nil
@@ -429,15 +448,15 @@ func (v Value) CoerceTo(k Kind) (Value, error) {
 			}
 			return Null, fmt.Errorf("types: cannot parse %q as TIME", v.s)
 		}
-		if v.kind == KindInt {
-			return NewTime(time.Unix(0, v.i)), nil
+		if vk == KindInt {
+			return NewTime(time.Unix(0, v.Int())), nil
 		}
 	case KindBytes:
-		if v.kind == KindString {
+		if vk == KindString {
 			return NewBytes([]byte(v.s)), nil
 		}
 	}
-	return Null, fmt.Errorf("types: cannot coerce %s to %s", v.kind, k)
+	return Null, fmt.Errorf("types: cannot coerce %s to %s", vk, k)
 }
 
 // Row is a tuple of values.

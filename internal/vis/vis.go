@@ -83,16 +83,6 @@ func (v *Visualization) Components() ([]*Component, error) {
 	return out, nil
 }
 
-func attrArgs(objID int64, compID int64, a Attr) []types.Value {
-	return []types.Value{
-		types.NewInt(objID), types.NewInt(compID),
-		types.NewFloat(a.X), types.NewFloat(a.Y),
-		types.NewFloat(a.Width), types.NewFloat(a.Height),
-		types.NewString(a.Color), types.NewString(a.Label),
-		types.NewBool(a.Selected),
-	}
-}
-
 // InsertAttributes bulk-inserts attributes for new objects (the Figure 8
 // "inserting tuples in VisualAttributes table" step). It is the fast path
 // used when objects are known to be absent.
@@ -100,18 +90,24 @@ func (c *Component) InsertAttributes(attrs map[int64]Attr) error {
 	if len(attrs) == 0 {
 		return nil
 	}
+	const head = "INSERT INTO " + database.TableVisualAttributes +
+		" (obj_id, comp_id, x, y, width, height, color, label, selected) VALUES "
+	const tuple = "(?, ?, ?, ?, ?, ?, ?, ?, ?)"
 	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + database.TableVisualAttributes +
-		" (obj_id, comp_id, x, y, width, height, color, label, selected) VALUES ")
-	var args []types.Value
-	first := true
+	sb.Grow(len(head) + len(attrs)*(len(tuple)+2))
+	sb.WriteString(head)
+	args := make([]types.Value, 0, 9*len(attrs))
 	for objID, a := range attrs {
-		if !first {
+		if len(args) > 0 {
 			sb.WriteString(", ")
 		}
-		first = false
-		sb.WriteString("(?, ?, ?, ?, ?, ?, ?, ?, ?)")
-		args = append(args, attrArgs(objID, c.ID, a)...)
+		sb.WriteString(tuple)
+		args = append(args,
+			types.NewInt(objID), types.NewInt(c.ID),
+			types.NewFloat(a.X), types.NewFloat(a.Y),
+			types.NewFloat(a.Width), types.NewFloat(a.Height),
+			types.NewString(a.Color), types.NewString(a.Label),
+			types.NewBool(a.Selected))
 	}
 	_, err := c.db.Exec(sb.String(), args...)
 	return err
