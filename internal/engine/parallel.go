@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -475,7 +476,7 @@ func aggOpOf(name string) (aggOp, bool) {
 // occurrence in row order is folded — and, in a view's fold, the counted
 // multiset of a MIN/MAX or DISTINCT item (apply).
 type aggState struct {
-	seen    map[string]tally
+	seen    map[string]*tally
 	cnt     int64
 	si      int64
 	sf      float64
@@ -487,7 +488,7 @@ type aggState struct {
 }
 
 // tally is one value of a counted set: the operand folded for it and how
-// many operands with its HashKey the state holds.
+// many operands with its key (types.AppendKey) the state holds.
 type tally struct {
 	v types.Value
 	n int64
@@ -531,35 +532,35 @@ func (st *aggState) fold(op aggOp, v types.Value) error {
 
 // apply folds (w = +1) or retracts (w = −1) one non-NULL operand of a
 // materialized view's fold. Every MIN/MAX operand and every operand of a
-// DISTINCT item is counted in seen by HashKey and reaches the fold only
+// DISTINCT item is counted in seen by its key and reaches the fold only
 // when its count moves between 0 and 1; when a MIN/MAX extreme's count
 // reaches 0 the rest of seen is rescanned, never the base table. An
 // error leaves the state as it was; retracting an operand the state
 // holds cannot fail.
 func (st *aggState) apply(op aggOp, distinct bool, v types.Value, w int64) error {
 	if distinct || op == aggMin || op == aggMax {
-		k := v.HashKey()
-		t, ok := st.seen[k]
+		var kb, bb [64]byte
+		k := types.AppendKey(kb[:0], v)
+		t := st.seen[string(k)]
 		switch {
-		case w > 0 && !ok:
+		case w > 0 && t == nil:
 			if err := st.fold(op, v); err != nil {
 				return err
 			}
 			if st.seen == nil {
-				st.seen = map[string]tally{}
+				st.seen = map[string]*tally{}
 			}
-			st.seen[k] = tally{v: v, n: 1}
+			st.seen[string(k)] = &tally{v: v, n: 1}
 			return nil
-		case !ok:
+		case t == nil:
 			return fmt.Errorf("engine: retracted %s was never folded", v)
 		case w > 0 || t.n > 1:
 			t.n += w
-			st.seen[k] = t
 			return nil
 		}
-		delete(st.seen, k)
+		delete(st.seen, string(k))
 		if op == aggMin || op == aggMax {
-			if k == st.best.HashKey() {
+			if bytes.Equal(k, types.AppendKey(bb[:0], st.best)) {
 				st.have = false
 				for _, t := range st.seen {
 					_ = st.fold(op, t.v) // one comparability class: cannot fail
@@ -704,8 +705,8 @@ type foldSink struct {
 
 	// One run's state (start).
 	e      *Engine
-	ev     evaluator // the GROUP BY programs, then each argument
-	key    types.Row
+	ev     evaluator    // the GROUP BY programs, then each argument
+	kb     []byte       // the current lane's group key
 	lanes  []*foldGroup // the current batch's lanes' groups
 	st     []*aggState
 	opened []*foldGroup // in opening order
@@ -745,7 +746,7 @@ func (f *foldSink) start(e *Engine, b *binder) {
 			c.vec, progs = len(progs), append(progs, e.compiledProg(c.arg, b))
 		}
 	}
-	f.e, f.ev, f.key = e, b.evaluator(progs), make(types.Row, len(f.keys))
+	f.e, f.ev = e, b.evaluator(progs)
 	f.opened, f.gs, f.args, f.err, f.argErr = nil, nil, nil, nil, nil
 }
 
@@ -760,16 +761,16 @@ func (f *foldSink) group(src *batch, open bool) bool {
 		if k > 0 && len(f.keys) == 0 {
 			g = f.lanes[0]
 		} else {
-			for j, v := range f.ev.vecs[:len(f.keys)] {
+			f.kb = f.kb[:0]
+			for _, v := range f.ev.vecs[:len(f.keys)] {
 				if err := v.Err(k); err != nil {
 					f.err = err
 					return false
 				}
-				f.key[j] = v.Value(k)
+				f.kb = types.AppendKey(f.kb, v.Value(k))
 			}
-			key := types.RowKey(f.key)
-			if g = f.groups[key]; g == nil && open {
-				g = f.open(key, src.row(k))
+			if g = f.groups[string(f.kb)]; g == nil && open {
+				g = f.open(string(f.kb), src.row(k))
 			}
 		}
 		f.lanes = append(f.lanes, g)
@@ -883,27 +884,56 @@ func foldVec(states []*aggState, op aggOp, distinct bool, vec *vm.Vec) {
 // ---------------------------------------------------------------------------
 // Hash-join build.
 
-// joinKey reads lane i's key columns cols into key, whose length they
-// share, and encodes them, or reports ok=false when any is NULL (NULL
-// never joins). A build or a probe passes one key slice for every lane.
-func joinKey(key types.Row, s *batch, i int, cols []int) (string, bool) {
-	for j, c := range cols {
-		if key[j] = s.col(i, c); key[j].IsNull() {
-			return "", false
+// joinKey appends the key of lane i's key columns cols to dst (emptied
+// first), or reports ok=false when any is NULL (NULL never joins). A
+// build or a probe passes one buffer for every lane.
+func joinKey(dst []byte, s *batch, i int, cols []int) ([]byte, bool) {
+	dst = dst[:0]
+	for _, c := range cols {
+		v := s.col(i, c)
+		if v.IsNull() {
+			return dst, false
 		}
+		dst = types.AppendKey(dst, v)
 	}
-	return types.RowKey(key), true
+	return dst, true
 }
 
-// buildJoinIndex maps each join key of the right side's lanes to the
-// lanes carrying it, in ascending lane order; lanes with a NULL key
-// column are left out. key is the build's key slice.
-func buildJoinIndex(right *batch, eqR []int, key types.Row) map[string][]int {
-	idx := make(map[string][]int, len(right.rows))
-	for i := range right.rows {
-		if k, ok := joinKey(key, right, i, eqR); ok {
-			idx[k] = append(idx[k], i)
+// joinIndex is a hash join's index of its right side's lanes: the lanes
+// carrying a join key run from first[at[key]] along next to −1, in
+// ascending lane order. Lanes with a NULL key column are left out.
+type joinIndex struct {
+	at    map[string]int
+	first []int
+	next  []int
+}
+
+// buildJoinIndex indexes the right side's lanes by their key columns
+// eqR. It walks the lanes backwards, so each lane goes to the front of
+// its key's chain; a key string is made once per distinct key. kb is
+// the build's key buffer, returned grown.
+func buildJoinIndex(right *batch, eqR []int, kb []byte) (joinIndex, []byte) {
+	n := len(right.rows)
+	x := joinIndex{at: make(map[string]int, n), first: make([]int, 0, n), next: make([]int, n)}
+	for i := n - 1; i >= 0; i-- {
+		var ok bool
+		if kb, ok = joinKey(kb, right, i, eqR); !ok {
+			continue
+		}
+		if s, seen := x.at[string(kb)]; seen {
+			x.next[i], x.first[s] = x.first[s], i
+		} else {
+			x.at[string(kb)] = len(x.first)
+			x.first, x.next[i] = append(x.first, i), -1
 		}
 	}
-	return idx
+	return x, kb
+}
+
+// find returns the first lane of key, or −1.
+func (x *joinIndex) find(key []byte) int {
+	if s, ok := x.at[string(key)]; ok {
+		return x.first[s]
+	}
+	return -1
 }

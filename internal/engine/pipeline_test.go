@@ -316,6 +316,45 @@ func TestScanFoldAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestGroupAllocCeiling: a GROUP BY builds each lane's group key in a
+// reused buffer and makes a key string only when a group opens, so over
+// 50 groups it allocates the same at 5,000 rows as at 50,000, within a
+// small constant, at width 1 and 4. A key string per lane made the
+// larger table cost about 700 KB more.
+func TestGroupAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceiling is meaningless under the race detector")
+	}
+	e := newTestDB(t)
+	for _, n := range []int{5000, 50000} {
+		mustExec(t, e, fmt.Sprintf("CREATE TABLE items%d (id INT PRIMARY KEY, grp INT, v INT)", n))
+		var sb strings.Builder
+		for lo := 0; lo < n; lo += 1000 {
+			sb.Reset()
+			fmt.Fprintf(&sb, "INSERT INTO items%d VALUES ", n)
+			for i := lo; i < lo+1000; i++ {
+				if i > lo {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "(%d, %d, %d)", i, i%50, i%997)
+			}
+			mustExec(t, e, sb.String())
+		}
+	}
+	const slack = 32 << 10
+	for _, width := range []int{1, 4} {
+		e.parallelism.Store(int64(width))
+		var got [2]uint64
+		for i, n := range []int{5000, 50000} {
+			got[i] = allocPerExec(t, e, 10, fmt.Sprintf("SELECT grp, COUNT(*), SUM(v) FROM items%d GROUP BY grp ORDER BY grp", n), func(int) []types.Value { return nil })
+		}
+		t.Logf("width %d: 5,000 rows %d KB, 50,000 rows %d KB", width, got[0]>>10, got[1]>>10)
+		if got[1] > got[0]+slack {
+			t.Errorf("width %d: GROUP BY over 50,000 rows allocates %d KB, over 5,000 rows %d KB: more than %d KB apart", width, got[1]>>10, got[0]>>10, slack>>10)
+		}
+	}
+}
+
 // TestJoinAllocCeiling: a join allocates for the rows its sink keeps,
 // not for every pair it forms. Each shape runs over tables shaped like
 // the benchmark's at width 1 and 4 and must allocate at most the given
@@ -394,6 +433,27 @@ func TestJoinAllocCeiling(t *testing.T) {
 			if got > c.ceiling {
 				t.Errorf("width %d: %s allocates %.2f MB per statement, ceiling %.2f MB", width, c.sql, float64(got)/mb, float64(c.ceiling)/mb)
 			}
+		}
+	}
+
+	// A hash join's probe builds each left lane's key in a reused buffer:
+	// a left side ten times longer, whose keys find nothing, costs the
+	// same within a small constant. A key string per lane made the longer
+	// side cost about 1.3 MB more.
+	for _, n := range []int{4000, 40000} {
+		mustExec(t, e, fmt.Sprintf("CREATE TABLE probe%d (id INT PRIMARY KEY, k INT)", n))
+		load(fmt.Sprintf("probe%d", n), n, func(i int) string { return fmt.Sprintf("(%d, %d)", i, -1-i) })
+	}
+	const slack = 32 << 10
+	for _, width := range []int{1, 4} {
+		e.parallelism.Store(int64(width))
+		var got [2]uint64
+		for i, n := range []int{4000, 40000} {
+			got[i] = allocPerExec(t, e, 10, fmt.Sprintf("SELECT l.id FROM probe%d l JOIN (SELECT obj_id FROM positions) p ON l.k = p.obj_id", n), func(int) []types.Value { return nil })
+		}
+		t.Logf("width %d: hash join probed by 4,000 lanes %d KB, by 40,000 lanes %d KB", width, got[0]>>10, got[1]>>10)
+		if got[1] > got[0]+slack {
+			t.Errorf("width %d: a hash join probed by 40,000 lanes allocates %d KB, by 4,000 lanes %d KB: more than %d KB apart", width, got[1]>>10, got[0]>>10, slack>>10)
 		}
 	}
 }

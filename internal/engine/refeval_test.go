@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -299,7 +301,7 @@ func (o *refEval) evalIn(x *sqltext.InExpr, row types.Row) (types.Value, error) 
 		if err != nil {
 			return types.Null, err
 		}
-		key := v.HashKey()
+		key := hashKey(v)
 		for _, r := range rows {
 			if len(r) != 1 {
 				return types.Null, fmt.Errorf("engine: IN subquery must return one column")
@@ -308,13 +310,13 @@ func (o *refEval) evalIn(x *sqltext.InExpr, row types.Row) (types.Value, error) 
 				hadNull = true
 				continue
 			}
-			if r[0].HashKey() == key {
+			if hashKey(r[0]) == key {
 				found = true
 				break
 			}
 		}
 	} else if set, ok := o.constInSet(x); ok {
-		found = set.vals[v.HashKey()]
+		found = set.vals[hashKey(v)]
 		hadNull = set.hasNull
 	} else {
 		for _, le := range x.List {
@@ -384,7 +386,7 @@ func (o *refEval) constInSet(x *sqltext.InExpr) (*inSet, bool) {
 		if v.IsNull() {
 			set.hasNull = true
 		} else {
-			set.vals[v.HashKey()] = true
+			set.vals[hashKey(v)] = true
 		}
 	}
 	o.inCache[x] = set
@@ -481,7 +483,7 @@ func (o *refEval) evalAggregateCall(x *sqltext.FuncCall, group []types.Row) (typ
 			continue
 		}
 		if x.Distinct {
-			k := v.HashKey()
+			k := hashKey(v)
 			if seen[k] {
 				continue
 			}
@@ -628,7 +630,7 @@ func refJoin(e *Engine, left *relation, lrows []types.Row, right *relation, rrow
 				return "", false // NULL never joins
 			}
 		}
-		return types.RowKey(k), true
+		return rowKey(k), true
 	}
 	all := make([]int, len(rrows))
 	byKey := map[string][]int{}
@@ -768,10 +770,10 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 					return nil, err, true
 				}
 			}
-			gi, seen := index[types.RowKey(key)]
+			gi, seen := index[rowKey(key)]
 			if !seen {
 				gi = len(groups)
-				index[types.RowKey(key)] = gi
+				index[rowKey(key)] = gi
 				groups = append(groups, nil)
 			}
 			groups[gi] = append(groups[gi], r)
@@ -839,4 +841,49 @@ func refUpdate(t testing.TB, e *Engine, up *sqltext.Update) (res *Result, err er
 		upd[i] = types.Row{r[0], v, r[2], r[3], r[4]}
 	}
 	return byID(upd), nil, true
+}
+
+// hashKey is the oracle's own value key, the decimal-text encoding the
+// engine used before its binary keys (types.AppendKey), so the
+// differentials do not share the encoding under test. The law: two
+// values of the same kind have equal keys iff they are Equal (NaN, which
+// Compare cannot order, excepted), and an INT and a FLOAT share a key iff
+// they are the same number exactly.
+func hashKey(v types.Value) string {
+	switch v.Kind() {
+	case types.KindNull:
+		return "\x00"
+	case types.KindBool:
+		if v.Bool() {
+			return "b1"
+		}
+		return "b0"
+	case types.KindInt:
+		return "n" + strconv.FormatInt(v.Int(), 10)
+	case types.KindFloat:
+		if f := v.Float(); f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
+			return "n" + strconv.FormatInt(int64(f), 10)
+		}
+		return "n" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case types.KindString:
+		return "s" + v.Str()
+	case types.KindTime:
+		return "t" + strconv.FormatInt(v.Time().UnixNano(), 10)
+	case types.KindBytes:
+		return "y" + string(v.Bytes())
+	}
+	return "?"
+}
+
+// rowKey concatenates the hash keys of the row's values into the
+// oracle's map key.
+func rowKey(r types.Row) string {
+	var sb strings.Builder
+	for _, v := range r {
+		k := hashKey(v)
+		sb.WriteString(strconv.Itoa(len(k)))
+		sb.WriteByte(':')
+		sb.WriteString(k)
+	}
+	return sb.String()
 }

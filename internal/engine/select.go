@@ -462,6 +462,7 @@ func (p *project) add(src *batch) {
 type output struct {
 	visible int
 	seen    map[string]bool
+	kb      []byte // the current row's DISTINCT key
 	sort    *sorter
 	rows    []types.Row
 }
@@ -478,11 +479,11 @@ func (o *output) load(e *Engine, src *batch) {
 // sorter keeps it.
 func (o *output) add(k int, row types.Row) {
 	if o.seen != nil {
-		key := types.RowKey(row[:o.visible])
-		if o.seen[key] {
+		o.kb = types.AppendRowKey(o.kb[:0], row[:o.visible])
+		if o.seen[string(o.kb)] {
 			return
 		}
-		o.seen[key] = true
+		o.seen[string(o.kb)] = true
 	}
 	if o.sort != nil {
 		o.sort.offer(k, row)
@@ -863,16 +864,17 @@ type joinStage struct {
 	ctx   *stmtCtx
 	outer bool // a LEFT join
 	plan  *joinPlan
-	probe *storage.Table   // the table plan.probe indexes, for a probe
-	right batch            // the built right side, for any other strategy
-	idx   map[string][]int // the hash join's index of right
-	ev    evaluator        // the ON conjuncts left to check, over the joined layout
-	lw, w int              // the left and the joined layout width
-	next  func(*batch)     // downstream: the next join, or WHERE
+	probe *storage.Table // the table plan.probe indexes, for a probe
+	right batch          // the built right side, for any other strategy
+	idx   joinIndex      // the hash join's index of right
+	ev    evaluator      // the ON conjuncts left to check, over the joined layout
+	lw, w int            // the left and the joined layout width
+	next  func(*batch)   // downstream: the next join, or WHERE
 
 	buf   *pairBuf
-	kept  bool // a pair of the left lane being paired was kept (LEFT)
-	key   types.Row
+	kept  bool      // a pair of the left lane being paired was kept (LEFT)
+	key   types.Row // a probe's key
+	kb    []byte    // a hash join's key
 	found []storage.StoredRow
 
 	// Rows scanned, credited when the statement settles (pipe): what
@@ -919,7 +921,7 @@ func (j *joinStage) build(left *relation, jc sqltext.JoinClause, args []types.Va
 		j.right = src.mem
 	}
 	if j.plan.kind == "hash" && j.probe == nil {
-		j.idx = buildJoinIndex(&j.right, j.plan.eqR, j.key)
+		j.idx, j.kb = buildJoinIndex(&j.right, j.plan.eqR, j.kb)
 	}
 	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
 	on := j.plan.residual
@@ -955,8 +957,9 @@ func (j *joinStage) push(in *batch) {
 				r[n], r[n+1] = types.NewInt(sr.TID), types.NewInt(sr.Created)
 			}
 		case j.plan.kind == "hash":
-			if key, ok := joinKey(j.key, in, k, j.plan.eqL); ok {
-				for _, m := range j.idx[key] {
+			var ok bool
+			if j.kb, ok = joinKey(j.kb, in, k, j.plan.eqL); ok {
+				for m := j.idx.find(j.kb); m >= 0; m = j.idx.next[m] {
 					j.right.put(j.pair(in, k, false), m)
 				}
 			}

@@ -167,7 +167,7 @@ func boolOrNull(r *rand.Rand) string {
 // must equal its SELECT: exactly, kind for kind, except that a cell
 // holding a SUM or AVG may differ by 1e-9 relative when FLOAT (an
 // incremental float sum is not bit-reproducible) and a bare MIN/MAX cell
-// compares by HashKey (which of equal values represents them is not
+// compares by key (which of equal values represents them is not
 // defined).
 func TestViewDifferential(t *testing.T) {
 	firehose := func(t *testing.T) *Engine {
@@ -221,7 +221,7 @@ func TestViewDifferential(t *testing.T) {
 // viewCheck is one maintained view and how to compare its cells.
 type viewCheck struct {
 	name, query string
-	cell        []byte // per column: '=' exact, '~' FLOAT within 1e-9 relative, 'h' HashKey
+	cell        []byte // per column: '=' exact, '~' FLOAT within 1e-9 relative, 'h' key
 }
 
 func runViewDifferential(t *testing.T, fx viewFixture) {
@@ -379,7 +379,7 @@ func diffCells(got, want []types.Row, cell []byte) string {
 		for j, v := range r {
 			switch {
 			case j < len(cell) && cell[j] == 'h':
-				sb.WriteString(v.HashKey())
+				sb.WriteString(hashKey(v))
 			case j < len(cell) && cell[j] == '~' && v.Kind() == types.KindFloat:
 				fmt.Fprintf(&sb, "%.6g", v.Float())
 			default:
@@ -419,7 +419,7 @@ func diffCells(got, want []types.Row, cell []byte) string {
 			switch {
 			case ok:
 			case j < len(cell) && cell[j] == 'h':
-				ok = a.HashKey() == b.HashKey()
+				ok = hashKey(a) == hashKey(b)
 			case j < len(cell) && cell[j] == '~' && a.Kind() == types.KindFloat && b.Kind() == types.KindFloat:
 				ok = math.Abs(a.Float()-b.Float()) <= 1e-9*math.Max(math.Abs(a.Float()), math.Abs(b.Float()))
 			}

@@ -12,32 +12,40 @@ import (
 )
 
 // viewState binds a catalog view to its incremental maintainer and
-// backing storage table. rowIndex is a multiset index from row-value key
-// to the backing tids holding that value, so delta removals are O(1)
-// instead of scanning the backing table.
+// backing storage table. rowIndex is a multiset index from row key
+// (types.AppendRowKey) to the backing tids holding that value, so delta
+// removals are O(1) instead of scanning the backing table; a list sits
+// behind a pointer so it grows and shrinks without writing the map.
 type viewState struct {
 	def      *catalog.View
 	m        *ivm.Maintainer
-	rowIndex map[string][]int64
+	rowIndex map[string]*[]int64
+	kb       []byte // the current row's key
 }
 
 func (v *viewState) indexAdd(row types.Row, tid int64) {
-	k := types.RowKey(row)
-	v.rowIndex[k] = append(v.rowIndex[k], tid)
+	v.kb = types.AppendRowKey(v.kb[:0], row)
+	p := v.rowIndex[string(v.kb)]
+	if p == nil {
+		p = new([]int64)
+		v.rowIndex[string(v.kb)] = p
+	}
+	*p = append(*p, tid)
 }
 
 // indexTake removes and returns one tid holding the given row value.
 func (v *viewState) indexTake(row types.Row) (int64, bool) {
-	k := types.RowKey(row)
-	tids := v.rowIndex[k]
-	if len(tids) == 0 {
+	v.kb = types.AppendRowKey(v.kb[:0], row)
+	p := v.rowIndex[string(v.kb)]
+	if p == nil {
 		return 0, false
 	}
+	tids := *p
 	tid := tids[len(tids)-1]
 	if len(tids) == 1 {
-		delete(v.rowIndex, k)
+		delete(v.rowIndex, string(v.kb))
 	} else {
-		v.rowIndex[k] = tids[:len(tids)-1]
+		*p = tids[:len(tids)-1]
 	}
 	return tid, true
 }
@@ -148,7 +156,7 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		return fail(err)
 	}
 	// Reset backing contents to exactly `rows`.
-	vs := &viewState{def: def, m: m, rowIndex: map[string][]int64{}}
+	vs := &viewState{def: def, m: m, rowIndex: map[string]*[]int64{}}
 	var stale []types.Row
 	for _, r := range e.store.Table(backing).Rows() {
 		vs.indexAdd(r.Values, r.TID)

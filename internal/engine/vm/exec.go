@@ -30,6 +30,7 @@ type Machine struct {
 	argBuf []types.Value // reused per-lane scratch for opCall
 	sel    []int
 	batch  *Batch
+	kb     []byte // reused key buffer for IN probes
 }
 
 // SubqueryFunc runs an uncorrelated subquery of the statement and returns
@@ -48,9 +49,21 @@ type subResult struct {
 // range, mirroring the interpreter's constInSet; or a subquery's rows)
 // or the element-walk slow path when a parameter is missing.
 type runInSet struct {
-	vals    map[string]bool
+	vals    map[string]bool // keyed by types.AppendKey
 	hasNull bool
 	slow    bool // walk elements per lane (a parameter was out of range)
+}
+
+// add puts the non-NULL value v in the set.
+func (rs *runInSet) add(v types.Value) {
+	var kb [64]byte
+	rs.vals[string(types.AppendKey(kb[:0], v))] = true
+}
+
+// has reports whether v is in the set, building its key in m's buffer.
+func (m *Machine) has(rs *runInSet, v types.Value) bool {
+	m.kb = types.AppendKey(m.kb[:0], v)
+	return rs.vals[string(m.kb)]
 }
 
 // NewMachine prepares an unpooled machine for p. Nothing is broadcast
@@ -138,7 +151,7 @@ func (spec *inListSpec) bind(args []types.Value) *runInSet {
 		if v.IsNull() {
 			rs.hasNull = true
 		} else {
-			rs.vals[v.HashKey()] = true
+			rs.add(v)
 		}
 	}
 	return rs
@@ -827,7 +840,7 @@ func (m *Machine) inList(ins *inst, n int) {
 		v := a.Value(i)
 		var found, hadNull bool
 		if !rs.slow {
-			found = rs.vals[v.HashKey()]
+			found = m.has(rs, v)
 			hadNull = rs.hasNull
 		} else {
 			// A parameter is unbound: walk elements in order like the
@@ -1006,7 +1019,7 @@ func (m *Machine) subquery(ins *inst, n int) {
 		switch {
 		case setErr != nil:
 			dst.setErr(i, setErr)
-		case set.vals[a.Value(i).HashKey()]:
+		case m.has(set, a.Value(i)):
 			dst.bs[i] = !not
 		case set.hasNull:
 			dst.null.Set(i)
@@ -1043,7 +1056,7 @@ func (s *subResult) value(kind int, not bool) (types.Value, error) {
 	return s.rows[0][0], nil
 }
 
-// inSet is an IN subquery's rows as a set matched by HashKey, built once.
+// inSet is an IN subquery's rows as a set matched by key, built once.
 func (s *subResult) inSet() (*runInSet, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -1057,7 +1070,7 @@ func (s *subResult) inSet() (*runInSet, error) {
 			if r[0].IsNull() {
 				s.set.hasNull = true
 			} else {
-				s.set.vals[r[0].HashKey()] = true
+				s.set.add(r[0])
 			}
 		}
 	}

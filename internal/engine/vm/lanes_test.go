@@ -320,7 +320,7 @@ func TestLiteralInSetBuiltOncePerMachine(t *testing.T) {
 	if m.sets[0] != lit {
 		t.Fatal("literal IN set rebuilt on rebind")
 	}
-	if m.sets[1] == par || !m.sets[1].vals[types.NewInt(6).HashKey()] {
+	if m.sets[1] == par || !m.sets[1].vals[string(types.AppendKey(nil, types.NewInt(6)))] {
 		t.Fatal("parameter IN set not rebuilt on rebind")
 	}
 	m.Release()

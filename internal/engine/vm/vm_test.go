@@ -233,7 +233,7 @@ func TestSubqueryInstruction(t *testing.T) {
 		sub  SubqueryFunc
 		want string
 	}{
-		// IN by HashKey with NULL semantics, EXISTS, scalar.
+		// IN by key with NULL semantics, EXISTS, scalar.
 		{"a IN (SELECT a FROM t)", subRows(types.Row{types.NewFloat(1)}, types.Row{types.Null}), "true | NULL | NULL"},
 		{"a NOT IN (SELECT a FROM t)", subRows(types.Row{types.NewInt(7)}), "true | NULL | true"},
 		{"NOT EXISTS (SELECT a FROM t)", subRows(), "true | true | true"},

@@ -253,26 +253,41 @@ func (m *Maintainer) Delta(table string, inserted, deleted []types.Row) (adds, r
 
 // NetDelta cancels rows that appear in both the inserted and deleted
 // multisets of one batch delta: each deleted row annihilates one
-// value-equal (types.RowKey) inserted row, earlier or later in the batch
-// — the surviving rows equal the net effect, if not always the same
-// occurrences. Tuple ids are optional: insT and delT, when given, run
-// parallel to their rows and stay aligned with the survivors. Returns
-// the net sides, in input order, and the number of cancelled pairs.
+// value-equal (types.AppendRowKey) inserted row, earlier or later in the
+// batch — the surviving rows equal the net effect, if not always the
+// same occurrences. Tuple ids are optional: insT and delT, when given,
+// run parallel to their rows and stay aligned with the survivors.
+// Returns the net sides, in input order, and the number of cancelled
+// pairs.
 func NetDelta(insT []int64, ins []types.Row, delT []int64, del []types.Row) ([]int64, []types.Row, []int64, []types.Row, int) {
 	if len(ins) == 0 || len(del) == 0 {
 		return insT, ins, delT, del, 0
 	}
-	pending := make(map[string]int, len(del)) // deleted rows not yet matched
+	// Each distinct deleted row has a counter, at[key]: pending counts
+	// its deleted rows not yet matched, consumed those an insert
+	// cancelled. The counters are slices so a count moves without a
+	// map write, which would allocate the key.
+	at := make(map[string]int, len(del))
+	var pending []int
+	var kb []byte
 	for _, r := range del {
-		pending[types.RowKey(r)]++
+		kb = types.AppendRowKey(kb[:0], r)
+		c, ok := at[string(kb)]
+		if !ok {
+			c = len(pending)
+			at[string(kb)] = c
+			pending = append(pending, 0)
+		}
+		pending[c]++
 	}
-	consumed := make(map[string]int) // deleted rows an insert cancelled
+	consumed := make([]int, len(pending))
 	var nIT, nDT []int64
 	nI := make([]types.Row, 0, len(ins))
 	for i, r := range ins {
-		if k := types.RowKey(r); pending[k] > 0 {
-			pending[k]--
-			consumed[k]++
+		kb = types.AppendRowKey(kb[:0], r)
+		if c, ok := at[string(kb)]; ok && pending[c] > 0 {
+			pending[c]--
+			consumed[c]++
 			continue
 		}
 		nI = append(nI, r)
@@ -286,8 +301,9 @@ func NetDelta(insT []int64, ins []types.Row, delT []int64, del []types.Row) ([]i
 	}
 	nD := make([]types.Row, 0, len(del)-cancelled)
 	for i, r := range del {
-		if k := types.RowKey(r); consumed[k] > 0 {
-			consumed[k]--
+		kb = types.AppendRowKey(kb[:0], r)
+		if c := at[string(kb)]; consumed[c] > 0 {
+			consumed[c]--
 			continue
 		}
 		nD = append(nD, r)

@@ -17,6 +17,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -110,18 +111,27 @@ type Table struct {
 
 // IndexInfo is one hash index: a PRIMARY KEY is the unique index on its
 // column, a column UNIQUE likewise, CREATE [UNIQUE] INDEX adds a named
-// one. Everything but entries is immutable after creation.
+// one. Everything but the entry maps is immutable after creation.
 type IndexInfo struct {
 	Name   string // CREATE INDEX name; "" for constraint indexes
 	Cols   []int  // key column positions, in index-key order
 	Unique bool
 	Origin IndexOrigin
 
-	// entries maps an entry key to candidate tids. Entries are
+	// The entries map an entry key to candidate tids. They are
 	// conservative: added on insert/update, removed only by Vacuum, so a
 	// candidate must be re-checked against the version actually visible
 	// at the reader's snapshot. A key holding a NULL has no entry.
-	entries map[string][]int64
+	//
+	// A key's first candidate is held inline: in ints when the index has
+	// one column and types.NumKey reads its value, else in strs under
+	// the key's encoding (types.AppendKey). Later candidates — a
+	// non-unique index's, or a key reused before Vacuum — are in more
+	// under the encoding, made on the key's first duplicate; the list
+	// sits behind a pointer so it grows without writing the map again.
+	ints map[int64]int64
+	strs map[string]int64
+	more map[string]*[]int64
 }
 
 // IndexOrigin says which DDL declared an index.
@@ -134,44 +144,85 @@ const (
 	OriginNamed                     // CREATE [UNIQUE] INDEX
 )
 
-// entryKey is the one key function: a single value's HashKey, or the
-// RowKey of several. ok=false when a value is NULL — such a key is
-// neither indexed, nor checked for uniqueness, nor findable.
-func entryKey(key types.Row) (k string, ok bool) {
-	for i := range key {
-		if key[i].IsNull() {
-			return "", false
-		}
-	}
-	if len(key) == 1 {
-		return key[0].HashKey(), true
-	}
-	return types.RowKey(key), true
+// keyBuf is the size of the stack buffer an entry key is built in;
+// longer keys spill to the heap.
+const keyBuf = 64
+
+// newIndex returns an empty index.
+func newIndex(name string, cols []int, unique bool, origin IndexOrigin) *IndexInfo {
+	ix := &IndexInfo{Name: name, Cols: cols, Unique: unique, Origin: origin}
+	ix.reset(0, 0)
+	return ix
 }
 
-// key is the entry key of a table row under this index.
-func (ix *IndexInfo) key(row types.Row) (string, bool) {
-	if len(ix.Cols) == 1 {
-		c := ix.Cols[0]
-		return entryKey(row[c : c+1])
+// reset empties the index, its maps sized for ni inline int keys and ns
+// other keys.
+func (ix *IndexInfo) reset(ni, ns int) {
+	ix.ints, ix.strs, ix.more = make(map[int64]int64, ni), make(map[string]int64, ns), nil
+}
+
+// entryKey is the one key function: it appends the key of vals, one
+// value per index column in index-key order, to buf. ok=false when a
+// value is NULL — such a key is neither indexed, nor checked for
+// uniqueness, nor findable.
+func entryKey(buf []byte, vals types.Row) (k []byte, ok bool) {
+	for _, v := range vals {
+		if v.IsNull() {
+			return nil, false
+		}
+		buf = types.AppendKey(buf, v)
 	}
-	var buf [4]types.Value
-	sub := buf[:0]
+	return buf, true
+}
+
+// key appends the entry key of a table row under this index to buf.
+func (ix *IndexInfo) key(buf []byte, row types.Row) ([]byte, bool) {
 	for _, c := range ix.Cols {
-		sub = append(sub, row[c])
+		if row[c].IsNull() {
+			return nil, false
+		}
+		buf = types.AppendKey(buf, row[c])
 	}
-	return entryKey(sub)
+	return buf, true
+}
+
+// first returns the first candidate of entry key k, whose first value
+// is v.
+func (ix *IndexInfo) first(v types.Value, k []byte) (int64, bool) {
+	if n, ok := ix.num(v); ok {
+		tid, ok := ix.ints[n]
+		return tid, ok
+	}
+	tid, ok := ix.strs[string(k)]
+	return tid, ok
+}
+
+// num returns the ints key of a one-column index's value v.
+func (ix *IndexInfo) num(v types.Value) (int64, bool) {
+	if len(ix.Cols) != 1 {
+		return 0, false
+	}
+	return types.NumKey(v)
+}
+
+// rest returns the candidates of entry key k after the first. The list
+// is the index's own: read it under t.mu, and do not keep it.
+func (ix *IndexInfo) rest(k []byte) []int64 {
+	if p := ix.more[string(k)]; p != nil {
+		return *p
+	}
+	return nil
 }
 
 // NewTable creates empty storage for the given schema.
 func NewTable(schema *catalog.TableSchema) *Table {
 	t := &Table{Schema: schema, byTID: map[int64]*rowSlot{}}
 	if pk := schema.PKIndex(); pk >= 0 {
-		t.indexes = append(t.indexes, &IndexInfo{Cols: []int{pk}, Unique: true, Origin: OriginPK, entries: map[string][]int64{}})
+		t.indexes = append(t.indexes, newIndex("", []int{pk}, true, OriginPK))
 	}
 	for i, c := range schema.Columns {
 		if c.Unique && !c.PrimaryKey {
-			t.indexes = append(t.indexes, &IndexInfo{Cols: []int{i}, Unique: true, Origin: OriginColumn, entries: map[string][]int64{}})
+			t.indexes = append(t.indexes, newIndex("", []int{i}, true, OriginColumn))
 		}
 	}
 	return t
@@ -317,31 +368,38 @@ func (t *Table) Indexes() []*IndexInfo {
 // Lookup appends to dst the rows whose ix key equals key (one value per
 // index column, in index-key order) as visible at snapshot asOf, and
 // returns the extended slice: a caller probing once per row passes the
-// same buffer each time. Equality is key equality (Value.HashKey); a key
-// holding a NULL finds nothing. Candidates are resolved under the
+// same buffer each time. Equality is key equality (types.AppendKey); a
+// key holding a NULL finds nothing. Candidates are resolved under the
 // structural lock; the visibility walk and the key re-check on the
 // visible version happen outside it.
 func (t *Table) Lookup(ix *IndexInfo, key types.Row, asOf int64, dst []StoredRow) []StoredRow {
-	k, ok := entryKey(key)
-	if !ok || len(key) != len(ix.Cols) {
+	if len(key) != len(ix.Cols) {
+		return dst
+	}
+	var kb, vb [keyBuf]byte
+	k, ok := entryKey(kb[:0], key)
+	if !ok {
 		return dst
 	}
 	var buf [4]*rowSlot
 	cands := buf[:0]
 	t.mu.RLock()
-	tids := ix.entries[k]
-	if len(tids) > len(buf) {
-		// sized once: no append growth while writers wait on the lock
-		cands = make([]*rowSlot, 0, len(tids))
-	}
-	for _, tid := range tids {
+	if tid, ok := ix.first(key[0], k); ok {
+		rest := ix.rest(k)
+		if 1+len(rest) > len(buf) {
+			// sized once: no append growth while writers wait on the lock
+			cands = make([]*rowSlot, 0, 1+len(rest))
+		}
 		cands = append(cands, t.byTID[tid])
+		for _, tid := range rest {
+			cands = append(cands, t.byTID[tid])
+		}
 	}
 	t.mu.RUnlock()
 	dst = slices.Grow(dst, len(cands))
 	for _, sl := range cands {
 		if v := visibleAt(sl.head.Load(), asOf); v != nil {
-			if vk, _ := ix.key(v.values); vk == k {
+			if vk, ok := ix.key(vb[:0], v.values); ok && bytes.Equal(vk, k) {
 				dst = append(dst, StoredRow{TID: sl.tid, Created: v.created, Values: v.values})
 			}
 		}
@@ -361,41 +419,60 @@ func (t *Table) checkConstraints(row types.Row, excludeTID int64) error {
 			return fmt.Errorf("storage: %s.%s: NOT NULL violated", t.Schema.Name, c.Name)
 		}
 	}
+	var kb [keyBuf]byte
 	for _, ix := range t.indexes {
 		if !ix.Unique {
 			continue
 		}
-		k, ok := ix.key(row)
+		k, ok := ix.key(kb[:0], row)
 		if !ok {
 			if ix.Origin == OriginPK {
 				return fmt.Errorf("storage: %s: primary key is NULL", t.Schema.Name)
 			}
 			continue
 		}
-		for _, tid := range ix.entries[k] {
-			if tid != excludeTID && t.liveMatch(ix, tid, k) {
-				switch col := ix.Cols[0]; ix.Origin {
-				case OriginPK:
-					return fmt.Errorf("storage: %s: duplicate primary key %s", t.Schema.Name, row[col])
-				case OriginColumn:
-					return fmt.Errorf("storage: %s.%s: duplicate unique value %s", t.Schema.Name, t.Schema.Columns[col].Name, row[col])
-				}
-				return fmt.Errorf("storage: %s: unique index %s violated", t.Schema.Name, ix.Name)
+		if t.taken(ix, row[ix.Cols[0]], k, excludeTID) {
+			switch col := ix.Cols[0]; ix.Origin {
+			case OriginPK:
+				return fmt.Errorf("storage: %s: duplicate primary key %s", t.Schema.Name, row[col])
+			case OriginColumn:
+				return fmt.Errorf("storage: %s.%s: duplicate unique value %s", t.Schema.Name, t.Schema.Columns[col].Name, row[col])
 			}
+			return fmt.Errorf("storage: %s: unique index %s violated", t.Schema.Name, ix.Name)
 		}
 	}
 	return nil
 }
 
+// taken reports whether a candidate of entry key k other than
+// excludeTID is a live row with that key; v is the key's first value.
+// Caller holds t.mu.
+func (t *Table) taken(ix *IndexInfo, v types.Value, k []byte, excludeTID int64) bool {
+	first, ok := ix.first(v, k)
+	if !ok {
+		return false
+	}
+	if first != excludeTID && t.liveMatch(ix, first, k) {
+		return true
+	}
+	for _, tid := range ix.rest(k) {
+		if tid != excludeTID && t.liveMatch(ix, tid, k) {
+			return true
+		}
+	}
+	return false
+}
+
 // liveMatch reports whether tid's live head has entry key k under ix.
 // Caller holds t.mu.
-func (t *Table) liveMatch(ix *IndexInfo, tid int64, k string) bool {
+func (t *Table) liveMatch(ix *IndexInfo, tid int64, k []byte) bool {
 	h := t.byTID[tid].head.Load()
 	if h.end.Load() != 0 {
 		return false
 	}
-	hk, _ := ix.key(h.values)
-	return hk == k
+	var hb [keyBuf]byte
+	hk, ok := ix.key(hb[:0], h.values)
+	return ok && bytes.Equal(hk, k)
 }
 
 // Insert adds a row with explicit system columns (used by WAL replay and
@@ -416,10 +493,15 @@ func (t *Table) Insert(tid, created int64, row types.Row) error {
 		}
 	}
 	v := &version{begin: t.stamp(), created: created, values: row}
+	var prev types.Row // the indexed version a reinsert extends
 	if sl != nil {
 		// Rebuild the slice rather than shifting in place: concurrent
 		// iterators hold the old array and must not see a slot twice.
-		v.prev.Store(sl.head.Load())
+		h := sl.head.Load()
+		if h != nil {
+			prev = h.values
+		}
+		v.prev.Store(h)
 		ns := make([]*rowSlot, 0, len(t.slots))
 		for _, s := range t.slots {
 			if s != sl {
@@ -436,7 +518,7 @@ func (t *Table) Insert(tid, created int64, row types.Row) error {
 	}
 	t.live++
 	t.nvers.Add(1)
-	t.indexRowLocked(tid, row)
+	t.indexRowLocked(tid, row, prev)
 	return nil
 }
 
@@ -462,7 +544,7 @@ func (t *Table) Update(tid int64, row types.Row) (old types.Row, err error) {
 	head.end.Store(v.begin)
 	sl.head.Store(v)
 	t.nvers.Add(1)
-	t.indexRowLocked(tid, row)
+	t.indexRowLocked(tid, row, head.values)
 	return head.values, nil
 }
 
@@ -530,40 +612,79 @@ func (t *Table) Vacuum(floor int64) (reclaimed int64) {
 }
 
 // rebuildIndexesLocked reconstructs the conservative index maps from the
-// retained versions. Caller holds t.mu.
+// retained versions. Each map is sized for the keys it held, at most one
+// a slot, so the rebuild does not regrow it. Caller holds t.mu.
 func (t *Table) rebuildIndexesLocked() {
 	for _, ix := range t.indexes {
-		ix.entries = map[string][]int64{}
+		ix.reset(min(len(ix.ints), len(t.slots)), min(len(ix.strs), len(t.slots)))
 	}
+	var kb [keyBuf]byte
 	for _, sl := range t.slots {
-		for v := sl.head.Load(); v != nil; v = v.prev.Load() {
-			t.indexRowLocked(sl.tid, v.values)
+		for _, ix := range t.indexes {
+			ix.addChain(sl, kb[:0])
 		}
 	}
 }
 
 // indexRowLocked adds one version's values to the conservative index
-// maps. Entries are never removed outside Vacuum. Caller holds t.mu.
-func (t *Table) indexRowLocked(tid int64, row types.Row) {
+// maps; prev is the tid's indexed version it follows, nil for a tid new
+// to the table (see add). Entries are never removed outside Vacuum.
+// Caller holds t.mu.
+func (t *Table) indexRowLocked(tid int64, row, prev types.Row) {
+	var kb [keyBuf]byte
 	for _, ix := range t.indexes {
-		ix.add(tid, row)
+		ix.add(tid, row, prev, kb[:0])
 	}
 }
 
-// add appends tid to the candidate list of row's key if absent (lists
-// are short).
-func (ix *IndexInfo) add(tid int64, row types.Row) {
-	k, ok := ix.key(row)
+// addChain adds every retained version of sl, newest first, to an index
+// that holds no candidate of sl's tid yet.
+func (ix *IndexInfo) addChain(sl *rowSlot, buf []byte) {
+	var prev types.Row
+	for v := sl.head.Load(); v != nil; v = v.prev.Load() {
+		ix.add(sl.tid, v.values, prev, buf)
+		prev = v.values
+	}
+}
+
+// add makes tid a candidate of row's key if it is not one already. prev
+// is a version of tid the index already holds, or nil when it holds no
+// candidate tid at all. A key prev shares already lists tid; only when
+// the key differs from prev's can tid be in the key's list from an older
+// version, so only then is the list scanned. The key is built in buf.
+func (ix *IndexInfo) add(tid int64, row, prev types.Row, buf []byte) {
+	k, ok := ix.key(buf, row)
 	if !ok {
 		return
 	}
-	list := ix.entries[k]
-	for _, id := range list {
-		if id == tid {
+	if prev != nil {
+		var pb [keyBuf]byte
+		if pk, ok := ix.key(pb[:0], prev); ok && bytes.Equal(pk, k) {
 			return
 		}
 	}
-	ix.entries[k] = append(list, tid)
+	v := row[ix.Cols[0]]
+	first, found := ix.first(v, k)
+	switch {
+	case !found:
+		if n, ok := ix.num(v); ok {
+			ix.ints[n] = tid
+		} else {
+			ix.strs[string(k)] = tid
+		}
+	case first != tid:
+		p := ix.more[string(k)]
+		if p == nil {
+			if ix.more == nil {
+				ix.more = map[string]*[]int64{}
+			}
+			p = new([]int64)
+			ix.more[string(k)] = p
+		}
+		if prev == nil || !slices.Contains(*p, tid) {
+			*p = append(*p, tid)
+		}
+	}
 }
 
 // AddIndex builds a named hash index over the given columns, covering
@@ -572,7 +693,7 @@ func (ix *IndexInfo) add(tid int64, row types.Row) {
 func (t *Table) AddIndex(name string, cols []string, unique bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ix := &IndexInfo{Name: name, Cols: make([]int, len(cols)), Unique: unique, Origin: OriginNamed, entries: map[string][]int64{}}
+	ix := newIndex(name, make([]int, len(cols)), unique, OriginNamed)
 	for i, c := range cols {
 		if ix.Cols[i] = t.Schema.ColIndex(c); ix.Cols[i] < 0 {
 			return fmt.Errorf("storage: no column %q in %s", c, t.Schema.Name)
@@ -583,22 +704,21 @@ func (t *Table) AddIndex(name string, cols []string, unique bool) error {
 			return fmt.Errorf("storage: index %q already exists on %s", name, t.Schema.Name)
 		}
 	}
+	var kb [keyBuf]byte
 	if unique {
 		seen := map[string]bool{}
 		for _, sl := range t.slots {
 			h := sl.head.Load()
-			if k, ok := ix.key(h.values); ok && h.end.Load() == 0 {
-				if seen[k] {
+			if k, ok := ix.key(kb[:0], h.values); ok && h.end.Load() == 0 {
+				if seen[string(k)] {
 					return fmt.Errorf("storage: existing data violates unique index %q", name)
 				}
-				seen[k] = true
+				seen[string(k)] = true
 			}
 		}
 	}
 	for _, sl := range t.slots {
-		for v := sl.head.Load(); v != nil; v = v.prev.Load() {
-			ix.add(sl.tid, v.values)
-		}
+		ix.addChain(sl, kb[:0])
 	}
 	// A fresh slice, re-ranked: constraint indexes keep their place, named
 	// ones order by most key columns, then name.

@@ -378,39 +378,6 @@ func Equal(a, b Value) bool {
 	return err == nil && c == 0
 }
 
-// HashKey returns a string usable as a map key. The law: two values of
-// the same kind have equal keys iff they are Equal (NaN, which Compare
-// cannot order, excepted), and an INT and a FLOAT share a key iff they are
-// the same number exactly — 3 and 3.0 do, 2^53+1 and float64(2^53) do not.
-// Compare agrees with that wherever float64 holds the integer exactly
-// (|i| ≤ 2^53); beyond, it rounds the INT and may call equal what the keys
-// keep apart. Values of different non-numeric kinds never share a key.
-func (v Value) HashKey() string {
-	switch v.Kind() {
-	case KindNull:
-		return "\x00"
-	case KindBool:
-		if v.Bool() {
-			return "b1"
-		}
-		return "b0"
-	case KindInt:
-		return "n" + strconv.FormatInt(v.Int(), 10)
-	case KindFloat:
-		if f := v.Float(); f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
-			return "n" + strconv.FormatInt(int64(f), 10)
-		}
-		return "n" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
-	case KindString:
-		return "s" + v.s
-	case KindTime:
-		return "t" + strconv.FormatInt(int64(v.n), 10)
-	case KindBytes:
-		return "y" + v.s
-	}
-	return "?"
-}
-
 // CoerceTo converts v to the target kind, or errors when no sensible
 // conversion exists. NULL coerces to NULL of any kind.
 func (v Value) CoerceTo(k Kind) (Value, error) {
@@ -482,16 +449,4 @@ func RowsEqual(a, b Row) bool {
 		}
 	}
 	return true
-}
-
-// RowKey concatenates the hash keys of the row's values into a map key.
-func RowKey(r Row) string {
-	var sb strings.Builder
-	for _, v := range r {
-		k := v.HashKey()
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
-	}
-	return sb.String()
 }

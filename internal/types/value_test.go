@@ -1,7 +1,9 @@
 package types
 
 import (
+	"encoding/binary"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,26 +123,29 @@ func TestCompareStringsTimesBytes(t *testing.T) {
 	}
 }
 
+// key is v's key as a string, for comparing keys.
+func key(v Value) string { return string(AppendKey(nil, v)) }
+
 func TestHashKeyNumericEquivalence(t *testing.T) {
-	if NewInt(3).HashKey() != NewFloat(3.0).HashKey() {
-		t.Error("3 and 3.0 should share a hash key")
+	if key(NewInt(3)) != key(NewFloat(3.0)) {
+		t.Error("3 and 3.0 should share a key")
 	}
-	if NewInt(3).HashKey() == NewInt(4).HashKey() {
+	if key(NewInt(3)) == key(NewInt(4)) {
 		t.Error("distinct ints must differ")
 	}
-	if NewString("3").HashKey() == NewInt(3).HashKey() {
+	if key(NewString("3")) == key(NewInt(3)) {
 		t.Error("string '3' must not collide with int 3")
 	}
 }
 
-// Property: Equal values always have equal hash keys.
+// Property: Equal values always have equal keys.
 func TestHashKeyConsistentWithEqual(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := NewInt(a), NewInt(b)
 		if Equal(va, vb) {
-			return va.HashKey() == vb.HashKey()
+			return key(va) == key(vb)
 		}
-		return va.HashKey() != vb.HashKey()
+		return key(va) != key(vb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -149,7 +154,7 @@ func TestHashKeyConsistentWithEqual(t *testing.T) {
 	// pairs never land next to each other).
 	for _, base := range []int64{1 << 53, 1<<53 + 1, 1 << 60, math.MaxInt64 - 1, -(1 << 53) - 2, math.MinInt64} {
 		if !f(base, base+1) || !f(base, base) {
-			t.Errorf("HashKey law broken at %d", base)
+			t.Errorf("key law broken at %d", base)
 		}
 	}
 	// INT and FLOAT share a key exactly when they are the same number.
@@ -159,15 +164,110 @@ func TestHashKeyConsistentWithEqual(t *testing.T) {
 		same bool
 	}{
 		{3, 3.0, true}, {0, math.Copysign(0, -1), true}, {1 << 53, 1 << 53, true}, {1 << 60, 1 << 60, true},
-		{1<<53 + 1, 1 << 53, false}, {1, 1.5, false}, {math.MaxInt64, 1 << 63, false},
+		{1<<53 + 1, 1 << 53, false}, {1, 1.5, false}, {math.MaxInt64, 1 << 63, false}, {math.MinInt64, -1 << 63, true},
 	} {
-		if got := NewInt(c.i).HashKey() == NewFloat(c.f).HashKey(); got != c.same {
+		if got := key(NewInt(c.i)) == key(NewFloat(c.f)); got != c.same {
 			t.Errorf("INT %d / FLOAT %v: shared key = %v, want %v", c.i, c.f, got, c.same)
 		}
 	}
-	if NewFloat(0).HashKey() != NewFloat(math.Copysign(0, -1)).HashKey() {
+	if key(NewFloat(0)) != key(NewFloat(math.Copysign(0, -1))) {
 		t.Error("0.0 and -0.0 are Equal but have different keys")
 	}
+}
+
+// keyValue builds a value of kind k%7 from fuzzed content: n for the
+// fixed-width kinds, s for STRING and BYTES.
+func keyValue(k uint8, n uint64, s string) Value {
+	switch Kind(k % 7) {
+	case KindBool:
+		return NewBool(n&1 == 1)
+	case KindInt:
+		return NewInt(int64(n))
+	case KindFloat:
+		return NewFloat(math.Float64frombits(n))
+	case KindString:
+		return NewString(s)
+	case KindTime:
+		return Value{s: tag(KindTime), n: n}
+	case KindBytes:
+		return NewBytes([]byte(s))
+	}
+	return Null
+}
+
+// lawSaysEqual is the key law stated without NumKey: same kind and
+// Equal, every NaN alike; an INT and a FLOAT when they are the same
+// number exactly, decided in arbitrary precision.
+func lawSaysEqual(a, b Value) bool {
+	ak, bk := a.Kind(), b.Kind()
+	if ak == KindFloat && bk == KindFloat && (math.IsNaN(a.Float()) || math.IsNaN(b.Float())) {
+		return math.IsNaN(a.Float()) && math.IsNaN(b.Float())
+	}
+	if ak == bk {
+		return Equal(a, b)
+	}
+	if ak == KindFloat {
+		a, b, ak, bk = b, a, bk, ak
+	}
+	if ak != KindInt || bk != KindFloat || math.IsNaN(b.Float()) {
+		return false
+	}
+	return new(big.Float).SetInt64(a.Int()).Cmp(big.NewFloat(b.Float())) == 0
+}
+
+// keyLen is the length of the value key k starts with, read from its tag
+// alone: a row key splits at these lengths.
+func keyLen(k []byte) int {
+	switch Kind(k[0]) {
+	case KindNull:
+		return 1
+	case KindString, KindBytes:
+		n, w := binary.Uvarint(k[1:])
+		return 1 + w + int(n)
+	}
+	return 9
+}
+
+// FuzzKeyLaw: two values have equal keys iff the key law says so, and a
+// key's length is the one its tag implies, so row keys concatenate
+// unambiguously.
+func FuzzKeyLaw(f *testing.F) {
+	nan2 := math.Float64bits(math.NaN()) ^ 1
+	for _, c := range []struct {
+		ka uint8
+		na uint64
+		sa string
+		kb uint8
+		nb uint64
+		sb string
+	}{
+		{uint8(KindInt), 3, "", uint8(KindFloat), math.Float64bits(3), ""},
+		{uint8(KindFloat), 0, "", uint8(KindFloat), math.Float64bits(math.Copysign(0, -1)), ""},
+		{uint8(KindInt), 0, "", uint8(KindFloat), math.Float64bits(math.Copysign(0, -1)), ""},
+		{uint8(KindFloat), math.Float64bits(math.NaN()), "", uint8(KindFloat), nan2, ""},
+		{uint8(KindFloat), math.Float64bits(math.NaN()), "", uint8(KindFloat), math.Float64bits(1), ""},
+		{uint8(KindInt), 1<<53 + 1, "", uint8(KindFloat), math.Float64bits(1 << 53), ""},
+		{uint8(KindInt), math.MaxInt64, "", uint8(KindFloat), math.Float64bits(1 << 63), ""},
+		{uint8(KindInt), 1 << 63, "", uint8(KindFloat), math.Float64bits(-1 << 63), ""},
+		{uint8(KindInt), 1 << 63, "", uint8(KindFloat), math.Float64bits(1 << 63), ""},
+		{uint8(KindFloat), math.Float64bits(math.Inf(1)), "", uint8(KindInt), math.MaxInt64, ""},
+		{uint8(KindString), 0, "ab", uint8(KindBytes), 0, "ab"},
+		{uint8(KindBool), 1, "", uint8(KindInt), 1, ""},
+		{uint8(KindTime), 7, "", uint8(KindInt), 7, ""},
+		{uint8(KindNull), 0, "", uint8(KindString), 0, ""},
+	} {
+		f.Add(c.ka, c.na, c.sa, c.kb, c.nb, c.sb)
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, na uint64, sa string, kb uint8, nb uint64, sb string) {
+		a, b := keyValue(ka, na, sa), keyValue(kb, nb, sb)
+		if got, want := key(a) == key(b), lawSaysEqual(a, b); got != want {
+			t.Fatalf("%s %v / %s %v: equal keys %v, the law says %v", a.Kind(), a, b.Kind(), b, got, want)
+		}
+		ab := AppendRowKey(nil, Row{a, b})
+		if n := keyLen(ab); string(ab[:n]) != key(a) || string(ab[n:]) != key(b) {
+			t.Fatalf("row key %x does not split into %x and %x", ab, key(a), key(b))
+		}
+	})
 }
 
 // Property: Compare is antisymmetric for ints and floats.
@@ -282,12 +382,16 @@ func TestRowHelpers(t *testing.T) {
 	if RowsEqual(r, Row{NewInt(1)}) {
 		t.Error("rows of different arity are not equal")
 	}
-	if RowKey(r) == RowKey(Row{NewInt(1), NewString("b")}) {
+	rowKey := func(r Row) string { return string(AppendRowKey(nil, r)) }
+	if rowKey(r) == rowKey(Row{NewInt(1), NewString("b")}) {
 		t.Error("distinct rows must have distinct keys")
 	}
-	// RowKey must be prefix-safe: ("ab","c") vs ("a","bc").
-	if RowKey(Row{NewString("ab"), NewString("c")}) == RowKey(Row{NewString("a"), NewString("bc")}) {
-		t.Error("RowKey must be unambiguous across value boundaries")
+	// Row keys must be prefix-safe: ("ab","c") vs ("a","bc").
+	if rowKey(Row{NewString("ab"), NewString("c")}) == rowKey(Row{NewString("a"), NewString("bc")}) {
+		t.Error("row keys must be unambiguous across value boundaries")
+	}
+	if RowKey(r) != rowKey(r) {
+		t.Error("RowKey must be the row's appended key")
 	}
 }
 
