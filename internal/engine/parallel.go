@@ -29,13 +29,16 @@ import (
 // resolves visibility lock-free against the same pinned sequence number,
 // and the only coordination is an atomic cursor handing out morsels —
 // fixed runs of version-chain slots, each a few VM batches long. Workers
-// run WHERE and return each morsel's matched lanes as references; the
-// sink consumes the morsels in slot order on the statement's goroutine,
-// so rows, the first surfaced error and the rows-scanned tally are
+// run WHERE; the lowest morsel not yet sunk owns the sink, so its
+// worker passes each batch WHERE keeps straight on, while the workers
+// of later morsels hold theirs, as references in pooled batches, until
+// their turn comes (handoff). The sink thus consumes the kept lanes in
+// slot order, on one worker at a time, while later morsels scan, so
+// rows, the first surfaced error and the rows-scanned tally are
 // byte-identical at every width. Everything downstream — projection,
-// group keys, aggregate folds, the hash-join build — runs front to back.
-// Splitting those phases paid for nothing measurable (DESIGN.md §16) and
-// needed partial-state merges to stay exact.
+// group keys, aggregate folds, the hash-join build — runs front to
+// back. Splitting those phases paid for nothing measurable (DESIGN.md
+// §16) and needed partial-state merges to stay exact.
 //
 // The worker budget is engine-wide (Engine.parExtra): a scan reserves
 // extra workers against the configured parallelism before fanning out
@@ -336,21 +339,110 @@ func (ev *evaluator) filter(e *Engine, in *batch) error {
 	return nil
 }
 
-// scanOut is what one scan range produced: the rows it read and, at
-// width above 1, the lanes WHERE kept, a batch at a time.
-type scanOut struct {
-	kept    []batch
-	scanned int
+// morsel is one slot range of a scan: the rows it read, the batches of
+// lanes WHERE kept that wait for the sink, taken from lanePool, and
+// whether WHERE failed in it. done is set, under handoff.mu, once its
+// worker is through with it.
+type morsel struct {
+	kept         []*batch
+	scanned      int
+	failed, done bool
+}
+
+// handoff passes a scan's morsels to its sink in slot order. The sink
+// belongs to the lowest morsel not yet sunk (next): its worker passes
+// each batch it keeps straight on, while the workers of later morsels
+// hold theirs until next reaches them. A worker starts a morsel only
+// among the first width from next on (claim), so a scan holds the lanes
+// of at most width − 1 morsels, however the workers are scheduled.
+type handoff struct {
+	mu    sync.Mutex
+	moved *sync.Cond // next moved on; nil at width 1, where no one waits
+	ms    []morsel
+	next  atomic.Int64 // stored under mu, read by claim and keep without it
+	width int
+	sink  func(*batch)
+}
+
+// claim waits until morsel i is among the width morsels from next on.
+// The worker of morsel next never waits, so next moves on.
+func (h *handoff) claim(i int) {
+	if int64(i) < h.next.Load()+int64(h.width) {
+		return
+	}
+	h.mu.Lock()
+	for int64(i) >= h.next.Load()+int64(h.width) {
+		h.moved.Wait()
+	}
+	h.mu.Unlock()
+}
+
+// keep passes s, a batch of morsel i's kept lanes, to the sink — after
+// those i holds — when i is next, or else holds it in i. It returns the
+// batch to read i's next lanes into.
+func (h *handoff) keep(i int, s *batch) *batch {
+	m := &h.ms[i]
+	if h.next.Load() != int64(i) {
+		m.kept = append(m.kept, s)
+		return emptyLanes()
+	}
+	h.flush(m)
+	h.sink(s)
+	return s
+}
+
+// flush passes the batches m holds to the sink and returns them to
+// lanePool.
+func (h *handoff) flush(m *morsel) {
+	for _, s := range m.kept {
+		h.sink(s)
+		lanePool.Put(s)
+	}
+	m.kept = m.kept[:0]
+}
+
+// finish marks morsel i complete. The worker that completes the lowest
+// morsel not yet sunk passes on what it holds, then what every later
+// morsel already complete holds, in order; next moves past a morsel only
+// once it is sunk, so no other worker sinks meanwhile, and the lock is
+// not held while the sink runs. A morsel WHERE failed in has passed on
+// its lanes up to the failing batch and ends the hand-off: nothing after
+// it reaches the sink.
+func (h *handoff) finish(i int) {
+	h.mu.Lock()
+	h.ms[i].done = true
+	for ; int64(i) == h.next.Load() && i < len(h.ms) && h.ms[i].done; i++ {
+		h.mu.Unlock()
+		m := &h.ms[i]
+		h.flush(m)
+		h.mu.Lock()
+		if h.next.Store(int64(i + 1)); m.failed {
+			h.next.Store(int64(len(h.ms)))
+		}
+		if h.moved != nil {
+			h.moved.Broadcast()
+		}
+	}
+	h.mu.Unlock()
+}
+
+// emptyLanes takes a batch from lanePool, emptied.
+func emptyLanes() *batch {
+	s := lanePool.Get().(*batch)
+	s.rows, s.tids, s.created = s.rows[:0], s.tids[:0], s.created[:0]
+	return s
 }
 
 // scanTable is the full scan of tbl at the statement's snapshot: slots
 // are read a batch at a time and the lanes WHERE keeps go to sink by
-// reference. Without a WHERE, or below two morsels, the whole slot array
-// is one range streamed straight into sink. Otherwise workers claim
-// morselSlots-sized ranges and keep each range's matched lanes, which
-// sink consumes in range order once every range is scanned. The
-// workers' machines share b, whose subqueries run once for all of them.
-// A WHERE error aborts the scan without counting the tally.
+// reference, in pooled batches. Without a WHERE, or below two morsels,
+// the whole slot array is one range streamed straight into sink.
+// Otherwise workers claim morselSlots-sized ranges and hand their kept
+// lanes to sink in range order (handoff), so sink may run on any worker,
+// never on two at once. The workers' machines share b, whose subqueries
+// run once for all of them. A WHERE error aborts the scan without
+// counting the tally; the lanes kept before it, in slot order, have
+// reached sink, as at width 1.
 func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *vm.Program, sink func(*batch)) error {
 	ctx := b.ctx
 	view := tbl.View(ctx.snap)
@@ -364,33 +456,30 @@ func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *vm.Program, sin
 	if nw > 1 {
 		step = morselSlots
 	}
-	var outs []scanOut
-	if n > 0 {
-		outs = make([]scanOut, (n+step-1)/step)
+	h := &handoff{width: nw, sink: sink}
+	if nw > 1 {
+		h.moved = sync.NewCond(&h.mu)
 	}
-	err := fanOut(nw, len(outs), func(next func() (int, bool)) error {
+	if n > 0 {
+		h.ms = make([]morsel, (n+step-1)/step)
+	}
+	err := fanOut(nw, len(h.ms), func(next func() (int, bool)) error {
 		ev := b.evaluator([]*vm.Program{where}) // per worker: machines are not goroutine-safe
-		buf := lanePool.Get().(*batch)
-		defer lanePool.Put(buf)
-		in := &batch{rows: buf.rows[:0], tids: buf.tids[:0], created: buf.created[:0]}
+		in := emptyLanes()
+		defer func() { lanePool.Put(in) }()
 		for ri, ok := next(); ok; ri, ok = next() {
-			out := &outs[ri]
-			for it := view.IterateRange(ri*step, (ri+1)*step); ; {
+			h.claim(ri)
+			m := &h.ms[ri]
+			var err error
+			for it := view.IterateRange(ri*step, (ri+1)*step); err == nil; {
 				sr, more := it.Next()
 				if more {
-					out.scanned++
+					m.scanned++
 					in.rows, in.tids, in.created = append(in.rows, sr.Values), append(in.tids, sr.TID), append(in.created, sr.Created)
 				}
 				if len(in.rows) == vm.BatchSize || !more && len(in.rows) > 0 {
-					if err := ev.filter(e, in); err != nil {
-						return err
-					}
-					switch {
-					case len(in.rows) == 0:
-					case nw > 1:
-						out.kept = append(out.kept, batch{rows: slices.Clone(in.rows), tids: slices.Clone(in.tids), created: slices.Clone(in.created)})
-					default:
-						sink(in)
+					if err = ev.filter(e, in); err == nil && len(in.rows) > 0 {
+						in = h.keep(ri, in)
 					}
 					in.rows, in.tids, in.created = in.rows[:0], in.tids[:0], in.created[:0]
 				}
@@ -398,26 +487,27 @@ func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *vm.Program, sin
 					break
 				}
 			}
+			m.failed = err != nil
+			h.finish(ri)
+			if err != nil {
+				return err
+			}
 		}
 		return nil
 	})
+	scanned := 0
+	for i := range h.ms {
+		scanned += h.ms[i].scanned
+		for _, s := range h.ms[i].kept { // morsels past a WHERE error
+			lanePool.Put(s)
+		}
+	}
 	if err != nil {
 		return err
 	}
-	scanned := 0
-	for i := range outs {
-		scanned += outs[i].scanned
-	}
 	e.countScanned(ctx, scanned)
-	if nw > 1 {
-		if e.reg.Enabled() {
-			e.mParMorsels.Add(int64(len(outs)))
-		}
-		for i := range outs {
-			for j := range outs[i].kept {
-				sink(&outs[i].kept[j])
-			}
-		}
+	if nw > 1 && e.reg.Enabled() {
+		e.mParMorsels.Add(int64(len(h.ms)))
 	}
 	return nil
 }

@@ -2,10 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ediflow/internal/engine/vm"
+	"ediflow/internal/sqltext"
+	"ediflow/internal/storage"
 	"ediflow/internal/types"
 )
 
@@ -309,17 +313,18 @@ func TestOnlyScansFanOut(t *testing.T) {
 // TestSubqueryPredicateFansOut: a scan whose WHERE holds a subquery fans
 // out like any other — every worker's machine reads the subquery through
 // the statement's binder, which runs it once — and returns width 1's
-// rows. -race is the second witness.
+// rows. So does its projection's subquery, which runs on whichever
+// worker hands a morsel to the sink. -race is the second witness.
 func TestSubqueryPredicateFansOut(t *testing.T) {
 	e := newParTestDB(t, 3000)
 	forceParallel(t, e, 4, 256)
-	const sql = "SELECT id, v * 2 FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND (SELECT MAX(k) FROM dim) > 5"
+	const sql = "SELECT id, v * 2, (SELECT MIN(label) FROM dim) FROM p WHERE v % 7 IN (SELECT k FROM dim WHERE k > 2) AND (SELECT MAX(k) FROM dim) > 5"
 	var rows [2]*Result
 	for i, width := range []int{1, 4} {
 		e.parallelism.Store(int64(width))
 		s0, q0 := e.mRowsScanned.Value(), e.mParQueries.Value()
 		rows[i] = mustExec(t, e, sql)
-		if got := e.mRowsScanned.Value() - s0; got != 3000+7+7 {
+		if got := e.mRowsScanned.Value() - s0; got != 3000+7+7+7 {
 			t.Fatalf("width %d: scanned %d rows, want 3000 and each subquery's 7 once", width, got)
 		}
 		if fanned := e.mParQueries.Value() != q0; fanned != (width > 1) {
@@ -333,6 +338,103 @@ func TestSubqueryPredicateFansOut(t *testing.T) {
 		t.Fatal("the predicate kept no row")
 	}
 	sameOutcome(t, sql+" (width 4)", rows[1], nil, rows[0], nil)
+}
+
+// TestParallelFailedStatementTally: when WHERE fails, the lanes kept
+// before the failing batch have reached the sink at every width, as they
+// do at width 1, so a sink's subquery — in the projection or in an
+// aggregate's argument — has run and its rows count in rows_scanned
+// exactly when it did at width 1; the table's own rows count at no
+// width. WHERE fails in morsel 0's first batch (nothing reached the
+// sink), in its second batch, in morsel 2 and on the last row.
+func TestParallelFailedStatementTally(t *testing.T) {
+	const n = 8 * vm.BatchSize
+	e := newPhaseTestDB(t, n)
+	mustExec(t, e, "CREATE TABLE d (k INT)")
+	mustExec(t, e, "INSERT INTO d (k) VALUES (1), (2), (3), (4), (5), (6), (7)")
+	forceParallel(t, e, 4, 2*vm.BatchSize)
+	for _, at := range []struct {
+		id      int
+		scanned int64 // the subquery's 7 rows, once it has run
+	}{{5, 0}, {vm.BatchSize + 5, 7}, {5*vm.BatchSize + 5, 7}, {n - 1, 7}} {
+		where := fmt.Sprintf(" FROM ph WHERE CASE WHEN id = %d THEN 1 / 0 ELSE 1 END = 1", at.id)
+		for _, sql := range []string{
+			"SELECT id, (SELECT COUNT(*) FROM d)" + where,
+			"SELECT COUNT(*), SUM(id + (SELECT COUNT(*) FROM d))" + where,
+		} {
+			var errs [2]string
+			for i, width := range []int{1, 4} {
+				e.parallelism.Store(int64(width))
+				s0 := e.mRowsScanned.Value()
+				_, err := e.Exec(sql)
+				if err == nil {
+					t.Fatalf("%s (width %d): no error", sql, width)
+				}
+				errs[i] = err.Error()
+				if got := e.mRowsScanned.Value() - s0; got != at.scanned {
+					t.Errorf("%s (width %d): rows_scanned %d, want %d", sql, width, got, at.scanned)
+				}
+			}
+			if errs[0] != errs[1] {
+				t.Errorf("%s: width 1 error %q, width 4 error %q", sql, errs[0], errs[1])
+			}
+			if e.parExtra.Load() != 0 {
+				t.Fatalf("%s: leaked worker reservations: %d", sql, e.parExtra.Load())
+			}
+		}
+	}
+}
+
+// TestParallelHandOffBatches: a wide scan passes its sink exactly the
+// batches the width-1 scan passes, in the same order — each batch's
+// lanes by tid — with morsels of four whole batches, so a later
+// morsel's worker is often partway through when its turn comes. With a
+// WHERE error, the sink gets width 1's batches before the failing one
+// and nothing after it.
+func TestParallelHandOffBatches(t *testing.T) {
+	const n = 16 * vm.BatchSize
+	e := newPhaseTestDB(t, n)
+	forceParallel(t, e, 4, 4*vm.BatchSize)
+	for _, sql := range []string{
+		"SELECT id FROM ph WHERE id % 3 != 0 AND v != 7",
+		fmt.Sprintf("SELECT id FROM ph WHERE v != 7 AND CASE WHEN id = %d THEN 1 / 0 ELSE 1 END = 1", 9*vm.BatchSize+5),
+	} {
+		st, err := sqltext.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := st.(*sqltext.Select)
+		scan := func(width int) (got [][]int64, err error) {
+			e.parallelism.Store(int64(width))
+			ctx := &stmtCtx{snap: storage.SeqLatest}
+			defer ctx.release()
+			rel, src, err := e.buildFrom(sel, nil, nil, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := newBinder(e, nil, rel, ctx)
+			err = e.scanTable(src.tbl, b, e.compiledProg(sel.Where, b), func(s *batch) {
+				got = append(got, slices.Clone(s.tids))
+			})
+			if e.parExtra.Load() != 0 {
+				t.Fatalf("%s (width %d): leaked worker reservations: %d", sql, width, e.parExtra.Load())
+			}
+			return got, err
+		}
+		want, werr := scan(1)
+		if len(want) < 8 {
+			t.Fatalf("%s: width 1 sank %d batches, want several morsels' worth", sql, len(want))
+		}
+		for run := 0; run < 20; run++ {
+			got, err := scan(4)
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%s (width 4, run %d): error %v, width 1 %v", sql, run, err, werr)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
+				t.Fatalf("%s (width 4, run %d): sink got %d batches unlike width 1's %d", sql, run, len(got), len(want))
+			}
+		}
+	}
 }
 
 // TestParallelWorkerBudget: the worker pool is engine-wide — with the

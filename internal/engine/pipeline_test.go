@@ -316,6 +316,62 @@ func TestScanFoldAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestWideScanAllocCeiling: a filtered scan that fans out hands each
+// morsel's kept lanes to its sink in pooled batches, so it allocates
+// within a small constant of the same statement at width 1 — the
+// goroutines and the morsel table, not a copy of every kept lane's row
+// reference, tid and created stamp (40 bytes a lane, about 2.6 MB here).
+func TestWideScanAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceiling is meaningless under the race detector")
+	}
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE fact (id INT PRIMARY KEY, k INT, v INT, w FLOAT, s STRING)")
+	seed := uint64(3)
+	rnd := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	var sb strings.Builder
+	for lo := 0; lo < 65536; lo += 1000 {
+		sb.Reset()
+		sb.WriteString("INSERT INTO fact VALUES ")
+		for i := lo; i < min(lo+1000, 65536); i++ {
+			if i > lo {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, %d, %d.5, 'cat-%02d')", i, rnd(1000), rnd(100000), rnd(1000), rnd(32))
+		}
+		mustExec(t, e, sb.String())
+	}
+	const slack = 16 << 10
+	for _, sql := range []string{
+		"SELECT COUNT(*), SUM(v), MIN(w), MAX(w) FROM fact WHERE k < 900",
+		"SELECT s, COUNT(*), SUM(v) FROM fact WHERE k < 900 GROUP BY s",
+		"SELECT id, v FROM fact WHERE k < 900 ORDER BY v DESC, id LIMIT 100",
+	} {
+		// How many kept batches wait at once depends on the schedule, up
+		// to width − 1 morsels' worth; the pool keeps the most any run
+		// needed, so runs at the widest width stock it first, as a warm
+		// engine's is.
+		e.parallelism.Store(4)
+		for i := 0; i < 20; i++ {
+			mustExec(t, e, sql)
+		}
+		var base uint64
+		for _, width := range []int{1, 2, 4} {
+			e.parallelism.Store(int64(width))
+			got := allocPerExec(t, e, 10, sql, func(int) []types.Value { return nil })
+			t.Logf("width %d: %s: %.1f KB", width, sql, float64(got)/1024)
+			if width == 1 {
+				base = got
+			} else if got > base+slack {
+				t.Errorf("width %d: %s allocates %.1f KB per statement, width 1 %.1f KB: more than %d KB apart", width, sql, float64(got)/1024, float64(base)/1024, slack>>10)
+			}
+		}
+	}
+}
+
 // TestGroupAllocCeiling: a GROUP BY builds each lane's group key in a
 // reused buffer and makes a key string only when a group opens, so over
 // 50 groups it allocates the same at 5,000 rows as at 50,000, within a

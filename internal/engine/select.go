@@ -18,8 +18,12 @@ import (
 // stmtCtx carries per-statement execution state: the MVCC snapshot seq
 // base-table reads resolve against, the outermost SELECT (AS OF is only
 // honored there), and an exact rows-scanned tally. One ctx exists per
-// statement and is touched only by the executing goroutine — except
-// machines, which morsel workers append to concurrently under machMu.
+// statement. Its executing goroutine touches it, and so do morsel
+// workers in two ways: they append to machines under machMu, and the
+// worker a wide scan's sink runs on (handoff) reaches the rest only
+// through binder.subquery, which holds the binder's subMu while the
+// subquery runs — every subquery of the scan's WHERE and of its sink
+// shares that binder and lock.
 type stmtCtx struct {
 	snap       int64           // visibility ceiling for base-table reads
 	top        *sqltext.Select // outermost SELECT of the statement, if any
