@@ -738,9 +738,9 @@ func (c *aggCall) result(st *aggState, count int64) (types.Value, error) {
 // its column past the source relation's (binder.aggCol).
 func aggCalls(exprs []sqltext.Expr) (cols map[*sqltext.FuncCall]int, calls []aggCall) {
 	cols = map[*sqltext.FuncCall]int{}
-	for _, x := range exprs {
-		sqltext.WalkExpr(x, func(x sqltext.Expr) bool {
-			fc, ok := x.(*sqltext.FuncCall)
+	for i := range exprs {
+		sqltext.WalkExpr(&exprs[i], func(p *sqltext.Expr) bool {
+			fc, ok := (*p).(*sqltext.FuncCall)
 			if !ok || !sqltext.IsAggregateName(fc.Name) {
 				return true
 			}

@@ -449,8 +449,8 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 		}
 		if items, _, err := expandItems(sel, left); err == nil && len(items) > 0 {
 			agg := len(sel.GroupBy) > 0
-			for _, it := range items {
-				agg = agg || sqltext.HasAggregate(it.Expr)
+			for i := range items {
+				agg = agg || sqltext.HasAggregate(&items[i].Expr)
 			}
 			if !agg {
 				lines = append(lines, indent+"project: compiled")

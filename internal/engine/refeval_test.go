@@ -731,8 +731,8 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 	}
 	res = &Result{Columns: names}
 	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, it := range items {
-		aggregate = aggregate || sqltext.HasAggregate(it.Expr)
+	for i := range items {
+		aggregate = aggregate || sqltext.HasAggregate(&items[i].Expr)
 	}
 	eval := func(group []types.Row, r types.Row) (types.Row, error) {
 		out := make(types.Row, len(items))

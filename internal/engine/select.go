@@ -87,11 +87,11 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		return nil, err
 	}
 	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, it := range items {
-		aggregate = aggregate || (it.Expr != nil && sqltext.HasAggregate(it.Expr))
+	for i := range items {
+		aggregate = aggregate || sqltext.HasAggregate(&items[i].Expr)
 	}
-	for _, o := range sel.OrderBy {
-		aggregate = aggregate || sqltext.HasAggregate(o.Expr)
+	for i := range sel.OrderBy {
+		aggregate = aggregate || sqltext.HasAggregate(&sel.OrderBy[i].Expr)
 	}
 	var orderCols []int
 	if aggregate {
@@ -160,7 +160,7 @@ func aggOrderItems(sel *sqltext.Select, items []projItem) ([]projItem, []int) {
 	orderCols := make([]int, len(sel.OrderBy))
 	for oi, o := range sel.OrderBy {
 		orderCols[oi] = -1
-		if !sqltext.HasAggregate(o.Expr) {
+		if !sqltext.HasAggregate(&sel.OrderBy[oi].Expr) {
 			continue
 		}
 		text := o.Expr.String()
@@ -554,7 +554,7 @@ func (e *Engine) newSorter(sel *sqltext.Select, colNames []string, orderCols []i
 			s.outCol[oi] = p
 			continue
 		}
-		if sqltext.HasAggregate(o.Expr) {
+		if sqltext.HasAggregate(&sel.OrderBy[oi].Expr) {
 			s.outCol[oi] = orderCols[oi]
 			continue
 		}

@@ -357,9 +357,10 @@ func (e *Engine) Fold(sel *sqltext.Select) (ivm.Fold, error) {
 		exprs = append(exprs, it.Expr)
 	}
 	exprs = append(exprs, sel.Having)
-	for _, x := range exprs {
+	for i, x := range exprs {
 		var err error
-		sqltext.WalkExpr(x, func(y sqltext.Expr) bool {
+		sqltext.WalkExpr(&exprs[i], func(p *sqltext.Expr) bool {
+			y := *p
 			grouped := slices.ContainsFunc(sel.GroupBy, func(g sqltext.Expr) bool { return g.String() == y.String() })
 			if fc, ok := y.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) || grouped || err != nil {
 				return false

@@ -93,9 +93,9 @@ func New(name string, q *sqltext.Select, ev Evaluator) (*Maintainer, error) {
 		return nil, fmt.Errorf("ivm: view %s: subqueries are not incrementally maintainable", name)
 	}
 	hasAgg, star := len(q.GroupBy) > 0, false
-	for _, it := range q.Items {
+	for i, it := range q.Items {
 		star = star || it.Star
-		hasAgg = hasAgg || !it.Star && sqltext.HasAggregate(it.Expr)
+		hasAgg = hasAgg || !it.Star && sqltext.HasAggregate(&q.Items[i].Expr)
 	}
 	if !hasAgg {
 		switch {
@@ -133,23 +133,16 @@ func New(name string, q *sqltext.Select, ev Evaluator) (*Maintainer, error) {
 // hasSubquery reports whether any expression of q holds a scalar, EXISTS
 // or IN subquery.
 func hasSubquery(q *sqltext.Select) bool {
-	exprs := append([]sqltext.Expr{q.Where, q.Having}, q.GroupBy...)
-	for _, it := range q.Items {
-		exprs = append(exprs, it.Expr)
-	}
-	for _, j := range q.Joins {
-		exprs = append(exprs, j.On)
-	}
 	found := false
-	for _, x := range exprs {
-		sqltext.WalkExpr(x, func(x sqltext.Expr) bool {
-			in, isIn := x.(*sqltext.InExpr)
-			_, isSub := x.(*sqltext.Subquery)
-			_, isExists := x.(*sqltext.Exists)
+	q.Exprs(func(p *sqltext.Expr) {
+		sqltext.WalkExpr(p, func(p *sqltext.Expr) bool {
+			in, isIn := (*p).(*sqltext.InExpr)
+			_, isSub := (*p).(*sqltext.Subquery)
+			_, isExists := (*p).(*sqltext.Exists)
 			found = found || isSub || isExists || isIn && in.Query != nil
 			return !found
 		})
-	}
+	})
 	return found
 }
 

@@ -281,56 +281,142 @@ func (*CaseExpr) expr()  {}
 func (*Subquery) expr()  {}
 func (*Exists) expr()    {}
 
-// WalkExpr visits e and all sub-expressions (pre-order). The visitor returns
-// false to prune the subtree.
-func WalkExpr(e Expr, visit func(Expr) bool) {
-	if e == nil || !visit(e) {
+// WalkExpr visits the expression in slot p and all its sub-expressions
+// (pre-order), passing each visit the slot that holds the node, so a
+// visitor may replace it in place; the walk then goes on into the
+// replacement. The visitor returns false to prune the subtree. A query
+// nested in the expression is not entered: Queries reaches those.
+func WalkExpr(p *Expr, visit func(*Expr) bool) {
+	if *p == nil || !visit(p) {
 		return
 	}
-	switch x := e.(type) {
+	switch x := (*p).(type) {
 	case *Unary:
-		WalkExpr(x.X, visit)
+		WalkExpr(&x.X, visit)
 	case *Binary:
-		WalkExpr(x.L, visit)
-		WalkExpr(x.R, visit)
+		WalkExpr(&x.L, visit)
+		WalkExpr(&x.R, visit)
 	case *FuncCall:
-		for _, a := range x.Args {
-			WalkExpr(a, visit)
+		for i := range x.Args {
+			WalkExpr(&x.Args[i], visit)
 		}
 	case *InExpr:
-		WalkExpr(x.X, visit)
-		for _, a := range x.List {
-			WalkExpr(a, visit)
+		WalkExpr(&x.X, visit)
+		for i := range x.List {
+			WalkExpr(&x.List[i], visit)
 		}
 	case *IsNull:
-		WalkExpr(x.X, visit)
+		WalkExpr(&x.X, visit)
 	case *Like:
-		WalkExpr(x.X, visit)
-		WalkExpr(x.Pattern, visit)
+		WalkExpr(&x.X, visit)
+		WalkExpr(&x.Pattern, visit)
 	case *Between:
-		WalkExpr(x.X, visit)
-		WalkExpr(x.Lo, visit)
-		WalkExpr(x.Hi, visit)
+		WalkExpr(&x.X, visit)
+		WalkExpr(&x.Lo, visit)
+		WalkExpr(&x.Hi, visit)
 	case *CaseExpr:
-		WalkExpr(x.Operand, visit)
-		for _, w := range x.Whens {
-			WalkExpr(w.Cond, visit)
-			WalkExpr(w.Result, visit)
+		WalkExpr(&x.Operand, visit)
+		for i := range x.Whens {
+			WalkExpr(&x.Whens[i].Cond, visit)
+			WalkExpr(&x.Whens[i].Result, visit)
 		}
-		WalkExpr(x.Else, visit)
-	case *Exists:
-		// The nested Select is not an Expr; callers that care about
-		// subqueries handle *Exists (and *Subquery, *InExpr) themselves.
+		WalkExpr(&x.Else, visit)
 	}
 }
 
-// HasAggregate reports whether e contains an aggregate function call.
-func HasAggregate(e Expr) bool {
+// Exprs visits each expression slot of s that holds an expression: the
+// items, each JOIN's ON, WHERE, GROUP BY, HAVING, ORDER BY, LIMIT,
+// OFFSET and AS OF. It does not enter FROM subqueries or nested queries.
+func (s *Select) Exprs(fn func(*Expr)) {
+	visit := func(p *Expr) {
+		if *p != nil {
+			fn(p)
+		}
+	}
+	for i := range s.Items {
+		visit(&s.Items[i].Expr)
+	}
+	for i := range s.Joins {
+		visit(&s.Joins[i].On)
+	}
+	visit(&s.Where)
+	for i := range s.GroupBy {
+		visit(&s.GroupBy[i])
+	}
+	visit(&s.Having)
+	for i := range s.OrderBy {
+		visit(&s.OrderBy[i].Expr)
+	}
+	visit(&s.Limit)
+	visit(&s.Offset)
+	visit(&s.AsOf)
+}
+
+// Queries calls fn once for every SELECT that st holds: the statement
+// itself, a view's or INSERT's query, FROM subqueries and the queries
+// nested in any expression (ON, SET, VALUES and DML WHERE included).
+// Inner queries come before the query that holds them, so fn may add
+// subqueries of its own to the query it is given without their being
+// visited.
+func Queries(st Statement, fn func(*Select)) {
+	in := func(p *Expr) {
+		WalkExpr(p, func(p *Expr) bool {
+			switch x := (*p).(type) {
+			case *Subquery:
+				Queries(x.Query, fn)
+			case *Exists:
+				Queries(x.Query, fn)
+			case *InExpr:
+				if x.Query != nil {
+					Queries(x.Query, fn)
+				}
+			}
+			return true
+		})
+	}
+	switch s := st.(type) {
+	case *Select:
+		if s.From != nil && s.From.Subquery != nil {
+			Queries(s.From.Subquery, fn)
+		}
+		for _, j := range s.Joins {
+			if j.Right.Subquery != nil {
+				Queries(j.Right.Subquery, fn)
+			}
+		}
+		s.Exprs(in)
+		fn(s)
+	case *Insert:
+		for _, row := range s.Rows {
+			for i := range row {
+				in(&row[i])
+			}
+		}
+		if s.Query != nil {
+			Queries(s.Query, fn)
+		}
+	case *Update:
+		for i := range s.Set {
+			in(&s.Set[i].Value)
+		}
+		in(&s.Where)
+	case *Delete:
+		in(&s.Where)
+	case *CreateView:
+		Queries(s.Query, fn)
+	case *Explain:
+		Queries(s.Stmt, fn)
+	}
+}
+
+// HasAggregate reports whether the expression in slot p contains an
+// aggregate function call. It takes the slot so that the walk moves no
+// expression to the heap.
+func HasAggregate(p *Expr) bool {
 	found := false
-	WalkExpr(e, func(x Expr) bool {
-		if f, ok := x.(*FuncCall); ok && IsAggregateName(f.Name) {
+	WalkExpr(p, func(p *Expr) bool {
+		if f, ok := (*p).(*FuncCall); ok && IsAggregateName(f.Name) {
 			found = true
-			return false
 		}
 		return !found
 	})

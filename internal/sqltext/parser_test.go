@@ -181,8 +181,8 @@ func TestParsePredicates(t *testing.T) {
 	st := mustParse(t, "SELECT * FROM t WHERE a IS NULL AND b IS NOT NULL AND c LIKE 'x%' AND d NOT LIKE '_y' AND e BETWEEN 1 AND 10 AND f NOT BETWEEN 2 AND 3 AND g IN (1, 2, 3) AND h NOT IN (4)").(*Select)
 	// Just check that it parses into a conjunction tree with all predicate types.
 	found := map[string]bool{}
-	WalkExpr(st.Where, func(e Expr) bool {
-		switch x := e.(type) {
+	WalkExpr(&st.Where, func(p *Expr) bool {
+		switch x := (*p).(type) {
 		case *IsNull:
 			if x.Not {
 				found["isnotnull"] = true
@@ -349,15 +349,15 @@ func TestParseExprStandalone(t *testing.T) {
 
 func TestHasAggregate(t *testing.T) {
 	e, _ := ParseExpr("1 + COUNT(*)")
-	if !HasAggregate(e) {
+	if !HasAggregate(&e) {
 		t.Error("COUNT(*) is an aggregate")
 	}
 	e, _ = ParseExpr("UPPER(name)")
-	if HasAggregate(e) {
+	if HasAggregate(&e) {
 		t.Error("UPPER is not an aggregate")
 	}
 	e, _ = ParseExpr("SUM(x) / COUNT(x)")
-	if !HasAggregate(e) {
+	if !HasAggregate(&e) {
 		t.Error("SUM is an aggregate")
 	}
 }

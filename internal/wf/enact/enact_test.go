@@ -310,6 +310,42 @@ func TestTemporaryRelations(t *testing.T) {
 	}
 }
 
+// A temporary relation is renamed wherever a query names it, here in a
+// subquery inside JOIN … ON, in an update and in an assignment.
+func TestTemporaryRelationInJoinOn(t *testing.T) {
+	e, _, _ := newEngine(t)
+	_, err := e.DeployXML(`
+<process name="tmpon">
+  <variable name="n" type="int"/>
+  <relation name="items" primaryKey="id">
+    <attribute name="id" type="int"/>
+  </relation>
+  <relation name="picked" primaryKey="id">
+    <attribute name="id" type="int"/>
+  </relation>
+  <relation name="scratch" temporary="true">
+    <attribute name="k" type="int"/>
+  </relation>
+  <body>
+    <sequence>
+      <activity name="fill"><update>INSERT INTO items (id) VALUES (1), (2), (3); INSERT INTO scratch (k) VALUES (2), (3)</update></activity>
+      <activity name="pick"><update>INSERT INTO picked SELECT i.id FROM items AS i JOIN items AS j ON i.id = j.id AND i.id IN (SELECT k FROM scratch)</update></activity>
+      <activity name="cnt"><assign variable="n" value="(SELECT COUNT(*) FROM picked JOIN items ON picked.id = items.id AND items.id IN (SELECT k FROM scratch WHERE k > 2))"/></activity>
+    </sequence>
+  </body>
+</process>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, _ := e.Start("tmpon", "u")
+	if err := inst.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := inst.Var("n"); n.Int() != 1 {
+		t.Fatalf("n: %v, want 1", n)
+	}
+}
+
 // ---------------------------------------------------------- reactivity
 
 // reactiveProc counts Run and Update invocations.

@@ -38,6 +38,10 @@ type Instance struct {
 
 	eng  *Engine
 	user string
+	// managed names the relations under isolation (lower-cased). Start
+	// fills it before the instance runs; nothing writes it after, so it
+	// is read without mu.
+	managed map[string]bool
 
 	mu       sync.Mutex
 	vars     map[string]types.Value
@@ -45,7 +49,6 @@ type Instance struct {
 	status   string
 	err      error
 	acts     map[string]*ActivityState
-	managed  map[string]bool   // relations under isolation (lower-cased)
 	temp     map[string]string // temporary relation → physical table
 
 	done chan struct{}
@@ -411,8 +414,8 @@ func (in *Instance) execSQLActivity(a *wf.Activity) error {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *sqltext.Select:
-			rewritten := in.eng.iso.RewriteSelect(s, in.ID, in.Snapshot(), in.managedSet())
-			res, err := in.eng.db.ExecStmt(rewritten)
+			in.eng.iso.Restrict(s, in.ID, in.Snapshot(), in.managed)
+			res, err := in.eng.db.ExecStmt(s)
 			if err != nil {
 				return err
 			}
@@ -420,13 +423,8 @@ func (in *Instance) execSQLActivity(a *wf.Activity) error {
 		case *sqltext.Delete:
 			// Deletions go through the deletion table (§VI-A), never
 			// physically removing tuples mid-process.
-			whereSQL := ""
-			if s.Where != nil {
-				whereSQL = s.Where.String()
-			}
-			rel := s.Table
-			if in.managedSet()[strings.ToLower(rel)] {
-				n, err := in.eng.iso.LogicalDelete(rel, in.ID, whereSQL)
+			if in.managed[strings.ToLower(s.Table)] {
+				n, err := in.eng.iso.LogicalDelete(s, in.ID)
 				if err != nil {
 					return err
 				}
@@ -449,16 +447,6 @@ func (in *Instance) execSQLActivity(a *wf.Activity) error {
 		}
 	}
 	return nil
-}
-
-func (in *Instance) managedSet() map[string]bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]bool, len(in.managed))
-	for k, v := range in.managed {
-		out[k] = v
-	}
-	return out
 }
 
 // prepareSQL substitutes $variables, renames temporary relations and
@@ -513,60 +501,6 @@ func (in *Instance) substituteVars(s string, aid int64) string {
 	return sb.String()
 }
 
-// substituteVarRefs replaces unqualified column references that name a
-// process variable or constant with the variable's current value. It does
-// not descend into subqueries, whose column references resolve against
-// their own FROM relations.
-func (in *Instance) substituteVarRefs(e sqltext.Expr) sqltext.Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *sqltext.ColumnRef:
-		if x.Table == "" {
-			if v, ok := in.Var(x.Column); ok {
-				return &sqltext.Literal{Value: v}
-			}
-		}
-		return x
-	case *sqltext.Binary:
-		return &sqltext.Binary{Op: x.Op, L: in.substituteVarRefs(x.L), R: in.substituteVarRefs(x.R)}
-	case *sqltext.Unary:
-		return &sqltext.Unary{Op: x.Op, X: in.substituteVarRefs(x.X)}
-	case *sqltext.FuncCall:
-		out := *x
-		out.Args = make([]sqltext.Expr, len(x.Args))
-		for i, a := range x.Args {
-			out.Args[i] = in.substituteVarRefs(a)
-		}
-		return &out
-	case *sqltext.IsNull:
-		return &sqltext.IsNull{X: in.substituteVarRefs(x.X), Not: x.Not}
-	case *sqltext.Like:
-		return &sqltext.Like{X: in.substituteVarRefs(x.X), Not: x.Not, Pattern: in.substituteVarRefs(x.Pattern)}
-	case *sqltext.Between:
-		return &sqltext.Between{X: in.substituteVarRefs(x.X), Not: x.Not, Lo: in.substituteVarRefs(x.Lo), Hi: in.substituteVarRefs(x.Hi)}
-	case *sqltext.InExpr:
-		out := *x
-		out.X = in.substituteVarRefs(x.X)
-		if len(x.List) > 0 {
-			out.List = make([]sqltext.Expr, len(x.List))
-			for i, le := range x.List {
-				out.List[i] = in.substituteVarRefs(le)
-			}
-		}
-		return &out
-	case *sqltext.CaseExpr:
-		out := &sqltext.CaseExpr{Operand: in.substituteVarRefs(x.Operand)}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, sqltext.WhenClause{Cond: in.substituteVarRefs(w.Cond), Result: in.substituteVarRefs(w.Result)})
-		}
-		out.Else = in.substituteVarRefs(x.Else)
-		return out
-	}
-	return e
-}
-
 func isWordByte(b byte) bool {
 	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
 }
@@ -603,12 +537,22 @@ func (in *Instance) evalScalarAs(expr string, aid int64) (types.Value, error) {
 	if !ok {
 		return types.Null, fmt.Errorf("enact: %q is not a scalar expression", expr)
 	}
+	// Unqualified column references that name a variable or constant
+	// take its current value. Subqueries are not entered: their column
+	// references resolve against their own FROM relations.
 	for i := range sel.Items {
-		sel.Items[i].Expr = in.substituteVarRefs(sel.Items[i].Expr)
+		sqltext.WalkExpr(&sel.Items[i].Expr, func(p *sqltext.Expr) bool {
+			if c, ok := (*p).(*sqltext.ColumnRef); ok && c.Table == "" {
+				if v, ok := in.Var(c.Column); ok {
+					*p = &sqltext.Literal{Value: v}
+				}
+			}
+			return true
+		})
 	}
 	renameTables(sel, in.resolveRelation)
-	rewritten := in.eng.iso.RewriteSelect(sel, in.ID, in.Snapshot(), in.managedSet())
-	res, err := in.eng.db.ExecStmt(rewritten)
+	in.eng.iso.Restrict(sel, in.ID, in.Snapshot(), in.managed)
+	res, err := in.eng.db.ExecStmt(sel)
 	if err != nil {
 		return types.Null, err
 	}

@@ -10,80 +10,28 @@ import (
 // relation's alias defaults to the written name; renamed FROM entries
 // therefore get an alias preserving the declared name.
 func renameTables(st sqltext.Statement, resolve func(string) string) {
-	switch s := st.(type) {
-	case *sqltext.Select:
-		renameSelect(s, resolve)
-	case *sqltext.Insert:
-		s.Table = resolve(s.Table)
-		if s.Query != nil {
-			renameSelect(s.Query, resolve)
-		}
-		for _, row := range s.Rows {
-			for _, e := range row {
-				renameExpr(e, resolve)
-			}
-		}
-	case *sqltext.Update:
-		s.Table = resolve(s.Table)
-		for i := range s.Set {
-			renameExpr(s.Set[i].Value, resolve)
-		}
-		renameExpr(s.Where, resolve)
-	case *sqltext.Delete:
-		s.Table = resolve(s.Table)
-		renameExpr(s.Where, resolve)
-	}
-}
-
-func renameSelect(sel *sqltext.Select, resolve func(string) string) {
-	renameRef := func(tr *sqltext.TableRef) {
-		if tr.Subquery != nil {
-			renameSelect(tr.Subquery, resolve)
-			return
-		}
-		phys := resolve(tr.Table)
-		if phys != tr.Table {
+	rename := func(tr *sqltext.TableRef) {
+		if phys := resolve(tr.Table); phys != tr.Table { // a subquery's Table is ""
 			if tr.Alias == "" {
 				tr.Alias = tr.Table // keep declared name for column quals
 			}
 			tr.Table = phys
 		}
 	}
-	if sel.From != nil {
-		renameRef(sel.From)
-	}
-	for i := range sel.Joins {
-		renameRef(&sel.Joins[i].Right)
-	}
-	for _, it := range sel.Items {
-		renameExpr(it.Expr, resolve)
-	}
-	renameExpr(sel.Where, resolve)
-	for _, g := range sel.GroupBy {
-		renameExpr(g, resolve)
-	}
-	renameExpr(sel.Having, resolve)
-	for _, o := range sel.OrderBy {
-		renameExpr(o.Expr, resolve)
-	}
-}
-
-// renameExpr recurses into subqueries inside expressions.
-func renameExpr(e sqltext.Expr, resolve func(string) string) {
-	if e == nil {
-		return
-	}
-	sqltext.WalkExpr(e, func(x sqltext.Expr) bool {
-		switch v := x.(type) {
-		case *sqltext.InExpr:
-			if v.Query != nil {
-				renameSelect(v.Query, resolve)
-			}
-		case *sqltext.Subquery:
-			renameSelect(v.Query, resolve)
-		case *sqltext.Exists:
-			renameSelect(v.Query, resolve)
+	sqltext.Queries(st, func(sel *sqltext.Select) {
+		if sel.From != nil {
+			rename(sel.From)
 		}
-		return true
+		for i := range sel.Joins {
+			rename(&sel.Joins[i].Right)
+		}
 	})
+	switch s := st.(type) {
+	case *sqltext.Insert:
+		s.Table = resolve(s.Table)
+	case *sqltext.Update:
+		s.Table = resolve(s.Table)
+	case *sqltext.Delete:
+		s.Table = resolve(s.Table)
+	}
 }

@@ -57,45 +57,34 @@ func (m *Manager) EnsureDeletionTable(rel string) error {
 	return err
 }
 
-// LogicalDelete records the deletion of all rel tuples matching whereSQL
-// (may be empty for all rows) by process instance pid, without physically
-// removing them. It returns the number of tuples logically deleted.
-func (m *Manager) LogicalDelete(rel string, pid int64, whereSQL string, args ...types.Value) (int, error) {
-	if err := m.EnsureDeletionTable(rel); err != nil {
-		return 0, err
+// LogicalDelete records, for process instance pid, the deletion of the
+// tuples del would remove, without physically removing them, in one
+// INSERT … SELECT into R∆ that skips the tuples pid already deleted. args
+// bind del's parameters. It returns the number of tuples logically
+// deleted.
+func (m *Manager) LogicalDelete(del *sqltext.Delete, pid int64, args ...types.Value) (int, error) {
+	if !m.hasDeletionTable(del.Table) {
+		if err := m.EnsureDeletionTable(del.Table); err != nil {
+			return 0, err
+		}
 	}
-	del := DeletionTable(rel)
-	q := fmt.Sprintf("SELECT %s FROM %s", catalog.SysTID, rel)
-	if strings.TrimSpace(whereSQL) != "" {
-		q += " WHERE " + whereSQL
-	}
-	res, err := m.db.Query(q, args...)
+	st, err := sqltext.Parse(fmt.Sprintf(
+		"INSERT INTO %[1]s (tid, t_del, pid, process_end) SELECT %[2]s, %[3]d, %[4]d, NULL FROM %[5]s WHERE %[2]s NOT IN (SELECT tid FROM %[1]s WHERE pid = %[4]d)",
+		DeletionTable(del.Table), catalog.SysTID, m.db.Store().CurrentStamp(), pid, del.Table))
 	if err != nil {
 		return 0, err
 	}
-	stamp := m.db.Store().CurrentStamp()
-	n := 0
-	for _, r := range res.Rows {
-		tid := r[0].Int()
-		// Skip tuples this process already logically deleted.
-		dup, err := m.db.QueryInt(
-			fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE tid = ? AND pid = ?", del),
-			types.NewInt(tid), types.NewInt(pid))
-		if err != nil {
-			return n, err
-		}
-		if dup > 0 {
-			continue
-		}
-		if _, err := m.db.Exec(
-			fmt.Sprintf("INSERT INTO %s (tid, t_del, pid, process_end) VALUES (?, ?, ?, NULL)", del),
-			types.NewInt(tid), types.NewInt(stamp), types.NewInt(pid)); err != nil {
-			return n, err
-		}
-		n++
+	if sel := st.(*sqltext.Insert).Query; del.Where != nil {
+		sel.Where = &sqltext.Binary{Op: "AND", L: del.Where, R: sel.Where}
 	}
-	return n, nil
+	res, err := m.db.ExecStmt(st, args...)
+	if err != nil {
+		return 0, err
+	}
+	return res.Affected, nil
 }
+
+func intLit(n int64) sqltext.Expr { return &sqltext.Literal{Value: types.NewInt(n)} }
 
 // hasDeletionTable reports whether rel has an R∆ table.
 func (m *Manager) hasDeletionTable(rel string) bool {
@@ -103,174 +92,77 @@ func (m *Manager) hasDeletionTable(rel string) bool {
 	return ok
 }
 
-// RewriteSelect returns a copy of sel whose base-table scans are
-// restricted per §VI-A for a process instance with the given id and
-// snapshot stamp. managed lists the application relations subject to
-// isolation (lower-cased). Subqueries are rewritten recursively.
-func (m *Manager) RewriteSelect(sel *sqltext.Select, pid, snapshot int64, managed map[string]bool) *sqltext.Select {
-	out := *sel
-	var conjuncts []sqltext.Expr
-
-	rewriteRef := func(tr sqltext.TableRef) sqltext.TableRef {
-		if tr.Subquery != nil {
-			tr.Subquery = m.RewriteSelect(tr.Subquery, pid, snapshot, managed)
-			return tr
-		}
-		rel := strings.ToLower(tr.Table)
-		if !managed[rel] {
-			return tr
-		}
-		qual := tr.Alias
-		if qual == "" {
-			qual = tr.Table
-		}
-		// Time-based visibility: _created <= snapshot.
-		conjuncts = append(conjuncts, &sqltext.Binary{
-			Op: "<=",
-			L:  &sqltext.ColumnRef{Table: qual, Column: catalog.SysCreated},
-			R:  &sqltext.Literal{Value: types.NewInt(snapshot)},
-		})
-		// Deletion-table rewrite, exactly the shape of §VI-A.
-		if m.hasDeletionTable(rel) {
-			sub := &sqltext.Select{
-				Items: []sqltext.SelectItem{{Expr: &sqltext.ColumnRef{Column: "tid"}}},
-				From:  &sqltext.TableRef{Table: DeletionTable(rel)},
-				Where: &sqltext.Binary{
-					Op: "OR",
-					L: &sqltext.Binary{
-						Op: "=",
-						L:  &sqltext.ColumnRef{Column: "pid"},
-						R:  &sqltext.Literal{Value: types.NewInt(pid)},
-					},
-					R: &sqltext.Binary{
-						Op: "AND",
-						L:  &sqltext.IsNull{X: &sqltext.ColumnRef{Column: "process_end"}, Not: true},
-						R: &sqltext.Binary{
-							Op: "<=",
-							L:  &sqltext.ColumnRef{Column: "process_end"},
-							R:  &sqltext.Literal{Value: types.NewInt(snapshot)},
-						},
-					},
-				},
-			}
-			conjuncts = append(conjuncts, &sqltext.InExpr{
-				X:     &sqltext.ColumnRef{Table: qual, Column: catalog.SysTID},
-				Not:   true,
-				Query: sub,
-			})
-		}
-		return tr
-	}
-
-	if out.From != nil {
-		ref := rewriteRef(*out.From)
-		out.From = &ref
-	}
-	if len(out.Joins) > 0 {
-		joins := make([]sqltext.JoinClause, len(out.Joins))
-		copy(joins, out.Joins)
-		for i := range joins {
-			joins[i].Right = rewriteRef(joins[i].Right)
-		}
-		out.Joins = joins
-	}
-	// Rewrite subqueries wherever expressions appear.
-	if len(out.Items) > 0 {
-		items := make([]sqltext.SelectItem, len(out.Items))
-		copy(items, out.Items)
-		for i := range items {
-			if items[i].Expr != nil {
-				items[i].Expr = m.rewriteExpr(items[i].Expr, pid, snapshot, managed)
+// Restrict rewrites st in place so that each of its queries, nested
+// ones included, reads only what process instance pid with the given
+// snapshot stamp may see per §VI-A. managed lists the application
+// relations subject to isolation (lower-cased). A restricted relation's
+// predicate goes to its query's WHERE, unless the relation is the right
+// side of a LEFT JOIN: there it joins that join's ON, so unmatched left
+// rows still appear.
+func (m *Manager) Restrict(st sqltext.Statement, pid, snapshot int64, managed map[string]bool) {
+	and := func(p *sqltext.Expr, conds []sqltext.Expr) {
+		for _, c := range conds {
+			if *p == nil {
+				*p = c
+			} else {
+				*p = &sqltext.Binary{Op: "AND", L: *p, R: c}
 			}
 		}
-		out.Items = items
 	}
-	if out.Where != nil {
-		out.Where = m.rewriteExpr(out.Where, pid, snapshot, managed)
-	}
-	if len(out.GroupBy) > 0 {
-		gb := make([]sqltext.Expr, len(out.GroupBy))
-		for i, g := range out.GroupBy {
-			gb[i] = m.rewriteExpr(g, pid, snapshot, managed)
+	sqltext.Queries(st, func(sel *sqltext.Select) {
+		var where []sqltext.Expr
+		if sel.From != nil {
+			where = m.visible(where, sel.From, pid, snapshot, managed)
 		}
-		out.GroupBy = gb
-	}
-	if out.Having != nil {
-		out.Having = m.rewriteExpr(out.Having, pid, snapshot, managed)
-	}
-	if len(out.OrderBy) > 0 {
-		ob := make([]sqltext.OrderItem, len(out.OrderBy))
-		copy(ob, out.OrderBy)
-		for i := range ob {
-			ob[i].Expr = m.rewriteExpr(ob[i].Expr, pid, snapshot, managed)
+		for i := range sel.Joins {
+			if j := &sel.Joins[i]; j.Kind == "LEFT" {
+				and(&j.On, m.visible(nil, &j.Right, pid, snapshot, managed))
+			} else {
+				where = m.visible(where, &j.Right, pid, snapshot, managed)
+			}
 		}
-		out.OrderBy = ob
-	}
-	for _, c := range conjuncts {
-		if out.Where == nil {
-			out.Where = c
-		} else {
-			out.Where = &sqltext.Binary{Op: "AND", L: out.Where, R: c}
-		}
-	}
-	return &out
+		and(&sel.Where, where)
+	})
 }
 
-// rewriteExpr recursively rewrites subqueries inside an expression.
-func (m *Manager) rewriteExpr(e sqltext.Expr, pid, snapshot int64, managed map[string]bool) sqltext.Expr {
-	switch x := e.(type) {
-	case *sqltext.Binary:
-		return &sqltext.Binary{Op: x.Op, L: m.rewriteExpr(x.L, pid, snapshot, managed), R: m.rewriteExpr(x.R, pid, snapshot, managed)}
-	case *sqltext.Unary:
-		return &sqltext.Unary{Op: x.Op, X: m.rewriteExpr(x.X, pid, snapshot, managed)}
-	case *sqltext.InExpr:
-		out := *x
-		out.X = m.rewriteExpr(x.X, pid, snapshot, managed)
-		if x.Query != nil {
-			out.Query = m.RewriteSelect(x.Query, pid, snapshot, managed)
-		}
-		return &out
-	case *sqltext.Subquery:
-		return &sqltext.Subquery{Query: m.RewriteSelect(x.Query, pid, snapshot, managed)}
-	case *sqltext.Exists:
-		return &sqltext.Exists{Not: x.Not, Query: m.RewriteSelect(x.Query, pid, snapshot, managed)}
-	case *sqltext.IsNull:
-		return &sqltext.IsNull{X: m.rewriteExpr(x.X, pid, snapshot, managed), Not: x.Not}
-	case *sqltext.FuncCall:
-		out := *x
-		if len(x.Args) > 0 {
-			out.Args = make([]sqltext.Expr, len(x.Args))
-			for i, a := range x.Args {
-				out.Args[i] = m.rewriteExpr(a, pid, snapshot, managed)
-			}
-		}
-		return &out
-	case *sqltext.Like:
-		return &sqltext.Like{X: m.rewriteExpr(x.X, pid, snapshot, managed), Not: x.Not, Pattern: m.rewriteExpr(x.Pattern, pid, snapshot, managed)}
-	case *sqltext.Between:
-		return &sqltext.Between{
-			X:   m.rewriteExpr(x.X, pid, snapshot, managed),
-			Not: x.Not,
-			Lo:  m.rewriteExpr(x.Lo, pid, snapshot, managed),
-			Hi:  m.rewriteExpr(x.Hi, pid, snapshot, managed),
-		}
-	case *sqltext.CaseExpr:
-		out := &sqltext.CaseExpr{}
-		if x.Operand != nil {
-			out.Operand = m.rewriteExpr(x.Operand, pid, snapshot, managed)
-		}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, sqltext.WhenClause{
-				Cond:   m.rewriteExpr(w.Cond, pid, snapshot, managed),
-				Result: m.rewriteExpr(w.Result, pid, snapshot, managed),
-			})
-		}
-		if x.Else != nil {
-			out.Else = m.rewriteExpr(x.Else, pid, snapshot, managed)
-		}
-		return out
+// visible appends to preds the conditions under which a row of the base
+// table tr names is visible to the instance: created no later than the
+// snapshot and, when the relation has an R∆, not deleted by pid nor by
+// an instance that ended by the snapshot.
+func (m *Manager) visible(preds []sqltext.Expr, tr *sqltext.TableRef, pid, snapshot int64, managed map[string]bool) []sqltext.Expr {
+	rel := strings.ToLower(tr.Table)
+	if tr.Subquery != nil || !managed[rel] {
+		return preds
 	}
-	return e
+	qual := tr.Alias
+	if qual == "" {
+		qual = tr.Table
+	}
+	preds = append(preds, &sqltext.Binary{
+		Op: "<=",
+		L:  &sqltext.ColumnRef{Table: qual, Column: catalog.SysCreated},
+		R:  intLit(snapshot),
+	})
+	if !m.hasDeletionTable(rel) {
+		return preds
+	}
+	return append(preds, &sqltext.InExpr{
+		X:   &sqltext.ColumnRef{Table: qual, Column: catalog.SysTID},
+		Not: true,
+		Query: &sqltext.Select{
+			Items: []sqltext.SelectItem{{Expr: &sqltext.ColumnRef{Column: "tid"}}},
+			From:  &sqltext.TableRef{Table: DeletionTable(rel)},
+			Where: &sqltext.Binary{
+				Op: "OR",
+				L:  &sqltext.Binary{Op: "=", L: &sqltext.ColumnRef{Column: "pid"}, R: intLit(pid)},
+				R: &sqltext.Binary{
+					Op: "AND",
+					L:  &sqltext.IsNull{X: &sqltext.ColumnRef{Column: "process_end"}, Not: true},
+					R:  &sqltext.Binary{Op: "<=", L: &sqltext.ColumnRef{Column: "process_end"}, R: intLit(snapshot)},
+				},
+			},
+		},
+	})
 }
 
 // FinishProcess stamps process_end on the instance's pending deletions and
@@ -299,44 +191,52 @@ func (m *Manager) deletionTables() []string {
 
 // GC physically deletes tuples whose wait-set has drained: a logical
 // deletion with process_end = E is applied once no running process
-// instance has snapshot < E (those are exactly the instances started
-// before the deleting process ended).
+// instance has start_ts < E (those are exactly the instances started
+// before the deleting process ended). start_ts is the immutable start
+// stamp; the snapshot may advance as the instance writes. With the
+// horizon H = MIN(start_ts) over running instances, E is drained iff
+// E <= H, or no instance is running.
+//
+// Per deletion table GC reads the drained rows once and deletes them, and
+// their tuples, with one statement each, both by tuple id. A deletion
+// stamped after the read waits for the next GC.
 func (m *Manager) GC() error {
+	h, err := m.db.QueryValue("SELECT MIN(start_ts) FROM "+database.TableProcessInstance+" WHERE status = ?",
+		types.NewString(database.StatusRunning))
+	if err != nil {
+		return err
+	}
+	drained := "process_end IS NOT NULL"
+	if !h.IsNull() {
+		drained = fmt.Sprintf("process_end <= %d", h.Int())
+	}
 	for _, del := range m.deletionTables() {
-		rel := strings.TrimPrefix(strings.ToLower(del), DeletionTablePrefix)
-		res, err := m.db.Query(fmt.Sprintf(
-			"SELECT %s, tid, process_end FROM %s WHERE process_end IS NOT NULL", catalog.SysTID, del))
+		res, err := m.db.Query(fmt.Sprintf("SELECT %s, tid FROM %s WHERE %s", catalog.SysTID, del, drained))
 		if err != nil {
 			return err
 		}
-		for _, r := range res.Rows {
-			delTID := r[0].Int()
-			tid := r[1].Int()
-			end := r[2].Int()
-			// start_ts is the immutable start stamp (the snapshot may
-			// advance as the instance writes); the wait-set is "running
-			// instances started before the deleting process ended".
-			waiting, err := m.db.QueryInt(
-				"SELECT COUNT(*) FROM "+database.TableProcessInstance+
-					" WHERE status = ? AND start_ts < ?",
-				types.NewString(database.StatusRunning), types.NewInt(end))
-			if err != nil {
-				return err
-			}
-			if waiting > 0 {
-				continue // wait-set not drained yet
-			}
-			if _, err := m.db.Exec(fmt.Sprintf("DELETE FROM %s WHERE %s = %d", rel, catalog.SysTID, tid)); err != nil {
-				// The tuple may already be gone (row physically deleted by
-				// other means); remove the bookkeeping row regardless.
-				_ = err
-			}
-			if _, err := m.db.Exec(fmt.Sprintf("DELETE FROM %s WHERE %s = %d", del, catalog.SysTID, delTID)); err != nil {
-				return err
-			}
+		if len(res.Rows) == 0 {
+			continue
+		}
+		// Two instances may delete one tuple: its tid is listed twice.
+		delTIDs, tids := make([]sqltext.Expr, len(res.Rows)), make([]sqltext.Expr, len(res.Rows))
+		for i, r := range res.Rows {
+			delTIDs[i], tids[i] = intLit(r[0].Int()), intLit(r[1].Int())
+		}
+		rel := strings.TrimPrefix(strings.ToLower(del), DeletionTablePrefix)
+		// The tuples may already be gone, the relation too; the
+		// bookkeeping goes regardless.
+		_, _ = m.db.ExecStmt(&sqltext.Delete{Table: rel, Where: tidIn(tids)})
+		if _, err := m.db.ExecStmt(&sqltext.Delete{Table: del, Where: tidIn(delTIDs)}); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// tidIn is `_tid IN (list)`, which the planner answers by tuple id.
+func tidIn(list []sqltext.Expr) sqltext.Expr {
+	return &sqltext.InExpr{X: &sqltext.ColumnRef{Column: catalog.SysTID}, List: list}
 }
 
 // PendingDeletions counts logical deletions of a relation not yet
