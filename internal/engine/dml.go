@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ediflow/internal/catalog"
@@ -126,75 +127,147 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 		return nil, nil, err
 	}
 
-	var sourceRows []types.Row
+	// The statement's rows are built straight at stored width, before any
+	// is stored. stop is the first row's arity or coercion error: the
+	// rows before it go to the store as a trial (see Store.InsertRows),
+	// which reports a constraint error they meet first.
+	var rows []types.Row
+	var stop error
 	if s.Query != nil {
 		res, err := e.evalSelect(s.Query, args, nil, e.writerCtx())
 		if err != nil {
 			return nil, nil, err
 		}
-		sourceRows = res.Rows
+		rows = make([]types.Row, 0, len(res.Rows))
+		for _, src := range res.Rows {
+			full := make(types.Row, len(schema.Columns))
+			if stop = coerceInto(full, src, schema, s.Table, target); stop != nil {
+				break
+			}
+			rows = append(rows, full)
+		}
 	} else {
 		b := newBinder(e, args, nil, e.writerCtx())
-		for _, exprRow := range s.Rows {
-			row, err := e.valuesRow(exprRow, b)
-			if err != nil {
+		rows = make([]types.Row, 0, len(s.Rows))
+		for _, exprs := range s.Rows {
+			if stop != nil {
+				// Every row is evaluated before any is stored, so a later
+				// row's evaluation error comes first.
+				if _, err := e.valuesRow(exprs, b); err != nil {
+					return nil, nil, err
+				}
+				continue
+			}
+			full := make(types.Row, len(schema.Columns))
+			if stop, err = e.valuesInto(full, exprs, b, schema, s.Table, target); err != nil {
 				return nil, nil, err
 			}
-			sourceRows = append(sourceRows, row)
-		}
-	}
-
-	ev := ChangeEvent{Table: schema.Name, Op: OpInsert}
-	for _, src := range sourceRows {
-		if len(src) != len(target) {
-			return nil, nil, fmt.Errorf("engine: INSERT into %s: %d values for %d columns", s.Table, len(src), len(target))
-		}
-		full := make(types.Row, len(schema.Columns))
-		for i := range full {
-			full[i] = types.Null
-		}
-		for i, p := range target {
-			v, err := src[i].CoerceTo(schema.Columns[p].Type)
-			if err != nil {
-				return nil, nil, fmt.Errorf("engine: column %s.%s: %w", s.Table, schema.Columns[p].Name, err)
+			if stop == nil {
+				rows = append(rows, full)
 			}
-			full[p] = v
 		}
-		tid, created, err := e.store.Insert(schema.Name, full)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.undo = append(e.undo, undoEntry{op: OpInsert, table: schema.Name, tid: tid, created: created, newRow: full})
-		ev.TIDs = append(ev.TIDs, tid)
-		ev.Rows = append(ev.Rows, full)
 	}
-	events := []ChangeEvent{}
-	if len(ev.TIDs) > 0 {
-		e.seq++
-		ev.Seq = e.seq
-		events = append(events, ev)
-		viewEvents, err := e.views.applyDelta(schema.Name, ev.Rows, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		events = append(events, viewEvents...)
-	}
-	return &Result{Affected: len(ev.TIDs), TIDs: ev.TIDs}, events, nil
-}
 
-// matchTable collects the rows of a table that UPDATE/DELETE match —
-// each at layout width, its _tid and _created last — through the same
-// planner access paths and pipeline as a SELECT, and returns the binder
-// over their layout.
-func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value) (*binder, []types.Row, error) {
-	sel := &sqltext.Select{From: &sqltext.TableRef{Table: table}, Where: where}
-	rel, src, err := e.buildTableRef(*sel.From, args, nil, sel, e.writerCtx())
+	tids, created, err := e.store.InsertRows(schema.Name, rows, stop)
 	if err != nil {
 		return nil, nil, err
 	}
+	if len(tids) == 0 {
+		return &Result{}, []ChangeEvent{}, nil
+	}
+	events, err := e.wrote(undoRun{op: OpInsert, table: schema.Name, tids: tids, created: created, newRows: rows})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Affected: len(tids), TIDs: tids}, events, nil
+}
+
+// wrote records a statement's set: its undo run, and its change event —
+// the run's slices — followed by those of the views its rows change.
+func (e *Engine) wrote(u undoRun) ([]ChangeEvent, error) {
+	e.undo = append(e.undo, u)
+	e.seq++
+	ev := ChangeEvent{Seq: e.seq, Table: u.table, Op: u.op, TIDs: u.tids, Rows: u.newRows, OldRows: u.oldRows}
+	viewEvents, err := e.views.applyDelta(u.table, u.newRows, u.oldRows)
+	if err != nil {
+		return nil, err
+	}
+	return append([]ChangeEvent{ev}, viewEvents...), nil
+}
+
+// valuesInto evaluates one VALUES row into full, a stored row of NULLs,
+// each cell coerced to its target column's type. A constant cell is
+// coerced as it is read. A cell that needs evaluating, a coercion error
+// or an arity mismatch sends the whole row down the general path: it is
+// evaluated first (err), then checked and coerced in column order
+// (stop), which is the order a row-at-a-time insert met them in.
+func (e *Engine) valuesInto(full types.Row, exprs []sqltext.Expr, b *binder, schema *catalog.TableSchema, table string, target []int) (stop, err error) {
+	for i, x := range exprs {
+		if v, ok := constVal(x, b.args); ok && i < len(target) {
+			if cv, err := v.CoerceTo(schema.Columns[target[i]].Type); err == nil {
+				full[target[i]] = cv
+				continue
+			}
+		}
+		src, err := e.valuesRow(exprs, b)
+		if err != nil {
+			return nil, err
+		}
+		return coerceInto(full, src, schema, table, target), nil
+	}
+	return arity(table, len(exprs), len(target)), nil
+}
+
+// coerceInto stores src, one value per target column, into full, each
+// value coerced to its column's type.
+func coerceInto(full, src types.Row, schema *catalog.TableSchema, table string, target []int) error {
+	if err := arity(table, len(src), len(target)); err != nil {
+		return err
+	}
+	for i, p := range target {
+		v, err := src[i].CoerceTo(schema.Columns[p].Type)
+		if err != nil {
+			return fmt.Errorf("engine: column %s.%s: %w", table, schema.Columns[p].Name, err)
+		}
+		full[p] = v
+	}
+	return nil
+}
+
+// arity is the error of an INSERT row of n values for cols columns.
+func arity(table string, n, cols int) error {
+	if n == cols {
+		return nil
+	}
+	return fmt.Errorf("engine: INSERT into %s: %d values for %d columns", table, n, cols)
+}
+
+// matchTable collects what UPDATE/DELETE match in a table, through the
+// same planner access paths and pipeline as a SELECT: each row's tid and
+// _created, and with values its stored values by reference — immutable
+// under MVCC — and returns the binder over the table's layout.
+func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value, values bool) (*binder, batch, error) {
+	sel := &sqltext.Select{From: &sqltext.TableRef{Table: table}, Where: where}
+	rel, src, err := e.buildTableRef(*sel.From, args, nil, sel, e.writerCtx())
+	if err != nil {
+		return nil, batch{}, err
+	}
 	b := newBinder(e, args, rel, e.writerCtx())
-	rows, err := e.collect(b, src, where)
-	return b, rows, err
+	var m batch
+	if src.tbl == nil { // an index path's candidates: at most these match
+		n := len(src.mem.tids)
+		m.tids, m.created = make([]int64, 0, n), make([]int64, 0, n)
+		if values {
+			m.rows = make([]types.Row, 0, n)
+		}
+	}
+	err = e.pipe(b, src, where, func(s *batch) {
+		if values {
+			m.rows = append(m.rows, s.rows...)
+		}
+		m.tids, m.created = append(m.tids, s.tids...), append(m.created, s.created...)
+	})
+	return b, m, err
 }
 
 func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []ChangeEvent, error) {
@@ -214,30 +287,27 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 		}
 		setPos[i] = p
 	}
-	b, rows, err := e.matchTable(s.Table, s.Where, args)
+	b, matched, err := e.matchTable(s.Table, s.Where, args, true)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	nUser := len(schema.Columns)
-	// The SET expressions run over batches of the matched rows. A lane
-	// error surfaces in the apply loop, at the (row, assignment)
-	// row-at-a-time evaluation would stop at; the rows applied before it
-	// are undone with the statement (see execStmt).
+	// The SET expressions run over batches of the matched rows, each new
+	// row a copy of its stored row with the assignments made. A lane
+	// error stops the set at the (row, assignment) row-at-a-time
+	// evaluation would stop at: the rows before it go to the store as a
+	// trial (see Store.UpdateRows), which reports a constraint error they
+	// meet first.
 	progs := make([]*vm.Program, len(s.Set))
 	for i, a := range s.Set {
 		progs[i] = e.compiledProg(a.Value, b)
 	}
 	set := b.evaluator(progs)
-	ev := ChangeEvent{Table: schema.Name, Op: OpUpdate}
-	err = (&batch{rows: rows}).chunks(func(matched *batch) error {
-		set.load(e, matched)
-		for k, r := range matched.rows {
-			tid := r[nUser].Int() // _tid system column
-			oldRow := make(types.Row, nUser)
-			copy(oldRow, r[:nUser])
-			newRow := make(types.Row, nUser)
-			copy(newRow, oldRow)
+	rows := make([]types.Row, 0, len(matched.rows))
+	stop := matched.chunks(func(c *batch) error {
+		set.load(e, c)
+		for k, r := range c.rows {
+			newRow := slices.Clone(r)
 			for i, a := range s.Set {
 				if err := set.vecs[i].Err(k); err != nil {
 					return err
@@ -248,31 +318,23 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 				}
 				newRow[setPos[i]] = cv
 			}
-			if _, err := e.store.Update(schema.Name, tid, newRow); err != nil {
-				return err
-			}
-			e.undo = append(e.undo, undoEntry{op: OpUpdate, table: schema.Name, tid: tid, oldRow: oldRow, newRow: newRow})
-			ev.TIDs = append(ev.TIDs, tid)
-			ev.Rows = append(ev.Rows, newRow)
-			ev.OldRows = append(ev.OldRows, oldRow)
+			rows = append(rows, newRow)
 		}
 		return nil
 	})
+	tids := matched.tids[:len(rows)]
+	old, err := e.store.UpdateRows(schema.Name, tids, rows, stop)
 	if err != nil {
 		return nil, nil, err
 	}
-	events := []ChangeEvent{}
-	if len(ev.TIDs) > 0 {
-		e.seq++
-		ev.Seq = e.seq
-		events = append(events, ev)
-		viewEvents, err := e.views.applyDelta(schema.Name, ev.Rows, ev.OldRows)
-		if err != nil {
-			return nil, nil, err
-		}
-		events = append(events, viewEvents...)
+	if len(tids) == 0 {
+		return &Result{}, []ChangeEvent{}, nil
 	}
-	return &Result{Affected: len(ev.TIDs)}, events, nil
+	events, err := e.wrote(undoRun{op: OpUpdate, table: schema.Name, tids: tids, oldRows: old, newRows: rows})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Affected: len(tids)}, events, nil
 }
 
 func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []ChangeEvent, error) {
@@ -283,33 +345,20 @@ func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []C
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: no such table %q", s.Table)
 	}
-	_, rows, err := e.matchTable(s.Table, s.Where, args)
+	_, matched, err := e.matchTable(s.Table, s.Where, args, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	nUser := len(schema.Columns)
-	ev := ChangeEvent{Table: schema.Name, Op: OpDelete}
-	for _, r := range rows {
-		tid := r[nUser].Int()
-		created := r[nUser+1].Int()
-		old, err := e.store.Delete(schema.Name, tid)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.undo = append(e.undo, undoEntry{op: OpDelete, table: schema.Name, tid: tid, created: created, oldRow: old})
-		ev.TIDs = append(ev.TIDs, tid)
-		ev.OldRows = append(ev.OldRows, old)
+	if len(matched.tids) == 0 {
+		return &Result{}, []ChangeEvent{}, nil
 	}
-	events := []ChangeEvent{}
-	if len(ev.TIDs) > 0 {
-		e.seq++
-		ev.Seq = e.seq
-		events = append(events, ev)
-		viewEvents, err := e.views.applyDelta(schema.Name, nil, ev.OldRows)
-		if err != nil {
-			return nil, nil, err
-		}
-		events = append(events, viewEvents...)
+	old, err := e.store.DeleteRows(schema.Name, matched.tids)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &Result{Affected: len(ev.TIDs)}, events, nil
+	events, err := e.wrote(undoRun{op: OpDelete, table: schema.Name, tids: matched.tids, created: matched.created, oldRows: old})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Affected: len(matched.tids)}, events, nil
 }

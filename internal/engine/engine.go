@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,13 +87,16 @@ type Result struct {
 	TIDs []int64
 }
 
-type undoEntry struct {
+// undoRun is what it takes to reverse one statement's row set: the set's
+// tids, creation stamps (insert, delete) and rows, shared with its change
+// event.
+type undoRun struct {
 	op      ChangeOp
 	table   string
-	tid     int64
-	created int64
-	oldRow  types.Row
-	newRow  types.Row
+	tids    []int64
+	created []int64
+	oldRows []types.Row // update, delete
+	newRows []types.Row // insert, update
 }
 
 // Engine is one embedded database instance.
@@ -130,11 +134,11 @@ type Engine struct {
 	// SELECT path to pick between the snapshot read path and the locked
 	// read-your-writes path, hence atomic.
 	inTxn atomic.Bool
-	// undo holds what it takes to reverse the rows written by the open
+	// undo holds what it takes to reverse the row sets written by the open
 	// transaction and by the statement in flight (in autocommit too: a
-	// statement that fails part-way is undone, see execStmt). One slice,
-	// reused under the write lock.
-	undo    []undoEntry
+	// statement whose views fail after its set is undone, see execStmt),
+	// one run a set. One slice, reused under the write lock.
+	undo    []undoRun
 	pending []ChangeEvent
 
 	// writeCtx is the statement context of the mutation currently holding
@@ -521,11 +525,12 @@ func (e *Engine) execStmt(st sqltext.Statement, args []types.Value, ctx *stmtCtx
 	mark := len(e.undo)
 	res, events, err := e.execMutation(st, args)
 	e.writeCtx = nil
-	// A statement is atomic: one that failed part-way through its rows
-	// takes back the rows it did write — the views have not seen them
-	// yet — so neither the table, nor the WAL's net effect, nor a replica
-	// keeps half a statement. Outside a transaction a finished statement
-	// needs its undo entries no longer.
+	// A statement is atomic. A set that fails part-way through its rows
+	// takes them back itself and logs nothing (Store.InsertRows); one
+	// whose view maintenance fails after it is undone here — the views
+	// have not seen it — so neither the table, nor the WAL's net effect,
+	// nor a replica keeps half a statement. Outside a transaction a
+	// finished statement needs its undo runs no longer.
 	if err != nil {
 		if uerr := e.undoTo(mark, false); uerr != nil {
 			err = fmt.Errorf("%w (and undoing the statement failed: %v)", err, uerr)
@@ -815,55 +820,46 @@ func (e *Engine) rollback() (*Result, error) {
 	return &Result{}, nil
 }
 
-// undoTo reverses the undo entries past mark, newest first, and drops
-// them; the compensating writes are logged like any other. views says
-// whether the materialized views saw the writes being undone: those of a
-// finished statement, yes (ROLLBACK refreshes them); those of a statement
-// that failed in its row loop, not yet. Caller holds e.mu.
+// undoTo reverses the undo runs past mark, newest first, and drops them.
+// Each run is reversed as one set, its rows newest first, as undoing
+// them one at a time would: the compensating set is logged like any
+// other. views says whether the materialized views saw the writes being
+// undone: those of a finished statement, yes (ROLLBACK refreshes them);
+// those of a statement whose view maintenance failed, not yet. Caller
+// holds e.mu.
 func (e *Engine) undoTo(mark int, views bool) error {
 	for i := len(e.undo) - 1; i >= mark; i-- {
 		u := &e.undo[i]
+		tids, created, olds := reversed(u.tids), reversed(u.created), reversed(u.oldRows)
 		var err error
 		switch u.op {
 		case OpInsert:
-			_, err = e.store.Delete(u.table, u.tid)
+			_, err = e.store.DeleteRows(u.table, tids)
 		case OpUpdate:
-			_, err = e.store.Update(u.table, u.tid, u.oldRow)
+			_, err = e.store.UpdateRows(u.table, tids, olds, nil)
 		case OpDelete:
-			err = e.store.InsertAt(u.table, u.tid, u.created, u.oldRow)
+			err = e.store.InsertRowsAt(u.table, tids, created, olds)
 		}
 		if err != nil {
 			return fmt.Errorf("engine: rollback: %w", err)
 		}
 		if views {
-			e.views.applyDelta(u.table, oneRow(u.oldRow), oneRow(u.newRow))
+			e.views.applyDelta(u.table, u.oldRows, u.newRows)
 		}
 	}
 	e.forgetUndo(mark)
 	return nil
 }
 
-// oneRow is the delta list of an undo entry's row: empty when the entry
-// has none on that side (an insert has no old row, a delete no new one).
-func oneRow(r types.Row) []types.Row {
-	if r == nil {
-		return nil
-	}
-	return []types.Row{r}
+// reversed returns a reversed copy of s.
+func reversed[T any](s []T) []T {
+	r := slices.Clone(s)
+	slices.Reverse(r)
+	return r
 }
 
-// undoKeepCap bounds the undo slice kept for reuse once it is emptied: a
-// larger one, left by a big transaction, is released with its entries.
-const undoKeepCap = 4096
-
-// forgetUndo drops the undo entries past mark: their rows are released,
-// and the slice is kept for the next statement unless it is emptied past
-// undoKeepCap.
+// forgetUndo drops the undo runs past mark, releasing their rows.
 func (e *Engine) forgetUndo(mark int) {
-	if mark == 0 && cap(e.undo) > undoKeepCap {
-		e.undo = nil
-		return
-	}
 	clear(e.undo[mark:])
 	e.undo = e.undo[:mark]
 }

@@ -236,10 +236,12 @@ func bindKey(col types.Kind, v types.Value) (key types.Value, match, ok bool) {
 // bindKey refuses) and the caller must fall back to a full scan; ok=true
 // with no rows means the predicate provably matches nothing.
 func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table, args []types.Value, asOf int64) (rows []storage.StoredRow, ok bool) {
+	// Sized by the key count: one row a key, as a unique key finds.
 	var seen map[int64]bool
 	if len(plan.keys) > 1 {
-		seen = map[int64]bool{}
+		seen = make(map[int64]bool, len(plan.keys))
 	}
+	rows = make([]storage.StoredRow, 0, len(plan.keys))
 	key := make(types.Row, len(plan.keys[0]))
 	for _, tuple := range plan.keys {
 		match := true

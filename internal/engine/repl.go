@@ -107,7 +107,7 @@ func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []ty
 			}
 		case storage.OpInsert:
 			if watchTable != "" && strings.EqualFold(rec.Table, watchTable) {
-				watched = append(watched, rec.Row)
+				watched = append(watched, rec.Rows...)
 			}
 		}
 		if err != nil {

@@ -270,18 +270,18 @@ func TestFailedStatementLeavesNothing(t *testing.T) {
 	}
 }
 
-// TestAutocommitUndoLogIsReused: recording undo entries for every
-// statement must not cost an allocation per statement — one slice is
-// reused — and must not keep a finished statement's rows alive.
+// TestAutocommitUndoLogIsReused: recording undo for every statement
+// must not cost an allocation per statement — one slice is reused, one
+// run a statement — and must not keep a finished statement's rows alive.
 func TestAutocommitUndoLogIsReused(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
 	mustExec(t, e, "INSERT INTO t VALUES (1, 1), (2, 1), (3, 1)")
-	if len(e.undo) != 0 || cap(e.undo) < 3 {
+	if len(e.undo) != 0 || cap(e.undo) < 1 {
 		t.Fatalf("after a statement: len %d cap %d", len(e.undo), cap(e.undo))
 	}
 	for _, u := range e.undo[:cap(e.undo)] {
-		if u.newRow != nil || u.oldRow != nil {
+		if u.tids != nil || u.newRows != nil || u.oldRows != nil {
 			t.Fatal("a finished statement's rows are still referenced by the undo log")
 		}
 	}
@@ -294,13 +294,13 @@ func TestAutocommitUndoLogIsReused(t *testing.T) {
 	}
 }
 
-// TestLargeTransactionReleasesUndoLog: a transaction that writes more
-// rows than undoKeepCap leaves no undo slice of its size behind once it
-// commits, nor does one large autocommit statement.
+// TestLargeTransactionReleasesUndoLog: a transaction's undo holds one run
+// a statement, however many rows each writes, and none once it commits;
+// one large autocommit statement leaves a slice of one run behind.
 func TestLargeTransactionReleasesUndoLog(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
-	const perStmt = 500
+	const perStmt, stmts = 500, 25
 	insert := func(from int) {
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO t VALUES ")
@@ -313,19 +313,30 @@ func TestLargeTransactionReleasesUndoLog(t *testing.T) {
 		mustExec(t, e, sb.String())
 	}
 	mustExec(t, e, "BEGIN")
-	for id := 0; id < 3*undoKeepCap; id += perStmt {
-		insert(id)
+	for i := 0; i < stmts; i++ {
+		insert(i * perStmt)
 	}
-	if n := len(e.undo); n < 3*undoKeepCap {
-		t.Fatalf("open transaction holds %d undo entries", n)
+	if n := len(e.undo); n != stmts {
+		t.Fatalf("open transaction of %d statements holds %d undo runs", stmts, n)
+	}
+	for _, u := range e.undo {
+		if len(u.tids) != perStmt {
+			t.Fatalf("an undo run holds %d rows, want the statement's %d", len(u.tids), perStmt)
+		}
 	}
 	mustExec(t, e, "COMMIT")
-	if len(e.undo) != 0 || cap(e.undo) > undoKeepCap {
-		t.Fatalf("after COMMIT: len %d cap %d, want cap ≤ %d", len(e.undo), cap(e.undo), undoKeepCap)
+	if len(e.undo) != 0 {
+		t.Fatalf("after COMMIT: len %d", len(e.undo))
 	}
+	for _, u := range e.undo[:cap(e.undo)] {
+		if u.tids != nil {
+			t.Fatal("a committed transaction's rows are still referenced by the undo log")
+		}
+	}
+	e.undo = nil
 	mustExec(t, e, "UPDATE t SET g = g + 1")
-	if len(e.undo) != 0 || cap(e.undo) > undoKeepCap {
-		t.Fatalf("after a large autocommit UPDATE: len %d cap %d, want cap ≤ %d", len(e.undo), cap(e.undo), undoKeepCap)
+	if len(e.undo) != 0 || cap(e.undo) != 1 {
+		t.Fatalf("after a large autocommit UPDATE: len %d cap %d, want cap 1", len(e.undo), cap(e.undo))
 	}
 	if got := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE g = 1").Rows[0][0].Int(); got == 0 {
 		t.Fatal("the committed rows are gone")

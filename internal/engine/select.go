@@ -787,10 +787,11 @@ func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, override
 	if sel != nil && sel.Where != nil {
 		if plan := analyzeScan(sel.Where, schema, tbl, qual); plan.kind != pathFullScan {
 			if found, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
-				src := &source{}
+				n := len(found)
+				src := &source{mem: batch{rows: make([]types.Row, n), tids: make([]int64, n), created: make([]int64, n)}}
 				m := &src.mem
-				for _, sr := range found {
-					m.rows, m.tids, m.created = append(m.rows, sr.Values), append(m.tids, sr.TID), append(m.created, sr.Created)
+				for i, sr := range found {
+					m.rows[i], m.tids[i], m.created[i] = sr.Values, sr.TID, sr.Created
 				}
 				e.countScanned(ctx, len(found))
 				return rel, src, nil

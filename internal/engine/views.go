@@ -316,31 +316,43 @@ func (vs *viewSet) applyDelta(table string, inserted, deleted []types.Row) ([]Ch
 	return events, nil
 }
 
-// write applies one view's delta to its backing table and returns the
+// write applies one view's delta to its backing table — its removes as
+// one delete set, then its adds as one insert set — and returns the
 // change event describing it.
 func (vs *viewSet) write(v *viewState, adds, removes []types.Row) (ChangeEvent, error) {
 	ev := ChangeEvent{Table: v.def.Name, Op: OpUpdate}
-	for _, rm := range removes {
+	if len(removes) > 0 {
 		// Remove one matching row per delta row (multiset semantics); the
 		// row index finds a victim tid in O(1).
-		tid, found := v.indexTake(rm)
-		if !found {
-			return ev, fmt.Errorf("engine: view %s: stale delta (row to remove not found)", v.def.Name)
+		tids := make([]int64, 0, len(removes))
+		var stale error
+		for _, rm := range removes {
+			tid, found := v.indexTake(rm)
+			if !found {
+				stale = fmt.Errorf("engine: view %s: stale delta (row to remove not found)", v.def.Name)
+				break
+			}
+			tids = append(tids, tid)
 		}
-		if _, err := vs.e.store.Delete(v.def.Backing, tid); err != nil {
-			return ev, err
+		if len(tids) > 0 {
+			if _, err := vs.e.store.DeleteRows(v.def.Backing, tids); err != nil {
+				return ev, err
+			}
 		}
-		ev.TIDs = append(ev.TIDs, tid)
-		ev.OldRows = append(ev.OldRows, rm)
+		if stale != nil {
+			return ev, stale
+		}
+		ev.TIDs, ev.OldRows = tids, removes
 	}
-	for _, add := range adds {
-		tid, _, err := vs.e.store.Insert(v.def.Backing, add)
+	if len(adds) > 0 {
+		tids, _, err := vs.e.store.InsertRows(v.def.Backing, adds, nil)
 		if err != nil {
 			return ev, err
 		}
-		v.indexAdd(add, tid)
-		ev.TIDs = append(ev.TIDs, tid)
-		ev.Rows = append(ev.Rows, add)
+		for i, add := range adds {
+			v.indexAdd(add, tids[i])
+		}
+		ev.TIDs, ev.Rows = append(ev.TIDs, tids...), adds
 	}
 	return ev, nil
 }

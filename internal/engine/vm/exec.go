@@ -48,22 +48,47 @@ type subResult struct {
 // runInSet is a bound IN list: either a hash set (all parameters in
 // range, mirroring the interpreter's constInSet; or a subquery's rows)
 // or the element-walk slow path when a parameter is missing.
+//
+// A value types.NumKey reads is held by that number in ints, as the
+// storage index holds it, so a list of ids makes no key strings; any
+// other value is held in strs under its types.AppendKey key. The two
+// never hold the same key: AppendKey keys exactly the NumKey values as
+// INTs.
 type runInSet struct {
-	vals    map[string]bool // keyed by types.AppendKey
+	ints    map[int64]struct{}
+	strs    map[string]struct{} // made on the first value ints cannot hold
 	hasNull bool
 	slow    bool // walk elements per lane (a parameter was out of range)
 }
 
-// add puts the non-NULL value v in the set.
-func (rs *runInSet) add(v types.Value) {
-	var kb [64]byte
-	rs.vals[string(types.AppendKey(kb[:0], v))] = true
+// newInSet returns an empty set sized for n numbers.
+func newInSet(n int) *runInSet {
+	return &runInSet{ints: make(map[int64]struct{}, n)}
 }
 
-// has reports whether v is in the set, building its key in m's buffer.
+// add puts the non-NULL value v in the set.
+func (rs *runInSet) add(v types.Value) {
+	if n, ok := types.NumKey(v); ok {
+		rs.ints[n] = struct{}{}
+		return
+	}
+	if rs.strs == nil {
+		rs.strs = map[string]struct{}{}
+	}
+	var kb [64]byte
+	rs.strs[string(types.AppendKey(kb[:0], v))] = struct{}{}
+}
+
+// has reports whether v is in the set, building a string key, when v
+// needs one, in m's buffer.
 func (m *Machine) has(rs *runInSet, v types.Value) bool {
+	if n, ok := types.NumKey(v); ok {
+		_, in := rs.ints[n]
+		return in
+	}
 	m.kb = types.AppendKey(m.kb[:0], v)
-	return rs.vals[string(m.kb)]
+	_, in := rs.strs[string(m.kb)]
+	return in
 }
 
 // NewMachine prepares an unpooled machine for p. Nothing is broadcast
@@ -135,7 +160,7 @@ func (m *Machine) Batch(kinds []types.Kind, used []int) *Batch {
 
 // bind builds the list's set from its literals and the bound arguments.
 func (spec *inListSpec) bind(args []types.Value) *runInSet {
-	rs := &runInSet{vals: make(map[string]bool, len(spec.elems))}
+	rs := newInSet(len(spec.elems))
 	for _, el := range spec.elems {
 		v := el.val
 		if el.param >= 0 {
@@ -1065,7 +1090,7 @@ func (s *subResult) inSet() (*runInSet, error) {
 		return nil, errors.New("engine: IN subquery must return one column")
 	}
 	if s.set == nil {
-		s.set = &runInSet{vals: make(map[string]bool, len(s.rows))}
+		s.set = newInSet(len(s.rows))
 		for _, r := range s.rows {
 			if r[0].IsNull() {
 				s.set.hasNull = true

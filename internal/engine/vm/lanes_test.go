@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ediflow/internal/sqltext"
@@ -320,7 +321,7 @@ func TestLiteralInSetBuiltOncePerMachine(t *testing.T) {
 	if m.sets[0] != lit {
 		t.Fatal("literal IN set rebuilt on rebind")
 	}
-	if m.sets[1] == par || !m.sets[1].vals[string(types.AppendKey(nil, types.NewInt(6)))] {
+	if m.sets[1] == par || !m.has(m.sets[1], types.NewInt(6)) {
 		t.Fatal("parameter IN set not rebuilt on rebind")
 	}
 	m.Release()
@@ -351,5 +352,38 @@ func TestOneRowCostsEightLanes(t *testing.T) {
 	if len(b.cols[0].i64) != 128 || len(m.consts[0].i64) != 128 || len(v.bs) != 128 || len(v.null) != 2 {
 		t.Fatalf("65 rows: column %d, constant %d, result %d lanes, %d NULL words; want 128, 128, 128, 2",
 			len(b.cols[0].i64), len(m.consts[0].i64), len(v.bs), len(v.null))
+	}
+}
+
+// TestInSetMatchesStringKeys: an IN set holds NumKey values by number
+// and the rest by key string; membership equals that of a set keyed by
+// types.AppendKey alone, so the split follows the key law — an INT and
+// the integral FLOAT of the same number, 0 and −0, every NaN.
+func TestInSetMatchesStringKeys(t *testing.T) {
+	vals := []types.Value{
+		types.NewInt(3), types.NewFloat(3), types.NewFloat(3.5),
+		types.NewInt(0), types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.NaN()), types.NewFloat(-math.NaN()),
+		types.NewInt(1<<53 + 1), types.NewFloat(1 << 53), types.NewFloat(1 << 63),
+		types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64), types.NewFloat(math.Inf(1)),
+		types.NewString("3"), types.NewString(""), types.NewBytes([]byte("3")),
+		types.NewBool(true), types.NewInt(1), types.Null,
+	}
+	m := &Machine{}
+	for i := range vals {
+		rs, ref := newInSet(1), map[string]bool{}
+		for _, v := range vals[:i+1] {
+			if v.IsNull() {
+				rs.hasNull = true // bind's rule: NULL is never a member
+				continue
+			}
+			rs.add(v)
+			ref[string(types.AppendKey(nil, v))] = true
+		}
+		for _, p := range vals {
+			if got, want := m.has(rs, p), ref[string(types.AppendKey(nil, p))]; got != want {
+				t.Fatalf("set of %v: %s %v in set %v, string keys say %v", vals[:i+1], p.Kind(), p, got, want)
+			}
+		}
 	}
 }

@@ -1259,7 +1259,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		// function call?
 		if p.tok.Kind == TokOp && p.tok.Text == "(" {
-			return p.parseFuncArgs(strings.ToUpper(name))
+			return p.parseFuncArgs(asciiUpper(name))
 		}
 		// qualified column?
 		if p.tok.Kind == TokOp && p.tok.Text == "." {
@@ -1275,6 +1275,18 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &ColumnRef{Column: name}, nil
 	}
 	return nil, p.errorf("expected expression, got %q", p.tok.Text)
+}
+
+// asciiUpper upper-cases the ASCII letters of a function name and keeps
+// every other byte: the name prints back as it lexed, whatever its bytes.
+func asciiUpper(name string) string {
+	b := []byte(name)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return string(b)
 }
 
 func (p *Parser) parseFuncArgs(name string) (Expr, error) {

@@ -9,19 +9,53 @@ import (
 // isolation query-rewriter (§VI-A), by debugging tools, and by the parser
 // round-trip property tests.
 
+// ident prints an identifier so that the lexer reads it back as that
+// identifier: bare when it lexes as one, else in double quotes — a
+// keyword, or a name holding a byte an identifier cannot.
+func ident(name string) string {
+	if lexesAsIdent(name) {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+// lexesAsIdent reports whether the lexer reads name, bare, as the
+// identifier name.
+func lexesAsIdent(name string) bool {
+	if name == "" || !isIdentStart(rune(name[0])) {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if !isIdentPart(rune(name[i])) {
+			return false
+		}
+	}
+	_, kw := keyword(name)
+	return !kw
+}
+
+// idents prints a list of identifiers, comma-separated.
+func idents(names []string) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = ident(n)
+	}
+	return strings.Join(out, ", ")
+}
+
 func (s *CreateTable) String() string {
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE ")
 	if s.IfNotExists {
 		sb.WriteString("IF NOT EXISTS ")
 	}
-	sb.WriteString(s.Name)
+	sb.WriteString(ident(s.Name))
 	sb.WriteString(" (")
 	for i, c := range s.Columns {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(c.Name)
+		sb.WriteString(ident(c.Name))
 		sb.WriteByte(' ')
 		sb.WriteString(c.Type.String())
 		if c.PrimaryKey {
@@ -40,16 +74,16 @@ func (s *CreateTable) String() string {
 
 func (s *DropTable) String() string {
 	if s.IfExists {
-		return "DROP TABLE IF EXISTS " + s.Name
+		return "DROP TABLE IF EXISTS " + ident(s.Name)
 	}
-	return "DROP TABLE " + s.Name
+	return "DROP TABLE " + ident(s.Name)
 }
 
 func (s *DropView) String() string {
 	if s.IfExists {
-		return "DROP VIEW IF EXISTS " + s.Name
+		return "DROP VIEW IF EXISTS " + ident(s.Name)
 	}
-	return "DROP VIEW " + s.Name
+	return "DROP VIEW " + ident(s.Name)
 }
 
 func (s *CreateIndex) String() string {
@@ -60,7 +94,7 @@ func (s *CreateIndex) String() string {
 	if s.IfNotExists {
 		ine = "IF NOT EXISTS "
 	}
-	return fmt.Sprintf("CREATE %sINDEX %s%s ON %s (%s)", u, ine, s.Name, s.Table, strings.Join(s.Columns, ", "))
+	return fmt.Sprintf("CREATE %sINDEX %s%s ON %s (%s)", u, ine, ident(s.Name), ident(s.Table), idents(s.Columns))
 }
 
 func (s *CreateView) String() string {
@@ -68,20 +102,20 @@ func (s *CreateView) String() string {
 	if s.Materialized {
 		m = "MATERIALIZED "
 	}
-	return fmt.Sprintf("CREATE %sVIEW %s AS %s", m, s.Name, s.Query.String())
+	return fmt.Sprintf("CREATE %sVIEW %s AS %s", m, ident(s.Name), s.Query.String())
 }
 
 func (s *CreateTrigger) String() string {
-	return fmt.Sprintf("CREATE TRIGGER %s AFTER %s ON %s CALL '%s'", s.Name, s.Event, s.Table, strings.ReplaceAll(s.Handler, "'", "''"))
+	return fmt.Sprintf("CREATE TRIGGER %s AFTER %s ON %s CALL '%s'", ident(s.Name), s.Event, ident(s.Table), strings.ReplaceAll(s.Handler, "'", "''"))
 }
 
 func (s *Insert) String() string {
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO ")
-	sb.WriteString(s.Table)
+	sb.WriteString(ident(s.Table))
 	if len(s.Columns) > 0 {
 		sb.WriteString(" (")
-		sb.WriteString(strings.Join(s.Columns, ", "))
+		sb.WriteString(idents(s.Columns))
 		sb.WriteByte(')')
 	}
 	if s.Query != nil {
@@ -109,13 +143,13 @@ func (s *Insert) String() string {
 func (s *Update) String() string {
 	var sb strings.Builder
 	sb.WriteString("UPDATE ")
-	sb.WriteString(s.Table)
+	sb.WriteString(ident(s.Table))
 	sb.WriteString(" SET ")
 	for i, a := range s.Set {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(a.Column)
+		sb.WriteString(ident(a.Column))
 		sb.WriteString(" = ")
 		sb.WriteString(a.Value.String())
 	}
@@ -128,9 +162,9 @@ func (s *Update) String() string {
 
 func (s *Delete) String() string {
 	if s.Where != nil {
-		return fmt.Sprintf("DELETE FROM %s WHERE %s", s.Table, s.Where.String())
+		return fmt.Sprintf("DELETE FROM %s WHERE %s", ident(s.Table), s.Where.String())
 	}
-	return "DELETE FROM " + s.Table
+	return "DELETE FROM " + ident(s.Table)
 }
 
 func (s *Select) String() string {
@@ -145,7 +179,7 @@ func (s *Select) String() string {
 		}
 		switch {
 		case it.Star && it.Table != "":
-			sb.WriteString(it.Table)
+			sb.WriteString(ident(it.Table))
 			sb.WriteString(".*")
 		case it.Star:
 			sb.WriteByte('*')
@@ -153,7 +187,7 @@ func (s *Select) String() string {
 			sb.WriteString(it.Expr.String())
 			if it.Alias != "" {
 				sb.WriteString(" AS ")
-				sb.WriteString(it.Alias)
+				sb.WriteString(ident(it.Alias))
 			}
 		}
 	}
@@ -227,10 +261,10 @@ func (t *TableRef) String() string {
 	if t.Subquery != nil {
 		base = "(" + t.Subquery.String() + ")"
 	} else {
-		base = t.Table
+		base = ident(t.Table)
 	}
 	if t.Alias != "" {
-		return base + " AS " + t.Alias
+		return base + " AS " + ident(t.Alias)
 	}
 	return base
 }
@@ -247,9 +281,9 @@ func (e *Literal) String() string { return e.Value.SQLLiteral() }
 
 func (e *ColumnRef) String() string {
 	if e.Table != "" {
-		return e.Table + "." + e.Column
+		return ident(e.Table) + "." + ident(e.Column)
 	}
-	return e.Column
+	return ident(e.Column)
 }
 
 func (e *Param) String() string { return "?" }
@@ -268,8 +302,12 @@ func (e *Binary) String() string {
 }
 
 func (e *FuncCall) String() string {
+	name := e.Name
+	if name != "COUNT" { // the one keyword the parser reads as a function
+		name = ident(name)
+	}
 	if e.Star {
-		return e.Name + "(*)"
+		return name + "(*)"
 	}
 	args := make([]string, len(e.Args))
 	for i, a := range e.Args {
@@ -279,7 +317,7 @@ func (e *FuncCall) String() string {
 	if e.Distinct {
 		d = "DISTINCT "
 	}
-	return e.Name + "(" + d + strings.Join(args, ", ") + ")"
+	return name + "(" + d + strings.Join(args, ", ") + ")"
 }
 
 func (e *InExpr) String() string {

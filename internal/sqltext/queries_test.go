@@ -181,12 +181,35 @@ func FuzzQueries(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The printer does not quote identifiers, and upper-casing a
-		// function name turns invalid UTF-8 into text that does not lex:
-		// such a tree has no text to count in.
 		if _, err := Parse(st.String()); err != nil {
-			return
+			t.Fatalf("%q prints as %q, which does not parse: %v", src, st.String(), err)
 		}
 		checkQueries(t, st)
 	})
+}
+
+// TestPrintedTextParses: a tree prints to text that parses back to it —
+// identifiers the lexer would not read back bare are quoted, and a
+// function name keeps every byte it lexed with. The first two inputs
+// are FuzzQueries finds.
+func TestPrintedTextParses(t *testing.T) {
+	for _, src := range []string{
+		`SELECT "!"`,
+		"DELETE FROM A WHERE A00\xff\xff0(SELEC)",
+		`SELECT "select", t."from" FROM "order" AS t WHERE "key" = 1`,
+		`INSERT INTO "a b" ("c-d", "VALUES") VALUES (1, 2)`,
+		`UPDATE "set" SET "where" = "select"(1)`,
+		`CREATE INDEX "index" ON "t t" ("x y")`,
+		`SELECT COUNT(*), count(x), "count"(x) FROM t`,
+	} {
+		st := mustParse(t, src)
+		printed := st.String()
+		again, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("%q prints as %q: %v", src, printed, err)
+		}
+		if !reflect.DeepEqual(again, st) {
+			t.Fatalf("%q prints as %q, which parses to %s", src, printed, again)
+		}
+	}
 }

@@ -163,6 +163,19 @@ func crashWorkload(fs fault.FS) wlResult {
 	}) {
 		return res
 	}
+	// A multi-row set: one frame, torn or whole.
+	next = cur().clone()
+	var set []types.Row
+	for pk := int64(9); pk <= 11; pk++ {
+		next.rows[pk] = fmt.Sprintf("u%d", pk)
+		set = append(set, types.Row{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null})
+	}
+	if !step(next, func() error {
+		_, _, err := s.InsertRows("users", set, nil)
+		return flushed(err)
+	}) {
+		return res
+	}
 	same(s.Close)
 	return res
 }

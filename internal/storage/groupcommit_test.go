@@ -323,3 +323,26 @@ func TestIntervalFlusherOwnsFsyncs(t *testing.T) {
 		t.Fatalf("idle store fsynced %d times; clean windows must be free", got-base)
 	}
 }
+
+// TestGroupCommitCommitCountedBeforeAck: the flusher counts a batch
+// before it releases the batch's tickets, so a committer that reads
+// wal.commits right after its ack finds its own commit counted. When the
+// count came after the release, an ack could be read uncounted, and the
+// late increment landed in the next reader's window.
+func TestGroupCommitCommitCountedBeforeAck(t *testing.T) {
+	s := openGroupStore(t, fault.NewMemFS())
+	defer s.Close()
+	commits := s.reg.Counter("wal.commits")
+	for i := 0; i < 2000; i++ {
+		before := commits.Value()
+		if _, _, err := s.Insert("users", types.Row{types.NewInt(int64(1000 + i)), types.NewString("c"), types.Null}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		if got := commits.Value() - before; got != 1 {
+			t.Fatalf("commit %d: wal.commits advanced by %d right after the ack, want 1", i, got)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
@@ -23,13 +24,13 @@ var goldenRecords = []struct {
 		"01055573657273050269640201046e616d6504060573636f72650300026f6b010404626c6f620600"},
 	{Record{Op: OpDropTable, Table: "Users"},
 		"02055573657273"},
-	{Record{Op: OpInsert, Table: "Users", TID: 7, Created: 9, Row: types.Row{
-		types.NewInt(-7), types.NewString("ann"), types.NewFloat(1.5), types.NewBool(true), types.NewBytes([]byte{0, 1, 0xff})}},
+	{Record{Op: OpInsert, Table: "Users", TIDs: []int64{7}, Created: []int64{9}, Rows: []types.Row{{
+		types.NewInt(-7), types.NewString("ann"), types.NewFloat(1.5), types.NewBool(true), types.NewBytes([]byte{0, 1, 0xff})}}},
 		"03055573657273000000000000000700000000000000090502fffffffffffffff90403616e6e033ff8000000000000010106030001ff"},
-	{Record{Op: OpUpdate, Table: "Users", TID: 7, Row: types.Row{
-		types.NewInt(1 << 40), types.NewString(""), types.Null, types.NewBool(false), types.Null}},
+	{Record{Op: OpUpdate, Table: "Users", TIDs: []int64{7}, Rows: []types.Row{{
+		types.NewInt(1 << 40), types.NewString(""), types.Null, types.NewBool(false), types.Null}}},
 		"04055573657273000000000000000705020000010000000000040000010000"},
-	{Record{Op: OpDelete, Table: "Users", TID: 1 << 33},
+	{Record{Op: OpDelete, Table: "Users", TIDs: []int64{1 << 33}},
 		"050555736572730000000200000000"},
 	{Record{Op: OpCreateIndex, Table: "Users", Index: IndexDef{Name: "by_name", Cols: []string{"name", "id"}, Unique: true}},
 		"060762795f6e616d650555736572730102046e616d65026964"},
@@ -116,12 +117,18 @@ func randRecord(rng *rand.Rand, op Op) Record {
 		rec.Table = rec.Schema.Name
 	case OpDropTable:
 		rec.Table = str()
-	case OpInsert:
-		rec.Table, rec.TID, rec.Created, rec.Row = str(), rng.Int63(), rng.Int63(), row()
-	case OpUpdate:
-		rec.Table, rec.TID, rec.Row = str(), rng.Int63(), row()
-	case OpDelete:
-		rec.Table, rec.TID = str(), rng.Int63()
+	case OpInsert, OpUpdate, OpDelete:
+		// Sets of one and of more rows: each has its own frame.
+		rec.Table = str()
+		for n := 1 + rng.Intn(2)*rng.Intn(5); n > 0; n-- {
+			rec.TIDs = append(rec.TIDs, rng.Int63())
+			if op == OpInsert {
+				rec.Created = append(rec.Created, rng.Int63())
+			}
+			if op != OpDelete {
+				rec.Rows = append(rec.Rows, row())
+			}
+		}
 	case OpCreateIndex:
 		rec.Table, rec.Index.Name, rec.Index.Unique = str(), str(), rng.Intn(2) == 0
 		for n := rng.Intn(4); n > 0; n-- {
@@ -162,8 +169,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	if _, err := decodeRecord([]byte{0}); err == nil {
 		t.Fatal("opcode 0 decoded")
 	}
-	if _, err := decodeRecord([]byte{9}); err == nil {
-		t.Fatal("opcode 9 decoded")
+	if _, err := decodeRecord([]byte{12}); err == nil {
+		t.Fatal("opcode 12 decoded")
 	}
 }
 
@@ -180,6 +187,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{1, 1, 't', 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10})
 	f.Add([]byte{3, 1, 't', 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10})
 	f.Add([]byte{6, 1, 'i', 1, 't', 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10})
+	// Set frames: of one row, of three, and one whose count claims more
+	// rows than its bytes can hold.
+	for _, seed := range setFrameSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -205,4 +217,50 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("re-decode differs:\n got %+v\nwant %+v", again, rec)
 		}
 	})
+}
+
+// setFrameSeeds returns set frames: an insert set of one row (a frame
+// the encoder never writes, since a set of one keeps its op's single-row
+// frame), an insert set of three, and a delete set whose count of 2^20
+// rows exceeds the 16 bytes that follow it.
+func setFrameSeeds() [][]byte {
+	row := types.Row{types.NewInt(1), types.NewString("a"), types.Null}
+	one := appendString([]byte{byte(OpInsert + setFrame)}, "t")
+	one = appendStoredRow(binary.AppendUvarint(one, 1), 7, 9, row)
+	three := (&Record{Op: OpInsert, Table: "t", TIDs: []int64{1, 2, 3}, Created: []int64{4, 5, 6},
+		Rows: []types.Row{row, {types.NewFloat(2)}, {}}}).encode(nil)
+	over := appendString([]byte{byte(OpDelete + setFrame)}, "t")
+	over = binary.BigEndian.AppendUint64(binary.AppendUvarint(over, 1<<20), 1)
+	over = binary.BigEndian.AppendUint64(over, 2)
+	return [][]byte{one, three, over}
+}
+
+// TestSetFrames: a set of one is written in its op's single-row frame, a
+// larger set in the set frame, and the set frame of one row decodes to
+// the record the single-row frame does. A count the bytes cannot hold is
+// refused.
+func TestSetFrames(t *testing.T) {
+	seeds := setFrameSeeds()
+	one, err := decodeRecord(seeds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc := one.encode(nil); enc[0] != byte(OpInsert) || len(enc) != len(seeds[0])-1 {
+		t.Fatalf("a set of one encodes as % x, want the single-row frame", enc)
+	}
+	if legacy, err := decodeRecord(one.encode(nil)); err != nil || !reflect.DeepEqual(legacy, one) {
+		t.Fatalf("single-row frame decodes to %+v (%v), set frame of one to %+v", legacy, err, one)
+	}
+	three, err := decodeRecord(seeds[1])
+	if err != nil || len(three.TIDs) != 3 || seeds[1][0] != byte(OpInsert+setFrame) {
+		t.Fatalf("set of three: %+v, %v", three, err)
+	}
+	if _, err := decodeRecord(seeds[2]); err == nil {
+		t.Fatal("a set count larger than its bytes decoded")
+	}
+	for _, op := range []Op{OpInsert, OpUpdate, OpDelete} {
+		if _, err := decodeRecord(append(appendString([]byte{byte(op + setFrame)}, "t"), 0)); err == nil {
+			t.Fatalf("op %d: an empty set decoded", op)
+		}
+	}
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
+
+	"ediflow/internal/types"
 )
 
 // Replication feed: the store-level half of WAL shipping (internal/repl
@@ -40,7 +43,7 @@ type replRec struct {
 
 type replFeed struct {
 	mu      sync.Mutex
-	on      bool
+	on      atomic.Bool     // set once, under mu; read without it by Store.log
 	exclude map[string]bool // lower-cased table names kept out of the stream
 	stream  uint64          // nonzero, fresh per enable
 	head    uint64          // seq of the newest captured record (0 = none yet)
@@ -64,10 +67,10 @@ func (s *Store) EnableReplFeed(budget int64, exclude ...string) {
 	f := &s.repl
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.on {
+	if f.on.Load() {
 		return
 	}
-	f.on = true
+	f.on.Store(true)
 	f.budget = budget
 	f.exclude = map[string]bool{}
 	for _, t := range exclude {
@@ -86,7 +89,7 @@ func (s *Store) EnableReplFeed(budget int64, exclude ...string) {
 func (s *Store) replCapture(table string, payload []byte) {
 	f := &s.repl
 	f.mu.Lock()
-	if !f.on || (table != "" && f.exclude[tkey(table)]) {
+	if !f.on.Load() || (table != "" && f.exclude[tkey(table)]) {
 		f.mu.Unlock()
 		return
 	}
@@ -114,7 +117,7 @@ func (s *Store) replCapture(table string, payload []byte) {
 func (s *Store) replPrune() {
 	f := &s.repl
 	f.mu.Lock()
-	if f.on {
+	if f.on.Load() {
 		f.buf = nil
 		f.bytes = 0
 		f.floor = f.head + 1
@@ -189,7 +192,7 @@ func (s *Store) ReplFetch(fromSeq uint64, maxBytes int) (recs [][]byte, next, he
 	f := &s.repl
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.on {
+	if !f.on.Load() {
 		return nil, fromSeq, f.head, fmt.Errorf("storage: replication feed disabled")
 	}
 	if fromSeq+1 < f.floor {
@@ -268,10 +271,13 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 				return err
 			}
 		}
-		for _, r := range old.Rows() {
-			if _, err := s.apply(&Record{Op: OpInsert, Table: name, TID: r.TID, Created: r.Created, Row: r.Values}); err != nil {
-				return fmt.Errorf("storage: restoring preserved row: %w", err)
-			}
+		rows := old.Rows()
+		rec := Record{Op: OpInsert, Table: name, TIDs: make([]int64, len(rows)), Created: make([]int64, len(rows)), Rows: make([]types.Row, len(rows))}
+		for i, r := range rows {
+			rec.TIDs[i], rec.Created[i], rec.Rows[i] = r.TID, r.Created, r.Values
+		}
+		if _, err := s.apply(&rec); err != nil {
+			return fmt.Errorf("storage: restoring preserved row: %w", err)
 		}
 	}
 	// The rebuilt state stamped fresh versions; publish them before the

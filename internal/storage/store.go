@@ -409,8 +409,12 @@ func (s *Store) Durable() bool { return s.durable }
 
 // log records one applied mutation: its encoding goes into the
 // replication feed (when enabled; the feed filters per-node-local tables
-// by the record's table) and the WAL (when durable).
+// by the record's table) and the WAL (when durable). A record nothing
+// reads — an in-memory store without a feed — is not encoded at all.
 func (s *Store) log(r *Record) error {
+	if s.wal == nil && !s.repl.on.Load() {
+		return nil
+	}
 	payload := r.encode(nil)
 	s.replCapture(r.Table, payload)
 	if s.wal == nil {
@@ -578,6 +582,18 @@ func (s *Store) flushCycle() {
 	if err == nil {
 		err = s.fsyncLocked()
 	}
+	// Count the batch before releasing it: a committer that reads the
+	// counters right after its ack must find its own commit counted.
+	if err == nil && len(batch) > 0 {
+		s.walGroupCommits.Inc()
+		s.walCommits.Add(int64(len(batch)))
+		if s.reg.Enabled() {
+			// Batch size rides the µs-granularity histogram: a batch of
+			// n commits is recorded as n µs, so the bucket bounds read
+			// directly as sizes 1, 2, 4, … commits.
+			s.walGroupSizeH.Observe(time.Duration(len(batch)) * time.Microsecond)
+		}
+	}
 	for _, done := range batch {
 		done <- err
 	}
@@ -588,17 +604,6 @@ func (s *Store) flushCycle() {
 		s.commitMu.Lock()
 		s.walDirty = true
 		s.commitMu.Unlock()
-		return
-	}
-	if len(batch) > 0 {
-		s.walGroupCommits.Inc()
-		s.walCommits.Add(int64(len(batch)))
-		if s.reg.Enabled() {
-			// Batch size rides the µs-granularity histogram: a batch of
-			// n commits is recorded as n µs, so the bucket bounds read
-			// directly as sizes 1, 2, 4, … commits.
-			s.walGroupSizeH.Observe(time.Duration(len(batch)) * time.Microsecond)
-		}
 	}
 }
 
@@ -695,9 +700,9 @@ func (s *Store) bumpCounters(tid, created int64) {
 // apply carries out one record. It is the only code that changes
 // tables, index definitions and metas, whatever the record's source: a
 // live operation (which then logs it), WAL replay, a shipped replication
-// record or a snapshot section. old is the replaced or removed row of an
-// update or delete.
-func (s *Store) apply(r *Record) (old types.Row, err error) {
+// record or a snapshot section. old holds the rows an update or delete
+// set replaced.
+func (s *Store) apply(r *Record) (old []types.Row, err error) {
 	switch r.Op {
 	case OpCreateTable:
 		s.tablesMu.Lock()
@@ -722,34 +727,65 @@ func (s *Store) apply(r *Record) (old types.Row, err error) {
 			s.metas = slices.Delete(s.metas, i, i+1)
 		}
 		return nil, nil
-	}
-	t := s.Table(r.Table)
-	if t == nil {
-		return nil, fmt.Errorf("storage: no such table %q", r.Table)
-	}
-	switch r.Op {
-	case OpInsert:
-		if err := t.Insert(r.TID, r.Created, r.Row); err != nil {
-			return nil, err
-		}
-		s.bumpCounters(r.TID, r.Created)
-		return nil, nil
-	case OpUpdate:
-		return t.Update(r.TID, r.Row)
-	case OpDelete:
-		return t.Delete(r.TID)
 	case OpCreateIndex:
+		t := s.Table(r.Table)
+		if t == nil {
+			return nil, fmt.Errorf("storage: no such table %q", r.Table)
+		}
 		return nil, t.AddIndex(r.Index.Name, r.Index.Cols, r.Index.Unique)
+	case OpInsert, OpUpdate, OpDelete:
+		old, _, err = s.applyRows(r, false)
+		return old, err
 	}
 	return nil, fmt.Errorf("storage: unknown record opcode %d", r.Op)
 }
 
-// do is a live operation: apply the record, then log it.
-func (s *Store) do(r *Record) (old types.Row, err error) {
-	if old, err = s.apply(r); err != nil {
-		return nil, err
+// applyRows carries out a row set on its table (Table.writeRows), trial
+// or not, and returns the rows it replaced and how many rows it got
+// through before an error.
+func (s *Store) applyRows(r *Record, trial bool) (old []types.Row, done int, err error) {
+	t := s.Table(r.Table)
+	if t == nil {
+		return nil, 0, fmt.Errorf("storage: no such table %q", r.Table)
 	}
-	return old, s.log(r)
+	if r.Op != OpInsert {
+		old = make([]types.Row, len(r.TIDs))
+	}
+	if done, err = t.writeRows(r.Op, r.TIDs, r.Created, r.Rows, old, trial); err != nil || trial {
+		return nil, done, err
+	}
+	if r.Op == OpInsert && done > 0 {
+		s.bumpCounters(slices.Max(r.TIDs), slices.Max(r.Created))
+	}
+	return old, done, nil
+}
+
+// do is a live operation: apply the record, then log it.
+func (s *Store) do(r *Record) error {
+	if _, err := s.apply(r); err != nil {
+		return err
+	}
+	return s.log(r)
+}
+
+// write is a live row set: apply it under one table lock and log it as
+// one record. stop, when not nil, is the error of a row after the set's
+// last that its caller could not build: the set is applied as a trial to
+// find any error its own rows meet first, and stop is returned if they
+// meet none. A set that fails, or stops, logs nothing and leaves the
+// table as its rows undone one at a time would (Table.takeBackLocked).
+// done is how many rows it got through.
+func (s *Store) write(r *Record, stop error) (old []types.Row, done int, err error) {
+	if len(r.TIDs) == 0 {
+		return nil, 0, stop
+	}
+	if old, done, err = s.applyRows(r, stop != nil); err != nil {
+		return nil, done, err
+	}
+	if stop != nil {
+		return nil, done, stop
+	}
+	return old, done, s.log(r)
 }
 
 // CreateTable allocates storage for a new table and logs it.
@@ -757,8 +793,7 @@ func (s *Store) CreateTable(schema *catalog.TableSchema) error {
 	if s.Table(schema.Name) != nil {
 		return fmt.Errorf("storage: table %q already exists", schema.Name)
 	}
-	_, err := s.do(&Record{Op: OpCreateTable, Table: schema.Name, Schema: schema})
-	return err
+	return s.do(&Record{Op: OpCreateTable, Table: schema.Name, Schema: schema})
 }
 
 // DropTable removes a table (its indexes go with it) and logs it.
@@ -766,8 +801,7 @@ func (s *Store) DropTable(name string) error {
 	if s.Table(name) == nil {
 		return fmt.Errorf("storage: no such table %q", name)
 	}
-	_, err := s.do(&Record{Op: OpDropTable, Table: name})
-	return err
+	return s.do(&Record{Op: OpDropTable, Table: name})
 }
 
 // Table returns the physical table, or nil.
@@ -789,30 +823,80 @@ func (s *Store) TableNames() []string {
 	return out
 }
 
-// Insert appends a row to a table, allocating system columns, and logs it.
-func (s *Store) Insert(table string, row types.Row) (tid, created int64, err error) {
-	rec := Record{Op: OpInsert, Table: table, TID: s.AllocTID(), Created: s.AllocCreated(), Row: row}
-	if _, err := s.do(&rec); err != nil {
-		return 0, 0, err
+// InsertRows inserts rows into table as one set (see write) and returns
+// the tid and creation stamp it gave each. The store keeps the rows: each
+// must be its caller's own allocation, never written again.
+func (s *Store) InsertRows(table string, rows []types.Row, stop error) (tids, created []int64, err error) {
+	n := int64(len(rows))
+	t0, c0 := s.nextTID.Add(n)-n, s.nextCreated.Add(n)-n
+	rec := Record{Op: OpInsert, Table: table, TIDs: make([]int64, n), Created: make([]int64, n), Rows: rows}
+	for i := range rec.TIDs {
+		rec.TIDs[i], rec.Created[i] = t0+int64(i), c0+int64(i)
 	}
-	return rec.TID, rec.Created, nil
+	if _, done, err := s.write(&rec, stop); err != nil {
+		// Rows after the one that failed give their stamps back: inserted
+		// one at a time, they would never have drawn them.
+		if d := int64(done) + 1; d < n {
+			s.nextTID.CompareAndSwap(t0+n, t0+d)
+			s.nextCreated.CompareAndSwap(c0+n, c0+d)
+		}
+		return nil, nil, err
+	}
+	return rec.TIDs, rec.Created, nil
 }
 
-// InsertAt re-inserts a row with explicit system columns (undo of a
-// delete).
-func (s *Store) InsertAt(table string, tid, created int64, row types.Row) error {
-	_, err := s.do(&Record{Op: OpInsert, Table: table, TID: tid, Created: created, Row: row})
+// InsertRowsAt re-inserts rows under their own tids and creation stamps
+// as one set (undo of a delete).
+func (s *Store) InsertRowsAt(table string, tids, created []int64, rows []types.Row) error {
+	_, _, err := s.write(&Record{Op: OpInsert, Table: table, TIDs: tids, Created: created, Rows: rows}, nil)
 	return err
 }
 
-// Update replaces a row's values and logs it.
-func (s *Store) Update(table string, tid int64, row types.Row) (types.Row, error) {
-	return s.do(&Record{Op: OpUpdate, Table: table, TID: tid, Row: row})
+// UpdateRows gives each tids[i] the values rows[i] as one set (see write)
+// and returns the values each replaced.
+func (s *Store) UpdateRows(table string, tids []int64, rows []types.Row, stop error) (old []types.Row, err error) {
+	old, _, err = s.write(&Record{Op: OpUpdate, Table: table, TIDs: tids, Rows: rows}, stop)
+	return old, err
 }
 
-// Delete removes a row and logs it.
+// DeleteRows removes the rows tids as one set (see write) and returns
+// their values.
+func (s *Store) DeleteRows(table string, tids []int64) (old []types.Row, err error) {
+	old, _, err = s.write(&Record{Op: OpDelete, Table: table, TIDs: tids}, nil)
+	return old, err
+}
+
+// Insert appends a row to a table, allocating system columns: a set of
+// one.
+func (s *Store) Insert(table string, row types.Row) (tid, created int64, err error) {
+	tids, cs, err := s.InsertRows(table, []types.Row{row}, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return tids[0], cs[0], nil
+}
+
+// InsertAt re-inserts a row with explicit system columns: a set of one.
+func (s *Store) InsertAt(table string, tid, created int64, row types.Row) error {
+	return s.InsertRowsAt(table, []int64{tid}, []int64{created}, []types.Row{row})
+}
+
+// Update replaces a row's values: a set of one.
+func (s *Store) Update(table string, tid int64, row types.Row) (types.Row, error) {
+	old, err := s.UpdateRows(table, []int64{tid}, []types.Row{row}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return old[0], nil
+}
+
+// Delete removes a row: a set of one.
 func (s *Store) Delete(table string, tid int64) (types.Row, error) {
-	return s.do(&Record{Op: OpDelete, Table: table, TID: tid})
+	old, err := s.DeleteRows(table, []int64{tid})
+	if err != nil {
+		return nil, err
+	}
+	return old[0], nil
 }
 
 // AddIndex builds a named index and logs it. Index names are unique
@@ -822,8 +906,7 @@ func (s *Store) AddIndex(name, table string, cols []string, unique bool) error {
 	if on, exists := s.NamedIndex(name); exists {
 		return fmt.Errorf("storage: index %q already exists on %s", name, on)
 	}
-	_, err := s.do(&Record{Op: OpCreateIndex, Table: table, Index: IndexDef{Name: name, Cols: cols, Unique: unique}})
-	return err
+	return s.do(&Record{Op: OpCreateIndex, Table: table, Index: IndexDef{Name: name, Cols: cols, Unique: unique}})
 }
 
 // NamedIndex reports the table that holds the CREATE INDEX index of the
@@ -843,14 +926,12 @@ func (s *Store) NamedIndex(name string) (table string, ok bool) {
 
 // PutMeta stores a DDL meta entry (view/trigger) and logs it.
 func (s *Store) PutMeta(kind, name, text string) error {
-	_, err := s.do(&Record{Op: OpPutMeta, Meta: MetaEntry{Kind: kind, Name: name, Text: text}})
-	return err
+	return s.do(&Record{Op: OpPutMeta, Meta: MetaEntry{Kind: kind, Name: name, Text: text}})
 }
 
 // DeleteMeta removes a DDL meta entry and logs it.
 func (s *Store) DeleteMeta(kind, name string) error {
-	_, err := s.do(&Record{Op: OpDelMeta, Meta: MetaEntry{Kind: kind, Name: name}})
-	return err
+	return s.do(&Record{Op: OpDelMeta, Meta: MetaEntry{Kind: kind, Name: name}})
 }
 
 // Metas returns the stored DDL meta entries in insertion order.
@@ -1069,12 +1150,14 @@ func (s *Store) loadSnapshotBytes(data []byte) error {
 		if err := put(&rec); err != nil {
 			return err
 		}
-		rec = Record{Op: OpInsert, Table: rec.Table}
-		for m := rd.count(); m > 0; m-- {
-			rec.TID, rec.Created, rec.Row = rd.storedRow()
-			if err := put(&rec); err != nil {
-				return err
-			}
+		// A table's rows are one insert set.
+		m := rd.count()
+		rec = Record{Op: OpInsert, Table: rec.Table, TIDs: make([]int64, m), Created: make([]int64, m), Rows: make([]types.Row, m)}
+		for i := 0; i < m; i++ {
+			rec.TIDs[i], rec.Created[i], rec.Rows[i] = rd.storedRow()
+		}
+		if err := put(&rec); err != nil {
+			return err
 		}
 	}
 	for i := range indexes {

@@ -475,14 +475,86 @@ func (t *Table) liveMatch(ix *IndexInfo, tid int64, k []byte) bool {
 	return ok && bytes.Equal(hk, k)
 }
 
-// Insert adds a row with explicit system columns (used by WAL replay and
-// the engine, which allocates tids/timestamps). Re-inserting a tid whose
-// row was deleted (transaction rollback, replay) extends the existing
-// chain and moves the slot to the end, so slot order is always order of
-// last insertion regardless of vacuum timing.
+// Insert adds a row with explicit system columns: a set of one (see
+// writeRows).
 func (t *Table) Insert(tid, created int64, row types.Row) error {
+	_, err := t.writeRows(OpInsert, []int64{tid}, []int64{created}, []types.Row{row}, nil, false)
+	return err
+}
+
+// Update stamps a new version for the row with the given tid and returns
+// the values it replaced: a set of one (see writeRows).
+func (t *Table) Update(tid int64, row types.Row) (old types.Row, err error) {
+	olds := make([]types.Row, 1)
+	_, err = t.writeRows(OpUpdate, []int64{tid}, nil, []types.Row{row}, olds, false)
+	return olds[0], err
+}
+
+// Delete end-stamps the live version of the row with the given tid and
+// returns its values: a set of one (see writeRows).
+func (t *Table) Delete(tid int64) (types.Row, error) {
+	olds := make([]types.Row, 1)
+	_, err := t.writeRows(OpDelete, []int64{tid}, nil, nil, olds, false)
+	return olds[0], err
+}
+
+// writeRows carries out one row set of op under one table lock, row by
+// row in order: an insert adds rows[i] as tids[i] with created[i], an
+// update stamps rows[i] as tids[i]'s new version, a delete end-stamps
+// tids[i]. An update's or delete's old receives the values each row
+// replaced; they are immutable.
+//
+// A set fails as a whole. The row that fails takes back the rows before
+// it (takeBackLocked) and its index is returned with its error. A trial
+// set that does not fail is taken back whole: it only finds the error
+// its rows would meet.
+func (t *Table) writeRows(op Op, tids, created []int64, rows, old []types.Row, trial bool) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i, tid := range tids {
+		var err error
+		switch op {
+		case OpInsert:
+			err = t.insertLocked(tid, created[i], rows[i])
+		case OpUpdate:
+			old[i], err = t.updateLocked(tid, rows[i])
+		case OpDelete:
+			old[i], err = t.deleteLocked(tid)
+		}
+		if err != nil {
+			t.takeBackLocked(op, tids[:i], old)
+			return i, err
+		}
+	}
+	if trial {
+		t.takeBackLocked(op, tids, old)
+	}
+	return len(tids), nil
+}
+
+// takeBackLocked reverses the rows of a set just applied, newest first,
+// as undoing them one at a time does: an inserted row is deleted, an
+// updated one gets its old values as a new version, a deleted one is
+// re-inserted under its tid and stamp. Each restores a state the table
+// held a moment before, so none can fail. Caller holds t.mu.
+func (t *Table) takeBackLocked(op Op, tids []int64, old []types.Row) {
+	for j := len(tids) - 1; j >= 0; j-- {
+		switch op {
+		case OpInsert:
+			t.deleteLocked(tids[j])
+		case OpUpdate:
+			t.updateLocked(tids[j], old[j])
+		case OpDelete:
+			t.insertLocked(tids[j], t.byTID[tids[j]].head.Load().created, old[j])
+		}
+	}
+}
+
+// insertLocked adds a row with explicit system columns. Re-inserting a
+// tid whose row was deleted (transaction rollback, replay) extends the
+// existing chain and moves the slot to the end, so slot order is always
+// order of last insertion regardless of vacuum timing. Caller holds t.mu.
+func (t *Table) insertLocked(tid, created int64, row types.Row) error {
 	if err := t.checkConstraints(row, -1); err != nil {
 		return err
 	}
@@ -522,12 +594,10 @@ func (t *Table) Insert(tid, created int64, row types.Row) error {
 	return nil
 }
 
-// Update stamps a new version for the row with the given tid; `_created`
-// is preserved (the tuple identity does not change). The returned old
-// values are immutable.
-func (t *Table) Update(tid int64, row types.Row) (old types.Row, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// updateLocked stamps a new version for the row with the given tid;
+// `_created` is preserved (the tuple identity does not change). Caller
+// holds t.mu.
+func (t *Table) updateLocked(tid int64, row types.Row) (old types.Row, err error) {
 	sl := t.byTID[tid]
 	var head *version
 	if sl != nil {
@@ -548,12 +618,11 @@ func (t *Table) Update(tid int64, row types.Row) (old types.Row, err error) {
 	return head.values, nil
 }
 
-// Delete end-stamps the live version of the row with the given tid —
-// the paper's R∆ deferred deletion. The version (and its index entries)
+// deleteLocked end-stamps the live version of the row with the given tid
+// — the paper's R∆ deferred deletion. The version (and its index entries)
 // survive for readers at older snapshots until Vacuum reclaims them.
-func (t *Table) Delete(tid int64) (types.Row, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// Caller holds t.mu.
+func (t *Table) deleteLocked(tid int64) (types.Row, error) {
 	sl := t.byTID[tid]
 	var head *version
 	if sl != nil {

@@ -10,7 +10,8 @@ import (
 	"ediflow/internal/types"
 )
 
-// tornWALOps is a scripted mutation sequence covering every WAL opcode.
+// tornWALOps is a scripted mutation sequence covering every WAL opcode,
+// the set frames of multi-row inserts, updates and deletes included.
 // Each entry applies one op to a store; the resulting WAL carries exactly
 // one record per entry, in order.
 var tornWALOps = []struct {
@@ -34,6 +35,29 @@ var tornWALOps = []struct {
 	{"delete", func(s *Store) error {
 		tid, _ := pkTID(s.Table("users"), types.NewInt(1), SeqLatest)
 		_, err := s.Delete("users", tid)
+		return err
+	}},
+	{"insert-set", func(s *Store) error {
+		_, _, err := s.InsertRows("users", []types.Row{
+			{types.NewInt(3), types.NewString("c"), types.Null},
+			{types.NewInt(4), types.NewString("d"), types.NewFloat(0.5)},
+			{types.NewInt(5), types.NewString("e"), types.Null},
+		}, nil)
+		return err
+	}},
+	{"update-set", func(s *Store) error {
+		t3, _ := pkTID(s.Table("users"), types.NewInt(3), SeqLatest)
+		t4, _ := pkTID(s.Table("users"), types.NewInt(4), SeqLatest)
+		_, err := s.UpdateRows("users", []int64{t3, t4}, []types.Row{
+			{types.NewInt(3), types.NewString("c2"), types.Null},
+			{types.NewInt(4), types.NewString("d2"), types.Null},
+		}, nil)
+		return err
+	}},
+	{"delete-set", func(s *Store) error {
+		t4, _ := pkTID(s.Table("users"), types.NewInt(4), SeqLatest)
+		t5, _ := pkTID(s.Table("users"), types.NewInt(5), SeqLatest)
+		_, err := s.DeleteRows("users", []int64{t5, t4})
 		return err
 	}},
 	{"create-index", func(s *Store) error { return s.AddIndex("by_name", "users", []string{"name"}, false) }},

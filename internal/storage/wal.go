@@ -219,13 +219,23 @@ type Op byte
 const (
 	OpCreateTable Op = iota + 1 // Table, Schema
 	OpDropTable                 // Table
-	OpInsert                    // Table, TID, Created, Row
-	OpUpdate                    // Table, TID, Row
-	OpDelete                    // Table, TID
+	OpInsert                    // Table, TIDs, Created, Rows
+	OpUpdate                    // Table, TIDs, Rows
+	OpDelete                    // Table, TIDs
 	OpCreateIndex               // Table, Index
 	OpPutMeta                   // Meta (view / trigger DDL re-registered on open)
 	OpDelMeta                   // Meta.Kind, Meta.Name
 )
+
+// Set frames. A row op's record is a set of rows of one table. A set of
+// one is framed under its op's own opcode, the single-row frame older
+// logs hold; a larger set under the op's set opcode, which puts the row
+// count after the table name:
+//
+//	insert  [9][table][uvarint n] n × [tid][created][row]
+//	update [10][table][uvarint n] n × [tid][row]
+//	delete [11][table][uvarint n] n × [tid]
+const setFrame = 6 // set opcode − op
 
 // IndexDef is a CREATE [UNIQUE] INDEX definition; the table it belongs
 // to is the record's.
@@ -240,13 +250,17 @@ type IndexDef struct {
 // snapshot bytes — and Store.apply is the only code that carries it out,
 // which is why replay, a replica and a reloaded snapshot reach the state
 // the live store had. Each op uses the fields listed beside its opcode;
-// the rest stay zero.
+// the rest stay nil or zero.
+//
+// A row op carries a set: row i of the set is TIDs[i], with Created[i]
+// (insert) and Rows[i] (insert, update) beside it. A statement's rows are
+// one record, applied in order under one table lock.
 type Record struct {
 	Op      Op
 	Table   string
-	TID     int64
-	Created int64
-	Row     types.Row
+	TIDs    []int64
+	Created []int64
+	Rows    []types.Row
 	Schema  *catalog.TableSchema
 	Index   IndexDef
 	Meta    MetaEntry
@@ -259,62 +273,105 @@ func (r *Record) DDL() bool {
 
 // encode appends the record's payload to dst.
 func (r *Record) encode(dst []byte) []byte {
-	dst = append(dst, byte(r.Op))
-	switch r.Op {
-	case OpCreateTable:
-		return appendSchema(dst, r.Schema)
-	case OpCreateIndex:
-		return appendIndexDef(dst, r.Table, r.Index)
-	case OpPutMeta:
-		return appendMeta(dst, r.Meta)
-	case OpDelMeta:
-		dst = appendString(dst, r.Meta.Kind)
-		return appendString(dst, r.Meta.Name)
+	if r.DDL() {
+		dst = append(dst, byte(r.Op))
+		switch r.Op {
+		case OpCreateTable:
+			return appendSchema(dst, r.Schema)
+		case OpCreateIndex:
+			return appendIndexDef(dst, r.Table, r.Index)
+		case OpPutMeta:
+			return appendMeta(dst, r.Meta)
+		case OpDelMeta:
+			dst = appendString(dst, r.Meta.Kind)
+			return appendString(dst, r.Meta.Name)
+		}
+		return appendString(dst, r.Table) // OpDropTable
 	}
-	dst = appendString(dst, r.Table)
-	switch r.Op {
-	case OpInsert:
-		return appendStoredRow(dst, r.TID, r.Created, r.Row)
-	case OpUpdate:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(r.TID))
-		return types.AppendRow(dst, r.Row)
-	case OpDelete:
-		return binary.BigEndian.AppendUint64(dst, uint64(r.TID))
+	if len(r.TIDs) == 1 {
+		dst = appendString(append(dst, byte(r.Op)), r.Table)
+	} else {
+		dst = appendString(append(dst, byte(r.Op+setFrame)), r.Table)
+		dst = binary.AppendUvarint(dst, uint64(len(r.TIDs)))
 	}
-	return dst // OpDropTable
+	for i, tid := range r.TIDs {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(tid))
+		switch r.Op {
+		case OpInsert:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(r.Created[i]))
+			dst = types.AppendRow(dst, r.Rows[i])
+		case OpUpdate:
+			dst = types.AppendRow(dst, r.Rows[i])
+		}
+	}
+	return dst
 }
 
 // decodeRecord is the inverse of encode. The bytes come from disk and,
-// on a replica, from the network: every length is checked against what
-// is left of the payload before anything is allocated from it.
+// on a replica, from the network: every length and count is checked
+// against what is left of the payload before anything is allocated from
+// it.
 func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("storage: empty record")
 	}
 	rec := Record{Op: Op(payload[0])}
 	rd := reader{buf: payload[1:]}
+	n := 1 // rows in a row op's set
 	switch rec.Op {
 	case OpCreateTable:
 		if rec.Schema = rd.schema(); rec.Schema != nil {
 			rec.Table = rec.Schema.Name
 		}
+		return rec, rd.err
 	case OpDropTable:
 		rec.Table = rd.str()
-	case OpInsert:
-		rec.Table = rd.str()
-		rec.TID, rec.Created, rec.Row = rd.storedRow()
-	case OpUpdate:
-		rec.Table, rec.TID, rec.Row = rd.str(), rd.i64(), rd.row()
-	case OpDelete:
-		rec.Table, rec.TID = rd.str(), rd.i64()
+		return rec, rd.err
 	case OpCreateIndex:
 		rec.Table, rec.Index = rd.index()
+		return rec, rd.err
 	case OpPutMeta:
 		rec.Meta = rd.meta()
+		return rec, rd.err
 	case OpDelMeta:
 		rec.Meta.Kind, rec.Meta.Name = rd.str(), rd.str()
+		return rec, rd.err
+	case OpInsert, OpUpdate, OpDelete:
+		rec.Table = rd.str()
+	case OpInsert + setFrame, OpUpdate + setFrame, OpDelete + setFrame:
+		rec.Op -= setFrame
+		rec.Table = rd.str()
+		// The least a row takes: its tid, an insert's stamp, and a row's
+		// one-byte value count.
+		least := 8
+		switch rec.Op {
+		case OpInsert:
+			least = 17
+		case OpUpdate:
+			least = 9
+		}
+		n = rd.setCount(least)
 	default:
 		return Record{}, fmt.Errorf("storage: unknown record opcode %d", rec.Op)
+	}
+	if rd.err != nil {
+		return Record{}, rd.err
+	}
+	rec.TIDs = make([]int64, n)
+	if rec.Op == OpInsert {
+		rec.Created = make([]int64, n)
+	}
+	if rec.Op != OpDelete {
+		rec.Rows = make([]types.Row, n)
+	}
+	for i := 0; i < n && rd.err == nil; i++ {
+		rec.TIDs[i] = rd.i64()
+		if rec.Op == OpInsert {
+			rec.Created[i] = rd.i64()
+		}
+		if rec.Op != OpDelete {
+			rec.Rows[i] = rd.row()
+		}
 	}
 	return rec, rd.err
 }
@@ -422,6 +479,20 @@ func (r *reader) count() int {
 	n := r.uvarint()
 	if n > uint64(len(r.buf)) {
 		r.fail("storage: count %d exceeds the %d bytes left", n, len(r.buf))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// setCount reads a set's row count. Each row takes at least least
+// bytes: a count of none, or of more rows than the bytes left can hold,
+// is malformed.
+func (r *reader) setCount(least int) int {
+	n := r.uvarint()
+	if r.err == nil && (n == 0 || n > uint64(len(r.buf)/least)) {
+		r.fail("storage: set of %d rows in %d bytes", n, len(r.buf))
 	}
 	if r.err != nil {
 		return 0
