@@ -313,7 +313,7 @@ func BenchmarkInsertWithTriggers(b *testing.B) {
 	db := database.MustOpenMemory()
 	defer db.Close()
 	db.Exec("CREATE TABLE t (a INT)")
-	db.RegisterHandler("noop", func(ev ChangeEvent) {})
+	db.RegisterBatchHandler("noop", func([]ChangeEvent) {})
 	db.Exec("CREATE TRIGGER t1 AFTER INSERT ON t CALL 'noop'")
 	db.Exec("CREATE TRIGGER t2 AFTER INSERT ON t CALL 'noop'")
 	b.ResetTimer()

@@ -246,9 +246,6 @@ func (p *Platform) QueryInt(sql string, args ...Value) (int64, error) {
 	return p.db.QueryInt(sql, args...)
 }
 
-// Observe installs a global change observer.
-func (p *Platform) Observe(fn func(ChangeEvent)) { p.db.Observe(fn) }
-
 // Checkpoint snapshots durable storage and truncates the WAL.
 func (p *Platform) Checkpoint() error { return p.db.Checkpoint() }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 )
 
 // TestDispatchGlobalSeqOrder: with concurrent autocommit writers, change
-// events must reach observers (and batch observers) in global Seq order —
+// events must reach trigger handlers and observers in global Seq order —
 // not merely ordered within one drain. Regression for the review finding
 // where a committer descheduled between releasing the engine lock and
 // enqueueing its events could deliver seq N after seq N+1 had fully
@@ -30,20 +32,20 @@ func TestDispatchGlobalSeqOrder(t *testing.T) {
 	mustExec(t, e, "CREATE TABLE evts (id INT PRIMARY KEY, w INT)")
 
 	var mu sync.Mutex
-	var perEvent []int64
-	var viaBatches []int64
-	e.Observe(func(ev ChangeEvent) {
-		mu.Lock()
-		perEvent = append(perEvent, ev.Seq)
-		mu.Unlock()
-	})
-	e.ObserveBatch(func(evs []ChangeEvent) {
-		mu.Lock()
-		for _, ev := range evs {
-			viaBatches = append(viaBatches, ev.Seq)
+	var viaHandler []int64
+	var viaObserver []int64
+	record := func(dst *[]int64) func([]ChangeEvent) {
+		return func(evs []ChangeEvent) {
+			mu.Lock()
+			for _, ev := range evs {
+				*dst = append(*dst, ev.Seq)
+			}
+			mu.Unlock()
 		}
-		mu.Unlock()
-	})
+	}
+	e.RegisterBatchHandler("rec", record(&viaHandler))
+	mustExec(t, e, "CREATE TRIGGER rec_t AFTER INSERT ON evts CALL 'rec'")
+	e.ObserveBatch(record(&viaObserver))
 
 	const writers, per = 8, 20
 	var wg sync.WaitGroup
@@ -77,8 +79,8 @@ func TestDispatchGlobalSeqOrder(t *testing.T) {
 			}
 		}
 	}
-	check("per-event observer", perEvent)
-	check("batch observer", viaBatches)
+	check("trigger handler", viaHandler)
+	check("observer", viaObserver)
 }
 
 // TestDispatchHoldsBackAbortedEntries: an entry whose durability wait
@@ -89,7 +91,11 @@ func TestDispatchGlobalSeqOrder(t *testing.T) {
 func TestDispatchHoldsBackAbortedEntries(t *testing.T) {
 	e := newTestDB(t)
 	var got []int64
-	e.Observe(func(ev ChangeEvent) { got = append(got, ev.Seq) })
+	e.ObserveBatch(func(evs []ChangeEvent) {
+		for _, ev := range evs {
+			got = append(got, ev.Seq)
+		}
+	})
 
 	e.mu.Lock()
 	bad := e.enqueueLocked([]ChangeEvent{{Seq: 1, Table: "t", Op: OpInsert}})
@@ -107,5 +113,69 @@ func TestDispatchHoldsBackAbortedEntries(t *testing.T) {
 	e.settle(bad, false)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("delivered %v, want exactly the durable entry's seq [2]", got)
+	}
+}
+
+// TestDeliverOneBatch pins the order of one drained batch: each trigger
+// handler fires once with exactly its (table, op) events in seq order,
+// handlers in the order of their first matching event, then each
+// observer with the whole batch in registration order. A handler's
+// nested Exec is delivered after the batch and before the outer Exec
+// returns.
+func TestDeliverOneBatch(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE a (n INT)")
+	mustExec(t, e, "CREATE TABLE b (n INT)")
+	mustExec(t, e, "CREATE TABLE side (n INT)")
+	var log []string
+	record := func(name string) func([]ChangeEvent) {
+		return func(evs []ChangeEvent) {
+			var parts []string
+			for i, ev := range evs {
+				if i > 0 && ev.Seq <= evs[i-1].Seq {
+					t.Errorf("%s: seq %d after seq %d", name, ev.Seq, evs[i-1].Seq)
+				}
+				parts = append(parts, ev.Table+"."+string(ev.Op))
+			}
+			log = append(log, name+": "+strings.Join(parts, " "))
+		}
+	}
+	// hb registers first but matches later: handlers fire by first match.
+	e.RegisterBatchHandler("hb", record("hb"))
+	ha := record("ha")
+	e.RegisterBatchHandler("ha", func(evs []ChangeEvent) {
+		ha(evs)
+		if _, err := e.Exec("INSERT INTO side VALUES (1)"); err != nil {
+			t.Errorf("nested exec: %v", err)
+		}
+		log = append(log, "ha: nested Exec returned")
+	})
+	mustExec(t, e, "CREATE TRIGGER ta AFTER INSERT ON a CALL 'ha'")
+	mustExec(t, e, "CREATE TRIGGER tb AFTER UPDATE ON b CALL 'hb'")
+	e.ObserveBatch(record("o1"))
+	e.ObserveBatch(record("o2"))
+
+	mustExec(t, e, "BEGIN")
+	mustExec(t, e, "INSERT INTO b VALUES (1), (2)")
+	mustExec(t, e, "INSERT INTO a VALUES (1)")
+	mustExec(t, e, "UPDATE b SET n = n + 10")
+	mustExec(t, e, "INSERT INTO a VALUES (2), (3)")
+	mustExec(t, e, "UPDATE b SET n = 0 WHERE n = 11")
+	if len(log) != 0 {
+		t.Fatalf("delivered inside the transaction: %q", log)
+	}
+	mustExec(t, e, "COMMIT")
+	all := "b.INSERT a.INSERT b.UPDATE a.INSERT b.UPDATE"
+	want := []string{
+		"ha: a.INSERT a.INSERT",
+		"ha: nested Exec returned",
+		"hb: b.UPDATE b.UPDATE",
+		"o1: " + all,
+		"o2: " + all,
+		"o1: side.INSERT",
+		"o2: side.INSERT",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("delivery\n%s\nwant\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
 	}
 }

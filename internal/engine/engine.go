@@ -15,14 +15,17 @@
 // (the store's group-commit fsync) happens after the lock is released,
 // so concurrent autocommit writers share one fsync instead of
 // serializing behind it. Commit order equals WAL append order.
-// Statement-level change events are dispatched to observers *after* the
-// durability wait succeeds (and, inside a transaction, only after
-// COMMIT), so observers never see writes the disk refused and may
+// Statement-level change events are dispatched *after* the durability
+// wait succeeds (and, inside a transaction, only after COMMIT), so
+// handlers and observers never see writes the disk refused and may
 // re-enter the engine. Delivery runs through an ordered queue (see
 // settle): events claim their queue position under the write lock, in
 // seq/WAL-append order, and one goroutine at a time drains resolved
-// entries from the head — so observers see events in global seq order
-// no matter how concurrent committers' fsync waits interleave.
+// entries from the head — so events arrive in global seq order no
+// matter how concurrent committers' fsync waits interleave. Delivery has
+// one shape: a drained batch of events. Each trigger handler fires once
+// per batch with its matching events, then each observer once with the
+// whole batch (see deliver).
 package engine
 
 import (
@@ -70,11 +73,7 @@ type ChangeEvent struct {
 	OldRows []types.Row // previous values (UPDATE, DELETE)
 }
 
-// TriggerFunc is a Go callback fired after a statement (or after COMMIT
-// when the statement ran inside a transaction).
-type TriggerFunc func(ChangeEvent)
-
-// BatchTriggerFunc is a trigger handler that receives all of a drained
+// BatchTriggerFunc is a trigger handler: it receives all of a drained
 // dispatch batch's matching events in one call (see RegisterBatchHandler).
 type BatchTriggerFunc func([]ChangeEvent)
 
@@ -105,17 +104,14 @@ type Engine struct {
 	cat   *catalog.Catalog
 	store *storage.Store
 
-	// Named Go trigger handlers referenced by CREATE TRIGGER ... CALL 'x'.
-	handlers map[string]TriggerFunc
-	// Batch trigger handlers: same CREATE TRIGGER indirection, but a name
-	// registered here is invoked once per drained dispatch batch with every
-	// matching event, not once per event.
-	batchHandlers map[string]BatchTriggerFunc
-	// Global observers, invoked for every change event.
-	observers []TriggerFunc
-	// Batch observers, invoked once per drained dispatch batch with the
+	// Named Go trigger handlers referenced by CREATE TRIGGER ... CALL 'x',
+	// each invoked once per drained dispatch batch with every matching
+	// event.
+	handlers map[string]BatchTriggerFunc
+	// Global observers, invoked once per drained dispatch batch with the
 	// whole event slice (the notifier coalesces NOTIFY flushes from it).
-	batchObservers []func([]ChangeEvent)
+	// Append-only, so a captured slice header stays valid.
+	observers []func([]ChangeEvent)
 
 	// Ordered dispatch queue (see settle): entries are enqueued under the
 	// engine write lock — queue order is WAL append (seq) order — and
@@ -225,12 +221,11 @@ type virtualTable struct {
 // the store's tables and metadata.
 func New(store *storage.Store) (*Engine, error) {
 	e := &Engine{
-		store:         store,
-		handlers:      map[string]TriggerFunc{},
-		batchHandlers: map[string]BatchTriggerFunc{},
-		reg:           store.Metrics(),
-		slow:          metrics.NewSlowLog(128, 10*time.Millisecond),
-		virtual:       map[string]*virtualTable{},
+		store:    store,
+		handlers: map[string]BatchTriggerFunc{},
+		reg:      store.Metrics(),
+		slow:     metrics.NewSlowLog(128, 10*time.Millisecond),
+		virtual:  map[string]*virtualTable{},
 	}
 	e.mStatements = e.reg.Counter("engine.statements")
 	e.mErrors = e.reg.Counter("engine.errors")
@@ -306,52 +301,30 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // needs CurrentStamp for snapshot isolation).
 func (e *Engine) Store() *storage.Store { return e.store }
 
-// RegisterHandler installs a named Go trigger handler that CREATE TRIGGER
-// statements can reference.
-func (e *Engine) RegisterHandler(name string, fn TriggerFunc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.batchHandlers, name)
-	e.handlers[name] = fn
-}
-
-// RegisterBatchHandler installs a named batch trigger handler. CREATE
-// TRIGGER statements reference it exactly like a per-event handler, but
-// delivery is coalesced: the handler fires at most once per drained
-// dispatch batch, with every event of that batch whose (table, op)
-// matched one of the name's triggers, in sequence order. This is the
-// firehose path — at high commit rates one invocation absorbs the whole
-// batch instead of paying the per-event fan-out. A name is either a
-// per-event or a batch handler, never both; registering it here removes
-// any per-event registration and vice versa.
+// RegisterBatchHandler installs a named trigger handler that CREATE
+// TRIGGER statements reference with CALL 'name'. Delivery is by batch:
+// the handler fires at most once per drained dispatch batch, with every
+// event of that batch whose (table, op) matched one of the name's
+// triggers, in sequence order. At high commit rates one invocation
+// absorbs the whole batch; with no other writer a batch is one
+// statement's (or one transaction's) events.
 func (e *Engine) RegisterBatchHandler(name string, fn BatchTriggerFunc) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.handlers, name)
-	e.batchHandlers[name] = fn
+	e.handlers[name] = fn
 }
 
-// Observe installs a global change observer fired for every change event
-// on every table. The notification layer and the workflow UP compiler are
-// both observers.
-func (e *Engine) Observe(fn TriggerFunc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observers = append(e.observers, fn)
-}
-
-// ObserveBatch installs a batch observer: it receives every drained
-// dispatch batch (one slice per drain, events in sequence order) after
-// the per-event triggers and observers ran for each event. Under
-// concurrent load a batch carries many statements' events at once, so a
-// batch observer can amortize per-flush work — the notification layer
-// uses this to send one NOTIFY per (table, batch) instead of one per
-// statement (§VI-C). The slice is shared; observers must not retain or
-// mutate it.
+// ObserveBatch installs a global change observer: it receives every
+// drained dispatch batch (one slice per drain, events in sequence order,
+// every table) after the batch's trigger handlers ran. Under concurrent
+// load a batch carries many statements' events at once, so an observer
+// can amortize per-flush work — the notification layer uses this to send
+// one NOTIFY per (table, batch) instead of one per statement (§VI-C).
+// The slice is shared; observers must not retain or mutate it.
 func (e *Engine) ObserveBatch(fn func([]ChangeEvent)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.batchObservers = append(e.batchObservers, fn)
+	e.observers = append(e.observers, fn)
 }
 
 // Close flushes the store.
@@ -668,10 +641,11 @@ func (e *Engine) enqueueLocked(events []ChangeEvent) *dispatchEntry {
 // dispatcher and drains until the queue is empty or its head is an
 // unresolved entry (a concurrent committer still waiting on its fsync —
 // its own settle will resume delivery, preserving global seq order).
-// When no other writer is active this reduces to the old behavior: a
-// statement's full trigger cascade delivers before its Exec returns.
-// Under concurrent load, batches carry many statements' events at once
-// for batch observers to coalesce.
+// When no other writer is active, a statement's full trigger cascade
+// delivers before its Exec returns: a handler's nested Exec lands in the
+// queue behind the batch being delivered and is drained next. Under
+// concurrent load, batches carry many statements' events at once for
+// observers to coalesce.
 func (e *Engine) settle(entry *dispatchEntry, durable bool) {
 	if entry == nil {
 		return
@@ -704,55 +678,41 @@ func (e *Engine) settle(entry *dispatchEntry, durable bool) {
 	e.dispatchMu.Unlock()
 }
 
-// deliver fires one drained batch: per-event triggers and observers in
-// sequence order (guaranteed by queue construction; the sort is a cheap
-// invariant net), then each batch observer once with the whole slice.
+// deliver fires one drained batch: each trigger handler once with its
+// matching events, handlers in the order of their first match, then each
+// observer once with the whole slice, in registration order. Events are
+// in sequence order by queue construction; the sort is a cheap invariant
+// net.
 func (e *Engine) deliver(events []ChangeEvent) {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	// Batch-handler accumulation: while walking events for per-event
-	// triggers, collect the events matching each batch handler so it fires
-	// once with all of them after the per-event pass.
-	type batchCall struct {
+	type call struct {
 		fn     BatchTriggerFunc
 		events []ChangeEvent
 	}
-	var batched []*batchCall
-	batchIdx := map[string]*batchCall{}
-	for _, ev := range events {
-		e.mu.RLock()
-		trigs := e.cat.Triggers(ev.Table, string(ev.Op))
-		var fns []TriggerFunc
-		for _, t := range trigs {
-			if fn, ok := e.handlers[t.Handler]; ok {
-				fns = append(fns, fn)
-			} else if bfn, ok := e.batchHandlers[t.Handler]; ok {
-				bc := batchIdx[t.Handler]
-				if bc == nil {
-					bc = &batchCall{fn: bfn}
-					batchIdx[t.Handler] = bc
-					batched = append(batched, bc)
-				}
-				bc.events = append(bc.events, ev)
-			}
-		}
-		obs := make([]TriggerFunc, len(e.observers))
-		copy(obs, e.observers)
-		e.mu.RUnlock()
-		for _, fn := range fns {
-			fn(ev)
-		}
-		for _, fn := range obs {
-			fn(ev)
-		}
-	}
-	for _, bc := range batched {
-		bc.fn(bc.events)
-	}
+	var calls []*call
+	byName := map[string]*call{}
 	e.mu.RLock()
-	bobs := make([]func([]ChangeEvent), len(e.batchObservers))
-	copy(bobs, e.batchObservers)
+	for _, ev := range events {
+		for _, t := range e.cat.Triggers(ev.Table, string(ev.Op)) {
+			fn, ok := e.handlers[t.Handler]
+			if !ok {
+				continue
+			}
+			c := byName[t.Handler]
+			if c == nil {
+				c = &call{fn: fn}
+				byName[t.Handler] = c
+				calls = append(calls, c)
+			}
+			c.events = append(c.events, ev)
+		}
+	}
+	observers := e.observers
 	e.mu.RUnlock()
-	for _, fn := range bobs {
+	for _, c := range calls {
+		c.fn(c.events)
+	}
+	for _, fn := range observers {
 		fn(events)
 	}
 }

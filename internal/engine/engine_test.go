@@ -362,7 +362,7 @@ func TestTriggersStatementLevel(t *testing.T) {
 	e := newTestDB(t)
 	seedUsers(t, e)
 	var events []ChangeEvent
-	e.RegisterHandler("audit", func(ev ChangeEvent) { events = append(events, ev) })
+	e.RegisterBatchHandler("audit", func(evs []ChangeEvent) { events = append(events, evs...) })
 	mustExec(t, e, "CREATE TRIGGER audit_ins AFTER INSERT ON users CALL 'audit'")
 	mustExec(t, e, "CREATE TRIGGER audit_del AFTER DELETE ON users CALL 'audit'")
 
@@ -387,7 +387,7 @@ func TestTriggersDeferredUntilCommit(t *testing.T) {
 	e := newTestDB(t)
 	seedUsers(t, e)
 	var fired int
-	e.Observe(func(ev ChangeEvent) { fired++ })
+	e.ObserveBatch(func(evs []ChangeEvent) { fired += len(evs) })
 	mustExec(t, e, "BEGIN")
 	mustExec(t, e, "INSERT INTO users (id, name) VALUES (10, 'x')")
 	if fired != 0 {
@@ -410,10 +410,12 @@ func TestTriggerReentrancy(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE src (a INT)")
 	mustExec(t, e, "CREATE TABLE log (n INT)")
-	e.RegisterHandler("relay", func(ev ChangeEvent) {
+	e.RegisterBatchHandler("relay", func(evs []ChangeEvent) {
 		// Re-entering the engine from a trigger must not deadlock.
-		if _, err := e.Exec(fmt.Sprintf("INSERT INTO log VALUES (%d)", len(ev.TIDs))); err != nil {
-			t.Errorf("re-entrant exec: %v", err)
+		for _, ev := range evs {
+			if _, err := e.Exec(fmt.Sprintf("INSERT INTO log VALUES (%d)", len(ev.TIDs))); err != nil {
+				t.Errorf("re-entrant exec: %v", err)
+			}
 		}
 	})
 	mustExec(t, e, "CREATE TRIGGER relay_t AFTER INSERT ON src CALL 'relay'")
@@ -558,7 +560,7 @@ func TestDurableEngineRestart(t *testing.T) {
 	}
 	// Trigger definition survives restart; attach a handler and fire it.
 	var fired bool
-	e2.RegisterHandler("h", func(ChangeEvent) { fired = true })
+	e2.RegisterBatchHandler("h", func([]ChangeEvent) { fired = true })
 	mustExec(t, e2, "INSERT INTO t VALUES (3, 'z')")
 	if !fired {
 		t.Error("restored trigger did not fire")

@@ -173,7 +173,7 @@ func TestFailedStatementLeavesNothing(t *testing.T) {
 	e := openDir(t, dir)
 	e.Store().EnableReplFeed(0)
 	events := 0
-	e.Observe(func(ChangeEvent) { events++ })
+	e.ObserveBatch(func(evs []ChangeEvent) { events += len(evs) })
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
 	mustExec(t, e, "CREATE TABLE src (id INT, g INT)")
 	mustExec(t, e, "CREATE MATERIALIZED VIEW tv AS SELECT g, COUNT(*) AS n FROM t GROUP BY g")

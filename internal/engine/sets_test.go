@@ -75,11 +75,11 @@ func TestFailedStatementWritesNoRecord(t *testing.T) {
 	}
 	// The duplicate on the third row drew three tids, as a row-at-a-time
 	// insert did; the next row gets the one after them.
-	t0 := e.Store().AllocTID()
+	t0 := mustExec(t, e, "INSERT INTO t VALUES (8, 1)").TIDs[0]
 	if _, err := e.Exec("INSERT INTO t VALUES (5, 1), (6, 1), (5, 1), (7, 1)"); err == nil {
 		t.Fatal("a duplicate key succeeded")
 	}
-	if got := e.Store().AllocTID(); got != t0+1+3 {
+	if got := mustExec(t, e, "INSERT INTO t VALUES (9, 1)").TIDs[0]; got != t0+1+3 {
 		t.Errorf("after a 4-row INSERT failing on its third row, the next tid is %d, want %d", got, t0+1+3)
 	}
 	for _, sql := range []string{

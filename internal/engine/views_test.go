@@ -140,9 +140,11 @@ func TestViewChangeEventsEmitted(t *testing.T) {
 	seedUsers(t, e)
 	mustExec(t, e, "CREATE MATERIALIZED VIEW bycity AS SELECT city, COUNT(*) AS n FROM users GROUP BY city")
 	var viewEvents int
-	e.Observe(func(ev ChangeEvent) {
-		if ev.Table == "bycity" {
-			viewEvents++
+	e.ObserveBatch(func(evs []ChangeEvent) {
+		for _, ev := range evs {
+			if ev.Table == "bycity" {
+				viewEvents++
+			}
 		}
 	})
 	mustExec(t, e, "INSERT INTO users (id, name, city) VALUES (50, 'v', 'paris')")
@@ -276,5 +278,27 @@ func TestViewRandomizedEquivalence(t *testing.T) {
 			assertViewMatchesQuery(t, e, "vagg", "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM ev GROUP BY k")
 			assertViewMatchesQuery(t, e, "vjoin", "SELECT d.label, e.v FROM ev e JOIN dim d ON e.k = d.k")
 		}
+	}
+}
+
+// TestViewFloatLiteralSurvivesReopen: a view's stored definition keeps
+// an integral FLOAT literal a FLOAT, so after a reopen x / 2.0 still
+// divides as FLOATs for the rows the view already held and for new ones.
+func TestViewFloatLiteralSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	e := openDir(t, dir)
+	mustExec(t, e, "CREATE TABLE t (x INT)")
+	mustExec(t, e, "INSERT INTO t VALUES (7)")
+	mustExec(t, e, "CREATE MATERIALIZED VIEW v AS SELECT x / 2.0 AS h FROM t")
+	if got := fmt.Sprint(mustExec(t, e, "SELECT h FROM v").Rows); got != "[[3.5]]" {
+		t.Fatalf("live view reads %s, want [[3.5]]", got)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = openDir(t, dir)
+	mustExec(t, e, "INSERT INTO t VALUES (9)")
+	if got := fmt.Sprint(mustExec(t, e, "SELECT h FROM v ORDER BY h").Rows); got != "[[3.5] [4.5]]" {
+		t.Fatalf("reopened view reads %s, want [[3.5] [4.5]]", got)
 	}
 }

@@ -293,26 +293,32 @@ func (n *Notifier) onBatch(events []engine.ChangeEvent) {
 	}
 	n.mCoalesced.Add(int64(coalesced))
 
-	// Push one NOTIFY per table to each client watching it. Enqueue is
-	// non-blocking: if a client's queue is full (stalled reader), the
-	// line is dropped — safe, because mirrors re-read everything past
-	// their last_seq from the Notification table on the next refresh.
+	// Push one NOTIFY per table to each client watching it.
 	n.mu.Lock()
 	for _, key := range order {
 		ev := latest[key]
-		msg := Message{Verb: MsgNotify, Table: ev.Table, Seq: ev.Seq, Op: string(ev.Op)}
-		line := msg.Format() + "\n"
-		for _, sc := range n.conns {
-			if strings.EqualFold(sc.table, ev.Table) {
-				select {
-				case sc.out <- line:
-				default:
-					n.mDroppedLines.Inc()
-				}
+		n.ringLocked(ev.Table, ev.Seq, string(ev.Op))
+	}
+	n.mu.Unlock()
+}
+
+// ringLocked enqueues one NOTIFY line for table at seq on the send queue
+// of each client watching it. Enqueue is non-blocking: if a client's
+// queue is full (stalled reader), the line is dropped — safe, because
+// mirrors re-read everything past their last_seq from the Notification
+// table on the next refresh. A closed notifier has no connections left,
+// so it rings nobody. Caller holds n.mu.
+func (n *Notifier) ringLocked(table string, seq int64, op string) {
+	line := Message{Verb: MsgNotify, Table: table, Seq: seq, Op: op}.Format() + "\n"
+	for _, sc := range n.conns {
+		if strings.EqualFold(sc.table, table) {
+			select {
+			case sc.out <- line:
+			default:
+				n.mDroppedLines.Inc()
 			}
 		}
 	}
-	n.mu.Unlock()
 }
 
 // insertNotifications appends one ef_notification row per event with a
@@ -380,26 +386,12 @@ func (n *Notifier) observeAcks(ev engine.ChangeEvent) {
 // local change event. The replication loop on a replica calls it when
 // a replicated ef_notification row arrives: the data rows and the
 // journal row are already applied locally by the WAL shipping, so
-// mirrors attached to this node only need the wakeup. Delivery
-// semantics match onBatch: non-blocking enqueue, drops are safe
-// because mirrors re-read past their last_seq cursor.
+// mirrors attached to this node only need the wakeup. Delivery is
+// onBatch's (ringLocked).
 func (n *Notifier) PushNotify(table string, seq int64, op string) {
-	msg := Message{Verb: MsgNotify, Table: table, Seq: seq, Op: op}
-	line := msg.Format() + "\n"
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
-	for _, sc := range n.conns {
-		if strings.EqualFold(sc.table, table) {
-			select {
-			case sc.out <- line:
-			default:
-				n.mDroppedLines.Inc()
-			}
-		}
-	}
+	n.ringLocked(table, seq, op)
+	n.mu.Unlock()
 }
 
 // writeLoop drains one connection's send queue. A write that exceeds the

@@ -59,10 +59,10 @@ func checkQueries(t *testing.T, st Statement) {
 		t.Fatalf("%s: Queries visited %d queries, the text holds %d", printed, len(seen), want)
 	}
 
-	// Only a tree that survives print and re-parse as it is can be asked
-	// to after an edit.
+	// A printed tree re-parses to itself; only then can an edit of it be
+	// checked the same way.
 	if again, err := Parse(printed); err != nil || !reflect.DeepEqual(again, st) {
-		return
+		t.Fatalf("%s does not re-parse to its own tree (%v)", printed, err)
 	}
 	for name, edit := range map[string]func(Statement){"renamed": renameLike, "restricted": restrictLike} {
 		edited, _ := Parse(printed)
@@ -176,6 +176,7 @@ func FuzzQueries(f *testing.F) {
 	for _, s := range queriesFixtures {
 		f.Add(s)
 	}
+	f.Add("SELECT 0.") // an integral FLOAT once printed as the INT 0
 	f.Fuzz(func(t *testing.T, src string) {
 		st, err := Parse(src)
 		if err != nil {

@@ -22,7 +22,7 @@ func TestTruncatedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestWALCorruptMiddleRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
-	s.Insert("users", types.Row{types.NewInt(2), types.NewString("b"), types.Null})
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
+	s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil)
 	s.Close()
 	// Flip a byte inside the second half of the WAL: the CRC check must
 	// stop replay there, keeping the prefix.
@@ -65,10 +65,10 @@ func TestWALCorruptMiddleRecordStopsReplay(t *testing.T) {
 func TestMutationsOnMissingTables(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	if _, err := s.Update("nope", 1, nil); err == nil {
+	if _, err := s.UpdateRows("nope", []int64{1}, []types.Row{nil}, nil); err == nil {
 		t.Error("update missing table")
 	}
-	if _, err := s.Delete("nope", 1); err == nil {
+	if _, err := s.DeleteRows("nope", []int64{1}); err == nil {
 		t.Error("delete missing table")
 	}
 	if err := s.AddIndex("i", "nope", []string{"a"}, false); err == nil {
@@ -77,14 +77,14 @@ func TestMutationsOnMissingTables(t *testing.T) {
 	if err := s.DropTable("nope"); err == nil {
 		t.Error("drop missing table")
 	}
-	if err := s.InsertAt("nope", 1, 1, nil); err == nil {
+	if err := s.InsertRowsAt("nope", []int64{1}, []int64{1}, []types.Row{nil}); err == nil {
 		t.Error("insertAt missing table")
 	}
 	s.CreateTable(userSchema())
-	if _, err := s.Update("users", 99, types.Row{types.NewInt(1), types.NewString("a"), types.Null}); err == nil {
+	if _, err := s.UpdateRows("users", []int64{99}, []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil); err == nil {
 		t.Error("update missing tid")
 	}
-	if _, err := s.Delete("users", 99); err == nil {
+	if _, err := s.DeleteRows("users", []int64{99}); err == nil {
 		t.Error("delete missing tid")
 	}
 }

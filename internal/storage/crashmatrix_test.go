@@ -90,7 +90,7 @@ func crashWorkload(fs fault.FS) wlResult {
 		if err != nil {
 			return err
 		}
-		return s.Flush()
+		return s.Commit()
 	}
 
 	next := cur().clone()
@@ -104,8 +104,10 @@ func crashWorkload(fs fault.FS) wlResult {
 		next := cur().clone()
 		next.rows[pk] = fmt.Sprintf("u%d", pk)
 		if !step(next, func() error {
-			tid, _, err := s.Insert("users", types.Row{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null})
-			pkToTid[pk] = tid
+			tids, _, err := s.InsertRows("users", []types.Row{{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null}}, nil)
+			if err == nil {
+				pkToTid[pk] = tids[0]
+			}
 			return flushed(err)
 		}) {
 			return res
@@ -114,7 +116,7 @@ func crashWorkload(fs fault.FS) wlResult {
 	next = cur().clone()
 	next.rows[3] = "updated"
 	if !step(next, func() error {
-		_, err := s.Update("users", pkToTid[3], types.Row{types.NewInt(3), types.NewString("updated"), types.Null})
+		_, err := s.UpdateRows("users", []int64{pkToTid[3]}, []types.Row{{types.NewInt(3), types.NewString("updated"), types.Null}}, nil)
 		return flushed(err)
 	}) {
 		return res
@@ -122,7 +124,7 @@ func crashWorkload(fs fault.FS) wlResult {
 	next = cur().clone()
 	delete(next.rows, 1)
 	if !step(next, func() error {
-		_, err := s.Delete("users", pkToTid[1])
+		_, err := s.DeleteRows("users", []int64{pkToTid[1]})
 		return flushed(err)
 	}) {
 		return res
@@ -140,8 +142,10 @@ func crashWorkload(fs fault.FS) wlResult {
 		next := cur().clone()
 		next.rows[pk] = fmt.Sprintf("u%d", pk)
 		if !step(next, func() error {
-			tid, _, err := s.Insert("users", types.Row{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null})
-			pkToTid[pk] = tid
+			tids, _, err := s.InsertRows("users", []types.Row{{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null}}, nil)
+			if err == nil {
+				pkToTid[pk] = tids[0]
+			}
 			return flushed(err)
 		}) {
 			return res
@@ -158,7 +162,7 @@ func crashWorkload(fs fault.FS) wlResult {
 	next = cur().clone()
 	next.rows[8] = "u8"
 	if !step(next, func() error {
-		_, _, err := s.Insert("users", types.Row{types.NewInt(8), types.NewString("u8"), types.Null})
+		_, _, err := s.InsertRows("users", []types.Row{{types.NewInt(8), types.NewString("u8"), types.Null}}, nil)
 		return flushed(err)
 	}) {
 		return res
@@ -296,8 +300,8 @@ func TestCheckpointENOSPCLeavesStoreUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
-	if err := s.Flush(); err != nil {
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	inj.FailNext(fault.OpWrite, "snapshot", syscall.ENOSPC)
@@ -308,10 +312,10 @@ func TestCheckpointENOSPCLeavesStoreUsable(t *testing.T) {
 		t.Fatal("failed checkpoint leaked its temp snapshot")
 	}
 	// The store keeps running on its existing WAL...
-	if _, _, err := s.Insert("users", types.Row{types.NewInt(2), types.NewString("b"), types.Null}); err != nil {
+	if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil); err != nil {
 		t.Fatalf("insert after failed checkpoint: %v", err)
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatalf("flush after failed checkpoint: %v", err)
 	}
 	// ...and the next checkpoint, with space back, succeeds.
@@ -341,13 +345,13 @@ func TestWALWriteErrorSurfacesAndIsNotAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
-	if err := s.Flush(); err != nil {
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	inj.FailNext(fault.OpWrite, "wal", syscall.EIO)
-	s.Insert("users", types.Row{types.NewInt(2), types.NewString("b"), types.Null})
-	if err := s.Flush(); !errors.Is(err, syscall.EIO) {
+	s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil)
+	if err := s.Commit(); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("flush under EIO: %v", err)
 	}
 	// The failed statement was never acknowledged; after a restart it
@@ -377,8 +381,8 @@ func TestEpochSkipsStaleWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
-	s.Flush()
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
+	s.Commit()
 	before := count.Steps()
 	// Find the SyncDir inside Checkpoint and crash right after it.
 	if err := s.Checkpoint(); err != nil {
@@ -403,8 +407,8 @@ func TestEpochSkipsStaleWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.CreateTable(userSchema())
-	s2.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
-	s2.Flush()
+	s2.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
+	s2.Commit()
 	if err := s2.Checkpoint(); !errors.Is(err, fault.ErrCrashed) {
 		t.Fatalf("checkpoint should crash after SyncDir: %v", err)
 	}

@@ -27,7 +27,7 @@ func TestWALCrashChild(t *testing.T) {
 	if err := st.CreateTable(userSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Flush(); err != nil {
+	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
@@ -36,12 +36,12 @@ func TestWALCrashChild(t *testing.T) {
 			types.NewString(fmt.Sprintf("user-%d", i)),
 			types.NewString(fmt.Sprintf("u%d@x", i)),
 		}
-		if _, _, err := st.Insert("users", row); err != nil {
+		if _, _, err := st.InsertRows("users", []types.Row{row}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Statement boundary: with SyncCommit the row is on stable
 		// storage — and acknowledged — once Flush returns.
-		if err := st.Flush(); err != nil {
+		if err := st.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestSyncModes(t *testing.T) {
 		if err := st.CreateTable(userSchema()); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Flush(); err != nil {
+		if err := st.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
@@ -135,10 +135,10 @@ func TestSyncModes(t *testing.T) {
 				types.NewString("u"),
 				types.NewString(fmt.Sprintf("%d@x", i)),
 			}
-			if _, _, err := st.Insert("users", row); err != nil {
+			if _, _, err := st.InsertRows("users", []types.Row{row}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Flush(); err != nil {
+			if err := st.Commit(); err != nil {
 				t.Fatal(err)
 			}
 		}

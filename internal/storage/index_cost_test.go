@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"ediflow/internal/catalog"
@@ -15,10 +16,10 @@ func TestLookupAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceiling is meaningless under the race detector")
 	}
-	tbl := NewTable(userSchema())
+	tbl := NewTable(userSchema(), new(atomic.Int64))
 	for i := int64(0); i < 1000; i++ {
 		row := types.Row{types.NewInt(i), types.NewString("u"), types.NewString("user-" + types.NewInt(i).String())}
-		if err := tbl.Insert(i+1, i+1, row); err != nil {
+		if _, err := writeOne(tbl, OpInsert, i+1, i+1, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,9 +56,9 @@ func BenchmarkVacuumRebuild(b *testing.B) {
 		{Name: "id", Type: types.KindInt, PrimaryKey: true, NotNull: true},
 		{Name: "grp", Type: types.KindInt},
 		{Name: "v", Type: types.KindInt},
-	}})
+	}}, new(atomic.Int64))
 	for i := int64(0); i < 50000; i++ {
-		if err := tbl.Insert(i+1, i+1, types.Row{types.NewInt(i), types.NewInt(i % 50), types.NewInt(i)}); err != nil {
+		if _, err := writeOne(tbl, OpInsert, i+1, i+1, types.Row{types.NewInt(i), types.NewInt(i % 50), types.NewInt(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

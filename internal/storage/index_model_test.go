@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"ediflow/internal/catalog"
@@ -24,6 +25,7 @@ func TestLookupMatchesFilteredScan(t *testing.T) {
 
 func lookupModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
+	var clock atomic.Int64
 	tbl := NewTable(&catalog.TableSchema{Name: "m", Columns: []catalog.Column{
 		{Name: "id", Type: types.KindInt, PrimaryKey: true, NotNull: true},
 		{Name: "u", Type: types.KindString, Unique: true},
@@ -31,7 +33,7 @@ func lookupModel(t *testing.T, seed int64) {
 		{Name: "a", Type: types.KindInt},
 		{Name: "b", Type: types.KindString},
 		{Name: "w", Type: types.KindString},
-	}})
+	}}, &clock)
 	maybeNull := func(v types.Value) types.Value {
 		if rng.Intn(5) == 0 {
 			return types.Null
@@ -66,16 +68,16 @@ func lookupModel(t *testing.T, seed int64) {
 	for step := 0; step < 600; step++ {
 		switch r := rng.Intn(20); {
 		case r < 7:
-			if tbl.Insert(nextTID, nextTID, randRow()) == nil {
+			if _, err := writeOne(tbl, OpInsert, nextTID, nextTID, randRow()); err == nil {
 				live = append(live, nextTID)
 			}
 			nextTID++
 		case r < 12 && len(live) > 0:
 			tid := live[rng.Intn(len(live))]
-			tbl.Update(tid, randRow()) // a constraint violation leaves the row as it was
+			writeOne(tbl, OpUpdate, tid, 0, randRow()) // a constraint violation leaves the row as it was
 		case r < 15 && len(live) > 0:
 			tid := take(&live)
-			if _, err := tbl.Delete(tid); err != nil {
+			if _, err := writeOne(tbl, OpDelete, tid, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			dead = append(dead, tid)
@@ -83,15 +85,15 @@ func lookupModel(t *testing.T, seed int64) {
 			// Rollback of a delete re-inserts under the old tid; after a
 			// vacuum took the slot the same call starts a fresh chain.
 			tid := take(&dead)
-			if tbl.Insert(tid, tid, randRow()) == nil {
+			if _, err := writeOne(tbl, OpInsert, tid, tid, randRow()); err == nil {
 				live = append(live, tid)
 			} else {
 				dead = append(dead, tid)
 			}
 		case r < 18:
-			pinned = append(pinned, tbl.localClock.Load())
+			pinned = append(pinned, clock.Load())
 		case r < 19:
-			floor := tbl.localClock.Load()
+			floor := clock.Load()
 			if len(pinned) > 0 && rng.Intn(3) > 0 {
 				floor = pinned[rng.Intn(len(pinned))]
 			}

@@ -39,20 +39,20 @@ func TestMvccVisibilityAsOf(t *testing.T) {
 	s := mvccStore(t)
 	tbl := s.Table("kv")
 
-	if _, _, err := s.Insert("kv", kvRow(1, "a")); err != nil {
+	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(1, "a")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
 	afterInsert := s.SnapshotSeq()
 
 	sr := tbl.Rows()[0].TID
-	if _, err := s.Update("kv", sr, kvRow(1, "b")); err != nil {
+	if _, err := s.UpdateRows("kv", []int64{sr}, []types.Row{kvRow(1, "b")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
 	afterUpdate := s.SnapshotSeq()
 
-	if _, err := s.Delete("kv", sr); err != nil {
+	if _, err := s.DeleteRows("kv", []int64{sr}); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -91,7 +91,7 @@ func TestMvccVisibilityAsOf(t *testing.T) {
 func TestMvccReaderBeforeDeleteStillSeesRow(t *testing.T) {
 	s := mvccStore(t)
 	tbl := s.Table("kv")
-	if _, _, err := s.Insert("kv", kvRow(7, "keep")); err != nil {
+	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(7, "keep")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -100,7 +100,7 @@ func TestMvccReaderBeforeDeleteStillSeesRow(t *testing.T) {
 	defer s.ReleaseSnapshot(snap)
 
 	tid := tbl.Rows()[0].TID
-	if _, err := s.Delete("kv", tid); err != nil {
+	if _, err := s.DeleteRows("kv", []int64{tid}); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -122,12 +122,12 @@ func TestMvccReaderBeforeDeleteStillSeesRow(t *testing.T) {
 func TestMvccVacuumReclaims(t *testing.T) {
 	s := mvccStore(t)
 	tbl := s.Table("kv")
-	if _, _, err := s.Insert("kv", kvRow(1, "v0")); err != nil {
+	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(1, "v0")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tid := tbl.Rows()[0].TID
 	for i := 0; i < 9; i++ {
-		if _, err := s.Update("kv", tid, kvRow(1, "v")); err != nil {
+		if _, err := s.UpdateRows("kv", []int64{tid}, []types.Row{kvRow(1, "v")}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestMvccVacuumReclaims(t *testing.T) {
 		t.Fatalf("versions after vacuum: %d", n)
 	}
 	// Deleted rows vanish entirely once unprotected.
-	if _, err := s.Delete("kv", tid); err != nil {
+	if _, err := s.DeleteRows("kv", []int64{tid}); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -174,14 +174,14 @@ func TestMvccIndexLookupsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := s.Table("kv")
-	if _, _, err := s.Insert("kv", kvRow(1, "red")); err != nil {
+	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(1, "red")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Insert("kv", kvRow(2, "red")); err != nil {
+	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(2, "red")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tid1 := tbl.Rows()[0].TID
-	if _, err := s.Update("kv", tid1, kvRow(1, "blue")); err != nil {
+	if _, err := s.UpdateRows("kv", []int64{tid1}, []types.Row{kvRow(1, "blue")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -202,7 +202,7 @@ func TestMvccIndexLookupsExact(t *testing.T) {
 	if _, found := pkTID(tbl, types.NewInt(1), now); !found {
 		t.Fatal("pk 1 should resolve at latest")
 	}
-	if _, err := s.Delete("kv", tid1); err != nil {
+	if _, err := s.DeleteRows("kv", []int64{tid1}); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -236,7 +236,7 @@ func TestMvccSnapshotEncodingVacuumIndependent(t *testing.T) {
 		}
 		tbl := s.Table("kv")
 		for i := int64(1); i <= 5; i++ {
-			if _, _, err := s.Insert("kv", kvRow(i, "x")); err != nil {
+			if _, _, err := s.InsertRows("kv", []types.Row{kvRow(i, "x")}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -244,10 +244,10 @@ func TestMvccSnapshotEncodingVacuumIndependent(t *testing.T) {
 		for _, r := range tbl.Rows() {
 			tids = append(tids, r.TID)
 		}
-		if _, err := s.Delete("kv", tids[1]); err != nil {
+		if _, err := s.DeleteRows("kv", []int64{tids[1]}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Update("kv", tids[3], kvRow(4, "y")); err != nil {
+		if _, err := s.UpdateRows("kv", []int64{tids[3]}, []types.Row{kvRow(4, "y")}, nil); err != nil {
 			t.Fatal(err)
 		}
 		s.PublishSnapshot()
@@ -256,7 +256,7 @@ func TestMvccSnapshotEncodingVacuumIndependent(t *testing.T) {
 		}
 		// Reinsert key 2 after its delete: slot order must be the order of
 		// last insertion whether or not the dead slot was vacuumed away.
-		if _, _, err := s.Insert("kv", kvRow(2, "z")); err != nil {
+		if _, _, err := s.InsertRows("kv", []types.Row{kvRow(2, "z")}, nil); err != nil {
 			t.Fatal(err)
 		}
 		s.PublishSnapshot()
@@ -283,7 +283,7 @@ func TestMvccIterateStableUnderConcurrentWrites(t *testing.T) {
 	tbl := s.Table("kv")
 	const n = 50
 	for i := int64(0); i < n; i++ {
-		if _, _, err := s.Insert("kv", kvRow(i, "a")); err != nil {
+		if _, _, err := s.InsertRows("kv", []types.Row{kvRow(i, "a")}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,13 +307,13 @@ func TestMvccIterateStableUnderConcurrentWrites(t *testing.T) {
 			}
 			tid := tids[k%n]
 			if k%3 == 2 {
-				if _, err := s.Delete("kv", tid); err == nil {
-					if ntid, _, err := s.Insert("kv", kvRow(int64(k%n), "r")); err == nil {
-						tids[k%n] = ntid
+				if _, err := s.DeleteRows("kv", []int64{tid}); err == nil {
+					if ntids, _, err := s.InsertRows("kv", []types.Row{kvRow(int64(k%n), "r")}, nil); err == nil {
+						tids[k%n] = ntids[0]
 					}
 				}
 			} else {
-				s.Update("kv", tid, kvRow(int64(k%n), "u"))
+				s.UpdateRows("kv", []int64{tid}, []types.Row{kvRow(int64(k%n), "u")}, nil)
 			}
 			s.PublishSnapshot()
 			if k%64 == 0 {
@@ -371,19 +371,19 @@ func TestMvccReplayByteIdentical(t *testing.T) {
 	tbl := s.Table("kv")
 	tids := make([]int64, 6)
 	for i := int64(0); i < 6; i++ {
-		tid, _, err := s.Insert("kv", kvRow(i, "a"))
+		ts, _, err := s.InsertRows("kv", []types.Row{kvRow(i, "a")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tids[i] = tid
+		tids[i] = ts[0]
 	}
-	if _, err := s.Update("kv", tids[2], kvRow(2, "b")); err != nil {
+	if _, err := s.UpdateRows("kv", []int64{tids[2]}, []types.Row{kvRow(2, "b")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Delete("kv", tids[4]); err != nil {
+	if _, err := s.DeleteRows("kv", []int64{tids[4]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Insert("kv", kvRow(4, "re")); err != nil {
+	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(4, "re")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()

@@ -36,25 +36,25 @@ func TestReplayEquivalenceRandomOps(t *testing.T) {
 			for op := 0; op < 300; op++ {
 				switch {
 				case len(live) < 3 || rng.Intn(3) == 0:
-					tid, _, err := s.Insert("t", types.Row{
+					tids, _, err := s.InsertRows("t", []types.Row{{
 						types.NewInt(int64(rng.Intn(1000))),
 						types.NewString(fmt.Sprintf("s%d", rng.Intn(50))),
-					})
+					}}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					live = append(live, tid)
+					live = append(live, tids...)
 				case rng.Intn(2) == 0:
 					i := rng.Intn(len(live))
-					if _, err := s.Update("t", live[i], types.Row{
+					if _, err := s.UpdateRows("t", []int64{live[i]}, []types.Row{{
 						types.NewInt(int64(rng.Intn(1000))),
 						types.NewString("updated"),
-					}); err != nil {
+					}}, nil); err != nil {
 						t.Fatal(err)
 					}
 				default:
 					i := rng.Intn(len(live))
-					if _, err := s.Delete("t", live[i]); err != nil {
+					if _, err := s.DeleteRows("t", []int64{live[i]}); err != nil {
 						t.Fatal(err)
 					}
 					live = append(live[:i], live[i+1:]...)

@@ -23,18 +23,17 @@ func TestReplFeedCaptureApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 20; i++ {
-		tid, created, err := src.Insert("users", types.Row{
-			types.NewInt(i), types.NewString("u"), types.Null})
+		tids, _, err := src.InsertRows("users", []types.Row{{
+			types.NewInt(i), types.NewString("u"), types.Null}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
-			if _, err := src.Update("users", tid, types.Row{
-				types.NewInt(i), types.NewString("up"), types.Null}); err != nil {
+			if _, err := src.UpdateRows("users", tids, []types.Row{{
+				types.NewInt(i), types.NewString("up"), types.Null}}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		_ = created
 	}
 	if head, floor := src.ReplHead(), src.ReplFloor(); head == 0 || floor != 1 {
 		t.Fatalf("feed head=%d floor=%d after writes", head, floor)
@@ -92,8 +91,8 @@ func TestReplFeedGapAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 10; i++ {
-		if _, _, err := s.Insert("users", types.Row{
-			types.NewInt(i), types.NewString("u"), types.Null}); err != nil {
+		if _, _, err := s.InsertRows("users", []types.Row{{
+			types.NewInt(i), types.NewString("u"), types.Null}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,8 +112,8 @@ func TestReplFeedGapAfterCheckpoint(t *testing.T) {
 		t.Fatalf("fetch at head after checkpoint: recs=%d err=%v", len(recs), err)
 	}
 	// New writes after the prune stream normally from the head cursor.
-	if _, _, err := s.Insert("users", types.Row{
-		types.NewInt(11), types.NewString("u"), types.Null}); err != nil {
+	if _, _, err := s.InsertRows("users", []types.Row{{
+		types.NewInt(11), types.NewString("u"), types.Null}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	recs, next, _, err := s.ReplFetch(head, 1<<20)
@@ -140,8 +139,8 @@ func TestReplFeedByteBudget(t *testing.T) {
 		big[i] = 'x'
 	}
 	for i := int64(1); i <= 100; i++ {
-		if _, _, err := s.Insert("users", types.Row{
-			types.NewInt(i), types.NewString(string(big)), types.Null}); err != nil {
+		if _, _, err := s.InsertRows("users", []types.Row{{
+			types.NewInt(i), types.NewString(string(big)), types.Null}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,23 +67,23 @@ func runHistory(t *testing.T, s *Store, seed int64, checkpointAt int) {
 		tids := live[table]
 		switch k := rng.Intn(10); {
 		case len(tids) < 3 || k < 4:
-			if tid, _, err := s.Insert(table, row(table)); err == nil {
-				live[table] = append(tids, tid)
+			if ts, _, err := s.InsertRows(table, []types.Row{row(table)}, nil); err == nil {
+				live[table] = append(tids, ts...)
 			}
 		case k < 7:
-			s.Update(table, tids[rng.Intn(len(tids))], row(table)) // may violate a key
+			s.UpdateRows(table, []int64{tids[rng.Intn(len(tids))]}, []types.Row{row(table)}, nil) // may violate a key
 		case k < 9:
 			i := rng.Intn(len(tids))
-			if _, err := s.Delete(table, tids[i]); err != nil {
+			if _, err := s.DeleteRows(table, []int64{tids[i]}); err != nil {
 				t.Fatal(err)
 			}
 			live[table] = append(tids[:i:i], tids[i+1:]...)
 		default: // delete and re-insert under the same tid, as undo does
 			r, _ := s.Table(table).Get(tids[0])
-			if _, err := s.Delete(table, r.TID); err != nil {
+			if _, err := s.DeleteRows(table, []int64{r.TID}); err != nil {
 				t.Fatal(err)
 			}
-			must(s.InsertAt(table, r.TID, r.Created, r.Values))
+			must(s.InsertRowsAt(table, []int64{r.TID}, []int64{r.Created}, []types.Row{r.Values}))
 		}
 		switch op {
 		case 100:
@@ -229,7 +229,7 @@ func TestStoreIndexRules(t *testing.T) {
 		{types.NewInt(1), types.NewString("dup"), types.Null},
 		{types.NewInt(2), types.NewString("dup"), types.Null},
 	} {
-		if _, _, err := s.Insert("other", r); err != nil {
+		if _, _, err := s.InsertRows("other", []types.Row{r}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestStoreIndexRules(t *testing.T) {
 	if s.ReplHead() != head+2 {
 		t.Errorf("failed creates were logged: feed head %d, want %d", s.ReplHead(), head+2)
 	}
-	if _, err := s.Update("other", 2, types.Row{types.NewInt(2), types.NewString("fixed"), types.Null}); err != nil {
+	if _, err := s.UpdateRows("other", []int64{2}, []types.Row{{types.NewInt(2), types.NewString("fixed"), types.Null}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddIndex("u", "other", []string{"name"}, true); err != nil {

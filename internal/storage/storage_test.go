@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"ediflow/internal/catalog"
@@ -53,10 +54,20 @@ func indexTIDs(tbl *Table, name string, key types.Row, asOf int64) (tids []int64
 	return tids, true
 }
 
+// writeOne writes one row to a table as a set of one (Table.writeRows):
+// an insert stores row as tid stamped created, an update gives tid the
+// values row, a delete removes tid. It returns the values an update or
+// delete replaced.
+func writeOne(tbl *Table, op Op, tid, created int64, row types.Row) (types.Row, error) {
+	old := make([]types.Row, 1)
+	_, err := tbl.writeRows(op, []int64{tid}, []int64{created}, []types.Row{row}, old, false)
+	return old[0], err
+}
+
 func TestTableInsertGetDelete(t *testing.T) {
-	tbl := NewTable(userSchema())
+	tbl := NewTable(userSchema(), new(atomic.Int64))
 	row := types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")}
-	if err := tbl.Insert(10, 100, row); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 10, 100, row); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get(10)
@@ -66,7 +77,7 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if tid, ok := pkTID(tbl, types.NewInt(1), SeqLatest); !ok || tid != 10 {
 		t.Fatalf("pk lookup: %d, %v", tid, ok)
 	}
-	old, err := tbl.Delete(10)
+	old, err := writeOne(tbl, OpDelete, 10, 0, nil)
 	if err != nil || !types.RowsEqual(old, row) {
 		t.Fatalf("Delete: %v, %v", old, err)
 	}
@@ -79,9 +90,9 @@ func TestTableInsertGetDelete(t *testing.T) {
 }
 
 func TestTableConstraints(t *testing.T) {
-	tbl := NewTable(userSchema())
+	tbl := NewTable(userSchema(), new(atomic.Int64))
 	ok := types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")}
-	if err := tbl.Insert(1, 1, ok); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 1, 1, ok); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -95,26 +106,26 @@ func TestTableConstraints(t *testing.T) {
 		{"bad arity", types.Row{types.NewInt(4)}},
 	}
 	for _, c := range cases {
-		if err := tbl.Insert(99, 99, c.row); err == nil {
+		if _, err := writeOne(tbl, OpInsert, 99, 99, c.row); err == nil {
 			t.Errorf("%s: expected constraint violation", c.name)
-			tbl.Delete(99)
+			writeOne(tbl, OpDelete, 99, 0, nil)
 		}
 	}
 	// NULL in a UNIQUE column is always allowed (no uniqueness of NULLs).
-	if err := tbl.Insert(5, 5, types.Row{types.NewInt(5), types.NewString("e"), types.Null}); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 5, 5, types.Row{types.NewInt(5), types.NewString("e"), types.Null}); err != nil {
 		t.Errorf("null unique: %v", err)
 	}
-	if err := tbl.Insert(6, 6, types.Row{types.NewInt(6), types.NewString("f"), types.Null}); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 6, 6, types.Row{types.NewInt(6), types.NewString("f"), types.Null}); err != nil {
 		t.Errorf("second null unique: %v", err)
 	}
 }
 
 func TestTableUpdate(t *testing.T) {
-	tbl := NewTable(userSchema())
-	tbl.Insert(1, 1, types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")})
-	tbl.Insert(2, 2, types.Row{types.NewInt(2), types.NewString("bob"), types.NewString("b@x")})
+	tbl := NewTable(userSchema(), new(atomic.Int64))
+	writeOne(tbl, OpInsert, 1, 1, types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")})
+	writeOne(tbl, OpInsert, 2, 2, types.Row{types.NewInt(2), types.NewString("bob"), types.NewString("b@x")})
 	// Moving pk 1 → 3 must update the index.
-	old, err := tbl.Update(1, types.Row{types.NewInt(3), types.NewString("ana"), types.NewString("a@x")})
+	old, err := writeOne(tbl, OpUpdate, 1, 0, types.Row{types.NewInt(3), types.NewString("ana"), types.NewString("a@x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,23 +139,23 @@ func TestTableUpdate(t *testing.T) {
 		t.Error("new pk entry missing")
 	}
 	// Updating to a conflicting pk must fail and leave state intact.
-	if _, err := tbl.Update(1, types.Row{types.NewInt(2), types.NewString("x"), types.Null}); err == nil {
+	if _, err := writeOne(tbl, OpUpdate, 1, 0, types.Row{types.NewInt(2), types.NewString("x"), types.Null}); err == nil {
 		t.Error("pk conflict not detected")
 	}
 	// Self-update (same pk) is fine.
-	if _, err := tbl.Update(1, types.Row{types.NewInt(3), types.NewString("ana2"), types.NewString("a@x")}); err != nil {
+	if _, err := writeOne(tbl, OpUpdate, 1, 0, types.Row{types.NewInt(3), types.NewString("ana2"), types.NewString("a@x")}); err != nil {
 		t.Errorf("self update: %v", err)
 	}
 }
 
 func TestSecondaryIndex(t *testing.T) {
-	tbl := NewTable(userSchema())
+	tbl := NewTable(userSchema(), new(atomic.Int64))
 	for i := int64(1); i <= 10; i++ {
 		name := "even"
 		if i%2 == 1 {
 			name = "odd"
 		}
-		if err := tbl.Insert(i, i, types.Row{types.NewInt(i), types.NewString(name), types.Null}); err != nil {
+		if _, err := writeOne(tbl, OpInsert, i, i, types.Row{types.NewInt(i), types.NewString(name), types.Null}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,12 +167,12 @@ func TestSecondaryIndex(t *testing.T) {
 		t.Fatalf("odd lookup: %v, %v", tids, ok)
 	}
 	// Index stays correct across delete and update.
-	tbl.Delete(1)
+	writeOne(tbl, OpDelete, 1, 0, nil)
 	tids, _ = indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if len(tids) != 4 {
 		t.Fatalf("after delete: %v", tids)
 	}
-	tbl.Update(2, types.Row{types.NewInt(2), types.NewString("odd"), types.Null})
+	writeOne(tbl, OpUpdate, 2, 0, types.Row{types.NewInt(2), types.NewString("odd"), types.Null})
 	tids, _ = indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if len(tids) != 5 {
 		t.Fatalf("after update: %v", tids)
@@ -187,14 +198,14 @@ func TestStoreInMemoryBasics(t *testing.T) {
 	if err := s.CreateTable(userSchema()); err != nil {
 		t.Fatal(err)
 	}
-	tid, created, err := s.Insert("users", types.Row{types.NewInt(1), types.NewString("ana"), types.Null})
-	if err != nil || tid == 0 || created == 0 {
-		t.Fatalf("insert: %d, %d, %v", tid, created, err)
+	tids, created, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("ana"), types.Null}}, nil)
+	if err != nil || tids[0] == 0 || created[0] == 0 {
+		t.Fatalf("insert: %v, %v, %v", tids, created, err)
 	}
-	if s.CurrentStamp() != created {
-		t.Errorf("CurrentStamp: %d, want %d", s.CurrentStamp(), created)
+	if s.CurrentStamp() != created[0] {
+		t.Errorf("CurrentStamp: %d, want %d", s.CurrentStamp(), created[0])
 	}
-	if _, _, err := s.Insert("nope", nil); err == nil {
+	if _, _, err := s.InsertRows("nope", []types.Row{nil}, nil); err == nil {
 		t.Error("insert into missing table must fail")
 	}
 	if err := s.DropTable("users"); err != nil {
@@ -216,16 +227,16 @@ func TestStoreDurability(t *testing.T) {
 	}
 	var lastTID int64
 	for i := int64(1); i <= 50; i++ {
-		tid, _, err := s.Insert("users", types.Row{types.NewInt(i), types.NewString("u"), types.Null})
+		tids, _, err := s.InsertRows("users", []types.Row{{types.NewInt(i), types.NewString("u"), types.Null}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastTID = tid
+		lastTID = tids[0]
 	}
-	if _, err := s.Update("users", lastTID, types.Row{types.NewInt(50), types.NewString("updated"), types.Null}); err != nil {
+	if _, err := s.UpdateRows("users", []int64{lastTID}, []types.Row{{types.NewInt(50), types.NewString("updated"), types.Null}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Delete("users", 1); err != nil {
+	if _, err := s.DeleteRows("users", []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddIndex("by_name", "users", []string{"name"}, false); err != nil {
@@ -259,9 +270,9 @@ func TestStoreDurability(t *testing.T) {
 		t.Fatalf("metas lost: %+v", metas)
 	}
 	// New tids must not collide with replayed ones.
-	tid, _, err := s2.Insert("users", types.Row{types.NewInt(1000), types.NewString("new"), types.Null})
-	if err != nil || tid <= lastTID {
-		t.Fatalf("tid reuse after replay: %d vs %d (%v)", tid, lastTID, err)
+	tids, _, err := s2.InsertRows("users", []types.Row{{types.NewInt(1000), types.NewString("new"), types.Null}}, nil)
+	if err != nil || tids[0] <= lastTID {
+		t.Fatalf("tid reuse after replay: %v vs %d (%v)", tids, lastTID, err)
 	}
 	s2.Close()
 }
@@ -274,7 +285,7 @@ func TestStoreCheckpointAndRecovery(t *testing.T) {
 	}
 	s.CreateTable(userSchema())
 	for i := int64(1); i <= 20; i++ {
-		s.Insert("users", types.Row{types.NewInt(i), types.NewString("u"), types.Null})
+		s.InsertRows("users", []types.Row{{types.NewInt(i), types.NewString("u"), types.Null}}, nil)
 	}
 	s.PutMeta("trigger", "t1", "CREATE TRIGGER t1 AFTER INSERT ON users CALL 'h'")
 	if err := s.Checkpoint(); err != nil {
@@ -286,7 +297,7 @@ func TestStoreCheckpointAndRecovery(t *testing.T) {
 		t.Fatalf("wal not truncated: %v, %v", fi, err)
 	}
 	// Post-checkpoint writes land in the new WAL.
-	s.Insert("users", types.Row{types.NewInt(21), types.NewString("after"), types.Null})
+	s.InsertRows("users", []types.Row{{types.NewInt(21), types.NewString("after"), types.Null}}, nil)
 	s.Close()
 
 	s2, err := Open(dir)
@@ -306,7 +317,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
 	s.Close()
 	// Append garbage to simulate a torn write.
 	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0)

@@ -85,7 +85,10 @@ type MetaEntry struct {
 
 // Store is the physical database: a set of tables plus durability. A Store
 // with an empty directory is purely in-memory (used by most tests); with a
-// directory it persists through a snapshot file and a WAL.
+// directory it persists through a snapshot file and a WAL. Rows are
+// written as sets, one record each: InsertRows, InsertRowsAt, UpdateRows
+// and DeleteRows (Insert is a set of one kept for the benchmark's commit
+// probe); Commit is the durability boundary after them.
 type Store struct {
 	dir     string
 	durable bool
@@ -109,7 +112,7 @@ type Store struct {
 	nextCreated atomic.Int64
 
 	// MVCC clock and visibility ceiling. Every version stamp comes from
-	// mvccNext (shared by all tables via Table.SetClock); mvccVisible is
+	// mvccNext (shared by all tables, see NewTable); mvccVisible is
 	// the published snapshot ceiling readers capture — the engine raises
 	// it at statement/transaction boundaries, so a snapshot never
 	// observes half of a statement or an open transaction. vacuumFloor
@@ -254,16 +257,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 }
 
 // ----------------------------------------------------- MVCC snapshots
-
-// MVCCClock exposes the store-wide version-stamp counter; tables created
-// outside the store's own paths adopt it via Table.SetClock.
-func (s *Store) MVCCClock() *atomic.Int64 { return &s.mvccNext }
-
-// adopt points a table at the store-wide MVCC clock.
-func (s *Store) adopt(t *Table) *Table {
-	t.SetClock(&s.mvccNext)
-	return t
-}
 
 // PublishSnapshot raises the visibility ceiling to the newest allocated
 // version stamp. The engine calls it at statement and transaction
@@ -478,10 +471,6 @@ func (s *Store) Commit() error {
 	}
 }
 
-// Flush is the historical name of the statement-boundary hook, kept for
-// callers and tests that predate the group-commit pipeline.
-func (s *Store) Flush() error { return s.Commit() }
-
 // enqueueCommit adds a ticket to the flusher's queue and returns the
 // channel the shared fsync outcome arrives on, or nil when the flusher
 // is not running.
@@ -663,18 +652,6 @@ func (s *Store) fsyncLocked() error {
 
 func tkey(name string) string { return strings.ToLower(name) }
 
-// AllocTID returns a fresh tuple id. Counters are atomic: the engine's
-// write lock guards table mutation, but stamps are also read lock-free by
-// the workflow layer (snapshots) on other goroutines.
-func (s *Store) AllocTID() int64 {
-	return s.nextTID.Add(1) - 1
-}
-
-// AllocCreated returns a fresh creation timestamp (monotonic sequence).
-func (s *Store) AllocCreated() int64 {
-	return s.nextCreated.Add(1) - 1
-}
-
 // CurrentStamp returns the most recently allocated creation timestamp.
 // A process instance starting now sees exactly the tuples with
 // `_created <= CurrentStamp()` (§VI-A time-based isolation).
@@ -706,7 +683,7 @@ func (s *Store) apply(r *Record) (old []types.Row, err error) {
 	switch r.Op {
 	case OpCreateTable:
 		s.tablesMu.Lock()
-		s.tables[tkey(r.Table)] = s.adopt(NewTable(r.Schema))
+		s.tables[tkey(r.Table)] = NewTable(r.Schema, &s.mvccNext)
 		s.tablesMu.Unlock()
 		return nil, nil
 	case OpDropTable:
@@ -866,37 +843,14 @@ func (s *Store) DeleteRows(table string, tids []int64) (old []types.Row, err err
 	return old, err
 }
 
-// Insert appends a row to a table, allocating system columns: a set of
-// one.
+// Insert inserts one row as a set of one (InsertRows). Only the
+// benchmark's commit probe (bench/probes.go) calls it.
 func (s *Store) Insert(table string, row types.Row) (tid, created int64, err error) {
 	tids, cs, err := s.InsertRows(table, []types.Row{row}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	return tids[0], cs[0], nil
-}
-
-// InsertAt re-inserts a row with explicit system columns: a set of one.
-func (s *Store) InsertAt(table string, tid, created int64, row types.Row) error {
-	return s.InsertRowsAt(table, []int64{tid}, []int64{created}, []types.Row{row})
-}
-
-// Update replaces a row's values: a set of one.
-func (s *Store) Update(table string, tid int64, row types.Row) (types.Row, error) {
-	old, err := s.UpdateRows(table, []int64{tid}, []types.Row{row}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return old[0], nil
-}
-
-// Delete removes a row: a set of one.
-func (s *Store) Delete(table string, tid int64) (types.Row, error) {
-	old, err := s.DeleteRows(table, []int64{tid})
-	if err != nil {
-		return nil, err
-	}
-	return old[0], nil
 }
 
 // AddIndex builds a named index and logs it. Index names are unique

@@ -85,10 +85,8 @@ type Table struct {
 	Schema *catalog.TableSchema
 
 	// clock is the version-stamp source, shared store-wide so one
-	// snapshot seq is consistent across tables. Standalone tables (unit
-	// tests) fall back to a local clock.
-	clock      *atomic.Int64
-	localClock atomic.Int64
+	// snapshot seq is consistent across tables.
+	clock *atomic.Int64
 
 	// mu guards the structural state below: the slots slice header, the
 	// byTID map and the index maps. It is held only for map probes,
@@ -214,9 +212,10 @@ func (ix *IndexInfo) rest(k []byte) []int64 {
 	return nil
 }
 
-// NewTable creates empty storage for the given schema.
-func NewTable(schema *catalog.TableSchema) *Table {
-	t := &Table{Schema: schema, byTID: map[int64]*rowSlot{}}
+// NewTable creates empty storage for the given schema, stamping versions
+// from clock (the store's MVCC clock).
+func NewTable(schema *catalog.TableSchema, clock *atomic.Int64) *Table {
+	t := &Table{Schema: schema, clock: clock, byTID: map[int64]*rowSlot{}}
 	if pk := schema.PKIndex(); pk >= 0 {
 		t.indexes = append(t.indexes, newIndex("", []int{pk}, true, OriginPK))
 	}
@@ -228,16 +227,7 @@ func NewTable(schema *catalog.TableSchema) *Table {
 	return t
 }
 
-// SetClock points the table at a shared version-stamp source (the
-// store's MVCC clock). Must be called before concurrent use.
-func (t *Table) SetClock(c *atomic.Int64) { t.clock = c }
-
-func (t *Table) stamp() int64 {
-	if t.clock != nil {
-		return t.clock.Add(1)
-	}
-	return t.localClock.Add(1)
-}
+func (t *Table) stamp() int64 { return t.clock.Add(1) }
 
 // Len returns the number of live rows.
 func (t *Table) Len() int {
@@ -473,29 +463,6 @@ func (t *Table) liveMatch(ix *IndexInfo, tid int64, k []byte) bool {
 	var hb [keyBuf]byte
 	hk, ok := ix.key(hb[:0], h.values)
 	return ok && bytes.Equal(hk, k)
-}
-
-// Insert adds a row with explicit system columns: a set of one (see
-// writeRows).
-func (t *Table) Insert(tid, created int64, row types.Row) error {
-	_, err := t.writeRows(OpInsert, []int64{tid}, []int64{created}, []types.Row{row}, nil, false)
-	return err
-}
-
-// Update stamps a new version for the row with the given tid and returns
-// the values it replaced: a set of one (see writeRows).
-func (t *Table) Update(tid int64, row types.Row) (old types.Row, err error) {
-	olds := make([]types.Row, 1)
-	_, err = t.writeRows(OpUpdate, []int64{tid}, nil, []types.Row{row}, olds, false)
-	return olds[0], err
-}
-
-// Delete end-stamps the live version of the row with the given tid and
-// returns its values: a set of one (see writeRows).
-func (t *Table) Delete(tid int64) (types.Row, error) {
-	olds := make([]types.Row, 1)
-	_, err := t.writeRows(OpDelete, []int64{tid}, nil, nil, olds, false)
-	return olds[0], err
 }
 
 // writeRows carries out one row set of op under one table lock, row by

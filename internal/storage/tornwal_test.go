@@ -20,21 +20,21 @@ var tornWALOps = []struct {
 }{
 	{"create-table", func(s *Store) error { return s.CreateTable(userSchema()) }},
 	{"insert-1", func(s *Store) error {
-		_, _, err := s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
+		_, _, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
 		return err
 	}},
 	{"insert-2", func(s *Store) error {
-		_, _, err := s.Insert("users", types.Row{types.NewInt(2), types.NewString("b"), types.Null})
+		_, _, err := s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil)
 		return err
 	}},
 	{"update", func(s *Store) error {
 		tid, _ := pkTID(s.Table("users"), types.NewInt(2), SeqLatest)
-		_, err := s.Update("users", tid, types.Row{types.NewInt(2), types.NewString("up"), types.Null})
+		_, err := s.UpdateRows("users", []int64{tid}, []types.Row{{types.NewInt(2), types.NewString("up"), types.Null}}, nil)
 		return err
 	}},
 	{"delete", func(s *Store) error {
 		tid, _ := pkTID(s.Table("users"), types.NewInt(1), SeqLatest)
-		_, err := s.Delete("users", tid)
+		_, err := s.DeleteRows("users", []int64{tid})
 		return err
 	}},
 	{"insert-set", func(s *Store) error {
@@ -221,7 +221,7 @@ func TestAppendAfterTornTailIsReplayable(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	s.CreateTable(userSchema())
-	s.Insert("users", types.Row{types.NewInt(1), types.NewString("a"), types.Null})
+	s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
 	s.Close()
 	// Tear the tail: append half of a fake record.
 	path := filepath.Join(dir, walFile)
@@ -236,7 +236,7 @@ func TestAppendAfterTornTailIsReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over torn tail: %v", err)
 	}
-	if _, _, err := s2.Insert("users", types.Row{types.NewInt(2), types.NewString("b"), types.Null}); err != nil {
+	if _, _, err := s2.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {

@@ -254,7 +254,8 @@ type IndexDef struct {
 //
 // A row op carries a set: row i of the set is TIDs[i], with Created[i]
 // (insert) and Rows[i] (insert, update) beside it. A statement's rows are
-// one record, applied in order under one table lock.
+// one record, applied in order under one table lock. A set is the only
+// unit a row is written in: one row is a set of one.
 type Record struct {
 	Op      Op
 	Table   string

@@ -300,12 +300,20 @@ func (v Value) String() string {
 }
 
 // SQLLiteral renders v as a SQL literal that the sqltext parser accepts.
+// A finite FLOAT keeps a fraction or an exponent, so it lexes back as a
+// FLOAT: 2.0 prints "2.0", not the INT "2".
 func (v Value) SQLLiteral() string {
 	switch v.Kind() {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
 		return "'" + v.Time().Format(time.RFC3339Nano) + "'"
+	case KindFloat:
+		s := v.String()
+		if f := v.Float(); !math.IsInf(f, 0) && !math.IsNaN(f) && !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	default:
 		return v.String()
 	}

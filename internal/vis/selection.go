@@ -27,7 +27,7 @@ type SelectionLinker struct {
 // visualization whose components should share selection.
 func NewSelectionLinker(db *database.DB) *SelectionLinker {
 	l := &SelectionLinker{db: db, siblings: map[int64][]int64{}}
-	db.Observe(l.onChange)
+	db.ObserveBatch(l.onBatch)
 	return l
 }
 
@@ -52,12 +52,9 @@ func (l *SelectionLinker) Link(v *Visualization) error {
 	return nil
 }
 
-// onChange watches UPDATEs to the VisualAttributes table and mirrors
-// selection changes to sibling components.
-func (l *SelectionLinker) onChange(ev engine.ChangeEvent) {
-	if !strings.EqualFold(ev.Table, database.TableVisualAttributes) || ev.Op != engine.OpUpdate {
-		return
-	}
+// onBatch watches a batch's UPDATEs to the VisualAttributes table and
+// mirrors selection changes to sibling components.
+func (l *SelectionLinker) onBatch(evs []engine.ChangeEvent) {
 	l.mu.Lock()
 	if l.applying || len(l.siblings) == 0 {
 		l.mu.Unlock()
@@ -70,22 +67,24 @@ func (l *SelectionLinker) onChange(ev engine.ChangeEvent) {
 		selected  bool
 	}
 	var changes []change
-	for i := range ev.Rows {
-		if i >= len(ev.OldRows) {
-			break
-		}
-		newSel := ev.Rows[i][8]
-		oldSel := ev.OldRows[i][8]
-		if newSel.IsNull() || types.Equal(newSel, oldSel) {
+	for _, ev := range evs {
+		if !strings.EqualFold(ev.Table, database.TableVisualAttributes) || ev.Op != engine.OpUpdate {
 			continue
 		}
-		comp := ev.Rows[i][1].Int()
-		if _, linked := l.siblings[comp]; !linked {
-			continue
+		for i := range min(len(ev.Rows), len(ev.OldRows)) {
+			newSel := ev.Rows[i][8]
+			oldSel := ev.OldRows[i][8]
+			if newSel.IsNull() || types.Equal(newSel, oldSel) {
+				continue
+			}
+			comp := ev.Rows[i][1].Int()
+			if _, linked := l.siblings[comp]; !linked {
+				continue
+			}
+			changes = append(changes, change{
+				obj: ev.Rows[i][0].Int(), comp: comp, selected: newSel.Bool(),
+			})
 		}
-		changes = append(changes, change{
-			obj: ev.Rows[i][0].Int(), comp: comp, selected: newSel.Bool(),
-		})
 	}
 	if len(changes) == 0 {
 		l.mu.Unlock()

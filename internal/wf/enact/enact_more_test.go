@@ -8,6 +8,7 @@ import (
 
 	"ediflow/internal/database"
 	"ediflow/internal/module"
+	"ediflow/internal/types"
 )
 
 // The "*" macro of §V option 3: ΔR propagates to every future activity of
@@ -393,5 +394,32 @@ func TestInvalidatedActivityNotRepaired(t *testing.T) {
 	close(release)
 	if err := inst.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A FLOAT variable holding an integral value substitutes as a FLOAT
+// literal, so 7 / $r divides as FLOATs, the way 7 / 2.0 does.
+func TestIntegralFloatVariableStaysFloat(t *testing.T) {
+	e, _, _ := newEngine(t)
+	xml := `
+<process name="ratio">
+  <variable name="r" type="float"/>
+  <variable name="q" type="float"/>
+  <body>
+    <sequence>
+      <activity name="setr"><assign variable="r" value="2.0"/></activity>
+      <activity name="div"><assign variable="q" value="7 / $r"/></activity>
+    </sequence>
+  </body>
+</process>`
+	if _, err := e.DeployXML(xml); err != nil {
+		t.Fatal(err)
+	}
+	inst, _ := e.Start("ratio", "u")
+	if err := inst.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if q, _ := inst.Var("q"); q.Kind() != types.KindFloat || q.Float() != 3.5 {
+		t.Fatalf("7 / $r with r = 2.0 gave %v, want 3.5", q)
 	}
 }

@@ -430,9 +430,11 @@ func TestGCLeavesWhatPerRowGCLeaves(t *testing.T) {
 func TestGCObserverSeesEveryTID(t *testing.T) {
 	db, m := setup(t)
 	var seen []int64
-	db.Observe(func(ev engine.ChangeEvent) {
-		if ev.Table == "r" && ev.Op == engine.OpDelete {
-			seen = append(seen, ev.TIDs...)
+	db.ObserveBatch(func(evs []engine.ChangeEvent) {
+		for _, ev := range evs {
+			if ev.Table == "r" && ev.Op == engine.OpDelete {
+				seen = append(seen, ev.TIDs...)
+			}
 		}
 	})
 	registerInstance(t, db, 3, database.StatusRunning)
