@@ -15,6 +15,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -58,16 +59,24 @@ const (
 // ExecFlagScript marks an Exec frame as a ';'-separated script.
 const ExecFlagScript byte = 1
 
-// WriteFrame writes one frame to w.
+// WriteFrame writes one frame to w. Into a bufio.Writer it writes the
+// header and then the payload as it is, so a large query result is not
+// copied into a frame of its own first; any other writer gets the frame
+// in one Write call, so an unbuffered connection sends it whole.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	n := 1 + len(payload)
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	hdr := make([]byte, HeaderLen, HeaderLen+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(n))
+	var hdr [HeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(n))
 	hdr[4] = typ
-	_, err := w.Write(append(hdr, payload...))
+	if bw, ok := w.(*bufio.Writer); ok {
+		bw.Write(hdr[:])
+		_, err := bw.Write(payload) // bufio errors are sticky: this reports the header's too
+		return err
+	}
+	_, err := w.Write(append(hdr[:], payload...))
 	return err
 }
 
@@ -263,12 +272,13 @@ func DecodeExecBatch(p []byte) ([]BatchStmt, error) {
 
 // ------------------------------------------------------------ responses
 
-// EncodeResult encodes an engine result (nil is encoded as empty).
+// EncodeResult encodes an engine result (nil is encoded as empty) into
+// one allocation of exactly its length (resultLen).
 func EncodeResult(res *engine.Result) []byte {
 	if res == nil {
 		res = &engine.Result{}
 	}
-	dst := binary.AppendUvarint(nil, uint64(len(res.Columns)))
+	dst := binary.AppendUvarint(make([]byte, 0, resultLen(res)), uint64(len(res.Columns)))
 	for _, c := range res.Columns {
 		dst = AppendString(dst, c)
 	}
@@ -282,6 +292,50 @@ func EncodeResult(res *engine.Result) []byte {
 		dst = binary.AppendVarint(dst, t)
 	}
 	return dst
+}
+
+// resultLen is the length of EncodeResult(res). Growing the payload row
+// by row would instead allocate several times its length in buffers
+// that are thrown away.
+func resultLen(res *engine.Result) int {
+	n := uvarintLen(uint64(len(res.Columns)))
+	for _, c := range res.Columns {
+		n += uvarintLen(uint64(len(c))) + len(c)
+	}
+	n += uvarintLen(uint64(len(res.Rows)))
+	for _, r := range res.Rows {
+		n += uvarintLen(uint64(len(r)))
+		for _, v := range r {
+			n += valueLen(v)
+		}
+	}
+	n += uvarintLen(uint64(res.Affected)) + uvarintLen(uint64(len(res.TIDs)))
+	var b [binary.MaxVarintLen64]byte
+	for _, t := range res.TIDs {
+		n += binary.PutVarint(b[:], t)
+	}
+	return n
+}
+
+// valueLen is the length of types.AppendValue(nil, v): a kind byte, then
+// the value's bytes.
+func valueLen(v types.Value) int {
+	switch v.Kind() {
+	case types.KindBool:
+		return 2
+	case types.KindInt, types.KindFloat, types.KindTime:
+		return 9
+	case types.KindString:
+		return 1 + uvarintLen(uint64(len(v.Str()))) + len(v.Str())
+	case types.KindBytes:
+		return 1 + uvarintLen(uint64(len(v.Bytes()))) + len(v.Bytes())
+	}
+	return 1
+}
+
+func uvarintLen(x uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], x)
 }
 
 // DecodeResult decodes a Result payload.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"testing"
@@ -97,6 +98,54 @@ func TestResultRoundTrip(t *testing.T) {
 	empty, err := DecodeResult(EncodeResult(nil))
 	if err != nil || len(empty.Rows) != 0 || len(empty.Columns) != 0 {
 		t.Fatalf("%+v %v", empty, err)
+	}
+}
+
+// TestResultLenExact pins resultLen to the encoder: EncodeResult
+// allocates its payload once, so a length that drifts from the encoding
+// would either regrow the buffer or leave slack behind it.
+func TestResultLenExact(t *testing.T) {
+	long := strings.Repeat("x", 200) // a two-byte length varint
+	res := &engine.Result{
+		Columns: []string{"id", long},
+		Rows: []types.Row{
+			{types.NewInt(-1), types.NewString(long), types.NewBytes([]byte{0, 1}), types.Null},
+			{types.NewFloat(2.5), types.NewBool(true), types.NewTime(time.Unix(3, 500)), types.NewString("")},
+		},
+		Affected: 300,
+		TIDs:     []int64{0, -1, 1 << 40},
+	}
+	for _, r := range []*engine.Result{nil, {}, res} {
+		enc := EncodeResult(r)
+		if len(enc) != cap(enc) {
+			t.Fatalf("%+v: encoded %d bytes into a buffer of %d", r, len(enc), cap(enc))
+		}
+	}
+}
+
+// TestWriteFrameBuffered: into a bufio.Writer, WriteFrame writes the
+// header and the payload separately; the bytes are those it writes to
+// any other writer in one call.
+func TestWriteFrameBuffered(t *testing.T) {
+	for _, payload := range [][]byte{nil, {1, 2, 3}, bytes.Repeat([]byte{7}, 10000)} {
+		var want, got bytes.Buffer
+		if err := WriteFrame(&want, FrameResult, payload); err != nil {
+			t.Fatal(err)
+		}
+		bw := bufio.NewWriter(&got)
+		if err := WriteFrame(bw, FrameResult, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("payload of %d bytes: framed differently", len(payload))
+		}
+	}
+	var sink bytes.Buffer
+	if err := WriteFrame(bufio.NewWriter(&sink), FrameResult, make([]byte, MaxFrame)); err == nil {
+		t.Fatal("oversized frame must be refused")
 	}
 }
 
