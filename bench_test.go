@@ -118,19 +118,6 @@ func BenchmarkLayoutFruchtermanReingold(b *testing.B) {
 	}
 }
 
-// BenchmarkLayoutApproxRepulsion measures the grid-approximated repulsion
-// against the exact O(n²) one (ablation).
-func BenchmarkLayoutApproxRepulsion(b *testing.B) {
-	g := benchGraph(800, 1600)
-	for _, approx := range []bool{false, true} {
-		b.Run(fmt.Sprintf("approx=%v", approx), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				layout.LinLog(g, layout.Config{Seed: 1, MaxIter: 60, Approx: approx})
-			}
-		})
-	}
-}
-
 // --------------------------------------------------------- Wikipedia §III-b
 
 func wikiHistory(edits int) []wiki.Edit {

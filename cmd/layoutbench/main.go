@@ -8,8 +8,7 @@
 //
 // The default runs at a laptop-friendly 1000 nodes; pass the paper's
 // 4500/10000 for the full-scale run (the O(n²) exact repulsion takes a
-// few minutes, exactly like the paper's "several minutes to converge";
-// add -approx for the grid-approximated repulsion).
+// few minutes, exactly like the paper's "several minutes to converge").
 package main
 
 import (
@@ -29,7 +28,6 @@ func main() {
 	authors := flag.Int("authors", 1000, "authors (paper: 4500)")
 	edges := flag.Int("edges", 2200, "edges (paper: 10000)")
 	growthFlag := flag.String("growth", "1,2,5,10", "growth percentages to test")
-	approx := flag.Bool("approx", false, "use grid-approximated repulsion")
 	baseline := flag.Bool("baseline", true, "also run the cold-restart baseline per growth step")
 	flag.Parse()
 
@@ -46,7 +44,7 @@ func main() {
 	g := ds.Graph
 	fmt.Printf("co-publication graph: %d nodes, %d edges (paper: 4500/10000)\n\n", g.NodeCount(), g.EdgeCount())
 
-	cfg := layout.Config{Seed: 1, MaxIter: 2000, Tolerance: 2e-3, Approx: *approx}
+	cfg := layout.Config{Seed: 1, MaxIter: 2000, Tolerance: 2e-3}
 
 	// Initial computation: random positions, run to convergence, streaming
 	// positions (here just counted).

@@ -49,6 +49,7 @@ var corpusSuites = []struct {
 	{"JoinProbesStorageIndex", TestJoinProbesStorageIndex},
 	{"UniqueColumnPath", TestUniqueColumnPath},
 	{"ExplainRoundTripThroughPrinter", TestExplainRoundTripThroughPrinter},
+	{"ExplainPrintsExecutorPlan", TestExplainPrintsExecutorPlan},
 }
 
 // corpus, while TestStatementCorpus drives a suite, receives one line

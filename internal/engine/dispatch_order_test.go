@@ -179,3 +179,18 @@ func TestDeliverOneBatch(t *testing.T) {
 		t.Fatalf("delivery\n%s\nwant\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestHandlerOfTwoTriggersGetsEachEventOnce: a handler named by two
+// triggers on the same (table, op) receives each event once.
+func TestHandlerOfTwoTriggersGetsEachEventOnce(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (n INT)")
+	var calls [][]ChangeEvent
+	e.RegisterBatchHandler("noop", func(evs []ChangeEvent) { calls = append(calls, evs) })
+	mustExec(t, e, "CREATE TRIGGER t1 AFTER INSERT ON t CALL 'noop'")
+	mustExec(t, e, "CREATE TRIGGER t2 AFTER INSERT ON t CALL 'noop'")
+	mustExec(t, e, "INSERT INTO t VALUES (1)")
+	if len(calls) != 1 || len(calls[0]) != 1 {
+		t.Fatalf("want one call with one event, got %d calls: %v", len(calls), calls)
+	}
+}

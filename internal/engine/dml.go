@@ -114,13 +114,24 @@ func resolveInsertTarget(schema *catalog.TableSchema, cols []string) ([]int, err
 	return out, nil
 }
 
-func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []ChangeEvent, error) {
-	if _, isView := e.cat.View(s.Table); isView {
-		return nil, nil, fmt.Errorf("engine: cannot INSERT into view %q", s.Table)
+// writeTarget is the table an INSERT, UPDATE or DELETE writes, action
+// naming the statement in the error: a view or a name the catalog does
+// not hold is an error.
+func (e *Engine) writeTarget(table, action string) (*catalog.TableSchema, error) {
+	if _, isView := e.cat.View(table); isView {
+		return nil, fmt.Errorf("engine: cannot %s view %q", action, table)
 	}
-	schema, ok := e.cat.Table(s.Table)
+	schema, ok := e.cat.Table(table)
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: no such table %q", s.Table)
+		return nil, fmt.Errorf("engine: no such table %q", table)
+	}
+	return schema, nil
+}
+
+func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []ChangeEvent, error) {
+	schema, err := e.writeTarget(s.Table, "INSERT into")
+	if err != nil {
+		return nil, nil, err
 	}
 	target, err := resolveInsertTarget(schema, s.Columns)
 	if err != nil {
@@ -247,8 +258,7 @@ func arity(table string, n, cols int) error {
 // _created, and with values its stored values by reference — immutable
 // under MVCC — and returns the binder over the table's layout.
 func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value, values bool) (*binder, batch, error) {
-	sel := &sqltext.Select{From: &sqltext.TableRef{Table: table}, Where: where}
-	rel, src, err := e.buildTableRef(*sel.From, args, nil, sel, e.writerCtx())
+	rel, src, err := e.buildTableRef(sqltext.TableRef{Table: table}, args, nil, where, e.writerCtx())
 	if err != nil {
 		return nil, batch{}, err
 	}
@@ -271,12 +281,9 @@ func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value
 }
 
 func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []ChangeEvent, error) {
-	if _, isView := e.cat.View(s.Table); isView {
-		return nil, nil, fmt.Errorf("engine: cannot UPDATE view %q", s.Table)
-	}
-	schema, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: no such table %q", s.Table)
+	schema, err := e.writeTarget(s.Table, "UPDATE")
+	if err != nil {
+		return nil, nil, err
 	}
 	// Resolve assignment targets.
 	setPos := make([]int, len(s.Set))
@@ -338,12 +345,9 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 }
 
 func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []ChangeEvent, error) {
-	if _, isView := e.cat.View(s.Table); isView {
-		return nil, nil, fmt.Errorf("engine: cannot DELETE from view %q", s.Table)
-	}
-	schema, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: no such table %q", s.Table)
+	schema, err := e.writeTarget(s.Table, "DELETE from")
+	if err != nil {
+		return nil, nil, err
 	}
 	_, matched, err := e.matchTable(s.Table, s.Where, args, false)
 	if err != nil {

@@ -679,7 +679,8 @@ func (e *Engine) settle(entry *dispatchEntry, durable bool) {
 }
 
 // deliver fires one drained batch: each trigger handler once with its
-// matching events, handlers in the order of their first match, then each
+// matching events, each event once however many of the handler's
+// triggers it matches, handlers in the order of their first match, then each
 // observer once with the whole slice, in registration order. Events are
 // in sequence order by queue construction; the sort is a cheap invariant
 // net.
@@ -688,11 +689,12 @@ func (e *Engine) deliver(events []ChangeEvent) {
 	type call struct {
 		fn     BatchTriggerFunc
 		events []ChangeEvent
+		last   int // 1 + the index of the last event appended
 	}
 	var calls []*call
 	byName := map[string]*call{}
 	e.mu.RLock()
-	for _, ev := range events {
+	for i, ev := range events {
 		for _, t := range e.cat.Triggers(ev.Table, string(ev.Op)) {
 			fn, ok := e.handlers[t.Handler]
 			if !ok {
@@ -704,7 +706,9 @@ func (e *Engine) deliver(events []ChangeEvent) {
 				byName[t.Handler] = c
 				calls = append(calls, c)
 			}
-			c.events = append(c.events, ev)
+			if c.last != i+1 { // two triggers naming one handler: the event once
+				c.events, c.last = append(c.events, ev), i+1
+			}
 		}
 	}
 	observers := e.observers

@@ -21,7 +21,7 @@ type colMeta struct {
 }
 
 // relation is the column layout of an intermediate result. tbl is set on
-// a base table's layout (refCols): a join probes that table's storage
+// a base table's layout (resolveRef): a join probes that table's storage
 // indexes, or scans it to build its right side, instead of being handed
 // its rows.
 type relation struct {

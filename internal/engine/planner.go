@@ -12,10 +12,13 @@ import (
 	"ediflow/internal/types"
 )
 
-// The planner chooses an access path for every base-table scan and a
-// strategy for every join. Analysis is purely structural — key
-// expressions stay unevaluated — so the same analysis backs both the
-// executor and EXPLAIN, and EXPLAIN works with unbound parameters.
+// The planner resolves every FROM entry once (resolveRef): its layout,
+// its source and, for the entry of a join-free SELECT or a mutation, an
+// access path; and it chooses a strategy for every join (analyzeJoin).
+// Analysis is purely structural — key expressions stay unevaluated, no
+// row is read — so the executor opens what it resolves and EXPLAIN
+// prints the same objects, with unbound parameters: a probed join's
+// right side as probe(<index>).
 
 // tidCol is the pseudo column position of the `_tid` system column in
 // planner equality maps (real schema positions are >= 0).
@@ -231,57 +234,207 @@ func bindKey(col types.Kind, v types.Value) (key types.Value, match, ok bool) {
 }
 
 // resolveScan turns a non-full-scan plan into the rows it selects as of
-// asOf, each once even when several key tuples name it (`pk IN (5, 5)`).
+// asOf, each once even when several key tuples name it (`pk IN (5, 5)`),
+// as a base table's source batch: values, tids and creation stamps.
 // ok=false means the plan could not be applied (unbound parameter, key
 // bindKey refuses) and the caller must fall back to a full scan; ok=true
 // with no rows means the predicate provably matches nothing.
-func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table, args []types.Value, asOf int64) (rows []storage.StoredRow, ok bool) {
-	// Sized by the key count: one row a key, as a unique key finds.
+func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table, args []types.Value, asOf int64) (m batch, ok bool) {
 	var seen map[int64]bool
 	if len(plan.keys) > 1 {
 		seen = make(map[int64]bool, len(plan.keys))
 	}
-	rows = make([]storage.StoredRow, 0, len(plan.keys))
+	// The finds, sized by the key count (one row a key, as a unique key
+	// finds), on the stack while they are few.
+	var buf [4]storage.StoredRow
+	found := buf[:0]
+	if len(plan.keys) > len(buf) {
+		found = make([]storage.StoredRow, 0, len(plan.keys))
+	}
 	key := make(types.Row, len(plan.keys[0]))
 	for _, tuple := range plan.keys {
 		match := true
 		for i, kx := range tuple {
 			v, bound := constVal(kx, args)
 			if !bound {
-				return nil, false
+				return batch{}, false
 			}
 			col := types.KindInt // _tid
 			if plan.kind == pathIndex {
 				col = schema.Columns[plan.index.Cols[i]].Type
 			}
-			kv, m, ok := bindKey(col, v)
+			kv, eq, ok := bindKey(col, v)
 			if !ok {
-				return nil, false
+				return batch{}, false
 			}
-			key[i], match = kv, match && m
+			key[i], match = kv, match && eq
 		}
 		if !match {
 			continue
 		}
-		found := len(rows)
+		n := len(found)
 		if plan.kind == pathIndex {
-			rows = tbl.Lookup(plan.index, key, asOf, rows)
+			found = tbl.Lookup(plan.index, key, asOf, found)
 		} else if sr, hit := tbl.GetAt(key[0].Int(), asOf); hit {
-			rows = append(rows, sr)
+			found = append(found, sr)
 		}
 		if seen != nil { // keep each tid's first find
-			kept := found
-			for _, sr := range rows[found:] {
+			kept := n
+			for _, sr := range found[n:] {
 				if !seen[sr.TID] {
 					seen[sr.TID] = true
-					rows[kept] = sr
+					found[kept] = sr
 					kept++
 				}
 			}
-			rows = rows[:kept]
+			found = found[:kept]
 		}
 	}
-	return rows, true
+	n := len(found)
+	ids := make([]int64, 2*n)
+	m = batch{rows: make([]types.Row, n), tids: ids[:n:n], created: ids[n:]}
+	for i, sr := range found {
+		m.rows[i], m.tids[i], m.created[i] = sr.Values, sr.TID, sr.Created
+	}
+	return m, true
+}
+
+// ------------------------------------------------------------ FROM entries
+
+// fromRef is one FROM entry resolved without reading any rows: its
+// layout, and the source of its rows — a subquery (sub), a virtual table
+// (virtual), IVM override rows (override, on a layout with no table), or
+// a base table (rel.tbl), read through plan when the entry has a WHERE
+// to choose an access path from.
+type fromRef struct {
+	rel      *relation
+	sub      *sqltext.Select
+	virtual  *virtualTable
+	override []types.Row
+	plan     *scanPlan
+}
+
+// accessWhere is the WHERE a SELECT's FROM entry chooses its access
+// path from: none when the SELECT joins, since WHERE then runs over the
+// joined rows.
+func accessWhere(sel *sqltext.Select) sqltext.Expr {
+	if len(sel.Joins) > 0 {
+		return nil
+	}
+	return sel.Where
+}
+
+// resolveRef resolves one FROM entry (see fromRef): the executor opens
+// what it returns (buildTableRef, joinSide), and EXPLAIN prints it.
+// where is the WHERE of a join-free SELECT (accessWhere) or of a
+// mutation, nil for any other entry. A subquery's layout is its items
+// over its own resolved FROM.
+func (e *Engine) resolveRef(tr sqltext.TableRef, overrides map[string][]types.Row, where sqltext.Expr) (fromRef, error) {
+	qual := strings.ToLower(tr.Alias)
+	if tr.Subquery != nil {
+		rel, err := e.fromLayout(tr.Subquery, overrides)
+		if err != nil {
+			return fromRef{}, err
+		}
+		_, names, err := expandItems(tr.Subquery, rel)
+		if err != nil {
+			return fromRef{}, err
+		}
+		return fromRef{rel: namedLayout(qual, names), sub: tr.Subquery}, nil
+	}
+	if qual == "" {
+		qual = strings.ToLower(tr.Table)
+	}
+	// Virtual system tables (sys_metrics, sys_slow_queries, sys_sessions)
+	// are computed on the fly and shadow the catalog.
+	if vt := e.lookupVirtual(tr.Table); vt != nil {
+		rel := &relation{cols: make([]colMeta, len(vt.cols))}
+		for i, c := range vt.cols {
+			rel.cols[i] = colMeta{qual: qual, name: c}
+		}
+		return fromRef{rel: rel, virtual: vt}, nil
+	}
+	// View resolution: the backing table holds the materialized rows.
+	name := tr.Table
+	if v, ok := e.cat.View(name); ok {
+		name = v.Backing
+	}
+	schema, ok := e.cat.Table(name)
+	if !ok {
+		return fromRef{}, fmt.Errorf("engine: no such table %q", tr.Table)
+	}
+	rel := &relation{cols: make([]colMeta, 0, len(schema.Columns)+2)}
+	for _, c := range schema.Columns {
+		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
+	}
+	rel.cols = append(rel.cols,
+		colMeta{qual: qual, name: catalog.SysTID, hidden: true, kind: types.KindInt},
+		colMeta{qual: qual, name: catalog.SysCreated, hidden: true, kind: types.KindInt},
+	)
+	// IVM override: substitute rows (user columns only; system columns 0).
+	if rows, ok := overrides[strings.ToLower(tr.Table)]; ok {
+		for _, r := range rows {
+			if len(r) != len(schema.Columns) {
+				return fromRef{}, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), tr.Table, len(schema.Columns))
+			}
+		}
+		return fromRef{rel: rel, override: rows}, nil
+	}
+	if rel.tbl = e.store.Table(name); rel.tbl == nil {
+		return fromRef{}, fmt.Errorf("engine: storage missing for table %q", name)
+	}
+	ref := fromRef{rel: rel}
+	if where != nil {
+		ref.plan = analyzeScan(where, schema, rel.tbl, qual)
+	}
+	return ref, nil
+}
+
+// fromLayout is the layout of a SELECT's FROM clause, its entries side
+// by side, resolved without reading any rows.
+func (e *Engine) fromLayout(sel *sqltext.Select, overrides map[string][]types.Row) (*relation, error) {
+	rel := &relation{}
+	if sel.From == nil {
+		return rel, nil
+	}
+	tr := *sel.From
+	for i := 0; ; i++ {
+		ref, err := e.resolveRef(tr, overrides, nil)
+		if err != nil {
+			return nil, err
+		}
+		rel.cols = append(rel.cols, ref.rel.cols...)
+		if i == len(sel.Joins) {
+			return rel, nil
+		}
+		tr = sel.Joins[i].Right
+	}
+}
+
+// namedLayout is a subquery's layout: its output columns under qual.
+func namedLayout(qual string, names []string) *relation {
+	rel := &relation{cols: make([]colMeta, len(names))}
+	for i, n := range names {
+		rel.cols[i] = colMeta{qual: qual, name: strings.ToLower(n)}
+	}
+	return rel
+}
+
+// label renders the entry's access path for EXPLAIN.
+func (ref *fromRef) label() string {
+	switch {
+	case ref.sub != nil:
+		return "subquery"
+	case ref.virtual != nil:
+		return "virtual"
+	case ref.plan == nil:
+		return "full-scan"
+	case ref.plan.kind == pathFullScan:
+		// The executor runs a full-scan WHERE through the expression VM;
+		// index paths evaluate inside the index itself.
+		return "full-scan [compiled]"
+	}
+	return ref.plan.label()
 }
 
 // ----------------------------------------------------------------- joins
@@ -388,9 +541,11 @@ func coverPerm(ixCols, cols []int) []int {
 
 // ---------------------------------------------------------------- EXPLAIN
 
-// evalExplain renders the planner's choices for a statement without
-// executing it. Planning is purely structural (catalog and table metadata
-// are internally synchronized), so no engine lock is required.
+// evalExplain renders the plan the executor runs for a statement,
+// without executing it: each FROM entry as resolveRef resolves it, each
+// join as analyzeJoin plans it. Planning is purely structural (catalog
+// and table metadata are internally synchronized), so no engine lock is
+// required; with no arguments bound, a parameter is no LIMIT bound.
 func (e *Engine) evalExplain(x *sqltext.Explain, args []types.Value, ctx *stmtCtx) (*Result, error) {
 	var lines []string
 	var err error
@@ -398,9 +553,9 @@ func (e *Engine) evalExplain(x *sqltext.Explain, args []types.Value, ctx *stmtCt
 	case *sqltext.Select:
 		lines, err = e.explainSelect(s, "", ctx)
 	case *sqltext.Update:
-		lines, err = e.explainMutation("update", s.Table, s.Where)
+		lines, err = e.explainMutation("update", "UPDATE", s.Table, s.Where)
 	case *sqltext.Delete:
-		lines, err = e.explainMutation("delete", s.Table, s.Where)
+		lines, err = e.explainMutation("delete", "DELETE from", s.Table, s.Where)
 	default:
 		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE or DELETE")
 	}
@@ -419,27 +574,38 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 	if sel.From == nil {
 		lines = append(lines, indent+"result: constant")
 	} else {
-		fl, err := e.explainRef(*sel.From, sel, indent, ctx)
+		ref, err := e.resolveRef(*sel.From, nil, accessWhere(sel))
 		if err != nil {
 			return nil, err
 		}
-		lines = append(lines, fl...)
-		left, err := e.refCols(*sel.From)
-		if err != nil {
+		label := ref.label()
+		if ref.plan != nil && ref.plan.kind == pathFullScan {
+			// Morsel-parallel fan-out: shown with the configured width when
+			// the snapshot's slot count clears the threshold. The executor
+			// may still run narrower (or serial) if the engine-wide worker
+			// budget is taken.
+			if k := e.parallelWidth(ref.rel.tbl.View(ctx.snap).Slots()); k > 1 {
+				label += fmt.Sprintf(" [parallel n=%d]", k)
+			}
+		}
+		if lines, err = e.explainScan(lines, *sel.From, ref, label, indent, ctx); err != nil {
 			return nil, err
 		}
+		left := ref.rel
 		for _, j := range sel.Joins {
-			rl, err := e.explainRef(j.Right, nil, indent, ctx)
+			right, err := e.resolveRef(j.Right, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			lines = append(lines, rl...)
-			right, err := e.refCols(j.Right)
-			if err != nil {
+			plan := e.analyzeJoin(left, right.rel, j, nil, nil, ctx)
+			label := right.label()
+			if plan.probe != nil {
+				label = "probe(" + plan.probe.Name + ")"
+			}
+			if lines, err = e.explainScan(lines, j.Right, right, label, indent, ctx); err != nil {
 				return nil, err
 			}
-			plan := e.analyzeJoin(left, right, j, nil, nil, ctx)
-			label := "nested-loop"
+			label = "nested-loop"
 			switch plan.kind {
 			case "cross":
 				label = "cross-join"
@@ -447,105 +613,44 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 				label = "hash-join"
 			}
 			lines = append(lines, indent+"join "+refName(j.Right)+": "+label)
-			left = &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
+			left = &relation{cols: append(append([]colMeta{}, left.cols...), right.rel.cols...)}
 		}
-		if items, _, err := expandItems(sel, left); err == nil && len(items) > 0 {
-			agg := len(sel.GroupBy) > 0
-			for i := range items {
-				agg = agg || sqltext.HasAggregate(&items[i].Expr)
-			}
-			if !agg {
-				lines = append(lines, indent+"project: compiled")
-			}
+		if items, _, err := expandItems(sel, left); err == nil && len(items) > 0 && !aggregates(sel, items) {
+			lines = append(lines, indent+"project: compiled")
 		}
 	}
 	if len(sel.OrderBy) > 0 {
-		sortLabel := "full"
-		if sel.Limit != nil {
-			if n, ok := staticInt(sel.Limit); ok {
-				k, usable := n, true
-				if sel.Offset != nil {
-					if m, ok2 := staticInt(sel.Offset); ok2 {
-						k += m
-					} else {
-						usable = false
-					}
-				}
-				if usable && k >= 0 {
-					sortLabel = fmt.Sprintf("top-k(%d)", k)
-				}
-			}
+		label := "full"
+		if k := sortBound(sel, nil); k >= 0 {
+			label = fmt.Sprintf("top-k(%d)", k)
 		}
-		lines = append(lines, indent+"sort: "+sortLabel)
+		lines = append(lines, indent+"sort: "+label)
 	}
 	return lines, nil
 }
 
-// explainRef renders the scan line for one FROM entry. sel is non-nil
-// only for the first entry of a join-free SELECT — the same condition
-// under which the executor applies index fast paths.
-func (e *Engine) explainRef(tr sqltext.TableRef, sel *sqltext.Select, indent string, ctx *stmtCtx) ([]string, error) {
-	name := refName(tr)
-	if tr.Subquery != nil {
-		lines := []string{indent + "scan " + name + ": subquery"}
-		sub, err := e.explainSelect(tr.Subquery, indent+"  ", ctx)
-		if err != nil {
-			return nil, err
-		}
-		return append(lines, sub...), nil
+// explainScan appends the scan line of one resolved FROM entry, and a
+// subquery's own plan indented beneath it.
+func (e *Engine) explainScan(lines []string, tr sqltext.TableRef, ref fromRef, label, indent string, ctx *stmtCtx) ([]string, error) {
+	lines = append(lines, indent+"scan "+refName(tr)+": "+label)
+	if ref.sub == nil {
+		return lines, nil
 	}
-	if vt := e.lookupVirtual(tr.Table); vt != nil {
-		return []string{indent + "scan " + name + ": virtual"}, nil
-	}
-	target := tr.Table
-	if v, ok := e.cat.View(target); ok {
-		target = v.Backing
-	}
-	schema, ok := e.cat.Table(target)
-	if !ok {
-		return nil, fmt.Errorf("engine: no such table %q", tr.Table)
-	}
-	label := "full-scan"
-	if sel != nil && len(sel.Joins) == 0 && sel.Where != nil {
-		qual := strings.ToLower(tr.Alias)
-		if qual == "" {
-			qual = strings.ToLower(tr.Table)
-		}
-		label = analyzeScan(sel.Where, schema, e.store.Table(target), qual).label()
-		if label == "full-scan" {
-			// The executor runs a full-scan WHERE through the expression VM;
-			// index paths evaluate inside the index itself.
-			label += " [compiled]"
-			// Morsel-parallel fan-out: shown with the configured width when
-			// the snapshot's slot count clears the threshold. The executor
-			// may still run narrower (or serial) if the engine-wide worker
-			// budget is taken.
-			if tbl := e.store.Table(target); tbl != nil {
-				if k := e.parallelWidth(tbl.View(ctx.snap).Slots()); k > 1 {
-					label += fmt.Sprintf(" [parallel n=%d]", k)
-				}
-			}
-		}
-	}
-	return []string{indent + "scan " + name + ": " + label}, nil
+	sub, err := e.explainSelect(ref.sub, indent+"  ", ctx)
+	return append(lines, sub...), err
 }
 
-func (e *Engine) explainMutation(verb, table string, where sqltext.Expr) ([]string, error) {
-	if _, isView := e.cat.View(table); isView {
-		return nil, fmt.Errorf("engine: cannot %s view %q", strings.ToUpper(verb), table)
+// explainMutation renders an UPDATE's or DELETE's scan of its table,
+// after the checks the statement makes first (writeTarget).
+func (e *Engine) explainMutation(verb, action, table string, where sqltext.Expr) ([]string, error) {
+	if _, err := e.writeTarget(table, action); err != nil {
+		return nil, err
 	}
-	schema, ok := e.cat.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("engine: no such table %q", table)
+	ref, err := e.resolveRef(sqltext.TableRef{Table: table}, nil, where)
+	if err != nil {
+		return nil, err
 	}
-	label := "full-scan"
-	if where != nil {
-		label = analyzeScan(where, schema, e.store.Table(table), strings.ToLower(table)).label()
-		if label == "full-scan" {
-			label += " [compiled]"
-		}
-	}
-	return []string{verb + " " + table + ": " + label}, nil
+	return []string{verb + " " + table + ": " + ref.label()}, nil
 }
 
 func refName(tr sqltext.TableRef) string {
@@ -556,79 +661,4 @@ func refName(tr sqltext.TableRef) string {
 		return "(subquery)"
 	}
 	return tr.Table
-}
-
-// refCols builds the column shape of one FROM entry without touching any
-// rows (EXPLAIN never materializes).
-func (e *Engine) refCols(tr sqltext.TableRef) (*relation, error) {
-	qual := strings.ToLower(tr.Alias)
-	if tr.Subquery != nil {
-		names, err := e.selectCols(tr.Subquery)
-		if err != nil {
-			return nil, err
-		}
-		rel := &relation{}
-		for _, n := range names {
-			rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(n)})
-		}
-		return rel, nil
-	}
-	if qual == "" {
-		qual = strings.ToLower(tr.Table)
-	}
-	if vt := e.lookupVirtual(tr.Table); vt != nil {
-		rel := &relation{}
-		for _, c := range vt.cols {
-			rel.cols = append(rel.cols, colMeta{qual: qual, name: c})
-		}
-		return rel, nil
-	}
-	name := tr.Table
-	if v, ok := e.cat.View(name); ok {
-		name = v.Backing
-	}
-	schema, ok := e.cat.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: no such table %q", tr.Table)
-	}
-	rel := &relation{tbl: e.store.Table(name)}
-	for _, c := range schema.Columns {
-		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
-	}
-	rel.cols = append(rel.cols,
-		colMeta{qual: qual, name: catalog.SysTID, hidden: true, kind: types.KindInt},
-		colMeta{qual: qual, name: catalog.SysCreated, hidden: true, kind: types.KindInt},
-	)
-	return rel, nil
-}
-
-// selectCols computes a SELECT's output column names without executing.
-func (e *Engine) selectCols(sel *sqltext.Select) ([]string, error) {
-	rel := &relation{}
-	if sel.From != nil {
-		left, err := e.refCols(*sel.From)
-		if err != nil {
-			return nil, err
-		}
-		rel = left
-		for _, j := range sel.Joins {
-			right, err := e.refCols(j.Right)
-			if err != nil {
-				return nil, err
-			}
-			rel = &relation{cols: append(append([]colMeta{}, rel.cols...), right.cols...)}
-		}
-	}
-	_, names, err := expandItems(sel, rel)
-	return names, err
-}
-
-// staticInt extracts a non-parameter integer literal (EXPLAIN runs with
-// no bound arguments, so only literals count as statically known).
-func staticInt(x sqltext.Expr) (int, bool) {
-	lit, ok := x.(*sqltext.Literal)
-	if !ok || lit.Value.Kind() != types.KindInt {
-		return 0, false
-	}
-	return int(lit.Value.Int()), true
 }

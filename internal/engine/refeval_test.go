@@ -596,10 +596,11 @@ func fullRow(sr storage.StoredRow) types.Row {
 // of ctx's snapshot: its layout and every row at layout width. A nil
 // layout means the entry is not a base table.
 func refRead(e *Engine, tr sqltext.TableRef, ctx *stmtCtx) (*relation, []types.Row, error) {
-	rel, err := e.refCols(tr)
-	if err != nil || rel.tbl == nil {
+	ref, err := e.resolveRef(tr, nil, nil)
+	if err != nil || ref.rel.tbl == nil {
 		return nil, nil, err
 	}
+	rel := ref.rel
 	var rows []types.Row
 	for it := rel.tbl.Iterate(ctx.snap); ; {
 		sr, more := it.Next()
@@ -707,8 +708,8 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 			if plan := analyzeScan(sel.Where, rel.tbl.Schema, rel.tbl, qual); plan.kind != pathFullScan {
 				if found, ok := resolveScan(plan, rel.tbl.Schema, rel.tbl, nil, ctx.snap); ok {
 					rows = nil
-					for _, sr := range found {
-						rows = append(rows, fullRow(sr))
+					for i := range found.rows {
+						rows = append(rows, found.row(i))
 					}
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"ediflow/internal/catalog"
 	"ediflow/internal/engine/vm"
 	"ediflow/internal/sqltext"
 	"ediflow/internal/storage"
@@ -86,13 +85,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		}
 		return nil, err
 	}
-	aggregate := len(sel.GroupBy) > 0 || sel.Having != nil
-	for i := range items {
-		aggregate = aggregate || sqltext.HasAggregate(&items[i].Expr)
-	}
-	for i := range sel.OrderBy {
-		aggregate = aggregate || sqltext.HasAggregate(&sel.OrderBy[i].Expr)
-	}
+	aggregate := aggregates(sel, items)
 	var orderCols []int
 	if aggregate {
 		items, orderCols = aggOrderItems(sel, items)
@@ -148,6 +141,19 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		}
 	}
 	return &Result{Columns: names, Rows: rows}, nil
+}
+
+// aggregates reports whether sel runs as an aggregate fold: it groups,
+// has HAVING, or an item or an ORDER BY key calls an aggregate.
+func aggregates(sel *sqltext.Select, items []projItem) bool {
+	agg := len(sel.GroupBy) > 0 || sel.Having != nil
+	for i := range items {
+		agg = agg || sqltext.HasAggregate(&items[i].Expr)
+	}
+	for i := range sel.OrderBy {
+		agg = agg || sqltext.HasAggregate(&sel.OrderBy[i].Expr)
+	}
+	return agg
 }
 
 // aggOrderItems makes every ORDER BY key that contains an aggregate a
@@ -560,14 +566,7 @@ func (e *Engine) newSorter(sel *sqltext.Select, colNames []string, orderCols []i
 		}
 		progs[oi] = e.compiledProg(o.Expr, b)
 	}
-	s.ev = b.evaluator(progs)
-	// Bound: LIMIT k (+ OFFSET m) means only the first k+m sorted rows
-	// survive, so a size-k+m heap suffices.
-	if n, ok := constInt(b, sel.Limit); ok && n >= 0 {
-		if m, ok := constInt(b, sel.Offset); sel.Offset == nil || ok && m >= 0 {
-			s.k = int(n + m)
-		}
-	}
+	s.ev, s.k = b.evaluator(progs), sortBound(sel, b.args)
 	return s
 }
 
@@ -651,10 +650,25 @@ func (s *sorter) result() ([]types.Row, error) {
 	return rows, nil
 }
 
+// sortBound is the bound of ORDER BY's heap: LIMIT k (+ OFFSET m) means
+// only the first k+m sorted rows survive, so a size-k+m heap suffices.
+// -1 (keep every row) unless both are known before any row is: each a
+// literal or a bound parameter (EXPLAIN binds none), a count >= 0.
+func sortBound(sel *sqltext.Select, args []types.Value) int {
+	n, ok := constInt(args, sel.Limit)
+	if !ok || n < 0 {
+		return -1
+	}
+	if m, ok := constInt(args, sel.Offset); sel.Offset == nil || ok && m >= 0 {
+		return int(n + m)
+	}
+	return -1
+}
+
 // constInt evaluates a LIMIT/OFFSET expression when it is a literal or a
 // bound parameter; anything else is not statically known.
-func constInt(b *binder, x sqltext.Expr) (int64, bool) {
-	v, ok := constVal(x, b.args)
+func constInt(args []types.Value, x sqltext.Expr) (int64, bool) {
+	v, ok := constVal(x, args)
 	if !ok || v.IsNull() {
 		return 0, false
 	}
@@ -672,11 +686,7 @@ func constInt(b *binder, x sqltext.Expr) (int64, bool) {
 // join: the joins before it still run, since the first join to fail is
 // the one reported.
 func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *source, error) {
-	access := sel
-	if len(sel.Joins) > 0 {
-		access = nil // no access path: WHERE runs over the joined rows
-	}
-	rel, src, err := e.buildTableRef(*sel.From, args, overrides, access, ctx)
+	rel, src, err := e.buildTableRef(*sel.From, args, overrides, accessWhere(sel), ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -711,114 +721,60 @@ func (e *Engine) collect(b *binder, src *source, where sqltext.Expr) ([]types.Ro
 	return rows, err
 }
 
-// buildTableRef builds one FROM entry: its layout and its source. When
-// sel is non-nil (single base table with no joins), the planner chooses
-// an access path from the WHERE clause: an index point/IN lookup
-// fetching only candidate rows, or a full scan. Either way WHERE runs
-// over the source's rows in the pipeline.
-func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, sel *sqltext.Select, ctx *stmtCtx) (*relation, *source, error) {
+// buildTableRef builds one FROM entry: its layout and its source. It
+// opens what resolveRef resolves: a virtual table's rows, computed now;
+// the override rows; or a base table, streamed or, through an index
+// access path chosen from where (accessWhere), only its candidate rows.
+// Either way WHERE runs over the source's rows in the pipeline (a
+// conjunct only restricts, so the candidate set over-approximates and
+// re-filtering is sound). A subquery opens by running: its layout is its
+// result's columns, and its errors come in its own phase order.
+func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, where sqltext.Expr, ctx *stmtCtx) (*relation, *source, error) {
 	if tr.Subquery != nil {
 		res, err := e.evalSelect(tr.Subquery, args, overrides, ctx)
 		if err != nil {
 			return nil, nil, err
 		}
-		qual := strings.ToLower(tr.Alias)
-		rel := &relation{}
-		for _, n := range res.Columns {
-			rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(n)})
-		}
-		return rel, &source{mem: batch{rows: res.Rows}}, nil
+		return namedLayout(strings.ToLower(tr.Alias), res.Columns), &source{mem: batch{rows: res.Rows}}, nil
 	}
-	name := tr.Table
-	qual := strings.ToLower(tr.Alias)
-	if qual == "" {
-		qual = strings.ToLower(name)
+	ref, err := e.resolveRef(tr, overrides, where)
+	if err != nil {
+		return nil, nil, err
 	}
+	return ref.rel, e.open(ref, args, ctx), nil
+}
 
-	// Virtual system tables (sys_metrics, sys_slow_queries, sys_sessions)
-	// are computed on the fly and shadow the catalog.
-	if vt := e.lookupVirtual(name); vt != nil {
-		rel := &relation{}
-		for _, c := range vt.cols {
-			rel.cols = append(rel.cols, colMeta{qual: qual, name: c})
-		}
-		rows := vt.fn()
+// open is the source of a resolved FROM entry that is not a subquery.
+func (e *Engine) open(ref fromRef, args []types.Value, ctx *stmtCtx) *source {
+	switch {
+	case ref.virtual != nil:
+		rows := ref.virtual.fn()
 		e.countScanned(ctx, len(rows))
-		return rel, &source{mem: batch{rows: rows}}, nil
-	}
-
-	// View resolution: the backing table holds the materialized rows.
-	if v, ok := e.cat.View(name); ok {
-		name = v.Backing
-	}
-
-	schema, ok := e.cat.Table(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: no such table %q", tr.Table)
-	}
-	rel := &relation{cols: make([]colMeta, 0, len(schema.Columns)+2)}
-	for _, c := range schema.Columns {
-		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
-	}
-	rel.cols = append(rel.cols,
-		colMeta{qual: qual, name: catalog.SysTID, hidden: true, kind: types.KindInt},
-		colMeta{qual: qual, name: catalog.SysCreated, hidden: true, kind: types.KindInt},
-	)
-
-	// IVM override: substitute rows (user columns only; system columns 0).
-	if rows, ok := overrides[strings.ToLower(tr.Table)]; ok {
-		for _, r := range rows {
-			if len(r) != len(schema.Columns) {
-				return nil, nil, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), tr.Table, len(schema.Columns))
-			}
-		}
-		zeros := make([]int64, len(rows))
-		return rel, &source{mem: batch{rows: rows, tids: zeros, created: zeros}}, nil
-	}
-
-	tbl := e.store.Table(name)
-	if tbl == nil {
-		return nil, nil, fmt.Errorf("engine: storage missing for table %q", name)
-	}
-
-	// Index access path: fetch only candidate rows; WHERE then runs over
-	// them (a conjunct only restricts, so the candidate set
-	// over-approximates and re-filtering is sound).
-	if sel != nil && sel.Where != nil {
-		if plan := analyzeScan(sel.Where, schema, tbl, qual); plan.kind != pathFullScan {
-			if found, ok := resolveScan(plan, schema, tbl, args, ctx.snap); ok {
-				n := len(found)
-				src := &source{mem: batch{rows: make([]types.Row, n), tids: make([]int64, n), created: make([]int64, n)}}
-				m := &src.mem
-				for i, sr := range found {
-					m.rows[i], m.tids[i], m.created[i] = sr.Values, sr.TID, sr.Created
-				}
-				e.countScanned(ctx, len(found))
-				return rel, src, nil
-			}
+		return &source{mem: batch{rows: rows}}
+	case ref.rel.tbl == nil:
+		zeros := make([]int64, len(ref.override))
+		return &source{mem: batch{rows: ref.override, tids: zeros, created: zeros}}
+	case ref.plan != nil && ref.plan.kind != pathFullScan:
+		if m, ok := resolveScan(ref.plan, ref.rel.tbl.Schema, ref.rel.tbl, args, ctx.snap); ok {
+			e.countScanned(ctx, len(m.rows))
+			return &source{mem: m}
 		}
 	}
-	return rel, &source{tbl: tbl}, nil
+	return &source{tbl: ref.rel.tbl}
 }
 
 // joinSide builds the right side of a join: its layout, and its source
-// unless it is a plain base table, which stays unread (src nil) so the
-// join can probe its storage indexes.
+// unless it is a base table, which stays unread (src nil) so the join
+// can probe its storage indexes.
 func (e *Engine) joinSide(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *source, error) {
-	if tr.Subquery == nil && e.lookupVirtual(tr.Table) == nil {
-		if _, hasOverride := overrides[strings.ToLower(tr.Table)]; !hasOverride {
-			name := tr.Table
-			if v, ok := e.cat.View(name); ok {
-				name = v.Backing
-			}
-			if _, ok := e.cat.Table(name); ok {
-				if rel, err := e.refCols(tr); err == nil && rel.tbl != nil {
-					return rel, nil, nil
-				}
-			}
-		}
+	if tr.Subquery != nil {
+		return e.buildTableRef(tr, args, overrides, nil, ctx)
 	}
-	return e.buildTableRef(tr, args, overrides, nil, ctx)
+	ref, err := e.resolveRef(tr, overrides, nil)
+	if err != nil || ref.rel.tbl != nil {
+		return ref.rel, nil, err
+	}
+	return ref.rel, e.open(ref, args, ctx), nil
 }
 
 // holding runs fn with the rows it scans held in *to instead of credited

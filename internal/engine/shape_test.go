@@ -19,8 +19,10 @@ type shapeTwins struct {
 	shaped     int // of which sqltext.Shape lifted literals
 }
 
-// execSQL is how the engine tests run a statement text: e.Exec, and
-// under TestStatementCorpus one line of the golden corpus. Inside
+// execSQL is how the engine tests run a statement text: e.Exec, under
+// TestStatementCorpus one line of the golden corpus, and under
+// TestExplainMatchesExecution an EXPLAIN checked against a run of the
+// statement it explains. Inside
 // TestShapedMatchesAsWritten the same text also runs as written —
 // ExecStmt(sqltext.Parse(text)), past the plan cache and shaping — on a
 // twin of e that has run every statement e has, at the same width, and
@@ -30,7 +32,11 @@ func execSQL(t testing.TB, e *Engine, sql string, args ...types.Value) (*Result,
 	t.Helper()
 	if asWritten == nil {
 		if corpus == nil {
-			return e.Exec(sql, args...)
+			res, err := e.Exec(sql, args...)
+			if explained != nil && err == nil {
+				explained.check(t, e, sql, args, res)
+			}
+			return res, err
 		}
 		s0 := e.mRowsScanned.Value()
 		res, err := e.Exec(sql, args...)

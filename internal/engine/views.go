@@ -204,17 +204,9 @@ func (e *Engine) execDropView(s *sqltext.DropView) (*Result, []ChangeEvent, erro
 // viewColumns infers backing-table columns (names and advisory types) for
 // a view query from the FROM tables' shapes, without touching any rows.
 func (e *Engine) viewColumns(q *sqltext.Select) ([]catalog.Column, error) {
-	refs := []sqltext.TableRef{*q.From}
-	for _, j := range q.Joins {
-		refs = append(refs, j.Right)
-	}
-	rel := &relation{}
-	for _, tr := range refs {
-		r, err := e.refCols(tr)
-		if err != nil {
-			return nil, err
-		}
-		rel.cols = append(rel.cols, r.cols...)
+	rel, err := e.fromLayout(q, nil)
+	if err != nil {
+		return nil, err
 	}
 	items, _, err := expandItems(q, rel)
 	if err != nil {
@@ -413,11 +405,12 @@ type viewFold struct {
 // rows folded so far.
 func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
 	e, sel := f.e, f.sel
-	rel, err := e.refCols(*sel.From)
+	ref, err := e.resolveRef(*sel.From, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The delta rows as they are: user columns, since they have no tid.
+	rel := ref.rel
 	rel.cols, rel.tbl = rel.cols[:len(rel.cols)-2], nil
 	b := newBinder(e, nil, rel, e.writerCtx())
 	f.start(e, b)

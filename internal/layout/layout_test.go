@@ -137,18 +137,6 @@ func TestOnIterationStreamsPositions(t *testing.T) {
 	}
 }
 
-func TestApproxRepulsionCloseToExact(t *testing.T) {
-	g := testGraph(400, 8)
-	exact := LinLog(g, Config{Seed: 8, MaxIter: 120})
-	approx := LinLog(g, Config{Seed: 8, MaxIter: 120, Approx: true})
-	// The grid approximation must land within a modest factor of the exact
-	// energy (both negative and large in magnitude; compare ratios).
-	ratio := approx.FinalEnergy / exact.FinalEnergy
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("approx energy too far off: exact=%f approx=%f", exact.FinalEnergy, approx.FinalEnergy)
-	}
-}
-
 func TestFruchtermanReingoldBaseline(t *testing.T) {
 	g := testGraph(100, 9)
 	res := FruchtermanReingold(g, Config{Seed: 9, MaxIter: 200})

@@ -35,9 +35,6 @@ type Config struct {
 	// Tolerance is the convergence threshold on mean displacement,
 	// relative to the layout scale (default 1e-3).
 	Tolerance float64
-	// Approx enables grid-based repulsion approximation (O(n·cells)
-	// instead of O(n²)); distant cells act as point masses.
-	Approx bool
 	// OnIteration, if set, receives the live positions after each
 	// iteration — the hook used to stream positions into the
 	// VisualAttributes table at any rate until the algorithm stops.
@@ -193,26 +190,22 @@ func LinLogFrom(g *graph.Graph, initial map[graph.NodeID]Point, cfg Config) *Res
 		}
 		// Repulsion between node pairs: U −= q_a·q_b·ln r; force on a is
 		// −q_a·q_b·unit(d)/r.
-		if cfg.Approx && n > 256 {
-			energy += applyGridRepulsion(xs, ys, mass, fx, fy)
-		} else {
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					dx := xs[j] - xs[i]
-					dy := ys[j] - ys[i]
-					r2 := dx*dx + dy*dy
-					if r2 < eps {
-						// Coincident points: nudge apart deterministically.
-						dx, dy, r2 = eps*float64(i+1), eps*float64(j+1), eps
-					}
-					q := mass[i] * mass[j]
-					energy -= q * 0.5 * math.Log(r2)
-					f := q / r2
-					fx[i] -= f * dx
-					fy[i] -= f * dy
-					fx[j] += f * dx
-					fy[j] += f * dy
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				dx := xs[j] - xs[i]
+				dy := ys[j] - ys[i]
+				r2 := dx*dx + dy*dy
+				if r2 < eps {
+					// Coincident points: nudge apart deterministically.
+					dx, dy, r2 = eps*float64(i+1), eps*float64(j+1), eps
 				}
+				q := mass[i] * mass[j]
+				energy -= q * 0.5 * math.Log(r2)
+				f := q / r2
+				fx[i] -= f * dx
+				fy[i] -= f * dy
+				fx[j] += f * dx
+				fy[j] += f * dy
 			}
 		}
 		return energy
@@ -298,109 +291,6 @@ func snapshotPositions(nodes []graph.NodeID, xs, ys []float64) map[graph.NodeID]
 		out[id] = Point{X: xs[i], Y: ys[i]}
 	}
 	return out
-}
-
-// applyGridRepulsion approximates pairwise repulsion by bucketing nodes
-// into a coarse grid; nodes in the same or adjacent cells interact
-// exactly, remote cells act as a point mass at their centroid. It returns
-// the (approximate) repulsion energy contribution.
-func applyGridRepulsion(xs, ys, mass, fx, fy []float64) float64 {
-	n := len(xs)
-	minX, maxX := xs[0], xs[0]
-	minY, maxY := ys[0], ys[0]
-	for i := 1; i < n; i++ {
-		minX = math.Min(minX, xs[i])
-		maxX = math.Max(maxX, xs[i])
-		minY = math.Min(minY, ys[i])
-		maxY = math.Max(maxY, ys[i])
-	}
-	side := int(math.Sqrt(float64(n)/4)) + 1
-	w := (maxX - minX) / float64(side)
-	h := (maxY - minY) / float64(side)
-	if w <= 0 {
-		w = 1
-	}
-	if h <= 0 {
-		h = 1
-	}
-	cellOf := func(i int) (int, int) {
-		cx := int((xs[i] - minX) / w)
-		cy := int((ys[i] - minY) / h)
-		if cx >= side {
-			cx = side - 1
-		}
-		if cy >= side {
-			cy = side - 1
-		}
-		return cx, cy
-	}
-	type cell struct {
-		members    []int
-		mx, my, mm float64 // mass-weighted centroid and total mass
-	}
-	cells := make([]cell, side*side)
-	for i := 0; i < n; i++ {
-		cx, cy := cellOf(i)
-		c := &cells[cy*side+cx]
-		c.members = append(c.members, i)
-		c.mx += mass[i] * xs[i]
-		c.my += mass[i] * ys[i]
-		c.mm += mass[i]
-	}
-	const eps = 1e-6
-	var energy float64 // per-node sum; pairs counted twice, halved below
-	for i := 0; i < n; i++ {
-		cx, cy := cellOf(i)
-		for gy := 0; gy < side; gy++ {
-			for gx := 0; gx < side; gx++ {
-				c := &cells[gy*side+gx]
-				if c.mm == 0 {
-					continue
-				}
-				near := absInt(gx-cx) <= 1 && absInt(gy-cy) <= 1
-				if near {
-					for _, j := range c.members {
-						if j == i {
-							continue
-						}
-						dx := xs[j] - xs[i]
-						dy := ys[j] - ys[i]
-						r2 := dx*dx + dy*dy
-						if r2 < eps {
-							dx, dy, r2 = eps*float64(i+1), eps*float64(j+1), eps
-						}
-						q := mass[i] * mass[j]
-						energy -= q * 0.5 * math.Log(r2)
-						f := q / r2
-						fx[i] -= f * dx
-						fy[i] -= f * dy
-					}
-				} else {
-					px := c.mx / c.mm
-					py := c.my / c.mm
-					dx := px - xs[i]
-					dy := py - ys[i]
-					r2 := dx*dx + dy*dy
-					if r2 < eps {
-						continue
-					}
-					q := mass[i] * c.mm
-					energy -= q * 0.5 * math.Log(r2)
-					f := q / r2
-					fx[i] -= f * dx
-					fy[i] -= f * dy
-				}
-			}
-		}
-	}
-	return energy / 2
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // repulsionNorm computes the charge normalization factor pinning the

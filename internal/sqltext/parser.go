@@ -168,12 +168,9 @@ func (p *Parser) expectIdent() (string, error) {
 		name := p.tok.Text
 		return name, p.advance()
 	}
-	if p.tok.Kind == TokKeyword {
-		switch p.tok.Text {
-		case "KEY", "COUNT", "VALUES", "SET", "INDEX", "VIEW", "DEFAULT", "CALL", "AFTER":
-			name := strings.ToLower(p.tok.Text)
-			return name, p.advance()
-		}
+	if p.tok.Kind == TokKeyword && (p.tok.Text == "COUNT" || identishKeyword(p.tok.Text)) {
+		name := strings.ToLower(p.tok.Text)
+		return name, p.advance()
 	}
 	return "", p.errorf("expected identifier, got %q", p.tok.Text)
 }
@@ -1392,9 +1389,9 @@ func (p *Parser) parseExistsBody(not bool) (Expr, error) {
 	return &Exists{Not: not, Query: sel}, nil
 }
 
-// identishKeyword lists non-reserved keywords accepted as column names in
-// expressions (matching expectIdent's allowlist, minus COUNT which has its
-// own disambiguation against the aggregate).
+// identishKeyword lists the non-reserved keywords accepted as names: in
+// expressions as column names, and in expectIdent, which also takes COUNT
+// (in expressions COUNT has its own disambiguation against the aggregate).
 func identishKeyword(kw string) bool {
 	switch kw {
 	case "KEY", "VALUES", "SET", "INDEX", "VIEW", "DEFAULT", "CALL", "AFTER":
