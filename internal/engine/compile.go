@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"ediflow/internal/engine/vm"
 	"ediflow/internal/sqltext"
@@ -11,74 +11,81 @@ import (
 )
 
 // This file is the engine side of the compiled expression VM
-// (internal/engine/vm): compiling expressions against a relation's
-// column layout, caching the programs, and running batches.
-//
-// Programs are cached per expression *pointer*. The plan cache
-// (plancache.go) already guarantees pointer stability: a SQL text parses
-// once and every execution reuses the same AST, so caching by expression
-// identity is exactly "compiled programs live beside parsed plans" —
-// with the bonus that statement-internal expressions (a view's fold and
-// delta queries, UPDATE SET lists) cache the same way. DDL and
-// function-registry changes purge the cache (and bump a generation so
-// in-flight EXPLAINs never resurrect a stale program).
+// (internal/engine/vm): compiling a plan's expressions against the
+// column layout they run over, and running batches through them.
+// Programs are compiled once, while a statement is planned, and live in
+// its plan (plancache.go); nothing else caches them.
 
-// progCache maps expression identity and layout width to its program.
-type progCache struct {
-	mu  sync.Mutex
-	m   map[sqltext.Expr]*progEntry
-	cap int
+// evalPlan is programs over one layout, compiled together: what an
+// evaluator's machines run, and the shape of the batch they share. A nil
+// program evaluates nothing.
+type evalPlan struct {
+	progs []*vm.Program
+	kinds []types.Kind // the batch's column kinds: the layout's, then NULL per aggregate
+	used  []int        // the columns the programs read, ascending
+	sys   bool         // a program reads a base table's _tid or _created
 }
 
-type progEntry struct {
-	prog  *vm.Program
-	ncols int // column-layout width the program was compiled for
-}
-
-func newProgCache(cap int) *progCache {
-	return &progCache{m: make(map[sqltext.Expr]*progEntry), cap: cap}
-}
-
-func (c *progCache) get(x sqltext.Expr, ncols int) (*vm.Program, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[x]
-	if !ok || e.ncols != ncols {
-		return nil, false
+// compile compiles x over rel — then, in an aggregate SELECT's group
+// layout, each aggregate call of aggs in the column past rel's — and
+// plans the subqueries it holds; nil only for a nil expression. Column
+// resolution is rel.resolve (an unknown or ambiguous name compiles to
+// lanes holding its error), then the scalar function registry and the
+// engine's exact missing-parameter error.
+func (pl *planner) compile(x sqltext.Expr, rel *relation, aggs map[*sqltext.FuncCall]int) *vm.Program {
+	if x == nil {
+		return nil
 	}
-	return e.prog, true
-}
-
-func (c *progCache) put(x sqltext.Expr, ncols int, p *vm.Program) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		// Unbounded keys are possible (evicted plans leave their ASTs
-		// behind); a rare clear-all is cheaper than tracking LRU order.
-		c.m = make(map[sqltext.Expr]*progEntry)
+	sqltext.WalkExpr(&x, func(p *sqltext.Expr) bool {
+		var q *sqltext.Select
+		switch y := (*p).(type) {
+		case *sqltext.Subquery:
+			q = y.Query
+		case *sqltext.Exists:
+			q = y.Query
+		case *sqltext.InExpr:
+			q = y.Query
+		}
+		if _, ok := pl.subs[q]; q != nil && !ok {
+			pl.subs[q] = pl.selectPlan(q)
+		}
+		return true
+	})
+	agg := func(fc *sqltext.FuncCall) (int, error) {
+		if i, ok := aggs[fc]; ok {
+			return len(rel.cols) + i, nil
+		}
+		return 0, fmt.Errorf("engine: aggregate %s outside GROUP BY context", fc.Name)
 	}
-	c.m[x] = &progEntry{prog: p, ncols: ncols}
+	pl.e.mVMCompile.Inc()
+	return vm.Compile(x, &vm.Env{Resolve: rel.resolve, Agg: agg, Func: pl.e.vmFunc, MissingParam: missingParam})
 }
 
-func (c *progCache) purge() {
-	c.mu.Lock()
-	c.m = make(map[sqltext.Expr]*progEntry)
-	c.mu.Unlock()
+// evalPlan compiles xs over rel (and aggs, see compile) into one plan.
+func (pl *planner) evalPlan(rel *relation, aggs map[*sqltext.FuncCall]int, xs ...sqltext.Expr) evalPlan {
+	progs := make([]*vm.Program, len(xs))
+	for i, x := range xs {
+		progs[i] = pl.compile(x, rel, aggs)
+	}
+	return newEvalPlan(rel, len(aggs), progs)
 }
 
-func (c *progCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// vmEnv is the compile environment of the binder's layout: column
-// resolution is binder.resolve itself (an unknown or ambiguous name
-// compiles to lanes holding its error), aggregate calls resolve to the
-// group layout's columns (aggCol), then the scalar function registry and
-// the engine's exact missing-parameter error.
-func (b *binder) vmEnv() *vm.Env {
-	return &vm.Env{Resolve: b.resolve, Agg: b.aggCol, Func: b.e.vmFunc, MissingParam: missingParam}
+// newEvalPlan fixes the batch programs compiled over rel and naggs
+// aggregate columns share.
+func newEvalPlan(rel *relation, naggs int, progs []*vm.Program) evalPlan {
+	ep := evalPlan{progs: progs, used: usedCols(progs)}
+	if !slices.ContainsFunc(progs, func(p *vm.Program) bool { return p != nil }) {
+		return ep
+	}
+	ep.sys = len(ep.used) > 0 && ep.used[len(ep.used)-1] >= len(rel.cols)-2
+	ep.kinds = make([]types.Kind, len(rel.cols), len(rel.cols)+naggs)
+	for i, c := range rel.cols {
+		ep.kinds[i] = c.kind
+	}
+	for range naggs {
+		ep.kinds = append(ep.kinds, types.KindNull)
+	}
+	return ep
 }
 
 func missingParam(idx int) error {
@@ -88,10 +95,10 @@ func missingParam(idx int) error {
 // vmFunc resolves a scalar function for the compiler: builtins first,
 // then user-registered functions, else a function that fails with the
 // unknown-function error once its arguments have evaluated. The
-// implementation is baked into the program, so RegisterFunc purges
-// compiled programs.
+// implementation is baked into the program, so RegisterFunc purges the
+// plans.
 func (e *Engine) vmFunc(name string) vm.ScalarFunc {
-	if builtinScalars[name] {
+	if _, ok := builtinScalars[name]; ok {
 		return func(args []types.Value) (types.Value, error) {
 			return callScalar(name, args)
 		}
@@ -103,30 +110,17 @@ func (e *Engine) vmFunc(name string) vm.ScalarFunc {
 	return func([]types.Value) (types.Value, error) { return types.Null, err }
 }
 
-// compiledProg returns the program for x over b's layout — rel's columns,
-// then b's aggregate results — compiled on first sight and cached; nil
-// only for a nil expression.
-func (e *Engine) compiledProg(x sqltext.Expr, b *binder) *vm.Program {
-	if x == nil {
-		return nil
-	}
-	ncols := len(b.rel.cols) + len(b.aggs)
-	if p, ok := e.progs.get(x, ncols); ok {
-		return p
-	}
-	p := vm.Compile(x, b.vmEnv())
-	e.mVMCompile.Inc()
-	e.progs.put(x, ncols, p)
-	return p
-}
-
 // machine acquires a machine from p's pool, bound to the statement's
-// arguments and this binder's subqueries. The statement owns it until
-// ExecStmt returns (stmtCtx.release). Machines are not goroutine-safe:
-// each morsel worker acquires its own.
+// arguments and, when p runs subqueries, this binder's. The statement
+// owns it until ExecStmt returns (stmtCtx.release). Machines are not
+// goroutine-safe: each morsel worker acquires its own.
 func (b *binder) machine(p *vm.Program) *vm.Machine {
 	m := p.Acquire()
-	m.Bind(b.args, b.subquery)
+	var sub vm.SubqueryFunc
+	if p.Subqueries() {
+		sub = b.subquery
+	}
+	m.Bind(b.args, sub)
 	ctx := b.ctx
 	ctx.machMu.Lock()
 	ctx.machines = append(ctx.machines, m)
@@ -134,32 +128,29 @@ func (b *binder) machine(p *vm.Program) *vm.Machine {
 	return m
 }
 
-// evaluator runs several programs of one binder over a shared batch of
-// the binder's layout, a batch of rows at a time. A nil program's
-// machine and vector stay nil.
+// evaluator runs the programs of one evalPlan over a shared batch of its
+// layout, a batch of rows at a time. A nil program's machine and vector
+// stay nil; without a program there is no batch and nothing to run.
 type evaluator struct {
 	machines []*vm.Machine
 	vecs     []*vm.Vec
 	batch    *vm.Batch // nil when every program is nil
-	sys      bool      // a program reads a base table's _tid or _created
+	sys      bool
 	scratch  types.Row
 }
 
-func (b *binder) evaluator(progs []*vm.Program) evaluator {
-	ev := evaluator{machines: make([]*vm.Machine, len(progs)), vecs: make([]*vm.Vec, len(progs))}
-	used := usedCols(progs)
-	ev.sys = len(used) > 0 && used[len(used)-1] >= len(b.rel.cols)-2
-	for i, p := range progs {
+func (b *binder) evaluator(ep *evalPlan) evaluator {
+	if ep == nil || ep.kinds == nil {
+		return evaluator{}
+	}
+	ev := evaluator{sys: ep.sys, machines: make([]*vm.Machine, len(ep.progs)), vecs: make([]*vm.Vec, len(ep.progs))}
+	for i, p := range ep.progs {
 		if p == nil {
 			continue
 		}
 		ev.machines[i] = b.machine(p)
 		if ev.batch == nil {
-			kinds := batchKinds(b.rel.cols)
-			for range b.aggs {
-				kinds = append(kinds, types.KindNull)
-			}
-			ev.batch = ev.machines[i].Batch(kinds, used)
+			ev.batch = ev.machines[i].Batch(ep.kinds, ep.used)
 		}
 	}
 	return ev
@@ -220,17 +211,6 @@ func (e *Engine) countVM(n int) {
 	}
 }
 
-// batchKinds maps a relation layout to per-column batch kinds. Declared
-// kinds are advisory (view backing tables infer them): the batch
-// promotes a column to boxed lanes if a row disagrees.
-func batchKinds(cols []colMeta) []types.Kind {
-	kinds := make([]types.Kind, len(cols))
-	for i, c := range cols {
-		kinds[i] = c.kind
-	}
-	return kinds
-}
-
 // ScalarFunc is a user-registered scalar SQL function. Arguments are
 // already evaluated; the implementation is responsible for its own NULL
 // handling, like the built-ins in funcs.go. The args slice is reused
@@ -239,9 +219,9 @@ type ScalarFunc func(args []types.Value) (types.Value, error)
 
 // RegisterFunc registers (or replaces) a scalar function under the
 // given name, callable from any SQL expression. Built-in names cannot
-// be overridden. Registration purges compiled programs: a cached
-// program has the previous implementation baked in, and serving it
-// after re-registration would silently return stale results.
+// be overridden. Registration purges the plans: a planned program has
+// the previous implementation baked in, and serving it after
+// re-registration would silently return stale results.
 func (e *Engine) RegisterFunc(name string, fn ScalarFunc) {
 	e.udfMu.Lock()
 	if e.udfs == nil {
@@ -249,7 +229,7 @@ func (e *Engine) RegisterFunc(name string, fn ScalarFunc) {
 	}
 	e.udfs[strings.ToUpper(name)] = fn
 	e.udfMu.Unlock()
-	e.progs.purge()
+	e.plans.purge()
 }
 
 // userFunc looks up a registered scalar function by upper-cased name.

@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
 
 	"ediflow/internal/catalog"
-	"ediflow/internal/engine/vm"
 	"ediflow/internal/sqltext"
 	"ediflow/internal/types"
 )
@@ -115,11 +115,15 @@ func resolveInsertTarget(schema *catalog.TableSchema, cols []string) ([]int, err
 }
 
 // writeTarget is the table an INSERT, UPDATE or DELETE writes, action
-// naming the statement in the error: a view or a name the catalog does
-// not hold is an error.
+// naming the statement in the error: a view, a virtual table (it shadows
+// any table of its name, so a statement would match rows it cannot
+// write) or a name the catalog does not hold is an error.
 func (e *Engine) writeTarget(table, action string) (*catalog.TableSchema, error) {
 	if _, isView := e.cat.View(table); isView {
 		return nil, fmt.Errorf("engine: cannot %s view %q", action, table)
+	}
+	if e.lookupVirtual(table) != nil {
+		return nil, fmt.Errorf("engine: cannot %s virtual table %q", action, table)
 	}
 	schema, ok := e.cat.Table(table)
 	if !ok {
@@ -128,15 +132,80 @@ func (e *Engine) writeTarget(table, action string) (*catalog.TableSchema, error)
 	return schema, nil
 }
 
-func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []ChangeEvent, error) {
-	schema, err := e.writeTarget(s.Table, "INSERT into")
-	if err != nil {
+// mutPlan is an INSERT's, UPDATE's or DELETE's plan: the table it writes
+// (writeTarget; err when it cannot), the columns the statement names
+// (colErr when one does not exist), and how it finds its rows. An
+// INSERT's come from its query, or from its VALUES rows, each either
+// read directly or run by its valuesPlan; an UPDATE or DELETE matches
+// them in ref through WHERE, and an UPDATE's SET values run over ref's
+// layout.
+type mutPlan struct {
+	table  string // as the statement names it
+	schema *catalog.TableSchema
+	err    error
+	colErr error
+	cols   []int // an INSERT's target positions, an UPDATE's assigned ones
+	subs   map[*sqltext.Select]*selPlan
+	query  *selPlan
+	rows   map[int]*projPlan
+	ref    fromRef
+	where  evalPlan
+	set    evalPlan
+}
+
+func (pl *planner) mutationPlan(st sqltext.Statement) *mutPlan {
+	mp := &mutPlan{subs: pl.subs}
+	var action string
+	var where sqltext.Expr
+	var set []sqltext.Assignment
+	switch s := st.(type) {
+	case *sqltext.Insert:
+		mp.table, action = s.Table, "INSERT into"
+	case *sqltext.Update:
+		mp.table, action, where, set = s.Table, "UPDATE", s.Where, s.Set
+	case *sqltext.Delete:
+		mp.table, action, where = s.Table, "DELETE from", s.Where
+	}
+	if mp.schema, mp.err = pl.e.writeTarget(mp.table, action); mp.err != nil {
+		return mp
+	}
+	if s, ok := st.(*sqltext.Insert); ok {
+		if mp.cols, mp.colErr = resolveInsertTarget(mp.schema, s.Columns); s.Query != nil {
+			mp.query = pl.selectPlan(s.Query)
+		}
+		// VALUES rows have no source row; a shaped load's need no plan,
+		// and then rows stays nil.
+		none := &relation{}
+		for i, exprs := range s.Rows {
+			if pp := pl.valuesPlan(none, exprs...); pp != nil {
+				if mp.rows == nil {
+					mp.rows = map[int]*projPlan{}
+				}
+				mp.rows[i] = pp
+			}
+		}
+		return mp
+	}
+	mp.cols = make([]int, len(set))
+	values := make([]sqltext.Expr, len(set))
+	for i, a := range set {
+		if mp.cols[i], values[i] = mp.schema.ColIndex(a.Column), a.Value; mp.cols[i] < 0 && mp.colErr == nil {
+			mp.colErr = fmt.Errorf("engine: no column %q in %s", a.Column, mp.table)
+		}
+	}
+	// The rows to change are matched through the same planner access
+	// paths and pipeline as a SELECT's.
+	if mp.ref = pl.resolveRef(sqltext.TableRef{Table: mp.table}, where); mp.ref.err == nil {
+		mp.where, mp.set = pl.evalPlan(mp.ref.rel, nil, where), pl.evalPlan(mp.ref.rel, nil, values...)
+	}
+	return mp
+}
+
+func (e *Engine) execInsert(s *sqltext.Insert, mp *mutPlan, args []types.Value) (*Result, []ChangeEvent, error) {
+	if err := cmp.Or(mp.err, mp.colErr); err != nil {
 		return nil, nil, err
 	}
-	target, err := resolveInsertTarget(schema, s.Columns)
-	if err != nil {
-		return nil, nil, err
-	}
+	schema, target := mp.schema, mp.cols
 
 	// The statement's rows are built straight at stored width, before any
 	// is stored. stop is the first row's arity or coercion error: the
@@ -145,7 +214,7 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 	var rows []types.Row
 	var stop error
 	if s.Query != nil {
-		res, err := e.evalSelect(s.Query, args, nil, e.writerCtx())
+		res, err := e.evalSelect(mp.query, args, nil, e.writerCtx())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -158,19 +227,21 @@ func (e *Engine) execInsert(s *sqltext.Insert, args []types.Value) (*Result, []C
 			rows = append(rows, full)
 		}
 	} else {
-		b := newBinder(e, args, nil, e.writerCtx())
+		b := e.newBinder(mp.subs, args, e.writerCtx())
 		rows = make([]types.Row, 0, len(s.Rows))
-		for _, exprs := range s.Rows {
+		for i, exprs := range s.Rows {
+			pp := mp.rows[i]
 			if stop != nil {
 				// Every row is evaluated before any is stored, so a later
 				// row's evaluation error comes first.
-				if _, err := e.valuesRow(exprs, b); err != nil {
+				if _, err := e.valuesRow(exprs, pp, b); err != nil {
 					return nil, nil, err
 				}
 				continue
 			}
 			full := make(types.Row, len(schema.Columns))
-			if stop, err = e.valuesInto(full, exprs, b, schema, s.Table, target); err != nil {
+			var err error
+			if stop, err = e.valuesInto(full, exprs, pp, b, schema, s.Table, target); err != nil {
 				return nil, nil, err
 			}
 			if stop == nil {
@@ -212,7 +283,7 @@ func (e *Engine) wrote(u undoRun) ([]ChangeEvent, error) {
 // or an arity mismatch sends the whole row down the general path: it is
 // evaluated first (err), then checked and coerced in column order
 // (stop), which is the order a row-at-a-time insert met them in.
-func (e *Engine) valuesInto(full types.Row, exprs []sqltext.Expr, b *binder, schema *catalog.TableSchema, table string, target []int) (stop, err error) {
+func (e *Engine) valuesInto(full types.Row, exprs []sqltext.Expr, pp *projPlan, b *binder, schema *catalog.TableSchema, table string, target []int) (stop, err error) {
 	for i, x := range exprs {
 		if v, ok := constVal(x, b.args); ok && i < len(target) {
 			if cv, err := v.CoerceTo(schema.Columns[target[i]].Type); err == nil {
@@ -220,7 +291,7 @@ func (e *Engine) valuesInto(full types.Row, exprs []sqltext.Expr, b *binder, sch
 				continue
 			}
 		}
-		src, err := e.valuesRow(exprs, b)
+		src, err := e.valuesRow(exprs, pp, b)
 		if err != nil {
 			return nil, err
 		}
@@ -253,16 +324,16 @@ func arity(table string, n, cols int) error {
 	return fmt.Errorf("engine: INSERT into %s: %d values for %d columns", table, n, cols)
 }
 
-// matchTable collects what UPDATE/DELETE match in a table, through the
-// same planner access paths and pipeline as a SELECT: each row's tid and
-// _created, and with values its stored values by reference — immutable
-// under MVCC — and returns the binder over the table's layout.
-func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value, values bool) (*binder, batch, error) {
-	rel, src, err := e.buildTableRef(sqltext.TableRef{Table: table}, args, nil, where, e.writerCtx())
+// matchTable collects what an UPDATE or DELETE matches (matchPlan): each
+// row's tid and _created, and with values its stored values by reference
+// — immutable under MVCC — and returns the binder the match ran in.
+func (e *Engine) matchTable(mp *mutPlan, args []types.Value, values bool) (*binder, batch, error) {
+	ctx := e.writerCtx()
+	src, err := e.open(&mp.ref, args, nil, ctx)
 	if err != nil {
 		return nil, batch{}, err
 	}
-	b := newBinder(e, args, rel, e.writerCtx())
+	b := e.newBinder(mp.subs, args, ctx)
 	var m batch
 	if src.tbl == nil { // an index path's candidates: at most these match
 		n := len(src.mem.tids)
@@ -271,7 +342,7 @@ func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value
 			m.rows = make([]types.Row, 0, n)
 		}
 	}
-	err = e.pipe(b, src, where, func(s *batch) {
+	err = e.pipe(b, src, &mp.where, func(s *batch) {
 		if values {
 			m.rows = append(m.rows, s.rows...)
 		}
@@ -280,21 +351,11 @@ func (e *Engine) matchTable(table string, where sqltext.Expr, args []types.Value
 	return b, m, err
 }
 
-func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []ChangeEvent, error) {
-	schema, err := e.writeTarget(s.Table, "UPDATE")
-	if err != nil {
+func (e *Engine) execUpdate(s *sqltext.Update, mp *mutPlan, args []types.Value) (*Result, []ChangeEvent, error) {
+	if err := cmp.Or(mp.err, mp.colErr); err != nil {
 		return nil, nil, err
 	}
-	// Resolve assignment targets.
-	setPos := make([]int, len(s.Set))
-	for i, a := range s.Set {
-		p := schema.ColIndex(a.Column)
-		if p < 0 {
-			return nil, nil, fmt.Errorf("engine: no column %q in %s", a.Column, s.Table)
-		}
-		setPos[i] = p
-	}
-	b, matched, err := e.matchTable(s.Table, s.Where, args, true)
+	b, matched, err := e.matchTable(mp, args, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -305,25 +366,21 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 	// evaluation would stop at: the rows before it go to the store as a
 	// trial (see Store.UpdateRows), which reports a constraint error they
 	// meet first.
-	progs := make([]*vm.Program, len(s.Set))
-	for i, a := range s.Set {
-		progs[i] = e.compiledProg(a.Value, b)
-	}
-	set := b.evaluator(progs)
+	schema, set := mp.schema, b.evaluator(&mp.set)
 	rows := make([]types.Row, 0, len(matched.rows))
-	stop := matched.chunks(func(c *batch) error {
-		set.load(e, c)
+	stop := matched.chunks(func(c batch) error {
+		set.load(e, &c)
 		for k, r := range c.rows {
 			newRow := slices.Clone(r)
-			for i, a := range s.Set {
+			for i, p := range mp.cols {
 				if err := set.vecs[i].Err(k); err != nil {
 					return err
 				}
-				cv, err := set.vecs[i].Value(k).CoerceTo(schema.Columns[setPos[i]].Type)
+				cv, err := set.vecs[i].Value(k).CoerceTo(schema.Columns[p].Type)
 				if err != nil {
-					return fmt.Errorf("engine: column %s.%s: %w", s.Table, a.Column, err)
+					return fmt.Errorf("engine: column %s.%s: %w", s.Table, s.Set[i].Column, err)
 				}
-				newRow[setPos[i]] = cv
+				newRow[p] = cv
 			}
 			rows = append(rows, newRow)
 		}
@@ -344,23 +401,22 @@ func (e *Engine) execUpdate(s *sqltext.Update, args []types.Value) (*Result, []C
 	return &Result{Affected: len(tids)}, events, nil
 }
 
-func (e *Engine) execDelete(s *sqltext.Delete, args []types.Value) (*Result, []ChangeEvent, error) {
-	schema, err := e.writeTarget(s.Table, "DELETE from")
-	if err != nil {
-		return nil, nil, err
+func (e *Engine) execDelete(mp *mutPlan, args []types.Value) (*Result, []ChangeEvent, error) {
+	if mp.err != nil {
+		return nil, nil, mp.err
 	}
-	_, matched, err := e.matchTable(s.Table, s.Where, args, false)
+	_, matched, err := e.matchTable(mp, args, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(matched.tids) == 0 {
 		return &Result{}, []ChangeEvent{}, nil
 	}
-	old, err := e.store.DeleteRows(schema.Name, matched.tids)
+	old, err := e.store.DeleteRows(mp.schema.Name, matched.tids)
 	if err != nil {
 		return nil, nil, err
 	}
-	events, err := e.wrote(undoRun{op: OpDelete, table: schema.Name, tids: matched.tids, created: matched.created, oldRows: old})
+	events, err := e.wrote(undoRun{op: OpDelete, table: mp.schema.Name, tids: matched.tids, created: matched.created, oldRows: old})
 	if err != nil {
 		return nil, nil, err
 	}

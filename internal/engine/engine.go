@@ -77,7 +77,8 @@ type ChangeEvent struct {
 // dispatch batch's matching events in one call (see RegisterBatchHandler).
 type BatchTriggerFunc func([]ChangeEvent)
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. A SELECT's Columns are its
+// plan's, shared by every execution: read them, do not modify them.
 type Result struct {
 	Columns  []string
 	Rows     []types.Row
@@ -166,16 +167,13 @@ type Engine struct {
 	mSelectH      *metrics.Histogram
 	mMutationH    *metrics.Histogram
 
-	// plans caches parsed statements keyed by statement shape (see
-	// plancache.go); DDL purges it.
-	plans     *planCache
-	mPlanHit  *metrics.Counter
-	mPlanMiss *metrics.Counter
-
-	// Compiled expression VM (see compile.go / internal/engine/vm), the
-	// only expression evaluator: programs cached per expression identity,
-	// purged with the plan cache on DDL and on function-registry changes.
-	progs      *progCache
+	// plans caches statement plans keyed by statement shape (see
+	// plancache.go), their compiled expression programs included
+	// (compile.go / internal/engine/vm, the only expression evaluator).
+	// Every invalidation purges it.
+	plans      *planCache
+	mPlanHit   *metrics.Counter
+	mPlanMiss  *metrics.Counter
 	mVMCompile *metrics.Counter
 	mVMBatches *metrics.Counter
 	mVMRows    *metrics.Counter
@@ -237,7 +235,6 @@ func New(store *storage.Store) (*Engine, error) {
 	e.plans = newPlanCache(256)
 	e.mPlanHit = e.reg.Counter("engine.plan_cache_hit")
 	e.mPlanMiss = e.reg.Counter("engine.plan_cache_miss")
-	e.progs = newProgCache(1024)
 	e.mVMCompile = e.reg.Counter("vm.compile")
 	e.mVMBatches = e.reg.Counter("vm.exec_batches")
 	e.mVMRows = e.reg.Counter("vm.rows")
@@ -355,59 +352,70 @@ func (e *Engine) Checkpoint() error {
 }
 
 // Exec parses and executes one statement. Positional `?` parameters are
-// bound from args left to right. Parsed statements are served from the
-// plan cache when a text of the same shape repeats.
+// bound from args left to right. Plans are served from the plan cache
+// when a text of the same shape repeats.
 func (e *Engine) Exec(sql string, args ...types.Value) (*Result, error) {
-	st, args, err := parseCached(e, false, sql, args, sqltext.Parse)
+	plans, args, err := e.planned(false, sql, args)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecStmt(st, args...)
+	return e.run(plans[0], args)
 }
 
-// parseCached returns what parse makes of text — one statement, or a
-// script's statements — through the plan cache, and the arguments to
-// execute it with. The text as written is looked up first: a
-// parameterized statement is its own shape, and finds its entry at no
-// extra cost. On a miss the text is shaped (sqltext.Shape) and looked up
-// again, so every text of one shape shares one entry, one AST and the
-// AST's compiled programs; the lifted literals travel in the returned
-// arguments and are not retained.
-func parseCached[T any](e *Engine, script bool, text string, args []types.Value, parse func(string) (T, error)) (T, []types.Value, error) {
-	if v, ok := e.plans.get(planKey{script, text}); ok {
-		e.mPlanHit.Inc()
-		return v.(T), args, nil
-	}
-	shaped, sargs := sqltext.Shape(text, args)
-	if shaped != text {
-		if v, ok := e.plans.get(planKey{script, shaped}); ok {
-			e.mPlanHit.Inc()
-			return v.(T), sargs, nil
+// planned returns the plans of text — one statement, or a script's
+// statements — through the plan cache, and the arguments to execute them
+// with. The text as written is looked up first: a parameterized
+// statement is its own shape, and finds its entry at no extra cost. On a
+// miss the text is shaped (sqltext.Shape) and looked up again, so every
+// text of one shape shares one entry; the lifted literals travel in the
+// returned arguments and are not retained.
+func (e *Engine) planned(script bool, text string, args []types.Value) ([]*plan, []types.Value, error) {
+	key, sargs := planKey{script, text}, args
+	v, ok := e.plans.get(key)
+	if !ok {
+		if key.text, sargs = sqltext.Shape(text, args); key.text != text {
+			v, ok = e.plans.get(key)
 		}
 	}
+	if ok {
+		e.mPlanHit.Inc()
+		return v.([]*plan), sargs, nil
+	}
 	e.mPlanMiss.Inc()
-	v, err := parse(shaped)
-	if err != nil && shaped != text {
+	gen := e.plans.gen.Load()
+	parse := func(text string) ([]sqltext.Statement, error) {
+		if script {
+			return sqltext.ParseScript(text)
+		}
+		st, err := sqltext.Parse(text)
+		return []sqltext.Statement{st}, err
+	}
+	stmts, err := parse(key.text)
+	if err != nil && key.text != text {
 		// The error must quote the text the caller sent.
-		shaped, sargs = text, args
-		v, err = parse(text)
+		key.text, sargs = text, args
+		stmts, err = parse(text)
 	}
 	if err != nil {
-		return v, nil, err
+		return nil, nil, err
 	}
-	e.plans.put(planKey{script, shaped}, v)
-	return v, sargs, nil
+	plans := make([]*plan, len(stmts))
+	for i, st := range stmts {
+		plans[i] = e.newPlan(st, false)
+	}
+	e.plans.put(key, plans, gen)
+	return plans, sargs, nil
 }
 
 // ExecScript executes a ';'-separated script, returning the last result.
 func (e *Engine) ExecScript(sql string, args ...types.Value) (*Result, error) {
-	stmts, args, err := parseCached(e, true, sql, args, sqltext.ParseScript)
+	plans, args, err := e.planned(true, sql, args)
 	if err != nil {
 		return nil, err
 	}
 	var last *Result
-	for _, st := range stmts {
-		last, err = e.ExecStmt(st, args...)
+	for _, p := range plans {
+		last, err = e.run(p, args)
 		if err != nil {
 			return nil, err
 		}
@@ -417,27 +425,39 @@ func (e *Engine) ExecScript(sql string, args ...types.Value) (*Result, error) {
 
 // Query is Exec restricted to SELECT (convenience with clearer intent).
 func (e *Engine) Query(sql string, args ...types.Value) (*Result, error) {
-	st, args, err := parseCached(e, false, sql, args, sqltext.Parse)
+	plans, args, err := e.planned(false, sql, args)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := st.(*sqltext.Select); !ok {
-		return nil, fmt.Errorf("engine: Query requires a SELECT, got %s", stmtKeyword(st))
+	if p := plans[0]; p.kind != sqltext.KindSelect {
+		return nil, fmt.Errorf("engine: Query requires a SELECT, got %s", p.kind.Keyword())
 	}
-	return e.ExecStmt(st, args...)
+	return e.run(plans[0], args)
 }
 
-// ExecStmt executes an already-parsed statement, recording per-statement
-// metrics (latency, rows, errors) and feeding the slow-query log.
+// ExecStmt plans and executes an already-parsed statement. The plan is
+// the statement's own, made for this execution: the caller may hold the
+// tree and change it before the next.
 func (e *Engine) ExecStmt(st sqltext.Statement, args ...types.Value) (*Result, error) {
+	return e.run(e.newPlan(st, false), args)
+}
+
+// clockBase anchors statement timing: time.Since on it reads only the
+// monotonic clock, where time.Now reads the wall clock too.
+var clockBase = time.Now()
+
+// run executes a plan, recording per-statement metrics (latency, rows,
+// errors) and feeding the slow-query log.
+func (e *Engine) run(p *plan, args []types.Value) (*Result, error) {
 	ctx := &stmtCtx{snap: storage.SeqLatest}
+	ctx.machines = ctx.machBuf[:0]
 	defer ctx.release()
 	if !e.reg.Enabled() {
-		return e.execStmt(st, args, ctx)
+		return e.execStmt(p, args, ctx)
 	}
-	t0 := time.Now()
-	res, err := e.execStmt(st, args, ctx)
-	d := time.Since(t0)
+	t0 := time.Since(clockBase)
+	res, err := e.execStmt(p, args, ctx)
+	d := time.Since(clockBase) - t0
 	e.mStatements.Inc()
 	e.mExecH.Observe(d)
 	var returned int64
@@ -449,7 +469,7 @@ func (e *Engine) ExecStmt(st sqltext.Statement, args ...types.Value) (*Result, e
 		}
 		e.mRowsReturned.Add(int64(len(res.Rows)))
 	}
-	if _, isSel := st.(*sqltext.Select); isSel {
+	if p.kind == sqltext.KindSelect {
 		e.mSelectH.Observe(d)
 	} else {
 		e.mMutationH.Observe(d)
@@ -468,35 +488,36 @@ func (e *Engine) ExecStmt(st sqltext.Statement, args ...types.Value) (*Result, e
 		}
 		// Rows-scanned comes from the per-statement context, so the value
 		// is exact even when concurrent SELECTs overlap.
-		e.slow.Record(st.String(), d, ctx.scanned, returned, errMsg)
+		e.slow.Record(p.stmt.String(), d, ctx.scanned, returned, errMsg)
 	}
 	return res, err
 }
 
-func (e *Engine) execStmt(st sqltext.Statement, args []types.Value, ctx *stmtCtx) (*Result, error) {
-	switch s := st.(type) {
-	case *sqltext.Select:
-		return e.execSelect(s, args, ctx)
-	case *sqltext.Explain:
-		// EXPLAIN only plans — catalog and table structure are internally
-		// synchronized, so no engine lock is needed.
-		return e.evalExplain(s, args, ctx)
-	case *sqltext.Begin:
+func (e *Engine) execStmt(p *plan, args []types.Value, ctx *stmtCtx) (*Result, error) {
+	switch p.kind {
+	case sqltext.KindSelect:
+		return e.execSelect(e.current(p).sel, args, ctx)
+	case sqltext.KindExplain:
+		// EXPLAIN only prints the plan — catalog and table structure are
+		// internally synchronized, so no engine lock is needed.
+		return e.evalExplain(e.current(p).explain, ctx)
+	case sqltext.KindBegin:
 		return e.begin()
-	case *sqltext.Commit:
+	case sqltext.KindCommit:
 		return e.commit()
-	case *sqltext.Rollback:
+	case sqltext.KindRollback:
 		return e.rollback()
 	}
 
 	// Mutating statements: apply + WAL append under the write lock, then
 	// release it BEFORE the durability wait so other sessions can apply
 	// their statements (and join the same group-commit batch) while this
-	// one waits on the shared fsync.
+	// one waits on the shared fsync. The plan is checked under the lock:
+	// DDL that ran since it was made has moved the cache on.
 	e.mu.Lock()
 	e.writeCtx = ctx
 	mark := len(e.undo)
-	res, events, err := e.execMutation(st, args)
+	res, events, err := e.execMutation(e.current(p), args)
 	e.writeCtx = nil
 	// A statement is atomic. A set that fails part-way through its rows
 	// takes them back itself and logs nothing (Store.InsertRows); one
@@ -519,15 +540,17 @@ func (e *Engine) execStmt(st sqltext.Statement, args []types.Value, ctx *stmtCtx
 	if !e.inTxn.Load() {
 		e.store.PublishSnapshot()
 	}
+	if p.kind.DDL() {
+		// Plans bake in resolved entries, column positions and access
+		// paths; a schema change makes them stale even when the SQL text
+		// still parses. A failed DDL statement may have changed the
+		// catalog on its way (a view's transient backing table), and a
+		// plan made meanwhile must not outlive it either.
+		e.plans.purge()
+	}
 	if err != nil {
 		e.mu.Unlock()
 		return nil, err
-	}
-	if isDDL(st) {
-		e.plans.purge()
-		// Compiled programs bake in resolved column positions; a schema
-		// change makes them stale even when the SQL text still parses.
-		e.progs.purge()
 	}
 	if e.inTxn.Load() {
 		e.pending = append(e.pending, events...)
@@ -556,7 +579,8 @@ func (e *Engine) execStmt(st sqltext.Statement, args []types.Value, ctx *stmtCtx
 // reads inside an open transaction keep the locked read-latest path so
 // they see the transaction's own unpublished writes. AS OF pins the
 // snapshot to an explicit commit-seq (§VI-A time-based isolation).
-func (e *Engine) execSelect(s *sqltext.Select, args []types.Value, ctx *stmtCtx) (*Result, error) {
+func (e *Engine) execSelect(sp *selPlan, args []types.Value, ctx *stmtCtx) (*Result, error) {
+	s := sp.sel
 	ctx.top = s
 	switch {
 	case s.AsOf != nil:
@@ -583,7 +607,7 @@ func (e *Engine) execSelect(s *sqltext.Select, args []types.Value, ctx *stmtCtx)
 		defer e.store.ReleaseSnapshot(snap)
 		ctx.snap = snap
 	}
-	res, err := e.evalSelect(s, args, nil, ctx)
+	res, err := e.evalSelect(sp, args, nil, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -598,16 +622,6 @@ func (e *Engine) execSelect(s *sqltext.Select, args []types.Value, ctx *stmtCtx)
 		}
 	}
 	return res, nil
-}
-
-// stmtKeyword names a statement by its leading SQL keyword for error
-// messages, without leaking internal type names.
-func stmtKeyword(st sqltext.Statement) string {
-	f := strings.Fields(st.String())
-	if len(f) == 0 {
-		return "statement"
-	}
-	return strings.ToUpper(f[0])
 }
 
 // dispatchEntry is one committer's claim on a dispatch-queue position.
@@ -832,11 +846,11 @@ func (e *Engine) forgetUndo(mark int) {
 func (e *Engine) InTxn() bool { return e.inTxn.Load() }
 
 // execMutation runs a non-SELECT statement under the write lock.
-func (e *Engine) execMutation(st sqltext.Statement, args []types.Value) (*Result, []ChangeEvent, error) {
-	if e.readOnly && !e.replicaMayWrite(st) {
+func (e *Engine) execMutation(p *plan, args []types.Value) (*Result, []ChangeEvent, error) {
+	if e.readOnly && !e.replicaMayWrite(p) {
 		return nil, nil, ErrReadOnlyReplica
 	}
-	switch s := st.(type) {
+	switch s := p.stmt.(type) {
 	case *sqltext.CreateTable:
 		return e.execCreateTable(s)
 	case *sqltext.DropTable:
@@ -850,13 +864,13 @@ func (e *Engine) execMutation(st sqltext.Statement, args []types.Value) (*Result
 	case *sqltext.CreateTrigger:
 		return e.execCreateTrigger(s)
 	case *sqltext.Insert:
-		return e.execInsert(s, args)
+		return e.execInsert(s, p.mut, args)
 	case *sqltext.Update:
-		return e.execUpdate(s, args)
+		return e.execUpdate(s, p.mut, args)
 	case *sqltext.Delete:
-		return e.execDelete(s, args)
+		return e.execDelete(p.mut, args)
 	}
-	return nil, nil, fmt.Errorf("engine: unsupported statement %T", st)
+	return nil, nil, fmt.Errorf("engine: unsupported statement %T", p.stmt)
 }
 
 // TableNames lists user tables (views excluded).

@@ -20,81 +20,56 @@ type colMeta struct {
 	// boxed lanes on mismatch (view backing tables infer kinds).
 }
 
-// relation is the column layout of an intermediate result. tbl is set on
-// a base table's layout (resolveRef): a join probes that table's storage
-// indexes, or scans it to build its right side, instead of being handed
-// its rows.
+// relation is the column layout of an intermediate result, the names a
+// plan resolves against. tbl is set on a base table's layout
+// (resolveRef): a join probes that table's storage indexes, or scans it
+// to build its right side, instead of being handed its rows.
 type relation struct {
 	cols []colMeta
 	tbl  *storage.Table
 }
 
-// binder is the compile and run environment of one statement's
-// expressions over one relation: how column references resolve, the
-// statement's arguments, and its subqueries.
+// resolve returns the column position of a reference: a qualified name
+// the last column it names, an unqualified one the only column of its
+// name (two make it ambiguous). Plans resolve once, so a walk over the
+// columns is all it takes.
+func (r *relation) resolve(cr *sqltext.ColumnRef) (int, error) {
+	name, qual := strings.ToLower(cr.Column), strings.ToLower(cr.Table)
+	at, n := -1, 0
+	for i, c := range r.cols {
+		if c.name == name && (qual == "" || c.qual == qual) {
+			at, n = i, n+1
+		}
+	}
+	switch {
+	case n == 0 && qual != "":
+		return 0, fmt.Errorf("engine: unknown column %s.%s", cr.Table, cr.Column)
+	case n == 0:
+		return 0, fmt.Errorf("engine: unknown column %s", cr.Column)
+	case n > 1 && qual == "":
+		return 0, fmt.Errorf("engine: ambiguous column %s", cr.Column)
+	}
+	return at, nil
+}
+
+// binder is one execution's state of a plan's expressions: the
+// statement's arguments and context, which the machines it acquires are
+// bound to, and the outcomes of the subqueries they run. The plan fixes
+// everything else. A statement makes one binder where its subqueries
+// run once: per SELECT for WHERE, the items and the fold, per aggregate
+// tail (HAVING), per join's ON and per value row.
 type binder struct {
 	e    *Engine
 	args []types.Value
-	rel  *relation
-	ctx  *stmtCtx // statement context (snapshot seq, scan tally)
-
-	byQual    map[string]int // "qual.name" → position
-	byName    map[string]int // "name" → position (unambiguous only)
-	ambiguous map[string]bool
-
-	// aggs is set on the binder of an aggregate SELECT's group layout
-	// (groupBinder): each aggregate call of the items and HAVING, mapped
-	// to its result's column past rel's. nil in row context.
-	aggs map[*sqltext.FuncCall]int
+	ctx  *stmtCtx // statement context (snapshot seq, scan tally, machines)
+	subs map[*sqltext.Select]*selPlan
 
 	subMu    sync.Mutex // held while a subquery runs: morsel workers share the binder
 	subCache map[*sqltext.Select]subResult
 }
 
-func newBinder(e *Engine, args []types.Value, rel *relation, ctx *stmtCtx) *binder {
-	ncols := 0
-	if rel != nil {
-		ncols = len(rel.cols)
-	}
-	b := &binder{
-		e: e, args: args, rel: rel, ctx: ctx,
-		byQual:    make(map[string]int, ncols),
-		byName:    make(map[string]int, ncols),
-		ambiguous: map[string]bool{},
-		subCache:  map[*sqltext.Select]subResult{},
-	}
-	if rel != nil {
-		for i, c := range rel.cols {
-			if c.qual != "" {
-				b.byQual[c.qual+"."+c.name] = i
-			}
-			if _, dup := b.byName[c.name]; dup {
-				b.ambiguous[c.name] = true
-			} else {
-				b.byName[c.name] = i
-			}
-		}
-	}
-	return b
-}
-
-// resolve returns the column position of a reference.
-func (b *binder) resolve(cr *sqltext.ColumnRef) (int, error) {
-	name := strings.ToLower(cr.Column)
-	if cr.Table != "" {
-		q := strings.ToLower(cr.Table) + "." + name
-		if i, ok := b.byQual[q]; ok {
-			return i, nil
-		}
-		return 0, fmt.Errorf("engine: unknown column %s.%s", cr.Table, cr.Column)
-	}
-	if b.ambiguous[name] {
-		return 0, fmt.Errorf("engine: ambiguous column %s", cr.Column)
-	}
-	if i, ok := b.byName[name]; ok {
-		return i, nil
-	}
-	return 0, fmt.Errorf("engine: unknown column %s", cr.Column)
+func (e *Engine) newBinder(subs map[*sqltext.Select]*selPlan, args []types.Value, ctx *stmtCtx) *binder {
+	return &binder{e: e, args: args, ctx: ctx, subs: subs}
 }
 
 // subResult is a subquery's cached outcome.
@@ -103,35 +78,22 @@ type subResult struct {
 	err  error
 }
 
-// groupBinder is b over an aggregate SELECT's group layout: rel's
-// columns, then the result of each aggregate call in aggs.
-func (b *binder) groupBinder(aggs map[*sqltext.FuncCall]int) *binder {
-	return &binder{e: b.e, args: b.args, rel: b.rel, ctx: b.ctx, byQual: b.byQual, byName: b.byName,
-		ambiguous: b.ambiguous, aggs: aggs, subCache: map[*sqltext.Select]subResult{}}
-}
-
-// aggCol maps an aggregate call to its column in the group layout; in row
-// context every lane reading it holds the error.
-func (b *binder) aggCol(fc *sqltext.FuncCall) (int, error) {
-	if i, ok := b.aggs[fc]; ok {
-		return len(b.rel.cols) + i, nil
-	}
-	return 0, fmt.Errorf("engine: aggregate %s outside GROUP BY context", fc.Name)
-}
-
-// subquery evaluates an uncorrelated subquery, once per binder — its
-// error too: lanes hold errors and evaluation goes on, so an unmemoised
-// failing subquery would run once per batch. The machines of every
-// morsel worker of a scan share the binder, so the first caller runs the
-// subquery under the lock and the others wait for its outcome.
+// subquery evaluates an uncorrelated subquery through its plan, once per
+// binder — its error too: lanes hold errors and evaluation goes on, so
+// an unmemoised failing subquery would run once per batch. The machines
+// of every morsel worker of a scan share the binder, so the first caller
+// runs the subquery under the lock and the others wait for its outcome.
 func (b *binder) subquery(q *sqltext.Select) ([]types.Row, error) {
 	b.subMu.Lock()
 	defer b.subMu.Unlock()
 	r, ok := b.subCache[q]
 	if !ok {
 		var res *Result
-		if res, r.err = b.e.evalSelect(q, b.args, nil, b.ctx); r.err == nil {
+		if res, r.err = b.e.evalSelect(b.subs[q], b.args, nil, b.ctx); r.err == nil {
 			r.rows = res.Rows
+		}
+		if b.subCache == nil {
+			b.subCache = map[*sqltext.Select]subResult{}
 		}
 		b.subCache[q] = r
 	}

@@ -203,14 +203,14 @@ func (s *batch) col(i, c int) types.Value {
 }
 
 // chunks hands s to fn vm.BatchSize lanes at a time.
-func (s *batch) chunks(fn func(*batch) error) error {
+func (s *batch) chunks(fn func(batch) error) error {
 	for start := 0; start < len(s.rows); start += vm.BatchSize {
 		end := min(start+vm.BatchSize, len(s.rows))
 		c := batch{rows: s.rows[start:end]}
 		if s.tids != nil {
 			c.tids, c.created = s.tids[start:end], s.created[start:end]
 		}
-		if err := fn(&c); err != nil {
+		if err := fn(c); err != nil {
 			return err
 		}
 	}
@@ -228,7 +228,7 @@ type source struct {
 }
 
 // pipe pushes src's rows, a batch at a time, through its joins and the
-// WHERE program of where over b's layout (nil keeps every row) into
+// WHERE program of where (nil, or no program, keeps every row) into
 // sink, which never sees an empty batch and must consume each before it
 // returns. A sink holds its own errors.
 //
@@ -243,12 +243,11 @@ type source struct {
 // each join's right side and ON subqueries, and the probes of the joins
 // before it; with no join failing, everything, WHERE's and the sink's
 // subqueries included.
-func (e *Engine) pipe(b *binder, src *source, where sqltext.Expr, sink func(*batch)) error {
-	prog := e.compiledProg(where, b)
+func (e *Engine) pipe(b *binder, src *source, where *evalPlan, sink func(*batch)) error {
 	if len(src.joins) == 0 {
-		return e.scan(b, src, prog, sink)
+		return e.scan(b, src, where, sink)
 	}
-	ev := b.evaluator([]*vm.Program{prog})
+	ev := b.evaluator(where)
 	var werr error
 	tail := 0 // rows WHERE's and the sink's subqueries scan
 	next := func(s *batch) {
@@ -283,24 +282,25 @@ func (e *Engine) pipe(b *binder, src *source, where sqltext.Expr, sink func(*bat
 }
 
 // scan pushes the rows of src's FROM entry through the WHERE program
-// where (nil keeps every row) into sink; the first WHERE error in row
-// order aborts it.
-func (e *Engine) scan(b *binder, src *source, where *vm.Program, sink func(*batch)) error {
+// of where (nil, or no program, keeps every row) into sink; the first
+// WHERE error in row order aborts it.
+func (e *Engine) scan(b *binder, src *source, where *evalPlan, sink func(*batch)) error {
 	if src.tbl != nil {
 		return e.scanTable(src.tbl, b, where, sink)
 	}
-	ev := b.evaluator([]*vm.Program{where})
-	buf := lanePool.Get().(*batch)
-	defer lanePool.Put(buf)
-	return src.mem.chunks(func(c *batch) error {
-		in := batch{rows: append(buf.rows[:0], c.rows...)} // WHERE compacts a copy, not the source
+	ev := b.evaluator(where)
+	in := lanePool.Get().(*batch)
+	lanes := *in // WHERE compacts a copy of each chunk in the pooled lanes, not the source
+	defer func() { *in = lanes; lanePool.Put(in) }()
+	return src.mem.chunks(func(c batch) error {
+		*in = batch{rows: append(lanes.rows[:0], c.rows...)}
 		if c.tids != nil {
-			in.tids, in.created = append(buf.tids[:0], c.tids...), append(buf.created[:0], c.created...)
+			in.tids, in.created = append(lanes.tids[:0], c.tids...), append(lanes.created[:0], c.created...)
 		}
-		if err := ev.filter(e, &in); err != nil || len(in.rows) == 0 {
+		if err := ev.filter(e, in); err != nil || len(in.rows) == 0 {
 			return err
 		}
-		sink(&in)
+		sink(in)
 		return nil
 	})
 }
@@ -316,12 +316,11 @@ var lanePool = sync.Pool{New: func() any {
 // machine (all of in without one). The first erring lane in row order is
 // the error.
 func (ev *evaluator) filter(e *Engine, in *batch) error {
-	m := ev.machines[0]
-	if m == nil {
+	if ev.batch == nil {
 		return nil
 	}
 	ev.fill(in)
-	lanes, err := m.Filter(ev.batch)
+	lanes, err := ev.machines[0].Filter(ev.batch)
 	if err != nil {
 		return err
 	}
@@ -416,9 +415,13 @@ func (h *handoff) finish(i int) {
 		m := &h.ms[i]
 		h.flush(m)
 		h.mu.Lock()
-		if h.next.Store(int64(i + 1)); m.failed {
-			h.next.Store(int64(len(h.ms)))
+		// keep reads next without the lock, so it is stored once: a failed
+		// morsel's successor must never see its own turn.
+		next := i + 1
+		if m.failed {
+			next = len(h.ms)
 		}
+		h.next.Store(int64(next))
 		if h.moved != nil {
 			h.moved.Broadcast()
 		}
@@ -443,12 +446,12 @@ func emptyLanes() *batch {
 // run once for all of them. A WHERE error aborts the scan without
 // counting the tally; the lanes kept before it, in slot order, have
 // reached sink, as at width 1.
-func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *vm.Program, sink func(*batch)) error {
+func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *evalPlan, sink func(*batch)) error {
 	ctx := b.ctx
 	view := tbl.View(ctx.snap)
 	n := view.Slots()
 	nw := 1
-	if where != nil {
+	if where != nil && where.kinds != nil {
 		nw = e.workers(n, ctx)
 		defer e.releaseWorkers(nw - 1)
 	}
@@ -464,7 +467,7 @@ func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *vm.Program, sin
 		h.ms = make([]morsel, (n+step-1)/step)
 	}
 	err := fanOut(nw, len(h.ms), func(next func() (int, bool)) error {
-		ev := b.evaluator([]*vm.Program{where}) // per worker: machines are not goroutine-safe
+		ev := b.evaluator(where) // per worker: machines are not goroutine-safe
 		in := emptyLanes()
 		defer func() { lanePool.Put(in) }()
 		for ri, ok := next(); ok; ri, ok = next() {
@@ -717,7 +720,7 @@ type aggCall struct {
 	distinct bool
 	arg      sqltext.Expr // nil for COUNT(*) and a malformed call
 	err      error        // a malformed call: SUM(*), the wrong number of arguments
-	vec      int          // its argument's vector in the fold's evaluator
+	vec      int          // its argument's vector in the fold's evaluator (aggSpec.fold)
 }
 
 // result is the call's value over a group of count rows whose state,
@@ -732,19 +735,29 @@ func (c *aggCall) result(st *aggState, count int64) (types.Value, error) {
 	return st.result(c.op)
 }
 
-// aggCalls gives every aggregate call in exprs — nested ones too; an
-// aggregate's own argument and a subquery are other contexts — a column
-// of the group layout: cols maps a call to its index in calls, which is
-// its column past the source relation's (binder.aggCol).
-func aggCalls(exprs []sqltext.Expr) (cols map[*sqltext.FuncCall]int, calls []aggCall) {
-	cols = map[*sqltext.FuncCall]int{}
+// aggSpec is what an aggregate query's text fixes about its fold: its
+// GROUP BY keys, and every aggregate call in its items and HAVING —
+// nested ones too; an aggregate's own argument and a subquery are other
+// contexts — each given a column of the group layout: cols maps a call
+// to its index in calls, which is its column past the source relation's
+// (compile's aggs). The fold's programs run the keys, then each call's
+// argument (fold); a call's vec is its argument's place among them.
+type aggSpec struct {
+	cols  map[*sqltext.FuncCall]int
+	calls []aggCall
+	keys  []sqltext.Expr
+	fold  []sqltext.Expr
+}
+
+func newAggSpec(keys, exprs []sqltext.Expr) *aggSpec {
+	f := &aggSpec{cols: map[*sqltext.FuncCall]int{}, keys: keys, fold: slices.Clip(keys)}
 	for i := range exprs {
 		sqltext.WalkExpr(&exprs[i], func(p *sqltext.Expr) bool {
 			fc, ok := (*p).(*sqltext.FuncCall)
 			if !ok || !sqltext.IsAggregateName(fc.Name) {
 				return true
 			}
-			if _, dup := cols[fc]; dup {
+			if _, dup := f.cols[fc]; dup {
 				return false
 			}
 			name := strings.ToUpper(fc.Name)
@@ -757,14 +770,15 @@ func aggCalls(exprs []sqltext.Expr) (cols map[*sqltext.FuncCall]int, calls []agg
 				c.err = fmt.Errorf("engine: %s takes one argument", name)
 			default:
 				c.op, _ = aggOpOf(name)
-				c.arg = fc.Args[0]
+				c.arg, c.vec = fc.Args[0], len(f.fold)
+				f.fold = append(f.fold, c.arg)
 			}
-			cols[fc] = len(calls)
-			calls = append(calls, c)
+			f.cols[fc] = len(f.calls)
+			f.calls = append(f.calls, c)
 			return false
 		})
 	}
-	return cols, calls
+	return f
 }
 
 // foldGroup is one group of an aggregate fold, SELECT's or a view's: its
@@ -788,9 +802,7 @@ type foldGroup struct {
 // with weights once the whole delta evaluated cleanly (gather). A GROUP
 // BY error is held (err) and stops the fold; WHERE runs on.
 type foldSink struct {
-	cols   map[*sqltext.FuncCall]int
-	calls  []aggCall
-	keys   []sqltext.Expr
+	*aggSpec
 	groups map[string]*foldGroup
 
 	// One run's state (start).
@@ -808,14 +820,6 @@ type foldSink struct {
 	argErr error
 }
 
-// newFoldSink prepares the fold of every aggregate call in exprs
-// (aggCalls) grouped by keys.
-func newFoldSink(keys, exprs []sqltext.Expr) *foldSink {
-	f := &foldSink{keys: keys, groups: map[string]*foldGroup{}}
-	f.cols, f.calls = aggCalls(exprs)
-	return f
-}
-
 // open adds the group of key, opened by rep.
 func (f *foldSink) open(key string, rep types.Row) *foldGroup {
 	g := &foldGroup{key: key, rep: rep, states: make([]aggState, len(f.calls))}
@@ -824,19 +828,10 @@ func (f *foldSink) open(key string, rep types.Row) *foldGroup {
 	return g
 }
 
-// start compiles the key and argument programs over b's layout for one
-// run and clears what the last run left.
-func (f *foldSink) start(e *Engine, b *binder) {
-	progs := make([]*vm.Program, 0, len(f.keys)+len(f.calls))
-	for _, k := range f.keys {
-		progs = append(progs, e.compiledProg(k, b))
-	}
-	for ci := range f.calls {
-		if c := &f.calls[ci]; c.arg != nil {
-			c.vec, progs = len(progs), append(progs, e.compiledProg(c.arg, b))
-		}
-	}
-	f.e, f.ev = e, b.evaluator(progs)
+// start readies one run of the fold's programs (aggSpec.fold) and clears
+// what the last run left.
+func (f *foldSink) start(e *Engine, b *binder, ep *evalPlan) {
+	f.e, f.ev = e, b.evaluator(ep)
 	f.opened, f.gs, f.args, f.err, f.argErr = nil, nil, nil, nil, nil
 }
 

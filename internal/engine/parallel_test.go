@@ -408,12 +408,12 @@ func TestParallelHandOffBatches(t *testing.T) {
 			e.parallelism.Store(int64(width))
 			ctx := &stmtCtx{snap: storage.SeqLatest}
 			defer ctx.release()
-			rel, src, err := e.buildFrom(sel, nil, nil, ctx)
+			sp := e.newPlan(sel, false).sel
+			src, err := e.buildFrom(sp, nil, nil, ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := newBinder(e, nil, rel, ctx)
-			err = e.scanTable(src.tbl, b, e.compiledProg(sel.Where, b), func(s *batch) {
+			err = e.scanTable(src.tbl, e.newBinder(sp.subs, nil, ctx), &sp.where, func(s *batch) {
 				got = append(got, slices.Clone(s.tids))
 			})
 			if e.parExtra.Load() != 0 {

@@ -3,26 +3,84 @@ package engine
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"ediflow/internal/sqltext"
 )
 
-// planCache is a small LRU of parsed statements keyed by statement
-// shape (sqltext.Shape): the text with its VALUES-row and WHERE IN-list
+// A plan is everything a statement's text and the catalog fix, worked
+// out once: the AST and its kind, each FROM entry resolved (resolveRef),
+// each join's strategy (analyzeJoin), the layout every expression
+// resolves against, every expression compiled (compile.go), the
+// projection, fold and sort decisions, and a mutation's target and
+// columns. It is immutable once built, so concurrent sessions share it.
+// An execution takes (plan, arguments, snapshot): it opens the plan's
+// entries against its snapshot and keeps its own state — arguments,
+// machines, subquery outcomes — in binders (eval.go). A name that does
+// not resolve is held in the plan as its error and raised when an
+// execution reaches it, in the phase it is raised in without a plan.
+type plan struct {
+	stmt    sqltext.Statement
+	kind    sqltext.Kind
+	gen     uint64   // the plan cache's generation when planning began
+	delta   bool     // planned over an aggregate view's delta rows (planner.delta)
+	sel     *selPlan // SELECT
+	mut     *mutPlan // INSERT, UPDATE, DELETE
+	explain *plan    // EXPLAIN: the plan it prints
+}
+
+// planner builds one statement's plan: subs holds the plan of every
+// subquery in the statement's expressions, nested ones included, by
+// node, which is how an executing subquery finds its plan
+// (binder.subquery). A delta planner lays base tables out without their
+// system columns: an aggregate view's fold runs the view's query over
+// delta rows, which have no tid (viewFold).
+type planner struct {
+	e     *Engine
+	subs  map[*sqltext.Select]*selPlan
+	delta bool
+}
+
+// newPlan plans st against the catalog as it stands; delta plans it over
+// delta rows (see planner).
+func (e *Engine) newPlan(st sqltext.Statement, delta bool) *plan {
+	p := &plan{stmt: st, kind: st.Kind(), gen: e.plans.gen.Load(), delta: delta}
+	pl := &planner{e: e, subs: map[*sqltext.Select]*selPlan{}, delta: delta}
+	switch s := st.(type) {
+	case *sqltext.Select:
+		p.sel = pl.selectPlan(s)
+	case *sqltext.Insert, *sqltext.Update, *sqltext.Delete:
+		p.mut = pl.mutationPlan(s)
+	case *sqltext.Explain:
+		p.explain = e.newPlan(s.Stmt, false)
+	}
+	return p
+}
+
+// current is p, or p planned again when the cache has been purged since
+// p was planned: the catalog it resolved against may have changed. Every
+// holder of a plan checks it here: an execution of a cached plan, a
+// view's delta query (EvalWith) and its fold (viewFold).
+func (e *Engine) current(p *plan) *plan {
+	if p.gen == e.plans.gen.Load() {
+		return p
+	}
+	return e.newPlan(p.stmt, p.delta)
+}
+
+// planCache is a small LRU of plans keyed by statement shape
+// (sqltext.Shape): the text with its VALUES-row and WHERE IN-list
 // literals lifted to placeholders. Repeated statements — the wire
 // protocol's prepared-statement pattern, and bulk loads of one row count
-// — skip the lexer and parser entirely, and the cache holds one AST per
-// shape rather than every load's data.
-//
-// Caching parsed ASTs across executions is safe because the engine never
-// mutates an AST: parameters are bound positionally at evaluation time
-// and all per-execution memoization lives in the binder, keyed by
-// expression pointer.
+// — skip the lexer, the parser and the planner entirely, and the cache
+// holds one plan per shape rather than every load's data. The lifted
+// literals are bound positionally at execution time.
 type planCache struct {
 	mu  sync.Mutex
 	cap int
 	m   map[planKey]*list.Element
-	lru *list.List // front = most recently used; values are *planEntry
+	lru *list.List    // front = most recently used; values are *planEntry
+	gen atomic.Uint64 // moved on by every purge
 }
 
 // planKey names a cache entry. Scripts are keyed apart from single
@@ -35,7 +93,7 @@ type planKey struct {
 
 type planEntry struct {
 	key planKey
-	val any
+	val any // []*plan: one statement's, or a script's
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -53,9 +111,14 @@ func (c *planCache) get(key planKey) (any, bool) {
 	return el.Value.(*planEntry).val, true
 }
 
-func (c *planCache) put(key planKey, val any) {
+// put caches val, planned in generation gen, unless a purge has happened
+// since: the catalog it was planned against may be gone.
+func (c *planCache) put(key planKey, val any, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.gen.Load() != gen {
+		return
+	}
 	if el, ok := c.m[key]; ok {
 		el.Value.(*planEntry).val = val
 		c.lru.MoveToFront(el)
@@ -69,14 +132,14 @@ func (c *planCache) put(key planKey, val any) {
 	}
 }
 
-// purge empties the cache. Every successful DDL statement purges:
-// today's cached plans are bare ASTs that resolve names at execution
-// time, but evicting on schema change keeps the invalidation contract
-// simple and stays correct if richer (name-resolved) plans are cached
-// later.
+// purge empties the cache and moves its generation on. It is the one
+// invalidation: every DDL statement, replicated DDL, snapshot apply,
+// RegisterFunc and RegisterVirtual purges, after its last catalog
+// change and when it fails too, so no plan made meanwhile stays cached.
 func (c *planCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen.Add(1)
 	c.m = map[planKey]*list.Element{}
 	c.lru.Init()
 }
@@ -85,14 +148,4 @@ func (c *planCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// isDDL reports whether st changes the schema and must purge the cache.
-func isDDL(st sqltext.Statement) bool {
-	switch st.(type) {
-	case *sqltext.CreateTable, *sqltext.DropTable, *sqltext.CreateIndex,
-		*sqltext.CreateView, *sqltext.DropView, *sqltext.CreateTrigger:
-		return true
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -12,13 +13,14 @@ import (
 	"ediflow/internal/types"
 )
 
-// The planner resolves every FROM entry once (resolveRef): its layout,
-// its source and, for the entry of a join-free SELECT or a mutation, an
-// access path; and it chooses a strategy for every join (analyzeJoin).
-// Analysis is purely structural — key expressions stay unevaluated, no
-// row is read — so the executor opens what it resolves and EXPLAIN
-// prints the same objects, with unbound parameters: a probed join's
-// right side as probe(<index>).
+// The planner resolves every FROM entry once per plan (resolveRef): its
+// layout, its source and, for the entry of a join-free SELECT or a
+// mutation, an access path; and it chooses a strategy for every join
+// (analyzeJoin). Analysis is purely structural — key expressions stay
+// unevaluated, no row is read — so a cached plan serves every
+// execution, which opens what it resolved, and EXPLAIN prints the same
+// objects, with unbound parameters: a probed join's right side as
+// probe(<index>).
 
 // tidCol is the pseudo column position of the `_tid` system column in
 // planner equality maps (real schema positions are >= 0).
@@ -35,27 +37,16 @@ const (
 )
 
 // scanPlan is the planner's choice for one table scan: the index and the
-// key tuples to look up in it, each in index-key order (one-tuples for
-// _tid). A point predicate is a one-tuple list, an IN list one tuple per
-// element. Key expressions are kept unevaluated; resolveScan binds them
-// against the statement's arguments at execution time.
+// keys to look up in it — for a point predicate one tuple, in index-key
+// order (a one-tuple for _tid); for an IN list (in) the list itself, one
+// one-column key per element. Key expressions are kept unevaluated, and
+// the plan holds the statement's own list, not a copy; resolveScan binds
+// them against the statement's arguments at execution time.
 type scanPlan struct {
 	kind  pathKind
 	index *storage.IndexInfo // pathIndex only
-	keys  [][]sqltext.Expr
-}
-
-// label renders the path for EXPLAIN output.
-func (p *scanPlan) label() string {
-	switch {
-	case p.kind == pathFullScan:
-		return "full-scan"
-	case p.kind == pathTID || p.index.Origin == storage.OriginPK:
-		return "pk-point"
-	case p.index.Origin == storage.OriginColumn:
-		return "unique-point"
-	}
-	return "index(" + p.index.Name + ")"
+	tuple []sqltext.Expr
+	in    bool
 }
 
 // constKeyExpr reports whether x can serve as an index key: a literal or
@@ -158,7 +149,7 @@ func analyzeScan(where sqltext.Expr, schema *catalog.TableSchema, tbl *storage.T
 	}
 
 	if k, ok := eq[tidCol]; ok {
-		return &scanPlan{kind: pathTID, keys: [][]sqltext.Expr{{k}}}
+		return &scanPlan{kind: pathTID, tuple: []sqltext.Expr{k}}
 	}
 	indexes := tbl.Indexes()
 	for _, ix := range indexes {
@@ -167,23 +158,15 @@ func analyzeScan(where sqltext.Expr, schema *catalog.TableSchema, tbl *storage.T
 			tuple[i] = eq[c]
 		}
 		if !slices.Contains(tuple, nil) {
-			return &scanPlan{kind: pathIndex, index: ix, keys: [][]sqltext.Expr{tuple}}
+			return &scanPlan{kind: pathIndex, index: ix, tuple: tuple}
 		}
-	}
-	// An IN list is one one-tuple per element (slices of the list itself).
-	inPlan := func(kind pathKind, ix *storage.IndexInfo, list []sqltext.Expr) *scanPlan {
-		keys := make([][]sqltext.Expr, len(list))
-		for i := range list {
-			keys[i] = list[i : i+1]
-		}
-		return &scanPlan{kind: kind, index: ix, keys: keys}
 	}
 	if list, ok := in[tidCol]; ok {
-		return inPlan(pathTID, nil, list)
+		return &scanPlan{kind: pathTID, tuple: list, in: true}
 	}
 	for _, ix := range indexes {
 		if list, ok := in[ix.Cols[0]]; ok && len(ix.Cols) == 1 {
-			return inPlan(pathIndex, ix, list)
+			return &scanPlan{kind: pathIndex, index: ix, tuple: list, in: true}
 		}
 	}
 	return full
@@ -240,19 +223,28 @@ func bindKey(col types.Kind, v types.Value) (key types.Value, match, ok bool) {
 // bindKey refuses) and the caller must fall back to a full scan; ok=true
 // with no rows means the predicate provably matches nothing.
 func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table, args []types.Value, asOf int64) (m batch, ok bool) {
+	nk, w := 1, len(plan.tuple) // the keys, and the columns of each
+	if plan.in {
+		nk, w = w, 1
+	}
 	var seen map[int64]bool
-	if len(plan.keys) > 1 {
-		seen = make(map[int64]bool, len(plan.keys))
+	if nk > 1 {
+		seen = make(map[int64]bool, nk)
 	}
 	// The finds, sized by the key count (one row a key, as a unique key
 	// finds), on the stack while they are few.
 	var buf [4]storage.StoredRow
 	found := buf[:0]
-	if len(plan.keys) > len(buf) {
-		found = make([]storage.StoredRow, 0, len(plan.keys))
+	if nk > len(buf) {
+		found = make([]storage.StoredRow, 0, nk)
 	}
-	key := make(types.Row, len(plan.keys[0]))
-	for _, tuple := range plan.keys {
+	var kbuf [4]types.Value // the key, on the stack while it is short
+	key := slices.Grow(kbuf[:0], w)[:w]
+	for k := range nk {
+		tuple := plan.tuple
+		if plan.in {
+			tuple = tuple[k : k+1]
+		}
 		match := true
 		for i, kx := range tuple {
 			v, bound := constVal(kx, args)
@@ -303,44 +295,34 @@ func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table
 
 // fromRef is one FROM entry resolved without reading any rows: its
 // layout, and the source of its rows — a subquery (sub), a virtual table
-// (virtual), IVM override rows (override, on a layout with no table), or
-// a base table (rel.tbl), read through plan when the entry has a WHERE
-// to choose an access path from.
+// (virtual), or a base table (rel.tbl), read through plan when the entry
+// has a WHERE to choose an access path from, unless IVM override rows
+// replace the table named key. err is why the entry does not resolve.
 type fromRef struct {
-	rel      *relation
-	sub      *sqltext.Select
-	virtual  *virtualTable
-	override []types.Row
-	plan     *scanPlan
-}
-
-// accessWhere is the WHERE a SELECT's FROM entry chooses its access
-// path from: none when the SELECT joins, since WHERE then runs over the
-// joined rows.
-func accessWhere(sel *sqltext.Select) sqltext.Expr {
-	if len(sel.Joins) > 0 {
-		return nil
-	}
-	return sel.Where
+	rel     *relation
+	sub     *selPlan
+	virtual *virtualTable
+	key     string
+	plan    *scanPlan
+	err     error
 }
 
 // resolveRef resolves one FROM entry (see fromRef): the executor opens
-// what it returns (buildTableRef, joinSide), and EXPLAIN prints it.
-// where is the WHERE of a join-free SELECT (accessWhere) or of a
-// mutation, nil for any other entry. A subquery's layout is its items
-// over its own resolved FROM.
-func (e *Engine) resolveRef(tr sqltext.TableRef, overrides map[string][]types.Row, where sqltext.Expr) (fromRef, error) {
-	qual := strings.ToLower(tr.Alias)
+// what it returns (open), and EXPLAIN prints it. where is the WHERE of a
+// join-free SELECT or of a mutation, nil for any other entry. A
+// subquery's layout is its items over its own resolved FROM.
+func (pl *planner) resolveRef(tr sqltext.TableRef, where sqltext.Expr) fromRef {
+	e, qual := pl.e, strings.ToLower(tr.Alias)
 	if tr.Subquery != nil {
-		rel, err := e.fromLayout(tr.Subquery, overrides)
-		if err != nil {
-			return fromRef{}, err
+		sub := pl.selectPlan(tr.Subquery)
+		ref := fromRef{sub: sub, err: cmp.Or(sub.err, sub.itemsErr)}
+		if ref.err == nil { // its output columns under qual
+			ref.rel = &relation{cols: make([]colMeta, len(sub.names))}
+			for i, n := range sub.names {
+				ref.rel.cols[i] = colMeta{qual: qual, name: strings.ToLower(n)}
+			}
 		}
-		_, names, err := expandItems(tr.Subquery, rel)
-		if err != nil {
-			return fromRef{}, err
-		}
-		return fromRef{rel: namedLayout(qual, names), sub: tr.Subquery}, nil
+		return ref
 	}
 	if qual == "" {
 		qual = strings.ToLower(tr.Table)
@@ -352,7 +334,7 @@ func (e *Engine) resolveRef(tr sqltext.TableRef, overrides map[string][]types.Ro
 		for i, c := range vt.cols {
 			rel.cols[i] = colMeta{qual: qual, name: c}
 		}
-		return fromRef{rel: rel, virtual: vt}, nil
+		return fromRef{rel: rel, virtual: vt}
 	}
 	// View resolution: the backing table holds the materialized rows.
 	name := tr.Table
@@ -361,93 +343,72 @@ func (e *Engine) resolveRef(tr sqltext.TableRef, overrides map[string][]types.Ro
 	}
 	schema, ok := e.cat.Table(name)
 	if !ok {
-		return fromRef{}, fmt.Errorf("engine: no such table %q", tr.Table)
+		return fromRef{err: fmt.Errorf("engine: no such table %q", tr.Table)}
 	}
 	rel := &relation{cols: make([]colMeta, 0, len(schema.Columns)+2)}
 	for _, c := range schema.Columns {
 		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
 	}
-	rel.cols = append(rel.cols,
-		colMeta{qual: qual, name: catalog.SysTID, hidden: true, kind: types.KindInt},
-		colMeta{qual: qual, name: catalog.SysCreated, hidden: true, kind: types.KindInt},
-	)
-	// IVM override: substitute rows (user columns only; system columns 0).
-	if rows, ok := overrides[strings.ToLower(tr.Table)]; ok {
-		for _, r := range rows {
-			if len(r) != len(schema.Columns) {
-				return fromRef{}, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), tr.Table, len(schema.Columns))
-			}
-		}
-		return fromRef{rel: rel, override: rows}, nil
+	if !pl.delta {
+		rel.cols = append(rel.cols,
+			colMeta{qual: qual, name: catalog.SysTID, hidden: true, kind: types.KindInt},
+			colMeta{qual: qual, name: catalog.SysCreated, hidden: true, kind: types.KindInt},
+		)
 	}
+	ref := fromRef{rel: rel, key: strings.ToLower(tr.Table)}
 	if rel.tbl = e.store.Table(name); rel.tbl == nil {
-		return fromRef{}, fmt.Errorf("engine: storage missing for table %q", name)
-	}
-	ref := fromRef{rel: rel}
-	if where != nil {
+		ref.err = fmt.Errorf("engine: storage missing for table %q", name)
+	} else if where != nil {
 		ref.plan = analyzeScan(where, schema, rel.tbl, qual)
 	}
-	return ref, nil
-}
-
-// fromLayout is the layout of a SELECT's FROM clause, its entries side
-// by side, resolved without reading any rows.
-func (e *Engine) fromLayout(sel *sqltext.Select, overrides map[string][]types.Row) (*relation, error) {
-	rel := &relation{}
-	if sel.From == nil {
-		return rel, nil
-	}
-	tr := *sel.From
-	for i := 0; ; i++ {
-		ref, err := e.resolveRef(tr, overrides, nil)
-		if err != nil {
-			return nil, err
-		}
-		rel.cols = append(rel.cols, ref.rel.cols...)
-		if i == len(sel.Joins) {
-			return rel, nil
-		}
-		tr = sel.Joins[i].Right
-	}
-}
-
-// namedLayout is a subquery's layout: its output columns under qual.
-func namedLayout(qual string, names []string) *relation {
-	rel := &relation{cols: make([]colMeta, len(names))}
-	for i, n := range names {
-		rel.cols[i] = colMeta{qual: qual, name: strings.ToLower(n)}
-	}
-	return rel
+	return ref
 }
 
 // label renders the entry's access path for EXPLAIN.
 func (ref *fromRef) label() string {
-	switch {
+	switch p := ref.plan; {
 	case ref.sub != nil:
 		return "subquery"
 	case ref.virtual != nil:
 		return "virtual"
-	case ref.plan == nil:
+	case p == nil:
 		return "full-scan"
-	case ref.plan.kind == pathFullScan:
+	case p.kind == pathFullScan:
 		// The executor runs a full-scan WHERE through the expression VM;
 		// index paths evaluate inside the index itself.
 		return "full-scan [compiled]"
+	case p.kind == pathTID || p.index.Origin == storage.OriginPK:
+		return "pk-point"
+	case p.index.Origin == storage.OriginColumn:
+		return "unique-point"
 	}
-	return ref.plan.label()
+	return "index(" + ref.plan.index.Name + ")"
 }
 
 // ----------------------------------------------------------------- joins
 
+// joinStep is one JOIN's plan: its right side as resolved, the strategy
+// analyzeJoin chose, and the ON conjuncts left to check, compiled over
+// the joined layout, lw then w columns wide. A right side that does not
+// resolve (right.err) ends the plan.
+type joinStep struct {
+	jc    sqltext.JoinClause
+	right fromRef
+	plan  *joinPlan
+	on    evalPlan
+	lw, w int
+}
+
 // joinPlan is the planner's choice for one JOIN step.
 type joinPlan struct {
-	kind     string         // "hash", "nested" or "cross"
+	kind     string         // "hash-join", "nested-loop" or "cross-join", as EXPLAIN prints it
 	eqL, eqR []int          // equality key positions in the left/right relation
 	residual []sqltext.Expr // non-equality ON conjuncts, checked per match
-	// Probe-side shortcut, set when the right side is an unmaterialized
-	// base table with an index over exactly the join key: the first such
-	// index in rank order, and for each of its key positions the position
-	// in eqL/eqR that feeds it.
+	// Probe-side shortcut, set when the right side is a base table with
+	// an index over exactly the join key: the first such index in rank
+	// order, and for each of its key positions the position in eqL/eqR
+	// that feeds it. An execution whose right side IVM overrides rows
+	// cannot probe, and hashes them instead.
 	probe *storage.IndexInfo
 	perm  []int
 }
@@ -456,13 +417,11 @@ type joinPlan struct {
 // an AND chain containing at least one equality between a left-side and
 // a right-side column; the remaining conjuncts become a residual filter
 // evaluated on each candidate match.
-func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) *joinPlan {
+func analyzeJoin(left, right *relation, jc sqltext.JoinClause) *joinPlan {
 	if jc.Kind == "CROSS" {
-		return &joinPlan{kind: "cross"}
+		return &joinPlan{kind: "cross-join"}
 	}
-	plan := &joinPlan{kind: "nested"}
-	lb := newBinder(e, args, left, ctx)
-	rb := newBinder(e, args, right, ctx)
+	plan := &joinPlan{kind: "nested-loop"}
 	for _, c := range andConjuncts(jc.On) {
 		eqv, ok := c.(*sqltext.Binary)
 		if !ok || eqv.Op != "=" {
@@ -475,12 +434,12 @@ func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args 
 			plan.residual = append(plan.residual, c)
 			continue
 		}
-		li, lerr := lb.resolve(lcr)
-		ri, rerr := rb.resolve(rcr)
+		li, lerr := left.resolve(lcr)
+		ri, rerr := right.resolve(rcr)
 		if lerr != nil || rerr != nil {
 			// Maybe the refs are swapped relative to the sides.
-			li2, lerr2 := lb.resolve(rcr)
-			ri2, rerr2 := rb.resolve(lcr)
+			li2, lerr2 := left.resolve(rcr)
+			ri2, rerr2 := right.resolve(lcr)
 			if lerr2 != nil || rerr2 != nil {
 				plan.residual = append(plan.residual, c)
 				continue
@@ -495,7 +454,7 @@ func (e *Engine) analyzeJoin(left, right *relation, jc sqltext.JoinClause, args 
 		plan.residual = nil
 		return plan
 	}
-	plan.kind = "hash"
+	plan.kind = "hash-join"
 
 	// Build on the indexed side: when the right side is an unread base
 	// table and storage already maintains a hash index over exactly the
@@ -542,20 +501,21 @@ func coverPerm(ixCols, cols []int) []int {
 // ---------------------------------------------------------------- EXPLAIN
 
 // evalExplain renders the plan the executor runs for a statement,
-// without executing it: each FROM entry as resolveRef resolves it, each
-// join as analyzeJoin plans it. Planning is purely structural (catalog
-// and table metadata are internally synchronized), so no engine lock is
-// required; with no arguments bound, a parameter is no LIMIT bound.
-func (e *Engine) evalExplain(x *sqltext.Explain, args []types.Value, ctx *stmtCtx) (*Result, error) {
+// without executing it: each FROM entry as resolveRef resolved it, each
+// join as analyzeJoin planned it. With no arguments bound, a parameter
+// is no LIMIT bound. Only the parallel marker reads the snapshot.
+func (e *Engine) evalExplain(p *plan, ctx *stmtCtx) (*Result, error) {
 	var lines []string
 	var err error
-	switch s := x.Stmt.(type) {
+	switch p.stmt.(type) {
 	case *sqltext.Select:
-		lines, err = e.explainSelect(s, "", ctx)
-	case *sqltext.Update:
-		lines, err = e.explainMutation("update", "UPDATE", s.Table, s.Where)
-	case *sqltext.Delete:
-		lines, err = e.explainMutation("delete", "DELETE from", s.Table, s.Where)
+		lines, err = e.explainSelect(p.sel, "", ctx)
+	case *sqltext.Update, *sqltext.Delete:
+		// An UPDATE's or DELETE's scan of its table, after the checks the
+		// statement makes first (writeTarget).
+		if err = cmp.Or(p.mut.err, p.mut.ref.err); err == nil {
+			lines = []string{strings.ToLower(p.kind.Keyword()) + " " + p.mut.table + ": " + p.mut.ref.label()}
+		}
 	default:
 		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE or DELETE")
 	}
@@ -569,14 +529,15 @@ func (e *Engine) evalExplain(x *sqltext.Explain, args []types.Value, ctx *stmtCt
 	return &Result{Columns: []string{"plan"}, Rows: rows}, nil
 }
 
-func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx) ([]string, error) {
+func (e *Engine) explainSelect(sp *selPlan, indent string, ctx *stmtCtx) ([]string, error) {
 	var lines []string
+	sel := sp.sel
 	if sel.From == nil {
 		lines = append(lines, indent+"result: constant")
 	} else {
-		ref, err := e.resolveRef(*sel.From, nil, accessWhere(sel))
-		if err != nil {
-			return nil, err
+		ref := &sp.from
+		if ref.err != nil {
+			return nil, ref.err
 		}
 		label := ref.label()
 		if ref.plan != nil && ref.plan.kind == pathFullScan {
@@ -588,34 +549,25 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 				label += fmt.Sprintf(" [parallel n=%d]", k)
 			}
 		}
+		var err error
 		if lines, err = e.explainScan(lines, *sel.From, ref, label, indent, ctx); err != nil {
 			return nil, err
 		}
-		left := ref.rel
-		for _, j := range sel.Joins {
-			right, err := e.resolveRef(j.Right, nil, nil)
-			if err != nil {
+		for i := range sp.joins {
+			js := &sp.joins[i]
+			if js.right.err != nil {
+				return nil, js.right.err
+			}
+			label := js.right.label()
+			if js.plan.probe != nil {
+				label = "probe(" + js.plan.probe.Name + ")"
+			}
+			if lines, err = e.explainScan(lines, js.jc.Right, &js.right, label, indent, ctx); err != nil {
 				return nil, err
 			}
-			plan := e.analyzeJoin(left, right.rel, j, nil, nil, ctx)
-			label := right.label()
-			if plan.probe != nil {
-				label = "probe(" + plan.probe.Name + ")"
-			}
-			if lines, err = e.explainScan(lines, j.Right, right, label, indent, ctx); err != nil {
-				return nil, err
-			}
-			label = "nested-loop"
-			switch plan.kind {
-			case "cross":
-				label = "cross-join"
-			case "hash":
-				label = "hash-join"
-			}
-			lines = append(lines, indent+"join "+refName(j.Right)+": "+label)
-			left = &relation{cols: append(append([]colMeta{}, left.cols...), right.rel.cols...)}
+			lines = append(lines, indent+"join "+refName(js.jc.Right)+": "+js.plan.kind)
 		}
-		if items, _, err := expandItems(sel, left); err == nil && len(items) > 0 && !aggregates(sel, items) {
+		if sp.itemsErr == nil && sp.agg == nil && len(sp.proj.bare) > 0 {
 			lines = append(lines, indent+"project: compiled")
 		}
 	}
@@ -631,26 +583,13 @@ func (e *Engine) explainSelect(sel *sqltext.Select, indent string, ctx *stmtCtx)
 
 // explainScan appends the scan line of one resolved FROM entry, and a
 // subquery's own plan indented beneath it.
-func (e *Engine) explainScan(lines []string, tr sqltext.TableRef, ref fromRef, label, indent string, ctx *stmtCtx) ([]string, error) {
+func (e *Engine) explainScan(lines []string, tr sqltext.TableRef, ref *fromRef, label, indent string, ctx *stmtCtx) ([]string, error) {
 	lines = append(lines, indent+"scan "+refName(tr)+": "+label)
 	if ref.sub == nil {
 		return lines, nil
 	}
 	sub, err := e.explainSelect(ref.sub, indent+"  ", ctx)
 	return append(lines, sub...), err
-}
-
-// explainMutation renders an UPDATE's or DELETE's scan of its table,
-// after the checks the statement makes first (writeTarget).
-func (e *Engine) explainMutation(verb, action, table string, where sqltext.Expr) ([]string, error) {
-	if _, err := e.writeTarget(table, action); err != nil {
-		return nil, err
-	}
-	ref, err := e.resolveRef(sqltext.TableRef{Table: table}, nil, where)
-	if err != nil {
-		return nil, err
-	}
-	return []string{verb + " " + table + ": " + ref.label()}, nil
 }
 
 func refName(tr sqltext.TableRef) string {

@@ -17,10 +17,11 @@ import (
 // refEval is the tree-walk interpreter the engine evaluated
 // expressions with until the VM became total, kept as the tests' oracle
 // of what every expression means: eval against one row, evalAgg over a
-// group. It resolves names and runs subqueries through the production
-// binder, which it wraps.
+// group. It resolves names through the production layout and runs
+// subqueries through the production binder, which it wraps.
 type refEval struct {
 	*binder
+	rel *relation
 	// inCache memoizes the value set of constant IN lists so membership
 	// is O(1) per row instead of O(list).
 	inCache map[*sqltext.InExpr]*inSet
@@ -29,6 +30,14 @@ type refEval struct {
 	group   []types.Row
 	inGroup bool
 }
+
+// newRefEval is an oracle over rel, whose subqueries run by the plans
+// of subs.
+func newRefEval(e *Engine, subs map[*sqltext.Select]*selPlan, rel *relation, ctx *stmtCtx) *refEval {
+	return &refEval{binder: e.newBinder(subs, nil, ctx), rel: rel}
+}
+
+func (o *refEval) resolve(cr *sqltext.ColumnRef) (int, error) { return o.rel.resolve(cr) }
 
 // eval evaluates a scalar expression against one row.
 //
@@ -575,7 +584,7 @@ func (o *refEval) evalFunc(x *sqltext.FuncCall, row types.Row) (types.Value, err
 // callScalarFn dispatches a scalar function call: built-ins first, then
 // the user registry — the precedence vmFunc resolves with.
 func (e *Engine) callScalarFn(name string, args []types.Value) (types.Value, error) {
-	if builtinScalars[name] {
+	if _, ok := builtinScalars[name]; ok {
 		return callScalar(name, args)
 	}
 	if fn := e.userFunc(name); fn != nil {
@@ -596,8 +605,8 @@ func fullRow(sr storage.StoredRow) types.Row {
 // of ctx's snapshot: its layout and every row at layout width. A nil
 // layout means the entry is not a base table.
 func refRead(e *Engine, tr sqltext.TableRef, ctx *stmtCtx) (*relation, []types.Row, error) {
-	ref, err := e.resolveRef(tr, nil, nil)
-	if err != nil || ref.rel.tbl == nil {
+	ref := (&planner{e: e, subs: map[*sqltext.Select]*selPlan{}}).resolveRef(tr, nil)
+	if err := ref.err; err != nil || ref.rel.tbl == nil {
 		return nil, nil, err
 	}
 	rel := ref.rel
@@ -617,11 +626,11 @@ func refRead(e *Engine, tr sqltext.TableRef, ctx *stmtCtx) (*relation, []types.R
 // join; a NULL key column finds none), and a pair is kept when each ON conjunct left to check is TRUE
 // — the first that errs is the error, the first that is not TRUE drops
 // the pair. A LEFT join pads a left row none of whose pairs was kept.
-func refJoin(e *Engine, left *relation, lrows []types.Row, right *relation, rrows []types.Row, jc sqltext.JoinClause, ctx *stmtCtx) (*relation, []types.Row, error) {
+func refJoin(e *Engine, subs map[*sqltext.Select]*selPlan, left *relation, lrows []types.Row, right *relation, rrows []types.Row, jc sqltext.JoinClause, ctx *stmtCtx) (*relation, []types.Row, error) {
 	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
-	plan := e.analyzeJoin(left, right, jc, nil, nil, ctx)
+	plan := analyzeJoin(left, right, jc)
 	on := plan.residual
-	if plan.kind == "nested" {
+	if plan.kind == "nested-loop" {
 		on = []sqltext.Expr{jc.On}
 	}
 	key := func(r types.Row, cols []int) (string, bool) {
@@ -641,11 +650,11 @@ func refJoin(e *Engine, left *relation, lrows []types.Row, right *relation, rrow
 			byKey[k] = append(byKey[k], i)
 		}
 	}
-	o := &refEval{binder: newBinder(e, nil, out, ctx)}
+	o := newRefEval(e, subs, out, ctx)
 	var rows []types.Row
 	for _, lr := range lrows {
 		cands := all
-		if plan.kind == "hash" {
+		if plan.kind == "hash-join" {
 			k, ok := key(lr, plan.eqL)
 			if cands = byKey[k]; !ok {
 				cands = nil
@@ -684,6 +693,7 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 	}
 	ctx := &stmtCtx{snap: storage.SeqLatest, top: sel}
 	defer ctx.release()
+	subs := e.newPlan(sel, false).sel.subs
 	rel, rows, err := refRead(e, *sel.From, ctx)
 	if err != nil || rel == nil {
 		return nil, err, rel != nil
@@ -694,11 +704,11 @@ func refSelect(e *Engine, sel *sqltext.Select) (res *Result, err error, ok bool)
 			return nil, err, right != nil
 		}
 		right.tbl = nil // the oracle hashes; it never probes
-		if rel, rows, err = refJoin(e, rel, rows, right, rrows, j, ctx); err != nil {
+		if rel, rows, err = refJoin(e, subs, rel, rows, right, rrows, j, ctx); err != nil {
 			return nil, err, true
 		}
 	}
-	o := &refEval{binder: newBinder(e, nil, rel, ctx)}
+	o := newRefEval(e, subs, rel, ctx)
 	if sel.Where != nil {
 		if rel.tbl != nil && len(sel.Joins) == 0 {
 			qual := strings.ToLower(sel.From.Alias)
@@ -819,7 +829,7 @@ func refUpdate(t testing.TB, e *Engine, up *sqltext.Update) (res *Result, err er
 	if err != nil {
 		return nil, err, true
 	}
-	o := &refEval{binder: newBinder(e, nil, rel, ctx)}
+	o := newRefEval(e, e.newPlan(up, false).mut.subs, rel, ctx)
 	byID := func(rows []types.Row) *Result {
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i][0].Int() < rows[j][0].Int() })
 		return &Result{Rows: rows}

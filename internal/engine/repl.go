@@ -37,28 +37,10 @@ func (e *Engine) SetReadOnly(allowTables ...string) {
 	e.mu.Unlock()
 }
 
-// ReadOnly reports whether the engine is in replica mode.
-func (e *Engine) ReadOnly() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.readOnly
-}
-
 // replicaMayWrite reports whether a statement is allowed despite
 // replica mode: DML targeting an allowlisted table. Caller holds e.mu.
-func (e *Engine) replicaMayWrite(st sqltext.Statement) bool {
-	var table string
-	switch s := st.(type) {
-	case *sqltext.Insert:
-		table = s.Table
-	case *sqltext.Update:
-		table = s.Table
-	case *sqltext.Delete:
-		table = s.Table
-	default:
-		return false
-	}
-	return e.replicaAllow[strings.ToLower(table)]
+func (e *Engine) replicaMayWrite(p *plan) bool {
+	return p.mut != nil && e.replicaAllow[strings.ToLower(p.mut.table)]
 }
 
 // ReplSnapshot serializes the engine's current state for a subscriber,
@@ -86,7 +68,14 @@ func (e *Engine) ReplSnapshot(exclude ...string) (data []byte, seq uint64, err e
 func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []types.Row, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	// Purge after the last catalog change, failed batches included: a
+	// plan made while the batch applied is not cached.
 	ddl := false
+	defer func() {
+		if ddl || err != nil {
+			e.plans.purge()
+		}
+	}()
 	for _, payload := range recs {
 		rec, err := e.store.ApplyReplRecord(payload)
 		if err != nil {
@@ -114,10 +103,6 @@ func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []ty
 			return watched, err
 		}
 		ddl = ddl || rec.DDL()
-	}
-	if ddl {
-		e.plans.purge()
-		e.progs.purge()
 	}
 	// One batch of shipped records is the replication unit of atomicity:
 	// publish its versions to replica snapshot readers all at once.
@@ -147,11 +132,12 @@ func (e *Engine) ApplyReplSnapshot(data []byte, preserve ...string) error {
 	if e.inTxn.Load() {
 		return fmt.Errorf("engine: snapshot apply refused: transaction open")
 	}
+	// Purge once the catalog is rebuilt: a lock-free SELECT planned
+	// against the half-built catalog must not leave its plan cached.
+	defer e.plans.purge()
 	if err := e.store.ResetFromSnapshot(data, preserve...); err != nil {
 		return err
 	}
 	e.views = newViewSet(e)
-	e.plans.purge()
-	e.progs.purge()
 	return e.loadCatalog(e.catalogView)
 }

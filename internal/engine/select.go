@@ -32,6 +32,7 @@ type stmtCtx struct {
 
 	machMu   sync.Mutex
 	machines []*vm.Machine // acquired by binder.machine, released by ExecStmt
+	machBuf  [4]*vm.Machine
 }
 
 // writerCtx returns the context of the mutation currently holding the
@@ -47,61 +48,149 @@ func (e *Engine) writerCtx() *stmtCtx {
 // EvalWith implements ivm.Evaluator: evaluate a SELECT with some tables'
 // contents substituted. The caller is the view maintainer running inside
 // an engine mutation, which already holds the write lock — reads resolve
-// at SeqLatest so the maintainer sees the statement's own writes.
+// at SeqLatest so the maintainer sees the statement's own writes. A
+// view's delta query keeps its plan (viewSet.plans) until the plan cache
+// moves on; the one-off queries of a view's creation are planned as run.
 func (e *Engine) EvalWith(sel *sqltext.Select, overrides map[string][]types.Row) ([]types.Row, error) {
-	res, err := e.evalSelect(sel, nil, overrides, e.writerCtx())
+	p := e.views.plans[sel]
+	if p == nil {
+		p = e.newPlan(sel, false)
+	}
+	if p = e.current(p); overrides != nil {
+		e.views.plans[sel] = p
+	}
+	res, err := e.evalSelect(p.sel, nil, overrides, e.writerCtx())
 	if err != nil {
 		return nil, err
 	}
 	return res.Rows, nil
 }
 
-// evalSelect runs a SELECT — top-level, subquery or view query — against
-// the snapshot captured in ctx, with overrides substituted for the tables
-// they name, as one pipeline: the FROM clause's source pushes batches
-// through its joins and WHERE into the projection or the aggregate fold,
-// whose rows pass DISTINCT and ORDER BY (output). Each phase holds its
-// first error and the earlier phases run on, so the error reported is
-// the first of each join's ON in join order, then WHERE, then projection
-// or group key, then ORDER BY key, whatever rows they fail on. Result rows are always freshly built slices, but their
-// values may share BYTES payloads with stored versions: only execSelect
-// hands rows out of the engine, and it detaches them there.
-func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
-	if sel.AsOf != nil && sel != ctx.top {
-		return nil, fmt.Errorf("engine: AS OF is only supported on the top-level SELECT")
-	}
-	rel, src := &relation{}, &source{mem: batch{rows: []types.Row{nil}}} // no FROM: one empty row, SELECT 1+1
+// selPlan is one SELECT's plan (see plan): its FROM entry and joins as
+// resolved, the layout its expressions run over, WHERE, the items and
+// what runs them — a projection, or an aggregate fold and its per-group
+// tail — ORDER BY, and a LIMIT or OFFSET that needs evaluating. err is
+// the first FROM entry or join right side that does not resolve: the
+// plan ends there, and an execution raises it when it opens that entry.
+type selPlan struct {
+	sel      *sqltext.Select
+	subs     map[*sqltext.Select]*selPlan
+	from     fromRef
+	joins    []joinStep
+	rel      *relation
+	err      error
+	where    evalPlan
+	names    []string
+	itemsErr error // a bad t.*: a projection error, raised after WHERE's
+	hidden   bool  // trailing ORDER BY columns the result drops (aggOrderItems)
+	proj     projPlan
+	agg      *aggSpec // an aggregate SELECT's fold: its programs, then the group tail
+	fold     evalPlan
+	emit     emitPlan
+	sort     *sortPlan
+	limit    *projPlan // a LIMIT or OFFSET neither literal nor parameter
+	offset   *projPlan
+}
+
+// selectPlan plans sel.
+func (pl *planner) selectPlan(sel *sqltext.Select) *selPlan {
+	sp := &selPlan{sel: sel, subs: pl.subs, rel: &relation{}}
 	if sel.From != nil {
-		var err error
-		if rel, src, err = e.buildFrom(sel, args, overrides, ctx); err != nil {
-			return nil, err
+		where := sel.Where // a join's runs over the joined rows: no access path
+		if len(sel.Joins) > 0 {
+			where = nil
+		}
+		sp.from = pl.resolveRef(*sel.From, where)
+		if sp.err = sp.from.err; sp.err != nil {
+			return sp
+		}
+		sp.rel = sp.from.rel
+		for _, jc := range sel.Joins {
+			js := joinStep{jc: jc, right: pl.resolveRef(jc.Right, nil), lw: len(sp.rel.cols)}
+			if sp.err = js.right.err; sp.err == nil {
+				out := &relation{cols: append(slices.Clip(sp.rel.cols), js.right.rel.cols...)}
+				js.plan = analyzeJoin(sp.rel, js.right.rel, jc)
+				on := js.plan.residual
+				if js.plan.kind == "nested-loop" {
+					on = []sqltext.Expr{jc.On}
+				}
+				js.on, js.w, sp.rel = pl.evalPlan(out, nil, on...), len(out.cols), out
+			}
+			if sp.joins = append(sp.joins, js); sp.err != nil {
+				return sp
+			}
 		}
 	}
-	b := newBinder(e, args, rel, ctx)
+	rel := sp.rel
+	sp.where = pl.evalPlan(rel, nil, sel.Where)
 	items, names, err := expandItems(sel, rel)
-	if err != nil { // a bad t.* is a projection error: WHERE's comes first
-		if werr := e.pipe(b, src, sel.Where, func(*batch) {}); werr != nil {
-			return nil, werr
-		}
-		return nil, err
+	if sp.names, sp.itemsErr = slices.Clip(names), err; err != nil { // every Result shares names
+		return sp
 	}
-	aggregate := aggregates(sel, items)
 	var orderCols []int
+	aggregate := aggregates(sel, items)
 	if aggregate {
 		items, orderCols = aggOrderItems(sel, items)
 	}
-	out := &output{visible: len(names)}
+	sp.hidden = len(items) > len(names)
+	if len(sel.OrderBy) > 0 {
+		sp.sort = pl.sortPlan(sel, names, orderCols, rel)
+	}
+	exprs := make([]sqltext.Expr, len(items), len(items)+1)
+	for i, it := range items {
+		exprs[i] = it.Expr
+	}
+	if aggregate {
+		exprs = append(exprs, sel.Having)
+		sp.agg = newAggSpec(sel.GroupBy, exprs)
+		sp.fold, sp.emit = pl.evalPlan(rel, nil, sp.agg.fold...), pl.emitPlan(exprs, rel, sp.agg)
+	} else {
+		sp.proj = pl.projPlan(exprs, rel)
+	}
+	sp.limit, sp.offset = pl.valuesPlan(rel, sel.Limit), pl.valuesPlan(rel, sel.Offset)
+	return sp
+}
+
+// evalSelect runs a SELECT's plan — top-level, subquery or view query —
+// against the snapshot captured in ctx, with overrides substituted for the
+// tables they name, as one pipeline: the FROM clause's source pushes
+// batches through its joins and WHERE into the projection or the
+// aggregate fold, whose rows pass DISTINCT and ORDER BY (output). Each
+// phase holds its first error and the earlier phases run on, so the
+// error reported is the first of each join's ON in join order, then
+// WHERE, then projection or group key, then ORDER BY key, whatever rows
+// they fail on. Result rows are always freshly built slices, but their
+// values may share BYTES payloads with stored versions: only execSelect
+// hands rows out of the engine, and it detaches them there. Columns is
+// the plan's.
+func (e *Engine) evalSelect(sp *selPlan, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
+	sel := sp.sel
+	if sel.AsOf != nil && sel != ctx.top {
+		return nil, fmt.Errorf("engine: AS OF is only supported on the top-level SELECT")
+	}
+	src, err := e.buildFrom(sp, args, overrides, ctx)
+	if err != nil {
+		return nil, err
+	}
+	b := e.newBinder(sp.subs, args, ctx)
+	if sp.itemsErr != nil { // a bad t.* is a projection error: WHERE's comes first
+		if werr := e.pipe(b, src, &sp.where, func(*batch) {}); werr != nil {
+			return nil, werr
+		}
+		return nil, sp.itemsErr
+	}
+	out := &output{visible: len(sp.names)}
 	if sel.Distinct {
 		out.seen = map[string]bool{}
 	}
-	if len(sel.OrderBy) > 0 {
-		out.sort = e.newSorter(sel, names, orderCols, b)
+	if sp.sort != nil {
+		out.sort = newSorter(sp.sort, b, sortBound(sel, args))
 	}
-	if aggregate {
-		err = e.aggregate(sel, items, b, src, out)
+	if sp.agg != nil {
+		err = e.aggregate(sp, b, src, out)
 	} else {
-		p := e.newProject(items, b, out)
-		if err = e.pipe(b, src, sel.Where, p.add); err == nil {
+		p := e.newProject(&sp.proj, b, out)
+		if err = e.pipe(b, src, &sp.where, p.add); err == nil {
 			err = p.err
 		}
 	}
@@ -112,15 +201,15 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 	if err != nil {
 		return nil, err
 	}
-	if len(items) > len(names) {
+	if n := len(sp.names); sp.hidden {
 		for i, r := range rows {
-			rows[i] = r[:len(names):len(names)]
+			rows[i] = r[:n:n]
 		}
 	}
 
 	// LIMIT / OFFSET.
 	if sel.Offset != nil {
-		n, err := e.intArg(sel.Offset, b)
+		n, err := e.intArg(sel.Offset, sp.offset, b)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +221,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 		}
 	}
 	if sel.Limit != nil {
-		n, err := e.intArg(sel.Limit, b)
+		n, err := e.intArg(sel.Limit, sp.limit, b)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +229,7 @@ func (e *Engine) evalSelect(sel *sqltext.Select, args []types.Value, overrides m
 			rows = rows[:n]
 		}
 	}
-	return &Result{Columns: names, Rows: rows}, nil
+	return &Result{Columns: sp.names, Rows: rows}, nil
 }
 
 // aggregates reports whether sel runs as an aggregate fold: it groups,
@@ -185,34 +274,41 @@ func aggOrderItems(sel *sqltext.Select, items []projItem) ([]projItem, []int) {
 }
 
 // intArg evaluates LIMIT or OFFSET (see valuesRow).
-func (e *Engine) intArg(x sqltext.Expr, b *binder) (int64, error) {
-	row, err := e.valuesRow([]sqltext.Expr{x}, b)
+func (e *Engine) intArg(x sqltext.Expr, pp *projPlan, b *binder) (int64, error) {
+	row, err := e.valuesRow([]sqltext.Expr{x}, pp, b)
 	if err != nil {
 		return 0, err
 	}
 	return row[0].AsInt()
 }
 
+// valuesPlan is the plan valuesRow runs exprs by over rel: nil when each
+// is a literal or a parameter, read directly.
+func (pl *planner) valuesPlan(rel *relation, exprs ...sqltext.Expr) *projPlan {
+	for _, x := range exprs {
+		if x != nil && !constKeyExpr(x) {
+			pp := pl.projPlan(exprs, rel)
+			return &pp
+		}
+	}
+	return nil
+}
+
 // valuesRow evaluates expressions that have no source row: the cells of
 // an INSERT … VALUES row, LIMIT, OFFSET. A literal or parameter is read
 // directly — every cell of a shaped bulk load — and a row with any other
-// expression is projected over one empty row of b's layout, as SELECT
-// 1+1 is: its columns read NULL.
-func (e *Engine) valuesRow(exprs []sqltext.Expr, b *binder) (types.Row, error) {
+// expression is projected by its plan (valuesPlan) over one empty row of
+// the layout it was planned over, as SELECT 1+1 is: its columns read NULL.
+func (e *Engine) valuesRow(exprs []sqltext.Expr, pp *projPlan, b *binder) (types.Row, error) {
 	row := make(types.Row, len(exprs))
 	for i, x := range exprs {
 		v, ok := constVal(x, b.args)
-		if !ok {
-			rel := &relation{}
-			if b.rel != nil {
-				rel.cols = b.rel.cols
-			}
-			items := make([]projItem, len(exprs))
-			for j, y := range exprs {
-				items[j].Expr = y
-			}
+		switch {
+		case !ok && pp == nil: // literals and parameters only: x is unbound
+			return nil, missingParam(x.(*sqltext.Param).Index)
+		case !ok:
 			out := &output{}
-			p := e.newProject(items, newBinder(e, b.args, rel, b.ctx), out)
+			p := e.newProject(pp, e.newBinder(b.subs, b.args, b.ctx), out)
 			if p.add(&batch{rows: []types.Row{nil}}); p.err != nil {
 				return nil, p.err
 			}
@@ -278,24 +374,19 @@ func expandItems(sel *sqltext.Select, rel *relation) ([]projItem, []string, erro
 // run over every row, and then each group's output row goes to out, its
 // representative row the source of ORDER BY's programs. A query without
 // GROUP BY always has its implicit group: over no rows, COUNT(*) = 0.
-func (e *Engine) aggregate(sel *sqltext.Select, items []projItem, b *binder, src *source, out *output) error {
-	exprs := make([]sqltext.Expr, len(items), len(items)+1)
-	for i, it := range items {
-		exprs[i] = it.Expr
-	}
-	exprs = append(exprs, sel.Having)
-	f := newFoldSink(sel.GroupBy, exprs)
-	f.start(e, b)
-	if err := e.pipe(b, src, sel.Where, f.add); err != nil {
+func (e *Engine) aggregate(sp *selPlan, b *binder, src *source, out *output) error {
+	f := &foldSink{aggSpec: sp.agg, groups: map[string]*foldGroup{}}
+	f.start(e, b, &sp.fold)
+	if err := e.pipe(b, src, &sp.where, f.add); err != nil {
 		return err
 	}
 	if f.err != nil {
 		return f.err
 	}
-	if len(f.opened) == 0 && len(sel.GroupBy) == 0 {
+	if len(f.opened) == 0 && len(f.keys) == 0 {
 		f.open("", nil)
 	}
-	return e.emitGroups(exprs, b, f, f.opened, func(reps *batch, rows []types.Row) {
+	return e.emitGroups(&sp.emit, b, f, f.opened, func(reps *batch, rows []types.Row) {
 		out.load(e, reps)
 		for k, row := range rows {
 			if row != nil {
@@ -305,33 +396,49 @@ func (e *Engine) aggregate(sel *sqltext.Select, items []projItem, b *binder, src
 	})
 }
 
-// emitGroups is the per-group tail of an aggregate query, shared by
-// SELECT and the materialized views' fold: exprs are the items, then
-// HAVING (nil when there is none). Each group is a row of the group
-// layout — its representative source row (nil for an empty implicit
-// group), then every aggregate call's result, an aggregate's error held
-// as that lane's error — and HAVING and the items run as programs over
-// batches of groups, row-major, so an error surfaces only if a kept
-// group's evaluation reaches it. A bare column or a bare aggregate is
-// read directly: a projection of those alone builds no group row. out
-// receives each batch of groups' representative rows and output rows,
-// nil where HAVING rejects the group; the first error stops the run.
-func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, f *foldSink, groups []*foldGroup, out func(reps *batch, rows []types.Row)) error {
-	gb := b.groupBinder(f.cols)
+// emitPlan is the per-group tail of an aggregate query, shared by SELECT
+// and the materialized views' fold: its items, then HAVING (nil when
+// there is none), over the group layout — the source layout's ncols
+// columns, then every aggregate call's result. A bare column (bareCol)
+// or a bare aggregate is read directly: a projection of those alone
+// builds no group row; any other item, and HAVING last, is a program.
+type emitPlan struct {
+	ncols     int
+	bare, agg []int
+	ev        evalPlan
+}
+
+func (pl *planner) emitPlan(exprs []sqltext.Expr, rel *relation, f *aggSpec) emitPlan {
 	w := len(exprs) - 1
-	bare, agg, progs := make([]int, w), make([]int, w), make([]*vm.Program, w+1) // HAVING's program rides last
+	ep := emitPlan{ncols: len(rel.cols), bare: make([]int, w), agg: make([]int, w)}
+	progs := make([]*vm.Program, w+1) // HAVING's program rides last
 	for i, x := range exprs[:w] {
-		bare[i], agg[i] = -1, -1
-		if c, ok := b.bareCol(x); ok {
-			bare[i] = c
+		ep.bare[i], ep.agg[i] = -1, -1
+		if c, ok := bareCol(x, rel); ok {
+			ep.bare[i] = c
 		} else if fc, ok := x.(*sqltext.FuncCall); ok && sqltext.IsAggregateName(fc.Name) {
-			agg[i] = f.cols[fc]
+			ep.agg[i] = f.cols[fc]
 		} else {
-			progs[i] = e.compiledProg(x, gb)
+			progs[i] = pl.compile(x, rel, f.cols)
 		}
 	}
-	progs[w] = e.compiledProg(exprs[w], gb)
-	ev, used := gb.evaluator(progs), usedCols(progs)
+	progs[w] = pl.compile(exprs[w], rel, f.cols)
+	ep.ev = newEvalPlan(rel, len(f.cols), progs)
+	return ep
+}
+
+// emitGroups runs an emitPlan over groups. Each group is a row of the
+// group layout — its representative source row (nil for an empty
+// implicit group), then every aggregate call's result, an aggregate's
+// error held as that lane's error — and HAVING and the items run as
+// programs over batches of groups, row-major, so an error surfaces only
+// if a kept group's evaluation reaches it. Their subqueries run apart
+// from the rows' (one binder for the tail). out receives each batch of
+// groups' representative rows and output rows, nil where HAVING rejects
+// the group; the first error stops the run.
+func (e *Engine) emitGroups(ep *emitPlan, b *binder, f *foldSink, groups []*foldGroup, out func(reps *batch, rows []types.Row)) error {
+	w := len(ep.bare)
+	ev := e.newBinder(b.subs, b.args, b.ctx).evaluator(&ep.ev)
 	reps := batch{rows: make([]types.Row, 0, min(len(groups), vm.BatchSize))}
 	var rows []types.Row
 	for start := 0; start < len(groups); start += vm.BatchSize {
@@ -341,10 +448,11 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, f *foldSink, groups
 		for _, g := range chunk {
 			reps.rows = append(reps.rows, g.rep)
 		}
+		var having *vm.Vec
 		if ev.batch != nil {
 			ev.batch.Fill(reps.rows)
-			for _, c := range used {
-				if ci := c - len(b.rel.cols); ci >= 0 {
+			for _, c := range ep.ev.used {
+				if ci := c - ep.ncols; ci >= 0 {
 					for k := range chunk {
 						v, err := result(ci, k)
 						ev.batch.SetLane(c, k, v, err)
@@ -352,9 +460,10 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, f *foldSink, groups
 				}
 			}
 			ev.eval(e)
+			having = ev.vecs[w]
 		}
 		for k, r := range reps.rows {
-			if having := ev.vecs[w]; having != nil {
+			if having != nil {
 				keep, err := having.Truth(k)
 				if err != nil {
 					return err
@@ -368,12 +477,12 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, f *foldSink, groups
 			for i := range row {
 				var err error
 				switch {
-				case bare[i] >= 0:
-					if bare[i] < len(r) {
-						row[i] = r[bare[i]]
+				case ep.bare[i] >= 0:
+					if ep.bare[i] < len(r) {
+						row[i] = r[ep.bare[i]]
 					}
-				case agg[i] >= 0:
-					row[i], err = result(agg[i], k)
+				case ep.agg[i] >= 0:
+					row[i], err = result(ep.agg[i], k)
 				default:
 					if err = ev.vecs[i].Err(k); err == nil {
 						row[i] = ev.vecs[i].Value(k)
@@ -391,16 +500,37 @@ func (e *Engine) emitGroups(exprs []sqltext.Expr, b *binder, f *foldSink, groups
 }
 
 // bareCol reports the position of a projection item that is a plain
-// resolvable column reference: it indexes the source row and needs no
-// program. (Star expansions are all of this shape, rebuilt per
-// execution.) An unresolvable one compiles to lanes holding its error.
-func (b *binder) bareCol(x sqltext.Expr) (int, bool) {
+// resolvable column reference of rel: it indexes the source row and
+// needs no program. (Star expansions are all of this shape.) An
+// unresolvable one compiles to lanes holding its error.
+func bareCol(x sqltext.Expr, rel *relation) (int, bool) {
 	if cr, ok := x.(*sqltext.ColumnRef); ok {
-		if c, err := b.resolve(cr); err == nil {
+		if c, err := rel.resolve(cr); err == nil {
 			return c, true
 		}
 	}
 	return 0, false
+}
+
+// projPlan is a projection's plan: per item, the column a bare item
+// reads (bareCol), or -1 and the item's program.
+type projPlan struct {
+	bare []int
+	ev   evalPlan
+}
+
+func (pl *planner) projPlan(exprs []sqltext.Expr, rel *relation) projPlan {
+	pp := projPlan{bare: make([]int, len(exprs))}
+	progs := make([]*vm.Program, len(exprs))
+	for i, x := range exprs {
+		if c, ok := bareCol(x, rel); ok {
+			pp.bare[i] = c
+			continue
+		}
+		pp.bare[i], progs[i] = -1, pl.compile(x, rel, nil)
+	}
+	pp.ev = newEvalPlan(rel, 0, progs)
+	return pp
 }
 
 // project is the sink of a SELECT without aggregates: it evaluates each
@@ -416,20 +546,11 @@ type project struct {
 	err     error
 }
 
-func (e *Engine) newProject(items []projItem, b *binder, out *output) *project {
-	p := &project{e: e, bare: make([]int, len(items)), out: out}
+func (e *Engine) newProject(pp *projPlan, b *binder, out *output) *project {
+	p := &project{e: e, bare: pp.bare, out: out, ev: b.evaluator(&pp.ev)}
 	if out.sort != nil {
-		p.scratch = make(types.Row, len(items))
+		p.scratch = make(types.Row, len(pp.bare))
 	}
-	progs := make([]*vm.Program, len(items))
-	for i, it := range items {
-		if c, ok := b.bareCol(it.Expr); ok {
-			p.bare[i] = c
-			continue
-		}
-		p.bare[i], progs[i] = -1, e.compiledProg(it.Expr, b)
-	}
-	p.ev = b.evaluator(progs)
 	return p
 }
 
@@ -510,37 +631,21 @@ func (o *output) result() ([]types.Row, error) {
 	return o.sort.result()
 }
 
-// sorter is the ORDER BY sink. A key names an output column (alias,
+// sortPlan is ORDER BY's plan. A key names an output column (alias,
 // position, or an aggregate's column, see aggOrderItems) or is a program
 // over the source lanes (for an aggregate query, the groups'
-// representative rows; the empty implicit group's reads NULL). Each row
-// offered is keyed and numbered; the number breaks ties, so the result
-// matches a stable sort. With LIMIT (+ OFFSET) statically known, a
-// bounded max-heap holds the best k rows and only a row entering it is
-// copied; otherwise every row is kept and sorted at the end. The first
-// key error is held (as is a bad position, found before any key) and
-// stops the keying.
-type sorter struct {
+// representative rows; the empty implicit group's reads NULL). err is a
+// position out of range, raised before any key.
+type sortPlan struct {
 	by     []sqltext.OrderItem
 	outCol []int // the output column key j reads, or -1 for its program
-	ev     evaluator
-	k      int // the heap's bound, -1 to keep every row
-	ents   []sortEnt
-	keys   []types.Value
-	n      int // rows offered
+	ev     evalPlan
 	err    error
-	cmpErr error // the last comparison that failed
 }
 
-type sortEnt struct {
-	row  types.Row
-	keys []types.Value
-	n    int
-}
-
-func (e *Engine) newSorter(sel *sqltext.Select, colNames []string, orderCols []int, b *binder) *sorter {
+func (pl *planner) sortPlan(sel *sqltext.Select, colNames []string, orderCols []int, rel *relation) *sortPlan {
 	nk := len(sel.OrderBy)
-	s := &sorter{by: sel.OrderBy, outCol: make([]int, nk), keys: make([]types.Value, nk), k: -1}
+	s := &sortPlan{by: sel.OrderBy, outCol: make([]int, nk)}
 	progs := make([]*vm.Program, nk)
 	for oi, o := range sel.OrderBy {
 		s.outCol[oi] = -1
@@ -564,10 +669,41 @@ func (e *Engine) newSorter(sel *sqltext.Select, colNames []string, orderCols []i
 			s.outCol[oi] = orderCols[oi]
 			continue
 		}
-		progs[oi] = e.compiledProg(o.Expr, b)
+		progs[oi] = pl.compile(o.Expr, rel, nil)
 	}
-	s.ev, s.k = b.evaluator(progs), sortBound(sel, b.args)
+	s.ev = newEvalPlan(rel, 0, progs)
 	return s
+}
+
+// sorter is the ORDER BY sink of one execution of a sortPlan. Each row
+// offered is keyed and numbered; the number breaks ties, so the result
+// matches a stable sort. With LIMIT (+ OFFSET) statically known, a
+// bounded max-heap holds the best k rows and only a row entering it is
+// copied; otherwise every row is kept and sorted at the end. The first
+// key error, or the plan's, is held and stops the keying.
+type sorter struct {
+	by     []sqltext.OrderItem
+	outCol []int
+	ev     evaluator
+	k      int // the heap's bound, -1 to keep every row
+	ents   []sortEnt
+	keys   []types.Value
+	n      int // rows offered
+	err    error
+	cmpErr error // the last comparison that failed
+}
+
+type sortEnt struct {
+	row  types.Row
+	keys []types.Value
+	n    int
+}
+
+func newSorter(sp *sortPlan, b *binder, k int) *sorter {
+	if sp.err != nil {
+		return &sorter{err: sp.err}
+	}
+	return &sorter{by: sp.by, outCol: sp.outCol, ev: b.evaluator(&sp.ev), keys: make([]types.Value, len(sp.by)), k: k}
 }
 
 // offer keys lane k's row and keeps it if it ranks.
@@ -679,102 +815,69 @@ func constInt(args []types.Value, x sqltext.Expr) (int64, bool) {
 	return n, true
 }
 
-// buildFrom builds the FROM clause: the layout of its rows and their
-// source, the FROM entry's rows flowing through each join in order (a
-// stage of the pipeline, see pipe). Every join's right side is built
+// buildFrom opens the FROM clause: its entry's rows flowing through each
+// join in order (a stage of the pipeline, see pipe), or without one a
+// single empty row, as SELECT 1+1 has. Every join's right side is built
 // here, before any row flows. A right side that fails to build fails its
 // join: the joins before it still run, since the first join to fail is
 // the one reported.
-func (e *Engine) buildFrom(sel *sqltext.Select, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *source, error) {
-	rel, src, err := e.buildTableRef(*sel.From, args, overrides, accessWhere(sel), ctx)
-	if err != nil {
-		return nil, nil, err
+func (e *Engine) buildFrom(sp *selPlan, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*source, error) {
+	if sp.sel.From == nil {
+		return &source{mem: batch{rows: []types.Row{nil}}}, nil
 	}
-	for _, jc := range sel.Joins {
-		j := &joinStage{e: e, ctx: ctx, outer: jc.Kind == "LEFT", lw: len(rel.cols)}
+	src, err := e.open(&sp.from, args, overrides, ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i := range sp.joins {
+		js := &sp.joins[i]
+		j := &joinStage{e: e, ctx: ctx, outer: js.jc.Kind == "LEFT", lw: js.lw, w: js.w, plan: js.plan}
 		src.joins = append(src.joins, j)
-		var out *relation
-		ctx.holding(&j.built, func() { out, err = j.build(rel, jc, args, overrides) })
+		ctx.holding(&j.built, func() { err = j.build(js, e.newBinder(sp.subs, args, ctx), overrides) })
 		if err != nil {
 			j.err = err
-			return nil, nil, e.pipe(newBinder(e, args, rel, ctx), src, nil, func(*batch) {})
+			return nil, e.pipe(e.newBinder(sp.subs, args, ctx), src, nil, func(*batch) {})
 		}
-		rel = out
 	}
-	return rel, src, nil
+	return src, nil
 }
 
-// collect gathers the rows of src that pass where, copied out at layout
-// width: a mutation's matched rows. Rows already built (no tids) are
-// taken as they are.
-func (e *Engine) collect(b *binder, src *source, where sqltext.Expr) ([]types.Row, error) {
-	var rows []types.Row
-	err := e.pipe(b, src, where, func(s *batch) {
-		if s.tids == nil {
-			rows = append(rows, s.rows...)
-			return
-		}
-		for i := range s.rows {
-			rows = append(rows, s.row(i))
-		}
-	})
-	return rows, err
-}
-
-// buildTableRef builds one FROM entry: its layout and its source. It
-// opens what resolveRef resolves: a virtual table's rows, computed now;
-// the override rows; or a base table, streamed or, through an index
-// access path chosen from where (accessWhere), only its candidate rows.
-// Either way WHERE runs over the source's rows in the pipeline (a
-// conjunct only restricts, so the candidate set over-approximates and
-// re-filtering is sound). A subquery opens by running: its layout is its
-// result's columns, and its errors come in its own phase order.
-func (e *Engine) buildTableRef(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, where sqltext.Expr, ctx *stmtCtx) (*relation, *source, error) {
-	if tr.Subquery != nil {
-		res, err := e.evalSelect(tr.Subquery, args, overrides, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return namedLayout(strings.ToLower(tr.Alias), res.Columns), &source{mem: batch{rows: res.Rows}}, nil
-	}
-	ref, err := e.resolveRef(tr, overrides, where)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ref.rel, e.open(ref, args, ctx), nil
-}
-
-// open is the source of a resolved FROM entry that is not a subquery.
-func (e *Engine) open(ref fromRef, args []types.Value, ctx *stmtCtx) *source {
+// open is the source of a resolved FROM entry: a subquery's result, run
+// now, whose errors come in its own phase order; a virtual table's rows;
+// the IVM override rows of the table; or a base table, streamed
+// (source.tbl), or only the candidate rows of its access path — WHERE
+// re-checks them. An entry that did not resolve raises its error here.
+func (e *Engine) open(ref *fromRef, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*source, error) {
 	switch {
+	case ref.sub != nil:
+		res, err := e.evalSelect(ref.sub, args, overrides, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &source{mem: batch{rows: res.Rows}}, nil
+	case ref.err != nil:
+		return nil, ref.err
 	case ref.virtual != nil:
 		rows := ref.virtual.fn()
 		e.countScanned(ctx, len(rows))
-		return &source{mem: batch{rows: rows}}
-	case ref.rel.tbl == nil:
-		zeros := make([]int64, len(ref.override))
-		return &source{mem: batch{rows: ref.override, tids: zeros, created: zeros}}
-	case ref.plan != nil && ref.plan.kind != pathFullScan:
+		return &source{mem: batch{rows: rows}}, nil
+	}
+	if rows, ok := overrides[ref.key]; ok { // user columns only; system columns 0
+		for _, r := range rows {
+			if n := len(ref.rel.cols) - 2; len(r) != n {
+				return nil, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), ref.key, n)
+			}
+		}
+		zeros := make([]int64, len(rows))
+		return &source{mem: batch{rows: rows, tids: zeros, created: zeros}}, nil
+	}
+	if ref.plan != nil && ref.plan.kind != pathFullScan {
 		if m, ok := resolveScan(ref.plan, ref.rel.tbl.Schema, ref.rel.tbl, args, ctx.snap); ok {
 			e.countScanned(ctx, len(m.rows))
-			return &source{mem: m}
+			return &source{mem: m}, nil
 		}
 	}
-	return &source{tbl: ref.rel.tbl}
-}
-
-// joinSide builds the right side of a join: its layout, and its source
-// unless it is a base table, which stays unread (src nil) so the join
-// can probe its storage indexes.
-func (e *Engine) joinSide(tr sqltext.TableRef, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*relation, *source, error) {
-	if tr.Subquery != nil {
-		return e.buildTableRef(tr, args, overrides, nil, ctx)
-	}
-	ref, err := e.resolveRef(tr, overrides, nil)
-	if err != nil || ref.rel.tbl != nil {
-		return ref.rel, nil, err
-	}
-	return ref.rel, e.open(ref, args, ctx), nil
+	return &source{tbl: ref.rel.tbl}, nil
 }
 
 // holding runs fn with the rows it scans held in *to instead of credited
@@ -806,9 +909,9 @@ func (e *Engine) countScanned(ctx *stmtCtx, n int) {
 	}
 }
 
-// joinStage is one JOIN of a FROM clause, a stage of the pipeline
-// between the source and WHERE, using the planner's classification
-// (analyzeJoin). It reads the left side's batches as they arrive and
+// joinStage is one execution of a JOIN of a FROM clause (joinStep), a
+// stage of the pipeline between the source and WHERE, using the
+// planner's classification (analyzeJoin). It reads the left side's batches as they arrive and
 // offers each left lane right rows by strategy: the rows a probe of the
 // right table's storage index finds, used by reference; or, from the
 // right side built once before the left side streams (a batch of lane
@@ -858,44 +961,34 @@ type pairBuf struct {
 // like lanePool's batches, they are pooled so a warm join allocates none.
 var pairPool = sync.Pool{New: func() any { return new(pairBuf) }}
 
-// build builds the join's right side over left's layout and compiles
-// the ON conjuncts left to check: the residual beyond the hash
-// equalities, the whole ON clause for a nested loop, nothing for a cross
-// join. It returns the joined layout.
-func (j *joinStage) build(left *relation, jc sqltext.JoinClause, args []types.Value, overrides map[string][]types.Row) (*relation, error) {
-	e, ctx := j.e, j.ctx
-	right, src, err := e.joinSide(jc.Right, args, overrides, ctx)
+// build builds the join's right side and readies the ON conjuncts left
+// to check: the residual beyond the hash equalities, the whole ON clause
+// for a nested loop, nothing for a cross join. A base table stays unread
+// when the join probes its index, and is scanned into the right side
+// otherwise.
+func (j *joinStage) build(js *joinStep, b *binder, overrides map[string][]types.Row) error {
+	e := j.e
+	src, err := e.open(&js.right, b.args, overrides, j.ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	j.plan = e.analyzeJoin(left, right, jc, args, overrides, ctx)
 	j.key = make(types.Row, len(j.plan.eqL))
 	switch {
-	case j.plan.probe != nil:
-		j.probe = right.tbl
-	case src == nil: // a base table the join does not probe
-		e.scanTable(right.tbl, newBinder(e, args, right, ctx), nil, func(s *batch) { // no WHERE: cannot fail
+	case src.tbl != nil && j.plan.probe != nil:
+		j.probe = src.tbl
+	case src.tbl != nil:
+		e.scanTable(src.tbl, b, nil, func(s *batch) { // no WHERE: cannot fail
 			j.right.rows = append(j.right.rows, s.rows...)
 			j.right.tids, j.right.created = append(j.right.tids, s.tids...), append(j.right.created, s.created...)
 		})
 	default:
 		j.right = src.mem
 	}
-	if j.plan.kind == "hash" && j.probe == nil {
+	if j.plan.kind == "hash-join" && j.probe == nil {
 		j.idx, j.kb = buildJoinIndex(&j.right, j.plan.eqR, j.kb)
 	}
-	out := &relation{cols: append(append([]colMeta{}, left.cols...), right.cols...)}
-	on := j.plan.residual
-	if j.plan.kind == "nested" {
-		on = []sqltext.Expr{jc.On}
-	}
-	b := newBinder(e, args, out, ctx)
-	progs := make([]*vm.Program, len(on))
-	for i, c := range on {
-		progs[i] = e.compiledProg(c, b)
-	}
-	j.ev, j.w = b.evaluator(progs), len(out.cols)
-	return out, nil
+	j.ev = b.evaluator(&js.on)
+	return nil
 }
 
 // push pairs each lane of a left batch with the right rows the join's
@@ -917,7 +1010,7 @@ func (j *joinStage) push(in *batch) {
 				n := copy(r, sr.Values)
 				r[n], r[n+1] = types.NewInt(sr.TID), types.NewInt(sr.Created)
 			}
-		case j.plan.kind == "hash":
+		case j.plan.kind == "hash-join":
 			var ok bool
 			if j.kb, ok = joinKey(j.kb, in, k, j.plan.eqL); ok {
 				for m := j.idx.find(j.kb); m >= 0; m = j.idx.next[m] {

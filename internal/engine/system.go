@@ -24,7 +24,8 @@ func (e *Engine) SlowLog() *metrics.SlowLog { return e.slow }
 
 // RegisterVirtual installs (or replaces) a virtual table. fn may run
 // with no engine lock held (lock-free SELECTs), so it must be internally
-// synchronized and must not re-enter the engine.
+// synchronized and must not re-enter the engine. Plans resolve FROM
+// entries once, so installing one purges them.
 func (e *Engine) RegisterVirtual(name string, cols []string, fn func() []types.Row) {
 	lc := make([]string, len(cols))
 	for i, c := range cols {
@@ -33,6 +34,7 @@ func (e *Engine) RegisterVirtual(name string, cols []string, fn func() []types.R
 	e.virtMu.Lock()
 	e.virtual[strings.ToLower(name)] = &virtualTable{cols: lc, fn: fn}
 	e.virtMu.Unlock()
+	e.plans.purge()
 }
 
 // lookupVirtual resolves a virtual table; SELECTs call it without the

@@ -118,3 +118,24 @@ func TestRegisterVirtualShadowsAndJoins(t *testing.T) {
 		t.Fatalf("replaced sys_sessions count = %d", n)
 	}
 }
+
+// TestVirtualTableRefusesWrites: a virtual table shadows a table of its
+// name, so a write naming it would match the virtual rows — which have
+// no tids — and used to panic under the write lock, leaving the engine
+// locked. It is refused instead, and the table underneath is untouched.
+func TestVirtualTableRefusesWrites(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	mustExec(t, e, "INSERT INTO t VALUES (3, 30)")
+	e.RegisterVirtual("t", []string{"id", "v"}, func() []types.Row {
+		return []types.Row{{types.NewInt(3), types.NewInt(-1)}}
+	})
+	for _, sql := range []string{"UPDATE t SET v = 99 WHERE id = 3", "DELETE FROM t WHERE id = 3", "INSERT INTO t VALUES (4, 40)", "UPDATE sys_metrics SET count = 0"} {
+		if _, err := e.Exec(sql); err == nil || !strings.Contains(err.Error(), "virtual table") {
+			t.Errorf("%s: %v, want a refusal naming the virtual table", sql, err)
+		}
+	}
+	if n := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 1 {
+		t.Errorf("the virtual t has %d rows, want 1", n)
+	}
+}

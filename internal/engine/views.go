@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -51,14 +52,16 @@ func (v *viewState) indexTake(row types.Row) (int64, bool) {
 }
 
 // viewSet tracks every materialized view and routes base-table deltas to
-// the dependent maintainers.
+// the dependent maintainers. plans holds the plan of each view's delta
+// query (EvalWith), by the query, for as long as the view lives.
 type viewSet struct {
 	e     *Engine
 	views map[string]*viewState // lower-cased view name
+	plans map[*sqltext.Select]*plan
 }
 
 func newViewSet(e *Engine) *viewSet {
-	return &viewSet{e: e, views: map[string]*viewState{}}
+	return &viewSet{e: e, views: map[string]*viewState{}, plans: map[*sqltext.Select]*plan{}}
 }
 
 func (vs *viewSet) dependents(table string) []*viewState {
@@ -192,6 +195,7 @@ func (e *Engine) execDropView(s *sqltext.DropView) (*Result, []ChangeEvent, erro
 		return nil, nil, err
 	}
 	delete(e.views.views, strings.ToLower(s.Name))
+	delete(e.views.plans, v.Query)
 	if err := e.dropTable(v.Backing); err != nil {
 		return nil, nil, err
 	}
@@ -204,20 +208,14 @@ func (e *Engine) execDropView(s *sqltext.DropView) (*Result, []ChangeEvent, erro
 // viewColumns infers backing-table columns (names and advisory types) for
 // a view query from the FROM tables' shapes, without touching any rows.
 func (e *Engine) viewColumns(q *sqltext.Select) ([]catalog.Column, error) {
-	rel, err := e.fromLayout(q, nil)
-	if err != nil {
+	sp := e.newPlan(q, false).sel
+	if err := cmp.Or(sp.err, sp.itemsErr); err != nil {
 		return nil, err
 	}
-	items, _, err := expandItems(q, rel)
-	if err != nil {
-		return nil, err
-	}
-	b := newBinder(e, nil, rel, nil)
+	items, _, _ := expandItems(q, sp.rel)
 	colKind := func(x sqltext.Expr) (types.Kind, bool) {
-		if cr, ok := x.(*sqltext.ColumnRef); ok {
-			if c, err := b.resolve(cr); err == nil {
-				return rel.cols[c].kind, true
-			}
+		if c, ok := bareCol(x, sp.rel); ok {
+			return sp.rel.cols[c].kind, true
 		}
 		return types.KindString, false
 	}
@@ -378,7 +376,7 @@ func (e *Engine) Fold(sel *sqltext.Select) (ivm.Fold, error) {
 			return nil, err
 		}
 	}
-	f := &viewFold{e: e, sel: sel, exprs: exprs, foldSink: newFoldSink(sel.GroupBy, exprs)}
+	f := &viewFold{e: e, sel: sel, foldSink: &foldSink{aggSpec: newAggSpec(sel.GroupBy, exprs), groups: map[string]*foldGroup{}}}
 	if len(sel.GroupBy) == 0 {
 		f.open("", nil)
 	}
@@ -388,11 +386,14 @@ func (e *Engine) Fold(sel *sqltext.Select) (ivm.Fold, error) {
 // viewFold is an aggregate view's fold: per group, the states of every
 // aggregate call of the items and HAVING. The implicit group of a query
 // without GROUP BY always exists; a GROUP BY group goes when its last
-// row does.
+// row does. The fold runs the query's own plan over the delta rows
+// (planner.delta), made at its first Apply and again when the plan
+// cache moves on: its aggregate calls are the fold sink's, in the same
+// order.
 type viewFold struct {
-	e     *Engine
-	sel   *sqltext.Select
-	exprs []sqltext.Expr // the items, then HAVING
+	e    *Engine
+	sel  *sqltext.Select
+	plan *plan
 	*foldSink
 }
 
@@ -404,19 +405,20 @@ type viewFold struct {
 // target a group the same batch opens. A fold or emit error un-folds the
 // rows folded so far.
 func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.Row, err error) {
-	e, sel := f.e, f.sel
-	ref, err := e.resolveRef(*sel.From, nil, nil)
-	if err != nil {
-		return nil, nil, err
+	e := f.e
+	if f.plan == nil {
+		f.plan = e.newPlan(f.sel, true)
 	}
-	// The delta rows as they are: user columns, since they have no tid.
-	rel := ref.rel
-	rel.cols, rel.tbl = rel.cols[:len(rel.cols)-2], nil
-	b := newBinder(e, nil, rel, e.writerCtx())
-	f.start(e, b)
-	nIns, nk, nc := 0, len(sel.GroupBy), len(f.calls)
+	f.plan = e.current(f.plan)
+	fr := f.plan.sel
+	if fr.err != nil {
+		return nil, nil, fr.err
+	}
+	b := e.newBinder(fr.subs, nil, e.writerCtx())
+	f.start(e, b, &fr.fold)
+	nIns, nk, nc := 0, len(f.keys), len(f.calls)
 	for i, rows := range [][]types.Row{inserted, deleted} {
-		err := e.pipe(b, &source{mem: batch{rows: rows}}, sel.Where, func(s *batch) { f.gather(s, i == 0) })
+		err := e.pipe(b, &source{mem: batch{rows: rows}}, &fr.where, func(s *batch) { f.gather(s, i == 0) })
 		if err != nil {
 			err = fmt.Errorf("WHERE: %w", err)
 		} else if err = f.err; err == nil {
@@ -486,7 +488,7 @@ func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.R
 		}
 	}
 	var after []types.Row
-	err = e.emitGroups(f.exprs, b, f.foldSink, live, func(_ *batch, rows []types.Row) { after = append(after, rows...) })
+	err = e.emitGroups(&fr.emit, b, f.foldSink, live, func(_ *batch, rows []types.Row) { after = append(after, rows...) })
 	if err != nil {
 		undo(len(f.gs))
 		return nil, nil, err

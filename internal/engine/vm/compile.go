@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -183,6 +184,10 @@ type Program struct {
 // engine fills only these in each batch.
 func (p *Program) Cols() []int { return p.cols }
 
+// Subqueries reports whether the program runs subqueries: only then does
+// a machine need a SubqueryFunc bound.
+func (p *Program) Subqueries() bool { return p.nsubs > 0 }
+
 // Compile lowers an expression tree into a Program. It is total: a name
 // that does not resolve, an aggregate outside an aggregate context, or a
 // node the engine cannot evaluate lowers to an instruction whose lanes
@@ -192,6 +197,8 @@ func (p *Program) Cols() []int { return p.cols }
 func Compile(x sqltext.Expr, env *Env) *Program {
 	c := &compiler{env: env, p: &Program{missingParam: env.MissingParam}, colSet: map[int]bool{}}
 	c.p.result = c.expr(x)
+	// A plan keeps its programs as long as it is cached: no spare room.
+	c.p.insts, c.p.consts = slices.Clone(c.p.insts), slices.Clone(c.p.consts)
 	for col := range c.colSet {
 		c.p.cols = append(c.p.cols, col)
 	}

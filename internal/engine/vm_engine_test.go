@@ -346,14 +346,14 @@ func TestVMStaleProgramAfterDDL(t *testing.T) {
 	if res := mustExec(t, e, q); len(res.Rows) != 1 {
 		t.Fatalf("warmup: want 1 row, got %d", len(res.Rows))
 	}
-	if e.progs.len() == 0 {
-		t.Fatal("no compiled program cached after warmup")
+	if e.plans.len() == 0 {
+		t.Fatal("no plan, and so no compiled program, cached after warmup")
 	}
 	// Recreate the table without z: the cached program's column slots
 	// would read past the new row width if served stale.
 	mustExec(t, e, "DROP TABLE d")
-	if n := e.progs.len(); n != 0 {
-		t.Fatalf("DDL did not purge compiled programs: %d entries", n)
+	if n := e.plans.len(); n != 0 {
+		t.Fatalf("DDL did not purge the plans and their programs: %d entries", n)
 	}
 	mustExec(t, e, "CREATE TABLE d (x INT, y INT)")
 	mustExec(t, e, "INSERT INTO d (x, y) VALUES (5, 6)")

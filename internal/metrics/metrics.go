@@ -60,9 +60,9 @@ const numBuckets = 24
 func bucketBound(i int) int64 { return int64(1000) << uint(i) }
 
 // Histogram is a fixed-bucket latency histogram. Buckets are exponential
-// in nanoseconds; Observe is lock-free (three atomic adds).
+// in nanoseconds; Observe is lock-free (two atomic adds). The count is
+// the buckets' total.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds
 	buckets [numBuckets + 1]atomic.Int64
@@ -77,7 +77,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		cur := h.max.Load()
@@ -122,7 +121,7 @@ func (h *Histogram) Stat() HistogramStat {
 		total += counts[i]
 	}
 	st := HistogramStat{
-		Count: h.count.Load(),
+		Count: total,
 		Sum:   time.Duration(h.sum.Load()),
 		Max:   time.Duration(h.max.Load()),
 	}

@@ -8,8 +8,47 @@ import (
 
 // Statement is any parsed SQL statement.
 type Statement interface {
-	stmt()
+	Kind() Kind
 	String() string
+}
+
+// Kind names a statement's type by its leading keywords, as the
+// statement prints them: "SELECT", "CREATE TABLE". An executor
+// dispatches on it, and an error names a statement by its Keyword
+// without printing the statement.
+type Kind string
+
+// Statement kinds.
+const (
+	KindCreateTable   Kind = "CREATE TABLE"
+	KindDropTable     Kind = "DROP TABLE"
+	KindDropView      Kind = "DROP VIEW"
+	KindCreateIndex   Kind = "CREATE INDEX"
+	KindCreateView    Kind = "CREATE VIEW"
+	KindCreateTrigger Kind = "CREATE TRIGGER"
+	KindInsert        Kind = "INSERT"
+	KindUpdate        Kind = "UPDATE"
+	KindDelete        Kind = "DELETE"
+	KindSelect        Kind = "SELECT"
+	KindExplain       Kind = "EXPLAIN"
+	KindBegin         Kind = "BEGIN"
+	KindCommit        Kind = "COMMIT"
+	KindRollback      Kind = "ROLLBACK"
+)
+
+// Keyword is the statement's first keyword: CREATE for CREATE TABLE.
+func (k Kind) Keyword() string {
+	kw, _, _ := strings.Cut(string(k), " ")
+	return kw
+}
+
+// DDL reports whether a statement of kind k changes the schema.
+func (k Kind) DDL() bool {
+	switch k {
+	case KindCreateTable, KindDropTable, KindCreateIndex, KindCreateView, KindDropView, KindCreateTrigger:
+		return true
+	}
+	return false
 }
 
 // Expr is any scalar expression.
@@ -161,20 +200,20 @@ type Commit struct{}
 // Rollback aborts the current transaction.
 type Rollback struct{}
 
-func (*CreateTable) stmt()   {}
-func (*DropTable) stmt()     {}
-func (*DropView) stmt()      {}
-func (*CreateIndex) stmt()   {}
-func (*CreateView) stmt()    {}
-func (*CreateTrigger) stmt() {}
-func (*Insert) stmt()        {}
-func (*Update) stmt()        {}
-func (*Delete) stmt()        {}
-func (*Select) stmt()        {}
-func (*Explain) stmt()       {}
-func (*Begin) stmt()         {}
-func (*Commit) stmt()        {}
-func (*Rollback) stmt()      {}
+func (*CreateTable) Kind() Kind   { return KindCreateTable }
+func (*DropTable) Kind() Kind     { return KindDropTable }
+func (*DropView) Kind() Kind      { return KindDropView }
+func (*CreateIndex) Kind() Kind   { return KindCreateIndex }
+func (*CreateView) Kind() Kind    { return KindCreateView }
+func (*CreateTrigger) Kind() Kind { return KindCreateTrigger }
+func (*Insert) Kind() Kind        { return KindInsert }
+func (*Update) Kind() Kind        { return KindUpdate }
+func (*Delete) Kind() Kind        { return KindDelete }
+func (*Select) Kind() Kind        { return KindSelect }
+func (*Explain) Kind() Kind       { return KindExplain }
+func (*Begin) Kind() Kind         { return KindBegin }
+func (*Commit) Kind() Kind        { return KindCommit }
+func (*Rollback) Kind() Kind      { return KindRollback }
 
 // --------------------------------------------------------------- expressions
 
