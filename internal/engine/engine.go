@@ -137,6 +137,7 @@ type Engine struct {
 	// one run a set. One slice, reused under the write lock.
 	undo    []undoRun
 	pending []ChangeEvent
+	journal func([]ChangeEvent) error // see Journal
 
 	// writeCtx is the statement context of the mutation currently holding
 	// the write lock; IVM re-entry (EvalWith, Fold) reads through it so
@@ -195,18 +196,47 @@ type Engine struct {
 	udfs  map[string]ScalarFunc
 }
 
-// AdvanceSeq raises the change-event sequence counter to at least floor.
-// The counter starts at zero on every open, but ef_notification rows
-// keyed by seq_no survive restarts — without restoring the high-water
-// mark, a reopened database re-issues old sequence numbers and the
-// notifier's bookkeeping INSERT dies on a duplicate key, silently
-// breaking NOTIFY delivery. The notifier calls this during startup.
+// AdvanceSeq raises the change-event sequence counter, zero at open, to
+// at least floor (see Journal).
 func (e *Engine) AdvanceSeq(floor int64) {
 	e.mu.Lock()
-	if e.seq < floor {
-		e.seq = floor
-	}
+	e.seq = max(e.seq, floor)
 	e.mu.Unlock()
+}
+
+// Journal installs the statement journal: each change event's row (false:
+// none), stamped ts, goes to table as one set after its statement's, or at
+// COMMIT, under the write lock, so one fsync and one snapshot cover both;
+// if that write fails, so does the statement or COMMIT, undone. It fires
+// no event, maintains no view and skips replicated records. A row's first
+// column is its seq: installing raises the counter past every seq in
+// table. A nil row uninstalls it.
+func (e *Engine) Journal(table string, row func(ev *ChangeEvent, ts int64) (types.Row, bool)) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t := e.store.Table(table)
+	if e.journal = nil; row == nil {
+		return nil
+	} else if t == nil {
+		return fmt.Errorf("engine: no such table %q", table)
+	}
+	for _, r := range t.Rows() {
+		e.seq = max(e.seq, r.Values[0].Int())
+	}
+	e.journal = func(events []ChangeEvent) error {
+		var rows []types.Row
+		for i, ts := 0, time.Now().UnixNano(); i < len(events); i++ {
+			if r, ok := row(&events[i], ts); ok {
+				rows = append(rows, r)
+			}
+		}
+		if len(rows) == 0 {
+			return nil
+		}
+		_, _, err := e.store.InsertRows(table, rows, nil)
+		return err // no undo run: nothing after it fails
+	}
+	return nil
 }
 
 // virtualTable is a read-only system table computed at query time.
@@ -504,29 +534,55 @@ func (e *Engine) execStmt(p *plan, args []types.Value, ctx *stmtCtx) (*Result, e
 	case sqltext.KindBegin:
 		return e.begin()
 	case sqltext.KindCommit:
-		return e.commit()
+		return e.endTxn(true)
 	case sqltext.KindRollback:
-		return e.rollback()
+		return e.endTxn(false)
 	}
 
-	// Mutating statements: apply + WAL append under the write lock, then
-	// release it BEFORE the durability wait so other sessions can apply
-	// their statements (and join the same group-commit batch) while this
-	// one waits on the shared fsync. The plan is checked under the lock:
-	// DDL that ran since it was made has moved the cache on.
+	res, entry, wait, err := e.mutate(p, args, ctx)
+	if !wait {
+		return res, err
+	}
+	// A Commit failure means the statement may not be durable; report it
+	// instead of acknowledging, and hold back the change events —
+	// downstream observers must not act on writes the disk refused.
+	if err := e.store.Commit(); err != nil {
+		e.settle(entry, false)
+		return nil, fmt.Errorf("engine: flush: %w", err)
+	}
+	e.settle(entry, true)
+	return res, nil
+}
+
+// mutate is a mutating statement's part under the write lock, released
+// BEFORE the durability wait (wait: one is due) so other sessions can
+// join the same group-commit fsync. The plan is checked under the lock:
+// DDL that ran since it was made has moved the cache on. A panic undoes
+// the statement and lets go of the lock on its way up.
+func (e *Engine) mutate(p *plan, args []types.Value, ctx *stmtCtx) (res *Result, entry *dispatchEntry, wait bool, err error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.writeCtx = ctx
-	mark := len(e.undo)
+	mark, views, done := len(e.undo), false, false
+	defer func() {
+		if !done {
+			e.writeCtx = nil
+			e.undoTo(mark, views)
+		}
+	}()
 	res, events, err := e.execMutation(e.current(p), args)
-	e.writeCtx = nil
+	if views = err == nil; views && !e.inTxn.Load() && e.journal != nil {
+		err = e.journal(events)
+	}
+	done, e.writeCtx = true, nil
 	// A statement is atomic. A set that fails part-way through its rows
 	// takes them back itself and logs nothing (Store.InsertRows); one
-	// whose view maintenance fails after it is undone here — the views
-	// have not seen it — so neither the table, nor the WAL's net effect,
-	// nor a replica keeps half a statement. Outside a transaction a
-	// finished statement needs its undo runs no longer.
+	// whose views (unseen) or journal write (views seen) fail after it is
+	// undone here, so neither the table, nor the WAL's net effect, nor a
+	// replica keeps half a statement. Outside a transaction a finished
+	// statement needs its undo runs no longer.
 	if err != nil {
-		if uerr := e.undoTo(mark, false); uerr != nil {
+		if uerr := e.undoTo(mark, views); uerr != nil {
 			err = fmt.Errorf("%w (and undoing the statement failed: %v)", err, uerr)
 		}
 	} else if !e.inTxn.Load() {
@@ -549,29 +605,17 @@ func (e *Engine) execStmt(p *plan, args []types.Value, ctx *stmtCtx) (*Result, e
 		e.plans.purge()
 	}
 	if err != nil {
-		e.mu.Unlock()
-		return nil, err
+		return nil, nil, false, err
 	}
 	if e.inTxn.Load() {
 		e.pending = append(e.pending, events...)
-		e.mu.Unlock()
-		return res, nil
+		return res, nil, false, nil
 	}
 	// Enqueue the events into the ordered dispatch queue BEFORE releasing
 	// the write lock: queue position is claimed in seq/WAL-append order,
-	// so however the durability waits below interleave, delivery (and the
-	// notifier's ef_notification inserts) happens in global seq order.
-	entry := e.enqueueLocked(events)
-	e.mu.Unlock()
-	// A Commit failure means the statement may not be durable; report it
-	// instead of acknowledging, and hold back the change events —
-	// downstream observers must not act on writes the disk refused.
-	if err := e.store.Commit(); err != nil {
-		e.settle(entry, false)
-		return nil, fmt.Errorf("engine: flush: %w", err)
-	}
-	e.settle(entry, true)
-	return res, nil
+	// so however the durability waits interleave, delivery happens in
+	// global seq order.
+	return res, e.enqueueLocked(events), true, nil
 }
 
 // execSelect runs a top-level SELECT. Autocommit reads acquire an MVCC
@@ -749,53 +793,49 @@ func (e *Engine) begin() (*Result, error) {
 	return &Result{}, nil
 }
 
-func (e *Engine) commit() (*Result, error) {
-	e.mu.Lock()
-	if !e.inTxn.Load() {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: no open transaction")
+// endTxn runs COMMIT, which writes the transaction's journal rows, or
+// ROLLBACK, which undoes it, as does a failed journal write. A failed
+// durability wait fails the statement and holds back its events.
+func (e *Engine) endTxn(commit bool) (*Result, error) {
+	entry, jerr, err := e.resolveTxn(commit)
+	if err != nil {
+		return nil, err
 	}
-	e.inTxn.Store(false)
-	e.forgetUndo(0)
-	fire := e.pending
-	e.pending = nil
-	entry := e.enqueueLocked(fire)
-	// COMMIT publishes the whole transaction's versions at once: snapshot
-	// readers either see all of it or none of it.
-	e.store.PublishSnapshot()
-	e.mu.Unlock()
-	// COMMIT is the durability point. The wait happens outside the write
-	// lock (the records are already appended in order); a Commit failure
-	// must surface as a failed COMMIT, and the pent-up change events must
-	// not fire.
 	if err := e.store.Commit(); err != nil {
 		e.settle(entry, false)
-		return nil, fmt.Errorf("engine: commit flush: %w", err)
+		return nil, fmt.Errorf("engine: flush: %w", err)
 	}
 	e.settle(entry, true)
+	if jerr != nil {
+		return nil, fmt.Errorf("engine: commit: %w", jerr)
+	}
 	return &Result{}, nil
 }
 
-func (e *Engine) rollback() (*Result, error) {
+// resolveTxn is endTxn's part under the write lock. err, or a panic,
+// leaves the transaction as it was.
+func (e *Engine) resolveTxn(commit bool) (entry *dispatchEntry, jerr, err error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.inTxn.Load() {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: no open transaction")
+		return nil, nil, fmt.Errorf("engine: no open transaction")
 	}
-	if err := e.undoTo(0, true); err != nil {
-		e.mu.Unlock()
-		return nil, err
+	if commit && e.journal != nil {
+		jerr = e.journal(e.pending)
+	}
+	if !commit || jerr != nil {
+		if err = e.undoTo(0, true); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		e.forgetUndo(0)
+		entry = e.enqueueLocked(e.pending)
 	}
 	e.inTxn.Store(false)
 	e.pending = nil
-	// The undo stamps cancelled the transaction's writes; publishing now
-	// re-exposes exactly the pre-transaction logical state.
+	// Snapshot readers see all of the transaction or none of it.
 	e.store.PublishSnapshot()
-	e.mu.Unlock()
-	if err := e.store.Commit(); err != nil {
-		return nil, fmt.Errorf("engine: rollback flush: %w", err)
-	}
-	return &Result{}, nil
+	return entry, jerr, nil
 }
 
 // undoTo reverses the undo runs past mark, newest first, and drops them.

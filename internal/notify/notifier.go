@@ -24,8 +24,9 @@ const (
 	sendQueueLen        = 256
 )
 
-// Notifier is the DBMS side of the protocol. It observes every change
-// event, appends compact tuples to the Notification table, and pushes
+// Notifier is the DBMS side of the protocol. It journals every change
+// event as a compact tuple in the Notification table, inside the
+// statement's own commit (engine.Journal), and after the fsync pushes
 // NOTIFY lines to each ConnectedUser socket registered for the table.
 type Notifier struct {
 	db *database.DB
@@ -130,7 +131,15 @@ func NewNotifier(db *database.DB, opts ...NotifierOption) (*Notifier, error) {
 		}
 		return depth
 	})
-	n.restoreSeqFloor()
+	// Each statement's notification rows ride its own commit (the
+	// paper's statement trigger, §VI-C). Mirror cursors must stay below
+	// every new seq too.
+	if v, err := db.QueryValue("SELECT MAX(last_seq) FROM " + database.TableConnectedUser); err == nil && !v.IsNull() {
+		db.AdvanceSeq(v.Int())
+	}
+	if err := db.Journal(database.TableNotification, journalRow); err != nil {
+		return nil, err
+	}
 	db.ObserveBatch(n.onBatch)
 	if err := n.reconnectExisting(); err != nil {
 		return nil, err
@@ -138,24 +147,15 @@ func NewNotifier(db *database.DB, opts ...NotifierOption) (*Notifier, error) {
 	return n, nil
 }
 
-// restoreSeqFloor raises the engine's change-sequence counter past every
-// seq_no persisted by a previous process. The counter itself is not
-// durable, but ef_notification rows (and client last_seq cursors) are;
-// re-issuing an old number makes the notification INSERT fail on its
-// primary key and NOTIFY delivery silently stops after a restart.
-func (n *Notifier) restoreSeqFloor() {
-	var floor int64
-	for _, q := range []string{
-		"SELECT MAX(seq_no) FROM " + database.TableNotification,
-		"SELECT MAX(last_seq) FROM " + database.TableConnectedUser,
-	} {
-		if v, err := n.db.QueryValue(q); err == nil && !v.IsNull() && v.Int() > floor {
-			floor = v.Int()
-		}
+// journalRow is the compact Notification tuple of one change event:
+// seq_no, ts, tbl, op, tids. Changes to tables outside the protocol
+// (skipTable) have none.
+func journalRow(ev *engine.ChangeEvent, ts int64) (types.Row, bool) {
+	if skipTable(ev.Table) {
+		return nil, false
 	}
-	if floor > 0 {
-		n.db.AdvanceSeq(floor)
-	}
+	return types.Row{types.NewInt(ev.Seq), types.NewInt(ts), types.NewString(ev.Table),
+		types.NewString(string(ev.Op)), types.NewString(EncodeTIDs(ev.TIDs))}, true
 }
 
 func (n *Notifier) reconnectExisting() error {
@@ -190,16 +190,16 @@ func skipTable(name string) bool {
 	return strings.HasPrefix(lower, "ef_") || strings.HasPrefix(lower, "__")
 }
 
-// onBatch is the engine batch observer: the paper's statement-level
-// trigger body (§VI-B compiles UP statements into triggers; the notifier
-// is the always-on trigger feeding visualization clients). One call
-// covers a whole dispatch batch — a single statement's events when the
-// system is idle, many statements' when autocommit writers are
-// concurrent — and pushes at most one NOTIFY per (table, batch).
-// Coalescing is safe because NOTIFY is only a doorbell: mirrors refresh
-// by reading everything past their last_seq cursor from the Notification
-// table, so the newest seq subsumes the per-statement lines an
-// uncoalesced notifier would have sent (counted in notify.coalesced).
+// onBatch is the engine batch observer. The Notification tuples are
+// already written, each in its statement's own commit (see journalRow);
+// what is left runs after the fsync: registrations, acks, and the NOTIFY
+// doorbell. One call covers a whole dispatch batch — a single statement's
+// events when the system is idle, many statements' when autocommit
+// writers are concurrent — and pushes at most one NOTIFY per (table,
+// batch). Coalescing is safe because NOTIFY is only a doorbell: mirrors
+// refresh by reading everything past their last_seq cursor from the
+// Notification table, so the newest seq subsumes the per-statement lines
+// an uncoalesced notifier would have sent (counted in notify.coalesced).
 // It must return quickly — registration dial-backs run in their own
 // goroutine and NOTIFY delivery only enqueues onto per-connection send
 // queues.
@@ -210,10 +210,15 @@ func (n *Notifier) onBatch(events []engine.ChangeEvent) {
 	if closed {
 		return
 	}
-
-	// First pass: handle registrations/acks and collect the events that
-	// need a Notification-table tuple.
-	var pending []engine.ChangeEvent
+	type ring struct {
+		table string
+		seq   int64
+		op    engine.ChangeOp
+	}
+	var few [4]ring
+	rings := few[:0] // newest event per table; a batch touches few
+	coalesced := 0
+next:
 	for _, ev := range events {
 		// New registration: the DBMS connects back to the client (step 5
 		// of the paper's protocol). The dial happens off the observer path
@@ -244,108 +249,52 @@ func (n *Notifier) onBatch(events []engine.ChangeEvent) {
 		if skipTable(ev.Table) {
 			continue
 		}
-		pending = append(pending, ev)
-	}
-
-	// Record the compact notification tuples (one per event — the refresh
-	// protocol's source of truth is never coalesced). Under firehose load
-	// a batch carries hundreds of events, so the bookkeeping rides one
-	// multi-row INSERT per chunk instead of one statement per event; a
-	// chunk that fails (e.g. a duplicate seq) falls back to per-row
-	// inserts so a single bad tuple only drops its own NOTIFY.
-	var order []string
-	latest := map[string]engine.ChangeEvent{}
-	coalesced := 0
-	recorded := func(ev engine.ChangeEvent) {
-		key := strings.ToLower(ev.Table)
-		if prev, ok := latest[key]; ok {
-			coalesced++
-			if ev.Seq > prev.Seq {
-				latest[key] = ev
+		for i := range rings {
+			if strings.EqualFold(rings[i].table, ev.Table) {
+				coalesced++
+				if ev.Seq > rings[i].seq {
+					rings[i] = ring{ev.Table, ev.Seq, ev.Op}
+				}
+				continue next
 			}
-		} else {
-			order = append(order, key)
-			latest[key] = ev
 		}
+		rings = append(rings, ring{ev.Table, ev.Seq, ev.Op})
 	}
-	const chunk = 128
-	for start := 0; start < len(pending); start += chunk {
-		end := start + chunk
-		if end > len(pending) {
-			end = len(pending)
-		}
-		evs := pending[start:end]
-		if err := n.insertNotifications(evs); err == nil {
-			for _, ev := range evs {
-				recorded(ev)
-			}
-			continue
-		}
-		for _, ev := range evs {
-			if err := n.insertNotifications([]engine.ChangeEvent{ev}); err != nil {
-				continue
-			}
-			recorded(ev)
-		}
-	}
-	if len(order) == 0 {
+	if len(rings) == 0 {
 		return
 	}
 	n.mCoalesced.Add(int64(coalesced))
 
 	// Push one NOTIFY per table to each client watching it.
 	n.mu.Lock()
-	for _, key := range order {
-		ev := latest[key]
-		n.ringLocked(ev.Table, ev.Seq, string(ev.Op))
+	for _, r := range rings {
+		n.ringLocked(r.table, r.seq, string(r.op))
 	}
 	n.mu.Unlock()
 }
 
 // ringLocked enqueues one NOTIFY line for table at seq on the send queue
-// of each client watching it. Enqueue is non-blocking: if a client's
-// queue is full (stalled reader), the line is dropped — safe, because
-// mirrors re-read everything past their last_seq from the Notification
-// table on the next refresh. A closed notifier has no connections left,
-// so it rings nobody. Caller holds n.mu.
+// of each client watching it; the line is formatted only when one does.
+// Enqueue is non-blocking: if a client's queue is full (stalled reader),
+// the line is dropped — safe, because mirrors re-read everything past
+// their last_seq from the Notification table on the next refresh. A
+// closed notifier has no connections left, so it rings nobody. Caller
+// holds n.mu.
 func (n *Notifier) ringLocked(table string, seq int64, op string) {
-	line := Message{Verb: MsgNotify, Table: table, Seq: seq, Op: op}.Format() + "\n"
+	var line string
 	for _, sc := range n.conns {
-		if strings.EqualFold(sc.table, table) {
-			select {
-			case sc.out <- line:
-			default:
-				n.mDroppedLines.Inc()
-			}
+		if !strings.EqualFold(sc.table, table) {
+			continue
+		}
+		if line == "" {
+			line = Message{Verb: MsgNotify, Table: table, Seq: seq, Op: op}.Format() + "\n"
+		}
+		select {
+		case sc.out <- line:
+		default:
+			n.mDroppedLines.Inc()
 		}
 	}
-}
-
-// insertNotifications appends one ef_notification row per event with a
-// single multi-row INSERT.
-func (n *Notifier) insertNotifications(events []engine.ChangeEvent) error {
-	if len(events) == 0 {
-		return nil
-	}
-	now := time.Now().UnixNano()
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + database.TableNotification + " (seq_no, ts, tbl, op, tids) VALUES ")
-	args := make([]types.Value, 0, len(events)*5)
-	for i, ev := range events {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString("(?, ?, ?, ?, ?)")
-		args = append(args,
-			types.NewInt(ev.Seq),
-			types.NewInt(now),
-			types.NewString(ev.Table),
-			types.NewString(string(ev.Op)),
-			types.NewString(EncodeTIDs(ev.TIDs)),
-		)
-	}
-	_, err := n.db.Exec(sb.String(), args...)
-	return err
 }
 
 // observeAcks measures the paper's Figure-8 quantity server-side: the
@@ -580,6 +529,7 @@ func (n *Notifier) AutoPurge(interval time.Duration) (stop func()) {
 // Close tears down every connection. ConnectedUser entries are left in
 // place so a restarted notifier can attempt reconnection.
 func (n *Notifier) Close() {
+	n.db.Journal(database.TableNotification, nil)
 	n.mu.Lock()
 	n.closed = true
 	conns := make([]*serverConn, 0, len(n.conns))

@@ -6,9 +6,11 @@
 //     ConnectedUser table;
 //  3. the DBMS connects back to ip:port and expects a HELLO message;
 //  4. the client sends HELLO, the DBMS answers REPLY;
-//  5. on every change to a watched table the DBMS appends a compact tuple
-//     (seq_no, ts, table, op) to the Notification table and pushes a
-//     NOTIFY message with the table name to every connected client;
+//  5. every statement that changes a table appends a compact tuple
+//     (seq_no, ts, table, op, tids) to the Notification table as part of
+//     its own commit — one fsync covers both — and once that commit is
+//     durable the DBMS pushes a NOTIFY message with the table name to
+//     every client watching it;
 //  6. the client decides when to refresh, then queries the changed rows
 //     starting from its last seq_no;
 //  7. on teardown the client sends DISCONNECT; the DBMS closes the socket

@@ -507,3 +507,74 @@ func TestMirrorNotifyViaReplica(t *testing.T) {
 		t.Fatal("mirror on replica never received NOTIFY for a primary-side edit")
 	}
 }
+
+// TestJournalReplicatesAsWritten: the primary's notification rows are
+// written in each statement's own commit and reach the replica through
+// the log, never journaled again there — with a notifier attached on
+// both sides, the replica's ef_notification equals the primary's and the
+// replicated state encodes byte-identically.
+func TestJournalReplicatesAsWritten(t *testing.T) {
+	pdb, srv := startPrimary(t, nil)
+	pn, err := notify.NewNotifier(pdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pn.Close()
+	// The replica's notifier is attached before replication starts, as
+	// cmd/ediserver does.
+	rdb := database.MustOpenMemory()
+	defer rdb.Close()
+	rn, err := notify.NewNotifier(rdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Close()
+	rep := NewReplica(rdb, ReplicaConfig{
+		PrimaryAddr: srv.Addr(),
+		MinBackoff:  5 * time.Millisecond,
+		MaxBackoff:  100 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	rep.Start()
+	defer rep.Stop()
+
+	// Streamed, not resynced: the writes below reach the replica as log
+	// records.
+	if _, err := pdb.Exec("CREATE TABLE obj (id INT PRIMARY KEY, x FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, pdb, rep)
+	for _, sql := range []string{
+		"CREATE MATERIALIZED VIEW obj_n AS SELECT COUNT(*) AS n FROM obj",
+		"INSERT INTO obj VALUES (1, 0.5), (2, 1.5), (3, 2.5)",
+		"UPDATE obj SET x = x + 1 WHERE id > 1",
+		"BEGIN",
+		"INSERT INTO obj VALUES (4, 0)",
+		"DELETE FROM obj WHERE id = 1",
+		"COMMIT",
+		"BEGIN",
+		"DELETE FROM obj",
+		"ROLLBACK",
+	} {
+		if _, err := pdb.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	waitApplied(t, pdb, rep)
+
+	journal := "SELECT seq_no, ts, tbl, op, tids FROM " + database.TableNotification + " ORDER BY seq_no"
+	want, err := pdb.Query(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rdb.Query(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 7 || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		t.Fatalf("replica journal %v\nprimary journal %v (want 7 rows)", got.Rows, want.Rows)
+	}
+	if !bytes.Equal(stateBytes(t, rdb), stateBytes(t, pdb)) {
+		t.Fatal("replica state diverged from the primary's")
+	}
+}
