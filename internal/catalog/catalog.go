@@ -16,9 +16,9 @@ import (
 )
 
 // System column names exposed on every base table. `_tid` is the unique
-// tuple identifier and `_created` the creation timestamp (a monotonic
-// sequence number), both required by the paper's time-based isolation
-// (§VI-A) and the deletion-table rewrite.
+// tuple identifier and `_created` the creation timestamp, which is the
+// tid (tids are drawn in creation order and never reused); both serve the
+// paper's time-based isolation (§VI-A) and the deletion-table rewrite.
 const (
 	SysTID     = "_tid"
 	SysCreated = "_created"
@@ -113,6 +113,17 @@ func New() *Catalog {
 		views:    map[string]*View{},
 		triggers: map[string]*Trigger{},
 	}
+}
+
+// Reset empties the catalog in place. Whoever holds the catalog — a
+// lock-free reader planning a query, the workflow layer — keeps the one
+// object while its owner rebuilds it (a replica applying a snapshot).
+func (c *Catalog) Reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.tables)
+	clear(c.views)
+	clear(c.triggers)
 }
 
 func key(name string) string { return strings.ToLower(name) }

@@ -154,6 +154,60 @@ func TestCachedPlanSeesCatalogChange(t *testing.T) {
 	}
 }
 
+// TestCatalogRebuildUnderLockFreeReads: a replica applying snapshots
+// rebuilds its catalog while lock-free SELECTs plan against it. The
+// catalog is rebuilt in place, under its own lock, so readers race with
+// nothing (run under -race); once the applies end, every reader's next
+// statement answers from the rebuilt catalog.
+func TestCatalogRebuildUnderLockFreeReads(t *testing.T) {
+	primary := newTestDB(t)
+	mustExec(t, primary, "CREATE TABLE r (id INT PRIMARY KEY, k INT)")
+	mustExec(t, primary, "INSERT INTO r VALUES (1, 2), (2, 2), (3, 5)")
+	mustExec(t, primary, "CREATE MATERIALIZED VIEW rv AS SELECT k, COUNT(*) AS n FROM r GROUP BY k")
+	snap, _, err := primary.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := newTestDB(t)
+	replica.SetReadOnly()
+	if err := replica.ApplyReplSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// A new text each time: each plans afresh against the catalog.
+				replica.Exec(fmt.Sprintf("SELECT id FROM r WHERE k = %d AND id > %d", w, i))
+				replica.Exec(fmt.Sprintf("SELECT n FROM rv WHERE k = %d", i))
+			}
+		}()
+	}
+	for range 20 {
+		if err := replica.ApplyReplSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for q, want := range map[string]string{
+		"SELECT id FROM r WHERE k = 2 ORDER BY id": "[id] [[1] [2]] 0",
+		"SELECT n FROM rv WHERE k = 5":             "[n] [[1]] 0",
+	} {
+		if got := answer(replica, q); got != want {
+			t.Errorf("%s: %s, want %s", q, got, want)
+		}
+	}
+}
+
 // TestFailedCatalogChangeLeavesNoPlan: a catalog change that fails
 // part-way must still purge, after its last change. A failed CREATE VIEW
 // adds its backing table and drops it again; a shape planned in between

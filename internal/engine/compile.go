@@ -169,7 +169,8 @@ func (ev *evaluator) fill(src *batch) {
 		ev.scratch = make(types.Row, 0, len(src.rows[0])+2)
 	}
 	for i, r := range src.rows {
-		ev.scratch = append(append(ev.scratch[:0], r...), types.NewInt(src.tids[i]), types.NewInt(src.created[i]))
+		tid := types.NewInt(src.tids[i]) // _tid, and _created: the same stamp
+		ev.scratch = append(append(ev.scratch[:0], r...), tid, tid)
 		ev.batch.Append(ev.scratch)
 	}
 }

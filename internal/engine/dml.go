@@ -250,14 +250,14 @@ func (e *Engine) execInsert(s *sqltext.Insert, mp *mutPlan, args []types.Value) 
 		}
 	}
 
-	tids, created, err := e.store.InsertRows(schema.Name, rows, stop)
+	tids, err := e.store.InsertRows(schema.Name, rows, stop)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(tids) == 0 {
 		return &Result{}, []ChangeEvent{}, nil
 	}
-	events, err := e.wrote(undoRun{op: OpInsert, table: schema.Name, tids: tids, created: created, newRows: rows})
+	events, err := e.wrote(undoRun{op: OpInsert, table: schema.Name, tids: tids, newRows: rows})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,7 +325,7 @@ func arity(table string, n, cols int) error {
 }
 
 // matchTable collects what an UPDATE or DELETE matches (matchPlan): each
-// row's tid and _created, and with values its stored values by reference
+// row's tid, and with values its stored values by reference
 // — immutable under MVCC — and returns the binder the match ran in.
 func (e *Engine) matchTable(mp *mutPlan, args []types.Value, values bool) (*binder, batch, error) {
 	ctx := e.writerCtx()
@@ -337,7 +337,7 @@ func (e *Engine) matchTable(mp *mutPlan, args []types.Value, values bool) (*bind
 	var m batch
 	if src.tbl == nil { // an index path's candidates: at most these match
 		n := len(src.mem.tids)
-		m.tids, m.created = make([]int64, 0, n), make([]int64, 0, n)
+		m.tids = make([]int64, 0, n)
 		if values {
 			m.rows = make([]types.Row, 0, n)
 		}
@@ -346,7 +346,7 @@ func (e *Engine) matchTable(mp *mutPlan, args []types.Value, values bool) (*bind
 		if values {
 			m.rows = append(m.rows, s.rows...)
 		}
-		m.tids, m.created = append(m.tids, s.tids...), append(m.created, s.created...)
+		m.tids = append(m.tids, s.tids...)
 	})
 	return b, m, err
 }
@@ -416,7 +416,7 @@ func (e *Engine) execDelete(mp *mutPlan, args []types.Value) (*Result, []ChangeE
 	if err != nil {
 		return nil, nil, err
 	}
-	events, err := e.wrote(undoRun{op: OpDelete, table: mp.schema.Name, tids: matched.tids, created: matched.created, oldRows: old})
+	events, err := e.wrote(undoRun{op: OpDelete, table: mp.schema.Name, tids: matched.tids, oldRows: old})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -88,13 +88,11 @@ type Result struct {
 }
 
 // undoRun is what it takes to reverse one statement's row set: the set's
-// tids, creation stamps (insert, delete) and rows, shared with its change
-// event.
+// tids and rows, shared with its change event.
 type undoRun struct {
 	op      ChangeOp
 	table   string
 	tids    []int64
-	created []int64
 	oldRows []types.Row // update, delete
 	newRows []types.Row // insert, update
 }
@@ -233,7 +231,7 @@ func (e *Engine) Journal(table string, row func(ev *ChangeEvent, ts int64) (type
 		if len(rows) == 0 {
 			return nil
 		}
-		_, _, err := e.store.InsertRows(table, rows, nil)
+		_, err := e.store.InsertRows(table, rows, nil)
 		return err // no undo run: nothing after it fails
 	}
 	return nil
@@ -249,6 +247,7 @@ type virtualTable struct {
 // the store's tables and metadata.
 func New(store *storage.Store) (*Engine, error) {
 	e := &Engine{
+		cat:      catalog.New(),
 		store:    store,
 		handlers: map[string]BatchTriggerFunc{},
 		reg:      store.Metrics(),
@@ -280,13 +279,13 @@ func New(store *storage.Store) (*Engine, error) {
 	return e, nil
 }
 
-// loadCatalog rebuilds the catalog from the store: every table, then
-// every stored view and trigger definition in the order it was created.
-// view says what a stored view becomes — New materializes it,
+// loadCatalog rebuilds the catalog from the store, in place: every table,
+// then every stored view and trigger definition in the order it was
+// created. view says what a stored view becomes — New materializes it,
 // ApplyReplSnapshot registers it catalog-only. Caller holds e.mu (or is
 // New).
 func (e *Engine) loadCatalog(view func(*sqltext.CreateView) error) error {
-	e.cat = catalog.New()
+	e.cat.Reset()
 	for _, name := range e.store.TableNames() {
 		if err := e.cat.AddTable(e.store.Table(name).Schema); err != nil {
 			return err
@@ -848,7 +847,7 @@ func (e *Engine) resolveTxn(commit bool) (entry *dispatchEntry, jerr, err error)
 func (e *Engine) undoTo(mark int, views bool) error {
 	for i := len(e.undo) - 1; i >= mark; i-- {
 		u := &e.undo[i]
-		tids, created, olds := reversed(u.tids), reversed(u.created), reversed(u.oldRows)
+		tids, olds := reversed(u.tids), reversed(u.oldRows)
 		var err error
 		switch u.op {
 		case OpInsert:
@@ -856,7 +855,7 @@ func (e *Engine) undoTo(mark int, views bool) error {
 		case OpUpdate:
 			_, err = e.store.UpdateRows(u.table, tids, olds, nil)
 		case OpDelete:
-			err = e.store.InsertRowsAt(u.table, tids, created, olds)
+			err = e.store.InsertRowsAt(u.table, tids, olds)
 		}
 		if err != nil {
 			return fmt.Errorf("engine: rollback: %w", err)

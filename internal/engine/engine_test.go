@@ -235,8 +235,15 @@ func TestSubqueries(t *testing.T) {
 	}
 }
 
+// TestSystemColumns: _created is monotonic with insertion order and is
+// the tuple's tid. _created = _tid holds for every row of every table,
+// a view's backing table included, after each way a row comes to be
+// stored or taken back, on the primary, after a reopen and on a replica;
+// and CurrentStamp is the newest tid drawn.
 func TestSystemColumns(t *testing.T) {
-	e := newTestDB(t)
+	dir := t.TempDir()
+	e := openDir(t, dir)
+	e.Store().EnableReplFeed(0)
 	seedUsers(t, e)
 	res := mustExec(t, e, "SELECT _tid, _created, id FROM users ORDER BY _created")
 	if len(res.Rows) != 5 {
@@ -252,6 +259,114 @@ func TestSystemColumns(t *testing.T) {
 	res = mustExec(t, e, "SELECT * FROM users LIMIT 1")
 	if len(res.Columns) != 4 {
 		t.Fatalf("star leaked system columns: %v", res.Columns)
+	}
+
+	// check: every row of x has _created = _tid, none above CurrentStamp.
+	check := func(x *Engine, step string) {
+		t.Helper()
+		top := int64(0)
+		for _, name := range x.Store().TableNames() {
+			for _, r := range mustExec(t, x, "SELECT _tid, _created FROM "+name).Rows {
+				if r[0].Int() != r[1].Int() {
+					t.Fatalf("%s: %s has _tid %d, _created %d", step, name, r[0].Int(), r[1].Int())
+				}
+				top = max(top, r[0].Int())
+			}
+		}
+		if got := x.Store().CurrentStamp(); got < top {
+			t.Fatalf("%s: CurrentStamp %d below tid %d", step, got, top)
+		}
+	}
+	// probe checks e, then that its next tid follows CurrentStamp and
+	// becomes it.
+	mustExec(t, e, "CREATE TABLE probe (n INT)")
+	probe := func(step string) {
+		t.Helper()
+		check(e, step)
+		was := e.Store().CurrentStamp()
+		tid := mustExec(t, e, "INSERT INTO probe VALUES (?)", types.NewInt(was)).TIDs[0]
+		if now := e.Store().CurrentStamp(); tid != was+1 || now != tid {
+			t.Fatalf("%s: stamp %d, next tid %d, stamp then %d", step, was, tid, now)
+		}
+	}
+	mustExec(t, e, "CREATE MATERIALIZED VIEW by_city AS SELECT city, COUNT(*) AS n FROM users GROUP BY city")
+	probe("view created")
+
+	mustExec(t, e, "BEGIN")
+	mustExec(t, e, "INSERT INTO users VALUES (6, 'fay', 40, 'lyon'), (7, 'gus', 41, 'lyon')")
+	mustExec(t, e, "ROLLBACK")
+	probe("INSERT rolled back")
+
+	// The second row fails: the third gives its tid back, the second
+	// keeps it (inserted one at a time, it drew one).
+	was := e.Store().CurrentStamp()
+	if _, err := e.Exec("INSERT INTO users VALUES (8, 'hal', 1, 'nice'), (1, 'dup', 1, 'nice'), (9, 'ivy', 1, 'nice')"); err == nil {
+		t.Fatal("INSERT of a duplicate key succeeded")
+	}
+	if got := e.Store().CurrentStamp(); got != was+2 {
+		t.Fatalf("failed INSERT: stamp %d, want %d", got, was+2)
+	}
+	probe("INSERT failed part-way")
+
+	paris := "SELECT _tid, _created, id FROM users WHERE city = 'paris' ORDER BY id"
+	before := fmt.Sprint(mustExec(t, e, paris).Rows)
+	mustExec(t, e, "BEGIN")
+	mustExec(t, e, "DELETE FROM users WHERE city = 'paris'")
+	mustExec(t, e, "ROLLBACK")
+	if after := fmt.Sprint(mustExec(t, e, paris).Rows); after != before {
+		t.Fatalf("DELETE rolled back: rows %s, were %s", after, before)
+	}
+	probe("DELETE rolled back")
+
+	mustExec(t, e, "UPDATE users SET city = 'nice' WHERE id = 2")
+	mustExec(t, e, "INSERT INTO users VALUES (10, 'jo', 22, 'metz')")
+	mustExec(t, e, "DELETE FROM users WHERE id = 4")
+	if n := len(mustExec(t, e, "SELECT city FROM __view_by_city").Rows); n != 3 {
+		t.Fatalf("view backing table holds %d groups, want 3", n)
+	}
+	probe("view maintained")
+
+	replica := newTestDB(t)
+	recs, _, _, err := e.Store().ReplFetch(0, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replica.ApplyReplicated(recs, ""); err != nil {
+		t.Fatal(err)
+	}
+	stamp := e.Store().CurrentStamp()
+	check(replica, "replica after WAL records")
+	snap, _, err := e.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.ApplyReplSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	check(replica, "replica after snapshot")
+	if got := replica.Store().CurrentStamp(); got != stamp {
+		t.Fatalf("replica stamp %d, primary %d", got, stamp)
+	}
+
+	// Reopen from the WAL, then from a checkpoint's snapshot. Opening
+	// rewrites the view's backing rows (restoreView), each under a tid
+	// drawn past the stamp the store closed at.
+	for _, step := range []string{"reopened from the WAL", "reopened from a snapshot"} {
+		if step == "reopened from a snapshot" {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stamp := e.Store().CurrentStamp()
+		groups := int64(len(mustExec(t, e, "SELECT city FROM __view_by_city").Rows))
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e = openDir(t, dir)
+		if got := e.Store().CurrentStamp(); got != stamp+groups {
+			t.Fatalf("%s: stamp %d, want %d", step, got, stamp+groups)
+		}
+		probe(step)
 	}
 }
 

@@ -163,12 +163,12 @@ func fanOut(nw, tasks int, work func(next func() (task int, ok bool)) error) err
 
 // batch is a run of a source's rows of one layout, by reference: the
 // values of stored versions (immutable under MVCC) or of rows already
-// built. A base table's rows hold its user columns, and tids and created
-// its system columns beside them; every other source's rows are at
-// layout width and tids is nil.
+// built. A base table's rows hold its user columns, and tids its system
+// columns beside them (a tid is both `_tid` and `_created`); every other
+// source's rows are at layout width and tids is nil.
 type batch struct {
-	rows          []types.Row
-	tids, created []int64
+	rows []types.Row
+	tids []int64
 }
 
 // row copies lane i out at layout width: a sink keeps a row only so.
@@ -189,17 +189,16 @@ func (s *batch) put(dst []types.Value, i int) {
 }
 
 // col reads layout column c of lane i: past a base table's user columns
-// come its system columns, past a built row's end NULL.
+// come its system columns, `_tid` and `_created`, both the lane's tid;
+// past a built row's end NULL.
 func (s *batch) col(i, c int) types.Value {
 	switch r := s.rows[i]; {
 	case c < len(r):
 		return r[c]
 	case s.tids == nil:
 		return types.Null
-	case c == len(r):
-		return types.NewInt(s.tids[i])
 	}
-	return types.NewInt(s.created[i])
+	return types.NewInt(s.tids[i])
 }
 
 // chunks hands s to fn vm.BatchSize lanes at a time.
@@ -208,7 +207,7 @@ func (s *batch) chunks(fn func(batch) error) error {
 		end := min(start+vm.BatchSize, len(s.rows))
 		c := batch{rows: s.rows[start:end]}
 		if s.tids != nil {
-			c.tids, c.created = s.tids[start:end], s.created[start:end]
+			c.tids = s.tids[start:end]
 		}
 		if err := fn(c); err != nil {
 			return err
@@ -295,7 +294,7 @@ func (e *Engine) scan(b *binder, src *source, where *evalPlan, sink func(*batch)
 	return src.mem.chunks(func(c batch) error {
 		*in = batch{rows: append(lanes.rows[:0], c.rows...)}
 		if c.tids != nil {
-			in.tids, in.created = append(lanes.tids[:0], c.tids...), append(lanes.created[:0], c.created...)
+			in.tids = append(lanes.tids[:0], c.tids...)
 		}
 		if err := ev.filter(e, in); err != nil || len(in.rows) == 0 {
 			return err
@@ -309,7 +308,7 @@ func (e *Engine) scan(b *binder, src *source, where *evalPlan, sink func(*batch)
 // worker reads into and WHERE compacts in place: like a machine's
 // vectors, they are pooled so a statement allocates none once warm.
 var lanePool = sync.Pool{New: func() any {
-	return &batch{rows: make([]types.Row, 0, vm.BatchSize), tids: make([]int64, 0, vm.BatchSize), created: make([]int64, 0, vm.BatchSize)}
+	return &batch{rows: make([]types.Row, 0, vm.BatchSize), tids: make([]int64, 0, vm.BatchSize)}
 }}
 
 // filter compacts in to the lanes that pass the WHERE program, ev's one
@@ -328,12 +327,12 @@ func (ev *evaluator) filter(e *Engine, in *batch) error {
 	for j, i := range lanes {
 		in.rows[j] = in.rows[i]
 		if in.tids != nil {
-			in.tids[j], in.created[j] = in.tids[i], in.created[i]
+			in.tids[j] = in.tids[i]
 		}
 	}
 	in.rows = in.rows[:len(lanes)]
 	if in.tids != nil {
-		in.tids, in.created = in.tids[:len(lanes)], in.created[:len(lanes)]
+		in.tids = in.tids[:len(lanes)]
 	}
 	return nil
 }
@@ -432,7 +431,7 @@ func (h *handoff) finish(i int) {
 // emptyLanes takes a batch from lanePool, emptied.
 func emptyLanes() *batch {
 	s := lanePool.Get().(*batch)
-	s.rows, s.tids, s.created = s.rows[:0], s.tids[:0], s.created[:0]
+	s.rows, s.tids = s.rows[:0], s.tids[:0]
 	return s
 }
 
@@ -478,13 +477,13 @@ func (e *Engine) scanTable(tbl *storage.Table, b *binder, where *evalPlan, sink 
 				sr, more := it.Next()
 				if more {
 					m.scanned++
-					in.rows, in.tids, in.created = append(in.rows, sr.Values), append(in.tids, sr.TID), append(in.created, sr.Created)
+					in.rows, in.tids = append(in.rows, sr.Values), append(in.tids, sr.TID)
 				}
 				if len(in.rows) == vm.BatchSize || !more && len(in.rows) > 0 {
 					if err = ev.filter(e, in); err == nil && len(in.rows) > 0 {
 						in = h.keep(ri, in)
 					}
-					in.rows, in.tids, in.created = in.rows[:0], in.tids[:0], in.created[:0]
+					in.rows, in.tids = in.rows[:0], in.tids[:0]
 				}
 				if !more {
 					break

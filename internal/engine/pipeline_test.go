@@ -320,7 +320,7 @@ func TestScanFoldAllocCeiling(t *testing.T) {
 // morsel's kept lanes to its sink in pooled batches, so it allocates
 // within a small constant of the same statement at width 1 — the
 // goroutines and the morsel table, not a copy of every kept lane's row
-// reference, tid and created stamp (40 bytes a lane, about 2.6 MB here).
+// reference and tid (32 bytes a lane, about 2.1 MB here).
 func TestWideScanAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceiling is meaningless under the race detector")

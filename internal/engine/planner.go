@@ -218,7 +218,7 @@ func bindKey(col types.Kind, v types.Value) (key types.Value, match, ok bool) {
 
 // resolveScan turns a non-full-scan plan into the rows it selects as of
 // asOf, each once even when several key tuples name it (`pk IN (5, 5)`),
-// as a base table's source batch: values, tids and creation stamps.
+// as a base table's source batch: values and tids.
 // ok=false means the plan could not be applied (unbound parameter, key
 // bindKey refuses) and the caller must fall back to a full scan; ok=true
 // with no rows means the predicate provably matches nothing.
@@ -283,10 +283,9 @@ func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table
 		}
 	}
 	n := len(found)
-	ids := make([]int64, 2*n)
-	m = batch{rows: make([]types.Row, n), tids: ids[:n:n], created: ids[n:]}
+	m = batch{rows: make([]types.Row, n), tids: make([]int64, n)}
 	for i, sr := range found {
-		m.rows[i], m.tids[i], m.created[i] = sr.Values, sr.TID, sr.Created
+		m.rows[i], m.tids[i] = sr.Values, sr.TID
 	}
 	return m, true
 }

@@ -598,7 +598,7 @@ func (e *Engine) callScalarFn(name string, args []types.Value) (types.Value, err
 func fullRow(sr storage.StoredRow) types.Row {
 	full := make(types.Row, 0, len(sr.Values)+2)
 	full = append(full, sr.Values...)
-	return append(full, types.NewInt(sr.TID), types.NewInt(sr.Created))
+	return append(full, types.NewInt(sr.TID), types.NewInt(sr.TID)) // _tid, _created
 }
 
 // refRead reads a base table of a FROM clause straight from storage, as

@@ -498,53 +498,54 @@ func TestFiveRoutesOneCatalog(t *testing.T) {
 // ------------------------------------------------ parent-written fixture
 
 // A database directory written by the commit before the Record type
-// (snapshot file, then a WAL tail), as hex. Its history: tables t, u, w;
-// indexes created in the order u_kv, t_s (unique), t_g, w_a; view tv and
-// trigger trg; a checkpoint; then DML, w and its index, and a table
-// "gone" dropped while it had a trigger — the state that commit could
-// not reopen. fixtureReplSnap is what that commit's
-// Store.EncodeReplSnapshot gave for the reopened store.
+// (snapshot file, then a WAL tail), as hex, carried over to the current
+// formats (EDSNAP3, EDIWAL2) by taking out each row's creation stamp,
+// which equalled its tid in every row and record. Its history: tables
+// t, u, w; indexes created in the order u_kv, t_s (unique), t_g, w_a;
+// view tv and trigger trg; a checkpoint; then DML, w and its index, and
+// a table "gone" dropped while it had a trigger — the state that commit
+// could not reopen. fixtureReplSnap is what that commit's
+// Store.EncodeReplSnapshot gave for the reopened store, carried over
+// likewise.
 const (
 	fixtureSnapshot = "" +
-		"4544534e4150320a00000000000000010000000000000008000000000000000802047669657702747648435245415445" +
-		"204d4154455249414c495a454420564945572074762041532053454c45435420672c20434f554e54282a29204153206e" +
-		"2046524f4d20742047524f555020425920670774726967676572037472672d4352454154452054524947474552207472" +
-		"6720414654455220494e53455254204f4e20742043414c4c202768270304755f6b7601750002016b017603745f730174" +
-		"0101017303745f670174000101670313095f5f766965775f74760201670200016e020002000000000000000600000000" +
-		"000000060202000000000000000102000000000000000200000000000000070000000000000007020200000000000000" +
-		"020200000000000000011001740302696402050167020001730400030000000000000001000000000000000103020000" +
-		"000000000001020000000000000001040161000000000000000200000000000000020302000000000000000202000000" +
-		"000000000104016200000000000000030000000000000003030200000000000000030200000000000000020401630b01" +
-		"7502016b0200017604020200000000000000040000000000000004020200000000000000010401780000000000000005" +
-		"000000000000000502020000000000000002040179"
+		"4544534e4150330a0000000000000001000000000000000802047669657702747648435245415445204d415445524941" +
+		"4c495a454420564945572074762041532053454c45435420672c20434f554e54282a29204153206e2046524f4d207420" +
+		"47524f555020425920670774726967676572037472672d43524541544520545249474745522074726720414654455220" +
+		"494e53455254204f4e20742043414c4c202768270304755f6b7601750002016b017603745f7301740101017303745f67" +
+		"0174000101670313095f5f766965775f74760201670200016e0200020000000000000006020200000000000000010200" +
+		"000000000000020000000000000007020200000000000000020200000000000000011001740302696402050167020001" +
+		"730400030000000000000001030200000000000000010200000000000000010401610000000000000002030200000000" +
+		"000000020200000000000000010401620000000000000003030200000000000000030200000000000000020401630b01" +
+		"7502016b0200017604020200000000000000040202000000000000000104017800000000000000050202000000000000" +
+		"0002040179"
 	fixtureWAL = "" +
-		"45444957414c310a00000000000000010000002921a86905030174000000000000000800000000000000080302000000" +
-		"0000000004020000000000000002040164000000139abd60c705095f5f766965775f747600000000000000070000002e" +
-		"2ff9f3e003095f5f766965775f7476000000000000000900000000000000090202000000000000000202000000000000" +
-		"00020000002283c38438040174000000000000000203020000000000000002020000000000000001040262620000000b" +
-		"484b3413050175000000000000000400000008e727647a01017701016102000000000bffc22d490603775f6101770001" +
-		"01610000001d13e6b7fc030177000000000000000a000000000000000a010200000000000000050000001d9c83b9de03" +
-		"0177000000000000000b000000000000000b010200000000000000060000000bef64b43d0104676f6e65010161020000" +
-		"00004866d2e2e1070774726967676572087472675f676f6e65354352454154452054524947474552207472675f676f6e" +
-		"6520414654455220494e53455254204f4e20676f6e652043414c4c20276827000000062a5636310204676f6e65"
+		"45444957414c320a00000000000000010000002102876b80030174000000000000000803020000000000000004020000" +
+		"000000000002040164000000139abd60c705095f5f766965775f74760000000000000007000000264808ab7b03095f5f" +
+		"766965775f74760000000000000009020200000000000000020200000000000000020000002283c38438040174000000" +
+		"000000000203020000000000000002020000000000000001040262620000000b484b3413050175000000000000000400" +
+		"000008e727647a01017701016102000000000bffc22d490603775f61017700010161000000153e7cb9e0030177000000" +
+		"000000000a010200000000000000050000001566fb379a030177000000000000000b010200000000000000060000000b" +
+		"ef64b43d0104676f6e6501016102000000004866d2e2e1070774726967676572087472675f676f6e6535435245415445" +
+		"2054524947474552207472675f676f6e6520414654455220494e53455254204f4e20676f6e652043414c4c2027682700" +
+		"0000062a5636310204676f6e65"
 	fixtureReplSnap = "" +
-		"4544534e4150320a00000000000000000000000000000000000000000000000003047669657702747648435245415445" +
-		"204d4154455249414c495a454420564945572074762041532053454c45435420672c20434f554e54282a29204153206e" +
-		"2046524f4d20742047524f555020425920670774726967676572037472672d4352454154452054524947474552207472" +
-		"6720414654455220494e53455254204f4e20742043414c4c202768270774726967676572087472675f676f6e65354352" +
-		"454154452054524947474552207472675f676f6e6520414654455220494e53455254204f4e20676f6e652043414c4c20" +
-		"2768270404755f6b7601750002016b017603745f7301740101017303745f6701740001016703775f6101770001016104" +
-		"13095f5f766965775f74760201670200016e020002000000000000000600000000000000060202000000000000000102" +
-		"000000000000000200000000000000090000000000000009020200000000000000020200000000000000021001740302" +
-		"696402050167020001730400040000000000000001000000000000000103020000000000000001020000000000000001" +
-		"040161000000000000000200000000000000020302000000000000000202000000000000000104026262000000000000" +
-		"000300000000000000030302000000000000000302000000000000000204016300000000000000080000000000000008" +
-		"030200000000000000040200000000000000020401640b017502016b0200017604020100000000000000050000000000" +
-		"00000502020000000000000002040179070177010161020002000000000000000a000000000000000a01020000000000" +
-		"000005000000000000000b000000000000000b01020000000000000006"
+		"4544534e4150330a0000000000000000000000000000000003047669657702747648435245415445204d415445524941" +
+		"4c495a454420564945572074762041532053454c45435420672c20434f554e54282a29204153206e2046524f4d207420" +
+		"47524f555020425920670774726967676572037472672d43524541544520545249474745522074726720414654455220" +
+		"494e53455254204f4e20742043414c4c202768270774726967676572087472675f676f6e653543524541544520545249" +
+		"47474552207472675f676f6e6520414654455220494e53455254204f4e20676f6e652043414c4c202768270404755f6b" +
+		"7601750002016b017603745f7301740101017303745f6701740001016703775f610177000101610413095f5f76696577" +
+		"5f74760201670200016e0200020000000000000006020200000000000000010200000000000000020000000000000009" +
+		"020200000000000000020200000000000000021001740302696402050167020001730400040000000000000001030200" +
+		"000000000000010200000000000000010401610000000000000002030200000000000000020200000000000000010402" +
+		"626200000000000000030302000000000000000302000000000000000204016300000000000000080302000000000000" +
+		"00040200000000000000020401640b017502016b02000176040201000000000000000502020000000000000002040179" +
+		"070177010161020002000000000000000a01020000000000000005000000000000000b01020000000000000006"
 )
 
-// TestParentFixtureOpens: formats are unchanged. The directory opens, the
+// TestParentFixtureOpens: the formats change only by the creation stamp
+// taken out of each row. The directory opens, the
 // store re-encodes to the parent's bytes except that the index
 // definitions come in table-then-rank order rather than in creation
 // order, and the engine loads it, dropping the orphan trigger.
@@ -570,10 +571,10 @@ func TestParentFixtureOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The parent's index section is bytes [244, 287): u_kv [244, 257),
-	// t_s [257, 267), t_g [267, 277), w_a [277, 287).
+	// The parent's index section is bytes [236, 279): u_kv [236, 249),
+	// t_s [249, 259), t_g [259, 269), w_a [269, 279).
 	p := unhex(fixtureReplSnap)
-	want := bytes.Join([][]byte{p[:244], p[267:277], p[257:267], p[244:257], p[277:]}, nil)
+	want := bytes.Join([][]byte{p[:236], p[259:269], p[249:259], p[236:249], p[269:]}, nil)
 	if !bytes.Equal(got, want) {
 		t.Errorf("re-encoded store differs from the parent's encoding:\n got %x\nwant %x", got, want)
 	}

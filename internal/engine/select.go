@@ -868,8 +868,7 @@ func (e *Engine) open(ref *fromRef, args []types.Value, overrides map[string][]t
 				return nil, fmt.Errorf("engine: override row arity %d for %s (want %d)", len(r), ref.key, n)
 			}
 		}
-		zeros := make([]int64, len(rows))
-		return &source{mem: batch{rows: rows, tids: zeros, created: zeros}}, nil
+		return &source{mem: batch{rows: rows, tids: make([]int64, len(rows))}}, nil
 	}
 	if ref.plan != nil && ref.plan.kind != pathFullScan {
 		if m, ok := resolveScan(ref.plan, ref.rel.tbl.Schema, ref.rel.tbl, args, ctx.snap); ok {
@@ -979,7 +978,7 @@ func (j *joinStage) build(js *joinStep, b *binder, overrides map[string][]types.
 	case src.tbl != nil:
 		e.scanTable(src.tbl, b, nil, func(s *batch) { // no WHERE: cannot fail
 			j.right.rows = append(j.right.rows, s.rows...)
-			j.right.tids, j.right.created = append(j.right.tids, s.tids...), append(j.right.created, s.created...)
+			j.right.tids = append(j.right.tids, s.tids...)
 		})
 	default:
 		j.right = src.mem
@@ -1008,7 +1007,7 @@ func (j *joinStage) push(in *batch) {
 			for _, sr := range j.found {
 				r := j.pair(in, k, false)
 				n := copy(r, sr.Values)
-				r[n], r[n+1] = types.NewInt(sr.TID), types.NewInt(sr.Created)
+				r[n], r[n+1] = types.NewInt(sr.TID), types.NewInt(sr.TID)
 			}
 		case j.plan.kind == "hash-join":
 			var ok bool

@@ -335,7 +335,7 @@ func (vs *viewSet) write(v *viewState, adds, removes []types.Row) (ChangeEvent, 
 		ev.TIDs, ev.OldRows = tids, removes
 	}
 	if len(adds) > 0 {
-		tids, _, err := vs.e.store.InsertRows(v.def.Backing, adds, nil)
+		tids, err := vs.e.store.InsertRows(v.def.Backing, adds, nil)
 		if err != nil {
 			return ev, err
 		}

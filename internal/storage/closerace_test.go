@@ -27,7 +27,7 @@ func TestCommitCloseRace(t *testing.T) {
 		}
 		// Appends are engine-lock-serialized with Close in the real
 		// system, so only Commit races Close here.
-		if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("x"), types.Null}}, nil); err != nil {
+		if _, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("x"), types.Null}}, nil); err != nil {
 			t.Fatal(err)
 		}
 

@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ediflow/internal/types"
@@ -77,7 +81,7 @@ func TestMutationsOnMissingTables(t *testing.T) {
 	if err := s.DropTable("nope"); err == nil {
 		t.Error("drop missing table")
 	}
-	if err := s.InsertRowsAt("nope", []int64{1}, []int64{1}, []types.Row{nil}); err == nil {
+	if err := s.InsertRowsAt("nope", []int64{1}, []types.Row{nil}); err == nil {
 		t.Error("insertAt missing table")
 	}
 	s.CreateTable(userSchema())
@@ -86,5 +90,57 @@ func TestMutationsOnMissingTables(t *testing.T) {
 	}
 	if _, err := s.DeleteRows("users", []int64{99}); err == nil {
 		t.Error("delete missing tid")
+	}
+}
+
+// TestOldFormatsRefused: a log in the EDIWAL1 format (each inserted row
+// stored with a creation stamp beside its tid) and a snapshot in the
+// EDSNAP2 format (the same, and a second counter in the header) are
+// refused by name. Neither is replayed, recreated or rewritten: each is
+// left byte for byte as it was.
+func TestOldFormatsRefused(t *testing.T) {
+	frame := func(dst, payload []byte) []byte {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+		dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+		return append(dst, payload...)
+	}
+	oldLog := binary.BigEndian.AppendUint64([]byte("EDIWAL1\n"), 0)
+	oldLog = frame(oldLog, (&Record{Op: OpCreateTable, Table: "users", Schema: userSchema()}).encode(nil))
+	insert := binary.BigEndian.AppendUint64(appendString([]byte{byte(OpInsert)}, "users"), 1)
+	insert = binary.BigEndian.AppendUint64(insert, 1) // the creation stamp
+	insert = types.AppendRow(insert, types.Row{types.NewInt(1), types.NewString("ana"), types.Null})
+	oldLog = frame(oldLog, insert)
+
+	oldSnap := []byte("EDSNAP2\n")
+	for _, counter := range []uint64{0, 2, 2} { // epoch, tid, creation stamp
+		oldSnap = binary.BigEndian.AppendUint64(oldSnap, counter)
+	}
+	oldSnap = append(oldSnap, 0, 0, 0) // no metas, index definitions or tables
+
+	for _, c := range []struct {
+		file, format string
+		data         []byte
+	}{
+		{walFile, "EDIWAL1", oldLog},
+		{snapshotFile, "EDSNAP2", oldSnap},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, c.file)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenWith(dir, Options{Sync: SyncCommit})
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: a store in the old format opened", c.format)
+		} else if !strings.Contains(err.Error(), c.format) {
+			t.Errorf("%s: error does not name the format: %v", c.format, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, c.data) {
+			t.Errorf("%s: file changed (%v):\n got %x\nwant %x", c.format, err, got, c.data)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Errorf("%s: the directory holds %d entries, want the one file", c.format, len(ents))
+		}
 	}
 }

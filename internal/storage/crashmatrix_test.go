@@ -104,7 +104,7 @@ func crashWorkload(fs fault.FS) wlResult {
 		next := cur().clone()
 		next.rows[pk] = fmt.Sprintf("u%d", pk)
 		if !step(next, func() error {
-			tids, _, err := s.InsertRows("users", []types.Row{{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null}}, nil)
+			tids, err := s.InsertRows("users", []types.Row{{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null}}, nil)
 			if err == nil {
 				pkToTid[pk] = tids[0]
 			}
@@ -142,7 +142,7 @@ func crashWorkload(fs fault.FS) wlResult {
 		next := cur().clone()
 		next.rows[pk] = fmt.Sprintf("u%d", pk)
 		if !step(next, func() error {
-			tids, _, err := s.InsertRows("users", []types.Row{{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null}}, nil)
+			tids, err := s.InsertRows("users", []types.Row{{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null}}, nil)
 			if err == nil {
 				pkToTid[pk] = tids[0]
 			}
@@ -162,7 +162,7 @@ func crashWorkload(fs fault.FS) wlResult {
 	next = cur().clone()
 	next.rows[8] = "u8"
 	if !step(next, func() error {
-		_, _, err := s.InsertRows("users", []types.Row{{types.NewInt(8), types.NewString("u8"), types.Null}}, nil)
+		_, err := s.InsertRows("users", []types.Row{{types.NewInt(8), types.NewString("u8"), types.Null}}, nil)
 		return flushed(err)
 	}) {
 		return res
@@ -175,7 +175,7 @@ func crashWorkload(fs fault.FS) wlResult {
 		set = append(set, types.Row{types.NewInt(pk), types.NewString(fmt.Sprintf("u%d", pk)), types.Null})
 	}
 	if !step(next, func() error {
-		_, _, err := s.InsertRows("users", set, nil)
+		_, err := s.InsertRows("users", set, nil)
 		return flushed(err)
 	}) {
 		return res
@@ -312,7 +312,7 @@ func TestCheckpointENOSPCLeavesStoreUsable(t *testing.T) {
 		t.Fatal("failed checkpoint leaked its temp snapshot")
 	}
 	// The store keeps running on its existing WAL...
-	if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil); err != nil {
+	if _, err := s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil); err != nil {
 		t.Fatalf("insert after failed checkpoint: %v", err)
 	}
 	if err := s.Commit(); err != nil {

@@ -36,7 +36,7 @@ func TestWALCrashChild(t *testing.T) {
 			types.NewString(fmt.Sprintf("user-%d", i)),
 			types.NewString(fmt.Sprintf("u%d@x", i)),
 		}
-		if _, _, err := st.InsertRows("users", []types.Row{row}, nil); err != nil {
+		if _, err := st.InsertRows("users", []types.Row{row}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Statement boundary: with SyncCommit the row is on stable
@@ -135,7 +135,7 @@ func TestSyncModes(t *testing.T) {
 				types.NewString("u"),
 				types.NewString(fmt.Sprintf("%d@x", i)),
 			}
-			if _, _, err := st.InsertRows("users", []types.Row{row}, nil); err != nil {
+			if _, err := st.InsertRows("users", []types.Row{row}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.Commit(); err != nil {

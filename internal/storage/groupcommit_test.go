@@ -33,7 +33,7 @@ func openGroupStore(t *testing.T, fs fault.FS) *Store {
 	if err := s.Commit(); err != nil {
 		t.Fatalf("flush schema: %v", err)
 	}
-	if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(100), types.NewString("base"), types.Null}}, nil); err != nil {
+	if _, err := s.InsertRows("users", []types.Row{{types.NewInt(100), types.NewString("base"), types.Null}}, nil); err != nil {
 		t.Fatalf("baseline insert: %v", err)
 	}
 	if err := s.Commit(); err != nil {
@@ -51,7 +51,7 @@ func stallAndQueue(t *testing.T, s *Store, k int) []chan error {
 	t.Helper()
 	s.cycleMu.Lock()
 	for i := 1; i <= k; i++ {
-		if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("b%d", i)), types.Null}}, nil); err != nil {
+		if _, err := s.InsertRows("users", []types.Row{{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("b%d", i)), types.Null}}, nil); err != nil {
 			s.cycleMu.Unlock()
 			t.Fatalf("batch insert %d: %v", i, err)
 		}
@@ -243,7 +243,7 @@ func TestGroupCommitTornTailInsideBatchTruncatesCleanly(t *testing.T) {
 	}
 
 	// The truncated log must accept and persist new appends.
-	if _, _, err := re.InsertRows("users", []types.Row{{types.NewInt(200), types.NewString("after"), types.Null}}, nil); err != nil {
+	if _, err := re.InsertRows("users", []types.Row{{types.NewInt(200), types.NewString("after"), types.Null}}, nil); err != nil {
 		t.Fatalf("insert after truncation: %v", err)
 	}
 	if err := re.Commit(); err != nil {
@@ -292,7 +292,7 @@ func TestIntervalFlusherOwnsFsyncs(t *testing.T) {
 	const commits = 40
 	t0 := time.Now()
 	for i := 0; i < commits; i++ {
-		if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(int64(i)), types.NewString("x"), types.Null}}, nil); err != nil {
+		if _, err := s.InsertRows("users", []types.Row{{types.NewInt(int64(i)), types.NewString("x"), types.Null}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Commit(); err != nil {
@@ -335,7 +335,7 @@ func TestGroupCommitCommitCountedBeforeAck(t *testing.T) {
 	commits := s.reg.Counter("wal.commits")
 	for i := 0; i < 2000; i++ {
 		before := commits.Value()
-		if _, _, err := s.InsertRows("users", []types.Row{{types.NewInt(int64(1000 + i)), types.NewString("c"), types.Null}}, nil); err != nil {
+		if _, err := s.InsertRows("users", []types.Row{{types.NewInt(int64(1000 + i)), types.NewString("c"), types.Null}}, nil); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		if err := s.Commit(); err != nil {

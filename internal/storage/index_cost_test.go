@@ -19,7 +19,7 @@ func TestLookupAllocCeiling(t *testing.T) {
 	tbl := NewTable(userSchema(), new(atomic.Int64))
 	for i := int64(0); i < 1000; i++ {
 		row := types.Row{types.NewInt(i), types.NewString("u"), types.NewString("user-" + types.NewInt(i).String())}
-		if _, err := writeOne(tbl, OpInsert, i+1, i+1, row); err != nil {
+		if _, err := writeOne(tbl, OpInsert, i+1, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkVacuumRebuild(b *testing.B) {
 		{Name: "v", Type: types.KindInt},
 	}}, new(atomic.Int64))
 	for i := int64(0); i < 50000; i++ {
-		if _, err := writeOne(tbl, OpInsert, i+1, i+1, types.Row{types.NewInt(i), types.NewInt(i % 50), types.NewInt(i)}); err != nil {
+		if _, err := writeOne(tbl, OpInsert, i+1, types.Row{types.NewInt(i), types.NewInt(i % 50), types.NewInt(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,16 +68,16 @@ func lookupModel(t *testing.T, seed int64) {
 	for step := 0; step < 600; step++ {
 		switch r := rng.Intn(20); {
 		case r < 7:
-			if _, err := writeOne(tbl, OpInsert, nextTID, nextTID, randRow()); err == nil {
+			if _, err := writeOne(tbl, OpInsert, nextTID, randRow()); err == nil {
 				live = append(live, nextTID)
 			}
 			nextTID++
 		case r < 12 && len(live) > 0:
 			tid := live[rng.Intn(len(live))]
-			writeOne(tbl, OpUpdate, tid, 0, randRow()) // a constraint violation leaves the row as it was
+			writeOne(tbl, OpUpdate, tid, randRow()) // a constraint violation leaves the row as it was
 		case r < 15 && len(live) > 0:
 			tid := take(&live)
-			if _, err := writeOne(tbl, OpDelete, tid, 0, nil); err != nil {
+			if _, err := writeOne(tbl, OpDelete, tid, nil); err != nil {
 				t.Fatal(err)
 			}
 			dead = append(dead, tid)
@@ -85,7 +85,7 @@ func lookupModel(t *testing.T, seed int64) {
 			// Rollback of a delete re-inserts under the old tid; after a
 			// vacuum took the slot the same call starts a fresh chain.
 			tid := take(&dead)
-			if _, err := writeOne(tbl, OpInsert, tid, tid, randRow()); err == nil {
+			if _, err := writeOne(tbl, OpInsert, tid, randRow()); err == nil {
 				live = append(live, tid)
 			} else {
 				dead = append(dead, tid)
@@ -152,12 +152,12 @@ func checkLookups(t *testing.T, tbl *Table, asOf int64, step int) {
 					match = match && !key[i].IsNull() && types.Equal(r.Values[c], key[i])
 				}
 				if match {
-					want = append(want, fmt.Sprint(r.TID, r.Created, r.Values))
+					want = append(want, fmt.Sprint(r.TID, r.Values))
 				}
 			}
 			var got []string
 			for _, r := range tbl.Lookup(ix, key, asOf, nil) {
-				got = append(got, fmt.Sprint(r.TID, r.Created, r.Values))
+				got = append(got, fmt.Sprint(r.TID, r.Values))
 			}
 			sort.Strings(want)
 			sort.Strings(got)

@@ -39,7 +39,7 @@ func TestMvccVisibilityAsOf(t *testing.T) {
 	s := mvccStore(t)
 	tbl := s.Table("kv")
 
-	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(1, "a")}, nil); err != nil {
+	if _, err := s.InsertRows("kv", []types.Row{kvRow(1, "a")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -91,7 +91,7 @@ func TestMvccVisibilityAsOf(t *testing.T) {
 func TestMvccReaderBeforeDeleteStillSeesRow(t *testing.T) {
 	s := mvccStore(t)
 	tbl := s.Table("kv")
-	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(7, "keep")}, nil); err != nil {
+	if _, err := s.InsertRows("kv", []types.Row{kvRow(7, "keep")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()
@@ -122,7 +122,7 @@ func TestMvccReaderBeforeDeleteStillSeesRow(t *testing.T) {
 func TestMvccVacuumReclaims(t *testing.T) {
 	s := mvccStore(t)
 	tbl := s.Table("kv")
-	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(1, "v0")}, nil); err != nil {
+	if _, err := s.InsertRows("kv", []types.Row{kvRow(1, "v0")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tid := tbl.Rows()[0].TID
@@ -174,10 +174,10 @@ func TestMvccIndexLookupsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := s.Table("kv")
-	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(1, "red")}, nil); err != nil {
+	if _, err := s.InsertRows("kv", []types.Row{kvRow(1, "red")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(2, "red")}, nil); err != nil {
+	if _, err := s.InsertRows("kv", []types.Row{kvRow(2, "red")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tid1 := tbl.Rows()[0].TID
@@ -236,7 +236,7 @@ func TestMvccSnapshotEncodingVacuumIndependent(t *testing.T) {
 		}
 		tbl := s.Table("kv")
 		for i := int64(1); i <= 5; i++ {
-			if _, _, err := s.InsertRows("kv", []types.Row{kvRow(i, "x")}, nil); err != nil {
+			if _, err := s.InsertRows("kv", []types.Row{kvRow(i, "x")}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -256,7 +256,7 @@ func TestMvccSnapshotEncodingVacuumIndependent(t *testing.T) {
 		}
 		// Reinsert key 2 after its delete: slot order must be the order of
 		// last insertion whether or not the dead slot was vacuumed away.
-		if _, _, err := s.InsertRows("kv", []types.Row{kvRow(2, "z")}, nil); err != nil {
+		if _, err := s.InsertRows("kv", []types.Row{kvRow(2, "z")}, nil); err != nil {
 			t.Fatal(err)
 		}
 		s.PublishSnapshot()
@@ -283,7 +283,7 @@ func TestMvccIterateStableUnderConcurrentWrites(t *testing.T) {
 	tbl := s.Table("kv")
 	const n = 50
 	for i := int64(0); i < n; i++ {
-		if _, _, err := s.InsertRows("kv", []types.Row{kvRow(i, "a")}, nil); err != nil {
+		if _, err := s.InsertRows("kv", []types.Row{kvRow(i, "a")}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestMvccIterateStableUnderConcurrentWrites(t *testing.T) {
 			tid := tids[k%n]
 			if k%3 == 2 {
 				if _, err := s.DeleteRows("kv", []int64{tid}); err == nil {
-					if ntids, _, err := s.InsertRows("kv", []types.Row{kvRow(int64(k%n), "r")}, nil); err == nil {
+					if ntids, err := s.InsertRows("kv", []types.Row{kvRow(int64(k%n), "r")}, nil); err == nil {
 						tids[k%n] = ntids[0]
 					}
 				}
@@ -371,7 +371,7 @@ func TestMvccReplayByteIdentical(t *testing.T) {
 	tbl := s.Table("kv")
 	tids := make([]int64, 6)
 	for i := int64(0); i < 6; i++ {
-		ts, _, err := s.InsertRows("kv", []types.Row{kvRow(i, "a")}, nil)
+		ts, err := s.InsertRows("kv", []types.Row{kvRow(i, "a")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestMvccReplayByteIdentical(t *testing.T) {
 	if _, err := s.DeleteRows("kv", []int64{tids[4]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.InsertRows("kv", []types.Row{kvRow(4, "re")}, nil); err != nil {
+	if _, err := s.InsertRows("kv", []types.Row{kvRow(4, "re")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.PublishSnapshot()

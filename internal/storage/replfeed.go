@@ -220,7 +220,7 @@ func (s *Store) ReplFetch(fromSeq uint64, maxBytes int) (recs [][]byte, next, he
 
 // EncodeReplSnapshot serializes the full store state for replica
 // bootstrap, in the checkpoint snapshot format with the epoch and
-// counters zeroed: the encoding depends only on logical table content,
+// tid counter zeroed: the encoding depends only on logical table content,
 // so two stores that applied the same records encode byte-identically
 // regardless of local checkpoint history. Rows of excluded tables are
 // omitted (their schemas still ship).
@@ -239,7 +239,7 @@ func (s *Store) EncodeReplSnapshot(exclude ...string) ([]byte, error) {
 // ResetFromSnapshot replaces the store's entire logical state with the
 // given replication snapshot. Rows of tables named in preserve survive
 // the reset (replica-local state such as mirror registrations); their
-// tids are re-inserted verbatim and the allocation counters stay
+// tids are re-inserted verbatim and the tid counter stays
 // monotone across the reset so local allocations never repeat.
 func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 	var kept []*Table
@@ -250,19 +250,18 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 	}
 	oldEpoch := s.epoch
 	oldTID := s.nextTID.Load()
-	oldCreated := s.nextCreated.Load()
 	s.tablesMu.Lock()
 	s.tables = map[string]*Table{}
 	s.tablesMu.Unlock()
 	s.metas = nil
-	// The snapshot's counters are zeroed; apply raises them past every
-	// row it inserts, and the bump below keeps them monotone across the
+	// The snapshot's tid counter is zeroed; apply raises it past every
+	// row it inserts, and the bump below keeps it monotone across the
 	// reset.
 	if err := s.loadSnapshotBytes(data); err != nil {
 		return err
 	}
 	s.epoch = oldEpoch // replication snapshots carry epoch 0; keep ours
-	s.bumpCounters(oldTID-1, oldCreated-1)
+	s.bumpTID(oldTID - 1)
 	for _, old := range kept {
 		name := old.Schema.Name
 		if s.Table(name) == nil {
@@ -272,9 +271,9 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 			}
 		}
 		rows := old.Rows()
-		rec := Record{Op: OpInsert, Table: name, TIDs: make([]int64, len(rows)), Created: make([]int64, len(rows)), Rows: make([]types.Row, len(rows))}
+		rec := Record{Op: OpInsert, Table: name, TIDs: make([]int64, len(rows)), Rows: make([]types.Row, len(rows))}
 		for i, r := range rows {
-			rec.TIDs[i], rec.Created[i], rec.Rows[i] = r.TID, r.Created, r.Values
+			rec.TIDs[i], rec.Rows[i] = r.TID, r.Values
 		}
 		if _, err := s.apply(&rec); err != nil {
 			return fmt.Errorf("storage: restoring preserved row: %w", err)

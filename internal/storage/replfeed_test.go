@@ -23,7 +23,7 @@ func TestReplFeedCaptureApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 20; i++ {
-		tids, _, err := src.InsertRows("users", []types.Row{{
+		tids, err := src.InsertRows("users", []types.Row{{
 			types.NewInt(i), types.NewString("u"), types.Null}}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestReplFeedGapAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 10; i++ {
-		if _, _, err := s.InsertRows("users", []types.Row{{
+		if _, err := s.InsertRows("users", []types.Row{{
 			types.NewInt(i), types.NewString("u"), types.Null}}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestReplFeedGapAfterCheckpoint(t *testing.T) {
 		t.Fatalf("fetch at head after checkpoint: recs=%d err=%v", len(recs), err)
 	}
 	// New writes after the prune stream normally from the head cursor.
-	if _, _, err := s.InsertRows("users", []types.Row{{
+	if _, err := s.InsertRows("users", []types.Row{{
 		types.NewInt(11), types.NewString("u"), types.Null}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReplFeedByteBudget(t *testing.T) {
 		big[i] = 'x'
 	}
 	for i := int64(1); i <= 100; i++ {
-		if _, _, err := s.InsertRows("users", []types.Row{{
+		if _, err := s.InsertRows("users", []types.Row{{
 			types.NewInt(i), types.NewString(string(big)), types.Null}}, nil); err != nil {
 			t.Fatal(err)
 		}

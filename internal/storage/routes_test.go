@@ -67,7 +67,7 @@ func runHistory(t *testing.T, s *Store, seed int64, checkpointAt int) {
 		tids := live[table]
 		switch k := rng.Intn(10); {
 		case len(tids) < 3 || k < 4:
-			if ts, _, err := s.InsertRows(table, []types.Row{row(table)}, nil); err == nil {
+			if ts, err := s.InsertRows(table, []types.Row{row(table)}, nil); err == nil {
 				live[table] = append(tids, ts...)
 			}
 		case k < 7:
@@ -83,7 +83,7 @@ func runHistory(t *testing.T, s *Store, seed int64, checkpointAt int) {
 			if _, err := s.DeleteRows(table, []int64{r.TID}); err != nil {
 				t.Fatal(err)
 			}
-			must(s.InsertRowsAt(table, []int64{r.TID}, []int64{r.Created}, []types.Row{r.Values}))
+			must(s.InsertRowsAt(table, []int64{r.TID}, []types.Row{r.Values}))
 		}
 		switch op {
 		case 100:
@@ -229,7 +229,7 @@ func TestStoreIndexRules(t *testing.T) {
 		{types.NewInt(1), types.NewString("dup"), types.Null},
 		{types.NewInt(2), types.NewString("dup"), types.Null},
 	} {
-		if _, _, err := s.InsertRows("other", []types.Row{r}, nil); err != nil {
+		if _, err := s.InsertRows("other", []types.Row{r}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,29 +55,28 @@ func indexTIDs(tbl *Table, name string, key types.Row, asOf int64) (tids []int64
 }
 
 // writeOne writes one row to a table as a set of one (Table.writeRows):
-// an insert stores row as tid stamped created, an update gives tid the
-// values row, a delete removes tid. It returns the values an update or
-// delete replaced.
-func writeOne(tbl *Table, op Op, tid, created int64, row types.Row) (types.Row, error) {
+// an insert stores row as tid, an update gives tid the values row, a
+// delete removes tid. It returns the values an update or delete replaced.
+func writeOne(tbl *Table, op Op, tid int64, row types.Row) (types.Row, error) {
 	old := make([]types.Row, 1)
-	_, err := tbl.writeRows(op, []int64{tid}, []int64{created}, []types.Row{row}, old, false)
+	_, err := tbl.writeRows(op, []int64{tid}, []types.Row{row}, old, false)
 	return old[0], err
 }
 
 func TestTableInsertGetDelete(t *testing.T) {
 	tbl := NewTable(userSchema(), new(atomic.Int64))
 	row := types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")}
-	if _, err := writeOne(tbl, OpInsert, 10, 100, row); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 10, row); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get(10)
-	if !ok || !types.RowsEqual(got.Values, row) || got.Created != 100 {
+	if !ok || !types.RowsEqual(got.Values, row) {
 		t.Fatalf("Get: %+v ok=%v", got, ok)
 	}
 	if tid, ok := pkTID(tbl, types.NewInt(1), SeqLatest); !ok || tid != 10 {
 		t.Fatalf("pk lookup: %d, %v", tid, ok)
 	}
-	old, err := writeOne(tbl, OpDelete, 10, 0, nil)
+	old, err := writeOne(tbl, OpDelete, 10, nil)
 	if err != nil || !types.RowsEqual(old, row) {
 		t.Fatalf("Delete: %v, %v", old, err)
 	}
@@ -92,7 +91,7 @@ func TestTableInsertGetDelete(t *testing.T) {
 func TestTableConstraints(t *testing.T) {
 	tbl := NewTable(userSchema(), new(atomic.Int64))
 	ok := types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")}
-	if _, err := writeOne(tbl, OpInsert, 1, 1, ok); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 1, ok); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -106,26 +105,26 @@ func TestTableConstraints(t *testing.T) {
 		{"bad arity", types.Row{types.NewInt(4)}},
 	}
 	for _, c := range cases {
-		if _, err := writeOne(tbl, OpInsert, 99, 99, c.row); err == nil {
+		if _, err := writeOne(tbl, OpInsert, 99, c.row); err == nil {
 			t.Errorf("%s: expected constraint violation", c.name)
-			writeOne(tbl, OpDelete, 99, 0, nil)
+			writeOne(tbl, OpDelete, 99, nil)
 		}
 	}
 	// NULL in a UNIQUE column is always allowed (no uniqueness of NULLs).
-	if _, err := writeOne(tbl, OpInsert, 5, 5, types.Row{types.NewInt(5), types.NewString("e"), types.Null}); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 5, types.Row{types.NewInt(5), types.NewString("e"), types.Null}); err != nil {
 		t.Errorf("null unique: %v", err)
 	}
-	if _, err := writeOne(tbl, OpInsert, 6, 6, types.Row{types.NewInt(6), types.NewString("f"), types.Null}); err != nil {
+	if _, err := writeOne(tbl, OpInsert, 6, types.Row{types.NewInt(6), types.NewString("f"), types.Null}); err != nil {
 		t.Errorf("second null unique: %v", err)
 	}
 }
 
 func TestTableUpdate(t *testing.T) {
 	tbl := NewTable(userSchema(), new(atomic.Int64))
-	writeOne(tbl, OpInsert, 1, 1, types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")})
-	writeOne(tbl, OpInsert, 2, 2, types.Row{types.NewInt(2), types.NewString("bob"), types.NewString("b@x")})
+	writeOne(tbl, OpInsert, 1, types.Row{types.NewInt(1), types.NewString("ana"), types.NewString("a@x")})
+	writeOne(tbl, OpInsert, 2, types.Row{types.NewInt(2), types.NewString("bob"), types.NewString("b@x")})
 	// Moving pk 1 → 3 must update the index.
-	old, err := writeOne(tbl, OpUpdate, 1, 0, types.Row{types.NewInt(3), types.NewString("ana"), types.NewString("a@x")})
+	old, err := writeOne(tbl, OpUpdate, 1, types.Row{types.NewInt(3), types.NewString("ana"), types.NewString("a@x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +138,11 @@ func TestTableUpdate(t *testing.T) {
 		t.Error("new pk entry missing")
 	}
 	// Updating to a conflicting pk must fail and leave state intact.
-	if _, err := writeOne(tbl, OpUpdate, 1, 0, types.Row{types.NewInt(2), types.NewString("x"), types.Null}); err == nil {
+	if _, err := writeOne(tbl, OpUpdate, 1, types.Row{types.NewInt(2), types.NewString("x"), types.Null}); err == nil {
 		t.Error("pk conflict not detected")
 	}
 	// Self-update (same pk) is fine.
-	if _, err := writeOne(tbl, OpUpdate, 1, 0, types.Row{types.NewInt(3), types.NewString("ana2"), types.NewString("a@x")}); err != nil {
+	if _, err := writeOne(tbl, OpUpdate, 1, types.Row{types.NewInt(3), types.NewString("ana2"), types.NewString("a@x")}); err != nil {
 		t.Errorf("self update: %v", err)
 	}
 }
@@ -155,7 +154,7 @@ func TestSecondaryIndex(t *testing.T) {
 		if i%2 == 1 {
 			name = "odd"
 		}
-		if _, err := writeOne(tbl, OpInsert, i, i, types.Row{types.NewInt(i), types.NewString(name), types.Null}); err != nil {
+		if _, err := writeOne(tbl, OpInsert, i, types.Row{types.NewInt(i), types.NewString(name), types.Null}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,12 +166,12 @@ func TestSecondaryIndex(t *testing.T) {
 		t.Fatalf("odd lookup: %v, %v", tids, ok)
 	}
 	// Index stays correct across delete and update.
-	writeOne(tbl, OpDelete, 1, 0, nil)
+	writeOne(tbl, OpDelete, 1, nil)
 	tids, _ = indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if len(tids) != 4 {
 		t.Fatalf("after delete: %v", tids)
 	}
-	writeOne(tbl, OpUpdate, 2, 0, types.Row{types.NewInt(2), types.NewString("odd"), types.Null})
+	writeOne(tbl, OpUpdate, 2, types.Row{types.NewInt(2), types.NewString("odd"), types.Null})
 	tids, _ = indexTIDs(tbl, "by_name", types.Row{types.NewString("odd")}, SeqLatest)
 	if len(tids) != 5 {
 		t.Fatalf("after update: %v", tids)
@@ -198,14 +197,14 @@ func TestStoreInMemoryBasics(t *testing.T) {
 	if err := s.CreateTable(userSchema()); err != nil {
 		t.Fatal(err)
 	}
-	tids, created, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("ana"), types.Null}}, nil)
-	if err != nil || tids[0] == 0 || created[0] == 0 {
-		t.Fatalf("insert: %v, %v, %v", tids, created, err)
+	tids, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("ana"), types.Null}}, nil)
+	if err != nil || tids[0] == 0 {
+		t.Fatalf("insert: %v, %v", tids, err)
 	}
-	if s.CurrentStamp() != created[0] {
-		t.Errorf("CurrentStamp: %d, want %d", s.CurrentStamp(), created[0])
+	if s.CurrentStamp() != tids[0] {
+		t.Errorf("CurrentStamp: %d, want %d", s.CurrentStamp(), tids[0])
 	}
-	if _, _, err := s.InsertRows("nope", []types.Row{nil}, nil); err == nil {
+	if _, err := s.InsertRows("nope", []types.Row{nil}, nil); err == nil {
 		t.Error("insert into missing table must fail")
 	}
 	if err := s.DropTable("users"); err != nil {
@@ -227,7 +226,7 @@ func TestStoreDurability(t *testing.T) {
 	}
 	var lastTID int64
 	for i := int64(1); i <= 50; i++ {
-		tids, _, err := s.InsertRows("users", []types.Row{{types.NewInt(i), types.NewString("u"), types.Null}}, nil)
+		tids, err := s.InsertRows("users", []types.Row{{types.NewInt(i), types.NewString("u"), types.Null}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +269,7 @@ func TestStoreDurability(t *testing.T) {
 		t.Fatalf("metas lost: %+v", metas)
 	}
 	// New tids must not collide with replayed ones.
-	tids, _, err := s2.InsertRows("users", []types.Row{{types.NewInt(1000), types.NewString("new"), types.Null}}, nil)
+	tids, err := s2.InsertRows("users", []types.Row{{types.NewInt(1000), types.NewString("new"), types.Null}}, nil)
 	if err != nil || tids[0] <= lastTID {
 		t.Fatalf("tid reuse after replay: %v vs %d (%v)", tids, lastTID, err)
 	}

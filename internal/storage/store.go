@@ -87,8 +87,9 @@ type MetaEntry struct {
 // with an empty directory is purely in-memory (used by most tests); with a
 // directory it persists through a snapshot file and a WAL. Rows are
 // written as sets, one record each: InsertRows, InsertRowsAt, UpdateRows
-// and DeleteRows (Insert is a set of one kept for the benchmark's commit
-// probe); Commit is the durability boundary after them.
+// and DeleteRows (Insert, a set of one that returns its tid twice, is
+// kept for the benchmark's commit probe); Commit is the durability
+// boundary after them.
 type Store struct {
 	dir     string
 	durable bool
@@ -108,8 +109,9 @@ type Store struct {
 	tables   map[string]*Table // lower-cased name → table
 	metas    []MetaEntry
 
-	nextTID     atomic.Int64
-	nextCreated atomic.Int64
+	// nextTID is the next tuple id, which is also the tuple's creation
+	// stamp (§VI-A): it never goes back, and no tid is drawn twice.
+	nextTID atomic.Int64
 
 	// MVCC clock and visibility ceiling. Every version stamp comes from
 	// mvccNext (shared by all tables, see NewTable); mvccVisible is
@@ -165,7 +167,7 @@ type Store struct {
 const (
 	snapshotFile  = "ediflow.snapshot"
 	walFile       = "ediflow.wal"
-	snapshotMagic = "EDSNAP2\n" // v2: header carries the checkpoint epoch
+	snapshotMagic = "EDSNAP3\n" // v3: a row is its tid and values, the header one counter
 )
 
 // Open opens (or creates) a store with the historical durability default
@@ -207,7 +209,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return s.SnapshotSeq() - s.OldestSnapshot()
 	})
 	s.nextTID.Store(1)
-	s.nextCreated.Store(1)
 	if !s.durable {
 		return s, nil
 	}
@@ -652,24 +653,18 @@ func (s *Store) fsyncLocked() error {
 
 func tkey(name string) string { return strings.ToLower(name) }
 
-// CurrentStamp returns the most recently allocated creation timestamp.
-// A process instance starting now sees exactly the tuples with
-// `_created <= CurrentStamp()` (§VI-A time-based isolation).
-func (s *Store) CurrentStamp() int64 { return s.nextCreated.Load() - 1 }
+// CurrentStamp returns the most recently allocated tid: the newest
+// creation stamp. A process instance starting now sees exactly the tuples
+// with `_created <= CurrentStamp()` (§VI-A time-based isolation).
+func (s *Store) CurrentStamp() int64 { return s.nextTID.Load() - 1 }
 
-// bumpCounters raises the counters to cover an explicitly supplied tuple
+// bumpTID raises the tid counter past an explicitly supplied tid
 // (replay / rollback re-insertion paths).
-func (s *Store) bumpCounters(tid, created int64) {
+func (s *Store) bumpTID(tid int64) {
 	for {
 		cur := s.nextTID.Load()
 		if tid < cur || s.nextTID.CompareAndSwap(cur, tid+1) {
-			break
-		}
-	}
-	for {
-		cur := s.nextCreated.Load()
-		if created < cur || s.nextCreated.CompareAndSwap(cur, created+1) {
-			break
+			return
 		}
 	}
 }
@@ -728,11 +723,11 @@ func (s *Store) applyRows(r *Record, trial bool) (old []types.Row, done int, err
 	if r.Op != OpInsert {
 		old = make([]types.Row, len(r.TIDs))
 	}
-	if done, err = t.writeRows(r.Op, r.TIDs, r.Created, r.Rows, old, trial); err != nil || trial {
+	if done, err = t.writeRows(r.Op, r.TIDs, r.Rows, old, trial); err != nil || trial {
 		return nil, done, err
 	}
 	if r.Op == OpInsert && done > 0 {
-		s.bumpCounters(slices.Max(r.TIDs), slices.Max(r.Created))
+		s.bumpTID(slices.Max(r.TIDs))
 	}
 	return old, done, nil
 }
@@ -801,31 +796,30 @@ func (s *Store) TableNames() []string {
 }
 
 // InsertRows inserts rows into table as one set (see write) and returns
-// the tid and creation stamp it gave each. The store keeps the rows: each
-// must be its caller's own allocation, never written again.
-func (s *Store) InsertRows(table string, rows []types.Row, stop error) (tids, created []int64, err error) {
+// the tid (and creation stamp) it gave each. The store keeps the rows:
+// each must be its caller's own allocation, never written again.
+func (s *Store) InsertRows(table string, rows []types.Row, stop error) (tids []int64, err error) {
 	n := int64(len(rows))
-	t0, c0 := s.nextTID.Add(n)-n, s.nextCreated.Add(n)-n
-	rec := Record{Op: OpInsert, Table: table, TIDs: make([]int64, n), Created: make([]int64, n), Rows: rows}
+	t0 := s.nextTID.Add(n) - n
+	rec := Record{Op: OpInsert, Table: table, TIDs: make([]int64, n), Rows: rows}
 	for i := range rec.TIDs {
-		rec.TIDs[i], rec.Created[i] = t0+int64(i), c0+int64(i)
+		rec.TIDs[i] = t0 + int64(i)
 	}
 	if _, done, err := s.write(&rec, stop); err != nil {
-		// Rows after the one that failed give their stamps back: inserted
+		// Rows after the one that failed give their tids back: inserted
 		// one at a time, they would never have drawn them.
 		if d := int64(done) + 1; d < n {
 			s.nextTID.CompareAndSwap(t0+n, t0+d)
-			s.nextCreated.CompareAndSwap(c0+n, c0+d)
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	return rec.TIDs, rec.Created, nil
+	return rec.TIDs, nil
 }
 
-// InsertRowsAt re-inserts rows under their own tids and creation stamps
-// as one set (undo of a delete).
-func (s *Store) InsertRowsAt(table string, tids, created []int64, rows []types.Row) error {
-	_, _, err := s.write(&Record{Op: OpInsert, Table: table, TIDs: tids, Created: created, Rows: rows}, nil)
+// InsertRowsAt re-inserts rows under their own tids as one set (undo of
+// a delete).
+func (s *Store) InsertRowsAt(table string, tids []int64, rows []types.Row) error {
+	_, _, err := s.write(&Record{Op: OpInsert, Table: table, TIDs: tids, Rows: rows}, nil)
 	return err
 }
 
@@ -843,14 +837,15 @@ func (s *Store) DeleteRows(table string, tids []int64) (old []types.Row, err err
 	return old, err
 }
 
-// Insert inserts one row as a set of one (InsertRows). Only the
-// benchmark's commit probe (bench/probes.go) calls it.
+// Insert inserts one row as a set of one (InsertRows) and returns its tid
+// twice, as tid and as creation stamp. Only the benchmark's commit probe
+// (bench/probes.go) calls it, which takes three results.
 func (s *Store) Insert(table string, row types.Row) (tid, created int64, err error) {
-	tids, cs, err := s.InsertRows(table, []types.Row{row}, nil)
+	tids, err := s.InsertRows(table, []types.Row{row}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	return tids[0], cs[0], nil
+	return tids[0], tids[0], nil
 }
 
 // AddIndex builds a named index and logs it. Index names are unique
@@ -986,8 +981,8 @@ func (s *Store) writeSnapshot(w io.Writer, epoch uint64) error {
 
 // writeSnapshotTo serializes the store: header, metas, index definitions,
 // tables — each section a count followed by that many entries in the
-// field codecs the WAL records use. counters=false zeroes the allocation
-// counters and skipRows omits the rows (not the schemas) of the named
+// field codecs the WAL records use. counters=false zeroes the tid counter
+// and skipRows omits the rows (not the schemas) of the named
 // tables — both used by replication snapshots, whose encoding must
 // depend only on logical shared content (see EncodeReplSnapshot). Tables
 // go in name order and each table's named indexes in rank order, so the
@@ -995,13 +990,11 @@ func (s *Store) writeSnapshot(w io.Writer, epoch uint64) error {
 func (s *Store) writeSnapshotTo(w io.Writer, epoch uint64, counters bool, skipRows map[string]bool) error {
 	buf := []byte(snapshotMagic)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
-	var tid, created uint64
+	var tid uint64
 	if counters {
 		tid = uint64(s.nextTID.Load())
-		created = uint64(s.nextCreated.Load())
 	}
 	buf = binary.BigEndian.AppendUint64(buf, tid)
-	buf = binary.BigEndian.AppendUint64(buf, created)
 	buf = binary.AppendUvarint(buf, uint64(len(s.metas)))
 	for _, m := range s.metas {
 		buf = appendMeta(buf, m)
@@ -1043,7 +1036,7 @@ func (s *Store) writeSnapshotTo(w io.Writer, epoch uint64, counters bool, skipRo
 			return err
 		}
 		for _, r := range rows {
-			buf = appendStoredRow(buf[:0], r.TID, r.Created, r.Values)
+			buf = appendStoredRow(buf[:0], r.TID, r.Values)
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
@@ -1069,12 +1062,14 @@ func (s *Store) loadSnapshot(path string) error {
 // applied after them, over the loaded rows.
 func (s *Store) loadSnapshotBytes(data []byte) error {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
+		if err := oldFormat("snapshot", data, snapshotMagic); err != nil {
+			return err
+		}
 		return fmt.Errorf("storage: bad snapshot magic")
 	}
 	rd := reader{buf: data[len(snapshotMagic):]}
 	s.epoch = uint64(rd.i64())
 	s.nextTID.Store(rd.i64())
-	s.nextCreated.Store(rd.i64())
 	// put applies one decoded record, unless the reader already ran short.
 	put := func(rec *Record) error {
 		if rd.err != nil {
@@ -1106,9 +1101,9 @@ func (s *Store) loadSnapshotBytes(data []byte) error {
 		}
 		// A table's rows are one insert set.
 		m := rd.count()
-		rec = Record{Op: OpInsert, Table: rec.Table, TIDs: make([]int64, m), Created: make([]int64, m), Rows: make([]types.Row, m)}
+		rec = Record{Op: OpInsert, Table: rec.Table, TIDs: make([]int64, m), Rows: make([]types.Row, m)}
 		for i := 0; i < m; i++ {
-			rec.TIDs[i], rec.Created[i], rec.Rows[i] = rd.storedRow()
+			rec.TIDs[i], rec.Rows[i] = rd.storedRow()
 		}
 		if err := put(&rec); err != nil {
 			return err

@@ -34,26 +34,24 @@ import (
 // replay use it; concurrent readers must use a captured snapshot seq.
 const SeqLatest = math.MaxInt64
 
-// StoredRow is one physical tuple: user values plus the system columns
-// `_tid` (unique tuple id) and `_created` (monotonic creation sequence)
-// that implement the paper's creation timestamps (§VI-A). The Values
-// slice is immutable once stored — it is shared freely with readers.
+// StoredRow is one physical tuple: user values plus its tid, which is both
+// system columns — `_tid` and `_created`, the creation stamp of §VI-A
+// (tids are drawn in creation order and never reused). The Values slice
+// is immutable once stored — it is shared freely with readers.
 type StoredRow struct {
-	TID     int64
-	Created int64
-	Values  types.Row
+	TID    int64
+	Values types.Row
 }
 
-// version is one entry in a row's version chain, newest first. begin,
-// created and values are immutable after the version is published via
-// the slot's atomic head pointer; end is stamped once when the version
-// is superseded or deleted; prev is cleared (only ever to nil) by Vacuum.
+// version is one entry in a row's version chain, newest first. begin and
+// values are immutable after the version is published via the slot's
+// atomic head pointer; end is stamped once when the version is
+// superseded or deleted; prev is cleared (only ever to nil) by Vacuum.
 type version struct {
-	begin   int64
-	created int64
-	values  types.Row
-	end     atomic.Int64
-	prev    atomic.Pointer[version]
+	begin  int64
+	values types.Row
+	end    atomic.Int64
+	prev   atomic.Pointer[version]
 }
 
 // visibleAt walks the chain for the version a snapshot at seq asOf sees.
@@ -282,7 +280,7 @@ func (it *TableIter) Next() (StoredRow, bool) {
 		sl := it.slots[it.i]
 		it.i++
 		if v := visibleAt(sl.head.Load(), it.asOf); v != nil {
-			return StoredRow{TID: sl.tid, Created: v.created, Values: v.values}, true
+			return StoredRow{TID: sl.tid, Values: v.values}, true
 		}
 	}
 	return StoredRow{}, false
@@ -343,7 +341,7 @@ func (t *Table) GetAt(tid, asOf int64) (StoredRow, bool) {
 	if v == nil {
 		return StoredRow{}, false
 	}
-	return StoredRow{TID: sl.tid, Created: v.created, Values: v.values}, true
+	return StoredRow{TID: sl.tid, Values: v.values}, true
 }
 
 // Indexes returns the table's indexes in planner rank order (see
@@ -390,7 +388,7 @@ func (t *Table) Lookup(ix *IndexInfo, key types.Row, asOf int64, dst []StoredRow
 	for _, sl := range cands {
 		if v := visibleAt(sl.head.Load(), asOf); v != nil {
 			if vk, ok := ix.key(vb[:0], v.values); ok && bytes.Equal(vk, k) {
-				dst = append(dst, StoredRow{TID: sl.tid, Created: v.created, Values: v.values})
+				dst = append(dst, StoredRow{TID: sl.tid, Values: v.values})
 			}
 		}
 	}
@@ -466,7 +464,7 @@ func (t *Table) liveMatch(ix *IndexInfo, tid int64, k []byte) bool {
 }
 
 // writeRows carries out one row set of op under one table lock, row by
-// row in order: an insert adds rows[i] as tids[i] with created[i], an
+// row in order: an insert adds rows[i] as tids[i], an
 // update stamps rows[i] as tids[i]'s new version, a delete end-stamps
 // tids[i]. An update's or delete's old receives the values each row
 // replaced; they are immutable.
@@ -475,14 +473,14 @@ func (t *Table) liveMatch(ix *IndexInfo, tid int64, k []byte) bool {
 // it (takeBackLocked) and its index is returned with its error. A trial
 // set that does not fail is taken back whole: it only finds the error
 // its rows would meet.
-func (t *Table) writeRows(op Op, tids, created []int64, rows, old []types.Row, trial bool) (int, error) {
+func (t *Table) writeRows(op Op, tids []int64, rows, old []types.Row, trial bool) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, tid := range tids {
 		var err error
 		switch op {
 		case OpInsert:
-			err = t.insertLocked(tid, created[i], rows[i])
+			err = t.insertLocked(tid, rows[i])
 		case OpUpdate:
 			old[i], err = t.updateLocked(tid, rows[i])
 		case OpDelete:
@@ -502,7 +500,7 @@ func (t *Table) writeRows(op Op, tids, created []int64, rows, old []types.Row, t
 // takeBackLocked reverses the rows of a set just applied, newest first,
 // as undoing them one at a time does: an inserted row is deleted, an
 // updated one gets its old values as a new version, a deleted one is
-// re-inserted under its tid and stamp. Each restores a state the table
+// re-inserted under its tid. Each restores a state the table
 // held a moment before, so none can fail. Caller holds t.mu.
 func (t *Table) takeBackLocked(op Op, tids []int64, old []types.Row) {
 	for j := len(tids) - 1; j >= 0; j-- {
@@ -512,16 +510,16 @@ func (t *Table) takeBackLocked(op Op, tids []int64, old []types.Row) {
 		case OpUpdate:
 			t.updateLocked(tids[j], old[j])
 		case OpDelete:
-			t.insertLocked(tids[j], t.byTID[tids[j]].head.Load().created, old[j])
+			t.insertLocked(tids[j], old[j])
 		}
 	}
 }
 
-// insertLocked adds a row with explicit system columns. Re-inserting a
+// insertLocked adds a row under an explicit tid. Re-inserting a
 // tid whose row was deleted (transaction rollback, replay) extends the
 // existing chain and moves the slot to the end, so slot order is always
 // order of last insertion regardless of vacuum timing. Caller holds t.mu.
-func (t *Table) insertLocked(tid, created int64, row types.Row) error {
+func (t *Table) insertLocked(tid int64, row types.Row) error {
 	if err := t.checkConstraints(row, -1); err != nil {
 		return err
 	}
@@ -531,7 +529,7 @@ func (t *Table) insertLocked(tid, created int64, row types.Row) error {
 			return fmt.Errorf("storage: %s: duplicate tid %d", t.Schema.Name, tid)
 		}
 	}
-	v := &version{begin: t.stamp(), created: created, values: row}
+	v := &version{begin: t.stamp(), values: row}
 	var prev types.Row // the indexed version a reinsert extends
 	if sl != nil {
 		// Rebuild the slice rather than shifting in place: concurrent
@@ -561,9 +559,9 @@ func (t *Table) insertLocked(tid, created int64, row types.Row) error {
 	return nil
 }
 
-// updateLocked stamps a new version for the row with the given tid;
-// `_created` is preserved (the tuple identity does not change). Caller
-// holds t.mu.
+// updateLocked stamps a new version for the row with the given tid; the
+// tid, and so `_created`, stays (the tuple identity does not change).
+// Caller holds t.mu.
 func (t *Table) updateLocked(tid int64, row types.Row) (old types.Row, err error) {
 	sl := t.byTID[tid]
 	var head *version
@@ -576,7 +574,7 @@ func (t *Table) updateLocked(tid int64, row types.Row) (old types.Row, err error
 	if err := t.checkConstraints(row, tid); err != nil {
 		return nil, err
 	}
-	v := &version{begin: t.stamp(), created: head.created, values: row}
+	v := &version{begin: t.stamp(), values: row}
 	v.prev.Store(head)
 	head.end.Store(v.begin)
 	sl.head.Store(v)

@@ -20,11 +20,11 @@ var tornWALOps = []struct {
 }{
 	{"create-table", func(s *Store) error { return s.CreateTable(userSchema()) }},
 	{"insert-1", func(s *Store) error {
-		_, _, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
+		_, err := s.InsertRows("users", []types.Row{{types.NewInt(1), types.NewString("a"), types.Null}}, nil)
 		return err
 	}},
 	{"insert-2", func(s *Store) error {
-		_, _, err := s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil)
+		_, err := s.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil)
 		return err
 	}},
 	{"update", func(s *Store) error {
@@ -38,7 +38,7 @@ var tornWALOps = []struct {
 		return err
 	}},
 	{"insert-set", func(s *Store) error {
-		_, _, err := s.InsertRows("users", []types.Row{
+		_, err := s.InsertRows("users", []types.Row{
 			{types.NewInt(3), types.NewString("c"), types.Null},
 			{types.NewInt(4), types.NewString("d"), types.NewFloat(0.5)},
 			{types.NewInt(5), types.NewString("e"), types.Null},
@@ -91,7 +91,7 @@ func modelAfter(t *testing.T, n int) *Store {
 }
 
 // sameState compares the logical state of two stores: table set, rows
-// (tid, created, values), and metas.
+// (tid, values), and metas.
 func sameState(a, b *Store) bool {
 	an, bn := a.TableNames(), b.TableNames()
 	if len(an) != len(bn) {
@@ -107,7 +107,7 @@ func sameState(a, b *Store) bool {
 		}
 		arows, brows := at.Rows(), bt.Rows()
 		for j := range arows {
-			if arows[j].TID != brows[j].TID || arows[j].Created != brows[j].Created ||
+			if arows[j].TID != brows[j].TID ||
 				!types.RowsEqual(arows[j].Values, brows[j].Values) {
 				return false
 			}
@@ -236,7 +236,7 @@ func TestAppendAfterTornTailIsReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over torn tail: %v", err)
 	}
-	if _, _, err := s2.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil); err != nil {
+	if _, err := s2.InsertRows("users", []types.Row{{types.NewInt(2), types.NewString("b"), types.Null}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {

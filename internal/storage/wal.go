@@ -18,7 +18,7 @@ import (
 //
 // The WAL opens with a 16-byte file header:
 //
-//	[8-byte magic "EDIWAL1\n"][u64 epoch]
+//	[8-byte magic "EDIWAL2\n"][u64 epoch]
 //
 // The epoch ties the log to the snapshot it extends (see
 // Store.Checkpoint): a log whose epoch predates the installed snapshot's
@@ -35,9 +35,10 @@ import (
 // records are never hidden behind garbage.
 //
 // A payload is one encoded Record: a 1-byte opcode and the fields that
-// op uses (see Record.encode).
+// op uses (see Record.encode). A log of an older format is refused
+// (oldFormat): EDIWAL1 stored a creation stamp beside each inserted tid.
 const (
-	walMagic     = "EDIWAL1\n"
+	walMagic     = "EDIWAL2\n"
 	walHeaderLen = 16 // magic + big-endian epoch
 )
 
@@ -170,7 +171,8 @@ func replayWAL(fs fault.FS, path string, snapEpoch uint64, apply func(payload []
 		return info, nil // empty file or torn header: treat as no log
 	}
 	if string(fh[:8]) != walMagic {
-		return info, nil // unrecognized: recreate
+		// unrecognized: recreate, unless it is an older log of ours
+		return info, oldFormat("log "+path, fh[:], walMagic)
 	}
 	info.epoch = binary.BigEndian.Uint64(fh[8:])
 	info.goodLen = walHeaderLen
@@ -219,7 +221,7 @@ type Op byte
 const (
 	OpCreateTable Op = iota + 1 // Table, Schema
 	OpDropTable                 // Table
-	OpInsert                    // Table, TIDs, Created, Rows
+	OpInsert                    // Table, TIDs, Rows
 	OpUpdate                    // Table, TIDs, Rows
 	OpDelete                    // Table, TIDs
 	OpCreateIndex               // Table, Index
@@ -232,7 +234,7 @@ const (
 // logs hold; a larger set under the op's set opcode, which puts the row
 // count after the table name:
 //
-//	insert  [9][table][uvarint n] n × [tid][created][row]
+//	insert  [9][table][uvarint n] n × [tid][row]
 //	update [10][table][uvarint n] n × [tid][row]
 //	delete [11][table][uvarint n] n × [tid]
 const setFrame = 6 // set opcode − op
@@ -252,19 +254,19 @@ type IndexDef struct {
 // the live store had. Each op uses the fields listed beside its opcode;
 // the rest stay nil or zero.
 //
-// A row op carries a set: row i of the set is TIDs[i], with Created[i]
-// (insert) and Rows[i] (insert, update) beside it. A statement's rows are
-// one record, applied in order under one table lock. A set is the only
-// unit a row is written in: one row is a set of one.
+// A row op carries a set: row i of the set is TIDs[i] (an inserted row's
+// tid is also its creation stamp), with Rows[i] (insert, update) beside
+// it. A statement's rows are one record, applied in order under one table
+// lock. A set is the only unit a row is written in: one row is a set of
+// one.
 type Record struct {
-	Op      Op
-	Table   string
-	TIDs    []int64
-	Created []int64
-	Rows    []types.Row
-	Schema  *catalog.TableSchema
-	Index   IndexDef
-	Meta    MetaEntry
+	Op     Op
+	Table  string
+	TIDs   []int64
+	Rows   []types.Row
+	Schema *catalog.TableSchema
+	Index  IndexDef
+	Meta   MetaEntry
 }
 
 // DDL reports whether the record changes schema rather than rows.
@@ -297,11 +299,7 @@ func (r *Record) encode(dst []byte) []byte {
 	}
 	for i, tid := range r.TIDs {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(tid))
-		switch r.Op {
-		case OpInsert:
-			dst = binary.BigEndian.AppendUint64(dst, uint64(r.Created[i]))
-			dst = types.AppendRow(dst, r.Rows[i])
-		case OpUpdate:
+		if r.Op != OpDelete {
 			dst = types.AppendRow(dst, r.Rows[i])
 		}
 	}
@@ -342,14 +340,11 @@ func decodeRecord(payload []byte) (Record, error) {
 	case OpInsert + setFrame, OpUpdate + setFrame, OpDelete + setFrame:
 		rec.Op -= setFrame
 		rec.Table = rd.str()
-		// The least a row takes: its tid, an insert's stamp, and a row's
+		// The least a row takes: its tid, and an insert's or update's
 		// one-byte value count.
-		least := 8
-		switch rec.Op {
-		case OpInsert:
-			least = 17
-		case OpUpdate:
-			least = 9
+		least := 9
+		if rec.Op == OpDelete {
+			least = 8
 		}
 		n = rd.setCount(least)
 	default:
@@ -359,17 +354,11 @@ func decodeRecord(payload []byte) (Record, error) {
 		return Record{}, rd.err
 	}
 	rec.TIDs = make([]int64, n)
-	if rec.Op == OpInsert {
-		rec.Created = make([]int64, n)
-	}
 	if rec.Op != OpDelete {
 		rec.Rows = make([]types.Row, n)
 	}
 	for i := 0; i < n && rd.err == nil; i++ {
 		rec.TIDs[i] = rd.i64()
-		if rec.Op == OpInsert {
-			rec.Created[i] = rd.i64()
-		}
 		if rec.Op != OpDelete {
 			rec.Rows[i] = rd.row()
 		}
@@ -427,10 +416,19 @@ func appendMeta(dst []byte, m MetaEntry) []byte {
 	return appendString(dst, m.Text)
 }
 
-func appendStoredRow(dst []byte, tid, created int64, row types.Row) []byte {
+func appendStoredRow(dst []byte, tid int64, row types.Row) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(tid))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(created))
 	return types.AppendRow(dst, row)
+}
+
+// oldFormat refuses a file that opens with another version of the magic
+// want (the same six-byte name): the store reads only its own format and
+// leaves such a file as it is. Any other start, want included, is nil.
+func oldFormat(what string, head []byte, want string) error {
+	if len(head) < len(want) || string(head[:len(want)]) == want || string(head[:6]) != want[:6] {
+		return nil
+	}
+	return fmt.Errorf("storage: %s is in the old format %s; this version reads only %s", what, head[:7], want[:7])
 }
 
 // reader consumes a payload front to back. The first read that runs past
@@ -530,8 +528,8 @@ func (r *reader) row() types.Row {
 	return row
 }
 
-func (r *reader) storedRow() (tid, created int64, row types.Row) {
-	return r.i64(), r.i64(), r.row()
+func (r *reader) storedRow() (tid int64, row types.Row) {
+	return r.i64(), r.row()
 }
 
 func (r *reader) schema() *catalog.TableSchema {

@@ -2,8 +2,8 @@
 // of process instances through creation timestamps and deferred deletion
 // through per-relation deletion tables (R∆) plus query rewriting.
 //
-// Every stored tuple carries `_created` (a monotonic stamp). A process
-// instance takes a snapshot stamp when it starts; its queries are
+// Every stored tuple carries `_created`, a monotonic stamp: its tid. A
+// process instance takes a snapshot stamp when it starts; its queries are
 // rewritten to see only tuples with `_created <= snapshot` — the paper's
 // default behavior ("each process operates on exactly the data which was
 // available when the process started").
