@@ -170,12 +170,12 @@ func meta(p *ediflow.Platform, conn *ediflow.RemoteConn, cmd string) bool {
 			fmt.Println("usage: .schema <table>")
 			return false
 		}
-		s, ok := p.DB().Catalog().Table(fields[1])
-		if !ok {
+		t := p.DB().Store().Table(fields[1])
+		if t == nil {
 			fmt.Printf("no such table %q\n", fields[1])
 			return false
 		}
-		for _, c := range s.Columns {
+		for _, c := range t.Schema.Columns {
 			flags := ""
 			if c.PrimaryKey {
 				flags += " PRIMARY KEY"

@@ -1,8 +1,8 @@
-// Package catalog holds the metadata of the embedded database: table
-// schemas, (materialized) view definitions and triggers. Indexes are not
-// listed here: a table's indexes live with its storage (see
-// storage.Table.Indexes). The catalog is safe for concurrent use (see
-// Catalog).
+// Package catalog holds the metadata of the embedded database: the
+// shape of a table schema and its rules (TableSchema), and the registry
+// of (materialized) view definitions and triggers (Catalog). Tables and
+// their indexes are registered in the store alone (storage.Store.Table).
+// The catalog is safe for concurrent use (see Catalog).
 package catalog
 
 import (
@@ -95,50 +95,9 @@ type Trigger struct {
 	Handler string
 }
 
-// Catalog is the full metadata set. It is safe for concurrent use: the
-// engine serializes writes, but reads come from many layers (workflow
-// isolation rewriting, UP trigger installation, tools) on other
-// goroutines.
-type Catalog struct {
-	mu       sync.RWMutex
-	tables   map[string]*TableSchema // lower-cased name → schema
-	views    map[string]*View
-	triggers map[string]*Trigger
-}
-
-// New returns an empty catalog.
-func New() *Catalog {
-	return &Catalog{
-		tables:   map[string]*TableSchema{},
-		views:    map[string]*View{},
-		triggers: map[string]*Trigger{},
-	}
-}
-
-// Reset empties the catalog in place. Whoever holds the catalog — a
-// lock-free reader planning a query, the workflow layer — keeps the one
-// object while its owner rebuilds it (a replica applying a snapshot).
-func (c *Catalog) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.tables)
-	clear(c.views)
-	clear(c.triggers)
-}
-
-func key(name string) string { return strings.ToLower(name) }
-
-// AddTable registers a new table schema.
-func (c *Catalog) AddTable(s *TableSchema) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := key(s.Name)
-	if _, ok := c.tables[k]; ok {
-		return fmt.Errorf("catalog: table %q already exists", s.Name)
-	}
-	if _, ok := c.views[k]; ok {
-		return fmt.Errorf("catalog: %q already names a view", s.Name)
-	}
+// Validate checks a new table's schema: at least one column, no column
+// named twice or by a system column's name, at most one primary key.
+func (s *TableSchema) Validate() error {
 	if len(s.Columns) == 0 {
 		return fmt.Errorf("catalog: table %q has no columns", s.Name)
 	}
@@ -160,46 +119,36 @@ func (c *Catalog) AddTable(s *TableSchema) error {
 	if pks > 1 {
 		return fmt.Errorf("catalog: table %q has %d primary keys", s.Name, pks)
 	}
-	c.tables[k] = s
 	return nil
 }
 
-// Table looks up a table schema by name.
-func (c *Catalog) Table(name string) (*TableSchema, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s, ok := c.tables[key(name)]
-	return s, ok
+// Catalog holds the definitions that exist only as DDL text in the
+// store: views and triggers. Tables are the store's (storage.Store). It
+// is safe for concurrent use: the engine serializes writes, but reads
+// come from many layers (lock-free planning, trigger dispatch, workflow
+// isolation, tools) on other goroutines.
+type Catalog struct {
+	mu       sync.RWMutex
+	views    map[string]*View // lower-cased name
+	triggers map[string]*Trigger
 }
 
-// DropTable removes a table and its triggers.
-func (c *Catalog) DropTable(name string) error {
+// New returns an empty catalog.
+func New() *Catalog {
+	return &Catalog{views: map[string]*View{}, triggers: map[string]*Trigger{}}
+}
+
+// Replace makes c hold what from holds, at once: whoever holds c — a
+// lock-free reader planning a query, the workflow layer — sees it before
+// or after, never part-built, while its owner builds from aside (a
+// replica applying a snapshot). from must not be used after.
+func (c *Catalog) Replace(from *Catalog) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
-	if _, ok := c.tables[k]; !ok {
-		return fmt.Errorf("catalog: no such table %q", name)
-	}
-	delete(c.tables, k)
-	for tn, tg := range c.triggers {
-		if key(tg.Table) == k {
-			delete(c.triggers, tn)
-		}
-	}
-	return nil
+	c.views, c.triggers = from.views, from.triggers
 }
 
-// TableNames returns all table names, sorted.
-func (c *Catalog) TableNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for _, s := range c.tables {
-		out = append(out, s.Name)
-	}
-	sort.Strings(out)
-	return out
-}
+func key(name string) string { return strings.ToLower(name) }
 
 // AddView registers a materialized view.
 func (c *Catalog) AddView(v *View) error {
@@ -208,9 +157,6 @@ func (c *Catalog) AddView(v *View) error {
 	k := key(v.Name)
 	if _, ok := c.views[k]; ok {
 		return fmt.Errorf("catalog: view %q already exists", v.Name)
-	}
-	if _, ok := c.tables[k]; ok {
-		return fmt.Errorf("catalog: %q already names a table", v.Name)
 	}
 	c.views[k] = v
 	return nil
@@ -236,16 +182,11 @@ func (c *Catalog) ViewNames() []string {
 	return out
 }
 
-// DropView removes a view.
-func (c *Catalog) DropView(name string) error {
+// DropView removes a view; it is no error if there is none.
+func (c *Catalog) DropView(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
-	if _, ok := c.views[k]; !ok {
-		return fmt.Errorf("catalog: no such view %q", name)
-	}
-	delete(c.views, k)
-	return nil
+	delete(c.views, key(name))
 }
 
 // AddTrigger registers a trigger.
@@ -256,11 +197,23 @@ func (c *Catalog) AddTrigger(t *Trigger) error {
 	if _, ok := c.triggers[k]; ok {
 		return fmt.Errorf("catalog: trigger %q already exists", t.Name)
 	}
-	if _, ok := c.tables[key(t.Table)]; !ok {
-		return fmt.Errorf("catalog: trigger %q references unknown table %q", t.Name, t.Table)
-	}
 	c.triggers[k] = t
 	return nil
+}
+
+// Trigger looks up a trigger by name.
+func (c *Catalog) Trigger(name string) (*Trigger, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	t, ok := c.triggers[key(name)]
+	return t, ok
+}
+
+// DropTrigger removes a trigger; it is no error if there is none.
+func (c *Catalog) DropTrigger(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.triggers, key(name))
 }
 
 // Triggers returns the triggers on a table for an event, sorted by name.

@@ -40,51 +40,47 @@ func TestSchemaLookups(t *testing.T) {
 	}
 }
 
-func TestAddTableValidation(t *testing.T) {
-	c := New()
-	if err := c.AddTable(userSchema()); err != nil {
+// TestSchemaValidate: the schema rules a new table must meet. Which
+// names are taken, by a table or a view, is the engine's to check
+// (engine TestDDLNameRules).
+func TestSchemaValidate(t *testing.T) {
+	if err := userSchema().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Case-insensitive duplicate.
-	if err := c.AddTable(&TableSchema{Name: "USERS", Columns: []Column{{Name: "a", Type: types.KindInt}}}); err == nil {
-		t.Error("duplicate table")
-	}
-	if err := c.AddTable(&TableSchema{Name: "empty"}); err == nil {
-		t.Error("no columns")
-	}
-	if err := c.AddTable(&TableSchema{Name: "dup", Columns: []Column{
-		{Name: "x", Type: types.KindInt}, {Name: "X", Type: types.KindInt},
-	}}); err == nil {
-		t.Error("duplicate column")
-	}
-	if err := c.AddTable(&TableSchema{Name: "pk2", Columns: []Column{
-		{Name: "a", Type: types.KindInt, PrimaryKey: true},
-		{Name: "b", Type: types.KindInt, PrimaryKey: true},
-	}}); err == nil {
-		t.Error("two primary keys")
-	}
-	if err := c.AddTable(&TableSchema{Name: "sys", Columns: []Column{{Name: "_tid", Type: types.KindInt}}}); err == nil {
-		t.Error("reserved column name")
-	}
-	got, ok := c.Table("users")
-	if !ok || got.Name != "Users" {
-		t.Error("case-insensitive lookup")
+	for _, c := range []struct {
+		s    *TableSchema
+		want string
+	}{
+		{&TableSchema{Name: "empty"}, `catalog: table "empty" has no columns`},
+		{&TableSchema{Name: "dup", Columns: []Column{
+			{Name: "x", Type: types.KindInt}, {Name: "X", Type: types.KindInt},
+		}}, `catalog: duplicate column "X" in "dup"`},
+		{&TableSchema{Name: "pk2", Columns: []Column{
+			{Name: "a", Type: types.KindInt, PrimaryKey: true},
+			{Name: "b", Type: types.KindInt, PrimaryKey: true},
+		}}, `catalog: table "pk2" has 2 primary keys`},
+		{&TableSchema{Name: "sys", Columns: []Column{{Name: "_tid", Type: types.KindInt}}}, `catalog: column name "_tid" is reserved`},
+		{&TableSchema{Name: "sys", Columns: []Column{{Name: "_Created", Type: types.KindInt}}}, `catalog: column name "_Created" is reserved`},
+	} {
+		if err := c.s.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.s.Name, err, c.want)
+		}
 	}
 }
 
 // The index half of this test moved to storage (TestStoreIndexRules):
 // index definitions live with the table's storage, not in the catalog.
+// A trigger's table is the engine's to check (engine TestDDLNameRules).
 func TestIndexesAndTriggers(t *testing.T) {
 	c := New()
-	c.AddTable(userSchema())
 	if err := c.AddTrigger(&Trigger{Name: "t1", Event: "INSERT", Table: "users", Handler: "h"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddTrigger(&Trigger{Name: "t1", Event: "DELETE", Table: "users", Handler: "h"}); err == nil {
+	if err := c.AddTrigger(&Trigger{Name: "T1", Event: "DELETE", Table: "users", Handler: "h"}); err == nil {
 		t.Error("duplicate trigger")
 	}
-	if err := c.AddTrigger(&Trigger{Name: "t2", Event: "INSERT", Table: "ghost", Handler: "h"}); err == nil {
-		t.Error("unknown table trigger")
+	if got, ok := c.Trigger("T1"); !ok || got.Event != "INSERT" {
+		t.Errorf("Trigger: %v %v", got, ok)
 	}
 	if got := c.Triggers("users", "insert"); len(got) != 1 {
 		t.Errorf("Triggers: %v", got)
@@ -95,21 +91,15 @@ func TestIndexesAndTriggers(t *testing.T) {
 	if len(c.AllTriggers()) != 1 {
 		t.Error("AllTriggers")
 	}
-	// Dropping a table drops its triggers.
-	if err := c.DropTable("users"); err != nil {
-		t.Fatal(err)
-	}
+	c.DropTrigger("T1")
+	c.DropTrigger("t1") // gone already: no error
 	if len(c.AllTriggers()) != 0 {
-		t.Error("trigger survived drop")
-	}
-	if err := c.DropTable("users"); err == nil {
-		t.Error("double drop")
+		t.Error("trigger survived DropTrigger")
 	}
 }
 
 func TestViews(t *testing.T) {
 	c := New()
-	c.AddTable(userSchema())
 	sel, err := sqltext.Parse("SELECT id FROM users")
 	if err != nil {
 		t.Fatal(err)
@@ -121,34 +111,31 @@ func TestViews(t *testing.T) {
 	if err := c.AddView(v); err == nil {
 		t.Error("duplicate view")
 	}
-	if err := c.AddView(&View{Name: "users"}); err == nil {
-		t.Error("view shadowing table")
-	}
-	if err := c.AddTable(&TableSchema{Name: "v1", Columns: []Column{{Name: "a", Type: types.KindInt}}}); err == nil {
-		t.Error("table shadowing view")
-	}
 	if _, ok := c.View("V1"); !ok {
 		t.Error("view lookup")
 	}
 	if names := c.ViewNames(); len(names) != 1 || names[0] != "v1" {
 		t.Errorf("%v", names)
 	}
-	if err := c.DropView("v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DropView("v1"); err == nil {
-		t.Error("double drop view")
+	c.DropView("V1")
+	c.DropView("v1") // gone already: no error
+	if _, ok := c.View("v1"); ok {
+		t.Error("view survived DropView")
 	}
 }
 
-func TestTableNamesSorted(t *testing.T) {
-	c := New()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		c.AddTable(&TableSchema{Name: n, Columns: []Column{{Name: "a", Type: types.KindInt}}})
+// TestReplace: a catalog takes another's contents whole.
+func TestReplace(t *testing.T) {
+	c, from := New(), New()
+	c.AddView(&View{Name: "old"})
+	c.AddTrigger(&Trigger{Name: "old", Table: "t"})
+	from.AddView(&View{Name: "new"})
+	c.Replace(from)
+	if names := c.ViewNames(); len(names) != 1 || names[0] != "new" {
+		t.Errorf("views %v", names)
 	}
-	names := c.TableNames()
-	if names[0] != "alpha" || names[2] != "zeta" {
-		t.Errorf("%v", names)
+	if len(c.AllTriggers()) != 0 {
+		t.Errorf("triggers %v", c.AllTriggers())
 	}
 }
 

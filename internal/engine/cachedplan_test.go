@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ediflow/internal/engine/vm"
@@ -155,10 +156,11 @@ func TestCachedPlanSeesCatalogChange(t *testing.T) {
 }
 
 // TestCatalogRebuildUnderLockFreeReads: a replica applying snapshots
-// rebuilds its catalog while lock-free SELECTs plan against it. The
-// catalog is rebuilt in place, under its own lock, so readers race with
-// nothing (run under -race); once the applies end, every reader's next
-// statement answers from the rebuilt catalog.
+// swaps in its tables and its catalog while lock-free SELECTs plan and
+// read against them. Each is built aside and swapped in whole, so a
+// reader sees the state before an apply or after it, never one being
+// built: every read, counted, gives its exact answer — never an error,
+// never an empty result (run under -race).
 func TestCatalogRebuildUnderLockFreeReads(t *testing.T) {
 	primary := newTestDB(t)
 	mustExec(t, primary, "CREATE TABLE r (id INT PRIMARY KEY, k INT)")
@@ -173,8 +175,13 @@ func TestCatalogRebuildUnderLockFreeReads(t *testing.T) {
 	if err := replica.ApplyReplSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var (
+		stop  = make(chan struct{})
+		wg    sync.WaitGroup
+		reads atomic.Int64
+		mu    sync.Mutex
+		bad   []string
+	)
 	for w := range 2 {
 		wg.Add(1)
 		go func() {
@@ -185,19 +192,39 @@ func TestCatalogRebuildUnderLockFreeReads(t *testing.T) {
 					return
 				default:
 				}
-				// A new text each time: each plans afresh against the catalog.
-				replica.Exec(fmt.Sprintf("SELECT id FROM r WHERE k = %d AND id > %d", w, i))
-				replica.Exec(fmt.Sprintf("SELECT n FROM rv WHERE k = %d", i))
+				// A new text each time: each plans afresh against the
+				// tables and the catalog.
+				bound := w*1_000_000 + i + 10
+				for q, want := range map[string]string{
+					fmt.Sprintf("SELECT id FROM r WHERE k = 2 AND id < %d ORDER BY id", bound): "[id] [[1] [2]] 0",
+					fmt.Sprintf("SELECT n FROM rv WHERE k = 5 AND n < %d", bound):              "[n] [[1]] 0",
+				} {
+					reads.Add(1)
+					if got := answer(replica, q); got != want {
+						mu.Lock()
+						bad = append(bad, fmt.Sprintf("%s: %s, want %s", q, got, want))
+						mu.Unlock()
+					}
+				}
 			}
 		}()
 	}
-	for range 20 {
+	// Apply until the readers have read through enough applies, at any
+	// GOMAXPROCS.
+	applies := 0
+	for ; applies < 20 || reads.Load() < 200 && applies < 2000; applies++ {
 		if err := replica.ApplyReplSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
+	if n := reads.Load(); n == 0 {
+		t.Fatalf("no read ran during %d applies", applies)
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d of %d reads during %d applies went wrong; first: %s", len(bad), reads.Load(), applies, bad[0])
+	}
 	for q, want := range map[string]string{
 		"SELECT id FROM r WHERE k = 2 ORDER BY id": "[id] [[1] [2]] 0",
 		"SELECT n FROM rv WHERE k = 5":             "[n] [[1]] 0",

@@ -12,25 +12,33 @@ import (
 )
 
 func (e *Engine) execCreateTable(s *sqltext.CreateTable) (*Result, []ChangeEvent, error) {
-	if _, exists := e.cat.Table(s.Name); exists {
+	if e.store.Table(s.Name) != nil {
 		if s.IfNotExists {
 			return &Result{}, nil, nil
 		}
 		return nil, nil, fmt.Errorf("engine: table %q already exists", s.Name)
 	}
-	schema := catalog.SchemaFromAST(s)
-	if err := e.cat.AddTable(schema); err != nil {
-		return nil, nil, err
-	}
-	if err := e.store.CreateTable(schema); err != nil {
-		e.cat.DropTable(schema.Name)
+	if err := e.createTable(catalog.SchemaFromAST(s)); err != nil {
 		return nil, nil, err
 	}
 	return &Result{}, nil, nil
 }
 
+// createTable adds a table to the store, which checks its schema. The
+// name must be free: a table may not take a view's name (nor a view a
+// table's, see createView).
+func (e *Engine) createTable(schema *catalog.TableSchema) error {
+	if e.store.Table(schema.Name) != nil {
+		return fmt.Errorf("catalog: table %q already exists", schema.Name)
+	}
+	if _, ok := e.cat.View(schema.Name); ok {
+		return fmt.Errorf("catalog: %q already names a view", schema.Name)
+	}
+	return e.store.CreateTable(schema)
+}
+
 func (e *Engine) execDropTable(s *sqltext.DropTable) (*Result, []ChangeEvent, error) {
-	if _, exists := e.cat.Table(s.Name); !exists {
+	if e.store.Table(s.Name) == nil {
 		if s.IfExists {
 			return &Result{}, nil, nil
 		}
@@ -48,21 +56,17 @@ func (e *Engine) execDropTable(s *sqltext.DropTable) (*Result, []ChangeEvent, er
 	return &Result{}, nil, nil
 }
 
-// dropTable removes a table from the catalog and the store, and with it
-// the stored definitions of its triggers: the catalog forgets a dropped
-// table's triggers, so their meta entries must go to the log too, or
-// replay and replicas would be left with triggers on a table they no
-// longer have.
+// dropTable removes a table from the store, and its triggers with it:
+// each trigger's stored definition goes to the log, so replay and
+// replicas drop it too, and the catalog forgets it.
 func (e *Engine) dropTable(name string) error {
 	for _, tg := range e.cat.AllTriggers() {
 		if strings.EqualFold(tg.Table, name) {
 			if err := e.store.DeleteMeta("trigger", tg.Name); err != nil {
 				return err
 			}
+			e.cat.DropTrigger(tg.Name)
 		}
-	}
-	if err := e.cat.DropTable(name); err != nil {
-		return err
 	}
 	return e.store.DropTable(name)
 }
@@ -80,6 +84,10 @@ func (e *Engine) execCreateIndex(s *sqltext.CreateIndex) (*Result, []ChangeEvent
 }
 
 func (e *Engine) execCreateTrigger(s *sqltext.CreateTrigger) (*Result, []ChangeEvent, error) {
+	// A taken trigger name is reported first, by AddTrigger.
+	if _, dup := e.cat.Trigger(s.Name); !dup && e.store.Table(s.Table) == nil {
+		return nil, nil, fmt.Errorf("catalog: trigger %q references unknown table %q", s.Name, s.Table)
+	}
 	if err := e.cat.AddTrigger(&catalog.Trigger{Name: s.Name, Event: s.Event, Table: s.Table, Handler: s.Handler}); err != nil {
 		return nil, nil, err
 	}
@@ -117,7 +125,7 @@ func resolveInsertTarget(schema *catalog.TableSchema, cols []string) ([]int, err
 // writeTarget is the table an INSERT, UPDATE or DELETE writes, action
 // naming the statement in the error: a view, a virtual table (it shadows
 // any table of its name, so a statement would match rows it cannot
-// write) or a name the catalog does not hold is an error.
+// write) or a name the store does not hold is an error.
 func (e *Engine) writeTarget(table, action string) (*catalog.TableSchema, error) {
 	if _, isView := e.cat.View(table); isView {
 		return nil, fmt.Errorf("engine: cannot %s view %q", action, table)
@@ -125,11 +133,11 @@ func (e *Engine) writeTarget(table, action string) (*catalog.TableSchema, error)
 	if e.lookupVirtual(table) != nil {
 		return nil, fmt.Errorf("engine: cannot %s virtual table %q", action, table)
 	}
-	schema, ok := e.cat.Table(table)
-	if !ok {
+	t := e.store.Table(table)
+	if t == nil {
 		return nil, fmt.Errorf("engine: no such table %q", table)
 	}
-	return schema, nil
+	return t.Schema, nil
 }
 
 // mutPlan is an INSERT's, UPDATE's or DELETE's plan: the table it writes

@@ -273,58 +273,57 @@ func New(store *storage.Store) (*Engine, error) {
 	e.mParWorkers = e.reg.Counter("vm.parallel_workers")
 	e.registerSystemTables()
 	e.views = newViewSet(e)
-	if err := e.loadCatalog(e.restoreView); err != nil {
+	if err := e.loadCatalog(e.cat, true); err != nil {
 		return nil, err
 	}
+	// The first read sees what a view restore repaired.
+	e.store.PublishSnapshot()
 	return e, nil
 }
 
-// loadCatalog rebuilds the catalog from the store, in place: every table,
-// then every stored view and trigger definition in the order it was
-// created. view says what a stored view becomes — New materializes it,
-// ApplyReplSnapshot registers it catalog-only. Caller holds e.mu (or is
-// New).
-func (e *Engine) loadCatalog(view func(*sqltext.CreateView) error) error {
-	e.cat.Reset()
-	for _, name := range e.store.TableNames() {
-		if err := e.cat.AddTable(e.store.Table(name).Schema); err != nil {
-			return err
-		}
-	}
+// loadCatalog registers in cat every stored view and trigger definition,
+// in the order it was created (loadMeta). Caller holds e.mu (or is New).
+func (e *Engine) loadCatalog(cat *catalog.Catalog, materialize bool) error {
 	for _, m := range e.store.Metas() {
-		if err := e.loadMeta(m, view); err != nil {
+		if err := e.loadMeta(cat, m, materialize); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadMeta registers one stored view or trigger definition by re-parsing
-// its DDL. A trigger whose table is gone is deleted from the store, not
-// registered: DROP TABLE used to leave such entries behind (see
-// dropTable), and a directory holding one must open again.
-func (e *Engine) loadMeta(m storage.MetaEntry, view func(*sqltext.CreateView) error) error {
+// loadMeta registers one stored view or trigger definition in cat by
+// re-parsing its DDL. New materializes a view (createView, into e.cat); a
+// replica registers it catalog-only, as its backing rows arrive with the
+// primary's records and re-materializing would draw tids of its own. A
+// trigger whose table is gone is deleted from the store, not registered:
+// DROP TABLE used to leave such entries behind (see dropTable), and a
+// directory holding one must open again.
+func (e *Engine) loadMeta(cat *catalog.Catalog, m storage.MetaEntry, materialize bool) error {
 	st, err := sqltext.Parse(m.Text)
 	if err != nil {
 		return fmt.Errorf("engine: bad stored DDL %q: %w", m.Text, err)
 	}
 	switch d := st.(type) {
 	case *sqltext.CreateView:
-		return view(d)
+		if materialize {
+			return e.createView(d, false)
+		}
+		return cat.AddView(&catalog.View{Name: d.Name, Query: d.Query, Backing: viewBackingPrefix + strings.ToLower(d.Name)})
 	case *sqltext.CreateTrigger:
-		if _, ok := e.cat.Table(d.Table); !ok {
+		if e.store.Table(d.Table) == nil {
 			return e.store.DeleteMeta(m.Kind, m.Name)
 		}
-		return e.cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler})
+		return cat.AddTrigger(&catalog.Trigger{Name: d.Name, Event: d.Event, Table: d.Table, Handler: d.Handler})
 	}
 	return fmt.Errorf("engine: unexpected stored DDL %q", m.Text)
 }
 
-// Catalog exposes the metadata (read-only use).
+// Catalog exposes the views and triggers (read-only use); see Store.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
-// Store exposes the physical store (read-only use; the workflow layer
-// needs CurrentStamp for snapshot isolation).
+// Store exposes the physical store (read-only use): the one registry of
+// tables, and CurrentStamp for the workflow layer's snapshot isolation.
 func (e *Engine) Store() *storage.Store { return e.store }
 
 // RegisterBatchHandler installs a named trigger handler that CREATE
@@ -916,12 +915,5 @@ func (e *Engine) execMutation(p *plan, args []types.Value) (*Result, []ChangeEve
 func (e *Engine) TableNames() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var out []string
-	for _, n := range e.cat.TableNames() {
-		if !strings.HasPrefix(n, "__view_") {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.DeleteFunc(e.store.TableNames(), func(n string) bool { return strings.HasPrefix(n, viewBackingPrefix) })
 }

@@ -349,8 +349,8 @@ func TestSystemColumns(t *testing.T) {
 	}
 
 	// Reopen from the WAL, then from a checkpoint's snapshot. Opening
-	// rewrites the view's backing rows (restoreView), each under a tid
-	// drawn past the stamp the store closed at.
+	// writes nothing to the view's backing rows (restoreView): they hold
+	// what the view holds, so no tid is drawn.
 	for _, step := range []string{"reopened from the WAL", "reopened from a snapshot"} {
 		if step == "reopened from a snapshot" {
 			if err := e.Checkpoint(); err != nil {
@@ -358,13 +358,12 @@ func TestSystemColumns(t *testing.T) {
 			}
 		}
 		stamp := e.Store().CurrentStamp()
-		groups := int64(len(mustExec(t, e, "SELECT city FROM __view_by_city").Rows))
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 		e = openDir(t, dir)
-		if got := e.Store().CurrentStamp(); got != stamp+groups {
-			t.Fatalf("%s: stamp %d, want %d", step, got, stamp+groups)
+		if got := e.Store().CurrentStamp(); got != stamp {
+			t.Fatalf("%s: stamp %d, want %d", step, got, stamp)
 		}
 		probe(step)
 	}

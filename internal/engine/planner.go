@@ -340,12 +340,12 @@ func (pl *planner) resolveRef(tr sqltext.TableRef, where sqltext.Expr) fromRef {
 	if v, ok := e.cat.View(name); ok {
 		name = v.Backing
 	}
-	schema, ok := e.cat.Table(name)
-	if !ok {
+	tbl := e.store.Table(name)
+	if tbl == nil {
 		return fromRef{err: fmt.Errorf("engine: no such table %q", tr.Table)}
 	}
-	rel := &relation{cols: make([]colMeta, 0, len(schema.Columns)+2)}
-	for _, c := range schema.Columns {
+	rel := &relation{cols: make([]colMeta, 0, len(tbl.Schema.Columns)+2), tbl: tbl}
+	for _, c := range tbl.Schema.Columns {
 		rel.cols = append(rel.cols, colMeta{qual: qual, name: strings.ToLower(c.Name), kind: c.Type})
 	}
 	if !pl.delta {
@@ -355,10 +355,8 @@ func (pl *planner) resolveRef(tr sqltext.TableRef, where sqltext.Expr) fromRef {
 		)
 	}
 	ref := fromRef{rel: rel, key: strings.ToLower(tr.Table)}
-	if rel.tbl = e.store.Table(name); rel.tbl == nil {
-		ref.err = fmt.Errorf("engine: storage missing for table %q", name)
-	} else if where != nil {
-		ref.plan = analyzeScan(where, schema, rel.tbl, qual)
+	if where != nil {
+		ref.plan = analyzeScan(where, tbl.Schema, tbl, qual)
 	}
 	return ref
 }

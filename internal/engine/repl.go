@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ediflow/internal/catalog"
-	"ediflow/internal/sqltext"
 	"ediflow/internal/storage"
 	"ediflow/internal/types"
 )
@@ -62,9 +61,9 @@ func (e *Engine) ReplSnapshot(exclude ...string) (data []byte, seq uint64, err e
 }
 
 // ApplyReplicated applies a batch of shipped records in order, keeping
-// the catalog in sync with replicated DDL. Rows inserted into
-// watchTable (the notification journal) are returned so the replication
-// loop can ring local NOTIFY doorbells.
+// the catalog in sync with replicated views and triggers. Rows inserted
+// into watchTable (the notification journal) are returned so the
+// replication loop can ring local NOTIFY doorbells.
 func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []types.Row, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -82,17 +81,15 @@ func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []ty
 			return watched, fmt.Errorf("engine: replicated apply: %w", err)
 		}
 		switch rec.Op {
-		case storage.OpCreateTable:
-			err = e.cat.AddTable(rec.Schema)
-		case storage.OpDropTable:
-			err = e.cat.DropTable(rec.Table)
 		case storage.OpPutMeta:
-			err = e.loadMeta(rec.Meta, e.catalogView)
+			err = e.loadMeta(e.cat, rec.Meta, false)
 		case storage.OpDelMeta:
-			// A dropped table's trigger entries need nothing here: the
-			// catalog forgets them with the table.
+			// DROP TABLE ships one of these for each of the table's
+			// triggers.
 			if rec.Meta.Kind == "view" {
 				e.cat.DropView(rec.Meta.Name)
+			} else {
+				e.cat.DropTrigger(rec.Meta.Name)
 			}
 		case storage.OpInsert:
 			if watchTable != "" && strings.EqualFold(rec.Table, watchTable) {
@@ -110,34 +107,27 @@ func (e *Engine) ApplyReplicated(recs [][]byte, watchTable string) (watched []ty
 	return watched, nil
 }
 
-// catalogView registers a replicated view in the catalog only — no ivm
-// maintainer runs on a replica: the backing table's contents arrive
-// pre-materialized through the primary's replicated records, and
-// re-materializing here would allocate local tids diverging from the
-// primary's. Caller holds e.mu.
-func (e *Engine) catalogView(d *sqltext.CreateView) error {
-	return e.cat.AddView(&catalog.View{
-		Name:    d.Name,
-		Query:   d.Query,
-		Backing: viewBackingPrefix + strings.ToLower(d.Name),
-	})
-}
-
 // ApplyReplSnapshot replaces the replica's entire state with a shipped
-// snapshot and rebuilds the catalog from it. Rows of tables named in
-// preserve (per-node-local state) survive the reset.
+// snapshot: the store's tables and the catalog are each built aside and
+// swapped in whole, so a lock-free reader never finds either part-built.
+// Rows of tables named in preserve (per-node-local state) survive.
 func (e *Engine) ApplyReplSnapshot(data []byte, preserve ...string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.inTxn.Load() {
 		return fmt.Errorf("engine: snapshot apply refused: transaction open")
 	}
-	// Purge once the catalog is rebuilt: a lock-free SELECT planned
-	// against the half-built catalog must not leave its plan cached.
+	// Purge once the catalog is swapped: a lock-free SELECT planned
+	// against new tables and the old catalog must not stay cached.
 	defer e.plans.purge()
 	if err := e.store.ResetFromSnapshot(data, preserve...); err != nil {
 		return err
 	}
 	e.views = newViewSet(e)
-	return e.loadCatalog(e.catalogView)
+	cat := catalog.New()
+	if err := e.loadCatalog(cat, false); err != nil {
+		return err
+	}
+	e.cat.Replace(cat)
+	return nil
 }

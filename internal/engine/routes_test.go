@@ -29,18 +29,19 @@ func openDir(t *testing.T, dir string) *Engine {
 	return e
 }
 
-// describe renders everything the routes must agree on: the catalog
-// (tables, each table's indexes, views, triggers), the stored metas, the
+// describe renders everything the routes must agree on: the tables and
+// each table's indexes (the store's), the views and triggers (the
+// catalog's), the stored metas, the
 // rows of every user table and view, and the access path EXPLAIN picks
 // for each of probes.
 func describe(t *testing.T, e *Engine, probes ...string) string {
 	t.Helper()
 	var b strings.Builder
 	cat := e.Catalog()
-	for _, name := range cat.TableNames() {
-		s, _ := cat.Table(name)
-		fmt.Fprintf(&b, "table %s %+v\n", name, s.Columns)
-		for _, ix := range e.Store().Table(name).Indexes() {
+	for _, name := range e.Store().TableNames() {
+		tbl := e.Store().Table(name)
+		fmt.Fprintf(&b, "table %s %+v\n", name, tbl.Schema.Columns)
+		for _, ix := range tbl.Indexes() {
 			fmt.Fprintf(&b, "  index %q cols=%v unique=%v origin=%d\n", ix.Name, ix.Cols, ix.Unique, ix.Origin)
 		}
 	}
@@ -108,6 +109,73 @@ func TestDropTableWithTriggerReopens(t *testing.T) {
 	mustExec(t, e, "DROP TABLE t")
 	mustExec(t, e, "CREATE TABLE t (a INT)")
 	mustExec(t, e, "CREATE TRIGGER trg AFTER INSERT ON t CALL 'h'")
+}
+
+// TestDDLNameRules pins what DDL answers about names, through SQL: each
+// statement runs in turn and must fail with exactly its text, or succeed
+// ("" below). Tables, views and triggers share these rules whichever
+// layer holds them: a table and a view never share a name, a trigger
+// needs a table, and DROP TABLE takes the table's triggers with it.
+func TestDDLNameRules(t *testing.T) {
+	e := newTestDB(t)
+	for _, c := range []struct{ sql, err string }{
+		{"CREATE TABLE t (id INT PRIMARY KEY, k INT)", ""},
+		{"CREATE MATERIALIZED VIEW v AS SELECT id, k FROM t", ""},
+		{"CREATE TRIGGER tg AFTER INSERT ON t CALL 'h'", ""},
+		{"CREATE TABLE t (a INT)", `engine: table "t" already exists`},
+		{"CREATE TABLE T (a INT)", `engine: table "T" already exists`},
+		{"CREATE TABLE IF NOT EXISTS t (a INT)", ""},
+		{"CREATE TABLE v (a INT)", `catalog: "v" already names a view`},
+		{"CREATE TABLE V (a INT)", `catalog: "V" already names a view`},
+		{"CREATE MATERIALIZED VIEW t AS SELECT id FROM t", `engine: "t" already names a table`},
+		{"CREATE MATERIALIZED VIEW T AS SELECT id FROM t", `engine: "T" already names a table`},
+		{"CREATE MATERIALIZED VIEW v AS SELECT id FROM t", `engine: view "v" already exists`},
+		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM ghost", `engine: view "w" references unknown table "ghost"`},
+		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM v", `engine: view "w" may not reference view "v"`},
+		{"CREATE MATERIALIZED VIEW w AS SELECT _tid FROM t", `catalog: column name "_tid" is reserved`},
+		{"CREATE TABLE __view_w (a INT)", ""},
+		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM t", `catalog: table "__view_w" already exists`},
+		{"DROP TABLE __view_w", ""},
+		{"CREATE TRIGGER tg AFTER DELETE ON t CALL 'h'", `catalog: trigger "tg" already exists`},
+		{"CREATE TRIGGER TG AFTER DELETE ON ghost CALL 'h'", `catalog: trigger "TG" already exists`},
+		{"CREATE TRIGGER tg2 AFTER INSERT ON ghost CALL 'h'", `catalog: trigger "tg2" references unknown table "ghost"`},
+		{"CREATE TRIGGER tg2 AFTER INSERT ON v CALL 'h'", `catalog: trigger "tg2" references unknown table "v"`},
+		{"CREATE TRIGGER tg2 AFTER DELETE ON T CALL 'h'", ""},
+		{"CREATE TABLE d (a INT, A INT)", `catalog: duplicate column "A" in "d"`},
+		{"CREATE TABLE d (_tid INT)", `catalog: column name "_tid" is reserved`},
+		{"CREATE TABLE d (a INT, _CREATED INT)", `catalog: column name "_CREATED" is reserved`},
+		{"CREATE TABLE d (a INT PRIMARY KEY, b INT PRIMARY KEY)", `catalog: table "d" has 2 primary keys`},
+		{"DROP TABLE ghost", `engine: no such table "ghost"`},
+		{"DROP TABLE t", `engine: table "t" is referenced by view "v"`},
+		{"INSERT INTO v VALUES (1, 1)", `engine: cannot INSERT into view "v"`},
+		{"DROP VIEW v", ""},
+		{"CREATE TABLE v (a INT)", ""},
+		{"DROP TABLE v", ""},
+		{"DROP TABLE t", ""},
+		{"INSERT INTO t VALUES (1, 1)", `engine: no such table "t"`},
+		{"CREATE TABLE t (a INT)", ""},
+		{"CREATE TRIGGER tg AFTER INSERT ON t CALL 'h'", ""},
+		{"CREATE MATERIALIZED VIEW zeta AS SELECT a FROM t", ""},
+		{"CREATE TABLE mid (a INT)", ""},
+		{"CREATE TABLE alpha (a INT)", ""},
+	} {
+		_, err := e.Exec(c.sql)
+		if got := fmt.Sprint(err); c.err == "" && err != nil || c.err != "" && got != c.err {
+			t.Errorf("%s: err = %v, want %q", c.sql, err, c.err)
+		}
+	}
+	// The dropped table's triggers left with it; the names are sorted,
+	// and a view's backing table is not a user table.
+	var triggers []string
+	for _, tg := range e.Catalog().AllTriggers() {
+		triggers = append(triggers, tg.Name+" on "+tg.Table)
+	}
+	if got := fmt.Sprint(triggers); got != "[tg on t]" {
+		t.Errorf("triggers %s, want [tg on t]", got)
+	}
+	if got := fmt.Sprint(e.TableNames()); got != "[alpha mid t]" {
+		t.Errorf("TableNames %s, want [alpha mid t]", got)
+	}
 }
 
 // TestIndexNamesOneRule: the catalog used to keep its own index map,

@@ -362,13 +362,11 @@ func runViewDifferential(t *testing.T, fx viewFixture) {
 }
 
 func colIndex(e *Engine, table, col string) int {
-	s, _ := e.Catalog().Table(table)
-	return s.ColIndex(col)
+	return e.Store().Table(table).Schema.ColIndex(col)
 }
 
 func colName(e *Engine, table string, i int) string {
-	s, _ := e.Catalog().Table(table)
-	return s.Columns[i].Name
+	return e.Store().Table(table).Schema.Columns[i].Name
 }
 
 // diffCells compares two row multisets cell by cell under the per-column

@@ -9,6 +9,7 @@ import (
 	"ediflow/internal/catalog"
 	"ediflow/internal/ivm"
 	"ediflow/internal/sqltext"
+	"ediflow/internal/storage"
 	"ediflow/internal/types"
 )
 
@@ -88,18 +89,12 @@ func (e *Engine) execCreateView(s *sqltext.CreateView) (*Result, []ChangeEvent, 
 	return &Result{}, nil, nil
 }
 
-// restoreView re-creates view state on open; the backing table already
-// exists in the store, so only the maintainer state is rebuilt.
-func (e *Engine) restoreView(s *sqltext.CreateView) error {
-	return e.createView(s, false)
-}
-
 func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 	name := s.Name
 	if _, dup := e.cat.View(name); dup {
 		return fmt.Errorf("engine: view %q already exists", name)
 	}
-	if _, dup := e.cat.Table(name); dup {
+	if e.store.Table(name) != nil {
 		return fmt.Errorf("engine: %q already names a table", name)
 	}
 	m, err := ivm.New(name, s.Query, e)
@@ -112,7 +107,7 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		if _, isView := e.cat.View(t); isView {
 			return fmt.Errorf("engine: view %q may not reference view %q", name, t)
 		}
-		if _, ok := e.cat.Table(t); !ok {
+		if e.store.Table(t) == nil {
 			return fmt.Errorf("engine: view %q references unknown table %q", name, t)
 		}
 	}
@@ -126,15 +121,10 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		if err != nil {
 			return err
 		}
-		schema := &catalog.TableSchema{Name: backing, Columns: cols}
-		if err := e.cat.AddTable(schema); err != nil {
+		if err := e.createTable(&catalog.TableSchema{Name: backing, Columns: cols}); err != nil {
 			return err
 		}
-		if err := e.store.CreateTable(schema); err != nil {
-			e.cat.DropTable(backing)
-			return err
-		}
-	} else if _, ok := e.cat.Table(backing); !ok {
+	} else if e.store.Table(backing) == nil {
 		return fmt.Errorf("engine: backing table for view %q missing", name)
 	}
 
@@ -151,21 +141,43 @@ func (e *Engine) createView(s *sqltext.CreateView, fresh bool) error {
 		}
 		return err
 	}
-	// Compute initial contents. On restore the backing table already holds
-	// the materialized rows, but aggregate maintainers must rebuild their
-	// group state; re-materializing from scratch keeps both consistent.
+	// Compute initial contents: Init also builds an aggregate maintainer's
+	// group state. The backing table gets only the difference, a stored
+	// row matching one of rows that is sameRow: all of rows for a fresh
+	// view, nothing on a restore unless the table went stale.
 	rows, err := m.Init()
 	if err != nil {
 		return fail(err)
 	}
-	// Reset backing contents to exactly `rows`.
 	vs := &viewState{def: def, m: m, rowIndex: map[string]*[]int64{}}
-	var stale []types.Row
+	stale := map[string][]storage.StoredRow{} // by key, not matched yet
+	var kb []byte
 	for _, r := range e.store.Table(backing).Rows() {
-		vs.indexAdd(r.Values, r.TID)
-		stale = append(stale, r.Values)
+		kb = types.AppendRowKey(kb[:0], r.Values)
+		stale[string(kb)] = append(stale[string(kb)], r)
 	}
-	if _, err := e.views.write(vs, rows, stale); err != nil {
+	var adds []types.Row
+	for _, r := range rows {
+		kb = types.AppendRowKey(kb[:0], r)
+		p := stale[string(kb)]
+		if j := slices.IndexFunc(p, func(h storage.StoredRow) bool { return sameRow(h.Values, r) }); j >= 0 {
+			vs.indexAdd(r, p[j].TID)
+			stale[string(kb)] = slices.Delete(p, j, j+1)
+		} else {
+			adds = append(adds, r)
+		}
+	}
+	var gone []int64
+	for _, p := range stale {
+		for _, h := range p {
+			gone = append(gone, h.TID)
+		}
+	}
+	slices.Sort(gone)
+	if _, err := e.store.DeleteRows(backing, gone); err != nil {
+		return fail(err)
+	}
+	if _, err := e.views.write(vs, adds, nil); err != nil {
 		return fail(err)
 	}
 
@@ -191,9 +203,7 @@ func (e *Engine) execDropView(s *sqltext.DropView) (*Result, []ChangeEvent, erro
 		}
 		return nil, nil, fmt.Errorf("engine: no such view %q", s.Name)
 	}
-	if err := e.cat.DropView(s.Name); err != nil {
-		return nil, nil, err
-	}
+	e.cat.DropView(s.Name)
 	delete(e.views.views, strings.ToLower(s.Name))
 	delete(e.views.plans, v.Query)
 	if err := e.dropTable(v.Backing); err != nil {

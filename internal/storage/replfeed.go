@@ -239,34 +239,28 @@ func (s *Store) EncodeReplSnapshot(exclude ...string) ([]byte, error) {
 // ResetFromSnapshot replaces the store's entire logical state with the
 // given replication snapshot. Rows of tables named in preserve survive
 // the reset (replica-local state such as mirror registrations); their
-// tids are re-inserted verbatim and the tid counter stays
-// monotone across the reset so local allocations never repeat.
+// tids are re-inserted verbatim, and the tid counter only rises, so
+// local allocations never repeat. The new tables are built aside,
+// published, and swapped in whole: a lock-free reader finds each table
+// before the swap or after it, never missing. A failed load leaves the
+// tables and metas as they were.
 func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
-	var kept []*Table
-	for _, name := range preserve {
-		if t := s.Table(name); t != nil {
-			kept = append(kept, t)
-		}
-	}
-	oldEpoch := s.epoch
-	oldTID := s.nextTID.Load()
-	s.tablesMu.Lock()
-	s.tables = map[string]*Table{}
-	s.tablesMu.Unlock()
+	metas := s.metas
 	s.metas = nil
-	// The snapshot's tid counter is zeroed; apply raises it past every
-	// row it inserts, and the bump below keeps it monotone across the
-	// reset.
-	if err := s.loadSnapshotBytes(data); err != nil {
+	tables := map[string]*Table{}
+	if _, err := s.loadSnapshotBytes(tables, data); err != nil {
+		s.metas = metas
 		return err
 	}
-	s.epoch = oldEpoch // replication snapshots carry epoch 0; keep ours
-	s.bumpTID(oldTID - 1)
-	for _, old := range kept {
-		name := old.Schema.Name
-		if s.Table(name) == nil {
+	for _, name := range preserve {
+		old := s.Table(name)
+		if old == nil {
+			continue
+		}
+		if tables[tkey(name)] == nil {
 			// The primary does not have this table; keep the local one.
-			if _, err := s.apply(&Record{Op: OpCreateTable, Table: name, Schema: old.Schema}); err != nil {
+			if _, err := s.apply(tables, &Record{Op: OpCreateTable, Table: name, Schema: old.Schema}); err != nil {
+				s.metas = metas
 				return err
 			}
 		}
@@ -275,13 +269,17 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 		for i, r := range rows {
 			rec.TIDs[i], rec.Rows[i] = r.TID, r.Values
 		}
-		if _, err := s.apply(&rec); err != nil {
+		if _, err := s.apply(tables, &rec); err != nil {
+			s.metas = metas
 			return fmt.Errorf("storage: restoring preserved row: %w", err)
 		}
 	}
-	// The rebuilt state stamped fresh versions; publish them before the
-	// replica serves its next read.
+	// The new tables stamped fresh versions: publish them before any
+	// reader can find the tables that hold them.
 	s.PublishSnapshot()
+	s.tablesMu.Lock()
+	s.tables = tables
+	s.tablesMu.Unlock()
 	return nil
 }
 
@@ -291,7 +289,7 @@ func (s *Store) ResetFromSnapshot(data []byte, preserve ...string) error {
 func (s *Store) ApplyReplRecord(payload []byte) (Record, error) {
 	rec, err := decodeRecord(payload)
 	if err == nil {
-		_, err = s.apply(&rec)
+		_, err = s.apply(s.tables, &rec)
 	}
 	return rec, err
 }

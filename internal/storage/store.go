@@ -669,21 +669,24 @@ func (s *Store) bumpTID(tid int64) {
 	}
 }
 
-// apply carries out one record. It is the only code that changes
+// apply carries out one record on tables — the store's own, or a set
+// being built aside (ResetFromSnapshot). It is the only code that changes
 // tables, index definitions and metas, whatever the record's source: a
 // live operation (which then logs it), WAL replay, a shipped replication
-// record or a snapshot section. old holds the rows an update or delete
-// set replaced.
-func (s *Store) apply(r *Record) (old []types.Row, err error) {
+// record or a snapshot section. It never validates: a record was valid
+// when it was first carried out. old holds the rows an update or delete
+// set replaced. Only the writer calls it, so it reads tables unlocked and
+// locks only to change the map lock-free readers look tables up in.
+func (s *Store) apply(tables map[string]*Table, r *Record) (old []types.Row, err error) {
 	switch r.Op {
 	case OpCreateTable:
 		s.tablesMu.Lock()
-		s.tables[tkey(r.Table)] = NewTable(r.Schema, &s.mvccNext)
+		tables[tkey(r.Table)] = NewTable(r.Schema, &s.mvccNext)
 		s.tablesMu.Unlock()
 		return nil, nil
 	case OpDropTable:
 		s.tablesMu.Lock()
-		delete(s.tables, tkey(r.Table))
+		delete(tables, tkey(r.Table))
 		s.tablesMu.Unlock()
 		return nil, nil
 	case OpPutMeta, OpDelMeta:
@@ -700,13 +703,13 @@ func (s *Store) apply(r *Record) (old []types.Row, err error) {
 		}
 		return nil, nil
 	case OpCreateIndex:
-		t := s.Table(r.Table)
+		t := tables[tkey(r.Table)]
 		if t == nil {
 			return nil, fmt.Errorf("storage: no such table %q", r.Table)
 		}
 		return nil, t.AddIndex(r.Index.Name, r.Index.Cols, r.Index.Unique)
 	case OpInsert, OpUpdate, OpDelete:
-		old, _, err = s.applyRows(r, false)
+		old, _, err = s.applyRows(tables, r, false)
 		return old, err
 	}
 	return nil, fmt.Errorf("storage: unknown record opcode %d", r.Op)
@@ -715,8 +718,8 @@ func (s *Store) apply(r *Record) (old []types.Row, err error) {
 // applyRows carries out a row set on its table (Table.writeRows), trial
 // or not, and returns the rows it replaced and how many rows it got
 // through before an error.
-func (s *Store) applyRows(r *Record, trial bool) (old []types.Row, done int, err error) {
-	t := s.Table(r.Table)
+func (s *Store) applyRows(tables map[string]*Table, r *Record, trial bool) (old []types.Row, done int, err error) {
+	t := tables[tkey(r.Table)]
 	if t == nil {
 		return nil, 0, fmt.Errorf("storage: no such table %q", r.Table)
 	}
@@ -734,7 +737,7 @@ func (s *Store) applyRows(r *Record, trial bool) (old []types.Row, done int, err
 
 // do is a live operation: apply the record, then log it.
 func (s *Store) do(r *Record) error {
-	if _, err := s.apply(r); err != nil {
+	if _, err := s.apply(s.tables, r); err != nil {
 		return err
 	}
 	return s.log(r)
@@ -751,7 +754,7 @@ func (s *Store) write(r *Record, stop error) (old []types.Row, done int, err err
 	if len(r.TIDs) == 0 {
 		return nil, 0, stop
 	}
-	if old, done, err = s.applyRows(r, stop != nil); err != nil {
+	if old, done, err = s.applyRows(s.tables, r, stop != nil); err != nil {
 		return nil, done, err
 	}
 	if stop != nil {
@@ -760,10 +763,15 @@ func (s *Store) write(r *Record, stop error) (old []types.Row, done int, err err
 	return old, done, s.log(r)
 }
 
-// CreateTable allocates storage for a new table and logs it.
+// CreateTable allocates storage for a new table and logs it. The store
+// is the one registry of tables: a name it holds is taken, and a schema
+// must pass its rules (TableSchema.Validate) before anything is logged.
 func (s *Store) CreateTable(schema *catalog.TableSchema) error {
 	if s.Table(schema.Name) != nil {
 		return fmt.Errorf("storage: table %q already exists", schema.Name)
+	}
+	if err := schema.Validate(); err != nil {
+		return err
 	}
 	return s.do(&Record{Op: OpCreateTable, Table: schema.Name, Schema: schema})
 }
@@ -1053,34 +1061,37 @@ func (s *Store) loadSnapshot(path string) error {
 		}
 		return err
 	}
-	return s.loadSnapshotBytes(data)
+	s.epoch, err = s.loadSnapshotBytes(s.tables, data)
+	return err
 }
 
 // loadSnapshotBytes decodes each snapshot section into the records it
 // stands for — put-meta, create-table, insert, create-index — and feeds
-// them to apply. Index definitions precede the tables in the file but are
-// applied after them, over the loaded rows.
-func (s *Store) loadSnapshotBytes(data []byte) error {
+// them to apply, over tables, and returns the snapshot's epoch. Index
+// definitions precede the tables in the file but are applied after them,
+// over the loaded rows. The tid counter only rises: to the snapshot's,
+// and past every row loaded.
+func (s *Store) loadSnapshotBytes(tables map[string]*Table, data []byte) (epoch uint64, err error) {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		if err := oldFormat("snapshot", data, snapshotMagic); err != nil {
-			return err
+			return 0, err
 		}
-		return fmt.Errorf("storage: bad snapshot magic")
+		return 0, fmt.Errorf("storage: bad snapshot magic")
 	}
 	rd := reader{buf: data[len(snapshotMagic):]}
-	s.epoch = uint64(rd.i64())
-	s.nextTID.Store(rd.i64())
+	epoch = uint64(rd.i64())
+	s.bumpTID(rd.i64() - 1)
 	// put applies one decoded record, unless the reader already ran short.
 	put := func(rec *Record) error {
 		if rd.err != nil {
 			return rd.err
 		}
-		_, err := s.apply(rec)
+		_, err := s.apply(tables, rec)
 		return err
 	}
 	for n := rd.count(); n > 0; n-- {
 		if err := put(&Record{Op: OpPutMeta, Meta: rd.meta()}); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	var indexes []Record
@@ -1093,11 +1104,11 @@ func (s *Store) loadSnapshotBytes(data []byte) error {
 		chunk := reader{buf: rd.take(rd.uvarint())}
 		rec := Record{Op: OpCreateTable, Schema: chunk.schema()}
 		if chunk.err != nil {
-			return fmt.Errorf("storage: bad snapshot schema: %w", chunk.err)
+			return 0, fmt.Errorf("storage: bad snapshot schema: %w", chunk.err)
 		}
 		rec.Table = rec.Schema.Name
 		if err := put(&rec); err != nil {
-			return err
+			return 0, err
 		}
 		// A table's rows are one insert set.
 		m := rd.count()
@@ -1106,13 +1117,13 @@ func (s *Store) loadSnapshotBytes(data []byte) error {
 			rec.TIDs[i], rec.Rows[i] = rd.storedRow()
 		}
 		if err := put(&rec); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	for i := range indexes {
 		if err := put(&indexes[i]); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return rd.err
+	return epoch, rd.err
 }

@@ -195,7 +195,7 @@ func (e *Engine) DeployXML(xmlText string) (*wf.Process, error) {
 }
 
 func (e *Engine) createRelation(physName string, rel *wf.Relation) error {
-	if _, exists := e.db.Catalog().Table(physName); exists {
+	if e.db.Store().Table(physName) != nil {
 		return nil
 	}
 	var cols []string

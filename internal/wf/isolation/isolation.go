@@ -88,8 +88,7 @@ func intLit(n int64) sqltext.Expr { return &sqltext.Literal{Value: types.NewInt(
 
 // hasDeletionTable reports whether rel has an R∆ table.
 func (m *Manager) hasDeletionTable(rel string) bool {
-	_, ok := m.db.Catalog().Table(DeletionTable(rel))
-	return ok
+	return m.db.Store().Table(DeletionTable(rel)) != nil
 }
 
 // Restrict rewrites st in place so that each of its queries, nested
@@ -181,7 +180,7 @@ func (m *Manager) FinishProcess(pid int64) error {
 
 func (m *Manager) deletionTables() []string {
 	var out []string
-	for _, name := range m.db.Catalog().TableNames() {
+	for _, name := range m.db.Store().TableNames() {
 		if strings.HasPrefix(strings.ToLower(name), DeletionTablePrefix) {
 			out = append(out, name)
 		}
