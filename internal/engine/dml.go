@@ -12,6 +12,9 @@ import (
 )
 
 func (e *Engine) execCreateTable(s *sqltext.CreateTable) (*Result, []ChangeEvent, error) {
+	if strings.HasPrefix(strings.ToLower(s.Name), viewBackingPrefix) { // a view's backing table's, and hidden from TableNames
+		return nil, nil, fmt.Errorf("engine: table name %q takes the view-backing prefix %q", s.Name, viewBackingPrefix)
+	}
 	if e.store.Table(s.Name) != nil {
 		if s.IfNotExists {
 			return &Result{}, nil, nil
@@ -43,6 +46,9 @@ func (e *Engine) execDropTable(s *sqltext.DropTable) (*Result, []ChangeEvent, er
 			return &Result{}, nil, nil
 		}
 		return nil, nil, fmt.Errorf("engine: no such table %q", s.Name)
+	}
+	if v, ok := e.cat.View(strings.TrimPrefix(strings.ToLower(s.Name), viewBackingPrefix)); ok && strings.EqualFold(v.Backing, s.Name) {
+		return nil, nil, fmt.Errorf("engine: table %q backs view %q", s.Name, v.Name)
 	}
 	if e.inTxn.Load() {
 		return nil, nil, fmt.Errorf("engine: DROP TABLE inside a transaction is not supported")

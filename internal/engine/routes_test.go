@@ -133,9 +133,12 @@ func TestDDLNameRules(t *testing.T) {
 		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM ghost", `engine: view "w" references unknown table "ghost"`},
 		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM v", `engine: view "w" may not reference view "v"`},
 		{"CREATE MATERIALIZED VIEW w AS SELECT _tid FROM t", `catalog: column name "_tid" is reserved`},
-		{"CREATE TABLE __view_w (a INT)", ""},
-		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM t", `catalog: table "__view_w" already exists`},
-		{"DROP TABLE __view_w", ""},
+		{"CREATE TABLE __view_w (a INT)", `engine: table name "__view_w" takes the view-backing prefix "__view_"`},
+		{"CREATE TABLE IF NOT EXISTS __VIEW_w (a INT)", `engine: table name "__VIEW_w" takes the view-backing prefix "__view_"`},
+		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM t", ""},
+		{"DROP TABLE __view_w", `engine: table "__view_w" backs view "w"`},
+		{"DROP TABLE __VIEW_W", `engine: table "__VIEW_W" backs view "w"`},
+		{"DROP VIEW w", ""},
 		{"CREATE TRIGGER tg AFTER DELETE ON t CALL 'h'", `catalog: trigger "tg" already exists`},
 		{"CREATE TRIGGER TG AFTER DELETE ON ghost CALL 'h'", `catalog: trigger "TG" already exists`},
 		{"CREATE TRIGGER tg2 AFTER INSERT ON ghost CALL 'h'", `catalog: trigger "tg2" references unknown table "ghost"`},

@@ -82,7 +82,7 @@ type selPlan struct {
 	where    evalPlan
 	names    []string
 	itemsErr error // a bad t.*: a projection error, raised after WHERE's
-	hidden   bool  // trailing ORDER BY columns the result drops (aggOrderItems)
+	width    int   // an output row's values: names, then hidden ORDER BY columns (aggOrderItems)
 	proj     projPlan
 	agg      *aggSpec // an aggregate SELECT's fold: its programs, then the group tail
 	fold     evalPlan
@@ -132,7 +132,7 @@ func (pl *planner) selectPlan(sel *sqltext.Select) *selPlan {
 	if aggregate {
 		items, orderCols = aggOrderItems(sel, items)
 	}
-	sp.hidden = len(items) > len(names)
+	sp.width = len(items)
 	if len(sel.OrderBy) > 0 {
 		sp.sort = pl.sortPlan(sel, names, orderCols, rel)
 	}
@@ -159,10 +159,10 @@ func (pl *planner) selectPlan(sel *sqltext.Select) *selPlan {
 // phase holds its first error and the earlier phases run on, so the
 // error reported is the first of each join's ON in join order, then
 // WHERE, then projection or group key, then ORDER BY key, whatever rows
-// they fail on. Result rows are always freshly built slices, but their
-// values may share BYTES payloads with stored versions: only execSelect
-// hands rows out of the engine, and it detaches them there. Columns is
-// the plan's.
+// they fail on. Result rows live in slabs the output owns (output), but
+// their values may share BYTES payloads with stored versions: only
+// execSelect hands rows out of the engine, and it detaches them there.
+// Columns is the plan's.
 func (e *Engine) evalSelect(sp *selPlan, args []types.Value, overrides map[string][]types.Row, ctx *stmtCtx) (*Result, error) {
 	sel := sp.sel
 	if sel.AsOf != nil && sel != ctx.top {
@@ -179,12 +179,12 @@ func (e *Engine) evalSelect(sp *selPlan, args []types.Value, overrides map[strin
 		}
 		return nil, sp.itemsErr
 	}
-	out := &output{visible: len(sp.names)}
+	out := &output{width: sp.width, visible: len(sp.names), stride: sp.width}
 	if sel.Distinct {
 		out.seen = map[string]bool{}
 	}
-	if sp.sort != nil {
-		out.sort = newSorter(sp.sort, b, sortBound(sel, args))
+	if sp.sort != nil { // a slot holds its row's keys after the row
+		out.sort, out.stride = newSorter(sp.sort, b, sortBound(sel, args)), sp.width+len(sp.sort.by)
 	}
 	if sp.agg != nil {
 		err = e.aggregate(sp, b, src, out)
@@ -200,11 +200,6 @@ func (e *Engine) evalSelect(sp *selPlan, args []types.Value, overrides map[strin
 	rows, err := out.result()
 	if err != nil {
 		return nil, err
-	}
-	if n := len(sp.names); sp.hidden {
-		for i, r := range rows {
-			rows[i] = r[:n:n]
-		}
 	}
 
 	// LIMIT / OFFSET.
@@ -248,8 +243,8 @@ func aggregates(sel *sqltext.Select, items []projItem) bool {
 // aggOrderItems makes every ORDER BY key that contains an aggregate a
 // column of the aggregate SELECT's output, so it is evaluated over its
 // whole group like any item: the output item with the same text when
-// there is one, else a hidden trailing item evalSelect strips after
-// ordering. orderCols[i] is ORDER BY key i's column, -1 for a key that
+// there is one, else a hidden trailing item the result leaves out
+// (output.result). orderCols[i] is ORDER BY key i's column, -1 for a key that
 // holds no aggregate.
 func aggOrderItems(sel *sqltext.Select, items []projItem) ([]projItem, []int) {
 	orderCols := make([]int, len(sel.OrderBy))
@@ -307,12 +302,14 @@ func (e *Engine) valuesRow(exprs []sqltext.Expr, pp *projPlan, b *binder) (types
 		case !ok && pp == nil: // literals and parameters only: x is unbound
 			return nil, missingParam(x.(*sqltext.Param).Index)
 		case !ok:
-			out := &output{}
+			w := len(pp.bare)
+			out := &output{width: w, visible: w, stride: w}
 			p := e.newProject(pp, e.newBinder(b.subs, b.args, b.ctx), out)
 			if p.add(&batch{rows: []types.Row{nil}}); p.err != nil {
 				return nil, p.err
 			}
-			return out.rows[0], nil
+			rows, _ := out.result()
+			return rows[0], nil
 		}
 		row[i] = v
 	}
@@ -386,14 +383,7 @@ func (e *Engine) aggregate(sp *selPlan, b *binder, src *source, out *output) err
 	if len(f.opened) == 0 && len(f.keys) == 0 {
 		f.open("", nil)
 	}
-	return e.emitGroups(&sp.emit, b, f, f.opened, func(reps *batch, rows []types.Row) {
-		out.load(e, reps)
-		for k, row := range rows {
-			if row != nil {
-				out.add(k, row)
-			}
-		}
-	})
+	return e.emitGroups(&sp.emit, b, f, f.opened, out)
 }
 
 // emitPlan is the per-group tail of an aggregate query, shared by SELECT
@@ -433,18 +423,17 @@ func (pl *planner) emitPlan(exprs []sqltext.Expr, rel *relation, f *aggSpec) emi
 // error held as that lane's error — and HAVING and the items run as
 // programs over batches of groups, row-major, so an error surfaces only
 // if a kept group's evaluation reaches it. Their subqueries run apart
-// from the rows' (one binder for the tail). out receives each batch of
-// groups' representative rows and output rows, nil where HAVING rejects
-// the group; the first error stops the run.
-func (e *Engine) emitGroups(ep *emitPlan, b *binder, f *foldSink, groups []*foldGroup, out func(reps *batch, rows []types.Row)) error {
+// from the rows' (one binder for the tail). out loads each batch of
+// groups' representative rows, then each kept group's row is written
+// into the storage out hands out and kept; the first error stops the run.
+func (e *Engine) emitGroups(ep *emitPlan, b *binder, f *foldSink, groups []*foldGroup, out rowSink) error {
 	w := len(ep.bare)
 	ev := e.newBinder(b.subs, b.args, b.ctx).evaluator(&ep.ev)
 	reps := batch{rows: make([]types.Row, 0, min(len(groups), vm.BatchSize))}
-	var rows []types.Row
 	for start := 0; start < len(groups); start += vm.BatchSize {
 		chunk := groups[start:min(start+vm.BatchSize, len(groups))]
 		result := func(ci, k int) (types.Value, error) { return f.calls[ci].result(&chunk[k].states[ci], chunk[k].count) }
-		reps.rows, rows = reps.rows[:0], rows[:0]
+		reps.rows = reps.rows[:0]
 		for _, g := range chunk {
 			reps.rows = append(reps.rows, g.rep)
 		}
@@ -462,6 +451,7 @@ func (e *Engine) emitGroups(ep *emitPlan, b *binder, f *foldSink, groups []*fold
 			ev.eval(e)
 			having = ev.vecs[w]
 		}
+		out.load(e, &reps)
 		for k, r := range reps.rows {
 			if having != nil {
 				keep, err := having.Truth(k)
@@ -469,11 +459,10 @@ func (e *Engine) emitGroups(ep *emitPlan, b *binder, f *foldSink, groups []*fold
 					return err
 				}
 				if !keep {
-					rows = append(rows, nil)
 					continue
 				}
 			}
-			row := make(types.Row, w)
+			row := out.row(len(groups) - start - k)
 			for i := range row {
 				var err error
 				switch {
@@ -492,11 +481,20 @@ func (e *Engine) emitGroups(ep *emitPlan, b *binder, f *foldSink, groups []*fold
 					return err
 				}
 			}
-			rows = append(rows, row)
+			out.add(k)
 		}
-		out(&reps, rows)
 	}
 	return nil
+}
+
+// rowSink takes emitGroups' rows: load readies it for a batch of groups'
+// representative rows, row hands out the storage of the next row, and
+// add keeps that row, lane k's of the batch. The output is one; a view's
+// fold keeps its rows apart (viewRows).
+type rowSink interface {
+	load(e *Engine, reps *batch)
+	row(hint int) types.Row
+	add(k int)
 }
 
 // bareCol reports the position of a projection item that is a plain
@@ -533,25 +531,21 @@ func (pl *planner) projPlan(exprs []sqltext.Expr, rel *relation) projPlan {
 	return pp
 }
 
-// project is the sink of a SELECT without aggregates: it evaluates each
+// project is the sink of a SELECT without aggregates: it writes each
 // kept lane's output row — a bare column read from the lane, any other
-// item from its program's vector — and hands it to out. The first item
-// error in (row, item) order is held and stops the projection.
+// item from its program's vector — into out's next slot and hands it
+// over. The first item error in (row, item) order is held and stops the
+// projection.
 type project struct {
-	e       *Engine
-	ev      evaluator // nil programs for bare items: they read no batch
-	bare    []int
-	out     *output
-	scratch types.Row
-	err     error
+	e    *Engine
+	ev   evaluator // nil programs for bare items: they read no batch
+	bare []int
+	out  *output
+	err  error
 }
 
 func (e *Engine) newProject(pp *projPlan, b *binder, out *output) *project {
-	p := &project{e: e, bare: pp.bare, out: out, ev: b.evaluator(&pp.ev)}
-	if out.sort != nil {
-		p.scratch = make(types.Row, len(pp.bare))
-	}
-	return p
+	return &project{e: e, bare: pp.bare, out: out, ev: b.evaluator(&pp.ev)}
 }
 
 func (p *project) add(src *batch) {
@@ -560,18 +554,8 @@ func (p *project) add(src *batch) {
 	}
 	p.ev.load(p.e, src)
 	p.out.load(p.e, src)
-	// Without ORDER BY every row is kept: one slab of values per batch
-	// instead of one allocation per row. The sorter copies what it keeps.
-	w := len(p.bare)
-	var slab []types.Value
-	if p.out.sort == nil {
-		slab = make([]types.Value, len(src.rows)*w)
-	}
 	for k := range src.rows {
-		row := p.scratch
-		if slab != nil {
-			row = slab[k*w : (k+1)*w : (k+1)*w]
-		}
+		row := p.out.row(len(src.rows) - k)
 		for i, c := range p.bare {
 			if c >= 0 {
 				row[i] = src.col(k, c)
@@ -583,19 +567,28 @@ func (p *project) add(src *batch) {
 			}
 			row[i] = p.ev.vecs[i].Value(k)
 		}
-		p.out.add(k, row)
+		p.out.add(k)
 	}
 }
 
-// output is the tail every result row passes: DISTINCT's seen-set over
-// the visible columns keeps a row's first occurrence, then ORDER BY's
-// sorter, or the result in arrival order.
+// output is the tail every result row passes, and it owns the rows'
+// memory. A sink writes each row once, into the free slot of a slab
+// (row), and hands it over (add): DISTINCT's seen-set over the visible
+// columns keeps a row's first occurrence, then ORDER BY's sorter keys it
+// (its keys follow the row in the slot), or the result keeps arrival
+// order. A kept row takes its slot; a row not kept leaves it free. A
+// bounded sort's heap copies what it keeps, so one slot serves it.
 type output struct {
+	width   int // a row's values: the visible columns, then hidden ones
 	visible int
+	stride  int // a slot's values: the row's, then any ORDER BY keys
 	seen    map[string]bool
 	kb      []byte // the current row's DISTINCT key
 	sort    *sorter
-	rows    []types.Row
+	slabs   [][]types.Value // the slabs filled
+	slab    []types.Value   // the slab being filled: the kept rows' slots, then room
+	used    int             // the values of slab the kept rows take
+	n       int             // rows kept
 }
 
 // load evaluates ORDER BY's programs over src, the lanes the next rows
@@ -606,29 +599,80 @@ func (o *output) load(e *Engine, src *batch) {
 	}
 }
 
-// add takes lane k's row: kept as it is without ORDER BY, copied if the
-// sorter keeps it.
-func (o *output) add(k int, row types.Row) {
+// row is the free slot's row, for the sink to write. A full slab is put
+// by, and the new one holds hint rows, the rows the sink may still add,
+// up to vm.BatchSize: a result kept in full fills its slabs exactly,
+// which matters where storage keeps its rows (a view's).
+func (o *output) row(hint int) types.Row {
+	if o.used+o.stride > len(o.slab) {
+		if o.sort != nil && o.sort.k >= 0 {
+			hint = 1 // the heap copies: the slot is never taken
+		}
+		if o.used > 0 {
+			o.slabs = append(o.slabs, o.slab)
+		}
+		o.slab, o.used = make([]types.Value, min(vm.BatchSize, hint)*o.stride), 0
+	}
+	return o.slab[o.used : o.used+o.width : o.used+o.width]
+}
+
+// add takes the row just written to the free slot, lane k's of the last
+// batch loaded.
+func (o *output) add(k int) {
+	slot := o.slab[o.used : o.used+o.stride]
 	if o.seen != nil {
-		o.kb = types.AppendRowKey(o.kb[:0], row[:o.visible])
+		o.kb = types.AppendRowKey(o.kb[:0], slot[:o.visible])
 		if o.seen[string(o.kb)] {
 			return
 		}
 		o.seen[string(o.kb)] = true
 	}
-	if o.sort != nil {
-		o.sort.offer(k, row)
+	if o.sort != nil && !o.sort.key(k, slot, o.width) {
 		return
 	}
-	o.rows = append(o.rows, row)
+	o.used += o.stride
+	o.n++
 }
 
-// result is the rows in their final order, or the error ORDER BY held.
+// result is the rows in their final order, at the visible width, or the
+// error ORDER BY held. A row's capacity ends with it, so appending to
+// one never writes into its neighbour.
 func (o *output) result() ([]types.Row, error) {
-	if o.sort == nil {
-		return o.rows, nil
+	s, v := o.sort, o.visible
+	if s != nil && s.err != nil {
+		return nil, s.err
 	}
-	return o.sort.result()
+	var rows []types.Row
+	if s == nil {
+		rows = make([]types.Row, 0, o.n)
+	} else if s.k < 0 {
+		s.ents = make([]sortEnt, 0, o.n)
+	}
+	for i := 0; i <= len(o.slabs); i++ { // the kept slots, in arrival order
+		slab := o.slab[:o.used]
+		if i < len(o.slabs) {
+			slab = o.slabs[i]
+		}
+		for j := 0; j < len(slab); j += o.stride {
+			if s == nil {
+				rows = append(rows, slab[j:j+v:j+v])
+			} else {
+				s.ents = append(s.ents, sortEnt{row: slab[j : j+o.width], keys: slab[j+o.width : j+o.stride], n: len(s.ents)})
+			}
+		}
+	}
+	if s == nil {
+		return rows, nil
+	}
+	sort.Slice(s.ents, func(i, j int) bool { return s.less(s.ents[i], s.ents[j]) })
+	if s.cmpErr != nil {
+		return nil, s.cmpErr
+	}
+	rows = make([]types.Row, len(s.ents))
+	for i, ent := range s.ents {
+		rows[i] = ent.row[:v:v]
+	}
+	return rows, nil
 }
 
 // sortPlan is ORDER BY's plan. A key names an output column (alias,
@@ -676,19 +720,19 @@ func (pl *planner) sortPlan(sel *sqltext.Select, colNames []string, orderCols []
 }
 
 // sorter is the ORDER BY sink of one execution of a sortPlan. Each row
-// offered is keyed and numbered; the number breaks ties, so the result
-// matches a stable sort. With LIMIT (+ OFFSET) statically known, a
+// is keyed and numbered by arrival; the number breaks ties, so the
+// result matches a stable sort. With LIMIT (+ OFFSET) statically known, a
 // bounded max-heap holds the best k rows and only a row entering it is
-// copied; otherwise every row is kept and sorted at the end. The first
-// key error, or the plan's, is held and stops the keying.
+// copied; otherwise every row stays in its output slot, keys beside it,
+// and the slots are sorted at the end (output.result). The first key
+// error, or the plan's, is held and stops the keying.
 type sorter struct {
 	by     []sqltext.OrderItem
 	outCol []int
 	ev     evaluator
 	k      int // the heap's bound, -1 to keep every row
 	ents   []sortEnt
-	keys   []types.Value
-	n      int // rows offered
+	n      int // rows offered to the heap
 	err    error
 	cmpErr error // the last comparison that failed
 }
@@ -703,37 +747,43 @@ func newSorter(sp *sortPlan, b *binder, k int) *sorter {
 	if sp.err != nil {
 		return &sorter{err: sp.err}
 	}
-	return &sorter{by: sp.by, outCol: sp.outCol, ev: b.evaluator(&sp.ev), keys: make([]types.Value, len(sp.by)), k: k}
+	return &sorter{by: sp.by, outCol: sp.outCol, ev: b.evaluator(&sp.ev), k: k}
 }
 
-// offer keys lane k's row and keeps it if it ranks.
-func (s *sorter) offer(k int, row types.Row) {
+// key writes the keys of lane k's row, the first w values of its output
+// slot, into the slot after the row. An unbounded sorter keeps the slot
+// (true); a bounded one offers the row to its heap.
+func (s *sorter) key(k int, slot []types.Value, w int) bool {
 	if s.err != nil {
-		return
+		return false
 	}
 	for j, c := range s.outCol {
 		if c >= 0 {
-			s.keys[j] = row[c]
+			slot[w+j] = slot[c]
 			continue
 		}
 		if err := s.ev.vecs[j].Err(k); err != nil {
 			s.err = err
-			return
+			return false
 		}
-		s.keys[j] = s.ev.vecs[j].Value(k)
+		slot[w+j] = s.ev.vecs[j].Value(k)
 	}
-	ent := sortEnt{keys: s.keys, n: s.n}
+	if s.k >= 0 {
+		s.offer(slot[:w], slot[w:])
+	}
+	return s.k < 0
+}
+
+// offer keeps a keyed row in the bounded heap if it ranks.
+func (s *sorter) offer(row types.Row, keys []types.Value) {
+	ent := sortEnt{keys: keys, n: s.n}
 	s.n++
 	switch {
-	case s.k < 0 || len(s.ents) < s.k:
-		ent.row, ent.keys = slices.Clone(row), slices.Clone(s.keys)
-		if s.k < 0 {
-			s.ents = append(s.ents, ent)
-		} else {
-			heap.Push(s, ent)
-		}
+	case len(s.ents) < s.k:
+		ent.row, ent.keys = slices.Clone(row), slices.Clone(keys)
+		heap.Push(s, ent)
 	case s.k > 0 && s.less(ent, s.ents[0]):
-		ent.row, ent.keys = slices.Clone(row), slices.Clone(s.keys)
+		ent.row, ent.keys = slices.Clone(row), slices.Clone(keys)
 		s.ents[0] = ent
 		heap.Fix(s, 0)
 	}
@@ -767,23 +817,6 @@ func (s *sorter) Pop() any {
 	x := s.ents[len(s.ents)-1]
 	s.ents = s.ents[:len(s.ents)-1]
 	return x
-}
-
-// result sorts the kept rows: a key error, then a failed comparison, is
-// the error.
-func (s *sorter) result() ([]types.Row, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	sort.Slice(s.ents, func(i, j int) bool { return s.less(s.ents[i], s.ents[j]) })
-	if s.cmpErr != nil {
-		return nil, s.cmpErr
-	}
-	rows := make([]types.Row, len(s.ents))
-	for i, ent := range s.ents {
-		rows[i] = ent.row
-	}
-	return rows, nil
 }
 
 // sortBound is the bound of ORDER BY's heap: LIMIT k (+ OFFSET m) means

@@ -497,16 +497,15 @@ func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.R
 			live = append(live, g)
 		}
 	}
-	var after []types.Row
-	err = e.emitGroups(&fr.emit, b, f.foldSink, live, func(_ *batch, rows []types.Row) { after = append(after, rows...) })
-	if err != nil {
+	after := &viewRows{w: len(fr.emit.bare)}
+	if err = e.emitGroups(&fr.emit, b, f.foldSink, live, after); err != nil {
 		undo(len(f.gs))
 		return nil, nil, err
 	}
 	for _, g := range touched {
 		var row types.Row
 		if len(live) > 0 && live[0] == g {
-			row, live, after = after[0], live[1:], after[1:]
+			row, live, after.rows = after.rows[0], live[1:], after.rows[1:]
 		}
 		if !sameRow(g.out, row) {
 			if g.out != nil {
@@ -522,6 +521,21 @@ func (f *viewFold) Apply(inserted, deleted []types.Row) (adds, removes []types.R
 	}
 	return adds, removes, nil
 }
+
+// viewRows is a view fold's rowSink: per group emitted its output row,
+// nil where HAVING rejects the group. Each row is its own allocation, as
+// it lives on as its group's out for as long as the view.
+type viewRows struct {
+	w, base int // base: the current batch's first group
+	rows    []types.Row
+	next    types.Row // the row being written
+}
+
+func (v *viewRows) load(_ *Engine, reps *batch) {
+	v.base, v.rows = len(v.rows), append(v.rows, make([]types.Row, len(reps.rows))...)
+}
+func (v *viewRows) row(int) types.Row { v.next = make(types.Row, v.w); return v.next }
+func (v *viewRows) add(k int)         { v.rows[v.base+k] = v.next }
 
 // foldRow folds one row's aggregate arguments — one per call with an
 // argument — into g's states with weight w, over calls [0, n). On an
