@@ -216,11 +216,13 @@ func (c *Conn) dial() (*wireConn, error) {
 }
 
 func (c *Conn) handshake(wc *wireConn) error {
-	typ, payload, _, err := c.roundTripOn(wc, wire.FrameHello,
-		wire.EncodeHello(wire.Version, c.opts.ClientName))
+	frame := wire.AppendHello(wire.NewFrame(0), wire.Version, c.opts.ClientName)
+	typ, payload, _, err := c.roundTripOn(wc, wire.FrameHello, frame)
+	wire.Release(frame)
 	if err != nil {
 		return fmt.Errorf("client: handshake: %w", err)
 	}
+	defer wire.Release(payload)
 	switch typ {
 	case wire.FrameWelcome:
 		v, _, err := wire.DecodeWelcome(payload)
@@ -294,22 +296,29 @@ func (c *Conn) put(wc *wireConn) {
 	}
 }
 
-// roundTrip sends one request and reads its response, managing pool
-// checkout and dead-connection disposal. When the request frame never
-// made it onto a pooled (never transaction-pinned) connection, the
-// request provably did not execute, so one retry on a fresh connection
-// is safe even for non-idempotent statements — this is what lets a
-// driver survive a server restart transparently. A failure after the
-// frame was written is never retried: the server may have executed the
-// statement and only the response was lost.
-func (c *Conn) roundTrip(reqType byte, payload []byte) (byte, []byte, error) {
+// roundTrip sends one request frame, built on wire.NewFrame, and hands
+// the response to decode, managing pool checkout and dead-connection
+// disposal. decode runs before the response's buffer goes back to the
+// frame pool and the connection to the idle pool; what it keeps must be
+// copied out, as every wire decoder does. The request frame goes back to
+// the pool when roundTrip returns.
+//
+// When the request frame never made it onto a pooled (never
+// transaction-pinned) connection, the request provably did not execute,
+// so one retry on a fresh connection is safe even for non-idempotent
+// statements — this is what lets a driver survive a server restart
+// transparently. A failure after the frame was written is never
+// retried: the server may have executed the statement and only the
+// response was lost.
+func (c *Conn) roundTrip(reqType byte, frame []byte, decode func(typ byte, payload []byte) error) error {
+	defer wire.Release(frame)
 	for attempt := 0; ; attempt++ {
 		wc, pinned, pooled, err := c.get()
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
 		done := c.reg.Time(c.mRoundTripH)
-		typ, resp, wrote, err := c.roundTripOn(wc, reqType, payload)
+		typ, resp, wrote, err := c.roundTripOn(wc, reqType, frame)
 		done()
 		if err != nil {
 			// The stream is in an unknown state: drop the connection. If
@@ -325,23 +334,25 @@ func (c *Conn) roundTrip(reqType byte, payload []byte) (byte, []byte, error) {
 				c.mWriteRetries.Inc()
 				continue
 			}
-			return 0, nil, err
+			return err
 		}
+		err = decode(typ, resp)
+		wire.Release(resp)
 		if !pinned {
 			c.put(wc)
 		}
-		return typ, resp, nil
+		return err
 	}
 }
 
 // roundTripOn performs one framed request/response on wc. wrote reports
 // whether the request frame was fully written — once it is, the server
 // may have executed the request, and the caller must not retry.
-func (c *Conn) roundTripOn(wc *wireConn, reqType byte, payload []byte) (typ byte, resp []byte, wrote bool, err error) {
+func (c *Conn) roundTripOn(wc *wireConn, reqType byte, frame []byte) (typ byte, resp []byte, wrote bool, err error) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	wc.c.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	if err := wire.WriteFrame(wc.c, reqType, payload); err != nil {
+	if err := wire.SendFrame(wc.c, reqType, frame); err != nil {
 		return 0, nil, false, err
 	}
 	wc.c.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
@@ -350,10 +361,7 @@ func (c *Conn) roundTripOn(wc *wireConn, reqType byte, payload []byte) (typ byte
 }
 
 // expect unwraps a response, converting Error frames into Go errors.
-func expect(want byte, typ byte, payload []byte, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
+func expect(want byte, typ byte, payload []byte) ([]byte, error) {
 	if typ == wire.FrameError {
 		msg, derr := wire.DecodeError(payload)
 		if derr != nil {
@@ -365,6 +373,21 @@ func expect(want byte, typ byte, payload []byte, err error) ([]byte, error) {
 		return nil, fmt.Errorf("client: expected frame 0x%02x, got 0x%02x", want, typ)
 	}
 	return payload, nil
+}
+
+// result runs one request answered by a Result frame.
+func (c *Conn) result(reqType byte, frame []byte) (*engine.Result, error) {
+	var res *engine.Result
+	err := c.roundTrip(reqType, frame, func(typ byte, p []byte) (err error) {
+		if p, err = expect(wire.FrameResult, typ, p); err == nil {
+			res, err = wire.DecodeResult(p)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ------------------------------------------------------------ statements
@@ -380,12 +403,7 @@ func (c *Conn) ExecScript(sql string, args ...types.Value) (*engine.Result, erro
 }
 
 func (c *Conn) exec(script bool, sql string, args []types.Value) (*engine.Result, error) {
-	typ, payload, err := c.roundTrip(wire.FrameExec, wire.EncodeExec(script, sql, args))
-	p, err := expect(wire.FrameResult, typ, payload, err)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResult(p)
+	return c.result(wire.FrameExec, wire.AppendExec(wire.NewFrame(0), script, sql, args))
 }
 
 // BatchStmt is one statement of an ExecBatch pipeline (re-exported from
@@ -401,12 +419,14 @@ type BatchStmt = wire.BatchStmt
 // results of the statements that preceded it; wire-level failures
 // return a nil slice.
 func (c *Conn) ExecBatch(stmts []BatchStmt) ([]*engine.Result, error) {
-	typ, payload, err := c.roundTrip(wire.FrameExecBatch, wire.EncodeExecBatch(stmts))
-	p, err := expect(wire.FrameBatchResult, typ, payload, err)
-	if err != nil {
-		return nil, err
-	}
-	results, errMsg, err := wire.DecodeBatchResult(p)
+	var results []*engine.Result
+	var errMsg string
+	err := c.roundTrip(wire.FrameExecBatch, wire.AppendExecBatch(wire.NewFrame(0), stmts), func(typ byte, p []byte) (err error) {
+		if p, err = expect(wire.FrameBatchResult, typ, p); err == nil {
+			results, errMsg, err = wire.DecodeBatchResult(p)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -418,12 +438,7 @@ func (c *Conn) ExecBatch(stmts []BatchStmt) ([]*engine.Result, error) {
 
 // Query runs a SELECT on the server.
 func (c *Conn) Query(sql string, args ...types.Value) (*engine.Result, error) {
-	typ, payload, err := c.roundTrip(wire.FrameQuery, wire.EncodeQuery(sql, args))
-	p, err := expect(wire.FrameResult, typ, payload, err)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResult(p)
+	return c.result(wire.FrameQuery, wire.AppendQuery(wire.NewFrame(0), sql, args))
 }
 
 // QueryValue runs a SELECT expected to return exactly one value.
@@ -449,12 +464,17 @@ func (c *Conn) QueryInt(sql string, args ...types.Value) (int64, error) {
 
 // NextID allocates a unique id server-side (safe across sessions).
 func (c *Conn) NextID(table string) (int64, error) {
-	typ, payload, err := c.roundTrip(wire.FrameNextID, wire.EncodeString(table))
-	p, err := expect(wire.FrameID, typ, payload, err)
+	var id int64
+	err := c.roundTrip(wire.FrameNextID, wire.AppendString(wire.NewFrame(0), table), func(typ byte, p []byte) (err error) {
+		if p, err = expect(wire.FrameID, typ, p); err == nil {
+			id, err = wire.DecodeID(p)
+		}
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	return wire.DecodeID(p)
+	return id, nil
 }
 
 // InsertRow inserts one row given column→value pairs, returning its tid.
@@ -488,19 +508,25 @@ func (c *Conn) InsertRow(table string, vals map[string]types.Value) (int64, erro
 
 // TableNames lists the server's tables.
 func (c *Conn) TableNames() ([]string, error) {
-	typ, payload, err := c.roundTrip(wire.FrameTables, nil)
-	p, err := expect(wire.FrameNames, typ, payload, err)
+	var names []string
+	err := c.roundTrip(wire.FrameTables, wire.NewFrame(0), func(typ byte, p []byte) (err error) {
+		if p, err = expect(wire.FrameNames, typ, p); err == nil {
+			names, err = wire.DecodeNames(p)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return wire.DecodeNames(p)
+	return names, nil
 }
 
 // Ping performs a wire round trip, dialing if needed.
 func (c *Conn) Ping() error {
-	typ, payload, err := c.roundTrip(wire.FramePing, nil)
-	_, err = expect(wire.FramePong, typ, payload, err)
-	return err
+	return c.roundTrip(wire.FramePing, wire.NewFrame(0), func(typ byte, p []byte) error {
+		_, err := expect(wire.FramePong, typ, p)
+		return err
+	})
 }
 
 // ------------------------------------------------------------ transactions

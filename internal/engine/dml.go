@@ -47,7 +47,7 @@ func (e *Engine) execDropTable(s *sqltext.DropTable) (*Result, []ChangeEvent, er
 		}
 		return nil, nil, fmt.Errorf("engine: no such table %q", s.Name)
 	}
-	if v, ok := e.cat.View(strings.TrimPrefix(strings.ToLower(s.Name), viewBackingPrefix)); ok && strings.EqualFold(v.Backing, s.Name) {
+	if v := e.backedView(s.Name); v != nil {
 		return nil, nil, fmt.Errorf("engine: table %q backs view %q", s.Name, v.Name)
 	}
 	if e.inTxn.Load() {
@@ -128,13 +128,25 @@ func resolveInsertTarget(schema *catalog.TableSchema, cols []string) ([]int, err
 	return out, nil
 }
 
+// backedView is the view whose backing table is table, nil when none is.
+func (e *Engine) backedView(table string) *catalog.View {
+	if v, ok := e.cat.View(strings.TrimPrefix(strings.ToLower(table), viewBackingPrefix)); ok && strings.EqualFold(v.Backing, table) {
+		return v
+	}
+	return nil
+}
+
 // writeTarget is the table an INSERT, UPDATE or DELETE writes, action
-// naming the statement in the error: a view, a virtual table (it shadows
-// any table of its name, so a statement would match rows it cannot
-// write) or a name the store does not hold is an error.
+// naming the statement in the error: a view, a view's backing table (its
+// rows are the view's query's, kept by view maintenance alone), a virtual
+// table (it shadows any table of its name, so a statement would match
+// rows it cannot write) or a name the store does not hold is an error.
 func (e *Engine) writeTarget(table, action string) (*catalog.TableSchema, error) {
 	if _, isView := e.cat.View(table); isView {
 		return nil, fmt.Errorf("engine: cannot %s view %q", action, table)
+	}
+	if v := e.backedView(table); v != nil {
+		return nil, fmt.Errorf("engine: cannot %s table %q: it backs view %q", action, table, v.Name)
 	}
 	if e.lookupVirtual(table) != nil {
 		return nil, fmt.Errorf("engine: cannot %s virtual table %q", action, table)

@@ -227,16 +227,15 @@ func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table
 	if plan.in {
 		nk, w = w, 1
 	}
+	// The finds go straight into the batch, a base table's (tids beside
+	// the rows, even when it finds none): with several keys, sized by
+	// their count (one row a key, as a unique key finds); with one, by
+	// what Lookup finds.
+	m = batch{tids: []int64{}}
 	var seen map[int64]bool
 	if nk > 1 {
 		seen = make(map[int64]bool, nk)
-	}
-	// The finds, sized by the key count (one row a key, as a unique key
-	// finds), on the stack while they are few.
-	var buf [4]storage.StoredRow
-	found := buf[:0]
-	if nk > len(buf) {
-		found = make([]storage.StoredRow, 0, nk)
+		m = batch{rows: make([]types.Row, 0, nk), tids: make([]int64, 0, nk)}
 	}
 	var kbuf [4]types.Value // the key, on the stack while it is short
 	key := slices.Grow(kbuf[:0], w)[:w]
@@ -264,28 +263,23 @@ func resolveScan(plan *scanPlan, schema *catalog.TableSchema, tbl *storage.Table
 		if !match {
 			continue
 		}
-		n := len(found)
+		n := len(m.tids)
 		if plan.kind == pathIndex {
-			found = tbl.Lookup(plan.index, key, asOf, found)
+			m.rows, m.tids = tbl.Lookup(plan.index, key, asOf, m.rows, m.tids)
 		} else if sr, hit := tbl.GetAt(key[0].Int(), asOf); hit {
-			found = append(found, sr)
+			m.rows, m.tids = append(m.rows, sr.Values), append(m.tids, sr.TID)
 		}
 		if seen != nil { // keep each tid's first find
 			kept := n
-			for _, sr := range found[n:] {
-				if !seen[sr.TID] {
-					seen[sr.TID] = true
-					found[kept] = sr
+			for i, tid := range m.tids[n:] {
+				if !seen[tid] {
+					seen[tid] = true
+					m.rows[kept], m.tids[kept] = m.rows[n+i], tid
 					kept++
 				}
 			}
-			found = found[:kept]
+			m.rows, m.tids = m.rows[:kept], m.tids[:kept]
 		}
-	}
-	n := len(found)
-	m = batch{rows: make([]types.Row, n), tids: make([]int64, n)}
-	for i, sr := range found {
-		m.rows[i], m.tids[i] = sr.Values, sr.TID
 	}
 	return m, true
 }

@@ -138,6 +138,11 @@ func TestDDLNameRules(t *testing.T) {
 		{"CREATE MATERIALIZED VIEW w AS SELECT id FROM t", ""},
 		{"DROP TABLE __view_w", `engine: table "__view_w" backs view "w"`},
 		{"DROP TABLE __VIEW_W", `engine: table "__VIEW_W" backs view "w"`},
+		{"INSERT INTO __view_w VALUES (5)", `engine: cannot INSERT into table "__view_w": it backs view "w"`},
+		{"UPDATE __VIEW_W SET id = 6", `engine: cannot UPDATE table "__VIEW_W": it backs view "w"`},
+		{"DELETE FROM __view_w WHERE id = 1", `engine: cannot DELETE from table "__view_w": it backs view "w"`},
+		{"INSERT INTO t VALUES (1, 1)", ""},
+		{"DELETE FROM __view_W", `engine: cannot DELETE from table "__view_W": it backs view "w"`},
 		{"DROP VIEW w", ""},
 		{"CREATE TRIGGER tg AFTER DELETE ON t CALL 'h'", `catalog: trigger "tg" already exists`},
 		{"CREATE TRIGGER TG AFTER DELETE ON ghost CALL 'h'", `catalog: trigger "TG" already exists`},

@@ -971,7 +971,7 @@ type joinStage struct {
 	kept  bool      // a pair of the left lane being paired was kept (LEFT)
 	key   types.Row // a probe's key
 	kb    []byte    // a hash join's key
-	found []storage.StoredRow
+	found batch     // a probe's finds, reused across probes
 
 	// Rows scanned, credited when the statement settles (pipe): what
 	// building the right side and the ON conjuncts' subqueries read, and
@@ -1035,12 +1035,12 @@ func (j *joinStage) push(in *batch) {
 			for i, p := range j.plan.perm {
 				j.key[i] = in.col(k, j.plan.eqL[p])
 			}
-			j.found = j.probe.Lookup(j.plan.probe, j.key, j.ctx.snap, j.found[:0])
-			j.probed += len(j.found)
-			for _, sr := range j.found {
+			j.found.rows, j.found.tids = j.probe.Lookup(j.plan.probe, j.key, j.ctx.snap, j.found.rows[:0], j.found.tids[:0])
+			j.probed += len(j.found.tids)
+			for i, tid := range j.found.tids {
 				r := j.pair(in, k, false)
-				n := copy(r, sr.Values)
-				r[n], r[n+1] = types.NewInt(sr.TID), types.NewInt(sr.TID)
+				n := copy(r, j.found.rows[i])
+				r[n], r[n+1] = types.NewInt(tid), types.NewInt(tid)
 			}
 		case j.plan.kind == "hash-join":
 			var ok bool

@@ -54,6 +54,7 @@ func (ss *session) streamWAL(payload []byte) error {
 			if seq, err := wire.DecodeReplAck(p); err == nil {
 				tr.Acked(seq)
 			}
+			wire.Release(p)
 		}
 	}()
 	defer ss.conn.Close() // unblocks the ack reader before we return

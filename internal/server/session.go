@@ -140,6 +140,7 @@ func (ss *session) serve() {
 		ss.lastActive.Store(time.Now().UnixNano())
 		ss.stmts.Add(1)
 		err = ss.dispatch(typ, payload)
+		wire.Release(payload) // dispatch's decoders copied what they keep
 		cont := ss.endWork()
 		if err != nil || !cont {
 			return
@@ -156,6 +157,7 @@ func (ss *session) handshake() error {
 		return err
 	}
 	ss.countIn(payload)
+	defer wire.Release(payload)
 	if typ != wire.FrameHello {
 		return fmt.Errorf("expected HELLO, got frame 0x%02x", typ)
 	}
@@ -195,7 +197,7 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 		if err != nil {
 			return ss.sendErr(err)
 		}
-		return ss.reply(wire.FrameResult, wire.EncodeResult(res))
+		return ss.replyFrame(wire.FrameResult, wire.ResultFrame(res))
 
 	case wire.FrameExecBatch:
 		stmts, err := wire.DecodeExecBatch(payload)
@@ -234,7 +236,7 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 		if execErr != nil {
 			errMsg = execErr.Error()
 		}
-		return ss.reply(wire.FrameBatchResult, wire.EncodeBatchResult(results, errMsg))
+		return ss.replyFrame(wire.FrameBatchResult, wire.BatchResultFrame(results, errMsg))
 
 	case wire.FrameQuery:
 		sql, args, err := wire.DecodeQuery(payload)
@@ -245,7 +247,7 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 		if err != nil {
 			return ss.sendErr(err)
 		}
-		return ss.reply(wire.FrameResult, wire.EncodeResult(res))
+		return ss.replyFrame(wire.FrameResult, wire.ResultFrame(res))
 
 	case wire.FrameNextID:
 		table, err := wire.DecodeString(payload)
@@ -354,12 +356,30 @@ func (ss *session) sendErr(err error) error {
 }
 
 func (ss *session) reply(typ byte, payload []byte) error {
-	n := int64(len(payload)) + wire.HeaderLen
-	ss.bytesOut.Add(n)
-	ss.srv.mBytesOut.Add(n)
-	ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
+	ss.startReply(len(payload))
 	if err := wire.WriteFrame(ss.w, typ, payload); err != nil {
 		return err
 	}
 	return ss.w.Flush()
+}
+
+// replyFrame sends a response built in a pooled frame buffer
+// (wire.ResultFrame, wire.BatchResultFrame) in one piece, and hands the
+// buffer back once it is flushed.
+func (ss *session) replyFrame(typ byte, frame []byte) error {
+	defer wire.Release(frame)
+	ss.startReply(len(frame) - wire.HeaderLen)
+	if err := wire.SendFrame(ss.w, typ, frame); err != nil {
+		return err
+	}
+	return ss.w.Flush()
+}
+
+// startReply counts a response of n payload bytes against the session
+// and the server totals, and arms the write deadline.
+func (ss *session) startReply(n int) {
+	out := int64(n) + wire.HeaderLen
+	ss.bytesOut.Add(out)
+	ss.srv.mBytesOut.Add(out)
+	ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
 }

@@ -24,7 +24,7 @@ func TestLookupAllocCeiling(t *testing.T) {
 		}
 	}
 	pk, email := tbl.Indexes()[0], tbl.Indexes()[1]
-	dst := make([]StoredRow, 0, 4)
+	rows, tids := make([]types.Row, 0, 4), make([]int64, 0, 4)
 	for _, c := range []struct {
 		name string
 		ix   *IndexInfo
@@ -36,10 +36,10 @@ func TestLookupAllocCeiling(t *testing.T) {
 	} {
 		key := types.Row{c.key}
 		allocs := testing.AllocsPerRun(100, func() {
-			dst = tbl.Lookup(c.ix, key, SeqLatest, dst[:0])
+			rows, tids = tbl.Lookup(c.ix, key, SeqLatest, rows[:0], tids[:0])
 		})
-		if len(dst) != 1 || dst[0].TID != 418 {
-			t.Fatalf("%s: Lookup(%v) = %v, want tid 418", c.name, c.key, dst)
+		if len(rows) != 1 || len(tids) != 1 || tids[0] != 418 {
+			t.Fatalf("%s: Lookup(%v) = %v %v, want tid 418", c.name, c.key, tids, rows)
 		}
 		if allocs != 0 {
 			t.Errorf("%s: Lookup allocates %.1f times per probe, want 0", c.name, allocs)

@@ -156,8 +156,9 @@ func checkLookups(t *testing.T, tbl *Table, asOf int64, step int) {
 				}
 			}
 			var got []string
-			for _, r := range tbl.Lookup(ix, key, asOf, nil) {
-				got = append(got, fmt.Sprint(r.TID, r.Values))
+			rows, tids := tbl.Lookup(ix, key, asOf, nil, nil)
+			for i, tid := range tids {
+				got = append(got, fmt.Sprint(tid, rows[i]))
 			}
 			sort.Strings(want)
 			sort.Strings(got)

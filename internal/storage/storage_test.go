@@ -24,11 +24,11 @@ func userSchema() *catalog.TableSchema {
 // pkTID looks v up in the table's first index (the primary key when the
 // schema has one) as of asOf.
 func pkTID(tbl *Table, v types.Value, asOf int64) (int64, bool) {
-	rows := tbl.Lookup(tbl.Indexes()[0], types.Row{v}, asOf, nil)
-	if len(rows) == 0 {
+	_, tids := tbl.Lookup(tbl.Indexes()[0], types.Row{v}, asOf, nil, nil)
+	if len(tids) == 0 {
 		return 0, false
 	}
-	return rows[0].TID, true
+	return tids[0], true
 }
 
 // namedIndex returns the CREATE INDEX index called name, or nil.
@@ -48,9 +48,7 @@ func indexTIDs(tbl *Table, name string, key types.Row, asOf int64) (tids []int64
 	if ix == nil {
 		return nil, false
 	}
-	for _, r := range tbl.Lookup(ix, key, asOf, nil) {
-		tids = append(tids, r.TID)
-	}
+	_, tids = tbl.Lookup(ix, key, asOf, nil, nil)
 	return tids, true
 }
 

@@ -353,21 +353,22 @@ func (t *Table) Indexes() []*IndexInfo {
 	return t.indexes
 }
 
-// Lookup appends to dst the rows whose ix key equals key (one value per
-// index column, in index-key order) as visible at snapshot asOf, and
-// returns the extended slice: a caller probing once per row passes the
-// same buffer each time. Equality is key equality (types.AppendKey); a
-// key holding a NULL finds nothing. Candidates are resolved under the
-// structural lock; the visibility walk and the key re-check on the
-// visible version happen outside it.
-func (t *Table) Lookup(ix *IndexInfo, key types.Row, asOf int64, dst []StoredRow) []StoredRow {
+// Lookup appends the values and the tid of each row whose ix key equals
+// key (one value per index column, in index-key order), as visible at
+// snapshot asOf, to rows and tids, and returns the extended slices: a
+// scan's batch, or buffers a caller probing once per row passes each
+// time. Equality is key equality (types.AppendKey); a key holding a NULL
+// finds nothing. Candidates are resolved under the structural lock; the
+// visibility walk and the key re-check on the visible version happen
+// outside it.
+func (t *Table) Lookup(ix *IndexInfo, key types.Row, asOf int64, rows []types.Row, tids []int64) ([]types.Row, []int64) {
 	if len(key) != len(ix.Cols) {
-		return dst
+		return rows, tids
 	}
 	var kb, vb [keyBuf]byte
 	k, ok := entryKey(kb[:0], key)
 	if !ok {
-		return dst
+		return rows, tids
 	}
 	var buf [4]*rowSlot
 	cands := buf[:0]
@@ -384,15 +385,15 @@ func (t *Table) Lookup(ix *IndexInfo, key types.Row, asOf int64, dst []StoredRow
 		}
 	}
 	t.mu.RUnlock()
-	dst = slices.Grow(dst, len(cands))
+	rows, tids = slices.Grow(rows, len(cands)), slices.Grow(tids, len(cands))
 	for _, sl := range cands {
 		if v := visibleAt(sl.head.Load(), asOf); v != nil {
 			if vk, ok := ix.key(vb[:0], v.values); ok && bytes.Equal(vk, k) {
-				dst = append(dst, StoredRow{TID: sl.tid, Values: v.values})
+				rows, tids = append(rows, v.values), append(tids, sl.tid)
 			}
 		}
 	}
-	return dst
+	return rows, tids
 }
 
 // checkConstraints validates NOT NULL and every unique index for a

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestExecQueryRoundTrip(t *testing.T) {
 			t.Fatalf("arg %d: %v != %v", i, got[i], args[i])
 		}
 	}
-	qsql, qargs, err := DecodeQuery(EncodeQuery("SELECT 1", nil))
+	qsql, qargs, err := DecodeQuery(AppendQuery(nil, "SELECT 1", nil))
 	if err != nil || qsql != "SELECT 1" || len(qargs) != 0 {
 		t.Fatalf("%q %v %v", qsql, qargs, err)
 	}
@@ -195,5 +196,51 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 	}
 	if _, err := DecodeNames(hostile[1:]); err == nil {
 		t.Fatal("hostile name count accepted")
+	}
+}
+
+// TestPooledFramesMatchEncoders: a frame built in a pooled buffer (a
+// request appended to NewFrame, ResultFrame, BatchResultFrame) goes out
+// as the same bytes WriteFrame sends for the payload encoded on its own,
+// whatever a reused buffer held before.
+func TestPooledFramesMatchEncoders(t *testing.T) {
+	res := &engine.Result{
+		Columns: []string{"id", "s"},
+		Rows:    []types.Row{{types.NewInt(1), types.NewString(strings.Repeat("y", 300))}, {types.Null, types.NewBytes([]byte{9})}},
+		TIDs:    []int64{4, 5},
+	}
+	args := []types.Value{types.NewInt(3), types.NewString("q")}
+	batch := []BatchStmt{{SQL: "INSERT INTO t VALUES (?)", Args: args}, {SQL: "DELETE FROM t"}}
+	for round := 0; round < 3; round++ { // later rounds draw buffers the earlier ones released
+		for _, c := range []struct {
+			typ     byte
+			frame   []byte
+			payload []byte
+		}{
+			{FrameQuery, AppendQuery(NewFrame(0), "SELECT ?", args), AppendQuery(nil, "SELECT ?", args)},
+			{FrameExec, AppendExec(NewFrame(0), true, "BEGIN; SELECT 1", args), EncodeExec(true, "BEGIN; SELECT 1", args)},
+			{FrameExecBatch, AppendExecBatch(NewFrame(0), batch), AppendExecBatch(nil, batch)},
+			{FrameHello, AppendHello(NewFrame(0), Version, "t"), EncodeHello(Version, "t")},
+			{FrameResult, ResultFrame(res), EncodeResult(res)},
+			{FrameResult, ResultFrame(nil), EncodeResult(nil)},
+		} {
+			var got, want bytes.Buffer
+			if err := SendFrame(&got, c.typ, c.frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(&want, c.typ, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("round %d frame 0x%02x: sent %x, want %x", round, c.typ, got.Bytes(), want.Bytes())
+			}
+			Release(c.frame)
+		}
+		frame := BatchResultFrame([]*engine.Result{res, nil}, "engine: boom")
+		results, msg, err := DecodeBatchResult(frame[HeaderLen:])
+		if err != nil || msg != "engine: boom" || len(results) != 2 || !reflect.DeepEqual(results[0], res) || len(results[1].Rows) != 0 {
+			t.Fatalf("BatchResultFrame decodes to %v %q %v", results, msg, err)
+		}
+		Release(frame)
 	}
 }
